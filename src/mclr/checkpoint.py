@@ -1,15 +1,18 @@
 """Binary state checkpoints: JSON header plus raw little-endian arrays.
 
-Layout: 8-byte magic, u32 format version, u64 header length, UTF-8 JSON
-header, then the concatenated array payload.  The header carries scalar
-metadata and an array directory (name, dtype, shape, byte offset).  Arrays
-round-trip bit-exactly.
+Layout: 8-byte magic, u32 format version, u64 header length, u32 CRC-32 of
+everything that follows, UTF-8 JSON header, then the concatenated array
+payload.  The header carries scalar metadata and an array directory (name,
+dtype, shape, byte offset).  Arrays round-trip bit-exactly.  A truncated or
+modified file is refused with ``ValueError("corrupt checkpoint: ...")``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zlib
+from math import prod
 
 import numpy as np
 
@@ -19,7 +22,8 @@ from .groundstate import DistGroundState, GroundState
 from .hamiltonian import AllBodyTable, OrbitalSet, PairCoupling
 
 MAGIC = b"MCLRCKPT"
-VERSION = 1
+VERSION = 2
+_FIXED = struct.Struct("<IQI")      # version, header length, CRC-32
 
 __all__ = ["save_state", "load_state", "save_arrays", "load_arrays"]
 
@@ -36,25 +40,58 @@ def _encode(header: dict, arrays: dict) -> bytes:
         payload += raw
     header = dict(header)
     header["arrays"] = directory
-    blob = json.dumps(header, sort_keys=True).encode()
-    return MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob + payload
+    body = json.dumps(header, sort_keys=True).encode() + payload
+    hlen = len(body) - len(payload)
+    return MAGIC + _FIXED.pack(VERSION, hlen, zlib.crc32(body)) + body
+
+
+def _corrupt(why: str) -> ValueError:
+    return ValueError(f"corrupt checkpoint: {why}")
+
+
+def _directory_entry(entry, payload_size: int):
+    """(name, dtype, shape, offset, byte size) of an entry that fits."""
+    try:
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        dt = np.dtype(entry["dtype"])
+    except (KeyError, TypeError, ValueError):
+        raise _corrupt(f"bad array directory entry {entry!r}") from None
+    if not (isinstance(name, str) and dt.kind in "biufc"
+            and isinstance(shape, list)
+            and all(isinstance(n, int) and n >= 0 for n in shape)
+            and isinstance(offset, int) and offset >= 0):
+        raise _corrupt(f"bad array directory entry {entry!r}")
+    size = dt.itemsize * prod(shape)
+    if offset + size > payload_size:
+        raise _corrupt(f"array {name!r} runs past the end of the payload")
+    return name, dt, shape, offset, size
 
 
 def _decode(data: bytes):
-    if data[:8] != MAGIC:
-        raise ValueError("not a checkpoint file")
-    version, hlen = struct.unpack("<IQ", data[8:20])
+    start = len(MAGIC) + _FIXED.size
+    if len(data) < start or data[:len(MAGIC)] != MAGIC:
+        raise _corrupt("missing or damaged fixed header")
+    version, hlen, crc = _FIXED.unpack_from(data, len(MAGIC))
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    header = json.loads(data[20:20 + hlen].decode())
-    base = 20 + hlen
+    body = data[start:]
+    if hlen > len(body):
+        raise _corrupt(f"header length {hlen} exceeds the {len(body)} bytes "
+                       "after the fixed header")
+    if zlib.crc32(body) != crc:
+        raise _corrupt("checksum mismatch (truncated or modified file)")
+    try:
+        header = json.loads(body[:hlen].decode())
+    except ValueError as exc:       # also UnicodeDecodeError, JSONDecodeError
+        raise _corrupt(f"header is not valid JSON ({exc})") from None
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
+        raise _corrupt("header has no array directory")
+    payload = body[hlen:]
     arrays = {}
     for entry in header["arrays"]:
-        dt = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"], initial=1))
-        start = base + entry["offset"]
-        arr = np.frombuffer(data[start:start + count * dt.itemsize], dtype=dt)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        name, dt, shape, offset, size = _directory_entry(entry, len(payload))
+        arr = np.frombuffer(payload[offset:offset + size], dtype=dt)
+        arrays[name] = arr.reshape(shape).copy()
     return header, arrays
 
 

@@ -42,7 +42,7 @@ EXIT_NOCONV = 2
 
 
 class ConfigError(Exception):
-    pass
+    """Unusable input (config or checkpoint): reported on stderr, exit 1."""
 
 
 def _load_config(path):
@@ -64,6 +64,13 @@ def _need(cfg, section, key):
     if not cfg.has_option(section, key):
         raise ConfigError(f"missing mandatory key [{section}] {key}")
     return cfg.get(section, key)
+
+
+def _load_checkpoint(path):
+    try:
+        return ckpt.load_state(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {exc}")
 
 
 def _config_hash(text: str) -> str:
@@ -239,7 +246,7 @@ def cmd_ground(args):
     cfg_hash = _config_hash(text)
     out = Path(args.checkpoint or "ground.ckpt")
     if args.resume and out.exists():
-        state = ckpt.load_state(out)
+        state = _load_checkpoint(out)
         print(f"# resumed from {out}")
         _print_state_summary(state, cfg_hash)
         return EXIT_OK
@@ -255,10 +262,12 @@ def cmd_ground(args):
 
 
 def cmd_linres(args):
-    state = ckpt.load_state(args.checkpoint)
+    state = _load_checkpoint(args.checkpoint)
     res = state.residuals
-    if res.get("orb_residual", np.inf) > 1e-6:
-        print("error: checkpoint is not converged; refusing to linearize",
+    orb, coef = res.get("orb_residual", np.inf), res.get("c_residual", np.inf)
+    if orb > 1e-6 or coef > 1e-6:
+        print(f"error: checkpoint is not converged (orbital residual {orb:.3e}, "
+              f"coefficient residual {coef:.3e}); refusing to linearize",
               file=sys.stderr)
         return EXIT_USAGE
     cfg, text = _load_config(args.config)
@@ -390,7 +399,7 @@ def cmd_oracle(args):
 
 
 def cmd_propcheck(args):
-    state = ckpt.load_state(args.checkpoint)
+    state = _load_checkpoint(args.checkpoint)
     if not isinstance(state, gs.GroundState):
         print("error: propagation check supports identical-particle "
               "checkpoints only", file=sys.stderr)

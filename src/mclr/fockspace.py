@@ -35,7 +35,6 @@ __all__ = [
     "apply_rho_kslq",
     "apply_second_quantized",
     "reduced_densities",
-    "tensor_density_action",
     "apply_hamiltonian_dist",
     "dist_reduced_density",
 ]
@@ -317,31 +316,6 @@ def dist_reduced_density(space: ConfigSpace, C: np.ndarray, dofs) -> np.ndarray:
     nd = len(dofs)
     rho = rho.transpose(perm + [p + nd for p in perm])
     return rho
-
-
-def tensor_density_action(space: ConfigSpace, C: np.ndarray, j: int,
-                          n_j: int, m_j: int) -> np.ndarray:
-    """Apply the single-entry density operator of DOF j to C.
-
-    The operator is the identity on every other slot and the matrix with a
-    single 1 at (row n_j, column m_j) on slot j, so amplitude moves from
-    configurations with orbital m_j at slot j to orbital n_j.
-    """
-    if space.identical:
-        raise ValueError("distinguishable spaces only")
-    Q = len(space.M_list)
-    if not 0 <= j < Q:
-        raise IndexError("degree-of-freedom index out of range")
-    if not (0 <= n_j < space.M_list[j] and 0 <= m_j < space.M_list[j]):
-        raise IndexError("orbital index out of range")
-    t = np.asarray(C, dtype=complex).reshape(space.M_list)
-    out = np.zeros_like(t)
-    src = [slice(None)] * Q
-    dst = [slice(None)] * Q
-    src[j] = m_j
-    dst[j] = n_j
-    out[tuple(dst)] = t[tuple(src)]
-    return out.reshape(space.size)
 
 
 def apply_hamiltonian_dist(space: ConfigSpace, C: np.ndarray, h_elems,

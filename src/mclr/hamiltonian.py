@@ -1,12 +1,13 @@
 """Orbital-space matrix elements feeding the ground-state and response builds.
 
-Identical particles: one-body elements h_kq, direct potentials W_sl(r),
-exchange kernels K_sl, the four-index interaction tensor, and the dense
-configuration-space Hamiltonian.
+Identical particles: one-body elements h_kq, direct potentials W_sl(r), the
+four-index interaction tensor, and the dense configuration-space
+Hamiltonian.
 
 Distinguishable degrees of freedom: pairwise (and small all-body) couplings,
-their configuration matrix elements, partially integrated potentials, and
-the per-DOF mean-field operators.
+their configuration matrix elements, and the per-DOF mean-field operators,
+all contracted against reduced densities or the coefficient tensor rather
+than summed over configuration pairs.
 
 Index convention for the interaction tensor: ``W[k, s, q, l]`` pairs bra k /
 ket q on the first coordinate and bra s / ket l on the second,
@@ -20,23 +21,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fockspace import ConfigSpace, apply_second_quantized
+from .fockspace import ConfigSpace, apply_second_quantized, dist_reduced_density
 from .grid import Grid, OneBodyOperator
 
 __all__ = [
     "OrbitalSet",
     "one_body_elements",
     "local_potentials",
-    "exchange_apply",
-    "exchange_matrix",
     "two_body_tensor",
     "hamiltonian_matrix",
     "PairCoupling",
     "AllBodyTable",
     "config_coupling_matrix",
-    "partial_coupling",
     "mean_fields_dist",
-    "mean_field_dist",
 ]
 
 
@@ -93,21 +90,6 @@ def local_potentials(orbs: OrbitalSet, kernel_matrix: np.ndarray) -> np.ndarray:
         for l in range(M):
             out[s, l] = orbs.grid.weight * (kernel_matrix @ (phi[s].conj() * phi[l]))
     return out
-
-
-def exchange_apply(orbs: OrbitalSet, kernel_matrix: np.ndarray, s: int, l: int,
-                   f: np.ndarray) -> np.ndarray:
-    """K_sl f: build the direct potential with f in the ket slot, times phi_l."""
-    phi = orbs.orbitals
-    w_sf = orbs.grid.weight * (kernel_matrix @ (phi[s].conj() * np.asarray(f)))
-    return w_sf * phi[l]
-
-
-def exchange_matrix(orbs: OrbitalSet, kernel_matrix: np.ndarray, s: int,
-                    l: int) -> np.ndarray:
-    """Dense matrix of K_sl: K[i,j] = dx phi_l[i] W[i,j] conj(phi_s[j])."""
-    phi = orbs.orbitals
-    return orbs.grid.weight * (phi[l][:, None] * kernel_matrix * phi[s].conj()[None, :])
 
 
 def two_body_tensor(orbs: OrbitalSet, kernel_matrix: np.ndarray) -> np.ndarray:
@@ -185,127 +167,83 @@ class AllBodyTable:
             raise ValueError("all-body tables are limited to 3 degrees of freedom")
 
 
-def _pair_contraction(table, bra, ket, side):
-    """Contract one side of a pair table with bra/ket orbital vectors.
+def _terms(coupling):
+    """Coupling as (touched DOFs, table with one grid axis per touched DOF)."""
+    if isinstance(coupling, PairCoupling):
+        return [((a, b), t) for a, b, t in coupling.terms]
+    if isinstance(coupling, AllBodyTable):
+        return [(tuple(range(coupling.table.ndim)), coupling.table)]
+    raise TypeError(f"unsupported coupling {type(coupling)!r}")
 
-    side=1 contracts the second index: returns f(x_a) = sum_ib conj(bra) T ket;
-    side=0 contracts the first index: returns f(x_b).
-    ``bra``/``ket`` are scaled (sqrt(dx)-weighted) vectors, so no weights
-    appear here.
+
+def _term_operands(dofs, table, scaled, keep=()):
+    """einsum operands (sublist form) of one coupling term.
+
+    Labels for Q DOFs: bra orbital of DOF l is l, ket orbital Q + l, grid
+    point 2Q + l.  Touched axes in ``keep`` stay on the grid; every other
+    touched axis is integrated against conj(bra orbital) * ket orbital.
+    ``scaled`` holds sqrt(dx)-weighted orbitals, so no weights appear.
     """
-    w = bra.conj() * ket
-    return table @ w if side == 1 else table.T @ w
-
-
-def _full_pair_element(table, bra_a, ket_a, bra_b, ket_b):
-    return np.einsum("i,j,ij,i,j->", bra_a.conj(), bra_b.conj(), table, ket_a, ket_b)
+    Q = len(scaled)
+    ops = [table, [2 * Q + l for l in dofs]]
+    for l in dofs:
+        if l not in keep:
+            ops += [scaled[l].conj(), [l, 2 * Q + l], scaled[l], [Q + l, 2 * Q + l]]
+    return ops
 
 
 def config_coupling_matrix(coupling, sets, space: ConfigSpace) -> np.ndarray:
-    """Configuration-space matrix <n|W|m> of the coupling."""
-    Q = len(space.M_list)
-    scaled = [s.scaled for s in sets]
-    W = np.zeros((space.size, space.size), dtype=complex)
-    if isinstance(coupling, PairCoupling):
-        for a, b, table in coupling.terms:
-            Ma, Mb = space.M_list[a], space.M_list[b]
-            blk = np.empty((Ma, Mb, Ma, Mb), dtype=complex)
-            for na in range(Ma):
-                for nb in range(Mb):
-                    for ma in range(Ma):
-                        for mb in range(Mb):
-                            blk[na, nb, ma, mb] = _full_pair_element(
-                                table, scaled[a][na], scaled[a][ma],
-                                scaled[b][nb], scaled[b][mb])
-            for i, nvec in enumerate(space.configs):
-                for k, mvec in enumerate(space.configs):
-                    if all(nvec[l] == mvec[l] for l in range(Q) if l not in (a, b)):
-                        W[i, k] += blk[nvec[a], nvec[b], mvec[a], mvec[b]]
-        return W
-    if isinstance(coupling, AllBodyTable):
-        t = coupling.table
-        for i, nvec in enumerate(space.configs):
-            for k, mvec in enumerate(space.configs):
-                vecs_b = [scaled[j][nvec[j]].conj() for j in range(Q)]
-                vecs_k = [scaled[j][mvec[j]] for j in range(Q)]
-                if Q == 2:
-                    W[i, k] = np.einsum("i,j,ij,i,j->", vecs_b[0], vecs_b[1], t,
-                                        vecs_k[0], vecs_k[1])
-                else:
-                    W[i, k] = np.einsum("i,j,k,ijk,i,j,k->", vecs_b[0], vecs_b[1],
-                                        vecs_b[2], t, vecs_k[0], vecs_k[1], vecs_k[2])
-        return W
-    raise TypeError(f"unsupported coupling {type(coupling)!r}")
+    """Configuration-space matrix <n|W|m> of the coupling.
 
-
-def partial_coupling(coupling, sets, space: ConfigSpace, j: int,
-                     nvec, mvec) -> np.ndarray:
-    """Grid-j diagonal of the coupling integrated over every other coordinate.
-
-    Bra orbitals come from ``nvec``, ket orbitals from ``mvec``; slot j of
-    both is ignored.  Result multiplies functions of x_j pointwise.
+    Each term's orbital matrix elements sit on the DOFs it touches, with the
+    identity on every other DOF.
     """
     Q = len(space.M_list)
     scaled = [s.scaled for s in sets]
-    n_j = sets[j].grid.n_points
-    out = np.zeros(n_j, dtype=complex)
-    if isinstance(coupling, PairCoupling):
-        for a, b, table in coupling.terms:
-            others = [l for l in range(Q) if l not in (a, b) and l != j]
-            if any(nvec[l] != mvec[l] for l in others):
-                continue
-            if j == a:
-                out += _pair_contraction(table, scaled[b][nvec[b]],
-                                         scaled[b][mvec[b]], side=1)
-            elif j == b:
-                out += _pair_contraction(table, scaled[a][nvec[a]],
-                                         scaled[a][mvec[a]], side=0)
-            else:
-                if nvec[j] != mvec[j]:
-                    continue
-                out += _full_pair_element(table, scaled[a][nvec[a]], scaled[a][mvec[a]],
-                                          scaled[b][nvec[b]], scaled[b][mvec[b]])
-        return out
-    if isinstance(coupling, AllBodyTable):
-        t = coupling.table
-        rest = [l for l in range(Q) if l != j]
-        # contract every axis but j with conj(bra) * ket weights; descending
-        # order keeps the remaining axis numbers valid
-        for l in sorted(rest, reverse=True):
-            w = scaled[l][nvec[l]].conj() * scaled[l][mvec[l]]
-            t = np.tensordot(t, w, axes=([l], [0]))
-        return np.asarray(t, dtype=complex)
-    raise TypeError(f"unsupported coupling {type(coupling)!r}")
+    W = np.zeros((space.size, space.size), dtype=complex)
+    for dofs, table in _terms(coupling):
+        ops = _term_operands(dofs, table, scaled)
+        for l in range(Q):
+            if l not in dofs:
+                ops += [np.eye(space.M_list[l]), [l, Q + l]]
+        W += np.einsum(*ops, list(range(2 * Q)), optimize=True).reshape(W.shape)
+    return W
 
 
 def mean_fields_dist(space: ConfigSpace, C: np.ndarray, sets, coupling,
                      j: int) -> np.ndarray:
     """All mean-field diagonals of DOF j: an (M_j, M_j, n_j) stack.
 
-    Omega^j[a, b](x_j) = sum over configuration pairs sharing slot-j labels
-    (a, b) of conj(C_n) C_m  times the partially integrated coupling.
+    Omega^j[p, q](x_j) sums conj(C_n) C_m over configuration pairs with slot-j
+    labels (p, q) times the coupling integrated over every other coordinate.
+    A pair term touching j is contracted against the reduced density of j
+    and its partner DOF.  A pair term that leaves x_j alone adds a constant
+    on the diagonal only (n_j = m_j), from the reduced density of j and the
+    term's two DOFs.  An all-body table is contracted against the
+    coefficient tensor, so conj(C_n) C_m is never formed.
     """
     Mj = space.M_list[j]
-    nj = sets[j].grid.n_points
-    C = np.asarray(C, dtype=complex)
-    out = np.zeros((Mj, Mj, nj), dtype=complex)
+    out = np.zeros((Mj, Mj, sets[j].grid.n_points), dtype=complex)
     if coupling is None:
         return out
-    for i, nvec in enumerate(space.configs):
-        cn = C[i].conjugate()
-        if cn == 0:
-            continue
-        for k, mvec in enumerate(space.configs):
-            if C[k] == 0:
-                continue
-            w = cn * C[k]
-            v = partial_coupling(coupling, sets, space, j, nvec, mvec)
-            if np.any(v):
-                out[nvec[j], mvec[j]] += w * v
+    Q = len(space.M_list)
+    C = np.asarray(C, dtype=complex)
+    scaled = [s.scaled for s in sets]
+    if isinstance(coupling, AllBodyTable):
+        Ct = C.reshape(space.M_list)
+        ops = _term_operands(tuple(range(Q)), coupling.table, scaled, keep=(j,))
+        return np.einsum(Ct.conj(), list(range(Q)), Ct, list(range(Q, 2 * Q)),
+                         *ops, [j, Q + j, 2 * Q + j], optimize=True)
+    for (a, b), table in _terms(coupling):
+        if j in (a, b):
+            c, t = (b, table) if j == a else (a, table.T)   # t[x_j, x_c]
+            rho = dist_reduced_density(space, C, (j, c))    # [p, r, q, s]
+            pair = scaled[c].conj()[:, None, :] * scaled[c][None, :, :]
+            out += np.tensordot(rho, pair @ t.T, axes=([1, 3], [0, 1]))
+        else:
+            rho = dist_reduced_density(space, C, (j, a, b))
+            diag = np.einsum(rho, [j, a, b, j, Q + a, Q + b],
+                             *_term_operands((a, b), table, scaled), [j],
+                             optimize=True)
+            out[range(Mj), range(Mj)] += diag[:, None]
     return out
-
-
-def mean_field_dist(space: ConfigSpace, C: np.ndarray, sets, coupling,
-                    j: int, n_j: int, m_j: int) -> np.ndarray:
-    """Single mean-field diagonal Omega^j_{n_j m_j}(x_j)."""
-    return mean_fields_dist(space, C, sets, coupling, j)[n_j, m_j]

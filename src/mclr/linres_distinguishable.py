@@ -7,14 +7,18 @@ C_u and C_v; D = 2 (sum_j M_j n_j + N_conf).
 Structure mirrors the identical-particle case with two differences rooted
 in distinguishability: the diagonal (same-DOF) u-blocks carry no exchange
 term at all, the diagonal v-blocks are exactly zero, and exchange-like
-couplings appear only between different degrees of freedom.  All couplings
-stream over configuration pairs; the all-body density conj(C_n) C_m is
-never materialized.
+couplings appear only between different degrees of freedom.  Every coupling
+term is contracted against the reduced density of the DOFs that it and the
+block touch (at most three for Q <= 3; a cross-DOF block whose pair term
+touches neither of its DOFs needs four).  All-body tables are contracted
+against the coefficient tensor itself, so the all-body density
+conj(C_n) C_m is still never stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from . import fockspace as fs
 from . import hamiltonian as ham
 from .groundstate import DistGroundState, regularized_power
 from .hamiltonian import PairCoupling
-from .linres_identical import ResponseMatrix
+from .linres_identical import ResponseMatrix, _require_converged
 
 __all__ = [
     "DistLayout",
@@ -109,53 +113,10 @@ class DistPerturbationSpec:
             raise ValueError("static probes (omega <= 0) need a separate treatment")
 
 
-def _require_converged(state, tol=1e-6):
-    res = state.residuals.get("orb_residual")
-    if res is None or res > tol:
-        raise ValueError(
-            f"stationarity residual {res} above {tol}: the expansion point "
-            "must satisfy the static equations")
-
-
 def _layout(state) -> DistLayout:
     return DistLayout(tuple(state.space.M_list),
                       tuple(g.n_points for g in state.grids),
                       state.space.size)
-
-
-def _pair_tables(coupling, j, k):
-    """Coupling terms split by how they touch the DOF pair (j, k).
-
-    Returns (direct, j_side, k_side, outside): ``direct`` holds tables
-    oriented (j, k); ``j_side``/``k_side`` hold (other_dof, table oriented
-    (j|k, other)); ``outside`` holds untouched terms (a, b, table).
-    """
-    direct, j_side, k_side, outside = [], [], [], []
-    for a, b, table in coupling.terms:
-        if {a, b} == {j, k}:
-            direct.append(table if a == j else table.T)
-        elif j in (a, b):
-            c = b if a == j else a
-            j_side.append((c, table if a == j else table.T))
-        elif k in (a, b):
-            c = b if a == k else a
-            k_side.append((c, table if a == k else table.T))
-        else:
-            outside.append((a, b, table))
-    return direct, j_side, k_side, outside
-
-
-def _allbody_reduced(table, scaled, nvec, mvec, j, k):
-    """All-body table contracted over every axis outside (j, k).
-
-    Result axes ordered (x_j, x_k).
-    """
-    t = table
-    axes = list(range(t.ndim))
-    for l in sorted([ax for ax in axes if ax not in (j, k)], reverse=True):
-        w = scaled[l][nvec[l]].conj() * scaled[l][mvec[l]]
-        t = np.tensordot(t, w, axes=([l], [0]))
-    return t if j < k else t.T
 
 
 def build_oo_dist(state: DistGroundState):
@@ -193,68 +154,27 @@ def build_oo_dist(state: DistGroundState):
     if state.coupling is None:
         return A, B
 
+    # cross-DOF exchange-like couplings, one contraction per coupling term;
+    # in the labels of ham._term_operands the (j, k) block of A is indexed
+    # (n_j, x_j, m_k, x_k) and that of B (n_j, x_j, n_k, x_k)
+    Ct = C.reshape(space.M_list)
     pairwise = isinstance(state.coupling, PairCoupling)
-    # cross-DOF exchange-like couplings, streamed over configuration pairs
-    for j in range(Q):
-        for k in range(Q):
-            if k == j:
-                continue
+    for j, k in permutations(range(Q), 2):
+        blk = (layout.u_block(j), layout.u_block(k))
+        X, Y = 2 * Q + j, 2 * Q + k
+        for dofs, table in ham._terms(state.coupling):
             if pairwise:
-                direct, j_side, k_side, outside = _pair_tables(
-                    state.coupling, j, k)
-            for i_n, nvec in enumerate(space.configs):
-                cn = C[i_n].conjugate()
-                if cn == 0:
-                    continue
-                for i_m, mvec in enumerate(space.configs):
-                    w = cn * C[i_m]
-                    if w == 0:
-                        continue
-                    pj = scaled[j][mvec[j]]
-                    bra_k = scaled[k][nvec[k]].conj()
-                    ket_k = scaled[k][mvec[k]]
-                    others = [l for l in range(Q) if l not in (j, k)]
-
-                    k1 = np.zeros((layout.n_list[j], layout.n_list[k]),
-                                  dtype=complex)
-                    k2 = np.zeros_like(k1)
-                    if pairwise:
-                        if all(nvec[l] == mvec[l] for l in others):
-                            for t in direct:
-                                k1 += pj[:, None] * t * bra_k[None, :]
-                                k2 += pj[:, None] * t * ket_k[None, :]
-                        for c, t in j_side:
-                            if all(nvec[l] == mvec[l] for l in others if l != c):
-                                d = t @ (scaled[c][nvec[c]].conj()
-                                         * scaled[c][mvec[c]])
-                                k1 += np.outer(d * pj, bra_k)
-                                k2 += np.outer(d * pj, ket_k)
-                        for c, t in k_side:
-                            if all(nvec[l] == mvec[l] for l in others if l != c):
-                                e = t @ (scaled[c][nvec[c]].conj()
-                                         * scaled[c][mvec[c]])
-                                k1 += np.outer(pj, bra_k * e)
-                                k2 += np.outer(pj, ket_k * e)
-                        for a, b, t in outside:
-                            if all(nvec[l] == mvec[l] for l in others
-                                   if l not in (a, b)):
-                                s = ham._full_pair_element(
-                                    t, scaled[a][nvec[a]], scaled[a][mvec[a]],
-                                    scaled[b][nvec[b]], scaled[b][mvec[b]])
-                                k1 += s * np.outer(pj, bra_k)
-                                k2 += s * np.outer(pj, ket_k)
-                    else:
-                        t = _allbody_reduced(state.coupling.table, scaled,
-                                             nvec, mvec, j, k)
-                        k1 = pj[:, None] * t * bra_k[None, :]
-                        k2 = pj[:, None] * t * ket_k[None, :]
-
-                    A[layout.u_slice(j, nvec[j]),
-                      layout.u_slice(k, mvec[k])] += w * k1
-                    # column of B indexes the v sector: bra-side label n_k
-                    col = layout.dof_offset(k) + nvec[k] * layout.n_list[k]
-                    B[layout.u_slice(j, nvec[j]),
-                      col:col + layout.n_list[k]] += w * k2
+                U = sorted({j, k, *dofs})
+                dens = [fs.dist_reduced_density(space, C, U),
+                        U + [Q + l for l in U]]
+            else:
+                dens = [Ct.conj(), list(range(Q)), Ct, list(range(Q, 2 * Q))]
+            ops = dens + ham._term_operands(dofs, table, scaled, keep=(j, k)) \
+                + [scaled[j], [Q + j, X]]
+            A[blk] += np.einsum(*ops, scaled[k].conj(), [k, Y], [j, X, Q + k, Y],
+                                optimize=True).reshape(A[blk].shape)
+            B[blk] += np.einsum(*ops, scaled[k], [Q + k, Y], [j, X, k, Y],
+                                optimize=True).reshape(B[blk].shape)
     return A, B
 
 
@@ -273,40 +193,31 @@ def build_oc_co_cc_dist(state: DistGroundState):
 
     Loc_u = np.zeros((layout.orb, layout.n_conf), dtype=complex)
     Loc_v = np.zeros((layout.orb, layout.n_conf), dtype=complex)
+    Ct = C.reshape(space.M_list)
+    P = 3 * Q                                   # row orbital of Loc_v
     for j in range(Q):
-        h = state.h_ops[j].matrix
-        h_phi = scaled[j] @ h.T                        # rows h |phi_b>
-        for col, mvec in enumerate(space.configs):
-            # u columns: sum over configurations matching mvec off slot j
-            for i_n, nvec in enumerate(space.configs):
-                if C[i_n] == 0:
-                    continue
-                same_off_j = all(nvec[l] == mvec[l] for l in range(Q) if l != j)
-                cbar = C[i_n].conjugate()
-                if same_off_j:
-                    Loc_u[layout.u_slice(j, nvec[j]), col] += \
-                        cbar * h_phi[mvec[j]]
-                if state.coupling is not None:
-                    part = ham.partial_coupling(state.coupling, state.sets,
-                                                space, j, nvec, mvec)
-                    if np.any(part):
-                        Loc_u[layout.u_slice(j, nvec[j]), col] += \
-                            cbar * part * scaled[j][mvec[j]]
-        for col, nvec in enumerate(space.configs):
-            # v columns: slot-j label of the column fixes the row slot
-            a = nvec[j]
-            for i_m, mvec in enumerate(space.configs):
-                if C[i_m] == 0:
-                    continue
-                same_off_j = all(mvec[l] == nvec[l] for l in range(Q) if l != j)
-                if same_off_j:
-                    Loc_v[layout.u_slice(j, a), col] += C[i_m] * h_phi[mvec[j]]
-                if state.coupling is not None:
-                    part = ham.partial_coupling(state.coupling, state.sets,
-                                                space, j, nvec, mvec)
-                    if np.any(part):
-                        Loc_v[layout.u_slice(j, a), col] += \
-                            C[i_m] * part * scaled[j][mvec[j]]
+        X, Mj = 2 * Q + j, layout.M_list[j]
+        # the one-body part acts like a term touching only DOF j, with
+        # h|phi> in place of |phi>
+        pieces = [((j,), [], scaled[j] @ state.h_ops[j].matrix.T)]
+        if state.coupling is not None:
+            pieces += [(dofs, ham._term_operands(dofs, t, scaled, keep=(j,)),
+                        scaled[j]) for dofs, t in ham._terms(state.coupling)]
+        for dofs, ops, orb in pieces:
+            if j not in dofs:                   # such a term keeps n_j = m_j
+                ops = ops + [np.eye(Mj), [j, Q + j]]
+            ops = ops + [orb, [Q + j, X]]
+            # u columns: derivative in C_m; configurations off the touched
+            # DOFs match the column
+            Loc_u[layout.u_block(j)] += np.einsum(
+                Ct.conj(), [l if l in dofs else Q + l for l in range(Q)], *ops,
+                [j, X, *range(Q, 2 * Q)], optimize=True).reshape(-1, layout.n_conf)
+            # v columns: derivative in conj(C_n); slot j of the column fixes
+            # the row orbital
+            Loc_v[layout.u_block(j)] += np.einsum(
+                Ct, [Q + l if l in dofs else l for l in range(Q)], *ops,
+                np.eye(Mj), [P, j], [P, X, *range(Q)],
+                optimize=True).reshape(-1, layout.n_conf)
 
     from .groundstate import _dist_hamiltonian
     H = _dist_hamiltonian(space, state.sets, state.h_ops, state.coupling)

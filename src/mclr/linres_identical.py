@@ -131,11 +131,12 @@ class ResponseMatrix:
 
 
 def _require_converged(state, tol=1e-6):
-    res = state.residuals.get("orb_residual")
-    if res is None or res > tol:
-        raise ValueError(
-            f"stationarity residual {res} above {tol}: the expansion point "
-            "must satisfy the static equations")
+    for name in ("orb_residual", "c_residual"):
+        res = state.residuals.get(name)
+        if res is None or res > tol:
+            raise ValueError(
+                f"stationarity residual {name} = {res} above {tol}: the "
+                "expansion point must satisfy the static equations")
 
 
 def _hermitized(mat):
@@ -251,39 +252,6 @@ def build_oc_co_blocks(state: GroundState):
         Loc_u[layout.u_slice(k)] = bu
         Loc_v[layout.u_slice(k)] = bv
     return Loc_u, Loc_v, Loc_u.conj().T, Loc_v.T
-
-
-def _co_blocks_direct(state):
-    """Coefficient-orbital rows built from their own defining sums.
-
-    Exists to cross-check the adjoint construction in build_oc_co_blocks.
-    """
-    layout = ResponseLayout(state.space.M, state.grid.n_points, state.space.size)
-    phi, rho1, rho2, mu, h = _ingredients(state)
-    M, n, nc = layout.M, layout.n_points, layout.n_conf
-    km = state.kernel_matrix
-    one, two = _mapped_vectors(state)
-    interacting = km is not None and np.any(km)
-    if interacting:
-        w = ham.local_potentials(state.orbitals, km)
-
-    Lco_u = np.zeros((nc, layout.orb), dtype=complex)
-    Lco_v = np.zeros((nc, layout.orb), dtype=complex)
-    for k in range(M):
-        ru = np.zeros((nc, n), dtype=complex)
-        rv = np.zeros((nc, n), dtype=complex)
-        for q in range(M):
-            ru += np.outer(one[q, k], (h @ phi[q]).conj())
-            rv += np.outer(one[k, q], phi[q] @ h.conj())
-            if interacting:
-                for s in range(M):
-                    for l in range(M):
-                        ru += np.outer(two[q, l, s, k],
-                                       phi[q].conj() * w[s, l].conj())
-                        rv += np.outer(two[k, s, l, q], phi[q] * w[s, l])
-        Lco_u[:, layout.u_slice(k)] = ru
-        Lco_v[:, layout.u_slice(k)] = rv
-    return Lco_u, Lco_v
 
 
 def build_cc_block(state: GroundState):

@@ -1,0 +1,265 @@
+"""Loop-based reference implementations, kept for tests only.
+
+The library contracts couplings between distinguishable degrees of freedom
+against reduced densities; the functions here compute the same quantities
+by streaming over every pair of configurations, straight from the defining
+sums.  They are slow (n_conf^2 Python iterations) and serve as the oracle
+the contractions are compared with.  A few direct-definition helpers that
+only tests use (exchange kernels, the single-entry density action, the
+coefficient-orbital rows summed directly) live here as well.
+"""
+
+import numpy as np
+
+from mclr import hamiltonian as ham
+from mclr import linres_identical as li
+from mclr.hamiltonian import AllBodyTable, PairCoupling
+from mclr.linres_distinguishable import DistLayout
+
+
+# --- identical particles ----------------------------------------------------
+
+
+def exchange_apply(orbs, kernel_matrix, s, l, f):
+    """K_sl f: build the direct potential with f in the ket slot, times phi_l."""
+    phi = orbs.orbitals
+    w_sf = orbs.grid.weight * (kernel_matrix @ (phi[s].conj() * np.asarray(f)))
+    return w_sf * phi[l]
+
+
+def exchange_matrix(orbs, kernel_matrix, s, l):
+    """Dense matrix of K_sl: K[i,j] = dx phi_l[i] W[i,j] conj(phi_s[j])."""
+    phi = orbs.orbitals
+    return orbs.grid.weight * (phi[l][:, None] * kernel_matrix
+                               * phi[s].conj()[None, :])
+
+
+def co_blocks_direct(state):
+    """Coefficient-orbital rows built from their own defining sums.
+
+    Cross-checks the adjoint construction in build_oc_co_blocks.
+    """
+    layout = li.ResponseLayout(state.space.M, state.grid.n_points,
+                               state.space.size)
+    phi, rho1, rho2, mu, h = li._ingredients(state)
+    M, n, nc = layout.M, layout.n_points, layout.n_conf
+    km = state.kernel_matrix
+    one, two = li._mapped_vectors(state)
+    interacting = km is not None and np.any(km)
+    if interacting:
+        w = ham.local_potentials(state.orbitals, km)
+
+    Lco_u = np.zeros((nc, layout.orb), dtype=complex)
+    Lco_v = np.zeros((nc, layout.orb), dtype=complex)
+    for k in range(M):
+        ru = np.zeros((nc, n), dtype=complex)
+        rv = np.zeros((nc, n), dtype=complex)
+        for q in range(M):
+            ru += np.outer(one[q, k], (h @ phi[q]).conj())
+            rv += np.outer(one[k, q], phi[q] @ h.conj())
+            if interacting:
+                for s in range(M):
+                    for l in range(M):
+                        ru += np.outer(two[q, l, s, k],
+                                       phi[q].conj() * w[s, l].conj())
+                        rv += np.outer(two[k, s, l, q], phi[q] * w[s, l])
+        Lco_u[:, layout.u_slice(k)] = ru
+        Lco_v[:, layout.u_slice(k)] = rv
+    return Lco_u, Lco_v
+
+
+# --- distinguishable degrees of freedom ---------------------------------------
+
+
+def tensor_density_action(space, C, j, n_j, m_j):
+    """Apply the single-entry density operator of DOF j to C.
+
+    The operator is the identity on every other slot and the matrix with a
+    single 1 at (row n_j, column m_j) on slot j, so amplitude moves from
+    configurations with orbital m_j at slot j to orbital n_j.
+    """
+    if space.identical:
+        raise ValueError("distinguishable spaces only")
+    Q = len(space.M_list)
+    if not 0 <= j < Q:
+        raise IndexError("degree-of-freedom index out of range")
+    if not (0 <= n_j < space.M_list[j] and 0 <= m_j < space.M_list[j]):
+        raise IndexError("orbital index out of range")
+    t = np.asarray(C, dtype=complex).reshape(space.M_list)
+    out = np.zeros_like(t)
+    src = [slice(None)] * Q
+    dst = [slice(None)] * Q
+    src[j] = m_j
+    dst[j] = n_j
+    out[tuple(dst)] = t[tuple(src)]
+    return out.reshape(space.size)
+
+
+def _pair_contraction(table, bra, ket, side):
+    """side=1 integrates out the second table axis, side=0 the first."""
+    w = bra.conj() * ket
+    return table @ w if side == 1 else table.T @ w
+
+
+def full_pair_element(table, bra_a, ket_a, bra_b, ket_b):
+    return np.einsum("i,j,ij,i,j->", bra_a.conj(), bra_b.conj(), table,
+                     ket_a, ket_b)
+
+
+def partial_coupling(coupling, sets, space, j, nvec, mvec):
+    """Grid-j diagonal of the coupling integrated over every other coordinate.
+
+    Bra orbitals come from ``nvec``, ket orbitals from ``mvec``; slot j of
+    both is ignored, except that a pair term not touching j needs
+    nvec[j] == mvec[j].
+    """
+    Q = len(space.M_list)
+    scaled = [s.scaled for s in sets]
+    out = np.zeros(sets[j].grid.n_points, dtype=complex)
+    if isinstance(coupling, PairCoupling):
+        for a, b, table in coupling.terms:
+            others = [l for l in range(Q) if l not in (a, b) and l != j]
+            if any(nvec[l] != mvec[l] for l in others):
+                continue
+            if j == a:
+                out += _pair_contraction(table, scaled[b][nvec[b]],
+                                         scaled[b][mvec[b]], side=1)
+            elif j == b:
+                out += _pair_contraction(table, scaled[a][nvec[a]],
+                                         scaled[a][mvec[a]], side=0)
+            else:
+                if nvec[j] != mvec[j]:
+                    continue
+                out += full_pair_element(table, scaled[a][nvec[a]],
+                                         scaled[a][mvec[a]], scaled[b][nvec[b]],
+                                         scaled[b][mvec[b]])
+        return out
+    if isinstance(coupling, AllBodyTable):
+        t = coupling.table
+        for l in sorted([l for l in range(Q) if l != j], reverse=True):
+            w = scaled[l][nvec[l]].conj() * scaled[l][mvec[l]]
+            t = np.tensordot(t, w, axes=([l], [0]))
+        return np.asarray(t, dtype=complex)
+    raise TypeError(f"unsupported coupling {type(coupling)!r}")
+
+
+def mean_fields_dist(space, C, sets, coupling, j):
+    """Omega^j[n_j, m_j](x_j) summed over every configuration pair."""
+    Mj = space.M_list[j]
+    C = np.asarray(C, dtype=complex)
+    out = np.zeros((Mj, Mj, sets[j].grid.n_points), dtype=complex)
+    if coupling is None:
+        return out
+    for i, nvec in enumerate(space.configs):
+        for k, mvec in enumerate(space.configs):
+            out[nvec[j], mvec[j]] += C[i].conjugate() * C[k] * partial_coupling(
+                coupling, sets, space, j, nvec, mvec)
+    return out
+
+
+def config_coupling_matrix(coupling, sets, space):
+    """<n|W|m> element by element."""
+    Q = len(space.M_list)
+    scaled = [s.scaled for s in sets]
+    W = np.zeros((space.size, space.size), dtype=complex)
+    for i, nvec in enumerate(space.configs):
+        for k, mvec in enumerate(space.configs):
+            if isinstance(coupling, PairCoupling):
+                for a, b, table in coupling.terms:
+                    if all(nvec[l] == mvec[l] for l in range(Q)
+                           if l not in (a, b)):
+                        W[i, k] += full_pair_element(
+                            table, scaled[a][nvec[a]], scaled[a][mvec[a]],
+                            scaled[b][nvec[b]], scaled[b][mvec[b]])
+            else:
+                t = coupling.table
+                for l in reversed(range(Q)):
+                    w = scaled[l][nvec[l]].conj() * scaled[l][mvec[l]]
+                    t = np.tensordot(t, w, axes=([l], [0]))
+                W[i, k] = t
+    return W
+
+
+def _reduced_pair(coupling, scaled, nvec, mvec, j, k):
+    """Coupling kernel on (x_j, x_k) for the configuration pair (n, m)."""
+    Q = len(scaled)
+    if isinstance(coupling, AllBodyTable):
+        t = coupling.table
+        for l in sorted([l for l in range(Q) if l not in (j, k)], reverse=True):
+            w = scaled[l][nvec[l]].conj() * scaled[l][mvec[l]]
+            t = np.tensordot(t, w, axes=([l], [0]))
+        return t if j < k else t.T
+    out = np.zeros((scaled[j].shape[1], scaled[k].shape[1]), dtype=complex)
+    for a, b, t in coupling.terms:
+        if any(nvec[l] != mvec[l] for l in range(Q) if l not in (a, b, j, k)):
+            continue
+        # integrate the table axes other than x_j and x_k, last axis first
+        for ax, l in ((1, b), (0, a)):
+            if l not in (j, k):
+                w = scaled[l][nvec[l]].conj() * scaled[l][mvec[l]]
+                t = np.tensordot(t, w, axes=([ax], [0]))
+        kept = [l for l in (a, b) if l in (j, k)]
+        if kept == [j, k]:
+            out += t
+        elif kept == [k, j]:
+            out += t.T
+        elif kept == [j]:
+            out += t[:, None]
+        elif kept == [k]:
+            out += t[None, :]
+        else:
+            out += t
+    return out
+
+
+def _layout(state):
+    return DistLayout(tuple(state.space.M_list),
+                      tuple(g.n_points for g in state.grids), state.space.size)
+
+
+def build_oo_cross(state):
+    """Cross-DOF parts of the (A, B) orbital-orbital blocks, pair by pair."""
+    layout = _layout(state)
+    scaled = [s.scaled for s in state.sets]
+    C, space = state.C, state.space
+    A = np.zeros((layout.orb, layout.orb), dtype=complex)
+    B = np.zeros((layout.orb, layout.orb), dtype=complex)
+    for j in range(layout.Q):
+        for k in range(layout.Q):
+            if k == j:
+                continue
+            for i_n, nvec in enumerate(space.configs):
+                for i_m, mvec in enumerate(space.configs):
+                    w = C[i_n].conjugate() * C[i_m]
+                    t = _reduced_pair(state.coupling, scaled, nvec, mvec, j, k)
+                    left = w * scaled[j][mvec[j]][:, None] * t
+                    row = layout.u_slice(j, nvec[j])
+                    A[row, layout.u_slice(k, mvec[k])] += \
+                        left * scaled[k][nvec[k]].conj()[None, :]
+                    B[row, layout.u_slice(k, nvec[k])] += \
+                        left * scaled[k][mvec[k]][None, :]
+    return A, B
+
+
+def loc_blocks(state):
+    """(Loc_u, Loc_v) orbital-coefficient columns, pair by pair."""
+    layout = _layout(state)
+    Q = layout.Q
+    scaled = [s.scaled for s in state.sets]
+    C, space = state.C, state.space
+    Loc_u = np.zeros((layout.orb, layout.n_conf), dtype=complex)
+    Loc_v = np.zeros((layout.orb, layout.n_conf), dtype=complex)
+    for j in range(Q):
+        h_phi = scaled[j] @ state.h_ops[j].matrix.T
+        for i_n, nvec in enumerate(space.configs):
+            for i_m, mvec in enumerate(space.configs):
+                col = np.zeros(layout.n_list[j], dtype=complex)
+                if all(nvec[l] == mvec[l] for l in range(Q) if l != j):
+                    col += h_phi[mvec[j]]
+                if state.coupling is not None:
+                    col += partial_coupling(state.coupling, state.sets, space,
+                                            j, nvec, mvec) * scaled[j][mvec[j]]
+                row = layout.u_slice(j, nvec[j])
+                Loc_u[row, i_m] += C[i_n].conjugate() * col
+                Loc_v[row, i_n] += C[i_m] * col
+    return Loc_u, Loc_v

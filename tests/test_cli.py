@@ -1,9 +1,14 @@
 """Command-line workflows: ground, linres, oracle, propcheck."""
 
+import io
+import struct
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mclr import cli
 
@@ -183,3 +188,104 @@ def test_propcheck_diagnostics(tmp_path, capsys):
     vals = dict(l.split(" = ") for l in out.splitlines() if " = " in l)
     assert float(vals["orb_diff_cond"]) < 1e-8
     assert float(vals["coeff_diff_cond"]) < 1e-8
+
+
+# --- unreadable, corrupt and unconverged checkpoints: exit 1, no traceback
+
+TINY_CFG = """[system]
+statistics = boson
+particles = 2
+orbitals = 1
+
+[grid]
+points = 8
+x_min = -5.0
+x_max = 5.0
+
+[interaction]
+type = contact
+strength = 0.1
+
+[perturbation]
+f_type = x
+omega = 0.55
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """(config path, bytes of a converged checkpoint) for an 8-point grid."""
+    d = tmp_path_factory.mktemp("tiny")
+    cfg, ck = d / "tiny.cfg", d / "tiny.ckpt"
+    cfg.write_text(TINY_CFG)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["ground", "--config", str(cfg),
+                         "--checkpoint", str(ck)]) == 0
+    return cfg, ck.read_bytes()
+
+
+def _linres_quiet(cfg, ck, out_dir):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["linres", "--checkpoint", str(ck), "--config", str(cfg),
+                         "--out-dir", str(out_dir)])
+    return code, err.getvalue()
+
+
+def test_linres_refuses_every_truncated_checkpoint(tmp_path, tiny_checkpoint):
+    cfg, data = tiny_checkpoint
+    ck = tmp_path / "cut.ckpt"
+    for size in range(len(data)):
+        ck.write_bytes(data[:size])
+        code, err = _linres_quiet(cfg, ck, tmp_path)
+        assert code == 1, size
+        assert err.startswith("error: cannot load checkpoint"), (size, err)
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_linres_missing_checkpoint(tmp_path, tiny_checkpoint):
+    code, err = _linres_quiet(tiny_checkpoint[0], tmp_path / "absent.ckpt",
+                              tmp_path)
+    assert code == 1
+    assert "error: cannot load checkpoint" in err
+
+
+def test_ground_resume_from_corrupt_checkpoint(tmp_path, tiny_checkpoint,
+                                               capsys):
+    cfg, data = tiny_checkpoint
+    ck = tmp_path / "cut.ckpt"
+    ck.write_bytes(data[:2000])
+    code, _, err = _run(capsys, ["ground", "--config", str(cfg),
+                                 "--checkpoint", str(ck), "--resume"])
+    assert code == 1
+    assert "corrupt checkpoint" in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_linres_refuses_header_byte_flips(tmp_path_factory, tiny_checkpoint,
+                                          data):
+    cfg, raw = tiny_checkpoint
+    hlen = struct.unpack_from("<Q", raw, 12)[0]
+    pos = data.draw(st.integers(0, 24 + hlen - 1), label="byte")
+    flip = data.draw(st.integers(1, 255), label="xor")
+    bad = bytearray(raw)
+    bad[pos] ^= flip
+    d = tmp_path_factory.mktemp("flip")
+    (d / "bad.ckpt").write_bytes(bytes(bad))
+    code, err = _linres_quiet(cfg, d / "bad.ckpt", d)
+    assert code == 1
+    assert err.startswith("error: cannot load checkpoint"), err
+
+
+def test_linres_refuses_unconverged_coefficients(tmp_path, tiny_checkpoint):
+    from mclr import checkpoint as ckpt_mod
+    cfg, data = tiny_checkpoint
+    ck = tmp_path / "state.ckpt"
+    ck.write_bytes(data)
+    state = ckpt_mod.load_state(ck)
+    state.residuals["c_residual"] = 1e-3
+    ckpt_mod.save_state(ck, state)
+    code, err = _linres_quiet(cfg, ck, tmp_path)
+    assert code == 1
+    assert "not converged" in err and "coefficient residual 1.000e-03" in err

@@ -8,6 +8,7 @@ from mclr import build_grid, discretize_kernel
 from mclr import fockspace as fs
 from mclr import hamiltonian as ham
 
+import loop_oracles as lo
 from conftest import oscillator_h, random_state_vector
 
 
@@ -82,7 +83,7 @@ def test_contact_exchange_equals_direct():
     for s in range(2):
         for l in range(2):
             direct = w[s, l] * f
-            exch = ham.exchange_apply(orbs, W, s, l, f)
+            exch = lo.exchange_apply(orbs, W, s, l, f)
             # for the delta kernel both reduce to pointwise products of the
             # same three factors
             ref = 0.7 * orbs.orbitals[s].conj() * f * orbs.orbitals[l]
@@ -98,13 +99,13 @@ def test_exchange_vs_quadrature_oracle():
     phi = orbs.orbitals
     for s in range(2):
         for l in range(2):
-            out = ham.exchange_apply(orbs, W, s, l, f)
+            out = lo.exchange_apply(orbs, W, s, l, f)
             ref = np.array([
                 phi[l][i] * g.weight * sum(phi[s][j].conj() * W[i, j] * f[j]
                                            for j in range(18))
                 for i in range(18)])
             assert np.abs(out - ref).max() < 1e-12
-            K = ham.exchange_matrix(orbs, W, s, l)
+            K = lo.exchange_matrix(orbs, W, s, l)
             assert np.abs(K @ f - out).max() < 1e-12
 
 
@@ -114,9 +115,9 @@ def test_exchange_linearity():
     W = discretize_kernel(g, TwoBodyKernel("gaussian", strength=0.5, width=0.7))
     f = random_state_vector(16, 1)
     h2 = random_state_vector(16, 2)
-    lhs = ham.exchange_apply(orbs, W, 0, 1, 2.0 * f + 3j * h2)
-    rhs = 2.0 * ham.exchange_apply(orbs, W, 0, 1, f) \
-        + 3j * ham.exchange_apply(orbs, W, 0, 1, h2)
+    lhs = lo.exchange_apply(orbs, W, 0, 1, 2.0 * f + 3j * h2)
+    rhs = 2.0 * lo.exchange_apply(orbs, W, 0, 1, f) \
+        + 3j * lo.exchange_apply(orbs, W, 0, 1, h2)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -219,7 +220,7 @@ def test_mean_field_bilinear_hartree_product():
     a = np.array([1.0, 0.0])
     b = np.array([1.0, 1.0]) / np.sqrt(2)     # mixes even/odd: <x> != 0
     C = np.kron(a, b).astype(complex)
-    om = ham.mean_field_dist(sp, C, sets, coup, 0, 0, 0)
+    om = ham.mean_fields_dist(sp, C, sets, coup, 0)[0, 0]
     phi2 = sets[1].orbitals
     mix = (b[0] * phi2[0] + b[1] * phi2[1])
     x2 = grids[1].weight * np.real(np.vdot(mix, grids[1].points * mix))
@@ -257,6 +258,6 @@ def test_config_coupling_matrix_vs_allbody_table():
     C = random_state_vector(sp.size, 2)
     for j in range(2):
         for nvec in (sp.configs[0], sp.configs[3]):
-            pa = ham.partial_coupling(pair, sets, sp, j, nvec, sp.configs[1])
-            ta = ham.partial_coupling(table, sets, sp, j, nvec, sp.configs[1])
+            pa = lo.partial_coupling(pair, sets, sp, j, nvec, sp.configs[1])
+            ta = lo.partial_coupling(table, sets, sp, j, nvec, sp.configs[1])
             assert np.abs(pa - ta).max() < 1e-12

@@ -1,5 +1,7 @@
 """Response matrix for coupled distinguishable degrees of freedom."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,10 @@ def test_linearization_derivative_dist(dist_grids, dist_h):
         errs.append(err / scale)
     slope = np.polyfit(np.log(etas), np.log(errs), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.15)
+
+
+@pytest.mark.parametrize("module", [li, ld])
+def test_unconverged_coefficients_rejected(module):
+    state = SimpleNamespace(residuals={"orb_residual": 0.0, "c_residual": 1e-3})
+    with pytest.raises(ValueError, match="c_residual"):
+        module._require_converged(state)

@@ -11,6 +11,8 @@ from mclr import linres_identical as li
 from mclr import oracle as orc
 from mclr import spectrum as spm
 
+import loop_oracles as lo
+
 
 def test_layout_partition(bos_m2):
     lay = li.ResponseLayout(2, 64, 3)
@@ -47,7 +49,7 @@ def test_oo_submatrix_relations(bos_m3):
 
 def test_oc_co_adjoint_relations(bos_m3):
     Loc_u, Loc_v, Lco_u, Lco_v = li.build_oc_co_blocks(bos_m3)
-    d_u, d_v = li._co_blocks_direct(bos_m3)
+    d_u, d_v = lo.co_blocks_direct(bos_m3)
     assert np.abs(Lco_u - d_u).max() < 1e-10
     assert np.abs(Lco_v - d_v).max() < 1e-10
 
