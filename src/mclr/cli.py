@@ -285,9 +285,6 @@ def cmd_linres(args):
 
     tol_zero = args.tol_zero
     spec = spm.eigensolve(rm, tol_zero=tol_zero)
-    S1, S3 = li.sigma1(rm.layout), li.sigma3(rm.layout)
-    sig1 = float(np.abs(S1 @ rm.L @ S1 + rm.L.conj()).max())
-    sig3 = float(np.abs(S3 @ rm.L @ S3 - rm.L.conj().T).max())
     zrep = spm.classify_zero_modes(spec, expected_count=expected)
     weights = spm.response_weights(spec, R)
 
@@ -308,12 +305,13 @@ def cmd_linres(args):
 
     print(f"# config sha256 {cfg_hash}")
     print(f"dimension = {rm.D}")
+    print(f"eigensolver = {spec.eigensolver}")
     print(f"zero_modes = {zrep['count']} (expected {zrep['expected']})")
     if "mismatch" in zrep:
         print(f"zero_mode_warning = {zrep['mismatch']}")
     print(f"null_vector_residual = {zrep['constructed_residual']:.3e}")
-    print(f"symmetry_defect_sigma1 = {sig1:.3e}")
-    print(f"symmetry_defect_sigma3 = {sig3:.3e}")
+    print(f"symmetry_defect_sigma1 = {spec.sigma1_defect:.3e}")
+    print(f"symmetry_defect_sigma3 = {spec.sigma3_defect:.3e}")
     print(f"pairing_residual = {spec.pairing_residual:.3e}")
     print(f"unstable = {spec.unstable}")
     low = np.sort(spec.omega)[:8]

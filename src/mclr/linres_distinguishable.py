@@ -24,9 +24,10 @@ import numpy as np
 
 from . import fockspace as fs
 from . import hamiltonian as ham
-from .groundstate import DistGroundState, regularized_power
+from .groundstate import DistGroundState
 from .hamiltonian import PairCoupling
-from .linres_identical import ResponseMatrix, _require_converged
+from .linres_identical import (ResponseMatrix, _null_vectors, _require_converged,
+                              _response_matrix)
 
 __all__ = [
     "DistLayout",
@@ -228,83 +229,23 @@ def build_oc_co_cc_dist(state: DistGroundState):
             H - eps * eye, eps * eye - H.conj())
 
 
-def combined_projector_dist(state, layout) -> np.ndarray:
-    P = np.zeros((layout.D, layout.D), dtype=complex)
-    for j in range(layout.Q):
-        phi = state.sets[j].scaled
-        Pg = np.eye(layout.n_list[j], dtype=complex) - phi.T @ phi.conj()
-        for a in range(layout.M_list[j]):
-            P[layout.u_slice(j, a), layout.u_slice(j, a)] = Pg
-            P[layout.v_slice(j, a), layout.v_slice(j, a)] = Pg.conj()
-    C = state.C
-    Pc = np.eye(layout.n_conf, dtype=complex) - np.outer(C, C.conj())
-    P[layout.cu_slice, layout.cu_slice] = Pc
-    P[layout.cv_slice, layout.cv_slice] = Pc.conj()
-    return P
-
-
-def metric_powers_dist(state, layout, floor: float | None = None):
-    if floor is None:
-        floor = 1e-10
-    halves, neghalves = [], []
-    clipped = False
-    for j in range(layout.Q):
-        rho = 0.5 * (state.rho1[j] + state.rho1[j].conj().T)
-        h, c1 = regularized_power(rho, +0.5, floor)
-        nh, c2 = regularized_power(rho, -0.5, floor)
-        halves.append(h)
-        neghalves.append(nh)
-        clipped = clipped or c1 or c2
-
-    def stack(mats):
-        out = np.eye(layout.D, dtype=complex)
-        for j in range(layout.Q):
-            eye = np.eye(layout.n_list[j])
-            blk = np.kron(mats[j], eye)
-            out[layout.u_block(j), layout.u_block(j)] = blk
-            out[layout.v_block(j), layout.v_block(j)] = blk.conj()
-        return out
-
-    return stack(halves), stack(neghalves), clipped
-
-
 def assemble_L_dist(state: DistGroundState,
                     floor: float | None = None) -> ResponseMatrix:
-    """Full metric-transformed, projected response matrix for Q DOFs."""
+    """Full metric-transformed, projected response matrix for Q DOFs.
+
+    ``floor`` lifts the eigenvalues of each one-body density before its
+    inverse square root is taken; the default is 1e-10.
+    """
     layout = _layout(state)
     A, B = build_oo_dist(state)
     Loc_u, Loc_v, Lco_u, Lco_v, cc_u, cc_v = build_oc_co_cc_dist(state)
-
-    D = layout.D
-    orb = layout.orb
-    raw = np.zeros((D, D), dtype=complex)
-    u, v = slice(0, orb), slice(orb, 2 * orb)
-    cu, cv = layout.cu_slice, layout.cv_slice
-    raw[u, u] = A
-    raw[u, v] = B
-    raw[v, u] = -B.conj()
-    raw[v, v] = -A.conj()
-    raw[u, cu] = Loc_u
-    raw[u, cv] = Loc_v
-    raw[v, cu] = -Loc_v.conj()
-    raw[v, cv] = -Loc_u.conj()
-    raw[cu, u] = Lco_u
-    raw[cu, v] = Lco_v
-    raw[cv, u] = -Lco_v.conj()
-    raw[cv, v] = -Lco_u.conj()
-    raw[cu, cu] = cc_u
-    raw[cv, cv] = cc_v
-
-    P = combined_projector_dist(state, layout)
-    M_half, M_neghalf, clipped = metric_powers_dist(state, layout, floor)
-    L = P @ (M_neghalf @ raw @ M_neghalf) @ P
-    blocks = {"raw": raw, "A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
+    blocks = {"A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
               "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u, "cc_v": cc_v}
-    rm = ResponseMatrix(layout=layout, L=L, P=P, M_half=M_half,
-                        M_neghalf=M_neghalf, blocks=blocks, state=state,
-                        metric_clipped=clipped)
-    rm.null_vectors = zero_mode_vectors_dist(rm)
-    return rm
+    if floor is None:
+        floor = 1e-10
+    rho1s = [0.5 * (r + r.conj().T) for r in state.rho1]
+    return _response_matrix(state, layout, blocks,
+                            [s.scaled for s in state.sets], rho1s, floor)
 
 
 def zero_mode_vectors_dist(rm: ResponseMatrix) -> np.ndarray:
@@ -313,26 +254,8 @@ def zero_mode_vectors_dist(rm: ResponseMatrix) -> np.ndarray:
     Ground orbitals of DOF j fill the u slots of the same DOF, the
     coefficient vector fills C_u; block-swapped conjugates double the set.
     """
-    layout = rm.layout
-    state = rm.state
-    cols = []
-    for j in range(layout.Q):
-        phi = state.sets[j].scaled
-        for a in range(layout.M_list[j]):
-            for b in range(layout.M_list[j]):
-                z = np.zeros(layout.D, dtype=complex)
-                z[layout.u_slice(j, a)] = phi[b]
-                cols.append(z)
-    z = np.zeros(layout.D, dtype=complex)
-    z[layout.cu_slice] = state.C
-    cols.append(z)
-    mirrors = []
-    for c in cols:
-        m = np.zeros_like(c)
-        m[layout.orb:2 * layout.orb] = c[:layout.orb].conj()
-        m[layout.cv_slice] = c[layout.cu_slice].conj()
-        mirrors.append(m)
-    return np.column_stack(cols + mirrors)
+    return _null_vectors(rm.layout, [s.scaled for s in rm.state.sets],
+                         rm.state.C)
 
 
 def build_R_dist(state: DistGroundState, pert: DistPerturbationSpec,

@@ -17,7 +17,9 @@ satisfies the two spectral pairing symmetries
 
     Sigma1 L Sigma1 = -conj(L),     Sigma3 L Sigma3 = adjoint(L)
 
-to machine precision, and P L P = L holds structurally.
+to machine precision, and P L P = L holds structurally.  P and M^(-1/2)
+are block diagonal and commute, so L is formed from block products of the
+u/C_u rows of L_raw; the v/C_v rows follow as mirrors.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import fockspace as fs
 from . import hamiltonian as ham
@@ -123,6 +126,7 @@ class ResponseMatrix:
     blocks: dict = field(repr=False, default_factory=dict)
     state: GroundState = None
     metric_clipped: bool = False
+    floor: float = 0.0                  # eigenvalue floor of the metric
     null_vectors: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -270,78 +274,116 @@ def build_cc_block(state: GroundState):
     return H - eps * eye, eps * eye - H.conj()
 
 
-def combined_projector(state: GroundState, layout: ResponseLayout) -> np.ndarray:
-    phi = state.orbitals.scaled
-    n = layout.n_points
-    Pg = np.eye(n, dtype=complex) - phi.T @ phi.conj()
-    P = np.zeros((layout.D, layout.D), dtype=complex)
-    for k in range(layout.M):
-        P[layout.u_slice(k), layout.u_slice(k)] = Pg
-        P[layout.v_slice(k), layout.v_slice(k)] = Pg.conj()
+def _sector_stack(layout, orb_block, c_block) -> np.ndarray:
+    """D x D block-diagonal matrix: ``orb_block`` on the u sector, its
+    conjugate on v, ``c_block`` on C_u and its conjugate on C_v."""
+    orb = layout.orb
+    out = np.zeros((layout.D, layout.D), dtype=complex)
+    out[:orb, :orb] = orb_block
+    out[orb:2 * orb, orb:2 * orb] = orb_block.conj()
+    out[layout.cu_slice, layout.cu_slice] = c_block
+    out[layout.cv_slice, layout.cv_slice] = c_block.conj()
+    return out
+
+
+def _projected_L(layout, blocks: dict, Gu: np.ndarray, Pc: np.ndarray):
+    """L = P M^(-1/2) L_raw M^(-1/2) P as block products.
+
+    G = P M^(-1/2) is block diagonal: ``Gu`` on the u sector, Gu* on v, Pc
+    and Pc* on the coefficient sectors.  With x = (u, C_u), y = (v, C_v),
+    the x rows of L are G_x L_raw[x, x] G_x and G_x L_raw[x, y] G_x*.  As
+    L_raw[y, x] = -conj(L_raw[x, y]) and L_raw[y, y] = -conj(L_raw[x, x]),
+    the y rows of L are the same mirrors of its x rows.
+    """
+    orb, nc = layout.orb, layout.n_conf
+    Gx = np.zeros((orb + nc, orb + nc), dtype=complex)
+    Gx[:orb, :orb] = Gu
+    Gx[orb:, orb:] = Pc
+    raw_xx = np.block([[blocks["A"], blocks["Loc_u"]],
+                       [blocks["Lco_u"], blocks["cc_u"]]])
+    raw_xy = np.block([[blocks["B"], blocks["Loc_v"]],
+                       [blocks["Lco_v"], np.zeros((nc, nc))]])
+    a = Gx @ raw_xx @ Gx
+    b = Gx @ raw_xy @ Gx.conj()
+    x = np.flatnonzero(sigma3(layout) > 0)
+    y = sigma1(layout)[x]
+    L = np.empty((layout.D, layout.D), dtype=complex)
+    L[np.ix_(x, x)] = a
+    L[np.ix_(x, y)] = b
+    L[np.ix_(y, x)] = -b.conj()
+    L[np.ix_(y, y)] = -a.conj()
+    return L
+
+
+def _null_vectors(layout, phis, C) -> np.ndarray:
+    """Analytic null vectors, as columns: ground orbital b of DOF j in u slot
+    (j, a) for every a, b, and C in the C_u slot, then their block-swapped
+    conjugates.  ``phis`` holds the scaled orbitals of each DOF."""
+    cols = []
+    base = 0
+    for phi in phis:
+        M, n = phi.shape
+        for a in range(M):
+            for b in range(M):
+                z = np.zeros(layout.D, dtype=complex)
+                z[base + a * n:base + (a + 1) * n] = phi[b]
+                cols.append(z)
+        base += M * n
+    z = np.zeros(layout.D, dtype=complex)
+    z[layout.cu_slice] = C
+    cols.append(z)
+    Z = np.column_stack(cols)
+    return np.hstack([Z, Z.conj()[sigma1(layout)]])
+
+
+def _response_matrix(state, layout, blocks: dict, phis, rho1s,
+                     floor: float) -> ResponseMatrix:
+    """Projector, metric powers and L from the raw blocks, for one DOF per
+    entry of ``phis`` (scaled orbitals) and ``rho1s`` (hermitized one-body
+    densities); identical particles are the one-DOF case."""
+    Pg, half, neghalf, clipped = [], [], [], False
+    for phi, rho in zip(phis, rho1s):
+        Pg.append(np.eye(phi.shape[1], dtype=complex) - phi.T @ phi.conj())
+        h, c1 = regularized_power(rho, +0.5, floor)
+        nh, c2 = regularized_power(rho, -0.5, floor)
+        half.append(h)
+        neghalf.append(nh)
+        clipped = clipped or c1 or c2
     C = state.C
     Pc = np.eye(layout.n_conf, dtype=complex) - np.outer(C, C.conj())
-    P[layout.cu_slice, layout.cu_slice] = Pc
-    P[layout.cv_slice, layout.cv_slice] = Pc.conj()
-    return P
+    eye_c = np.eye(layout.n_conf)
 
+    def orbital(mats, grid_mats):
+        return block_diag(*[np.kron(m, g) for m, g in zip(mats, grid_mats)])
 
-def metric_powers(state: GroundState, layout: ResponseLayout,
-                  floor: float | None = None):
-    """Block-diagonal metric powers M^(+1/2), M^(-1/2) and a clipping flag."""
-    if floor is None:
-        floor = 1e-10 * state.space.N
-    rho1 = _hermitized(state.rho.rho1)
-    half, c1 = regularized_power(rho1, +0.5, floor)
-    neghalf, c2 = regularized_power(rho1, -0.5, floor)
-    eye = np.eye(layout.n_points)
-
-    def stack(m):
-        out = np.eye(layout.D, dtype=complex)
-        out[:layout.orb, :layout.orb] = np.kron(m, eye)
-        out[layout.orb:2 * layout.orb, layout.orb:2 * layout.orb] = \
-            np.kron(m.conj(), eye)
-        return out
-
-    return stack(half), stack(neghalf), (c1 or c2)
+    eyes_g = [np.eye(len(p)) for p in Pg]
+    eyes_m = [np.eye(len(h)) for h in half]
+    P = _sector_stack(layout, orbital(eyes_m, Pg), Pc)
+    M_half = _sector_stack(layout, orbital(half, eyes_g), eye_c)
+    M_neghalf = _sector_stack(layout, orbital(neghalf, eyes_g), eye_c)
+    L = _projected_L(layout, blocks, orbital(neghalf, Pg), Pc)
+    return ResponseMatrix(layout=layout, L=L, P=P, M_half=M_half,
+                          M_neghalf=M_neghalf, blocks=blocks, state=state,
+                          metric_clipped=clipped, floor=floor,
+                          null_vectors=_null_vectors(layout, phis, C))
 
 
 def assemble_L(state: GroundState, floor: float | None = None) -> ResponseMatrix:
-    """Full metric-transformed, projected response matrix."""
+    """Full metric-transformed, projected response matrix.
+
+    ``floor`` lifts the eigenvalues of the one-body density before its
+    inverse square root is taken; the default is 1e-10 N.
+    """
     layout = ResponseLayout(state.space.M, state.grid.n_points, state.space.size)
     A, B = build_oo_block(state)
     Loc_u, Loc_v, Lco_u, Lco_v = build_oc_co_blocks(state)
     cc_u, cc_v = build_cc_block(state)
-
-    D = layout.D
-    raw = np.zeros((D, D), dtype=complex)
-    orb = layout.orb
-    u, v = slice(0, orb), slice(orb, 2 * orb)
-    cu, cv = layout.cu_slice, layout.cv_slice
-    raw[u, u] = A
-    raw[u, v] = B
-    raw[v, u] = -B.conj()
-    raw[v, v] = -A.conj()
-    raw[u, cu] = Loc_u
-    raw[u, cv] = Loc_v
-    raw[v, cu] = -Loc_v.conj()
-    raw[v, cv] = -Loc_u.conj()
-    raw[cu, u] = Lco_u
-    raw[cu, v] = Lco_v
-    raw[cv, u] = -Lco_v.conj()
-    raw[cv, v] = -Lco_u.conj()
-    raw[cu, cu] = cc_u
-    raw[cv, cv] = cc_v
-
-    P = combined_projector(state, layout)
-    M_half, M_neghalf, clipped = metric_powers(state, layout, floor)
-    L = P @ (M_neghalf @ raw @ M_neghalf) @ P
-    blocks = {"raw": raw, "A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
+    blocks = {"A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
               "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u, "cc_v": cc_v}
-    rm = ResponseMatrix(layout=layout, L=L, P=P, M_half=M_half,
-                        M_neghalf=M_neghalf, blocks=blocks, state=state,
-                        metric_clipped=clipped)
-    rm.null_vectors = zero_mode_vectors(rm)
-    return rm
+    if floor is None:
+        floor = 1e-10 * state.space.N
+    return _response_matrix(state, layout, blocks, [state.orbitals.scaled],
+                            [_hermitized(state.rho.rho1)], floor)
 
 
 def build_R(state: GroundState, pert: PerturbationSpec,
@@ -390,26 +432,18 @@ def build_R(state: GroundState, pert: PerturbationSpec,
 
 
 def sigma1(layout) -> np.ndarray:
-    """Block-swap matrix exchanging the u/v and C_u/C_v sectors."""
-    D = layout.D
-    orb = layout.orb
-    S = np.zeros((D, D))
-    S[:orb, orb:2 * orb] = np.eye(orb)
-    S[orb:2 * orb, :orb] = np.eye(orb)
-    nc = layout.n_conf
-    S[layout.cu_slice, layout.cv_slice] = np.eye(nc)
-    S[layout.cv_slice, layout.cu_slice] = np.eye(nc)
-    return S
+    """Index swap of the u/v and C_u/C_v sectors: Sigma1 x = x[sigma1(layout)]."""
+    orb, nc = layout.orb, layout.n_conf
+    u, cu = np.arange(orb), np.arange(2 * orb, 2 * orb + nc)
+    return np.concatenate([u + orb, u, cu + nc, cu])
 
 
 def sigma3(layout) -> np.ndarray:
-    """Block-sign matrix: +1 on the u/C_u sectors, -1 on the v/C_v sectors."""
-    D = layout.D
-    orb = layout.orb
-    d = np.ones(D)
-    d[orb:2 * orb] = -1.0
+    """Signs of Sigma3: +1 on the u/C_u sectors, -1 on the v/C_v sectors."""
+    d = np.ones(layout.D)
+    d[layout.orb:2 * layout.orb] = -1.0
     d[layout.cv_slice] = -1.0
-    return np.diag(d)
+    return d
 
 
 def zero_mode_vectors(rm: ResponseMatrix) -> np.ndarray:
@@ -419,18 +453,4 @@ def zero_mode_vectors(rm: ResponseMatrix) -> np.ndarray:
     the coefficient vector in the C_u slot; their block-swapped conjugates
     double the count.
     """
-    layout = rm.layout
-    phi = rm.state.orbitals.scaled
-    C = rm.state.C
-    cols = []
-    for p in range(layout.M):
-        for q in range(layout.M):
-            z = np.zeros(layout.D, dtype=complex)
-            z[layout.u_slice(p)] = phi[q]
-            cols.append(z)
-    z = np.zeros(layout.D, dtype=complex)
-    z[layout.cu_slice] = C
-    cols.append(z)
-    S1 = sigma1(layout)
-    cols += [S1 @ c.conj() for c in list(cols)]
-    return np.column_stack(cols)
+    return _null_vectors(rm.layout, [rm.state.orbitals.scaled], rm.state.C)

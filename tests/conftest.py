@@ -9,6 +9,7 @@ import pytest
 from mclr import (OneBodyOperator, PairCoupling, TwoBodyKernel, build_grid,
                   harmonic_potential, kinetic_matrix)
 from mclr import fockspace as fs
+from mclr import hamiltonian as ham
 from mclr import groundstate as gs
 
 
@@ -107,6 +108,28 @@ def dist_11(dist_grids, dist_h):
 def dist_22_uncoupled(dist_grids, dist_h):
     space = fs.enumerate_configs("distinguishable", M_list=(2, 2))
     return gs.solve_mch_dist(space, dist_grids, dist_h, None)
+
+
+@pytest.fixture(scope="session")
+def bos_m2_complex_gauge(bos_m2):
+    """bos_m2 with its orbitals rotated by a random complex unitary."""
+    st = bos_m2
+    rng = np.random.default_rng(42)
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    U, _ = np.linalg.qr(z)
+    rot = ham.OrbitalSet(U.conj().T @ st.orbitals.orbitals, st.grid)
+    H = ham.hamiltonian_matrix(st.space, rot, st.h_op, st.kernel_matrix)
+    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+    C = vecs[:, 0]
+    C *= np.exp(-1j * np.angle(C[np.argmax(np.abs(C))]))
+    rho = fs.reduced_densities(st.space, C)
+    g_unp = gs.orbital_eom_rhs(st.grid, rot, st.h_op, st.kernel_matrix, rho,
+                               project=False)
+    mu = gs._mu_matrix(st.grid, rot, g_unp)
+    return gs.GroundState(space=st.space, grid=st.grid, h_op=st.h_op,
+                          kernel=st.kernel, kernel_matrix=st.kernel_matrix,
+                          orbitals=rot, C=C, rho=rho, mu=mu,
+                          energy=vals[0], residuals=dict(st.residuals))
 
 
 def random_state_vector(size, seed):

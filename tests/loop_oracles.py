@@ -6,7 +6,8 @@ by streaming over every pair of configurations, straight from the defining
 sums.  They are slow (n_conf^2 Python iterations) and serve as the oracle
 the contractions are compared with.  A few direct-definition helpers that
 only tests use (exchange kernels, the single-entry density action, the
-coefficient-orbital rows summed directly) live here as well.
+coefficient-orbital rows summed directly) live here as well, and so does
+the dense form of the projected, metric-transformed response matrix.
 """
 
 import numpy as np
@@ -263,3 +264,35 @@ def loc_blocks(state):
                 Loc_u[row, i_m] += C[i_n].conjugate() * col
                 Loc_v[row, i_n] += C[i_m] * col
     return Loc_u, Loc_v
+
+
+# --- response matrix ----------------------------------------------------------
+
+
+def dense_raw(layout, blocks):
+    """The unprojected D x D response matrix L_raw, filled block by block."""
+    D, orb = layout.D, layout.orb
+    raw = np.zeros((D, D), dtype=complex)
+    u, v = slice(0, orb), slice(orb, 2 * orb)
+    cu, cv = layout.cu_slice, layout.cv_slice
+    raw[u, u] = blocks["A"]
+    raw[u, v] = blocks["B"]
+    raw[v, u] = -blocks["B"].conj()
+    raw[v, v] = -blocks["A"].conj()
+    raw[u, cu] = blocks["Loc_u"]
+    raw[u, cv] = blocks["Loc_v"]
+    raw[v, cu] = -blocks["Loc_v"].conj()
+    raw[v, cv] = -blocks["Loc_u"].conj()
+    raw[cu, u] = blocks["Lco_u"]
+    raw[cu, v] = blocks["Lco_v"]
+    raw[cv, u] = -blocks["Lco_v"].conj()
+    raw[cv, v] = -blocks["Lco_u"].conj()
+    raw[cu, cu] = blocks["cc_u"]
+    raw[cv, cv] = blocks["cc_v"]
+    return raw
+
+
+def dense_L(rm):
+    """P M^(-1/2) L_raw M^(-1/2) P with every factor a dense D x D matrix."""
+    raw = dense_raw(rm.layout, rm.blocks)
+    return rm.P @ (rm.M_neghalf @ raw @ rm.M_neghalf) @ rm.P

@@ -92,13 +92,15 @@ def test_criterion_03_pairing_symmetries(bos_m1, bos_m2, bos_m3, ferm_m2,
     worst = 0.0
     for st in (bos_m1, bos_m2, bos_m3, ferm_m2, ferm_m3, bos_m2_48):
         rm = li.assemble_L(st)
-        S1, S3 = li.sigma1(rm.layout), li.sigma3(rm.layout)
+        S1 = np.eye(rm.D)[li.sigma1(rm.layout)]
+        S3 = np.diag(li.sigma3(rm.layout))
         worst = max(worst,
                     np.abs(S1 @ rm.L @ S1 + rm.L.conj()).max(),
                     np.abs(S3 @ rm.L @ S3 - rm.L.conj().T).max())
     for st in (dist_11, dist_44):
         rm = ld.assemble_L_dist(st)
-        S1, S3 = li.sigma1(rm.layout), li.sigma3(rm.layout)
+        S1 = np.eye(rm.D)[li.sigma1(rm.layout)]
+        S3 = np.diag(li.sigma3(rm.layout))
         worst = max(worst,
                     np.abs(S1 @ rm.L @ S1 + rm.L.conj()).max(),
                     np.abs(S3 @ rm.L @ S3 - rm.L.conj().T).max())

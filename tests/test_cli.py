@@ -84,6 +84,8 @@ def test_linres_outputs(tmp_path, capsys):
     assert (tmp_path / "response_matrix.ckpt").exists()
     zero_line = [l for l in out.splitlines() if l.startswith("zero_modes")][0]
     assert "expected 10" in zero_line
+    # the empty second orbital makes the metric singular
+    assert "eigensolver = dense (" in out
 
 
 def test_linres_interacting_zero_mode_count(tmp_path, capsys):
@@ -96,6 +98,7 @@ def test_linres_interacting_zero_mode_count(tmp_path, capsys):
     zero_line = [l for l in out.splitlines() if l.startswith("zero_modes")][0]
     assert zero_line.split("=")[1].split()[0].strip() == "10"
     assert "zero_mode_warning" not in out
+    assert "eigensolver = rpa" in out
 
 
 def test_oracle_bdg_table(capsys):
@@ -139,6 +142,7 @@ def test_linres_tol_zero_flag(tmp_path, capsys):
     zero_line = [l for l in out.splitlines() if l.startswith("zero_modes")][0]
     assert int(zero_line.split("=")[1].split()[0]) > 10
     assert "zero_mode_warning" in out
+    assert "eigensolver = dense (an excitation at or below tol_zero)" in out
 
 
 def test_statistics_override_flag(tmp_path, capsys):

@@ -69,7 +69,8 @@ def test_no_same_dof_exchange(dist_44):
 
 def test_pairing_symmetries_dist(dist_44):
     rm = ld.assemble_L_dist(dist_44)
-    S1, S3 = li.sigma1(rm.layout), li.sigma3(rm.layout)
+    S1 = np.eye(rm.D)[li.sigma1(rm.layout)]
+    S3 = np.diag(li.sigma3(rm.layout))
     assert np.abs(S1 @ rm.L @ S1 + rm.L.conj()).max() < 1e-9
     assert np.abs(S3 @ rm.L @ S3 - rm.L.conj().T).max() < 1e-9
 

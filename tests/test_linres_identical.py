@@ -7,6 +7,7 @@ from mclr import TwoBodyKernel, position_operator
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
+from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
 from mclr import oracle as orc
 from mclr import spectrum as spm
@@ -93,7 +94,8 @@ def test_assembled_dimension_and_projection(bos_m2):
 def test_pairing_symmetries(fixture, request):
     st = request.getfixturevalue(fixture)
     rm = li.assemble_L(st)
-    S1, S3 = li.sigma1(rm.layout), li.sigma3(rm.layout)
+    S1 = np.eye(rm.D)[li.sigma1(rm.layout)]
+    S3 = np.diag(li.sigma3(rm.layout))
     assert np.abs(S1 @ rm.L @ S1 + rm.L.conj()).max() < 1e-9
     assert np.abs(S3 @ rm.L @ S3 - rm.L.conj().T).max() < 1e-9
 
@@ -129,6 +131,23 @@ def test_single_configuration_limit_has_trivial_coefficient_sector(ferm_m3):
     assert lay.n_conf == 1
     assert np.abs(rm.L[lay.cu_slice, :]).max() < 1e-12
     assert np.abs(rm.L[:, lay.cu_slice]).max() < 1e-12
+
+
+@pytest.mark.parametrize("fixture, tol", [
+    ("bos_m2", 1e-12), ("ferm_m3", 1e-12), ("dist_11", 1e-12),
+    ("dist_44", 1e-12),
+    # the complex gauge spreads the 2e-4 natural occupation over both
+    # orbitals: M^(-1/2) entries ~30 cancel in every product, and the dense
+    # and block forms each round at ~3e-11
+    ("bos_m2_complex_gauge", 1e-10)])
+def test_block_projection_matches_dense(fixture, tol, request):
+    # L from block products against P M^(-1/2) L_raw M^(-1/2) P, dense
+    st = request.getfixturevalue(fixture)
+    if isinstance(st, gs.GroundState):
+        rm = li.assemble_L(st)
+    else:
+        rm = ld.assemble_L_dist(st)
+    assert np.abs(rm.L - lo.dense_L(rm)).max() < tol
 
 
 def test_null_vectors_annihilated(bos_m2):

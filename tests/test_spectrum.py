@@ -6,7 +6,7 @@ import pytest
 from mclr import TwoBodyKernel, position_operator
 from mclr import fockspace as fs
 from mclr import groundstate as gs
-from mclr import hamiltonian as ham
+from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
 from mclr import spectrum as spm
 
@@ -44,7 +44,7 @@ def test_spectrum_mirror_symmetry(spec_m2):
 
 def test_mirror_eigenvectors(spec_m2):
     rm = spec_m2.rm
-    S1 = li.sigma1(rm.layout)
+    S1 = np.eye(rm.D)[li.sigma1(rm.layout)]
     for i in range(min(4, len(spec_m2.retained))):
         k = spec_m2.retained[i]
         mirror = S1 @ spec_m2.right[:, i].conj()
@@ -85,6 +85,7 @@ def test_zero_mode_mismatch_is_reported(grid64, h64):
     rm = li.assemble_L(st)
     assert rm.metric_clipped
     spec = spm.eigensolve(rm)
+    assert spec.eigensolver.startswith("dense")
     rep = spm.classify_zero_modes(spec, expected_count=10)
     assert rep["count"] > 10
     assert "mismatch" in rep
@@ -115,6 +116,40 @@ def test_weights_parity_selection(bos_m2_48, spec_m2):
     assert abs(w.gamma_plus[order[0]]) > 0.1
     assert abs(w.gamma_plus[order[1]]) < 1e-8
     assert abs(w.gamma_plus[order[2]]) < 1e-8
+
+
+def test_reconstruct_uses_assembly_floor(bos_m2_48):
+    # a floor above the smaller natural occupation clips the metric; the
+    # driven orbitals must go through the same M^(-1/2) as L itself
+    st = bos_m2_48
+    floor = 2.0 * np.linalg.eigvalsh(st.rho.rho1).min()
+    rm = li.assemble_L(st, floor=floor)
+    assert rm.metric_clipped and rm.floor == floor
+    spec = spm.eigensolve(rm)
+    om = 0.55
+    R = li.build_R(st, li.PerturbationSpec(
+        f_dag=position_operator(st.grid), omega=om), rm)
+    w = spm.response_weights(spec, R)
+    rec = spm.reconstruct(spec, w, om)
+    expect_m = np.zeros_like(rec.dphi_minus)
+    expect_p = np.zeros_like(rec.dphi_plus)
+    for i, wk in enumerate(spec.omega):
+        u, v, _, _ = rm.layout.split(rm.M_neghalf @ spec.right[:, i])
+        gp, gm = w.gamma_plus[i], w.gamma_minus[i]
+        expect_m += gp * u / (om - wk) + gm * v.conj() / (om + wk)
+        expect_p += (np.conj(gp) * v.conj() / (om - wk)
+                     + np.conj(gm) * u / (om + wk))
+    root_dx = np.sqrt(st.grid.weight)
+    assert np.abs(rec.dphi_minus - expect_m / root_dx).max() < 1e-10
+    assert np.abs(rec.dphi_plus - expect_p / root_dx).max() < 1e-10
+
+
+def test_reconstruct_refuses_distinguishable(dist_11):
+    rm = ld.assemble_L_dist(dist_11)
+    spec = spm.eigensolve(rm)
+    w = spm.response_weights(spec, np.zeros(rm.D, dtype=complex))
+    with pytest.raises(ValueError, match="identical-particle states only"):
+        spm.reconstruct(spec, w, omega=0.55)
 
 
 def test_reconstruct_zero_weights(spec_m2):
@@ -197,27 +232,14 @@ def test_resolution_fails_with_truncated_modes(spec_m2):
     assert rep["identity_defect"] > 0.1
 
 
-def test_eigenvalues_gauge_invariant(bos_m2):
+def test_eigenvalues_gauge_invariant(bos_m2, bos_m2_complex_gauge):
     # rotating the orbital gauge changes L but not its retained spectrum
-    st = bos_m2
-    rng = np.random.default_rng(42)
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    U, _ = np.linalg.qr(z)
-    rot = ham.OrbitalSet(U.conj().T @ st.orbitals.orbitals, st.grid)
-    H = ham.hamiltonian_matrix(st.space, rot, st.h_op, st.kernel_matrix)
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    C = vecs[:, 0]
-    C *= np.exp(-1j * np.angle(C[np.argmax(np.abs(C))]))
-    rho = fs.reduced_densities(st.space, C)
-    g_unp = gs.orbital_eom_rhs(st.grid, rot, st.h_op, st.kernel_matrix, rho,
-                               project=False)
-    mu = gs._mu_matrix(st.grid, rot, g_unp)
-    rotated = gs.GroundState(space=st.space, grid=st.grid, h_op=st.h_op,
-                             kernel=st.kernel, kernel_matrix=st.kernel_matrix,
-                             orbitals=rot, C=C, rho=rho, mu=mu,
-                             energy=vals[0], residuals=dict(st.residuals))
-    w0 = np.sort(spm.eigensolve(li.assemble_L(st)).omega)
-    w1 = np.sort(spm.eigensolve(li.assemble_L(rotated)).omega)
+    spec0 = spm.eigensolve(li.assemble_L(bos_m2))
+    spec1 = spm.eigensolve(li.assemble_L(bos_m2_complex_gauge))
+    # the complex gauge leaves the half-size real reduction
+    assert spec0.eigensolver == "rpa"
+    assert spec1.eigensolver == "dense (complex L)"
+    w0, w1 = np.sort(spec0.omega), np.sort(spec1.omega)
     assert np.abs(w0 - w1).max() < 1e-7
 
 
@@ -235,3 +257,62 @@ def test_spectrum_csv_format(tmp_path, spec_m2, bos_m2_48):
     # 17 significant digits survive the round trip
     val = float(body[0].split(",")[1])
     assert f"{val:.17g}" == body[0].split(",")[1]
+
+
+# --- half-size reduction against the dense eigensolve ------------------------
+
+
+def _assembled(st):
+    if isinstance(st, gs.GroundState):
+        return li.assemble_L(st)
+    return ld.assemble_L_dist(st)
+
+
+def _dipole_probe(st, rm):
+    if isinstance(st, gs.GroundState):
+        return li.build_R(st, li.PerturbationSpec(
+            f_dag=position_operator(st.grid), omega=0.55), rm)
+    return ld.build_R_dist(st, ld.DistPerturbationSpec(
+        f_dags=tuple(position_operator(g) for g in st.grids), omega=0.55), rm)
+
+
+@pytest.mark.parametrize("fixture", ["bos_m1", "bos_m2", "bos_m3", "ferm_m2",
+                                     "ferm_m3", "bos_m2_48", "dist_11",
+                                     "dist_44"])
+def test_reduced_solve_matches_dense(fixture, request):
+    st = request.getfixturevalue(fixture)
+    rm = _assembled(st)
+    fast, dense = spm.eigensolve(rm), spm._eigensolve_dense(rm)
+    assert fast.eigensolver == "rpa"
+    scale = np.abs(dense.eigenvalues).max()
+    assert np.abs(fast.eigenvalues - dense.eigenvalues.real).max() < 1e-10 * scale
+    np.testing.assert_array_equal(fast.zero_modes, dense.zero_modes)
+    np.testing.assert_array_equal(fast.retained, dense.retained)
+    n = len(fast.retained)
+    assert np.abs(fast.left.conj().T @ fast.right - np.eye(n)).max() < 1e-8
+    assert np.abs(fast.left.conj().T @ fast.right_neg).max() < 1e-8
+    assert np.all(fast.sng == 1.0) and fast.pairing_residual == 0.0
+    # inside a degenerate cluster the vectors are fixed only up to a
+    # rotation, so |gamma| is compared on modes without a degenerate partner
+    near = np.diff(fast.omega) < 1e-6 * scale
+    lone = np.ones(n, dtype=bool)
+    lone[:-1] &= ~near
+    lone[1:] &= ~near
+    R = _dipole_probe(st, rm)
+    wf, wd = spm.response_weights(fast, R), spm.response_weights(dense, R)
+    for a, b in ((wf.gamma_plus, wd.gamma_plus),
+                 (wf.gamma_minus, wd.gamma_minus)):
+        assert np.abs(np.abs(a[lone]) - np.abs(b[lone])).max() < 1e-8
+
+
+@pytest.mark.parametrize("layout", [li.ResponseLayout(M=2, n_points=5, n_conf=3),
+                                    ld.DistLayout((2, 1), (4, 3), 2)])
+def test_symmetry_defects_match_dense_operators(layout):
+    rng = np.random.default_rng(7)
+    L = (rng.standard_normal((layout.D, layout.D))
+         + 1j * rng.standard_normal((layout.D, layout.D)))
+    S1 = np.eye(layout.D)[li.sigma1(layout)]
+    S3 = np.diag(li.sigma3(layout))
+    dense = (float(np.abs(S1 @ L @ S1 + L.conj()).max()),
+             float(np.abs(S3 @ L @ S3 - L.conj().T).max()))
+    assert spm.symmetry_defects(L, layout) == dense
