@@ -275,17 +275,15 @@ def cmd_linres(args):
     pert = _build_perturbation(cfg, state)
 
     if isinstance(state, gs.GroundState):
-        rm = li.assemble_L(state, floor=None)
+        rm = li.assemble_L(state)
         R = li.build_R(state, pert, rm)
-        expected = spm.expected_zero_modes(M=state.space.M)
     else:
         rm = ld.assemble_L_dist(state)
         R = ld.build_R_dist(state, pert, rm)
-        expected = spm.expected_zero_modes(M_list=state.space.M_list)
 
-    tol_zero = args.tol_zero
-    spec = spm.eigensolve(rm, tol_zero=tol_zero)
-    zrep = spm.classify_zero_modes(spec, expected_count=expected)
+    spec = spm.eigensolve(rm, tol_zero=args.tol_zero)
+    zrep = spm.classify_zero_modes(
+        spec, expected_count=spm.expected_zero_modes(rm.layout.M_list))
     weights = spm.response_weights(spec, R)
 
     out_dir = Path(args.out_dir)
@@ -319,7 +317,7 @@ def cmd_linres(args):
     if args.dump_matrix:
         ckpt.save_arrays(out_dir / "response_matrix.ckpt",
                          {"kind": "response_matrix", "D": rm.D},
-                         {"L": rm.L, "P": rm.P, "R": R})
+                         {"L": rm.L, "P": rm.projector(), "R": R})
         print(f"matrix_dump = {out_dir / 'response_matrix.ckpt'}")
     if reconstruction_note:
         print(f"reconstruction_skipped = {reconstruction_note}")

@@ -17,7 +17,7 @@ conj(C_n) C_m is still never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -26,79 +26,16 @@ from . import fockspace as fs
 from . import hamiltonian as ham
 from .groundstate import DistGroundState
 from .hamiltonian import PairCoupling
-from .linres_identical import (ResponseMatrix, _null_vectors, _require_converged,
-                              _response_matrix)
+from .linres_identical import (ResponseLayout, ResponseMatrix,
+                              _require_converged, _response_matrix)
 
 __all__ = [
-    "DistLayout",
     "DistPerturbationSpec",
     "build_oo_dist",
     "build_oc_co_cc_dist",
     "assemble_L_dist",
     "build_R_dist",
-    "zero_mode_vectors_dist",
 ]
-
-
-@dataclass(frozen=True)
-class DistLayout:
-    """Offsets for per-DOF orbital stacks plus the coefficient sectors."""
-
-    M_list: tuple
-    n_list: tuple
-    n_conf: int
-
-    @property
-    def Q(self) -> int:
-        return len(self.M_list)
-
-    @property
-    def orb(self) -> int:
-        return int(sum(m * n for m, n in zip(self.M_list, self.n_list)))
-
-    @property
-    def D(self) -> int:
-        return 2 * (self.orb + self.n_conf)
-
-    def dof_offset(self, j: int) -> int:
-        return int(sum(m * n for m, n in
-                       zip(self.M_list[:j], self.n_list[:j])))
-
-    def u_slice(self, j: int, a: int) -> slice:
-        base = self.dof_offset(j) + a * self.n_list[j]
-        return slice(base, base + self.n_list[j])
-
-    def v_slice(self, j: int, a: int) -> slice:
-        base = self.orb + self.dof_offset(j) + a * self.n_list[j]
-        return slice(base, base + self.n_list[j])
-
-    def u_block(self, j: int) -> slice:
-        base = self.dof_offset(j)
-        return slice(base, base + self.M_list[j] * self.n_list[j])
-
-    def v_block(self, j: int) -> slice:
-        base = self.orb + self.dof_offset(j)
-        return slice(base, base + self.M_list[j] * self.n_list[j])
-
-    @property
-    def cu_off(self) -> int:
-        return 2 * self.orb
-
-    @property
-    def cu_slice(self) -> slice:
-        return slice(self.cu_off, self.cu_off + self.n_conf)
-
-    @property
-    def cv_slice(self) -> slice:
-        return slice(self.cu_off + self.n_conf, self.D)
-
-    def split(self, x):
-        """(list of per-DOF u stacks (M_j, n_j), same for v, C_u, C_v)."""
-        us = [x[self.u_block(j)].reshape(self.M_list[j], self.n_list[j])
-              for j in range(self.Q)]
-        vs = [x[self.v_block(j)].reshape(self.M_list[j], self.n_list[j])
-              for j in range(self.Q)]
-        return us, vs, x[self.cu_slice], x[self.cv_slice]
 
 
 @dataclass(frozen=True)
@@ -114,10 +51,10 @@ class DistPerturbationSpec:
             raise ValueError("static probes (omega <= 0) need a separate treatment")
 
 
-def _layout(state) -> DistLayout:
-    return DistLayout(tuple(state.space.M_list),
-                      tuple(g.n_points for g in state.grids),
-                      state.space.size)
+def _layout(state) -> ResponseLayout:
+    return ResponseLayout(tuple(state.space.M_list),
+                          tuple(g.n_points for g in state.grids),
+                          state.space.size)
 
 
 def build_oo_dist(state: DistGroundState):
@@ -234,28 +171,15 @@ def assemble_L_dist(state: DistGroundState,
     """Full metric-transformed, projected response matrix for Q DOFs.
 
     ``floor`` lifts the eigenvalues of each one-body density before its
-    inverse square root is taken; the default is 1e-10.
+    inverse square root is taken; the default is 1e-10 tr rho = 1e-10.
     """
-    layout = _layout(state)
     A, B = build_oo_dist(state)
     Loc_u, Loc_v, Lco_u, Lco_v, cc_u, cc_v = build_oc_co_cc_dist(state)
     blocks = {"A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
               "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u, "cc_v": cc_v}
-    if floor is None:
-        floor = 1e-10
     rho1s = [0.5 * (r + r.conj().T) for r in state.rho1]
-    return _response_matrix(state, layout, blocks,
-                            [s.scaled for s in state.sets], rho1s, floor)
-
-
-def zero_mode_vectors_dist(rm: ResponseMatrix) -> np.ndarray:
-    """Analytic null vectors: 2 (sum_j M_j^2 + 1) columns.
-
-    Ground orbitals of DOF j fill the u slots of the same DOF, the
-    coefficient vector fills C_u; block-swapped conjugates double the set.
-    """
-    return _null_vectors(rm.layout, [s.scaled for s in rm.state.sets],
-                         rm.state.C)
+    return _response_matrix(state, blocks, [s.scaled for s in state.sets],
+                            rho1s, floor)
 
 
 def build_R_dist(state: DistGroundState, pert: DistPerturbationSpec,
@@ -302,4 +226,4 @@ def build_R_dist(state: DistGroundState, pert: DistPerturbationSpec,
         S2[layout.cu_slice] = -(G @ C)
         S2[layout.cv_slice] = G.T @ C.conj()
 
-    return rm.P @ (rm.M_half @ S1 + rm.M_neghalf @ S2)
+    return rm.project(S1, +0.5) + rm.project(S2, -0.5)

@@ -2,7 +2,9 @@
 
 The response space stacks, in this order, the orbital response amplitudes
 u_1..u_M, their partners v_1..v_M, and the coefficient amplitudes C_u, C_v;
-its total dimension is D = 2 (M n_points + N_conf).
+its total dimension is D = 2 (M n_points + N_conf).  This is the one-DOF
+case of ``ResponseLayout``; the distinguishable assembly uses the same
+layout and the projector, metric and block-product code below.
 
 Inside this module orbital entries live in the scaled convention
 phi~ = sqrt(dx) phi, which turns quadrature sums into plain dot products.
@@ -45,7 +47,6 @@ __all__ = [
     "build_R",
     "sigma1",
     "sigma3",
-    "zero_mode_vectors",
 ]
 
 STATISTICS_SIGN = {"boson": +1.0, "fermion": -1.0}
@@ -53,52 +54,61 @@ STATISTICS_SIGN = {"boson": +1.0, "fermion": -1.0}
 
 @dataclass(frozen=True)
 class ResponseLayout:
-    """Block offsets of the combined orbital-coefficient response space."""
+    """Offsets of the response space: per-DOF orbital stacks (M_j slots of
+    n_j grid points) for u, the same for v, then C_u and C_v.  Identical
+    particles are the one-DOF case."""
 
-    M: int
-    n_points: int
+    M_list: tuple
+    n_list: tuple
     n_conf: int
 
     @property
+    def Q(self) -> int:
+        return len(self.M_list)
+
+    @property
     def orb(self) -> int:
-        return self.M * self.n_points
+        return int(sum(m * n for m, n in zip(self.M_list, self.n_list)))
 
     @property
     def D(self) -> int:
         return 2 * (self.orb + self.n_conf)
 
-    @property
-    def v_off(self) -> int:
-        return self.orb
+    def _dof_offset(self, j: int) -> int:
+        return int(sum(m * n for m, n in
+                       zip(self.M_list[:j], self.n_list[:j])))
 
-    @property
-    def cu_off(self) -> int:
-        return 2 * self.orb
+    def u_slice(self, j: int, a: int) -> slice:
+        base = self._dof_offset(j) + a * self.n_list[j]
+        return slice(base, base + self.n_list[j])
 
-    @property
-    def cv_off(self) -> int:
-        return 2 * self.orb + self.n_conf
+    def v_slice(self, j: int, a: int) -> slice:
+        base = self.orb + self._dof_offset(j) + a * self.n_list[j]
+        return slice(base, base + self.n_list[j])
 
-    def u_slice(self, k: int) -> slice:
-        return slice(k * self.n_points, (k + 1) * self.n_points)
+    def u_block(self, j: int) -> slice:
+        base = self._dof_offset(j)
+        return slice(base, base + self.M_list[j] * self.n_list[j])
 
-    def v_slice(self, k: int) -> slice:
-        return slice(self.v_off + k * self.n_points,
-                     self.v_off + (k + 1) * self.n_points)
+    def v_block(self, j: int) -> slice:
+        base = self.orb + self._dof_offset(j)
+        return slice(base, base + self.M_list[j] * self.n_list[j])
 
     @property
     def cu_slice(self) -> slice:
-        return slice(self.cu_off, self.cu_off + self.n_conf)
+        return slice(2 * self.orb, 2 * self.orb + self.n_conf)
 
     @property
     def cv_slice(self) -> slice:
-        return slice(self.cv_off, self.cv_off + self.n_conf)
+        return slice(2 * self.orb + self.n_conf, self.D)
 
     def split(self, x):
-        """(u (M,n), v (M,n), C_u, C_v) views of a packed vector."""
-        n, M = self.n_points, self.M
-        return (x[:self.orb].reshape(M, n), x[self.orb:2 * self.orb].reshape(M, n),
-                x[self.cu_slice], x[self.cv_slice])
+        """(list of per-DOF u stacks (M_j, n_j), same for v, C_u, C_v)."""
+        us = [x[self.u_block(j)].reshape(self.M_list[j], self.n_list[j])
+              for j in range(self.Q)]
+        vs = [x[self.v_block(j)].reshape(self.M_list[j], self.n_list[j])
+              for j in range(self.Q)]
+        return us, vs, x[self.cu_slice], x[self.cv_slice]
 
 
 @dataclass(frozen=True)
@@ -116,13 +126,20 @@ class PerturbationSpec:
 
 @dataclass
 class ResponseMatrix:
-    """Projected, metric-transformed response matrix with its ingredients."""
+    """Projected, metric-transformed response matrix with its ingredients.
+
+    The projector P and the metric powers M^(+-1/2) are kept as per-DOF
+    factors: the grid projectors ``Pg``, the metric powers ``m_half`` and
+    ``m_neghalf`` of each one-body density, and the coefficient projector
+    ``Pc``.
+    """
 
     layout: ResponseLayout
     L: np.ndarray = field(repr=False)
-    P: np.ndarray = field(repr=False)
-    M_half: np.ndarray = field(repr=False)
-    M_neghalf: np.ndarray = field(repr=False)
+    Pg: list = field(repr=False, default_factory=list)
+    m_half: list = field(repr=False, default_factory=list)
+    m_neghalf: list = field(repr=False, default_factory=list)
+    Pc: np.ndarray = field(default=None, repr=False)
     blocks: dict = field(repr=False, default_factory=dict)
     state: GroundState = None
     metric_clipped: bool = False
@@ -132,6 +149,30 @@ class ResponseMatrix:
     @property
     def D(self) -> int:
         return self.layout.D
+
+    def project(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
+        """P M^power x for power 0, +1/2 or -1/2, sector by sector: per DOF
+        kron(m_j^power, Pg_j) on u and its conjugate on v, Pc on C_u and
+        Pc* on C_v.  ``x`` is a vector or a matrix with D rows."""
+        lay = self.layout
+        metric = {0.0: None, 0.5: self.m_half, -0.5: self.m_neghalf}[power]
+        out = np.empty(x.shape, dtype=complex)
+        for j, (M, n) in enumerate(zip(lay.M_list, lay.n_list)):
+            for blk, conj in ((lay.u_block(j), False), (lay.v_block(j), True)):
+                g = self.Pg[j].conj() if conj else self.Pg[j]
+                y = g @ x[blk].reshape(M, n, -1)
+                if metric is not None:
+                    m = metric[j].conj() if conj else metric[j]
+                    y = np.tensordot(m, y, axes=1)
+                out[blk] = y.reshape(x[blk].shape)
+        out[lay.cu_slice] = self.Pc @ x[lay.cu_slice]
+        out[lay.cv_slice] = self.Pc.conj() @ x[lay.cv_slice]
+        return out
+
+    def projector(self) -> np.ndarray:
+        """Dense D x D projector P, built on demand."""
+        G = _orbital_factor([np.eye(M) for M in self.layout.M_list], self.Pg)
+        return block_diag(G, G.conj(), self.Pc, self.Pc.conj())
 
 
 def _require_converged(state, tol=1e-6):
@@ -167,14 +208,13 @@ def build_oo_block(state: GroundState):
     from (A, B) by the structural pattern [[A, B], [-conj(B), -conj(A)]].
     """
     _require_converged(state)
-    layout = ResponseLayout(state.space.M, state.grid.n_points, state.space.size)
     phi, rho1, rho2, mu, h = _ingredients(state)
-    M, n = layout.M, layout.n_points
+    M, n = phi.shape
     sign = STATISTICS_SIGN[state.space.statistics]
     km = state.kernel_matrix
 
-    A = np.zeros((layout.orb, layout.orb), dtype=complex)
-    B = np.zeros((layout.orb, layout.orb), dtype=complex)
+    A = np.zeros((M, n, M, n), dtype=complex)
+    B = np.zeros((M, n, M, n), dtype=complex)
     eye = np.eye(n)
 
     interacting = km is not None and np.any(km)
@@ -192,9 +232,9 @@ def build_oo_block(state: GroundState):
             blk = rho1[k, q] * h - mu[k, q] * eye
             if interacting:
                 blk = blk + np.diag(om[k, q]) + sign * kap1[k, q]
-                B[layout.u_slice(k), layout.u_slice(q)] = kap2[k, q]
-            A[layout.u_slice(k), layout.u_slice(q)] = blk
-    return A, B
+                B[k, :, q] = kap2[k, q]
+            A[k, :, q] = blk
+    return A.reshape(M * n, M * n), B.reshape(M * n, M * n)
 
 
 def _mapped_vectors(state):
@@ -228,9 +268,8 @@ def build_oc_co_blocks(state: GroundState):
     which is also how they are constructed here.
     """
     _require_converged(state)
-    layout = ResponseLayout(state.space.M, state.grid.n_points, state.space.size)
     phi, rho1, rho2, mu, h = _ingredients(state)
-    M, n, nc = layout.M, layout.n_points, layout.n_conf
+    (M, n), nc = phi.shape, state.space.size
     km = state.kernel_matrix
     one, two = _mapped_vectors(state)
 
@@ -239,11 +278,10 @@ def build_oc_co_blocks(state: GroundState):
     if interacting:
         w = ham.local_potentials(state.orbitals, km)         # (s, l, x)
 
-    Loc_u = np.zeros((layout.orb, nc), dtype=complex)
-    Loc_v = np.zeros((layout.orb, nc), dtype=complex)
+    Loc_u = np.zeros((M, n, nc), dtype=complex)
+    Loc_v = np.zeros((M, n, nc), dtype=complex)
     for k in range(M):
-        bu = np.zeros((n, nc), dtype=complex)
-        bv = np.zeros((n, nc), dtype=complex)
+        bu, bv = Loc_u[k], Loc_v[k]
         for q in range(M):
             bu += np.outer(h_phi[q], one[q, k].conj())
             bv += np.outer(h_phi[q], one[k, q])
@@ -253,8 +291,7 @@ def build_oc_co_blocks(state: GroundState):
                         wphi = w[s, l] * phi[q]
                         bu += np.outer(wphi, two[q, l, s, k].conj())
                         bv += np.outer(wphi, two[k, s, l, q])
-        Loc_u[layout.u_slice(k)] = bu
-        Loc_v[layout.u_slice(k)] = bv
+    Loc_u, Loc_v = Loc_u.reshape(M * n, nc), Loc_v.reshape(M * n, nc)
     return Loc_u, Loc_v, Loc_u.conj().T, Loc_v.T
 
 
@@ -274,16 +311,10 @@ def build_cc_block(state: GroundState):
     return H - eps * eye, eps * eye - H.conj()
 
 
-def _sector_stack(layout, orb_block, c_block) -> np.ndarray:
-    """D x D block-diagonal matrix: ``orb_block`` on the u sector, its
-    conjugate on v, ``c_block`` on C_u and its conjugate on C_v."""
-    orb = layout.orb
-    out = np.zeros((layout.D, layout.D), dtype=complex)
-    out[:orb, :orb] = orb_block
-    out[orb:2 * orb, orb:2 * orb] = orb_block.conj()
-    out[layout.cu_slice, layout.cu_slice] = c_block
-    out[layout.cv_slice, layout.cv_slice] = c_block.conj()
-    return out
+def _orbital_factor(mats, grid_mats) -> np.ndarray:
+    """Block diagonal over the DOFs of kron(mats[j], grid_mats[j]): the u
+    sector of a per-DOF factor."""
+    return block_diag(*[np.kron(m, g) for m, g in zip(mats, grid_mats)])
 
 
 def _projected_L(layout, blocks: dict, Gu: np.ndarray, Pc: np.ndarray):
@@ -320,15 +351,12 @@ def _null_vectors(layout, phis, C) -> np.ndarray:
     (j, a) for every a, b, and C in the C_u slot, then their block-swapped
     conjugates.  ``phis`` holds the scaled orbitals of each DOF."""
     cols = []
-    base = 0
-    for phi in phis:
-        M, n = phi.shape
-        for a in range(M):
-            for b in range(M):
+    for j, phi in enumerate(phis):
+        for a in range(len(phi)):
+            for b in range(len(phi)):
                 z = np.zeros(layout.D, dtype=complex)
-                z[base + a * n:base + (a + 1) * n] = phi[b]
+                z[layout.u_slice(j, a)] = phi[b]
                 cols.append(z)
-        base += M * n
     z = np.zeros(layout.D, dtype=complex)
     z[layout.cu_slice] = C
     cols.append(z)
@@ -336,11 +364,20 @@ def _null_vectors(layout, phis, C) -> np.ndarray:
     return np.hstack([Z, Z.conj()[sigma1(layout)]])
 
 
-def _response_matrix(state, layout, blocks: dict, phis, rho1s,
-                     floor: float) -> ResponseMatrix:
+def _response_matrix(state, blocks: dict, phis, rho1s,
+                     floor: float | None) -> ResponseMatrix:
     """Projector, metric powers and L from the raw blocks, for one DOF per
     entry of ``phis`` (scaled orbitals) and ``rho1s`` (hermitized one-body
-    densities); identical particles are the one-DOF case."""
+    densities); identical particles are the one-DOF case.
+
+    The default metric floor is 1e-10 tr rho: 1e-10 N for identical
+    particles, 1e-10 for distinguishable DOFs (unit-trace densities).
+    """
+    C = state.C
+    layout = ResponseLayout(tuple(len(p) for p in phis),
+                            tuple(p.shape[1] for p in phis), len(C))
+    if floor is None:
+        floor = 1e-10 * max(np.trace(r).real for r in rho1s)
     Pg, half, neghalf, clipped = [], [], [], False
     for phi, rho in zip(phis, rho1s):
         Pg.append(np.eye(phi.shape[1], dtype=complex) - phi.T @ phi.conj())
@@ -349,21 +386,10 @@ def _response_matrix(state, layout, blocks: dict, phis, rho1s,
         half.append(h)
         neghalf.append(nh)
         clipped = clipped or c1 or c2
-    C = state.C
     Pc = np.eye(layout.n_conf, dtype=complex) - np.outer(C, C.conj())
-    eye_c = np.eye(layout.n_conf)
-
-    def orbital(mats, grid_mats):
-        return block_diag(*[np.kron(m, g) for m, g in zip(mats, grid_mats)])
-
-    eyes_g = [np.eye(len(p)) for p in Pg]
-    eyes_m = [np.eye(len(h)) for h in half]
-    P = _sector_stack(layout, orbital(eyes_m, Pg), Pc)
-    M_half = _sector_stack(layout, orbital(half, eyes_g), eye_c)
-    M_neghalf = _sector_stack(layout, orbital(neghalf, eyes_g), eye_c)
-    L = _projected_L(layout, blocks, orbital(neghalf, Pg), Pc)
-    return ResponseMatrix(layout=layout, L=L, P=P, M_half=M_half,
-                          M_neghalf=M_neghalf, blocks=blocks, state=state,
+    L = _projected_L(layout, blocks, _orbital_factor(neghalf, Pg), Pc)
+    return ResponseMatrix(layout=layout, L=L, Pg=Pg, m_half=half,
+                          m_neghalf=neghalf, Pc=Pc, blocks=blocks, state=state,
                           metric_clipped=clipped, floor=floor,
                           null_vectors=_null_vectors(layout, phis, C))
 
@@ -372,17 +398,14 @@ def assemble_L(state: GroundState, floor: float | None = None) -> ResponseMatrix
     """Full metric-transformed, projected response matrix.
 
     ``floor`` lifts the eigenvalues of the one-body density before its
-    inverse square root is taken; the default is 1e-10 N.
+    inverse square root is taken; the default is 1e-10 tr rho = 1e-10 N.
     """
-    layout = ResponseLayout(state.space.M, state.grid.n_points, state.space.size)
     A, B = build_oo_block(state)
     Loc_u, Loc_v, Lco_u, Lco_v = build_oc_co_blocks(state)
     cc_u, cc_v = build_cc_block(state)
     blocks = {"A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
               "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u, "cc_v": cc_v}
-    if floor is None:
-        floor = 1e-10 * state.space.N
-    return _response_matrix(state, layout, blocks, [state.orbitals.scaled],
+    return _response_matrix(state, blocks, [state.orbitals.scaled],
                             [_hermitized(state.rho.rho1)], floor)
 
 
@@ -408,9 +431,9 @@ def build_R(state: GroundState, pert: PerturbationSpec,
     if pert.f_dag is not None:
         F = pert.f_dag.matrix
         f_mat = ham.one_body_elements(state.orbitals, pert.f_dag)
-        for k in range(layout.M):
-            S1[layout.u_slice(k)] = -(F @ phi[k])
-            S1[layout.v_slice(k)] = F.conj() @ phi[k].conj()
+        for k in range(len(phi)):
+            S1[layout.u_slice(0, k)] = -(F @ phi[k])
+            S1[layout.v_slice(0, k)] = F.conj() @ phi[k].conj()
         S1[layout.cu_slice] = -fs.apply_second_quantized(space, C, f_mat)
         S1[layout.cv_slice] = fs.apply_second_quantized(space, C.conj(), f_mat.T)
 
@@ -418,17 +441,17 @@ def build_R(state: GroundState, pert: PerturbationSpec,
         G = discretize_kernel(state.grid, pert.g_dag)
         gloc = ham.local_potentials(state.orbitals, G)        # (s, l, x)
         om_g = np.einsum("kslq,slx->kqx", rho2, gloc)
-        for k in range(layout.M):
-            S2[layout.u_slice(k)] = -np.einsum("qx,qx->x", om_g[k], phi)
-            S2[layout.v_slice(k)] = np.einsum("qx,qx->x", om_g[k].conj(),
-                                              phi.conj())
+        for k in range(len(phi)):
+            S2[layout.u_slice(0, k)] = -np.einsum("qx,qx->x", om_g[k], phi)
+            S2[layout.v_slice(0, k)] = np.einsum("qx,qx->x", om_g[k].conj(),
+                                                 phi.conj())
         gt = ham.two_body_tensor(state.orbitals, G)
-        zero = np.zeros((layout.M, layout.M))
+        zero = np.zeros((len(phi),) * 2)
         S2[layout.cu_slice] = -fs.apply_second_quantized(space, C, zero, gt)
         S2[layout.cv_slice] = fs.apply_second_quantized(
             space, C.conj(), zero, np.transpose(gt, (3, 2, 1, 0)))
 
-    return rm.P @ (rm.M_half @ S1 + rm.M_neghalf @ S2)
+    return rm.project(S1, +0.5) + rm.project(S2, -0.5)
 
 
 def sigma1(layout) -> np.ndarray:
@@ -444,13 +467,3 @@ def sigma3(layout) -> np.ndarray:
     d[layout.orb:2 * layout.orb] = -1.0
     d[layout.cv_slice] = -1.0
     return d
-
-
-def zero_mode_vectors(rm: ResponseMatrix) -> np.ndarray:
-    """The 2 (M^2 + 1) analytic null vectors, as columns.
-
-    M^2 of them place each ground-state orbital in each u slot, one places
-    the coefficient vector in the C_u slot; their block-swapped conjugates
-    double the count.
-    """
-    return _null_vectors(rm.layout, [rm.state.orbitals.scaled], rm.state.C)

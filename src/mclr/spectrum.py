@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from .groundstate import GroundState, regularized_power
+from .groundstate import GroundState
 from .linres_identical import ResponseMatrix, sigma1, sigma3
 
 __all__ = [
@@ -280,10 +280,9 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
     return report
 
 
-def expected_zero_modes(M=None, M_list=None) -> int:
-    if M_list is not None:
-        return 2 * (int(sum(m * m for m in M_list)) + 1)
-    return 2 * (M * M + 1)
+def expected_zero_modes(M_list) -> int:
+    """2 (sum_j M_j^2 + 1); identical particles pass (M,)."""
+    return 2 * (int(sum(m * m for m in M_list)) + 1)
 
 
 @dataclass
@@ -375,19 +374,18 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
             f"probe frequency {omega} is resonant with excitation "
             f"{wr[hit[0]]:.9g}; response diverges")
 
-    n, M = layout.n_points, layout.M
-    rho1 = 0.5 * (state.rho.rho1 + state.rho.rho1.conj().T)
-    neghalf, _ = regularized_power(rho1, -0.5, rm.floor)
+    neghalf = rm.m_neghalf[0]
+    shape = (layout.M_list[0], layout.n_list[0])
 
-    dphi_m = np.zeros((M, n), dtype=complex)
-    dphi_p = np.zeros((M, n), dtype=complex)
+    dphi_m = np.zeros(shape, dtype=complex)
+    dphi_p = np.zeros(shape, dtype=complex)
     dC_m = np.zeros(layout.n_conf, dtype=complex)
     dC_p = np.zeros(layout.n_conf, dtype=complex)
     for i, k in enumerate(spec.retained):
         if spec.sng_undefined[i]:
             continue
         wk = spec.eigenvalues[k].real
-        u, v, cu, cv = layout.split(spec.right[:, i])
+        (u,), (v,), cu, cv = layout.split(spec.right[:, i])
         gp, gm = weights.gamma_plus[i], weights.gamma_minus[i]
         du = neghalf @ u
         dv = neghalf.conj() @ v
@@ -420,7 +418,7 @@ def resolution_checks(spec: LRSpectrum) -> dict:
     ident = R @ Lv.conj().T + Rn @ Ln.conj().T
     spectral = (R * wr) @ Lv.conj().T - (Rn * wr) @ Ln.conj().T
     return {
-        "identity_defect": float(np.abs(ident - rm.P).max()),
+        "identity_defect": float(np.abs(ident - rm.projector()).max()),
         "spectral_defect": float(np.abs(spectral - rm.L).max()),
         "modes_used": int(mask.sum()),
     }

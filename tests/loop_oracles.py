@@ -7,15 +7,17 @@ sums.  They are slow (n_conf^2 Python iterations) and serve as the oracle
 the contractions are compared with.  A few direct-definition helpers that
 only tests use (exchange kernels, the single-entry density action, the
 coefficient-orbital rows summed directly) live here as well, and so does
-the dense form of the projected, metric-transformed response matrix.
+the dense forms of the structural operator P M^p and of the projected,
+metric-transformed response matrix.
 """
 
 import numpy as np
+from scipy.linalg import block_diag
 
+from mclr import groundstate as gs
 from mclr import hamiltonian as ham
 from mclr import linres_identical as li
 from mclr.hamiltonian import AllBodyTable, PairCoupling
-from mclr.linres_distinguishable import DistLayout
 
 
 # --- identical particles ----------------------------------------------------
@@ -40,10 +42,9 @@ def co_blocks_direct(state):
 
     Cross-checks the adjoint construction in build_oc_co_blocks.
     """
-    layout = li.ResponseLayout(state.space.M, state.grid.n_points,
-                               state.space.size)
     phi, rho1, rho2, mu, h = li._ingredients(state)
-    M, n, nc = layout.M, layout.n_points, layout.n_conf
+    (M, n), nc = phi.shape, state.space.size
+    layout = li.ResponseLayout((M,), (n,), nc)
     km = state.kernel_matrix
     one, two = li._mapped_vectors(state)
     interacting = km is not None and np.any(km)
@@ -64,8 +65,8 @@ def co_blocks_direct(state):
                         ru += np.outer(two[q, l, s, k],
                                        phi[q].conj() * w[s, l].conj())
                         rv += np.outer(two[k, s, l, q], phi[q] * w[s, l])
-        Lco_u[:, layout.u_slice(k)] = ru
-        Lco_v[:, layout.u_slice(k)] = rv
+        Lco_u[:, layout.u_slice(0, k)] = ru
+        Lco_v[:, layout.u_slice(0, k)] = rv
     return Lco_u, Lco_v
 
 
@@ -214,8 +215,9 @@ def _reduced_pair(coupling, scaled, nvec, mvec, j, k):
 
 
 def _layout(state):
-    return DistLayout(tuple(state.space.M_list),
-                      tuple(g.n_points for g in state.grids), state.space.size)
+    return li.ResponseLayout(tuple(state.space.M_list),
+                             tuple(g.n_points for g in state.grids),
+                             state.space.size)
 
 
 def build_oo_cross(state):
@@ -292,7 +294,30 @@ def dense_raw(layout, blocks):
     return raw
 
 
+def dense_PM(rm, power):
+    """P M^power as a dense D x D matrix, from the ground state of ``rm``.
+
+    Per DOF, kron(rho_j^power, 1 - |phi_j><phi_j|) on u and its conjugate
+    on v, with the eigenvalues of rho_j lifted to ``rm.floor``; then
+    1 - |C><C| on C_u and its conjugate on C_v.
+    """
+    st = rm.state
+    if isinstance(st, gs.GroundState):
+        phis, rhos = [st.orbitals.scaled], [st.rho.rho1]
+    else:
+        phis, rhos = [s.scaled for s in st.sets], st.rho1
+    orbital = []
+    for phi, rho in zip(phis, rhos):
+        vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+        m = (vecs * np.maximum(vals, rm.floor) ** power) @ vecs.conj().T
+        Pg = np.eye(phi.shape[1]) - phi.T @ phi.conj()
+        orbital.append(np.kron(m, Pg))
+    G = block_diag(*orbital)
+    Pc = np.eye(len(st.C)) - np.outer(st.C, st.C.conj())
+    return block_diag(G, G.conj(), Pc, Pc.conj())
+
+
 def dense_L(rm):
     """P M^(-1/2) L_raw M^(-1/2) P with every factor a dense D x D matrix."""
-    raw = dense_raw(rm.layout, rm.blocks)
-    return rm.P @ (rm.M_neghalf @ raw @ rm.M_neghalf) @ rm.P
+    G = dense_PM(rm, -0.5)
+    return G @ dense_raw(rm.layout, rm.blocks) @ G

@@ -77,7 +77,7 @@ def test_criterion_02_zero_mode_counting(bos_m1, bos_m2, bos_m3, ferm_m1,
         rm = li.assemble_L(st)
         spec = spm.eigensolve(rm)
         rep = spm.classify_zero_modes(
-            spec, expected_count=spm.expected_zero_modes(M=M),
+            spec, expected_count=spm.expected_zero_modes((M,)),
             annihilation_tol=1e-8)
         good = rep["count"] == 2 * (M * M + 1) and rep["constructed_ok"]
         ok = ok and good

@@ -18,7 +18,7 @@ from conftest import oscillator_h
 
 
 def test_layout_partition(dist_44):
-    lay = ld.DistLayout((4, 4), (48, 48), 16)
+    lay = li.ResponseLayout((4, 4), (48, 48), 16)
     assert lay.D == 2 * (4 * 48 + 4 * 48 + 16)
     covered = np.zeros(lay.D, dtype=int)
     for j in range(2):
@@ -32,7 +32,7 @@ def test_layout_partition(dist_44):
 
 def test_uncoupled_blocks_are_dof_diagonal(dist_22_uncoupled):
     A, B = ld.build_oo_dist(dist_22_uncoupled)
-    lay = ld.DistLayout((2, 2), (48, 48), 4)
+    lay = li.ResponseLayout((2, 2), (48, 48), 4)
     assert np.abs(B).max() == 0.0
     cross = A[lay.u_block(0), lay.u_block(1)]
     assert np.abs(cross).max() == 0.0
@@ -40,7 +40,7 @@ def test_uncoupled_blocks_are_dof_diagonal(dist_22_uncoupled):
 
 def test_diagonal_v_blocks_vanish(dist_44):
     _, B = ld.build_oo_dist(dist_44)
-    lay = ld.DistLayout((4, 4), (48, 48), 16)
+    lay = li.ResponseLayout((4, 4), (48, 48), 16)
     for j in range(2):
         assert np.abs(B[lay.u_block(j), lay.u_block(j)]).max() == 0.0
 
@@ -49,7 +49,7 @@ def test_no_same_dof_exchange(dist_44):
     # the diagonal blocks must not change when the cross-DOF couplings are
     # removed from the block builder output
     A, B = ld.build_oo_dist(dist_44)
-    lay = ld.DistLayout((4, 4), (48, 48), 16)
+    lay = li.ResponseLayout((4, 4), (48, 48), 16)
     A_diag = np.zeros_like(A)
     for j in range(2):
         blk = lay.u_block(j)
@@ -179,7 +179,7 @@ def test_driving_single_dof_probe(dist_44):
     # orbitals almost inside the spanned set) but nonzero
     assert np.abs(R[lay.u_block(0)]).max() > 1e-7
     assert np.abs(R[lay.cu_slice]).max() > 1e-2
-    assert np.abs(rm.P @ R - R).max() < 1e-12
+    assert np.abs(rm.projector() @ R - R).max() < 1e-12
 
 
 def test_driving_all_fields_zero(dist_44):
@@ -254,7 +254,7 @@ def test_linearization_derivative_dist(dist_grids, dist_h):
 
     A, B = ld.build_oo_dist(st)
     Loc_u, Loc_v, Lco_u, Lco_v, cc_u, _ = ld.build_oc_co_cc_dist(st)
-    lay = ld.DistLayout((2, 2), (48, 48), 4)
+    lay = li.ResponseLayout((2, 2), (48, 48), 4)
 
     rng = np.random.default_rng(11)
     Q = 2

@@ -1,5 +1,7 @@
 """Block structure and physics of the identical-particle response matrix."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,12 @@ import loop_oracles as lo
 
 
 def test_layout_partition(bos_m2):
-    lay = li.ResponseLayout(2, 64, 3)
+    lay = li.ResponseLayout((2,), (64,), 3)
     assert lay.D == 2 * (2 * 64 + 3)
     covered = np.zeros(lay.D, dtype=int)
     for k in range(2):
-        covered[lay.u_slice(k)] += 1
-        covered[lay.v_slice(k)] += 1
+        covered[lay.u_slice(0, k)] += 1
+        covered[lay.v_slice(0, k)] += 1
     covered[lay.cu_slice] += 1
     covered[lay.cv_slice] += 1
     assert np.all(covered == 1)
@@ -33,13 +35,14 @@ def test_oo_block_free_case(grid64, h64):
     st = gs.solve_mchx(sp, grid64, h64, TwoBodyKernel("none"))
     A, B = li.build_oo_block(st)
     assert np.abs(B).max() == 0.0
-    lay = li.ResponseLayout(2, 64, 3)
+    lay = li.ResponseLayout((2,), (64,), 3)
     rho = st.rho.rho1
     mu = 0.5 * (st.mu + st.mu.conj().T)
     for k in range(2):
         for q in range(2):
             ref = rho[k, q] * h64.matrix - mu[k, q] * np.eye(64)
-            assert np.abs(A[lay.u_slice(k), lay.u_slice(q)] - ref).max() < 1e-12
+            assert np.abs(A[lay.u_slice(0, k), lay.u_slice(0, q)]
+                          - ref).max() < 1e-12
 
 
 def test_oo_submatrix_relations(bos_m3):
@@ -85,9 +88,10 @@ def test_cc_block_gaps_are_ci_excitations(bos_m2):
 def test_assembled_dimension_and_projection(bos_m2):
     rm = li.assemble_L(bos_m2)
     assert rm.D == 2 * (2 * 64 + 3)
-    assert np.abs(rm.P @ rm.L @ rm.P - rm.L).max() < 1e-10
-    assert np.abs(rm.P @ rm.P - rm.P).max() < 1e-12
-    assert np.abs(rm.P - rm.P.conj().T).max() < 1e-12
+    P = rm.projector()
+    assert np.abs(P @ rm.L @ P - rm.L).max() < 1e-10
+    assert np.abs(P @ P - P).max() < 1e-12
+    assert np.abs(P - P.conj().T).max() < 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["bos_m2", "bos_m3", "ferm_m2", "ferm_m3"])
@@ -113,13 +117,13 @@ def test_statistics_toggle_flips_exchange_only(bos_m3):
     A_f, B_f = li.build_oo_block(flipped)
     assert np.abs(B_b - B_f).max() == 0.0
     diff = A_b - A_f
-    lay = li.ResponseLayout(3, st.grid.n_points, st.space.size)
+    lay = li.ResponseLayout((3,), (st.grid.n_points,), st.space.size)
     phi = st.orbitals.scaled
     K1 = np.einsum("lx,xy,sy->slxy", phi, st.kernel_matrix, phi.conj())
     kap1 = np.einsum("kslq,slxy->kqxy", st.rho.rho2, K1)
     for k in range(3):
         for q in range(3):
-            assert np.abs(diff[lay.u_slice(k), lay.u_slice(q)]
+            assert np.abs(diff[lay.u_slice(0, k), lay.u_slice(0, q)]
                           - 2.0 * kap1[k, q]).max() < 1e-10
 
 
@@ -148,6 +152,60 @@ def test_block_projection_matches_dense(fixture, tol, request):
     else:
         rm = ld.assemble_L_dist(st)
     assert np.abs(rm.L - lo.dense_L(rm)).max() < tol
+
+
+def _check_project(rm, power):
+    # P M^p applied sector by sector against its dense kron/block_diag form,
+    # on one vector and on a block of columns; relative to the largest
+    # entry of P M^p (~70 for M^(-1/2) at a 2e-4 natural occupation)
+    dense = lo.dense_PM(rm, power)
+    rng = np.random.default_rng(3)
+    X = (rng.standard_normal((rm.D, 5))
+         + 1j * rng.standard_normal((rm.D, 5)))
+    for x in (X[:, 0], X):
+        got = rm.project(x, power)
+        assert got.shape == x.shape
+        assert np.abs(got - dense @ x).max() < 1e-13 * np.abs(dense).max()
+    if power == 0.0:
+        assert np.abs(rm.projector() - dense).max() < 1e-15
+
+
+@pytest.mark.parametrize("power", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m3", "dist_44",
+                                     "bos_m2_complex_gauge"])
+def test_structural_operator_matches_dense(fixture, power, request):
+    st = request.getfixturevalue(fixture)
+    if isinstance(st, gs.GroundState):
+        rm = li.assemble_L(st)
+    else:
+        rm = ld.assemble_L_dist(st)
+    _check_project(rm, power)
+
+
+@pytest.mark.parametrize("power", [-0.5, 0.0, 0.5])
+def test_structural_operator_on_complex_orbital_span(power):
+    # the orbital span of every converged fixture is real, whatever the
+    # gauge, so the grid projectors are real; random complex orbitals,
+    # densities and coefficients (two DOFs) make every conjugate count
+    rng = np.random.default_rng(5)
+    M_list, n_list, nc = (2, 1), (6, 5), 2
+
+    def crandn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    phis = [np.linalg.qr(crandn(n, M))[0].T for M, n in zip(M_list, n_list)]
+    rhos = [z @ z.conj().T + 0.1 * np.eye(len(z))
+            for z in (crandn(M, M) for M in M_list)]
+    C = crandn(nc)
+    C /= np.linalg.norm(C)
+    state = SimpleNamespace(C=C, rho1=rhos,
+                            sets=[SimpleNamespace(scaled=phi) for phi in phis])
+    orb = sum(M * n for M, n in zip(M_list, n_list))
+    oc = np.zeros((orb, nc))
+    blocks = {"A": np.zeros((orb, orb)), "B": np.zeros((orb, orb)),
+              "Loc_u": oc, "Loc_v": oc, "Lco_u": oc.T, "Lco_v": oc.T,
+              "cc_u": np.zeros((nc, nc))}
+    _check_project(li._response_matrix(state, blocks, phis, rhos, None), power)
 
 
 def test_null_vectors_annihilated(bos_m2):
@@ -182,7 +240,7 @@ def test_driving_vector_lives_in_projected_space(bos_m2_48):
                                omega=0.55)
     rm = li.assemble_L(bos_m2_48)
     R = li.build_R(bos_m2_48, pert, rm)
-    assert np.abs(rm.P @ R - R).max() < 1e-12
+    assert np.abs(rm.projector() @ R - R).max() < 1e-12
     assert np.linalg.norm(R) > 1e-3
 
 
@@ -202,9 +260,9 @@ def test_driving_vector_parity_structure(bos_m2_48):
     lay = rm.layout
     flip = slice(None, None, -1)
     phi = st.orbitals.orbitals
-    for k in range(lay.M):
+    for k in range(lay.M_list[0]):
         orbital_even = np.abs(phi[k] - phi[k][flip]).max() < 1e-9
-        u = R[lay.u_slice(k)]
+        u = R[lay.u_slice(0, k)]
         defect = (u + u[flip]) if orbital_even else (u - u[flip])
         assert np.abs(defect).max() < 1e-9 * max(1.0, np.abs(u).max())
     # coefficient entries couple only parity-flipping configurations:

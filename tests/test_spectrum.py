@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from mclr import TwoBodyKernel, position_operator
+from mclr import TwoBodyKernel, build_grid, position_operator
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
 from mclr import spectrum as spm
+
+import loop_oracles as lo
+from conftest import oscillator_h
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +75,7 @@ def test_zero_mode_counts(bos_m1, bos_m2):
         rm = li.assemble_L(st)
         spec = spm.eigensolve(rm)
         rep = spm.classify_zero_modes(spec,
-                                      expected_count=spm.expected_zero_modes(M=M))
+                                      expected_count=spm.expected_zero_modes((M,)))
         assert rep["count"] == 2 * (M * M + 1)
         assert rep["constructed_ok"]
 
@@ -89,6 +92,24 @@ def test_zero_mode_mismatch_is_reported(grid64, h64):
     rep = spm.classify_zero_modes(spec, expected_count=10)
     assert rep["count"] > 10
     assert "mismatch" in rep
+
+
+def test_grid_refinement_keeps_census_and_low_spectrum(bos_m2):
+    # tol_zero scales with max|w| ~ 1/dx^2; doubling the grid must keep the
+    # zero-mode census of both eigensolvers and move the low spectrum only
+    # by the discretization error
+    g = build_grid(128, -8.0, 8.0)
+    fine = gs.solve_mchx(fs.enumerate_configs("boson", N=2, M=2), g,
+                         oscillator_h(g), TwoBodyKernel("contact", strength=0.1))
+    low = []
+    for st in (bos_m2, fine):
+        rm = li.assemble_L(st)
+        fast, dense = spm.eigensolve(rm), spm._eigensolve_dense(rm)
+        assert fast.eigensolver == "rpa"
+        assert len(fast.zero_modes) == len(dense.zero_modes) == 10
+        low.append(np.sort(fast.omega)[:5])
+        assert np.abs(low[-1] - np.sort(dense.omega)[:5]).max() < 1e-10
+    assert np.abs(low[0] - low[1]).max() < 1e-6
 
 
 def test_noninteracting_ladder(grid64, h64):
@@ -133,8 +154,9 @@ def test_reconstruct_uses_assembly_floor(bos_m2_48):
     rec = spm.reconstruct(spec, w, om)
     expect_m = np.zeros_like(rec.dphi_minus)
     expect_p = np.zeros_like(rec.dphi_plus)
+    G = lo.dense_PM(rm, -0.5)
     for i, wk in enumerate(spec.omega):
-        u, v, _, _ = rm.layout.split(rm.M_neghalf @ spec.right[:, i])
+        (u,), (v,), _, _ = rm.layout.split(G @ spec.right[:, i])
         gp, gm = w.gamma_plus[i], w.gamma_minus[i]
         expect_m += gp * u / (om - wk) + gm * v.conj() / (om + wk)
         expect_p += (np.conj(gp) * v.conj() / (om - wk)
@@ -142,6 +164,13 @@ def test_reconstruct_uses_assembly_floor(bos_m2_48):
     root_dx = np.sqrt(st.grid.weight)
     assert np.abs(rec.dphi_minus - expect_m / root_dx).max() < 1e-10
     assert np.abs(rec.dphi_plus - expect_p / root_dx).max() < 1e-10
+
+
+def test_default_metric_floor_scales_with_density_trace(bos_m2, dist_11):
+    # one rule, 1e-10 tr rho: 1e-10 N for identical particles, 1e-10 for
+    # distinguishable DOFs (unit-trace densities)
+    assert li.assemble_L(bos_m2).floor == pytest.approx(2e-10, rel=1e-12)
+    assert ld.assemble_L_dist(dist_11).floor == pytest.approx(1e-10, rel=1e-12)
 
 
 def test_reconstruct_refuses_distinguishable(dist_11):
@@ -305,8 +334,8 @@ def test_reduced_solve_matches_dense(fixture, request):
         assert np.abs(np.abs(a[lone]) - np.abs(b[lone])).max() < 1e-8
 
 
-@pytest.mark.parametrize("layout", [li.ResponseLayout(M=2, n_points=5, n_conf=3),
-                                    ld.DistLayout((2, 1), (4, 3), 2)])
+@pytest.mark.parametrize("layout", [li.ResponseLayout((2,), (5,), 3),
+                                    li.ResponseLayout((2, 1), (4, 3), 2)])
 def test_symmetry_defects_match_dense_operators(layout):
     rng = np.random.default_rng(7)
     L = (rng.standard_normal((layout.D, layout.D))
