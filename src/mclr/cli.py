@@ -237,8 +237,13 @@ def _print_state_summary(state, cfg_hash):
         print("natural_occupations = " + " ".join(f"{x.real:.12g}" for x in occ))
     res = state.residuals
     print(f"orbital_residual = {res['orb_residual']:.3e}")
+    if "scaled_orb_residual" in res:  # absent from older checkpoints
+        print(f"scaled_orbital_residual = {res['scaled_orb_residual']:.3e}")
     print(f"coefficient_residual = {res['c_residual']:.3e}")
     print(f"iterations = {res['iterations']}")
+    for key in ("backtracks", "forced_accepts"):
+        if key in res:
+            print(f"{key} = {res[key]}")
 
 
 def cmd_ground(args):

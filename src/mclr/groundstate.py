@@ -5,13 +5,30 @@ stationarity residuals vanish:
 
   (a) with orbitals frozen, the lowest eigenpair of the configuration-space
       Hamiltonian gives the coefficient vector and the energy;
-  (b) with coefficients frozen, the orbitals follow projected imaginary-time
-      steps of the equations of motion, re-orthonormalized after every step.
+  (b) with coefficients frozen, the orbitals take ``inner_steps``
+      preconditioned imaginary-time steps
+
+          phi <- orth(phi - tau P K_tau rho^-1 B),  K_tau = (1 + tau (h - e0))^-1,
+
+      one right-hand side B per step, with P = 1 - |phi><phi| and e0 the
+      lowest eigenvalue of h. K_tau (per DOF, from the eigendecomposition
+      of h that also gives the initial orbitals) treats the stiff one-body
+      part implicitly, so the stable step does not shrink with the kinetic
+      cutoff ~ 1/dx^2.
 
 Inverses of the one-body density matrix are regularized by flooring its
-eigenvalues at ``rho_floor * N``; imaginary-time steps backtrack (halving
-the step) whenever the energy fails to decrease, which keeps the outer
-iteration variationally monotone.
+eigenvalues at ``rho_floor * N`` (``rho_floor`` for a distinguishable DOF,
+whose density has unit trace). A block of steps backtracks (halving tau and
+rebuilding K_tau) whenever the energy fails to decrease, which keeps the
+outer iteration variationally monotone; after three halvings it is accepted
+anyway. Both events are counted in ``residuals`` (``backtracks``,
+``forced_accepts``).
+
+The state is converged when the coefficient residual is below ``tol_c`` and
+two orbital residuals are below ``tol_orb``: ``orb_residual`` = max_k ||B_k||
+and ``scaled_orb_residual`` = max_k ||(U^dag B)_k|| / n_k over the natural
+orbitals with occupation n_k above the density floor. ||B_k|| scales with
+n_k, so the first alone would pass weakly occupied orbitals early.
 """
 
 from __future__ import annotations
@@ -56,8 +73,8 @@ class SolverOptions:
     tol_orb: float = 1e-8
     tol_c: float = 1e-10
     max_iter: int = 500
-    tau: float = 0.01
-    inner_steps: int = 40
+    tau: float = 1.0
+    inner_steps: int = 10
     rho_floor: float = 1e-10
     ci_dense_cutoff: int = 500
     verbose: bool = False
@@ -124,8 +141,7 @@ def regularized_inverse(mat: np.ndarray, floor: float) -> np.ndarray:
 # identical particles
 
 
-def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=True,
-                    return_unprojected=False):
+def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=True):
     """Right-hand side of the orbital equations of motion, one row per k:
 
         B_k = P [ sum_q rho_kq h |phi_q> + sum_slq rho_kslq W_sl |phi_q> ].
@@ -140,10 +156,7 @@ def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=True,
     if not project:
         return g
     overlaps = grid.weight * (phi.conj() @ g.T)                  # (j, k)
-    proj = g - overlaps.T @ phi
-    if return_unprojected:
-        return proj, g
-    return proj
+    return g - overlaps.T @ phi
 
 
 def _mu_matrix(grid, orbs, g_unprojected):
@@ -161,34 +174,140 @@ def lagrange_multipliers(state: GroundState) -> np.ndarray:
 
 
 def _lowest_eigenpair(space, orbs, h_op, kernel_matrix, opts, v0=None):
-    h = ham.one_body_elements(orbs, h_op)
-    W = None
-    if kernel_matrix is not None and np.any(kernel_matrix):
-        W = ham.two_body_tensor(orbs, kernel_matrix)
+    """(energy, C, H): H is the dense configuration Hamiltonian up to
+    ``ci_dense_cutoff`` states and the Lanczos operator above."""
     if space.size <= opts.ci_dense_cutoff:
         H = ham.hamiltonian_matrix(space, orbs, h_op, kernel_matrix)
         vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-        eps, C = vals[0], vecs[:, 0]
     else:
-        op = spla.LinearOperator(
+        h = ham.one_body_elements(orbs, h_op)
+        W = None
+        if kernel_matrix is not None and np.any(kernel_matrix):
+            W = ham.two_body_tensor(orbs, kernel_matrix)
+        H = spla.LinearOperator(
             (space.size, space.size), dtype=complex,
             matvec=lambda c: fs.apply_second_quantized(space, c, h, W))
-        vals, vecs = spla.eigsh(op, k=1, which="SA", v0=v0)
-        eps, C = vals[0], vecs[:, 0]
-        H = None
+        vals, vecs = spla.eigsh(H, k=1, which="SA", v0=v0)
+    eps, C = vals[0], vecs[:, 0]
     # deterministic global phase: largest component real and positive
     pivot = np.argmax(np.abs(C))
     C = C * np.exp(-1j * np.angle(C[pivot]))
     return float(eps), C, H
 
 
-def _config_residual(space, C, eps, orbs, h_op, kernel_matrix):
-    h = ham.one_body_elements(orbs, h_op)
-    W = None
-    if kernel_matrix is not None and np.any(kernel_matrix):
-        W = ham.two_body_tensor(orbs, kernel_matrix)
-    r = fs.apply_second_quantized(space, C, h, W) - eps * C
-    return float(np.linalg.norm(r))
+def _kinetic_preconditioners(h_eigs, tau):
+    """Per DOF, K^T for K = (1 + tau (h - e0))^-1, e0 the lowest eigenvalue of h.
+
+    K^T acts on orbitals stored as rows.
+    """
+    out = []
+    for vals, vecs in h_eigs:
+        damp = 1.0 / (1.0 + tau * (vals - vals[0]))
+        out.append((vecs.conj() * damp) @ vecs.T)
+    return out
+
+
+def _descend(orbs, step):
+    """orth(phi - P step), P = 1 - |phi><phi|.
+
+    K_tau rho^-1 B has a part along the orbitals that orthonormalization
+    does not remove exactly, so without P the step has fixed points with
+    B != 0 (two bosons, M = 2, contact strength 2, tau = 1e3: the orbital
+    residual stalled at 0.5). With P a fixed point needs
+    P K_tau rho^-1 B = 0, and as K_tau is positive definite, B = 0.
+    """
+    phi = orbs.orbitals
+    step = step - (orbs.grid.weight * (step @ phi.conj().T)) @ phi
+    return OrbitalSet(phi - step, orbs.grid).orthonormalized()
+
+
+def _scaled_residual(sets, B, rho1, floor):
+    """max_k ||(U^dag B)_k|| / n_k over natural orbitals with n_k above ``floor``.
+
+    ||B_k|| scales with the occupation, so a weakly occupied orbital passes
+    an unscaled tolerance long before it is converged.
+    """
+    worst = 0.0
+    for s, b, r in zip(sets, B, rho1):
+        occ, U = np.linalg.eigh(0.5 * (r + r.conj().T))
+        keep = occ > floor
+        if np.any(keep):
+            nat = U[:, keep].conj().T @ b
+            norms = np.sqrt(s.grid.weight * np.sum(np.abs(nat) ** 2, axis=1))
+            worst = max(worst, float(np.max(norms / occ[keep])))
+    return worst
+
+
+def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
+    """Alternate configuration eigenpairs and preconditioned orbital steps.
+
+    ``sets`` is the list of per-DOF orbital sets (one for identical
+    particles). ``ci(sets, C)`` returns (energy, C, H), H anything that
+    applies the configuration Hamiltonian with ``@``; ``densities(C)``
+    returns (rho, per-DOF one-body densities); ``rhs(sets, C, rho)``
+    returns the per-DOF projected right-hand sides B. The step, the
+    backtracking and the stopping test are those of the module docstring;
+    the B of the convergence check is reused by the first step.
+    """
+    tau = opts.tau
+    K = _kinetic_preconditioners(h_eigs, tau)
+    history = []
+    counts = {"backtracks": 0, "forced_accepts": 0}
+    orb_res = scaled_res = c_res = np.inf
+    C = np.full(space.size, 1.0 / np.sqrt(space.size), dtype=complex)
+
+    for outer in range(opts.max_iter):
+        eps, C, H = ci(sets, C)
+        rho, rho1 = densities(C)
+        B = rhs(sets, C, rho)
+        orb_res = max(s.grid.norm(b) for s, Bj in zip(sets, B) for b in Bj)
+        scaled_res = _scaled_residual(sets, B, rho1, floor)
+        c_res = float(np.linalg.norm(H @ C - eps * C))
+        history.append(eps)
+        if opts.verbose:
+            print(f"  iter {outer:3d}  E={eps:.12f}  orb={orb_res:.2e}  "
+                  f"scaled={scaled_res:.2e}  c={c_res:.2e}  tau={tau:.3g}")
+        if max(orb_res, scaled_res) < opts.tol_orb and c_res < opts.tol_c:
+            break
+
+        inv = [regularized_inverse(r, floor) for r in rho1]
+        for _ in range(3):
+            trial, Bt = sets, B
+            for step in range(opts.inner_steps):
+                if step:
+                    Bt = rhs(trial, C, rho)
+                trial = [_descend(s, tau * (i @ b) @ k)
+                         for s, i, b, k in zip(trial, inv, Bt, K)]
+            if ci(trial, C)[0] <= eps + 1e-13 * max(1.0, abs(eps)):
+                sets = trial
+                break
+            tau *= 0.5
+            counts["backtracks"] += 1
+            K = _kinetic_preconditioners(h_eigs, tau)
+        else:
+            sets = trial  # accept anyway once tau is tiny; residual check decides
+            counts["forced_accepts"] += 1
+    else:
+        raise NonConvergenceError(
+            f"no convergence after {opts.max_iter} iterations "
+            f"(orbital residual {orb_res:.3e}, scaled orbital residual "
+            f"{scaled_res:.3e}, coefficient residual {c_res:.3e})",
+            residuals={"orb_residual": orb_res,
+                       "scaled_orb_residual": scaled_res,
+                       "c_residual": c_res, **counts},
+        )
+
+    residuals = {
+        "orb_residual": orb_res,
+        "scaled_orb_residual": scaled_res,
+        "c_residual": c_res,
+        "iterations": outer + 1,
+        "energy_history": history,
+        **counts,
+        "tol_orb": opts.tol_orb,
+        "tol_c": opts.tol_c,
+    }
+    return sets, eps, C, rho, residuals
 
 
 def solve_mchx(space: ConfigSpace, grid: Grid, h_op: OneBodyOperator,
@@ -200,73 +319,28 @@ def solve_mchx(space: ConfigSpace, grid: Grid, h_op: OneBodyOperator,
     opts = opts or SolverOptions()
     kernel_matrix = discretize_kernel(grid, kernel)
 
+    h_eig = np.linalg.eigh(h_op.matrix)
     if initial is None:
-        _, vecs = np.linalg.eigh(h_op.matrix)
-        phi = vecs[:, :space.M].T / np.sqrt(grid.weight)
-        orbs = OrbitalSet(phi, grid)
+        orbs = OrbitalSet(h_eig[1][:, :space.M].T / np.sqrt(grid.weight), grid)
     else:
         orbs = initial.orthonormalized()
 
-    floor = opts.rho_floor * space.N
-    tau = opts.tau
-    energy = np.inf
-    history = []
-    C = np.full(space.size, 1.0 / np.sqrt(space.size), dtype=complex)
-    orb_res = c_res = np.inf
+    def ci(sets, C):
+        return _lowest_eigenpair(space, sets[0], h_op, kernel_matrix, opts, v0=C)
 
-    for outer in range(opts.max_iter):
-        eps, C, _ = _lowest_eigenpair(space, orbs, h_op, kernel_matrix, opts, v0=C)
+    def densities(C):
         rho = fs.reduced_densities(space, C)
-        rho_inv = regularized_inverse(rho.rho1, floor)
+        return rho, [rho.rho1]
 
-        B = orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho)
-        orb_res = max(grid.norm(b) for b in B)
-        c_res = _config_residual(space, C, eps, orbs, h_op, kernel_matrix)
-        history.append(eps)
-        if opts.verbose:
-            print(f"  iter {outer:3d}  E={eps:.12f}  orb={orb_res:.2e}  c={c_res:.2e}")
-        if orb_res < opts.tol_orb and c_res < opts.tol_c:
-            energy = eps
-            break
+    def rhs(sets, C, rho):
+        return [orbital_eom_rhs(grid, sets[0], h_op, kernel_matrix, rho)]
 
-        # imaginary-time block on the orbitals at fixed C, with backtracking
-        for _ in range(3):
-            trial = orbs
-            for _ in range(opts.inner_steps):
-                B1 = orbital_eom_rhs(grid, trial, h_op, kernel_matrix, rho)
-                half = OrbitalSet(trial.orbitals - 0.5 * tau * (rho_inv @ B1),
-                                  grid).orthonormalized()
-                B2 = orbital_eom_rhs(grid, half, h_op, kernel_matrix, rho)
-                trial = OrbitalSet(trial.orbitals - tau * (rho_inv @ B2),
-                                   grid).orthonormalized()
-            e_trial, _, _ = _lowest_eigenpair(space, trial, h_op, kernel_matrix,
-                                              opts, v0=C)
-            if e_trial <= eps + 1e-13 * max(1.0, abs(eps)):
-                orbs = trial
-                break
-            tau *= 0.5
-        else:
-            orbs = trial  # accept anyway once tau is tiny; residual check decides
-        energy = eps
-    else:
-        raise NonConvergenceError(
-            f"no convergence after {opts.max_iter} iterations "
-            f"(orbital residual {orb_res:.3e}, coefficient residual {c_res:.3e})",
-            residuals={"orb_residual": orb_res, "c_residual": c_res},
-        )
-
-    _, g = orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho,
-                           return_unprojected=True)
+    (orbs,), energy, C, rho, residuals = _self_consistent(
+        space, [orbs], [h_eig], opts, opts.rho_floor * space.N,
+        ci, densities, rhs)
+    g = orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=False)
     mu = _mu_matrix(grid, orbs, g)
-    residuals = {
-        "orb_residual": orb_res,
-        "c_residual": c_res,
-        "mu_defect": float(np.abs(mu - mu.conj().T).max()),
-        "iterations": outer + 1,
-        "energy_history": history,
-        "tol_orb": opts.tol_orb,
-        "tol_c": opts.tol_c,
-    }
+    residuals["mu_defect"] = float(np.abs(mu - mu.conj().T).max())
     return GroundState(space=space, grid=grid, h_op=h_op, kernel=kernel,
                        kernel_matrix=kernel_matrix, orbitals=orbs, C=C,
                        rho=rho, mu=mu, energy=energy, residuals=residuals)
@@ -288,8 +362,7 @@ def _dist_hamiltonian(space, sets, h_ops, coupling):
     return H
 
 
-def _dist_orbital_rhs(space, sets, h_ops, coupling, C, rho1, project=True,
-                      return_unprojected=False):
+def _dist_orbital_rhs(space, sets, h_ops, coupling, C, rho1, project=True):
     """Per-DOF equation-of-motion right-hand sides (list of (M_j, n_j) arrays)."""
     Q = len(sets)
     out, raw = [], []
@@ -303,11 +376,7 @@ def _dist_orbital_rhs(space, sets, h_ops, coupling, C, rho1, project=True,
         if project:
             overlaps = sets[j].grid.weight * (phi.conj() @ g.T)
             out.append(g - overlaps.T @ phi)
-    if not project:
-        return raw
-    if return_unprojected:
-        return out, raw
-    return out
+    return out if project else raw
 
 
 def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
@@ -318,76 +387,33 @@ def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
     opts = opts or SolverOptions()
     Q = len(space.M_list)
 
-    sets = []
-    for j in range(Q):
-        _, vecs = np.linalg.eigh(h_ops[j].matrix)
-        phi = vecs[:, :space.M_list[j]].T / np.sqrt(grids[j].weight)
-        sets.append(OrbitalSet(phi, grids[j]))
+    h_eigs = [np.linalg.eigh(h.matrix) for h in h_ops]
+    sets = [OrbitalSet(vecs[:, :space.M_list[j]].T / np.sqrt(grids[j].weight),
+                       grids[j]) for j, (_, vecs) in enumerate(h_eigs)]
 
-    tau = opts.tau
-    history = []
-    orb_res = c_res = np.inf
-    C = np.full(space.size, 1.0 / np.sqrt(space.size), dtype=complex)
-
-    def ci_step(cur_sets):
+    def ci(cur_sets, C):
         H = _dist_hamiltonian(space, cur_sets, h_ops, coupling)
         vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
         c = vecs[:, 0]
         pivot = np.argmax(np.abs(c))
         c = c * np.exp(-1j * np.angle(c[pivot]))
-        return vals[0], c, H
+        return float(vals[0]), c, H
 
-    for outer in range(opts.max_iter):
-        eps, C, H = ci_step(sets)
+    def densities(C):
         rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
-        inv = [regularized_inverse(rho1[j], opts.rho_floor) for j in range(Q)]
+        return rho1, rho1
 
-        B = _dist_orbital_rhs(space, sets, h_ops, coupling, C, rho1)
-        orb_res = max(grids[j].norm(b) for j in range(Q) for b in B[j])
-        c_res = float(np.linalg.norm(H @ C - eps * C))
-        history.append(eps)
-        if opts.verbose:
-            print(f"  iter {outer:3d}  E={eps:.12f}  orb={orb_res:.2e}  c={c_res:.2e}")
-        if orb_res < opts.tol_orb and c_res < opts.tol_c:
-            break
+    def rhs(cur_sets, C, rho1):
+        return _dist_orbital_rhs(space, cur_sets, h_ops, coupling, C, rho1)
 
-        for _ in range(3):
-            trial = [OrbitalSet(s.orbitals.copy(), s.grid) for s in sets]
-            for _ in range(opts.inner_steps):
-                B1 = _dist_orbital_rhs(space, trial, h_ops, coupling, C, rho1)
-                half = [OrbitalSet(trial[j].orbitals - 0.5 * tau * (inv[j] @ B1[j]),
-                                   grids[j]).orthonormalized() for j in range(Q)]
-                B2 = _dist_orbital_rhs(space, half, h_ops, coupling, C, rho1)
-                trial = [OrbitalSet(trial[j].orbitals - tau * (inv[j] @ B2[j]),
-                                    grids[j]).orthonormalized() for j in range(Q)]
-            e_trial, _, _ = ci_step(trial)
-            if e_trial <= eps + 1e-13 * max(1.0, abs(eps)):
-                sets = trial
-                break
-            tau *= 0.5
-        else:
-            sets = trial
-    else:
-        raise NonConvergenceError(
-            f"no convergence after {opts.max_iter} iterations "
-            f"(orbital residual {orb_res:.3e}, coefficient residual {c_res:.3e})",
-            residuals={"orb_residual": orb_res, "c_residual": c_res},
-        )
-
+    sets, energy, C, rho1, residuals = _self_consistent(
+        space, sets, h_eigs, opts, opts.rho_floor, ci, densities, rhs)
     raw = _dist_orbital_rhs(space, sets, h_ops, coupling, C, rho1, project=False)
     mu = [grids[j].weight * (raw[j] @ sets[j].orbitals.conj().T) for j in range(Q)]
-    residuals = {
-        "orb_residual": orb_res,
-        "c_residual": c_res,
-        "mu_defect": max(float(np.abs(m - m.conj().T).max()) for m in mu),
-        "iterations": outer + 1,
-        "energy_history": history,
-        "tol_orb": opts.tol_orb,
-        "tol_c": opts.tol_c,
-    }
+    residuals["mu_defect"] = max(float(np.abs(m - m.conj().T).max()) for m in mu)
     return DistGroundState(space=space, grids=list(grids), h_ops=list(h_ops),
                            coupling=coupling, sets=sets, C=C, rho1=rho1, mu=mu,
-                           energy=float(eps), residuals=residuals)
+                           energy=energy, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,9 @@ def dense_PM(rm, power):
 
     Per DOF, kron(rho_j^power, 1 - |phi_j><phi_j|) on u and its conjugate
     on v, with the eigenvalues of rho_j lifted to ``rm.floor``; then
-    1 - |C><C| on C_u and its conjugate on C_v.
+    1 - |C><C| on C_u and its conjugate on C_v. For power 0 the metric
+    factor is the exact identity: U U^dag from ``eigh`` is off it by a
+    few ulps, more than the bound the tests hold ``projector()`` to.
     """
     st = rm.state
     if isinstance(st, gs.GroundState):
@@ -308,8 +310,11 @@ def dense_PM(rm, power):
         phis, rhos = [s.scaled for s in st.sets], st.rho1
     orbital = []
     for phi, rho in zip(phis, rhos):
-        vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-        m = (vecs * np.maximum(vals, rm.floor) ** power) @ vecs.conj().T
+        if power == 0:
+            m = np.eye(len(rho))
+        else:
+            vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+            m = (vecs * np.maximum(vals, rm.floor) ** power) @ vecs.conj().T
         Pg = np.eye(phi.shape[1]) - phi.T @ phi.conj()
         orbital.append(np.kron(m, Pg))
     G = block_diag(*orbital)

@@ -19,6 +19,15 @@ def test_identical_roundtrip(tmp_path, bos_m2):
     assert loaded.grid.weight == bos_m2.grid.weight
 
 
+def test_residual_header_keeps_solver_counters(tmp_path, bos_m2, dist_44):
+    for name, state in (("id", bos_m2), ("dist", dist_44)):
+        path = tmp_path / f"{name}.ckpt"
+        ckpt.save_state(path, state)
+        loaded = ckpt.load_state(path).residuals
+        for key in ("backtracks", "forced_accepts", "scaled_orb_residual"):
+            assert loaded[key] == state.residuals[key]
+
+
 def test_identical_double_roundtrip_is_stable(tmp_path, bos_m1):
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     ckpt.save_state(p1, bos_m1)

@@ -97,7 +97,55 @@ def test_nonconvergence_reports_residuals(grid48, h48):
     with pytest.raises(gs.NonConvergenceError) as err:
         gs.solve_mchx(sp, grid48, h48,
                       TwoBodyKernel("contact", strength=0.5), opts)
-    assert "orb_residual" in err.value.residuals
+    for key in ("orb_residual", "scaled_orb_residual", "c_residual",
+                "backtracks", "forced_accepts"):
+        assert key in err.value.residuals
+
+
+def test_backtracks_are_counted(grid48, h48):
+    # tau = 1e3 overshoots along the lowest eigenvector of h, where K_tau
+    # does not damp: the first blocks raise the energy, tau is halved until
+    # a block descends, and one block is accepted after three halvings
+    sp = fs.enumerate_configs("boson", N=2, M=2)
+    st = gs.solve_mchx(sp, grid48, h48, TwoBodyKernel("contact", strength=2.0),
+                       gs.SolverOptions(tau=1e3))
+    res = st.residuals
+    assert res["backtracks"] >= 3
+    assert res["forced_accepts"] >= 1
+    assert max(res["orb_residual"], res["scaled_orb_residual"]) < res["tol_orb"]
+    default = gs.solve_mchx(sp, grid48, h48, TwoBodyKernel("contact", strength=2.0))
+    assert default.residuals["backtracks"] == 0
+    assert st.energy == pytest.approx(default.energy, abs=1e-10)
+
+
+def test_scaled_residual_sees_weak_natural_orbital(bos_m2):
+    # ||B_k|| scales with n_k: a 1e-6 error in the natural orbital with
+    # n = 2.3e-4 stays below tol_orb in max ||B_k|| but not once scaled
+    st = bos_m2
+    occ, U = np.linalg.eigh(st.rho.rho1)
+    assert occ[0] < 1e-3
+    bump = np.exp(-st.grid.points**2) * st.grid.points**3
+    bump /= st.grid.norm(bump)
+    orbs = ham.OrbitalSet(st.orbitals.orbitals + 1e-6 * np.outer(U[:, 0], bump),
+                          st.grid).orthonormalized()
+    B = gs.orbital_eom_rhs(st.grid, orbs, st.h_op, st.kernel_matrix, st.rho)
+    orb_res = max(st.grid.norm(b) for b in B)
+    scaled = gs._scaled_residual([orbs], [B], [st.rho.rho1], 1e-10 * 2)
+    assert orb_res < st.residuals["tol_orb"] < 1e-2 * scaled
+    assert st.residuals["scaled_orb_residual"] < st.residuals["tol_orb"]
+
+
+def test_empty_orbital_converges_and_reports_scaled_residual(grid64, h64):
+    # a free M=2 pair leaves the second natural orbital exactly empty; it is
+    # below the density floor, so only the occupied one enters the scaled
+    # residual and the solve still converges
+    sp = fs.enumerate_configs("boson", N=2, M=2)
+    st = gs.solve_mchx(sp, grid64, h64, TwoBodyKernel("none"))
+    res = st.residuals
+    assert np.sort(st.natural_occupations().real)[0] < 1e-10 * 2
+    assert 0.0 <= res["scaled_orb_residual"] < res["tol_orb"]
+    assert res["orb_residual"] < res["tol_orb"]
+    assert st.energy == pytest.approx(1.0, abs=1e-8)
 
 
 def test_propagate_ground_state_is_stationary(bos_m2_48):
@@ -143,6 +191,12 @@ def test_bilinear_coupling_energy(dist_44):
     lam = 0.2
     exact = 0.5 * (np.sqrt(1 + lam) + np.sqrt(1 - lam))
     assert dist_44.energy == pytest.approx(exact, abs=1e-4)
+
+
+def test_dist_residuals_report_counters(dist_44):
+    res = dist_44.residuals
+    assert res["backtracks"] == 0 and res["forced_accepts"] == 0
+    assert max(res["orb_residual"], res["scaled_orb_residual"]) < res["tol_orb"]
 
 
 def test_dist_mu_hermitian(dist_44):

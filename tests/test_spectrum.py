@@ -95,14 +95,17 @@ def test_zero_mode_mismatch_is_reported(grid64, h64):
 
 
 def test_grid_refinement_keeps_census_and_low_spectrum(bos_m2):
-    # tol_zero scales with max|w| ~ 1/dx^2; doubling the grid must keep the
-    # zero-mode census of both eigensolvers and move the low spectrum only
-    # by the discretization error
-    g = build_grid(128, -8.0, 8.0)
-    fine = gs.solve_mchx(fs.enumerate_configs("boson", N=2, M=2), g,
-                         oscillator_h(g), TwoBodyKernel("contact", strength=0.1))
+    # tol_zero scales with max|w| ~ 1/dx^2; refining the grid 64 -> 128 ->
+    # 256 must keep the zero-mode census of both eigensolvers and move the
+    # low spectrum only by the discretization error
+    states = [bos_m2]
+    for n in (128, 256):
+        g = build_grid(n, -8.0, 8.0)
+        states.append(gs.solve_mchx(
+            fs.enumerate_configs("boson", N=2, M=2), g, oscillator_h(g),
+            TwoBodyKernel("contact", strength=0.1)))
     low = []
-    for st in (bos_m2, fine):
+    for st in states:
         rm = li.assemble_L(st)
         fast, dense = spm.eigensolve(rm), spm._eigensolve_dense(rm)
         assert fast.eigensolver == "rpa"
@@ -110,6 +113,19 @@ def test_grid_refinement_keeps_census_and_low_spectrum(bos_m2):
         low.append(np.sort(fast.omega)[:5])
         assert np.abs(low[-1] - np.sort(dense.omega)[:5]).max() < 1e-10
     assert np.abs(low[0] - low[1]).max() < 1e-6
+    assert np.abs(low[1] - low[2]).max() < 1e-6
+
+
+def test_default_tolerances_give_converged_low_spectrum(bos_m2):
+    # the occupation-scaled residual keeps the 2.3e-4-occupied natural
+    # orbital converged at the default tol_orb: the low spectrum agrees
+    # with a tol_orb = 1e-12 solve
+    st = bos_m2
+    tight = gs.solve_mchx(st.space, st.grid, st.h_op, st.kernel,
+                          gs.SolverOptions(tol_orb=1e-12))
+    low = [np.sort(spm.eigensolve(li.assemble_L(s)).omega)[:5]
+           for s in (st, tight)]
+    assert np.abs(low[0] - low[1]).max() < 1e-7
 
 
 def test_noninteracting_ladder(grid64, h64):
