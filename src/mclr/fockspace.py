@@ -7,8 +7,15 @@ orbital index per degree of freedom.
 
 Operator action follows the mapping convention: a second-quantized operator
 O applied to sum_n C_n |n> yields a new coefficient vector C^O over the same
-configurations.  The action is implemented configuration-by-configuration
-(scatter); dense operator matrices are only ever built column-wise from it.
+configurations.  Each identical-particle space is compiled once, on first
+use, into one operator table (``ConfigSpace.table``): for all M^2 one-body
+keys c_k^dag c_q and M^4 two-body keys c_k^dag c_s^dag c_l c_q, every source
+configuration the key does not annihilate, its target configuration and the
+ladder factor, fermion signs included.  The table is built vectorized over
+the occupation array; targets are ranked with the combinatorial numbering of
+Streltsov, Alon and Cederbaum, Phys. Rev. A 81, 022124 (2010).  Operator
+action, dense operator matrices and reduced densities are each one gather
+and one ``np.bincount`` over that table.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -22,6 +29,7 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from math import comb, prod
 
@@ -51,7 +59,11 @@ class ConfigSpace:
         self.M_list = M_list
         self.size = len(configs)
         self.index = {c: i for i, c in enumerate(configs)}
-        self._op_cache = {}
+
+    @cached_property
+    def table(self) -> "OperatorTable":
+        """Compiled operator table of an identical-particle space."""
+        return _compile(self)
 
     def rank(self, config) -> int:
         return self.index[tuple(config)]
@@ -116,145 +128,166 @@ def enumerate_configs(statistics: str, N: int | None = None, M: int | None = Non
 
 
 # ---------------------------------------------------------------------------
-# ladder-operator scatter tables
+# compiled operator table
 
 
-def _jw_sign(occ, p) -> int:
-    return -1 if (sum(occ[:p]) % 2) else 1
+class OperatorTable:
+    """Every one- and two-body ladder key of an identical-particle space as
+    one COO list, sorted by key.
+
+    Key ids: k M + q for c_k^dag c_q and M^2 + ((k M + s) M + l) M + q for
+    c_k^dag c_s^dag c_l c_q.  Entry e takes configuration ``src[e]`` to
+    ``dst[e]`` with factor ``fac[e]`` under key ``key[e]``; the entries of
+    key K are ``start[K]:start[K + 1]``, and within one key no source and no
+    target repeats.
+    """
+
+    def __init__(self, M, key, src, dst, fac):
+        self.n_keys = M**2 + M**4
+        self.key, self.src, self.dst, self.fac = key, src, dst, fac
+        self.start = np.searchsorted(key, np.arange(self.n_keys + 1))
+
+    def apply(self, key_id: int, C: np.ndarray) -> np.ndarray:
+        """Coefficient vector of one key applied to C."""
+        e = slice(self.start[key_id], self.start[key_id + 1])
+        out = np.zeros(len(C), dtype=complex)
+        out[self.dst[e]] = self.fac[e] * C[self.src[e]]
+        return out
 
 
-def _one_body_table(space: ConfigSpace, k: int, q: int):
-    """(source indices, target indices, factors) for c_k^dag c_q."""
-    src, dst, fac = [], [], []
-    boson = space.statistics == "boson"
-    for i, occ in enumerate(space.configs):
-        if occ[q] == 0:
-            continue
-        if boson:
-            f = np.sqrt(occ[q])
-            mid = list(occ)
-            mid[q] -= 1
-            f *= np.sqrt(mid[k] + 1)
-            mid[k] += 1
+def _created_ranks(space: ConfigSpace, occ: np.ndarray) -> np.ndarray:
+    """Index in ``space.configs`` of occ + e_k, for every orbital k and every
+    (N-1)-particle occupation column of ``occ`` (M rows): an (M, columns)
+    array.
+
+    A configuration's index counts the configurations before it in
+    descending lexicographic order, orbital by orbital.  With R_p the
+    particles in orbitals p, p+1, ..., those holding more particles in
+    orbital p number comb(R_(p+1) + M-p-2, M-p-1) for bosons and, if
+    n_p = 0, comb(M-p-1, R_p - 1) for fermions.  The added particle raises
+    R_p for p <= k only, so each orbital has one term with it and one
+    without, and the index for every k is a prefix plus a suffix sum.
+    """
+    N, M = space.N, space.M
+    binom = np.zeros((N + M, max(N, M)), dtype=np.int64)
+    binom[:, 0] = 1
+    for a in range(1, N + M):
+        binom[a, 1:] = binom[a - 1, 1:] + binom[a - 1, :-1]
+    after = (N - 1) - np.cumsum(occ, axis=0)         # particles above p
+    raised = np.zeros(occ.shape, dtype=np.int64)
+    plain = np.zeros(occ.shape, dtype=np.int64)
+    for p in range(M - 1):
+        if space.statistics == "boson":
+            col = binom[:, M - p - 1]
+            raised[p] = col[after[p] + M - p - 1]
+            plain[p] = col[after[p] + M - p - 2]
         else:
-            f = _jw_sign(occ, q)
-            mid = list(occ)
-            mid[q] -= 1
-            if mid[k] == 1:
-                continue
-            f *= _jw_sign(mid, k)
-            mid[k] += 1
-        src.append(i)
-        dst.append(space.index[tuple(mid)])
-        fac.append(f)
-    return (np.asarray(src, dtype=int), np.asarray(dst, dtype=int),
-            np.asarray(fac, dtype=float))
+            here, empty = after[p] + occ[p], occ[p] == 0
+            raised[p] = empty * binom[M - p - 1][here]
+            plain[p] = (empty & (here > 0)) * binom[M - p - 1][here - 1]
+    ranks = np.cumsum(raised, axis=0) - raised + plain[::-1].cumsum(axis=0)[::-1]
+    # a fermion can only be added where n_k = 0, which has no term then
+    return ranks if space.statistics == "boson" else ranks - plain
 
 
-def _two_body_table(space: ConfigSpace, k: int, s: int, l: int, q: int):
-    """Scatter table for c_k^dag c_s^dag c_l c_q (rightmost acts first)."""
-    src, dst, fac = [], [], []
+def _ladder(rows, create: bool, boson: bool, scale: int, space=None):
+    """c_p^dag (``create``) or c_p, for every orbital p, on every row.
+
+    ``rows`` is (occupations as M x rows, factors, sources, tags).  The
+    results are stacked p-major with tag p * scale + tag, so rows sorted by
+    tag stay sorted; rows the operator annihilates are dropped.  Given the
+    ``space`` of the results, their configuration indices replace the
+    occupations.
+    """
+    occ, fac, src, tag = rows
+    if boson:
+        f = np.sqrt(occ + 1.0) if create else np.sqrt(occ)
+    else:
+        below = np.cumsum(occ, axis=0) - occ
+        f = np.where(occ == (0 if create else 1), 1.0 - 2.0 * (below % 2), 0.0)
+    f = (f * fac).reshape(-1)
+    keep = np.flatnonzero(f)
+    p, row = np.divmod(keep, occ.shape[1])
+    if space is None:
+        occ = occ[:, row]
+        occ[p, np.arange(len(row))] += 1 if create else -1
+    else:
+        occ = _created_ranks(space, occ).reshape(-1)[keep]
+    return occ, f[keep], src[row], p * scale + tag[row]
+
+
+def _compile(space: ConfigSpace) -> OperatorTable:
+    """The operator table of ``space``, built on occupation arrays: the
+    ladder operators act on all configurations at once, rightmost first."""
+    M, n = space.M, space.size
     boson = space.statistics == "boson"
-    for i, occ in enumerate(space.configs):
-        n = list(occ)
-        f = 1.0
-        ok = True
-        for p in (q, l):                      # annihilate q then l
-            if n[p] == 0:
-                ok = False
-                break
-            f *= np.sqrt(n[p]) if boson else _jw_sign(n, p)
-            n[p] -= 1
-        if not ok:
-            continue
-        for p in (s, k):                      # create s then k
-            if boson:
-                f *= np.sqrt(n[p] + 1)
-            else:
-                if n[p] == 1:
-                    ok = False
-                    break
-                f *= _jw_sign(n, p)
-            n[p] += 1
-        if not ok:
-            continue
-        src.append(i)
-        dst.append(space.index[tuple(n)])
-        fac.append(f)
-    return (np.asarray(src, dtype=int), np.asarray(dst, dtype=int),
-            np.asarray(fac, dtype=float))
+    rows = (np.array(space.configs).reshape(n, M).T,
+            np.ones(n), np.arange(n), np.zeros(n, dtype=np.intp))
+    one = _ladder(rows, False, boson, 1)                 # c_q
+    two = _ladder(one, False, boson, M)                  # c_l c_q
+    two = _ladder(two, True, boson, M**2)                # c_s^dag c_l c_q
+    one = _ladder(one, True, boson, M, space)            # c_k^dag c_q
+    two = _ladder(two, True, boson, M**3, space)         # c_k^dag c_s^dag c_l c_q
+    dst, fac, src, key = (np.concatenate(parts) for parts in zip(one, two))
+    key[len(one[0]):] += M**2
+    return OperatorTable(M, key, src, dst, fac)
 
 
-def _table(space: ConfigSpace, key):
-    tab = space._op_cache.get(key)
-    if tab is None:
-        if len(key) == 2:
-            tab = _one_body_table(space, *key)
-        else:
-            tab = _two_body_table(space, *key)
-        space._op_cache[key] = tab
-    return tab
+def _bincount(index, values, n):
+    """np.bincount with complex weights."""
+    values = np.asarray(values)
+    return (np.bincount(index, values.real, minlength=n)
+            + 1j * np.bincount(index, values.imag, minlength=n))
 
 
-def _scatter(space, C, key, weight=1.0):
-    src, dst, fac = _table(space, key)
-    out = np.zeros(space.size, dtype=complex)
-    if len(src):
-        np.add.at(out, dst, weight * fac * C[src])
-    return out
+def _apply_key(space: ConfigSpace, C, orbitals) -> np.ndarray:
+    if not space.identical:
+        raise ValueError("density operators need an identical-particle space")
+    M = space.M
+    if not all(0 <= p < M for p in orbitals):
+        raise IndexError("orbital index out of range")
+    key = np.ravel_multi_index(orbitals, (M,) * len(orbitals))
+    key += M**2 if len(orbitals) == 4 else 0
+    return space.table.apply(key, np.asarray(C, dtype=complex))
 
 
 def apply_rho_kq(space: ConfigSpace, C: np.ndarray, k: int, q: int) -> np.ndarray:
     """Coefficient vector of (c_k^dag c_q) |Psi>."""
-    if not space.identical:
-        raise ValueError("apply_rho_kq needs an identical-particle space")
-    if not (0 <= k < space.M and 0 <= q < space.M):
-        raise IndexError("orbital index out of range")
-    return _scatter(space, np.asarray(C, dtype=complex), (k, q))
+    return _apply_key(space, C, (k, q))
 
 
 def apply_rho_kslq(space: ConfigSpace, C: np.ndarray, k: int, s: int,
                    l: int, q: int) -> np.ndarray:
     """Coefficient vector of (c_k^dag c_s^dag c_l c_q) |Psi>."""
-    if not space.identical:
-        raise ValueError("apply_rho_kslq needs an identical-particle space")
-    for p in (k, s, l, q):
-        if not 0 <= p < space.M:
-            raise IndexError("orbital index out of range")
-    return _scatter(space, np.asarray(C, dtype=complex), (k, s, l, q))
+    return _apply_key(space, C, (k, s, l, q))
 
 
-def apply_second_quantized(space: ConfigSpace, C: np.ndarray, h: np.ndarray,
-                           W: np.ndarray | None = None) -> np.ndarray:
+def apply_second_quantized(space: ConfigSpace, C: np.ndarray | None,
+                           h: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
     """Apply H = sum h[k,q] rho_kq + 1/2 sum W[k,s,q,l] rho_kslq to C.
 
     ``W[k,s,q,l]`` pairs bra orbital k with ket orbital q on the first
-    coordinate and bra s with ket l on the second.
+    coordinate and bra s with ket l on the second.  ``C = None`` stands for
+    the identity: the dense matrix of H is returned.
     """
     if not space.identical:
         raise ValueError("identical-particle spaces only; see apply_hamiltonian_dist")
-    M = space.M
+    M, n = space.M, space.size
     h = np.asarray(h)
     if h.shape != (M, M):
         raise ValueError(f"h must be {M}x{M}")
-    C = np.asarray(C, dtype=complex)
-    out = np.zeros(space.size, dtype=complex)
-    for k in range(M):
-        for q in range(M):
-            if h[k, q] != 0:
-                out += h[k, q] * _scatter(space, C, (k, q))
+    t = space.table
+    coef, stop = h.ravel(), t.start[M * M]
     if W is not None:
         W = np.asarray(W)
         if W.shape != (M, M, M, M):
             raise ValueError(f"W must be {M}^4")
-        for k in range(M):
-            for s in range(M):
-                for q in range(M):
-                    for l in range(M):
-                        w = W[k, s, q, l]
-                        if w != 0:
-                            out += 0.5 * w * _scatter(space, C, (k, s, l, q))
-    return out
+        coef = np.concatenate([coef, 0.5 * W.transpose(0, 1, 3, 2).ravel()])
+        stop = len(t.key)
+    w = coef[t.key[:stop]] * t.fac[:stop]
+    if C is None:
+        return _bincount(t.dst[:stop] * n + t.src[:stop], w, n * n).reshape(n, n)
+    return _bincount(t.dst[:stop], w * np.asarray(C)[t.src[:stop]], n)
 
 
 class ReducedDensities:
@@ -279,18 +312,10 @@ class ReducedDensities:
 def reduced_densities(space: ConfigSpace, C: np.ndarray) -> ReducedDensities:
     C = np.asarray(C, dtype=complex)
     if space.identical:
-        M = space.M
-        rho1 = np.empty((M, M), dtype=complex)
-        rho2 = np.empty((M, M, M, M), dtype=complex)
-        for k in range(M):
-            for q in range(M):
-                rho1[k, q] = np.vdot(C, _scatter(space, C, (k, q)))
-        for k in range(M):
-            for s in range(M):
-                for l in range(M):
-                    for q in range(M):
-                        rho2[k, s, l, q] = np.vdot(C, _scatter(space, C, (k, s, l, q)))
-        return ReducedDensities(rho1, rho2)
+        M, t = space.M, space.table
+        rho = _bincount(t.key, C[t.dst].conj() * t.fac * C[t.src], t.n_keys)
+        return ReducedDensities(rho[:M * M].reshape(M, M),
+                                rho[M * M:].reshape(M, M, M, M))
     rho1 = [dist_reduced_density(space, C, (j,)) for j in range(len(space.M_list))]
     return ReducedDensities(rho1, None)
 

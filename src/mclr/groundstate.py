@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import fockspace as fs
 from .fockspace import ConfigSpace, ReducedDensities
@@ -180,14 +179,15 @@ def _lowest_eigenpair(space, orbs, h_op, kernel_matrix, opts, v0=None):
         H = ham.hamiltonian_matrix(space, orbs, h_op, kernel_matrix)
         vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     else:
+        from scipy.sparse.linalg import LinearOperator, eigsh
         h = ham.one_body_elements(orbs, h_op)
         W = None
         if kernel_matrix is not None and np.any(kernel_matrix):
             W = ham.two_body_tensor(orbs, kernel_matrix)
-        H = spla.LinearOperator(
+        H = LinearOperator(
             (space.size, space.size), dtype=complex,
             matvec=lambda c: fs.apply_second_quantized(space, c, h, W))
-        vals, vecs = spla.eigsh(H, k=1, which="SA", v0=v0)
+        vals, vecs = eigsh(H, k=1, which="SA", v0=v0)
     eps, C = vals[0], vecs[:, 0]
     # deterministic global phase: largest component real and positive
     pivot = np.argmax(np.abs(C))
@@ -247,7 +247,8 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
     returns (rho, per-DOF one-body densities); ``rhs(sets, C, rho)``
     returns the per-DOF projected right-hand sides B. The step, the
     backtracking and the stopping test are those of the module docstring;
-    the B of the convergence check is reused by the first step.
+    the B of the convergence check is reused by the first step, and the
+    eigenpair that accepted a trial is the next iteration's.
     """
     tau = opts.tau
     K = _kinetic_preconditioners(h_eigs, tau)
@@ -255,9 +256,10 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
     counts = {"backtracks": 0, "forced_accepts": 0}
     orb_res = scaled_res = c_res = np.inf
     C = np.full(space.size, 1.0 / np.sqrt(space.size), dtype=complex)
+    found = ci(sets, C)
 
     for outer in range(opts.max_iter):
-        eps, C, H = ci(sets, C)
+        eps, C, H = found
         rho, rho1 = densities(C)
         B = rhs(sets, C, rho)
         orb_res = max(s.grid.norm(b) for s, Bj in zip(sets, B) for b in Bj)
@@ -278,7 +280,8 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
                     Bt = rhs(trial, C, rho)
                 trial = [_descend(s, tau * (i @ b) @ k)
                          for s, i, b, k in zip(trial, inv, Bt, K)]
-            if ci(trial, C)[0] <= eps + 1e-13 * max(1.0, abs(eps)):
+            found = ci(trial, C)
+            if found[0] <= eps + 1e-13 * max(1.0, abs(eps)):
                 sets = trial
                 break
             tau *= 0.5

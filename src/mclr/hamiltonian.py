@@ -107,16 +107,11 @@ def two_body_tensor(orbs: OrbitalSet, kernel_matrix: np.ndarray) -> np.ndarray:
 def hamiltonian_matrix(space: ConfigSpace, orbs: OrbitalSet,
                        h_op: OneBodyOperator,
                        kernel_matrix: np.ndarray | None) -> np.ndarray:
-    """Dense configuration-space Hamiltonian, built column by column."""
+    """Dense configuration-space Hamiltonian: one bincount over the compiled
+    operator table of ``space``."""
     h = one_body_elements(orbs, h_op)
     W = None if kernel_matrix is None else two_body_tensor(orbs, kernel_matrix)
-    H = np.empty((space.size, space.size), dtype=complex)
-    e = np.zeros(space.size, dtype=complex)
-    for col in range(space.size):
-        e[:] = 0
-        e[col] = 1.0
-        H[:, col] = apply_second_quantized(space, e, h, W)
-    return H
+    return apply_second_quantized(space, None, h, W)
 
 
 # ---------------------------------------------------------------------------

@@ -213,45 +213,29 @@ def build_oo_block(state: GroundState):
     sign = STATISTICS_SIGN[state.space.statistics]
     km = state.kernel_matrix
 
-    A = np.zeros((M, n, M, n), dtype=complex)
-    B = np.zeros((M, n, M, n), dtype=complex)
     eye = np.eye(n)
-
-    interacting = km is not None and np.any(km)
-    if interacting:
+    A = np.einsum("kq,xy->kxqy", rho1, h) - np.einsum("kq,xy->kxqy", mu, eye)
+    B = np.zeros((M, n, M, n), dtype=complex)
+    if km is not None and np.any(km):
         w = ham.local_potentials(state.orbitals, km)         # (s, l, x)
         om = np.einsum("kslq,slx->kqx", rho2, w)
         # exchange kernels, scaled convention
         K1 = np.einsum("lx,xy,sy->slxy", phi, km, phi.conj())   # K_sl
         K2 = np.einsum("sx,xy,ly->lsxy", phi, km, phi)          # K_{l* s}
-        kap1 = np.einsum("kslq,slxy->kqxy", rho2, K1)
-        kap2 = np.einsum("kqls,lsxy->kqxy", rho2, K2)
-
-    for k in range(M):
-        for q in range(M):
-            blk = rho1[k, q] * h - mu[k, q] * eye
-            if interacting:
-                blk = blk + np.diag(om[k, q]) + sign * kap1[k, q]
-                B[k, :, q] = kap2[k, q]
-            A[k, :, q] = blk
+        kap1 = np.einsum("kslq,slxy->kxqy", rho2, K1)
+        A += np.einsum("kqx,xy->kxqy", om, eye) + sign * kap1
+        B = np.einsum("kqls,lsxy->kxqy", rho2, K2)
     return A.reshape(M * n, M * n), B.reshape(M * n, M * n)
 
 
 def _mapped_vectors(state):
-    """C^rho_qk for all (q, k) and C^rho_qlsk for all index quadruples."""
-    space, C = state.space, state.C
+    """C^rho_qk for all (q, k) and C^rho_qlsk for all index quadruples,
+    scattered in one step from the compiled operator table."""
+    space, t = state.space, state.space.table
     M = space.M
-    one = np.empty((M, M, space.size), dtype=complex)
-    for a in range(M):
-        for b in range(M):
-            one[a, b] = fs.apply_rho_kq(space, C, a, b)
-    two = np.empty((M, M, M, M, space.size), dtype=complex)
-    for a in range(M):
-        for b in range(M):
-            for c in range(M):
-                for d in range(M):
-                    two[a, b, c, d] = fs.apply_rho_kslq(space, C, a, b, c, d)
-    return one, two
+    out = np.zeros((t.n_keys, space.size), dtype=complex)
+    out[t.key, t.dst] = t.fac * state.C[t.src]
+    return out[:M * M].reshape(M, M, -1), out[M * M:].reshape(M, M, M, M, -1)
 
 
 def build_oc_co_blocks(state: GroundState):
@@ -274,23 +258,13 @@ def build_oc_co_blocks(state: GroundState):
     one, two = _mapped_vectors(state)
 
     h_phi = phi @ h.T                                        # rows h|phi_q>
-    interacting = km is not None and np.any(km)
-    if interacting:
+    Loc_u = np.einsum("qx,qkc->kxc", h_phi, one.conj())
+    Loc_v = np.einsum("qx,kqc->kxc", h_phi, one)
+    if km is not None and np.any(km):
         w = ham.local_potentials(state.orbitals, km)         # (s, l, x)
-
-    Loc_u = np.zeros((M, n, nc), dtype=complex)
-    Loc_v = np.zeros((M, n, nc), dtype=complex)
-    for k in range(M):
-        bu, bv = Loc_u[k], Loc_v[k]
-        for q in range(M):
-            bu += np.outer(h_phi[q], one[q, k].conj())
-            bv += np.outer(h_phi[q], one[k, q])
-            if interacting:
-                for s in range(M):
-                    for l in range(M):
-                        wphi = w[s, l] * phi[q]
-                        bu += np.outer(wphi, two[q, l, s, k].conj())
-                        bv += np.outer(wphi, two[k, s, l, q])
+        wphi = w[:, :, None] * phi                           # (s, l, q, x)
+        Loc_u += np.einsum("slqx,qlskc->kxc", wphi, two.conj(), optimize=True)
+        Loc_v += np.einsum("slqx,kslqc->kxc", wphi, two, optimize=True)
     Loc_u, Loc_v = Loc_u.reshape(M * n, nc), Loc_v.reshape(M * n, nc)
     return Loc_u, Loc_v, Loc_u.conj().T, Loc_v.T
 
@@ -322,20 +296,20 @@ def _projected_L(layout, blocks: dict, Gu: np.ndarray, Pc: np.ndarray):
 
     G = P M^(-1/2) is block diagonal: ``Gu`` on the u sector, Gu* on v, Pc
     and Pc* on the coefficient sectors.  With x = (u, C_u), y = (v, C_v),
-    the x rows of L are G_x L_raw[x, x] G_x and G_x L_raw[x, y] G_x*.  As
+    the x rows of L are G_x L_raw[x, x] G_x and G_x L_raw[x, y] G_x*, formed
+    sector by sector, in real arithmetic when every factor is real.  As
     L_raw[y, x] = -conj(L_raw[x, y]) and L_raw[y, y] = -conj(L_raw[x, x]),
     the y rows of L are the same mirrors of its x rows.
     """
-    orb, nc = layout.orb, layout.n_conf
-    Gx = np.zeros((orb + nc, orb + nc), dtype=complex)
-    Gx[:orb, :orb] = Gu
-    Gx[orb:, orb:] = Pc
-    raw_xx = np.block([[blocks["A"], blocks["Loc_u"]],
-                       [blocks["Lco_u"], blocks["cc_u"]]])
-    raw_xy = np.block([[blocks["B"], blocks["Loc_v"]],
-                       [blocks["Lco_v"], np.zeros((nc, nc))]])
-    a = Gx @ raw_xx @ Gx
-    b = Gx @ raw_xy @ Gx.conj()
+    names = ("A", "B", "Loc_u", "Loc_v", "Lco_u", "Lco_v", "cc_u")
+    raw = [Gu, Pc] + [blocks[k] for k in names]
+    if not any(np.any(np.imag(m)) for m in raw):
+        raw = [np.real(m) for m in raw]
+    Gu, Pc, A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = raw
+    a = np.block([[Gu @ A @ Gu, Gu @ Loc_u @ Pc],
+                  [Pc @ Lco_u @ Gu, Pc @ cc_u @ Pc]])
+    b = np.block([[Gu @ B @ Gu.conj(), Gu @ Loc_v @ Pc.conj()],
+                  [Pc @ Lco_v @ Gu.conj(), np.zeros((len(Pc),) * 2)]])
     x = np.flatnonzero(sigma3(layout) > 0)
     y = sigma1(layout)[x]
     L = np.empty((layout.D, layout.D), dtype=complex)

@@ -22,7 +22,6 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, prod
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import Grid, OneBodyOperator, TwoBodyKernel, discretize_kernel
 
@@ -72,7 +71,8 @@ def symmetrized_basis(n_modes: int, N: int, statistics: str):
                 rows.append(idx)
                 cols.append(col)
                 vals.append(a)
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(dim, len(labels)))
+    from scipy.sparse import csr_matrix
+    S = csr_matrix((vals, (rows, cols)), shape=(dim, len(labels)))
     return labels, S
 
 

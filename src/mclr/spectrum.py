@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import linear_sum_assignment
 
 from .groundstate import GroundState
 from .linres_identical import ResponseMatrix, sigma1, sigma3
@@ -235,6 +234,7 @@ def _eigensolve_dense(rm: ResponseMatrix, tol_zero: float | None = None,
     pairing = {}
     pairing_residual = 0.0
     if len(retained) and len(neg):
+        from scipy.optimize import linear_sum_assignment
         cost = np.abs(w[neg][None, :] + w[retained].conj()[:, None])
         rows, cols = linear_sum_assignment(cost)
         for r, c in zip(rows, cols):

@@ -4,7 +4,10 @@ The library contracts couplings between distinguishable degrees of freedom
 against reduced densities; the functions here compute the same quantities
 by streaming over every pair of configurations, straight from the defining
 sums.  They are slow (n_conf^2 Python iterations) and serve as the oracle
-the contractions are compared with.  A few direct-definition helpers that
+the contractions are compared with.  For identical particles the per-key
+scatter (one table per ladder key, built configuration by configuration,
+applied with ``np.add.at``) is the reference for the compiled operator
+table.  A few direct-definition helpers that
 only tests use (exchange kernels, the single-entry density action, the
 coefficient-orbital rows summed directly) live here as well, and so does
 the dense forms of the structural operator P M^p and of the projected,
@@ -20,7 +23,121 @@ from mclr import linres_identical as li
 from mclr.hamiltonian import AllBodyTable, PairCoupling
 
 
-# --- identical particles ----------------------------------------------------
+# --- identical particles: per-key scatter -----------------------------------
+
+
+def _jw_sign(occ, p) -> int:
+    return -1 if (sum(occ[:p]) % 2) else 1
+
+
+def one_body_table(space, k, q):
+    """(source indices, target indices, factors) for c_k^dag c_q."""
+    src, dst, fac = [], [], []
+    boson = space.statistics == "boson"
+    for i, occ in enumerate(space.configs):
+        if occ[q] == 0:
+            continue
+        if boson:
+            f = np.sqrt(occ[q])
+            mid = list(occ)
+            mid[q] -= 1
+            f *= np.sqrt(mid[k] + 1)
+            mid[k] += 1
+        else:
+            f = _jw_sign(occ, q)
+            mid = list(occ)
+            mid[q] -= 1
+            if mid[k] == 1:
+                continue
+            f *= _jw_sign(mid, k)
+            mid[k] += 1
+        src.append(i)
+        dst.append(space.rank(mid))
+        fac.append(f)
+    return (np.asarray(src, dtype=int), np.asarray(dst, dtype=int),
+            np.asarray(fac, dtype=float))
+
+
+def two_body_table(space, k, s, l, q):
+    """Scatter table for c_k^dag c_s^dag c_l c_q (rightmost acts first)."""
+    src, dst, fac = [], [], []
+    boson = space.statistics == "boson"
+    for i, occ in enumerate(space.configs):
+        n = list(occ)
+        f = 1.0
+        ok = True
+        for p in (q, l):                      # annihilate q then l
+            if n[p] == 0:
+                ok = False
+                break
+            f *= np.sqrt(n[p]) if boson else _jw_sign(n, p)
+            n[p] -= 1
+        if not ok:
+            continue
+        for p in (s, k):                      # create s then k
+            if boson:
+                f *= np.sqrt(n[p] + 1)
+            else:
+                if n[p] == 1:
+                    ok = False
+                    break
+                f *= _jw_sign(n, p)
+            n[p] += 1
+        if not ok:
+            continue
+        src.append(i)
+        dst.append(space.rank(n))
+        fac.append(f)
+    return (np.asarray(src, dtype=int), np.asarray(dst, dtype=int),
+            np.asarray(fac, dtype=float))
+
+
+def scatter(space, C, key):
+    """Coefficient vector of one ladder key, (k, q) or (k, s, l, q), applied
+    to C with ``np.add.at``; the table is built from the key's definition."""
+    table = one_body_table if len(key) == 2 else two_body_table
+    src, dst, fac = table(space, *key)
+    out = np.zeros(space.size, dtype=complex)
+    np.add.at(out, dst, fac * np.asarray(C, dtype=complex)[src])
+    return out
+
+
+def second_quantized(space, C, h, W=None):
+    """sum h[k,q] rho_kq C + 1/2 sum W[k,s,q,l] rho_kslq C, key by key."""
+    M = space.M
+    out = sum(h[k, q] * scatter(space, C, (k, q))
+              for k in range(M) for q in range(M))
+    if W is not None:
+        for k, s, l, q in np.ndindex(M, M, M, M):
+            out = out + 0.5 * W[k, s, q, l] * scatter(space, C, (k, s, l, q))
+    return out
+
+
+def second_quantized_matrix(space, h, W=None):
+    """Dense H from ``second_quantized``, column by column."""
+    return np.column_stack([second_quantized(space, e, h, W)
+                            for e in np.eye(space.size)])
+
+
+def reduced_densities(space, C):
+    """(rho1, rho2) as <C| key |C>, key by key."""
+    M = space.M
+    rho1 = np.array([[np.vdot(C, scatter(space, C, (k, q))) for q in range(M)]
+                     for k in range(M)])
+    rho2 = np.array([np.vdot(C, scatter(space, C, key))
+                     for key in np.ndindex(M, M, M, M)]).reshape((M,) * 4)
+    return rho1, rho2
+
+
+def mapped_vectors(space, C):
+    """rho_kq C for every (k, q) and rho_kslq C for every (k, s, l, q)."""
+    M = space.M
+    one = np.array([scatter(space, C, key) for key in np.ndindex(M, M)])
+    two = np.array([scatter(space, C, key) for key in np.ndindex(M, M, M, M)])
+    return one.reshape(M, M, -1), two.reshape((M,) * 4 + (-1,))
+
+
+# --- identical particles: response helpers ---------------------------------
 
 
 def exchange_apply(orbs, kernel_matrix, s, l, f):

@@ -1,11 +1,14 @@
 """Configuration enumeration and second-quantized operator action."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclr import fockspace as fs
+from mclr import linres_identical as li
 from mclr import oracle as orc
 
 import loop_oracles as lo
@@ -201,6 +204,70 @@ def test_second_quantized_matches_first_quantized():
         e[col] = 1.0
         mine[:, col] = fs.apply_second_quantized(sp, e, h, W)
     assert np.abs(mine - ref).max() < 1e-13
+
+
+# --- compiled operator table against the per-key scatter
+
+# N = M, N = 1 and M = 1 included
+TABLE_CASES = [("boson", 3, 3), ("boson", 1, 3), ("boson", 4, 1),
+               ("boson", 3, 2), ("fermion", 3, 3), ("fermion", 1, 3),
+               ("fermion", 1, 1), ("fermion", 2, 4)]
+
+
+def _rel(mine, ref):
+    """Largest deviation relative to the largest reference entry; a zero
+    reference (two-body terms of one particle) must be matched exactly."""
+    return np.abs(mine - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_compiled_table_matches_per_key_scatter(case):
+    stats, N, M = case
+    sp = fs.enumerate_configs(stats, N=N, M=M)
+    rng = np.random.default_rng(10 * N + M)
+    # complex and neither Hermitian nor symmetric under coordinate swap
+    h = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+    W = rng.standard_normal((M,) * 4) + 1j * rng.standard_normal((M,) * 4)
+    C = random_state_vector(sp.size, N + M)
+
+    assert _rel(fs.apply_second_quantized(sp, None, h, W),
+                lo.second_quantized_matrix(sp, h, W)) < 1e-13
+    assert _rel(fs.apply_second_quantized(sp, None, h),
+                lo.second_quantized_matrix(sp, h)) < 1e-13
+    assert _rel(fs.apply_second_quantized(sp, C, h, W),
+                lo.second_quantized(sp, C, h, W)) < 1e-13
+    rd = fs.reduced_densities(sp, C)
+    rho1, rho2 = lo.reduced_densities(sp, C)
+    assert _rel(rd.rho1, rho1) < 1e-13
+    assert _rel(rd.rho2, rho2) < 1e-13
+    one, two = li._mapped_vectors(SimpleNamespace(space=sp, C=C))
+    ref_one, ref_two = lo.mapped_vectors(sp, C)
+    assert _rel(one, ref_one) < 1e-13
+    assert _rel(two, ref_two) < 1e-13
+    for k, s, l, q in np.ndindex(M, M, M, M):
+        assert np.array_equal(fs.apply_rho_kslq(sp, C, k, s, l, q),
+                              lo.scatter(sp, C, (k, s, l, q)))
+    for k, q in np.ndindex(M, M):
+        assert np.array_equal(fs.apply_rho_kq(sp, C, k, q),
+                              lo.scatter(sp, C, (k, q)))
+
+
+def test_compiled_table_layout():
+    sp = fs.enumerate_configs("boson", N=4, M=3)
+    t = sp.table
+    assert sp.table is t                      # compiled once per space
+    assert t.n_keys == 3**2 + 3**4
+    assert np.all(np.diff(t.key) >= 0)
+    for key in range(t.n_keys):
+        e = slice(t.start[key], t.start[key + 1])
+        assert np.all(t.key[e] == key)
+        assert len(np.unique(t.src[e])) == len(np.unique(t.dst[e])) == e.stop - e.start
+    # c_0^dag c_0^dag c_2 c_2 takes (n0, n1, 2+) to (n0 + 2, n1, n2 - 2)
+    e = slice(t.start[9 + 2 * 3 + 2], t.start[9 + 2 * 3 + 3])
+    for i, j, f in zip(t.src[e], t.dst[e], t.fac[e]):
+        n0, n1, n2 = sp.configs[i]
+        assert sp.configs[j] == (n0 + 2, n1, n2 - 2)
+        assert f == pytest.approx(np.sqrt(n2 * (n2 - 1) * (n0 + 1) * (n0 + 2)))
 
 
 # --- distinguishable branch

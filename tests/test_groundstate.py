@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from mclr import OneBodyOperator, TwoBodyKernel
+from mclr import OneBodyOperator, TwoBodyKernel, build_grid
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
 from mclr import oracle as orc
+
+from conftest import oscillator_h
 
 
 def test_noninteracting_condensate(grid64, h64):
@@ -89,6 +91,48 @@ def test_iterative_ci_path_matches_dense(grid48, h48):
     lanczos = gs.solve_mchx(sp, grid48, h48, kern, opts)
     assert lanczos.energy == pytest.approx(dense.energy, abs=1e-9)
     assert np.abs(np.abs(lanczos.C) - np.abs(dense.C)).max() < 1e-6
+
+
+def test_lanczos_matches_dense_five_bosons_four_orbitals():
+    # perfbench/boson_n5m4.cfg: 56 configurations, dense by default
+    grid = build_grid(32, -6.0, 6.0)
+    h = oscillator_h(grid)
+    sp = fs.enumerate_configs("boson", N=5, M=4)
+    kern = TwoBodyKernel("contact", strength=0.1)
+    dense = gs.solve_mchx(sp, grid, h, kern)
+    lanczos = gs.solve_mchx(sp, grid, h, kern,
+                            gs.SolverOptions(ci_dense_cutoff=sp.size - 1))
+    assert lanczos.energy == pytest.approx(dense.energy, abs=1e-10)
+    assert np.abs(lanczos.C - dense.C).max() < 1e-8
+    assert lanczos.residuals["iterations"] == dense.residuals["iterations"]
+
+
+# bos_m2 (N = 2, M = 2, contact 0.1, n = 64) as solved when every iteration
+# began with a fresh CI solve on the orbitals it had accepted
+BOS_M2_HISTORY = [
+    1.0396943073853804, 1.0393243130192094, 1.0393239716544707,
+    1.039323947422939, 1.0393239458293937, 1.0393239457267665,
+    1.0393239457201953, 1.039323945719772, 1.0393239457197465,
+    1.0393239457197447, 1.0393239457197432, 1.0393239457197443,
+    1.039323945719744, 1.039323945719745]
+
+
+def test_accepted_trial_eigenpair_is_reused(grid64, h64, monkeypatch):
+    calls = []
+    solve = gs._lowest_eigenpair
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gs, "_lowest_eigenpair", counted)
+    sp = fs.enumerate_configs("boson", N=2, M=2)
+    st = gs.solve_mchx(sp, grid64, h64, TwoBodyKernel("contact", strength=0.1))
+    res = st.residuals
+    # one solve for the initial orbitals, then one per trial block
+    assert len(calls) == res["iterations"] + res["backtracks"]
+    assert res["iterations"] == len(BOS_M2_HISTORY)
+    assert res["energy_history"] == pytest.approx(BOS_M2_HISTORY, rel=1e-13)
 
 
 def test_nonconvergence_reports_residuals(grid48, h48):
