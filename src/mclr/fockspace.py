@@ -147,13 +147,6 @@ class OperatorTable:
         self.key, self.src, self.dst, self.fac = key, src, dst, fac
         self.start = np.searchsorted(key, np.arange(self.n_keys + 1))
 
-    def apply(self, key_id: int, C: np.ndarray) -> np.ndarray:
-        """Coefficient vector of one key applied to C."""
-        e = slice(self.start[key_id], self.start[key_id + 1])
-        out = np.zeros(len(C), dtype=complex)
-        out[self.dst[e]] = self.fac[e] * C[self.src[e]]
-        return out
-
 
 def _created_ranks(space: ConfigSpace, occ: np.ndarray) -> np.ndarray:
     """Index in ``space.configs`` of occ + e_k, for every orbital k and every
@@ -235,7 +228,6 @@ def _compile(space: ConfigSpace) -> OperatorTable:
 
 def _bincount(index, values, n):
     """np.bincount with complex weights."""
-    values = np.asarray(values)
     return (np.bincount(index, values.real, minlength=n)
             + 1j * np.bincount(index, values.imag, minlength=n))
 
@@ -248,7 +240,11 @@ def _apply_key(space: ConfigSpace, C, orbitals) -> np.ndarray:
         raise IndexError("orbital index out of range")
     key = np.ravel_multi_index(orbitals, (M,) * len(orbitals))
     key += M**2 if len(orbitals) == 4 else 0
-    return space.table.apply(key, np.asarray(C, dtype=complex))
+    t = space.table
+    e = slice(t.start[key], t.start[key + 1])
+    out = np.zeros(space.size, dtype=complex)
+    out[t.dst[e]] = t.fac[e] * np.asarray(C, dtype=complex)[t.src[e]]
+    return out
 
 
 def apply_rho_kq(space: ConfigSpace, C: np.ndarray, k: int, q: int) -> np.ndarray:
