@@ -266,9 +266,20 @@ def apply_second_quantized(space: ConfigSpace, C: np.ndarray | None,
     coordinate and bra s with ket l on the second.  ``C = None`` stands for
     the identity: the dense matrix of H is returned.
     """
+    n = space.size
+    dst, src, w = _second_quantized_entries(space, h, W)
+    if C is None:
+        return _bincount(dst * n + src, w, n * n).reshape(n, n)
+    return _bincount(dst, w * np.asarray(C)[src], n)
+
+
+def _second_quantized_entries(space: ConfigSpace, h: np.ndarray,
+                             W: np.ndarray | None = None):
+    """(dst, src, w): H of ``apply_second_quantized`` as COO entries
+    H[dst, src] += w over the compiled table; entries may repeat."""
     if not space.identical:
         raise ValueError("identical-particle spaces only; see apply_hamiltonian_dist")
-    M, n = space.M, space.size
+    M = space.M
     h = np.asarray(h)
     if h.shape != (M, M):
         raise ValueError(f"h must be {M}x{M}")
@@ -280,10 +291,7 @@ def apply_second_quantized(space: ConfigSpace, C: np.ndarray | None,
             raise ValueError(f"W must be {M}^4")
         coef = np.concatenate([coef, 0.5 * W.transpose(0, 1, 3, 2).ravel()])
         stop = len(t.key)
-    w = coef[t.key[:stop]] * t.fac[:stop]
-    if C is None:
-        return _bincount(t.dst[:stop] * n + t.src[:stop], w, n * n).reshape(n, n)
-    return _bincount(t.dst[:stop], w * np.asarray(C)[t.src[:stop]], n)
+    return t.dst[:stop], t.src[:stop], coef[t.key[:stop]] * t.fac[:stop]
 
 
 class ReducedDensities:

@@ -174,19 +174,20 @@ def lagrange_multipliers(state: GroundState) -> np.ndarray:
 
 def _lowest_eigenpair(space, orbs, h_op, kernel_matrix, opts, v0=None):
     """(energy, C, H): H is the dense configuration Hamiltonian up to
-    ``ci_dense_cutoff`` states and the Lanczos operator above."""
+    ``ci_dense_cutoff`` states and a sparse CSR matrix for Lanczos above."""
     if space.size <= opts.ci_dense_cutoff:
         H = ham.hamiltonian_matrix(space, orbs, h_op, kernel_matrix)
         vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     else:
-        from scipy.sparse.linalg import LinearOperator, eigsh
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import eigsh
         h = ham.one_body_elements(orbs, h_op)
         W = None
         if kernel_matrix is not None and np.any(kernel_matrix):
             W = ham.two_body_tensor(orbs, kernel_matrix)
-        H = LinearOperator(
-            (space.size, space.size), dtype=complex,
-            matvec=lambda c: fs.apply_second_quantized(space, c, h, W))
+        dst, src, w = fs._second_quantized_entries(space, h, W)
+        # repeated (dst, src) entries are summed once here, not per matvec
+        H = csr_matrix((w, (dst, src)), shape=(space.size,) * 2)
         vals, vecs = eigsh(H, k=1, which="SA", v0=v0)
     eps, C = vals[0], vecs[:, 0]
     # deterministic global phase: largest component real and positive

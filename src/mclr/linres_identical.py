@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import fockspace as fs
 from . import hamiltonian as ham
@@ -171,8 +170,8 @@ class ResponseMatrix:
 
     def projector(self) -> np.ndarray:
         """Dense D x D projector P, built on demand."""
-        G = _orbital_factor([np.eye(M) for M in self.layout.M_list], self.Pg)
-        return block_diag(G, G.conj(), self.Pc, self.Pc.conj())
+        G = _block_diag(*map(np.kron, map(np.eye, self.layout.M_list), self.Pg))
+        return _block_diag(G, G.conj(), self.Pc, self.Pc.conj())
 
 
 def _require_converged(state, tol=1e-6):
@@ -285,10 +284,13 @@ def build_cc_block(state: GroundState):
     return H - eps * eye, eps * eye - H.conj()
 
 
-def _orbital_factor(mats, grid_mats) -> np.ndarray:
-    """Block diagonal over the DOFs of kron(mats[j], grid_mats[j]): the u
-    sector of a per-DOF factor."""
-    return block_diag(*[np.kron(m, g) for m, g in zip(mats, grid_mats)])
+def _block_diag(*mats) -> np.ndarray:
+    """Dense block-diagonal matrix of square ``mats``."""
+    at = np.cumsum([0] + [len(m) for m in mats])
+    out = np.zeros((at[-1],) * 2, dtype=np.result_type(*mats))
+    for m, i, j in zip(mats, at, at[1:]):
+        out[i:j, i:j] = m
+    return out
 
 
 def _projected_L(layout, blocks: dict, Gu: np.ndarray, Pc: np.ndarray):
@@ -361,7 +363,7 @@ def _response_matrix(state, blocks: dict, phis, rho1s,
         neghalf.append(nh)
         clipped = clipped or c1 or c2
     Pc = np.eye(layout.n_conf, dtype=complex) - np.outer(C, C.conj())
-    L = _projected_L(layout, blocks, _orbital_factor(neghalf, Pg), Pc)
+    L = _projected_L(layout, blocks, _block_diag(*map(np.kron, neghalf, Pg)), Pc)
     return ResponseMatrix(layout=layout, L=L, Pg=Pg, m_half=half,
                           m_neghalf=neghalf, Pc=Pc, blocks=blocks, state=state,
                           metric_clipped=clipped, floor=floor,

@@ -1,7 +1,10 @@
 """Command-line workflows: ground, linres, oracle, propcheck."""
 
 import io
+import os
 import struct
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from mclr import cli
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run(capsys, argv):
@@ -101,6 +105,35 @@ def test_linres_interacting_zero_mode_count(tmp_path, capsys):
     assert zero_line.split("=")[1].split()[0].strip() == "10"
     assert "zero_mode_warning" not in out
     assert "eigensolver = rpa" in out
+
+
+def _fresh_interpreter(code):
+    """stdout of ``code`` run in a new interpreter that imports mclr from
+    this checkout, followed by a line listing the loaded scipy modules."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    assert _fresh_interpreter("import mclr.cli").splitlines()[-1] == "[]"
+
+
+def test_ground_and_linres_load_no_scipy(tmp_path):
+    cfg = str(CONFIGS / "harmonic_n2_m2.cfg")
+    ck = str(tmp_path / "state.ckpt")
+    out = _fresh_interpreter(
+        "from mclr.cli import main\n"
+        f"assert main(['ground', '--config', {cfg!r}, '--checkpoint', {ck!r}]) == 0\n"
+        f"assert main(['linres', '--config', {cfg!r}, '--checkpoint', {ck!r}, "
+        f"'--out-dir', {str(tmp_path)!r}]) == 0")
+    assert "eigensolver = rpa" in out
+    assert (tmp_path / "spectrum.csv").exists()
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_oracle_bdg_table(capsys):

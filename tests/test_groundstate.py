@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mclr import OneBodyOperator, TwoBodyKernel, build_grid
+from mclr import OneBodyOperator, TwoBodyKernel, build_grid, discretize_kernel
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
@@ -105,6 +105,29 @@ def test_lanczos_matches_dense_five_bosons_four_orbitals():
     assert lanczos.energy == pytest.approx(dense.energy, abs=1e-10)
     assert np.abs(lanczos.C - dense.C).max() < 1e-8
     assert lanczos.residuals["iterations"] == dense.residuals["iterations"]
+
+
+def test_lanczos_csr_matrix_matches_table_and_dense():
+    # five bosons on four rotated trap orbitals: 56 configurations, with the
+    # dense cutoff just below them the Lanczos branch and its CSR matrix run
+    grid = build_grid(32, -6.0, 6.0)
+    h_op = oscillator_h(grid)
+    rng = np.random.default_rng(3)
+    U = np.linalg.qr(rng.standard_normal((4, 4))
+                     + 1j * rng.standard_normal((4, 4)))[0]
+    modes = np.linalg.eigh(h_op.matrix)[1][:, :4].T
+    orbs = ham.OrbitalSet(U @ modes, grid).orthonormalized()
+    km = discretize_kernel(grid, TwoBodyKernel("contact", strength=0.1))
+    sp = fs.enumerate_configs("boson", N=5, M=4)
+    eps, C, H = gs._lowest_eigenpair(
+        sp, orbs, h_op, km, gs.SolverOptions(ci_dense_cutoff=sp.size - 1))
+    assert not isinstance(H, np.ndarray)
+    h = ham.one_body_elements(orbs, h_op)
+    W = ham.two_body_tensor(orbs, km)
+    assert np.abs(H @ C - fs.apply_second_quantized(sp, C, h, W)).max() < 1e-12
+    dense = gs._lowest_eigenpair(sp, orbs, h_op, km, gs.SolverOptions())
+    assert isinstance(dense[2], np.ndarray)
+    assert eps == pytest.approx(dense[0], abs=1e-10)
 
 
 # bos_m2 (N = 2, M = 2, contact 0.1, n = 64) as solved when every iteration

@@ -1,5 +1,7 @@
 """Eigenanalysis, zero modes, response weights, and reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,34 @@ def test_symmetry_defects_match_dense_operators(layout):
          + 1j * rng.standard_normal((layout.D, layout.D)))
     S1 = np.eye(layout.D)[li.sigma1(layout)]
     S3 = np.diag(li.sigma3(layout))
-    dense = (float(np.abs(S1 @ L @ S1 + L.conj()).max()),
-             float(np.abs(S3 @ L @ S3 - L.conj().T).max()))
-    assert spm.symmetry_defects(L, layout) == dense
+    # a complex L, and a real one held as complex (real-arithmetic path)
+    for L in (L, L.real.astype(complex)):
+        dense = (float(np.abs(S1 @ L @ S1 + L.conj()).max()),
+                 float(np.abs(S3 @ L @ S3 - L.conj().T).max()))
+        assert spm.symmetry_defects(L, layout) == dense
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_m3", "dist_44"])
+def test_cholesky_vectors_are_sigma3_normalized(fixture, request):
+    rm = _assembled(request.getfixturevalue(fixture))
+    spec = spm.eigensolve(rm)
+    assert spec.eigensolver == "rpa"
+    x = np.flatnonzero(li.sigma3(rm.layout) > 0)
+    X, Y = spec.right[x], spec.right[li.sigma1(rm.layout)[x]]
+    norms = np.einsum("ij,ij->j", (X + Y).conj(), X - Y)
+    assert np.abs(norms - 1.0).max() < 1e-12
+
+
+def test_indefinite_a_minus_b_falls_back_to_dense(bos_m2_48):
+    # L - c Sigma3 keeps both pairing symmetries and shifts A - B by -c; a
+    # c inside the spectrum of A - B leaves it indefinite
+    rm = li.assemble_L(bos_m2_48)
+    signs = li.sigma3(rm.layout)
+    x = np.flatnonzero(signs > 0)
+    y = li.sigma1(rm.layout)[x]
+    lam = np.linalg.eigvalsh(rm.L[np.ix_(x, x)] - rm.L[np.ix_(x, y)])
+    shifted = dataclasses.replace(rm, L=rm.L - np.median(lam) * np.diag(signs))
+    spec = spm.eigensolve(shifted)
+    assert max(spec.sigma1_defect, spec.sigma3_defect) < 1e-12
+    assert spec.eigensolver == "dense (A - B not positive definite)"
+    assert len(spec.eigenvalues) == rm.D
