@@ -267,6 +267,10 @@ def cmd_ground(args):
 
 
 def cmd_linres(args):
+    if args.tol_zero is not None and not 0 < args.tol_zero < np.inf:
+        print(f"error: --tol-zero must be a positive finite number, got "
+              f"{args.tol_zero}", file=sys.stderr)
+        return EXIT_USAGE
     state = _load_checkpoint(args.checkpoint)
     res = state.residuals
     orb, coef = res.get("orb_residual", np.inf), res.get("c_residual", np.inf)

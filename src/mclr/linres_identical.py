@@ -20,8 +20,11 @@ satisfies the two spectral pairing symmetries
     Sigma1 L Sigma1 = -conj(L),     Sigma3 L Sigma3 = adjoint(L)
 
 to machine precision, and P L P = L holds structurally.  P and M^(-1/2)
-are block diagonal and commute, so L is formed from block products of the
-u/C_u rows of L_raw; the v/C_v rows follow as mirrors.
+are block diagonal and commute, so the u/C_u rows of L are formed from
+per-DOF block products of the u/C_u rows of L_raw; the v/C_v rows are
+their mirrors.  ``ResponseMatrix`` keeps L as these two RPA halves
+a = L[x, x] and b = L[x, y], with x = (u, C_u) and y = (v, C_v), real when
+every factor is real; the dense D x D matrix is built only on demand.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "build_R",
     "sigma1",
     "sigma3",
+    "halves_index",
 ]
 
 STATISTICS_SIGN = {"boson": +1.0, "fermion": -1.0}
@@ -127,6 +131,9 @@ class PerturbationSpec:
 class ResponseMatrix:
     """Projected, metric-transformed response matrix with its ingredients.
 
+    L = [[a, b], [-conj(b), -conj(a)]] on the (x, y) sectors of
+    ``halves_index`` is kept as its halves ``a`` = L[x, x] (Hermitian) and
+    ``b`` = L[x, y] (symmetric); ``L`` builds the dense matrix on demand.
     The projector P and the metric powers M^(+-1/2) are kept as per-DOF
     factors: the grid projectors ``Pg``, the metric powers ``m_half`` and
     ``m_neghalf`` of each one-body density, and the coefficient projector
@@ -134,7 +141,8 @@ class ResponseMatrix:
     """
 
     layout: ResponseLayout
-    L: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
     Pg: list = field(repr=False, default_factory=list)
     m_half: list = field(repr=False, default_factory=list)
     m_neghalf: list = field(repr=False, default_factory=list)
@@ -148,6 +156,18 @@ class ResponseMatrix:
     @property
     def D(self) -> int:
         return self.layout.D
+
+    @property
+    def L(self) -> np.ndarray:
+        """Dense complex D x D matrix from the halves by the mirror rule,
+        built on each access."""
+        x, y = halves_index(self.layout)
+        L = np.empty((self.D, self.D), dtype=complex)
+        L[np.ix_(x, x)] = self.a
+        L[np.ix_(x, y)] = self.b
+        L[np.ix_(y, x)] = -self.b.conj()
+        L[np.ix_(y, y)] = -self.a.conj()
+        return L
 
     def project(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
         """P M^power x for power 0, +1/2 or -1/2, sector by sector: per DOF
@@ -293,33 +313,36 @@ def _block_diag(*mats) -> np.ndarray:
     return out
 
 
-def _projected_L(layout, blocks: dict, Gu: np.ndarray, Pc: np.ndarray):
-    """L = P M^(-1/2) L_raw M^(-1/2) P as block products.
+def _sandwich(left, X, right) -> np.ndarray:
+    """diag(left) X diag(right) for lists of square diagonal blocks."""
+    at = np.cumsum([0] + [len(m) for m in left])
+    Y = np.empty(X.shape, dtype=np.result_type(X, *left, *right))
+    for l, i0, i1 in zip(left, at, at[1:]):
+        for r, j0, j1 in zip(right, at, at[1:]):
+            Y[i0:i1, j0:j1] = l @ X[i0:i1, j0:j1] @ r
+    return Y
 
-    G = P M^(-1/2) is block diagonal: ``Gu`` on the u sector, Gu* on v, Pc
-    and Pc* on the coefficient sectors.  With x = (u, C_u), y = (v, C_v),
-    the x rows of L are G_x L_raw[x, x] G_x and G_x L_raw[x, y] G_x*, formed
-    sector by sector, in real arithmetic when every factor is real.  As
-    L_raw[y, x] = -conj(L_raw[x, y]) and L_raw[y, y] = -conj(L_raw[x, x]),
-    the y rows of L are the same mirrors of its x rows.
+
+def _projected_halves(blocks: dict, Gs: list, Pc: np.ndarray):
+    """The x rows (a, b) of L = P M^(-1/2) L_raw M^(-1/2) P.
+
+    G = P M^(-1/2) is block diagonal: G_j = kron(m_neghalf_j, Pg_j) per DOF
+    on u, its conjugate on v, Pc and Pc* on the coefficient sectors.  With
+    x = (u, C_u), y = (v, C_v): a = G_x L_raw[x, x] G_x and
+    b = G_x L_raw[x, y] G_x*, formed block by block, in real arithmetic
+    when every factor is real.  As L_raw[y, x] = -conj(L_raw[x, y]) and
+    L_raw[y, y] = -conj(L_raw[x, x]), the y rows of L are mirrors of these.
     """
     names = ("A", "B", "Loc_u", "Loc_v", "Lco_u", "Lco_v", "cc_u")
-    raw = [Gu, Pc] + [blocks[k] for k in names]
+    raw = [blocks[k] for k in names] + Gs + [Pc]
     if not any(np.any(np.imag(m)) for m in raw):
         raw = [np.real(m) for m in raw]
-    Gu, Pc, A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = raw
-    a = np.block([[Gu @ A @ Gu, Gu @ Loc_u @ Pc],
-                  [Pc @ Lco_u @ Gu, Pc @ cc_u @ Pc]])
-    b = np.block([[Gu @ B @ Gu.conj(), Gu @ Loc_v @ Pc.conj()],
-                  [Pc @ Lco_v @ Gu.conj(), np.zeros((len(Pc),) * 2)]])
-    x = np.flatnonzero(sigma3(layout) > 0)
-    y = sigma1(layout)[x]
-    L = np.empty((layout.D, layout.D), dtype=complex)
-    L[np.ix_(x, x)] = a
-    L[np.ix_(x, y)] = b
-    L[np.ix_(y, x)] = -b.conj()
-    L[np.ix_(y, y)] = -a.conj()
-    return L
+    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u, *Gx = raw
+    Gy = [g.conj() for g in Gx]
+    a = _sandwich(Gx, np.block([[A, Loc_u], [Lco_u, cc_u]]), Gx)
+    b = _sandwich(Gx, np.block([[B, Loc_v],
+                                [Lco_v, np.zeros(cc_u.shape)]]), Gy)
+    return a, b
 
 
 def _null_vectors(layout, phis, C) -> np.ndarray:
@@ -363,8 +386,8 @@ def _response_matrix(state, blocks: dict, phis, rho1s,
         neghalf.append(nh)
         clipped = clipped or c1 or c2
     Pc = np.eye(layout.n_conf, dtype=complex) - np.outer(C, C.conj())
-    L = _projected_L(layout, blocks, _block_diag(*map(np.kron, neghalf, Pg)), Pc)
-    return ResponseMatrix(layout=layout, L=L, Pg=Pg, m_half=half,
+    a, b = _projected_halves(blocks, list(map(np.kron, neghalf, Pg)), Pc)
+    return ResponseMatrix(layout=layout, a=a, b=b, Pg=Pg, m_half=half,
                           m_neghalf=neghalf, Pc=Pc, blocks=blocks, state=state,
                           metric_clipped=clipped, floor=floor,
                           null_vectors=_null_vectors(layout, phis, C))
@@ -435,6 +458,13 @@ def sigma1(layout) -> np.ndarray:
     orb, nc = layout.orb, layout.n_conf
     u, cu = np.arange(orb), np.arange(2 * orb, 2 * orb + nc)
     return np.concatenate([u + orb, u, cu + nc, cu])
+
+
+def halves_index(layout):
+    """(x, y): the u/C_u indices of the response space and their Sigma1
+    partners in the v/C_v sectors, in the row order of the halves a, b."""
+    x = np.flatnonzero(sigma3(layout) > 0)
+    return x, sigma1(layout)[x]
 
 
 def sigma3(layout) -> np.ndarray:

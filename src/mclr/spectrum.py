@@ -8,7 +8,10 @@ organize its spectrum:
 * Sigma3 L Sigma3 = adjoint(L): for a real eigenvalue, Sigma3 R is a left
   eigenvector, so left vectors cost no second eigensolve.
 
-Sigma1 is applied as an index swap and Sigma3 as a sign vector.
+Sigma1 is applied as an index swap and Sigma3 as a sign vector.  L is
+kept as its RPA halves a = L[x, x] and b = L[x, y] (see ``ResponseMatrix``);
+the checks and the half-size solve below work on them, and the dense L is
+built only for the dense fallback.
 
 Retained modes are the positive-branch eigenvalues above the zero-mode
 threshold.  Each is normalized against the Sigma3 pseudo-metric; the sign
@@ -16,14 +19,15 @@ of the pseudo-norm ("sng") fixes the left-vector normalization.
 
 Half-size reduction.  With x = (u, C_u) and y = (v, C_v), L has the RPA
 form [[A, B], [-B*, -A*]] with A = L[x, x] Hermitian and B = L[x, y]
-symmetric.  When L is real, A and B are restricted to an orthonormal basis
-of range(P) on x (its complement is spanned by the analytic null vectors),
-giving real symmetric a and b.  With the Cholesky factor a - b = K K^T, the
-symmetric problem K^T (a + b) K z = w^2 z of half the size yields
-X + Y = K z / sqrt(w) and X - Y = (a + b)(X + Y) / w, so (X + Y).(X - Y)
-= z.z = 1: Sigma3-normalized right vectors, sng = +1, partners at exactly
--w, biorthogonal even inside degenerate clusters (Stratmann, Scuseria &
-Frisch, J. Chem. Phys. 109, 8218 (1998)).  The directions outside range(P)
+symmetric, the halves ``rm.a`` and ``rm.b``.  When L is real, A and B are
+restricted to an orthonormal basis of range(P) on x (its complement is
+spanned by the analytic null vectors), giving real symmetric a and b.  With
+the Cholesky factor a - b = K K^T, the symmetric problem
+K^T (a + b) K z = w^2 z of half the size yields X + Y = K z / sqrt(w) and
+X - Y = (a + b)(X + Y) / w, so (X + Y).(X - Y) = z.z = 1: real
+Sigma3-normalized right vectors, sng = +1, partners at exactly -w,
+biorthogonal even inside degenerate clusters (Stratmann, Scuseria & Frisch,
+J. Chem. Phys. 109, 8218 (1998)).  The directions outside range(P)
 are reported as exact zero eigenvalues, so the spectrum keeps all D entries.
 
 The reduction is used when L is real, its Sigma1/Sigma3 defects are below
@@ -42,7 +46,7 @@ import numpy as np
 from numpy import linalg as sla     # LAPACK drivers, wrapped by profilers
 
 from .groundstate import GroundState
-from .linres_identical import ResponseMatrix, sigma1, sigma3
+from .linres_identical import ResponseMatrix, halves_index, sigma1, sigma3
 
 __all__ = [
     "LRSpectrum",
@@ -53,7 +57,6 @@ __all__ = [
     "classify_zero_modes",
     "response_weights",
     "reconstruct",
-    "resolution_checks",
     "spectrum_rows",
     "save_spectrum_csv",
 ]
@@ -91,17 +94,23 @@ class LRSpectrum:
         return self.eigenvalues[self.retained].real
 
 
-def symmetry_defects(L: np.ndarray, layout) -> tuple:
+def symmetry_defects(rm: ResponseMatrix) -> tuple:
     """(max |Sigma1 L Sigma1 + conj(L)|, max |Sigma3 L Sigma3 - adjoint(L)|).
 
-    A real L is checked in real arithmetic, with bit-identical results.
+    Computed on the halves: the y rows of L are mirrors of its x rows, so
+    the Sigma1 defect is exactly 0 by construction and the Sigma3 defect
+    equals max(|a - adjoint(a)|, |b - transpose(b)|) exactly.
     """
-    perm, signs = sigma1(layout), sigma3(layout)
-    if not np.any(L.imag):
-        L = L.real
-    sig1 = np.abs(L[np.ix_(perm, perm)] + L.conj()).max()
-    sig3 = np.abs(signs[:, None] * L * signs - L.conj().T).max()
-    return float(sig1), float(sig3)
+    a, b = rm.a, rm.b
+    return 0.0, float(max(np.abs(a - a.conj().T).max(),
+                          np.abs(b - b.T).max()))
+
+
+def _real(m: np.ndarray):
+    """``m`` as a real array, or None when it has a nonzero imaginary part."""
+    if np.iscomplexobj(m):
+        return None if np.any(m.imag) else m.real
+    return m
 
 
 class _NoReduction(Exception):
@@ -117,7 +126,7 @@ def eigensolve(rm: ResponseMatrix, tol_zero: float | None = None,
     eigensolve otherwise (see the module docstring); ``eigensolver`` on the
     result names the path and, for the dense one, the reason.
     """
-    defects = symmetry_defects(rm.L, rm.layout)
+    defects = symmetry_defects(rm)
     try:
         spec = _eigensolve_rpa(rm, defects, tol_zero, tol_im)
     except _NoReduction as exc:
@@ -129,14 +138,14 @@ def eigensolve(rm: ResponseMatrix, tol_zero: float | None = None,
 
 def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     """Half-size symmetric solve; raises _NoReduction where it does not apply."""
-    L = rm.L
-    if np.any(L.imag):
+    a, b = _real(rm.a), _real(rm.b)
+    if a is None or b is None:
         raise _NoReduction("complex L")
-    if max(defects) > SYMMETRY_TOL * np.abs(L).max():
+    # the y rows of L mirror the x rows, so max|L| = max(|a|, |b|)
+    if max(defects) > SYMMETRY_TOL * max(np.abs(a).max(), np.abs(b).max()):
         raise _NoReduction("symmetry defect above 1e-9 max|L|")
     D, signs, perm = rm.D, sigma3(rm.layout), sigma1(rm.layout)
-    x = np.flatnonzero(signs > 0)
-    y = perm[x]
+    x, y = halves_index(rm.layout)
     # orthonormal basis of range(P) on x: the complement of the x halves
     # of the analytic null vectors, which span ker P there
     k = rm.null_vectors.shape[1] // 2
@@ -144,9 +153,8 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     if np.any(Zx.imag):
         raise _NoReduction("complex ground state")
     basis = np.linalg.qr(Zx.real, mode="complete")[0][:, k:]
-    Lr = L.real
-    a = basis.T @ Lr[np.ix_(x, x)] @ basis
-    b = basis.T @ Lr[np.ix_(x, y)] @ basis
+    a = basis.T @ a @ basis
+    b = basis.T @ b @ basis
     try:
         K = sla.cholesky(a - b)
     except sla.LinAlgError:
@@ -168,7 +176,7 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     plus = (K @ Z) / np.sqrt(omega)
     minus = (ab @ plus) / omega
     n = len(omega)
-    R = np.zeros((D, n), dtype=complex)
+    R = np.empty((D, n))
     R[x] = basis @ (0.5 * (plus + minus))
     R[y] = basis @ (0.5 * (plus - minus))
     left = signs[:, None] * R
@@ -179,7 +187,7 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     retained = np.arange(D - n, D)
     return LRSpectrum(rm=rm, eigenvalues=w, zero_modes=np.arange(n, D - n),
                       retained=retained, right=R, left=left,
-                      right_neg=R.conj()[perm], left_neg=left.conj()[perm],
+                      right_neg=R[perm], left_neg=left[perm],
                       sng=np.ones(n), sng_undefined=np.zeros(n, dtype=bool),
                       pairing={int(k): int(D - 1 - k) for k in retained},
                       tol_zero=tol_zero, tol_im=tol_im, eigensolver="rpa")
@@ -265,8 +273,15 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
     Z = rm.null_vectors
     if expected_count is None:
         expected_count = Z.shape[1]
-    Lnorm = max(np.abs(rm.L).max(), 1.0)
-    resid = np.linalg.norm(rm.L @ Z, axis=0) / (np.linalg.norm(Z, axis=0) * Lnorm)
+    a, b = rm.a, rm.b
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)) and _real(Z) is not None:
+        Z = Z.real
+    # (L Z)[x] = a Z[x] + b Z[y] and (L Z)[y] = -conj(a conj(Z[y]) + b conj(Z[x]))
+    x, y = halves_index(rm.layout)
+    Zx, Zy = Z[x], Z[y]
+    LZ = np.vstack([a @ Zx + b @ Zy, a @ Zy.conj() + b @ Zx.conj()])
+    Lnorm = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+    resid = np.linalg.norm(LZ, axis=0) / (np.linalg.norm(Z, axis=0) * Lnorm)
     report = {
         "indices": spec.zero_modes,
         "count": int(len(spec.zero_modes)),
@@ -297,8 +312,8 @@ class ResponseWeights:
 
 def response_weights(spec: LRSpectrum, R_vec: np.ndarray) -> ResponseWeights:
     """Driving weights gamma_k = -(L^k)^dag R and their negative partners."""
-    gp = -(spec.left.conj().T @ R_vec)
-    gm = -(spec.left_neg.conj().T @ R_vec)
+    gp = -(R_vec @ spec.left.conj())
+    gm = -(R_vec @ spec.left_neg.conj())
     gp = np.where(spec.sng_undefined, 0.0, gp)
     gm = np.where(spec.sng_undefined, 0.0, gm)
     return ResponseWeights(gamma_plus=gp, gamma_minus=gm,
@@ -403,28 +418,6 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
     return Reconstruction(omega=omega, dphi_minus=dphi_m / root_dx,
                           dphi_plus=dphi_p / root_dx, dC_minus=dC_m,
                           dC_plus=dC_p, grid=state.grid, state=state)
-
-
-def resolution_checks(spec: LRSpectrum) -> dict:
-    """Completeness defects of the retained modes on the projected subspace.
-
-    identity: || sum_k R L^dag + R~ L~^dag  -  P ||_maxabs
-    spectral: || sum_k w_k (R L^dag - R~ L~^dag)  -  L ||_maxabs
-    """
-    rm = spec.rm
-    mask = ~spec.sng_undefined
-    R = spec.right[:, mask]
-    Lv = spec.left[:, mask]
-    Rn = spec.right_neg[:, mask]
-    Ln = spec.left_neg[:, mask]
-    wr = spec.eigenvalues[spec.retained].real[mask]
-    ident = R @ Lv.conj().T + Rn @ Ln.conj().T
-    spectral = (R * wr) @ Lv.conj().T - (Rn * wr) @ Ln.conj().T
-    return {
-        "identity_defect": float(np.abs(ident - rm.projector()).max()),
-        "spectral_defect": float(np.abs(spectral - rm.L).max()),
-        "modes_used": int(mask.sum()),
-    }
 
 
 def spectrum_rows(spec: LRSpectrum, weights: ResponseWeights | None = None):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclr import cli
+from mclr import linres_identical as li
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -178,6 +179,52 @@ def test_linres_tol_zero_flag(tmp_path, capsys):
     assert int(zero_line.split("=")[1].split()[0]) > 10
     assert "zero_mode_warning" in out
     assert "eigensolver = dense (an excitation at or below tol_zero)" in out
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf"])
+def test_linres_rejects_bad_tol_zero(tmp_path, capsys, value):
+    cfg = str(CONFIGS / "harmonic_n2_m2.cfg")
+    code, out, err = _run(capsys, [
+        "linres", "--checkpoint", str(tmp_path / "absent.ckpt"),
+        "--config", cfg, "--out-dir", str(tmp_path), f"--tol-zero={value}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --tol-zero must be a positive finite number")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["coupled_pair_m44", "harmonic_n2_m2"])
+def test_linres_never_builds_dense_matrices(tmp_path, capsys, monkeypatch,
+                                            name):
+    # the half-size path works on the halves (a, b) of L and the per-DOF
+    # factors of P alone
+    def dense(self):
+        raise AssertionError("dense D x D matrix built")
+
+    cfg, ck = str(CONFIGS / f"{name}.cfg"), str(tmp_path / "state.ckpt")
+    assert _run(capsys, ["ground", "--config", cfg, "--checkpoint", ck])[0] == 0
+    monkeypatch.setattr(li.ResponseMatrix, "L", property(dense))
+    monkeypatch.setattr(li.ResponseMatrix, "projector", dense)
+    code, out, _ = _run(capsys, ["linres", "--checkpoint", ck, "--config", cfg,
+                                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "eigensolver = rpa" in out
+
+
+def test_linres_dense_fallback_spectrum(tmp_path, capsys):
+    # the free ladder's empty orbital makes A - B singular: the dense eig
+    # path still gives the excitation ladder 1, 2, 2, 3, ... to 1e-12
+    cfg, ck = str(CONFIGS / "free_ladder_m2.cfg"), str(tmp_path / "state.ckpt")
+    _run(capsys, ["ground", "--config", cfg, "--checkpoint", ck])
+    code, out, _ = _run(capsys, ["linres", "--checkpoint", ck, "--config", cfg,
+                                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "eigensolver = dense (A - B not positive definite)" in out
+    rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=4)
+    w, zero = rows[:, 1], rows[:, 4]
+    retained = np.sort(w[(w > 0) & (zero == 0)])
+    assert len(retained) == 64
+    assert np.abs(retained[:8] - [1, 2, 2, 3, 4, 5, 6, 7]).max() < 1e-12
 
 
 def test_statistics_override_flag(tmp_path, capsys):

@@ -30,12 +30,12 @@ def test_eigenvalues_sorted_and_real(spec_m2):
 
 
 def test_eigenpairs_satisfy_equation(spec_m2):
-    rm = spec_m2.rm
-    scale = np.abs(rm.L).max()
+    L = spec_m2.rm.L
+    scale = np.abs(L).max()
     for i in range(len(spec_m2.retained)):
         k = spec_m2.retained[i]
         r = spec_m2.right[:, i]
-        resid = rm.L @ r - spec_m2.eigenvalues[k] * r
+        resid = L @ r - spec_m2.eigenvalues[k] * r
         assert np.linalg.norm(resid) < 1e-8 * scale
 
 
@@ -49,12 +49,13 @@ def test_spectrum_mirror_symmetry(spec_m2):
 
 def test_mirror_eigenvectors(spec_m2):
     rm = spec_m2.rm
+    L = rm.L
     S1 = np.eye(rm.D)[li.sigma1(rm.layout)]
     for i in range(min(4, len(spec_m2.retained))):
         k = spec_m2.retained[i]
         mirror = S1 @ spec_m2.right[:, i].conj()
-        resid = rm.L @ mirror + spec_m2.eigenvalues[k].conjugate() * mirror
-        assert np.linalg.norm(resid) < 1e-8 * np.abs(rm.L).max()
+        resid = L @ mirror + spec_m2.eigenvalues[k].conjugate() * mirror
+        assert np.linalg.norm(resid) < 1e-8 * np.abs(L).max()
 
 
 def test_biorthogonality(spec_m2):
@@ -258,8 +259,30 @@ def test_wavefunction_terms_shapes(bos_m2_48, spec_m2):
             assert occ[j] > 0
 
 
+def resolution_checks(spec):
+    """Completeness defects of the retained modes on the projected subspace.
+
+    identity: || sum_k R L^dag + R~ L~^dag  -  P ||_maxabs
+    spectral: || sum_k w_k (R L^dag - R~ L~^dag)  -  L ||_maxabs
+    """
+    rm = spec.rm
+    mask = ~spec.sng_undefined
+    R = spec.right[:, mask]
+    Lv = spec.left[:, mask]
+    Rn = spec.right_neg[:, mask]
+    Ln = spec.left_neg[:, mask]
+    wr = spec.eigenvalues[spec.retained].real[mask]
+    ident = R @ Lv.conj().T + Rn @ Ln.conj().T
+    spectral = (R * wr) @ Lv.conj().T - (Rn * wr) @ Ln.conj().T
+    return {
+        "identity_defect": float(np.abs(ident - rm.projector()).max()),
+        "spectral_defect": float(np.abs(spectral - rm.L).max()),
+        "modes_used": int(mask.sum()),
+    }
+
+
 def test_resolution_checks(spec_m2):
-    rep = spm.resolution_checks(spec_m2)
+    rep = resolution_checks(spec_m2)
     assert rep["identity_defect"] < 1e-7
     assert rep["spectral_defect"] < 1e-7
 
@@ -275,7 +298,7 @@ def test_resolution_fails_with_truncated_modes(spec_m2):
         right_neg=spec_m2.right_neg[:, :half],
         left_neg=spec_m2.left_neg[:, :half],
         sng=spec_m2.sng[:half], sng_undefined=spec_m2.sng_undefined[:half])
-    rep = spm.resolution_checks(trunc)
+    rep = resolution_checks(trunc)
     assert rep["identity_defect"] > 0.1
 
 
@@ -355,16 +378,22 @@ def test_reduced_solve_matches_dense(fixture, request):
 @pytest.mark.parametrize("layout", [li.ResponseLayout((2,), (5,), 3),
                                     li.ResponseLayout((2, 1), (4, 3), 2)])
 def test_symmetry_defects_match_dense_operators(layout):
+    # random halves without the Hermitian / symmetric structure: the
+    # half-form defects equal the dense S1/S3 products on the built L
     rng = np.random.default_rng(7)
-    L = (rng.standard_normal((layout.D, layout.D))
-         + 1j * rng.standard_normal((layout.D, layout.D)))
+    n = layout.D // 2
+    a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(2))
     S1 = np.eye(layout.D)[li.sigma1(layout)]
     S3 = np.diag(li.sigma3(layout))
-    # a complex L, and a real one held as complex (real-arithmetic path)
-    for L in (L, L.real.astype(complex)):
+    # complex halves, and real ones (real-arithmetic path)
+    for a, b in ((a, b), (a.real, b.real)):
+        rm = li.ResponseMatrix(layout=layout, a=a, b=b)
+        L = rm.L
         dense = (float(np.abs(S1 @ L @ S1 + L.conj()).max()),
                  float(np.abs(S3 @ L @ S3 - L.conj().T).max()))
-        assert spm.symmetry_defects(L, layout) == dense
+        assert dense[0] == 0.0 and dense[1] > 0.1
+        assert spm.symmetry_defects(rm) == dense
 
 
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_m3", "dist_44"])
@@ -379,14 +408,11 @@ def test_cholesky_vectors_are_sigma3_normalized(fixture, request):
 
 
 def test_indefinite_a_minus_b_falls_back_to_dense(bos_m2_48):
-    # L - c Sigma3 keeps both pairing symmetries and shifts A - B by -c; a
-    # c inside the spectrum of A - B leaves it indefinite
+    # a - c I is L - c Sigma3: it keeps both pairing symmetries and shifts
+    # A - B by -c; a c inside the spectrum of A - B leaves it indefinite
     rm = li.assemble_L(bos_m2_48)
-    signs = li.sigma3(rm.layout)
-    x = np.flatnonzero(signs > 0)
-    y = li.sigma1(rm.layout)[x]
-    lam = np.linalg.eigvalsh(rm.L[np.ix_(x, x)] - rm.L[np.ix_(x, y)])
-    shifted = dataclasses.replace(rm, L=rm.L - np.median(lam) * np.diag(signs))
+    lam = np.linalg.eigvalsh(rm.a - rm.b)
+    shifted = dataclasses.replace(rm, a=rm.a - np.median(lam) * np.eye(len(rm.a)))
     spec = spm.eigensolve(shifted)
     assert max(spec.sigma1_defect, spec.sigma3_defect) < 1e-12
     assert spec.eigensolver == "dense (A - B not positive definite)"
