@@ -241,8 +241,8 @@ def _print_state_summary(state, cfg_hash):
         print(f"scaled_orbital_residual = {res['scaled_orb_residual']:.3e}")
     print(f"coefficient_residual = {res['c_residual']:.3e}")
     print(f"iterations = {res['iterations']}")
-    for key in ("backtracks", "forced_accepts"):
-        if key in res:
+    for key in ("backtracks", "forced_accepts", "mixing_rejects"):
+        if key in res:  # absent from older checkpoints
             print(f"{key} = {res[key]}")
 
 

@@ -16,13 +16,23 @@ stationarity residuals vanish:
       part implicitly, so the stable step does not shrink with the kinetic
       cutoff ~ 1/dx^2.
 
+Each block is one step of a fixed-point map x -> g(x) on the orbitals at
+fixed coefficients and tau, and the outer loop accelerates it by Anderson
+mixing (Anderson, J. ACM 12, 547 (1965); Pulay, Chem. Phys. Lett. 73, 393
+(1980)) with memory ``ANDERSON_MEMORY``: with f = g - x over the flattened
+orbitals of all DOFs and the (f, g) of the last accepted blocks, gamma
+minimizes ||f_k - dF gamma|| and the mixed trial g_k - dG gamma is
+orthonormalized per DOF in the QR gauge of the steps.
+
 Inverses of the one-body density matrix are regularized by flooring its
 eigenvalues at ``rho_floor * N`` (``rho_floor`` for a distinguishable DOF,
-whose density has unit trace). A block of steps backtracks (halving tau and
-rebuilding K_tau) whenever the energy fails to decrease, which keeps the
-outer iteration variationally monotone; after three halvings it is accepted
-anyway. Both events are counted in ``residuals`` (``backtracks``,
-``forced_accepts``).
+whose density has unit trace). A trial is accepted only if the CI energy
+does not rise. A rejected mixed trial clears the mixing history and falls
+back to the plain block g_k; a rejected plain block backtracks (halving tau,
+rebuilding K_tau and clearing the history), which keeps the outer iteration
+variationally monotone; after three halvings it is accepted anyway,
+without entering the history. All three events are counted in
+``residuals`` (``mixing_rejects``, ``backtracks``, ``forced_accepts``).
 
 The state is converged when the coefficient residual is below ``tol_c`` and
 two orbital residuals are below ``tol_orb``: ``orb_residual`` = max_k ||B_k||
@@ -239,25 +249,69 @@ def _scaled_residual(sets, B, rho1, floor):
     return worst
 
 
+ANDERSON_MEMORY = 5   # stored blocks, i.e. difference columns, of the mixing
+
+
+def _flat(sets):
+    return np.concatenate([s.orbitals.ravel() for s in sets])
+
+
+def _anderson_mix(stored, x, g, sets):
+    """Anderson-mixed orbital sets from the stored blocks and the current one.
+
+    ``stored`` holds the (f, g) of earlier accepted blocks, f = g - x over the
+    flattened orbitals of every DOF. With gamma = argmin ||f_k - dF gamma||
+    the mixed point is g_k - dG gamma, dF, dG the differences of consecutive
+    columns of f and g. Each DOF is then orthonormalized in the QR gauge of
+    ``_descend``.
+    """
+    F = np.column_stack([f for f, _ in stored] + [g - x])
+    G = np.column_stack([gk for _, gk in stored] + [g])
+    dF, dG = np.diff(F, axis=1), np.diff(G, axis=1)
+    gamma = np.linalg.lstsq(dF, F[:, -1], rcond=None)[0]
+    mixed = G[:, -1] - dG @ gamma
+    out, start = [], 0
+    for s in sets:
+        stop = start + s.orbitals.size
+        out.append(OrbitalSet(mixed[start:stop].reshape(s.orbitals.shape),
+                              s.grid).orthonormalized())
+        start = stop
+    return out
+
+
 def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
-    """Alternate configuration eigenpairs and preconditioned orbital steps.
+    """Alternate configuration eigenpairs and Anderson-mixed orbital blocks.
 
     ``sets`` is the list of per-DOF orbital sets (one for identical
     particles). ``ci(sets, C)`` returns (energy, C, H), H anything that
     applies the configuration Hamiltonian with ``@``; ``densities(C)``
     returns (rho, per-DOF one-body densities); ``rhs(sets, C, rho)``
-    returns the per-DOF projected right-hand sides B. The step, the
-    backtracking and the stopping test are those of the module docstring;
-    the B of the convergence check is reused by the first step, and the
-    eigenpair that accepted a trial is the next iteration's.
+    returns the per-DOF projected right-hand sides B. The step, the mixing,
+    the backtracking and the stopping test are those of the module
+    docstring; the B of the convergence check is reused by the first step,
+    and the eigenpair that accepted a trial is the next iteration's.
     """
     tau = opts.tau
     K = _kinetic_preconditioners(h_eigs, tau)
     history = []
-    counts = {"backtracks": 0, "forced_accepts": 0}
+    stored = []  # (f, g) of the last accepted blocks at the current tau
+    counts = {"backtracks": 0, "forced_accepts": 0, "mixing_rejects": 0}
     orb_res = scaled_res = c_res = np.inf
     C = np.full(space.size, 1.0 / np.sqrt(space.size), dtype=complex)
     found = ci(sets, C)
+    took = "start"
+
+    def descent_block():
+        trial, Bt = sets, B
+        for step in range(opts.inner_steps):
+            if step:
+                Bt = rhs(trial, C, rho)
+            trial = [_descend(s, tau * (i @ b) @ k)
+                     for s, i, b, k in zip(trial, inv, Bt, K)]
+        return trial
+
+    def descends(found):
+        return found[0] <= eps + 1e-13 * max(1.0, abs(eps))
 
     for outer in range(opts.max_iter):
         eps, C, H = found
@@ -269,28 +323,43 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
         history.append(eps)
         if opts.verbose:
             print(f"  iter {outer:3d}  E={eps:.12f}  orb={orb_res:.2e}  "
-                  f"scaled={scaled_res:.2e}  c={c_res:.2e}  tau={tau:.3g}")
+                  f"scaled={scaled_res:.2e}  c={c_res:.2e}  tau={tau:.3g}  "
+                  f"trial={took}")
         if max(orb_res, scaled_res) < opts.tol_orb and c_res < opts.tol_c:
             break
 
         inv = [regularized_inverse(r, floor) for r in rho1]
-        for _ in range(3):
-            trial, Bt = sets, B
-            for step in range(opts.inner_steps):
-                if step:
-                    Bt = rhs(trial, C, rho)
-                trial = [_descend(s, tau * (i @ b) @ k)
-                         for s, i, b, k in zip(trial, inv, Bt, K)]
-            found = ci(trial, C)
-            if found[0] <= eps + 1e-13 * max(1.0, abs(eps)):
-                sets = trial
-                break
-            tau *= 0.5
-            counts["backtracks"] += 1
-            K = _kinetic_preconditioners(h_eigs, tau)
-        else:
-            sets = trial  # accept anyway once tau is tiny; residual check decides
-            counts["forced_accepts"] += 1
+        trial = descent_block()
+        x, g = _flat(sets), _flat(trial)
+        took = None
+        if stored:
+            mixed = _anderson_mix(stored, x, g, sets)
+            found = ci(mixed, C)
+            if descends(found):
+                sets, took = mixed, "mixed"
+            else:
+                counts["mixing_rejects"] += 1
+                stored.clear()
+        if took is None:
+            for attempt in range(3):
+                if attempt:
+                    trial = descent_block()
+                    g = _flat(trial)
+                found = ci(trial, C)
+                if descends(found):
+                    sets, took = trial, "plain"
+                    break
+                tau *= 0.5
+                counts["backtracks"] += 1
+                K = _kinetic_preconditioners(h_eigs, tau)
+                stored.clear()
+            else:
+                # accept anyway once tau is tiny; the residual check decides
+                sets, took = trial, "forced"
+                counts["forced_accepts"] += 1
+                continue
+        stored.append((g - x, g))
+        del stored[:-ANDERSON_MEMORY]
     else:
         raise NonConvergenceError(
             f"no convergence after {opts.max_iter} iterations "

@@ -1,8 +1,11 @@
 """Bit-exact round trips of the binary checkpoint format."""
 
+import dataclasses
+
 import numpy as np
 
 from mclr import checkpoint as ckpt
+from mclr import cli
 
 
 def test_identical_roundtrip(tmp_path, bos_m2):
@@ -24,8 +27,23 @@ def test_residual_header_keeps_solver_counters(tmp_path, bos_m2, dist_44):
         path = tmp_path / f"{name}.ckpt"
         ckpt.save_state(path, state)
         loaded = ckpt.load_state(path).residuals
-        for key in ("backtracks", "forced_accepts", "scaled_orb_residual"):
+        for key in ("backtracks", "forced_accepts", "mixing_rejects",
+                    "scaled_orb_residual"):
             assert loaded[key] == state.residuals[key]
+
+
+def test_checkpoint_without_mixing_counter_loads(tmp_path, bos_m2, capsys):
+    # checkpoints written before the Anderson mixing lack ``mixing_rejects``
+    old = dataclasses.replace(bos_m2, residuals={
+        k: v for k, v in bos_m2.residuals.items() if k != "mixing_rejects"})
+    path = tmp_path / "old.ckpt"
+    ckpt.save_state(path, old)
+    loaded = ckpt.load_state(path)
+    assert "mixing_rejects" not in loaded.residuals
+    assert loaded.energy == bos_m2.energy
+    cli._print_state_summary(loaded, "0")
+    out = capsys.readouterr().out
+    assert "backtracks = " in out and "mixing_rejects" not in out
 
 
 def test_identical_double_roundtrip_is_stable(tmp_path, bos_m1):

@@ -37,7 +37,8 @@ def test_ground_writes_checkpoint(tmp_path, capsys):
     energy = float(line.split("=")[1])
     assert energy == pytest.approx(1.0393239, abs=1e-5)
     assert "# config sha256" in out
-    for key in ("scaled_orbital_residual", "backtracks", "forced_accepts"):
+    for key in ("scaled_orbital_residual", "backtracks", "forced_accepts",
+                "mixing_rejects"):
         assert sum(l.startswith(f"{key} = ") for l in out.splitlines()) == 1
 
 

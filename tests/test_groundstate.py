@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mclr import OneBodyOperator, TwoBodyKernel, build_grid, discretize_kernel
+from mclr import (OneBodyOperator, PairCoupling, TwoBodyKernel, build_grid,
+                  discretize_kernel)
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
@@ -42,9 +43,23 @@ def test_interacting_energy_between_mean_field_and_exact(grid48, h48):
     assert e[2] - exact < e[1] - exact
 
 
-def test_energy_history_monotone(bos_m3):
-    hist = np.asarray(bos_m3.residuals["energy_history"])
-    assert np.all(np.diff(hist) <= 1e-12)
+def test_energy_history_monotone(bos_m2, bos_m3, dist_44):
+    # mixed and plain trials alike are accepted only if the energy descends
+    for st in (bos_m2, bos_m3, dist_44):
+        hist = np.asarray(st.residuals["energy_history"])
+        assert np.all(np.diff(hist) <= 1e-12)
+
+
+def test_anderson_mixing_iteration_counts(bos_m2, dist_44):
+    # unaccelerated, bos_m2 took 14 iterations, dist_44 5 and the N=5, M=4
+    # bosons of perfbench/boson_n5m4.cfg 27
+    assert bos_m2.residuals["iterations"] <= 7
+    assert dist_44.residuals["iterations"] <= 4
+    grid = build_grid(32, -6.0, 6.0)
+    sp = fs.enumerate_configs("boson", N=5, M=4)
+    st = gs.solve_mchx(sp, grid, oscillator_h(grid),
+                       TwoBodyKernel("contact", strength=0.1))
+    assert st.residuals["iterations"] <= 15
 
 
 def test_converged_residuals(bos_m2):
@@ -131,13 +146,11 @@ def test_lanczos_csr_matrix_matches_table_and_dense():
 
 
 # bos_m2 (N = 2, M = 2, contact 0.1, n = 64) as solved when every iteration
-# began with a fresh CI solve on the orbitals it had accepted
+# began with the CI eigenpair of the trial it accepted: one plain block, then
+# four Anderson-mixed ones
 BOS_M2_HISTORY = [
-    1.0396943073853804, 1.0393243130192094, 1.0393239716544707,
-    1.039323947422939, 1.0393239458293937, 1.0393239457267665,
-    1.0393239457201953, 1.039323945719772, 1.0393239457197465,
-    1.0393239457197447, 1.0393239457197432, 1.0393239457197443,
-    1.039323945719744, 1.039323945719745]
+    1.0396943073853804, 1.0393243130192098, 1.039323976865127,
+    1.0393239457207588, 1.0393239457197543, 1.0393239457197454]
 
 
 def test_accepted_trial_eigenpair_is_reused(grid64, h64, monkeypatch):
@@ -152,8 +165,10 @@ def test_accepted_trial_eigenpair_is_reused(grid64, h64, monkeypatch):
     sp = fs.enumerate_configs("boson", N=2, M=2)
     st = gs.solve_mchx(sp, grid64, h64, TwoBodyKernel("contact", strength=0.1))
     res = st.residuals
-    # one solve for the initial orbitals, then one per trial block
-    assert len(calls) == res["iterations"] + res["backtracks"]
+    # one solve for the initial orbitals, then one per trial block, plus one
+    # for each mixed trial that was rejected in favour of the plain one
+    assert len(calls) == (res["iterations"] + res["backtracks"]
+                          + res["mixing_rejects"])
     assert res["iterations"] == len(BOS_M2_HISTORY)
     assert res["energy_history"] == pytest.approx(BOS_M2_HISTORY, rel=1e-13)
 
@@ -165,7 +180,7 @@ def test_nonconvergence_reports_residuals(grid48, h48):
         gs.solve_mchx(sp, grid48, h48,
                       TwoBodyKernel("contact", strength=0.5), opts)
     for key in ("orb_residual", "scaled_orb_residual", "c_residual",
-                "backtracks", "forced_accepts"):
+                "backtracks", "forced_accepts", "mixing_rejects"):
         assert key in err.value.residuals
 
 
@@ -263,9 +278,25 @@ def test_bilinear_coupling_energy(dist_44):
 def test_dist_residuals_report_counters(dist_44):
     res = dist_44.residuals
     assert res["backtracks"] == 0 and res["forced_accepts"] == 0
+    assert res["mixing_rejects"] == 0
     assert max(res["orb_residual"], res["scaled_orb_residual"]) < res["tol_orb"]
 
 
 def test_dist_mu_hermitian(dist_44):
     for mu in dist_44.mu:
         assert np.abs(mu - mu.conj().T).max() < 1e-8
+
+
+def test_dist_large_tau_converges(dist_grids, dist_h):
+    # tau = 1e3 forces two energy-raising blocks; without the mixing the
+    # solve then crawled at tau ~ 2 and stopped at an orbital residual of
+    # 3.6e-4 after 200 iterations
+    sp = fs.enumerate_configs("distinguishable", M_list=(2, 2))
+    coupling = PairCoupling.bilinear(dist_grids, 0, 1, 0.8)
+    st = gs.solve_mch_dist(sp, dist_grids, dist_h, coupling,
+                           gs.SolverOptions(tau=1e3, max_iter=200))
+    res = st.residuals
+    assert res["forced_accepts"] >= 1
+    assert max(res["orb_residual"], res["scaled_orb_residual"]) < res["tol_orb"]
+    default = gs.solve_mch_dist(sp, dist_grids, dist_h, coupling)
+    assert st.energy == pytest.approx(default.energy, abs=1e-10)
