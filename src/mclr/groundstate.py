@@ -60,7 +60,6 @@ __all__ = [
     "NonConvergenceError",
     "solve_mchx",
     "solve_mch_dist",
-    "lagrange_multipliers",
     "propagate_check",
     "perturbed_state",
     "orbital_eom_rhs",
@@ -171,15 +170,6 @@ def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=True):
 def _mu_matrix(grid, orbs, g_unprojected):
     """mu_kq = <phi_q| g_k >, the Lagrange multipliers of the stationary set."""
     return grid.weight * (g_unprojected @ orbs.orbitals.conj().T)
-
-
-def lagrange_multipliers(state: GroundState) -> np.ndarray:
-    """Recompute mu from the state; hermiticity defect goes to residuals."""
-    g = orbital_eom_rhs(state.grid, state.orbitals, state.h_op,
-                        state.kernel_matrix, state.rho, project=False)
-    mu = _mu_matrix(state.grid, state.orbitals, g)
-    state.residuals["mu_defect"] = float(np.abs(mu - mu.conj().T).max())
-    return mu
 
 
 def _lowest_eigenpair(space, orbs, h_op, kernel_matrix, opts, v0=None):

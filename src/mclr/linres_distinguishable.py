@@ -174,9 +174,9 @@ def assemble_L_dist(state: DistGroundState,
     inverse square root is taken; the default is 1e-10 tr rho = 1e-10.
     """
     A, B = build_oo_dist(state)
-    Loc_u, Loc_v, Lco_u, Lco_v, cc_u, cc_v = build_oc_co_cc_dist(state)
+    Loc_u, Loc_v, Lco_u, Lco_v, cc_u, _ = build_oc_co_cc_dist(state)
     blocks = {"A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
-              "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u, "cc_v": cc_v}
+              "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u}
     rho1s = [0.5 * (r + r.conj().T) for r in state.rho1]
     return _response_matrix(state, blocks, [s.scaled for s in state.sets],
                             rho1s, floor)

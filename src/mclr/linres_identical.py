@@ -22,8 +22,13 @@ satisfies the two spectral pairing symmetries
 to machine precision, and P L P = L holds structurally.  P and M^(-1/2)
 are block diagonal and commute, so the u/C_u rows of L are formed from
 per-DOF block products of the u/C_u rows of L_raw; the v/C_v rows are
-their mirrors.  ``ResponseMatrix`` keeps L as these two RPA halves
-a = L[x, x] and b = L[x, y], with x = (u, C_u) and y = (v, C_v), real when
+their mirrors.  ``ResponseMatrix`` keeps L as its two RPA halves on
+range(P).  An orthonormal basis Q_j of the complement of the orbitals of
+each DOF (one QR of phi_j^T) and one Q_c of the complement of C make the
+isometry B = kron(1, Q_j) (+) Q_c onto range(P) on x = (u, C_u); the halves
+are a = B^H L[x, x] B and b = B^H L[x, y] B*, with y = (v, C_v), of size
+sum_j M_j (n_j - M_j) + N_conf - 1.  They are formed directly with the
+rectangular factors P M^(-1/2) B = kron(m_j^(-1/2), Q_j) (+) Q_c, real when
 every factor is real; the dense D x D matrix is built only on demand.
 """
 
@@ -131,22 +136,25 @@ class PerturbationSpec:
 class ResponseMatrix:
     """Projected, metric-transformed response matrix with its ingredients.
 
-    L = [[a, b], [-conj(b), -conj(a)]] on the (x, y) sectors of
-    ``halves_index`` is kept as its halves ``a`` = L[x, x] (Hermitian) and
-    ``b`` = L[x, y] (symmetric); ``L`` builds the dense matrix on demand.
-    The projector P and the metric powers M^(+-1/2) are kept as per-DOF
-    factors: the grid projectors ``Pg``, the metric powers ``m_half`` and
-    ``m_neghalf`` of each one-body density, and the coefficient projector
-    ``Pc``.
+    L = [[L_xx, L_xy], [-conj(L_xy), -conj(L_xx)]] on the (x, y) sectors
+    of ``halves_index`` is kept as its halves on range(P): with B the
+    isometry from the reduced coordinates onto range(P) on x,
+    L_xx = B ``a`` B^H (``a`` Hermitian) and L_xy = B ``b`` B^T (``b``
+    symmetric).  B is kron(1, Q_j) per DOF and ``Qc`` on C_u, where the
+    columns of ``Q[j]`` span the complement of the orbitals of DOF j and
+    those of ``Qc`` the complement of C; ``lift`` applies it and ``L``
+    builds the dense matrix on demand.  The projector P is B B^H on x and
+    its conjugate on y; the metric powers M^(+-1/2) are kept as the
+    per-DOF ``m_half`` and ``m_neghalf`` of each one-body density.
     """
 
     layout: ResponseLayout
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    Pg: list = field(repr=False, default_factory=list)
+    Q: list = field(repr=False, default_factory=list)
     m_half: list = field(repr=False, default_factory=list)
     m_neghalf: list = field(repr=False, default_factory=list)
-    Pc: np.ndarray = field(default=None, repr=False)
+    Qc: np.ndarray = field(default=None, repr=False)
     blocks: dict = field(repr=False, default_factory=dict)
     state: GroundState = None
     metric_clipped: bool = False
@@ -157,41 +165,66 @@ class ResponseMatrix:
     def D(self) -> int:
         return self.layout.D
 
+    def lift(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """B v from the reduced coordinates to the x rows, or B^H v back with
+        ``adjoint``; block by block, Q_j on each orbital slot of DOF j and
+        Qc on C_u.  ``v`` is a vector or a matrix."""
+        Qs = self.Q + [self.Qc]
+        if adjoint:
+            Qs = [q.conj().T for q in Qs]
+        cols = v.reshape(len(v), -1)
+        parts, i = [], 0
+        for M, q in zip(self.layout.M_list + (1,), Qs):
+            k = M * q.shape[1]
+            y = q @ cols[i:i + k].reshape(M, q.shape[1], cols.shape[1])
+            parts.append(y.reshape((M * q.shape[0],) + v.shape[1:]))
+            i += k
+        return np.concatenate(parts)
+
     @property
     def L(self) -> np.ndarray:
-        """Dense complex D x D matrix from the halves by the mirror rule,
-        built on each access."""
+        """Dense complex D x D matrix from the lifted halves by the mirror
+        rule, built on each access."""
         x, y = halves_index(self.layout)
+        a = self.lift(self.lift(self.a).conj().T).conj().T
+        b = self.lift(self.lift(self.b).T).T
         L = np.empty((self.D, self.D), dtype=complex)
-        L[np.ix_(x, x)] = self.a
-        L[np.ix_(x, y)] = self.b
-        L[np.ix_(y, x)] = -self.b.conj()
-        L[np.ix_(y, y)] = -self.a.conj()
+        L[np.ix_(x, x)] = a
+        L[np.ix_(x, y)] = b
+        L[np.ix_(y, x)] = -b.conj()
+        L[np.ix_(y, y)] = -a.conj()
         return L
+
+    def _projectors(self):
+        """(grid projectors Q_j Q_j^H of each DOF, Qc Qc^H)."""
+        return [q @ q.conj().T for q in self.Q], self.Qc @ self.Qc.conj().T
 
     def project(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
         """P M^power x for power 0, +1/2 or -1/2, sector by sector: per DOF
         kron(m_j^power, Pg_j) on u and its conjugate on v, Pc on C_u and
-        Pc* on C_v.  ``x`` is a vector or a matrix with D rows."""
+        Pc* on C_v, with Pg_j = Q_j Q_j^H and Pc = Qc Qc^H.  ``x`` is a
+        vector or a matrix with D rows."""
         lay = self.layout
         metric = {0.0: None, 0.5: self.m_half, -0.5: self.m_neghalf}[power]
+        Pg, Pc = self._projectors()
         out = np.empty(x.shape, dtype=complex)
         for j, (M, n) in enumerate(zip(lay.M_list, lay.n_list)):
             for blk, conj in ((lay.u_block(j), False), (lay.v_block(j), True)):
-                g = self.Pg[j].conj() if conj else self.Pg[j]
+                g = Pg[j].conj() if conj else Pg[j]
                 y = g @ x[blk].reshape(M, n, -1)
                 if metric is not None:
                     m = metric[j].conj() if conj else metric[j]
                     y = np.tensordot(m, y, axes=1)
                 out[blk] = y.reshape(x[blk].shape)
-        out[lay.cu_slice] = self.Pc @ x[lay.cu_slice]
-        out[lay.cv_slice] = self.Pc.conj() @ x[lay.cv_slice]
+        out[lay.cu_slice] = Pc @ x[lay.cu_slice]
+        out[lay.cv_slice] = Pc.conj() @ x[lay.cv_slice]
         return out
 
     def projector(self) -> np.ndarray:
         """Dense D x D projector P, built on demand."""
-        G = _block_diag(*map(np.kron, map(np.eye, self.layout.M_list), self.Pg))
-        return _block_diag(G, G.conj(), self.Pc, self.Pc.conj())
+        Pg, Pc = self._projectors()
+        G = _block_diag(*map(np.kron, map(np.eye, self.layout.M_list), Pg))
+        return _block_diag(G, G.conj(), Pc, Pc.conj())
 
 
 def _require_converged(state, tol=1e-6):
@@ -314,35 +347,49 @@ def _block_diag(*mats) -> np.ndarray:
 
 
 def _sandwich(left, X, right) -> np.ndarray:
-    """diag(left) X diag(right) for lists of square diagonal blocks."""
-    at = np.cumsum([0] + [len(m) for m in left])
-    Y = np.empty(X.shape, dtype=np.result_type(X, *left, *right))
-    for l, i0, i1 in zip(left, at, at[1:]):
-        for r, j0, j1 in zip(right, at, at[1:]):
-            Y[i0:i1, j0:j1] = l @ X[i0:i1, j0:j1] @ r
+    """diag(left) X diag(right) for lists of rectangular diagonal blocks;
+    the columns of ``left`` (rows of ``right``) partition X."""
+    at = np.cumsum([0] + [m.shape[1] for m in left])
+    r = np.cumsum([0] + [m.shape[0] for m in left])
+    c = np.cumsum([0] + [m.shape[1] for m in right])
+    Y = np.empty((r[-1], c[-1]), dtype=np.result_type(X, *left, *right))
+    for i, l in enumerate(left):
+        for j, rt in enumerate(right):
+            Y[r[i]:r[i + 1], c[j]:c[j + 1]] = \
+                l @ X[at[i]:at[i + 1], at[j]:at[j + 1]] @ rt
     return Y
 
 
-def _projected_halves(blocks: dict, Gs: list, Pc: np.ndarray):
-    """The x rows (a, b) of L = P M^(-1/2) L_raw M^(-1/2) P.
+def _projected_halves(blocks: dict, Fs: list):
+    """The halves (a, b) of L = P M^(-1/2) L_raw M^(-1/2) P on range(P).
 
-    G = P M^(-1/2) is block diagonal: G_j = kron(m_neghalf_j, Pg_j) per DOF
-    on u, its conjugate on v, Pc and Pc* on the coefficient sectors.  With
-    x = (u, C_u), y = (v, C_v): a = G_x L_raw[x, x] G_x and
-    b = G_x L_raw[x, y] G_x*, formed block by block, in real arithmetic
-    when every factor is real.  As L_raw[y, x] = -conj(L_raw[x, y]) and
-    L_raw[y, y] = -conj(L_raw[x, x]), the y rows of L are mirrors of these.
+    G = P M^(-1/2) is block diagonal: kron(m_neghalf_j, Q_j Q_j^H) per DOF
+    on u, its conjugate on v, Qc Qc^H and its conjugate on the coefficient
+    sectors.  With x = (u, C_u), y = (v, C_v) and the isometry B of
+    ``ResponseMatrix``, F = G B has the blocks ``Fs``: kron(m_neghalf_j, Q_j)
+    and Qc.  So a = F^H L_raw[x, x] F and b = F^H L_raw[x, y] F*, formed block
+    by block, in real arithmetic when every factor is real.  As
+    L_raw[y, x] = -conj(L_raw[x, y]) and L_raw[y, y] = -conj(L_raw[x, x]),
+    the y rows of L are mirrors of the x rows.
     """
     names = ("A", "B", "Loc_u", "Loc_v", "Lco_u", "Lco_v", "cc_u")
-    raw = [blocks[k] for k in names] + Gs + [Pc]
+    raw = [blocks[k] for k in names] + Fs
     if not any(np.any(np.imag(m)) for m in raw):
         raw = [np.real(m) for m in raw]
-    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u, *Gx = raw
-    Gy = [g.conj() for g in Gx]
-    a = _sandwich(Gx, np.block([[A, Loc_u], [Lco_u, cc_u]]), Gx)
-    b = _sandwich(Gx, np.block([[B, Loc_v],
-                                [Lco_v, np.zeros(cc_u.shape)]]), Gy)
+    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u, *Fx = raw
+    left = [f.conj().T for f in Fx]
+    a = _sandwich(left, np.block([[A, Loc_u], [Lco_u, cc_u]]), Fx)
+    b = _sandwich(left, np.block([[B, Loc_v],
+                                  [Lco_v, np.zeros(cc_u.shape)]]),
+                  [f.conj() for f in Fx])
     return a, b
+
+
+def _complement(vectors) -> np.ndarray:
+    """Orthonormal basis, as columns, of the complement of the span of the
+    orthonormal rows ``vectors``; real when they are."""
+    q = np.linalg.qr(vectors.T, mode="complete")[0][:, len(vectors):]
+    return q if np.any(q.imag) else q.real
 
 
 def _null_vectors(layout, phis, C) -> np.ndarray:
@@ -377,18 +424,18 @@ def _response_matrix(state, blocks: dict, phis, rho1s,
                             tuple(p.shape[1] for p in phis), len(C))
     if floor is None:
         floor = 1e-10 * max(np.trace(r).real for r in rho1s)
-    Pg, half, neghalf, clipped = [], [], [], False
+    Q, half, neghalf, clipped = [], [], [], False
     for phi, rho in zip(phis, rho1s):
-        Pg.append(np.eye(phi.shape[1], dtype=complex) - phi.T @ phi.conj())
+        Q.append(_complement(phi))
         h, c1 = regularized_power(rho, +0.5, floor)
         nh, c2 = regularized_power(rho, -0.5, floor)
         half.append(h)
         neghalf.append(nh)
         clipped = clipped or c1 or c2
-    Pc = np.eye(layout.n_conf, dtype=complex) - np.outer(C, C.conj())
-    a, b = _projected_halves(blocks, list(map(np.kron, neghalf, Pg)), Pc)
-    return ResponseMatrix(layout=layout, a=a, b=b, Pg=Pg, m_half=half,
-                          m_neghalf=neghalf, Pc=Pc, blocks=blocks, state=state,
+    Qc = _complement(C[None, :])
+    a, b = _projected_halves(blocks, list(map(np.kron, neghalf, Q)) + [Qc])
+    return ResponseMatrix(layout=layout, a=a, b=b, Q=Q, m_half=half,
+                          m_neghalf=neghalf, Qc=Qc, blocks=blocks, state=state,
                           metric_clipped=clipped, floor=floor,
                           null_vectors=_null_vectors(layout, phis, C))
 
@@ -401,9 +448,9 @@ def assemble_L(state: GroundState, floor: float | None = None) -> ResponseMatrix
     """
     A, B = build_oo_block(state)
     Loc_u, Loc_v, Lco_u, Lco_v = build_oc_co_blocks(state)
-    cc_u, cc_v = build_cc_block(state)
+    cc_u, _ = build_cc_block(state)
     blocks = {"A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
-              "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u, "cc_v": cc_v}
+              "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u}
     return _response_matrix(state, blocks, [state.orbitals.scaled],
                             [_hermitized(state.rho.rho1)], floor)
 

@@ -27,8 +27,6 @@ from .grid import Grid, OneBodyOperator, TwoBodyKernel, discretize_kernel
 
 __all__ = [
     "symmetrized_basis",
-    "first_quantized_one_body",
-    "first_quantized_two_body",
     "EigenSystem",
     "exact_diag_grid",
     "se_linear_response",
@@ -183,49 +181,6 @@ def exact_diag_grid(N: int, statistics: str, grid: Grid, h_op: OneBodyOperator,
     return EigenSystem(energies=energies, vectors=vectors, labels=labels, S=S,
                        grid=grid, N=N, statistics=statistics,
                        n_states=min(n_states, len(energies)))
-
-
-def first_quantized_one_body(n_modes: int, N: int, statistics: str, k: int,
-                             q: int, basis=None) -> np.ndarray:
-    """Dense matrix of sum_alpha |k><q|_alpha in the symmetrized basis."""
-    labels, S = basis if basis is not None else symmetrized_basis(
-        n_modes, N, statistics)
-    E = np.zeros((n_modes, n_modes))
-    E[k, q] = 1.0
-
-    def apply_product(cols):
-        T = cols.reshape((n_modes,) * N + (-1,))
-        out = _product_apply_h(T, E, n_modes, N)
-        return out.reshape(n_modes**N, -1)
-
-    return _basis_operator(S, apply_product, n_modes**N)
-
-
-def first_quantized_two_body(n_modes: int, N: int, statistics: str, k: int,
-                             s: int, l: int, q: int, basis=None) -> np.ndarray:
-    """Dense matrix of sum_{alpha != beta} |k><q|_alpha |s><l|_beta.
-
-    This is the first-quantized form of c_k^dag c_s^dag c_l c_q.
-    """
-    labels, S = basis if basis is not None else symmetrized_basis(
-        n_modes, N, statistics)
-    Ekq = np.zeros((n_modes, n_modes))
-    Ekq[k, q] = 1.0
-    Esl = np.zeros((n_modes, n_modes))
-    Esl[s, l] = 1.0
-
-    def apply_product(cols):
-        T = cols.reshape((n_modes,) * N + (-1,))
-        out = np.zeros_like(T)
-        for a in range(N):
-            for b in range(N):
-                if a == b:
-                    continue
-                out += _apply_one_body(_apply_one_body(T, Esl, b, n_modes, N),
-                                       Ekq, a, n_modes, N)
-        return out.reshape(n_modes**N, -1)
-
-    return _basis_operator(S, apply_product, n_modes**N)
 
 
 # ---------------------------------------------------------------------------

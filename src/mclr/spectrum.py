@@ -9,9 +9,9 @@ organize its spectrum:
   eigenvector, so left vectors cost no second eigensolve.
 
 Sigma1 is applied as an index swap and Sigma3 as a sign vector.  L is
-kept as its RPA halves a = L[x, x] and b = L[x, y] (see ``ResponseMatrix``);
-the checks and the half-size solve below work on them, and the dense L is
-built only for the dense fallback.
+kept as its RPA halves on range(P) (see ``ResponseMatrix``); the checks
+and the half-size solve below work on them, and the dense L is built only
+for the dense fallback.
 
 Retained modes are the positive-branch eigenvalues above the zero-mode
 threshold.  Each is normalized against the Sigma3 pseudo-metric; the sign
@@ -19,20 +19,22 @@ of the pseudo-norm ("sng") fixes the left-vector normalization.
 
 Half-size reduction.  With x = (u, C_u) and y = (v, C_v), L has the RPA
 form [[A, B], [-B*, -A*]] with A = L[x, x] Hermitian and B = L[x, y]
-symmetric, the halves ``rm.a`` and ``rm.b``.  When L is real, A and B are
-restricted to an orthonormal basis of range(P) on x (its complement is
-spanned by the analytic null vectors), giving real symmetric a and b.  With
-the Cholesky factor a - b = K K^T, the symmetric problem
+symmetric.  The assembly keeps them restricted to range(P) on x, whose
+complement is spanned by the analytic null vectors: A = B_P a B_P^H and
+B = B_P b B_P^T with the isometry B_P of ``ResponseMatrix.lift`` and the
+halves ``rm.a`` and ``rm.b``, real symmetric when L is real.  With the
+Cholesky factor a - b = K K^T, the symmetric problem
 K^T (a + b) K z = w^2 z of half the size yields X + Y = K z / sqrt(w) and
 X - Y = (a + b)(X + Y) / w, so (X + Y).(X - Y) = z.z = 1: real
 Sigma3-normalized right vectors, sng = +1, partners at exactly -w,
 biorthogonal even inside degenerate clusters (Stratmann, Scuseria & Frisch,
-J. Chem. Phys. 109, 8218 (1998)).  The directions outside range(P)
-are reported as exact zero eigenvalues, so the spectrum keeps all D entries.
+J. Chem. Phys. 109, 8218 (1998)).  The vectors are lifted by B_P, and the
+directions outside range(P) are reported as exact zero eigenvalues, so
+the spectrum keeps all D entries.
 
 The reduction is used when L is real, its Sigma1/Sigma3 defects are below
 1e-9 max|L|, a - b and a + b are positive definite and every w lies above
-tol_zero.  Otherwise (complex ground states, unstable states, singular
+tol_zero.  Otherwise (complex halves or lift, unstable states, singular
 metrics with extra null directions) a dense eigensolve of L runs instead;
 there degenerate clusters are rotated to make the pseudo-metric diagonal
 inside the cluster, which keeps biorthogonality exact under degeneracy.
@@ -98,8 +100,11 @@ def symmetry_defects(rm: ResponseMatrix) -> tuple:
     """(max |Sigma1 L Sigma1 + conj(L)|, max |Sigma3 L Sigma3 - adjoint(L)|).
 
     Computed on the halves: the y rows of L are mirrors of its x rows, so
-    the Sigma1 defect is exactly 0 by construction and the Sigma3 defect
-    equals max(|a - adjoint(a)|, |b - transpose(b)|) exactly.
+    the Sigma1 defect is exactly 0 by construction.  The Sigma3 defect is
+    taken on range(P), in the reduced coordinates of the halves:
+    max(|a - adjoint(a)|, |b - transpose(b)|) is that of
+    Sigma3 L Sigma3 - adjoint(L) pulled back by the lift, and equals it
+    exactly when the lift embeds coordinates.
     """
     a, b = rm.a, rm.b
     return 0.0, float(max(np.abs(a - a.conj().T).max(),
@@ -139,22 +144,13 @@ def eigensolve(rm: ResponseMatrix, tol_zero: float | None = None,
 def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     """Half-size symmetric solve; raises _NoReduction where it does not apply."""
     a, b = _real(rm.a), _real(rm.b)
-    if a is None or b is None:
+    if a is None or b is None or any(map(np.iscomplexobj, rm.Q + [rm.Qc])):
         raise _NoReduction("complex L")
-    # the y rows of L mirror the x rows, so max|L| = max(|a|, |b|)
+    # the y rows of L mirror the x rows: the reduced halves set its scale
     if max(defects) > SYMMETRY_TOL * max(np.abs(a).max(), np.abs(b).max()):
         raise _NoReduction("symmetry defect above 1e-9 max|L|")
     D, signs, perm = rm.D, sigma3(rm.layout), sigma1(rm.layout)
     x, y = halves_index(rm.layout)
-    # orthonormal basis of range(P) on x: the complement of the x halves
-    # of the analytic null vectors, which span ker P there
-    k = rm.null_vectors.shape[1] // 2
-    Zx = rm.null_vectors[x, :k]
-    if np.any(Zx.imag):
-        raise _NoReduction("complex ground state")
-    basis = np.linalg.qr(Zx.real, mode="complete")[0][:, k:]
-    a = basis.T @ a @ basis
-    b = basis.T @ b @ basis
     try:
         K = sla.cholesky(a - b)
     except sla.LinAlgError:
@@ -177,8 +173,8 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     minus = (ab @ plus) / omega
     n = len(omega)
     R = np.empty((D, n))
-    R[x] = basis @ (0.5 * (plus + minus))
-    R[y] = basis @ (0.5 * (plus - minus))
+    R[x] = rm.lift(0.5 * (plus + minus))
+    R[y] = rm.lift(0.5 * (plus - minus))
     left = signs[:, None] * R
 
     w = np.zeros(D, dtype=complex)
@@ -276,10 +272,12 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
     a, b = rm.a, rm.b
     if not (np.iscomplexobj(a) or np.iscomplexobj(b)) and _real(Z) is not None:
         Z = Z.real
-    # (L Z)[x] = a Z[x] + b Z[y] and (L Z)[y] = -conj(a conj(Z[y]) + b conj(Z[x]))
+    # with zx = B^H Z[x] and zy = B^T Z[y]: (L Z)[x] = B (a zx + b zy) and
+    # (L Z)[y] = -conj(B (a conj(zy) + b conj(zx))); B is an isometry
     x, y = halves_index(rm.layout)
-    Zx, Zy = Z[x], Z[y]
-    LZ = np.vstack([a @ Zx + b @ Zy, a @ Zy.conj() + b @ Zx.conj()])
+    zx = rm.lift(Z[x], adjoint=True)
+    zy = rm.lift(Z[y].conj(), adjoint=True).conj()
+    LZ = np.vstack([a @ zx + b @ zy, a @ zy.conj() + b @ zx.conj()])
     Lnorm = max(np.abs(a).max(), np.abs(b).max(), 1.0)
     resid = np.linalg.norm(LZ, axis=0) / (np.linalg.norm(Z, axis=0) * Lnorm)
     report = {

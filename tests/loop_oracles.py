@@ -9,9 +9,10 @@ scatter (one table per ladder key, built configuration by configuration,
 applied with ``np.add.at``) is the reference for the compiled operator
 table.  A few direct-definition helpers that
 only tests use (exchange kernels, the single-entry density action, the
-coefficient-orbital rows summed directly) live here as well, and so does
-the dense forms of the structural operator P M^p and of the projected,
-metric-transformed response matrix.
+coefficient-orbital rows summed directly, the first-quantized one- and
+two-body operators, the Lagrange multipliers recomputed from a state) live
+here as well, and so do the dense forms of the structural operator P M^p
+and of the projected, metric-transformed response matrix.
 """
 
 import numpy as np
@@ -21,6 +22,8 @@ from mclr import groundstate as gs
 from mclr import hamiltonian as ham
 from mclr import linres_identical as li
 from mclr.hamiltonian import AllBodyTable, PairCoupling
+from mclr.oracle import (_apply_one_body, _basis_operator, _product_apply_h,
+                         symmetrized_basis)
 
 
 # --- identical particles: per-key scatter -----------------------------------
@@ -389,7 +392,8 @@ def loc_blocks(state):
 
 
 def dense_raw(layout, blocks):
-    """The unprojected D x D response matrix L_raw, filled block by block."""
+    """The unprojected D x D response matrix L_raw, filled block by block;
+    the C_v diagonal block is the mirror -conj(cc_u) of the C_u one."""
     D, orb = layout.D, layout.orb
     raw = np.zeros((D, D), dtype=complex)
     u, v = slice(0, orb), slice(orb, 2 * orb)
@@ -407,7 +411,7 @@ def dense_raw(layout, blocks):
     raw[cv, u] = -blocks["Lco_v"].conj()
     raw[cv, v] = -blocks["Lco_u"].conj()
     raw[cu, cu] = blocks["cc_u"]
-    raw[cv, cv] = blocks["cc_v"]
+    raw[cv, cv] = -blocks["cc_u"].conj()
     return raw
 
 
@@ -443,3 +447,58 @@ def dense_L(rm):
     """P M^(-1/2) L_raw M^(-1/2) P with every factor a dense D x D matrix."""
     G = dense_PM(rm, -0.5)
     return G @ dense_raw(rm.layout, rm.blocks) @ G
+
+
+# --- first-quantized operators and Lagrange multipliers -----------------------
+
+
+def first_quantized_one_body(n_modes: int, N: int, statistics: str, k: int,
+                             q: int, basis=None) -> np.ndarray:
+    """Dense matrix of sum_alpha |k><q|_alpha in the symmetrized basis."""
+    labels, S = basis if basis is not None else symmetrized_basis(
+        n_modes, N, statistics)
+    E = np.zeros((n_modes, n_modes))
+    E[k, q] = 1.0
+
+    def apply_product(cols):
+        T = cols.reshape((n_modes,) * N + (-1,))
+        out = _product_apply_h(T, E, n_modes, N)
+        return out.reshape(n_modes**N, -1)
+
+    return _basis_operator(S, apply_product, n_modes**N)
+
+
+def first_quantized_two_body(n_modes: int, N: int, statistics: str, k: int,
+                             s: int, l: int, q: int, basis=None) -> np.ndarray:
+    """Dense matrix of sum_{alpha != beta} |k><q|_alpha |s><l|_beta.
+
+    This is the first-quantized form of c_k^dag c_s^dag c_l c_q.
+    """
+    labels, S = basis if basis is not None else symmetrized_basis(
+        n_modes, N, statistics)
+    Ekq = np.zeros((n_modes, n_modes))
+    Ekq[k, q] = 1.0
+    Esl = np.zeros((n_modes, n_modes))
+    Esl[s, l] = 1.0
+
+    def apply_product(cols):
+        T = cols.reshape((n_modes,) * N + (-1,))
+        out = np.zeros_like(T)
+        for a in range(N):
+            for b in range(N):
+                if a == b:
+                    continue
+                out += _apply_one_body(_apply_one_body(T, Esl, b, n_modes, N),
+                                       Ekq, a, n_modes, N)
+        return out.reshape(n_modes**N, -1)
+
+    return _basis_operator(S, apply_product, n_modes**N)
+
+
+def lagrange_multipliers(state):
+    """Recompute mu from the state; hermiticity defect goes to residuals."""
+    g = gs.orbital_eom_rhs(state.grid, state.orbitals, state.h_op,
+                           state.kernel_matrix, state.rho, project=False)
+    mu = gs._mu_matrix(state.grid, state.orbitals, g)
+    state.residuals["mu_defect"] = float(np.abs(mu - mu.conj().T).max())
+    return mu

@@ -20,6 +20,7 @@ from mclr import linres_identical as li
 from mclr import oracle as orc
 from mclr import spectrum as spm
 
+import loop_oracles as lo
 from conftest import oscillator_h
 
 
@@ -279,7 +280,7 @@ def test_criterion_11_fockspace_brute_force():
 
                 for k in range(M):
                     for q in range(M):
-                        ref = perm @ orc.first_quantized_one_body(
+                        ref = perm @ lo.first_quantized_one_body(
                             M, N, stats, k, q, basis=basis) @ perm.T
                         mine = dense_of(lambda e, k=k, q=q:
                                         fs.apply_rho_kq(sp, e, k, q))
@@ -292,7 +293,7 @@ def test_criterion_11_fockspace_brute_force():
                     idx = rng.choice(len(quads), size=32, replace=False)
                     quads = [quads[i] for i in idx]
                 for k, s, l, q in quads:
-                    ref = perm @ orc.first_quantized_two_body(
+                    ref = perm @ lo.first_quantized_two_body(
                         M, N, stats, k, s, l, q, basis=basis) @ perm.T
                     mine = dense_of(lambda e, a=(k, s, l, q):
                                     fs.apply_rho_kslq(sp, e, *a))

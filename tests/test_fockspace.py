@@ -66,7 +66,7 @@ def test_fermion_hop_sign():
     C[sp.rank((1, 1, 0))] = 1.0
     out = fs.apply_rho_kq(sp, C, 2, 0)
     val = out[sp.rank((0, 1, 1))]
-    ref = orc.first_quantized_one_body(3, 2, "fermion", 2, 0)
+    ref = lo.first_quantized_one_body(3, 2, "fermion", 2, 0)
     labels, _ = orc.symmetrized_basis(3, 2, "fermion")
     i_src = labels.index((0, 1))
     i_dst = labels.index((1, 2))
@@ -192,11 +192,11 @@ def test_second_quantized_matches_first_quantized():
     ref = np.zeros((sp.size, sp.size), complex)
     for k in range(M):
         for q in range(M):
-            ref += h[k, q] * (P @ orc.first_quantized_one_body(M, N, "boson", k, q) @ P.T)
+            ref += h[k, q] * (P @ lo.first_quantized_one_body(M, N, "boson", k, q) @ P.T)
             for s in range(M):
                 for l in range(M):
                     ref += 0.5 * W[k, s, q, l] * (
-                        P @ orc.first_quantized_two_body(M, N, "boson", k, s, l, q) @ P.T)
+                        P @ lo.first_quantized_two_body(M, N, "boson", k, s, l, q) @ P.T)
 
     mine = np.zeros_like(ref)
     for col in range(sp.size):

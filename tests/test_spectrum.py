@@ -375,25 +375,74 @@ def test_reduced_solve_matches_dense(fixture, request):
         assert np.abs(np.abs(a[lone]) - np.abs(b[lone])).max() < 1e-8
 
 
+@pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m2", "dist_44"])
+def test_halves_are_assembled_on_range_of_P(fixture, request):
+    # the halves live on the complement of the analytic null vectors on x,
+    # and the lift B is an isometry onto range(P) there
+    rm = _assembled(request.getfixturevalue(fixture))
+    lay = rm.layout
+    n = sum(M * (k - M) for M, k in zip(lay.M_list, lay.n_list)) \
+        + lay.n_conf - 1
+    assert rm.a.shape == rm.b.shape == (n, n)
+    assert lay.D - 2 * n == spm.expected_zero_modes(lay.M_list)
+    assert np.abs(rm.lift(rm.lift(np.eye(n)), adjoint=True)
+                  - np.eye(n)).max() < 1e-13
+    x, _ = li.halves_index(lay)
+    BBh = rm.lift(rm.lift(np.eye(lay.D // 2), adjoint=True))
+    assert np.abs(BBh - rm.projector()[np.ix_(x, x)]).max() < 1e-13
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2_48", "dist_44"])
+def test_reduced_solve_builds_no_basis(fixture, request, monkeypatch):
+    rm = _assembled(request.getfixturevalue(fixture))
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("a basis was built at solve time")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    assert spm.eigensolve(rm).eigensolver == "rpa"
+
+
 @pytest.mark.parametrize("layout", [li.ResponseLayout((2,), (5,), 3),
                                     li.ResponseLayout((2, 1), (4, 3), 2)])
 def test_symmetry_defects_match_dense_operators(layout):
-    # random halves without the Hermitian / symmetric structure: the
-    # half-form defects equal the dense S1/S3 products on the built L
+    # random reduced halves without the Hermitian / symmetric structure: the
+    # half-form defects are the dense S3 defect of the lifted L pulled back
+    # to range(P) on x; on an embedding basis (columns of the identity)
+    # they equal the dense S1/S3 products on the built L exactly
     rng = np.random.default_rng(7)
-    n = layout.D // 2
-    a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for _ in range(2))
+
+    def crandn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    sizes = [(M, n) for M, n in zip(layout.M_list, layout.n_list)]
+    sizes.append((1, layout.n_conf))
+    k = sum(M * (n - M) for M, n in sizes)
+    a, b = crandn(k, k), crandn(k, k)
     S1 = np.eye(layout.D)[li.sigma1(layout)]
     S3 = np.diag(li.sigma3(layout))
+    x, y = li.halves_index(layout)
+    embedding = [np.eye(n)[:, M:] for M, n in sizes]
+    rotated = [np.linalg.qr(crandn(n, n))[0][:, M:] for M, n in sizes]
     # complex halves, and real ones (real-arithmetic path)
-    for a, b in ((a, b), (a.real, b.real)):
-        rm = li.ResponseMatrix(layout=layout, a=a, b=b)
+    for a, b, bases in ((a, b, rotated), (a.real, b.real, embedding),
+                        (a, b, embedding)):
+        rm = li.ResponseMatrix(layout=layout, a=a, b=b, Q=bases[:-1],
+                               Qc=bases[-1])
         L = rm.L
-        dense = (float(np.abs(S1 @ L @ S1 + L.conj()).max()),
-                 float(np.abs(S3 @ L @ S3 - L.conj().T).max()))
-        assert dense[0] == 0.0 and dense[1] > 0.1
-        assert spm.symmetry_defects(rm) == dense
+        d1, d3 = S1 @ L @ S1 + L.conj(), S3 @ L @ S3 - L.conj().T
+        assert np.abs(d1).max() == 0.0 and np.abs(d3).max() > 0.1
+        # B^H d3[x, x] B and B^H d3[x, y] conj(B)
+        xx = rm.lift(rm.lift(d3[np.ix_(x, x)], adjoint=True).conj().T,
+                     adjoint=True).conj().T
+        xy = rm.lift(rm.lift(d3[np.ix_(x, y)], adjoint=True).T,
+                     adjoint=True).T
+        pulled = max(np.abs(xx).max(), np.abs(xy).max())
+        got = spm.symmetry_defects(rm)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(pulled, rel=1e-12)
+        if bases is embedding:
+            assert got == (0.0, float(np.abs(d3).max()))
 
 
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_m3", "dist_44"])
@@ -408,8 +457,9 @@ def test_cholesky_vectors_are_sigma3_normalized(fixture, request):
 
 
 def test_indefinite_a_minus_b_falls_back_to_dense(bos_m2_48):
-    # a - c I is L - c Sigma3: it keeps both pairing symmetries and shifts
-    # A - B by -c; a c inside the spectrum of A - B leaves it indefinite
+    # a - c I on range(P) is L - c Sigma3 P: it keeps both pairing
+    # symmetries and shifts the reduced A - B by -c; a c inside its
+    # spectrum leaves it indefinite
     rm = li.assemble_L(bos_m2_48)
     lam = np.linalg.eigvalsh(rm.a - rm.b)
     shifted = dataclasses.replace(rm, a=rm.a - np.median(lam) * np.eye(len(rm.a)))
