@@ -172,28 +172,40 @@ def _mu_matrix(grid, orbs, g_unprojected):
     return grid.weight * (g_unprojected @ orbs.orbitals.conj().T)
 
 
-def _lowest_eigenpair(space, orbs, h_op, kernel_matrix, opts, v0=None):
-    """(energy, C, H): H is the dense configuration Hamiltonian up to
-    ``ci_dense_cutoff`` states and a sparse CSR matrix for Lanczos above."""
-    if space.size <= opts.ci_dense_cutoff:
-        H = ham.hamiltonian_matrix(space, orbs, h_op, kernel_matrix)
+def _ci_eigenpair(H, v0=None):
+    """(energy, C, H) of the lowest eigenpair of the configuration matrix H,
+    dense (``eigh``) or scipy sparse (Lanczos from ``v0``).  An H without
+    imaginary part is solved, and returned, real, so C is exactly real."""
+    dense = isinstance(H, np.ndarray)
+    if not np.any((H if dense else H.data).imag):
+        H = H.real
+        v0 = None if v0 is None else v0.real
+    if dense:
         vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     else:
-        from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import eigsh
-        h = ham.one_body_elements(orbs, h_op)
-        W = None
-        if kernel_matrix is not None and np.any(kernel_matrix):
-            W = ham.two_body_tensor(orbs, kernel_matrix)
-        dst, src, w = fs._second_quantized_entries(space, h, W)
-        # repeated (dst, src) entries are summed once here, not per matvec
-        H = csr_matrix((w, (dst, src)), shape=(space.size,) * 2)
         vals, vecs = eigsh(H, k=1, which="SA", v0=v0)
-    eps, C = vals[0], vecs[:, 0]
-    # deterministic global phase: largest component real and positive
-    pivot = np.argmax(np.abs(C))
-    C = C * np.exp(-1j * np.angle(C[pivot]))
-    return float(eps), C, H
+    C = vecs[:, 0]
+    big = C[np.argmax(np.abs(C))]
+    # largest component positive; exactly +-1 for real C, unlike exp(-1j pi)
+    return float(vals[0]), (C * (abs(big) / big)).astype(complex), H
+
+
+def _lowest_eigenpair(space, orbs, h_op, kernel_matrix, opts, v0=None):
+    """``_ci_eigenpair`` of the dense configuration Hamiltonian up to
+    ``ci_dense_cutoff`` states and of a sparse CSR matrix above."""
+    if space.size <= opts.ci_dense_cutoff:
+        return _ci_eigenpair(
+            ham.hamiltonian_matrix(space, orbs, h_op, kernel_matrix))
+    from scipy.sparse import csr_matrix
+    h = ham.one_body_elements(orbs, h_op)
+    W = None
+    if kernel_matrix is not None and np.any(kernel_matrix):
+        W = ham.two_body_tensor(orbs, kernel_matrix)
+    dst, src, w = fs._second_quantized_entries(space, h, W)
+    # repeated (dst, src) entries are summed once here, not per matvec
+    return _ci_eigenpair(csr_matrix((w, (dst, src)), shape=(space.size,) * 2),
+                         v0)
 
 
 def _kinetic_preconditioners(h_eigs, tau):
@@ -455,12 +467,7 @@ def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
                        grids[j]) for j, (_, vecs) in enumerate(h_eigs)]
 
     def ci(cur_sets, C):
-        H = _dist_hamiltonian(space, cur_sets, h_ops, coupling)
-        vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-        c = vecs[:, 0]
-        pivot = np.argmax(np.abs(c))
-        c = c * np.exp(-1j * np.angle(c[pivot]))
-        return float(vals[0]), c, H
+        return _ci_eigenpair(_dist_hamiltonian(space, cur_sets, h_ops, coupling))
 
     def densities(C):
         rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]

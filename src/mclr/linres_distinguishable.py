@@ -26,7 +26,7 @@ from . import fockspace as fs
 from . import hamiltonian as ham
 from .groundstate import DistGroundState
 from .hamiltonian import PairCoupling
-from .linres_identical import (ResponseLayout, ResponseMatrix,
+from .linres_identical import (ResponseLayout, ResponseMatrix, _cc_block,
                               _require_converged, _response_matrix)
 
 __all__ = [
@@ -117,10 +117,11 @@ def build_oo_dist(state: DistGroundState):
 
 
 def build_oc_co_cc_dist(state: DistGroundState):
-    """(Loc_u, Loc_v, Lco_u, Lco_v, cc_u, cc_v) in the stacked layout.
+    """(Loc_u, Loc_v, Lco_u, Lco_v, cc_u) in the stacked layout.
 
     The coefficient-orbital rows are the adjoint / transpose partners of
-    the orbital-coefficient columns, which is how they are built.
+    the orbital-coefficient columns, which is how they are built; cc_u is
+    H - eps, whose C_v mirror eps - conj(H) is not formed.
     """
     _require_converged(state)
     layout = _layout(state)
@@ -159,11 +160,7 @@ def build_oc_co_cc_dist(state: DistGroundState):
 
     from .groundstate import _dist_hamiltonian
     H = _dist_hamiltonian(space, state.sets, state.h_ops, state.coupling)
-    H = 0.5 * (H + H.conj().T)
-    eps = float(np.real(np.vdot(C, H @ C)))
-    eye = np.eye(space.size)
-    return (Loc_u, Loc_v, Loc_u.conj().T, Loc_v.T,
-            H - eps * eye, eps * eye - H.conj())
+    return Loc_u, Loc_v, Loc_u.conj().T, Loc_v.T, _cc_block(H, C)
 
 
 def assemble_L_dist(state: DistGroundState,
@@ -173,10 +170,7 @@ def assemble_L_dist(state: DistGroundState,
     ``floor`` lifts the eigenvalues of each one-body density before its
     inverse square root is taken; the default is 1e-10 tr rho = 1e-10.
     """
-    A, B = build_oo_dist(state)
-    Loc_u, Loc_v, Lco_u, Lco_v, cc_u, _ = build_oc_co_cc_dist(state)
-    blocks = {"A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
-              "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u}
+    blocks = (*build_oo_dist(state), *build_oc_co_cc_dist(state))
     rho1s = [0.5 * (r + r.conj().T) for r in state.rho1]
     return _response_matrix(state, blocks, [s.scaled for s in state.sets],
                             rho1s, floor)

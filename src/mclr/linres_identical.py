@@ -28,8 +28,15 @@ each DOF (one QR of phi_j^T) and one Q_c of the complement of C make the
 isometry B = kron(1, Q_j) (+) Q_c onto range(P) on x = (u, C_u); the halves
 are a = B^H L[x, x] B and b = B^H L[x, y] B*, with y = (v, C_v), of size
 sum_j M_j (n_j - M_j) + N_conf - 1.  They are formed directly with the
-rectangular factors P M^(-1/2) B = kron(m_j^(-1/2), Q_j) (+) Q_c, real when
-every factor is real; the dense D x D matrix is built only on demand.
+rectangular factors P M^(-1/2) B = kron(m_j^(-1/2), Q_j) (+) Q_c; the dense
+D x D matrix is built only on demand.
+
+Real arithmetic is decided once, in ``_response_matrix``: when no raw
+block, orbital, one-body density or coefficient has an imaginary part,
+their real parts are taken, and Q_j, Q_c, the halves and the null vectors
+are real arrays.  The ground state of a real problem is exactly real
+(``groundstate._ci_eigenpair``), so the decision looks at the problem and
+not at rounding noise; the spectrum reads it from the dtype of the halves.
 """
 
 from __future__ import annotations
@@ -155,7 +162,6 @@ class ResponseMatrix:
     m_half: list = field(repr=False, default_factory=list)
     m_neghalf: list = field(repr=False, default_factory=list)
     Qc: np.ndarray = field(default=None, repr=False)
-    blocks: dict = field(repr=False, default_factory=dict)
     state: GroundState = None
     metric_clipped: bool = False
     floor: float = 0.0                  # eigenvalue floor of the metric
@@ -322,19 +328,21 @@ def build_oc_co_blocks(state: GroundState):
 
 
 def build_cc_block(state: GroundState):
-    """Coefficient-coefficient diagonal blocks (H - eps, eps - conj(H)).
+    """Coefficient-coefficient block H - eps of the C_u rows.
 
-    The lower block realizes the starred Hamiltonian: matrix elements
-    conjugated, density operators untouched, which in the configuration
-    basis is the elementwise conjugate of H.
+    The C_v block is its mirror eps - conj(H), the starred Hamiltonian:
+    matrix elements conjugated, density operators untouched.
     """
     _require_converged(state)
-    H = ham.hamiltonian_matrix(state.space, state.orbitals, state.h_op,
-                               state.kernel_matrix)
+    return _cc_block(ham.hamiltonian_matrix(
+        state.space, state.orbitals, state.h_op, state.kernel_matrix), state.C)
+
+
+def _cc_block(H, C):
+    """H - eps with H hermitized and eps = <C|H|C>."""
     H = _hermitized(H)
-    eps = float(np.real(np.vdot(state.C, H @ state.C)))
-    eye = np.eye(state.space.size)
-    return H - eps * eye, eps * eye - H.conj()
+    eps = float(np.real(np.vdot(C, H @ C)))
+    return H - eps * np.eye(len(H))
 
 
 def _block_diag(*mats) -> np.ndarray:
@@ -360,7 +368,7 @@ def _sandwich(left, X, right) -> np.ndarray:
     return Y
 
 
-def _projected_halves(blocks: dict, Fs: list):
+def _projected_halves(blocks, Fs: list):
     """The halves (a, b) of L = P M^(-1/2) L_raw M^(-1/2) P on range(P).
 
     G = P M^(-1/2) is block diagonal: kron(m_neghalf_j, Q_j Q_j^H) per DOF
@@ -368,28 +376,23 @@ def _projected_halves(blocks: dict, Fs: list):
     sectors.  With x = (u, C_u), y = (v, C_v) and the isometry B of
     ``ResponseMatrix``, F = G B has the blocks ``Fs``: kron(m_neghalf_j, Q_j)
     and Qc.  So a = F^H L_raw[x, x] F and b = F^H L_raw[x, y] F*, formed block
-    by block, in real arithmetic when every factor is real.  As
+    by block, in the dtype of the raw blocks and the factors.  As
     L_raw[y, x] = -conj(L_raw[x, y]) and L_raw[y, y] = -conj(L_raw[x, x]),
     the y rows of L are mirrors of the x rows.
     """
-    names = ("A", "B", "Loc_u", "Loc_v", "Lco_u", "Lco_v", "cc_u")
-    raw = [blocks[k] for k in names] + Fs
-    if not any(np.any(np.imag(m)) for m in raw):
-        raw = [np.real(m) for m in raw]
-    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u, *Fx = raw
-    left = [f.conj().T for f in Fx]
-    a = _sandwich(left, np.block([[A, Loc_u], [Lco_u, cc_u]]), Fx)
+    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
+    left = [f.conj().T for f in Fs]
+    a = _sandwich(left, np.block([[A, Loc_u], [Lco_u, cc_u]]), Fs)
     b = _sandwich(left, np.block([[B, Loc_v],
                                   [Lco_v, np.zeros(cc_u.shape)]]),
-                  [f.conj() for f in Fx])
+                  [f.conj() for f in Fs])
     return a, b
 
 
 def _complement(vectors) -> np.ndarray:
     """Orthonormal basis, as columns, of the complement of the span of the
-    orthonormal rows ``vectors``; real when they are."""
-    q = np.linalg.qr(vectors.T, mode="complete")[0][:, len(vectors):]
-    return q if np.any(q.imag) else q.real
+    orthonormal rows ``vectors``, in their dtype."""
+    return np.linalg.qr(vectors.T, mode="complete")[0][:, len(vectors):]
 
 
 def _null_vectors(layout, phis, C) -> np.ndarray:
@@ -400,26 +403,31 @@ def _null_vectors(layout, phis, C) -> np.ndarray:
     for j, phi in enumerate(phis):
         for a in range(len(phi)):
             for b in range(len(phi)):
-                z = np.zeros(layout.D, dtype=complex)
+                z = np.zeros(layout.D, dtype=C.dtype)
                 z[layout.u_slice(j, a)] = phi[b]
                 cols.append(z)
-    z = np.zeros(layout.D, dtype=complex)
+    z = np.zeros(layout.D, dtype=C.dtype)
     z[layout.cu_slice] = C
     cols.append(z)
     Z = np.column_stack(cols)
     return np.hstack([Z, Z.conj()[sigma1(layout)]])
 
 
-def _response_matrix(state, blocks: dict, phis, rho1s,
+def _response_matrix(state, blocks, phis, rho1s,
                      floor: float | None) -> ResponseMatrix:
-    """Projector, metric powers and L from the raw blocks, for one DOF per
-    entry of ``phis`` (scaled orbitals) and ``rho1s`` (hermitized one-body
-    densities); identical particles are the one-DOF case.
+    """Projector, metric powers and L from the raw ``blocks`` (A, B, Loc_u,
+    Loc_v, Lco_u, Lco_v, cc_u), for one DOF per entry of ``phis`` (scaled
+    orbitals) and ``rho1s`` (hermitized one-body densities); identical
+    particles are the one-DOF case.
 
     The default metric floor is 1e-10 tr rho: 1e-10 N for identical
     particles, 1e-10 for distinguishable DOFs (unit-trace densities).
     """
     C = state.C
+    # the one realness decision of the response layer (module docstring)
+    if not any(np.any(np.imag(m)) for m in [*blocks, *phis, *rho1s, C]):
+        blocks = [m.real for m in blocks]
+        phis, rho1s, C = [p.real for p in phis], [r.real for r in rho1s], C.real
     layout = ResponseLayout(tuple(len(p) for p in phis),
                             tuple(p.shape[1] for p in phis), len(C))
     if floor is None:
@@ -435,7 +443,7 @@ def _response_matrix(state, blocks: dict, phis, rho1s,
     Qc = _complement(C[None, :])
     a, b = _projected_halves(blocks, list(map(np.kron, neghalf, Q)) + [Qc])
     return ResponseMatrix(layout=layout, a=a, b=b, Q=Q, m_half=half,
-                          m_neghalf=neghalf, Qc=Qc, blocks=blocks, state=state,
+                          m_neghalf=neghalf, Qc=Qc, state=state,
                           metric_clipped=clipped, floor=floor,
                           null_vectors=_null_vectors(layout, phis, C))
 
@@ -446,11 +454,8 @@ def assemble_L(state: GroundState, floor: float | None = None) -> ResponseMatrix
     ``floor`` lifts the eigenvalues of the one-body density before its
     inverse square root is taken; the default is 1e-10 tr rho = 1e-10 N.
     """
-    A, B = build_oo_block(state)
-    Loc_u, Loc_v, Lco_u, Lco_v = build_oc_co_blocks(state)
-    cc_u, _ = build_cc_block(state)
-    blocks = {"A": A, "B": B, "Loc_u": Loc_u, "Loc_v": Loc_v,
-              "Lco_u": Lco_u, "Lco_v": Lco_v, "cc_u": cc_u}
+    blocks = (*build_oo_block(state), *build_oc_co_blocks(state),
+              build_cc_block(state))
     return _response_matrix(state, blocks, [state.orbitals.scaled],
                             [_hermitized(state.rho.rho1)], floor)
 

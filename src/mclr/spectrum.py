@@ -32,12 +32,14 @@ J. Chem. Phys. 109, 8218 (1998)).  The vectors are lifted by B_P, and the
 directions outside range(P) are reported as exact zero eigenvalues, so
 the spectrum keeps all D entries.
 
-The reduction is used when L is real, its Sigma1/Sigma3 defects are below
-1e-9 max|L|, a - b and a + b are positive definite and every w lies above
-tol_zero.  Otherwise (complex halves or lift, unstable states, singular
-metrics with extra null directions) a dense eigensolve of L runs instead;
-there degenerate clusters are rotated to make the pseudo-metric diagonal
-inside the cluster, which keeps biorthogonality exact under degeneracy.
+The reduction is used when the halves are real arrays (the assembly
+decides realness once, from the problem; see ``linres_identical``), their
+Sigma3 defect is below 1e-9 max|L|, a - b and a + b are positive definite
+and every w lies above tol_zero.  Otherwise (a complex problem, unstable
+states, singular metrics with extra null directions) a dense eigensolve
+of L runs instead; there degenerate clusters are rotated to make the
+pseudo-metric diagonal inside the cluster, which keeps biorthogonality
+exact under degeneracy.
 """
 
 from __future__ import annotations
@@ -111,13 +113,6 @@ def symmetry_defects(rm: ResponseMatrix) -> tuple:
                           np.abs(b - b.T).max()))
 
 
-def _real(m: np.ndarray):
-    """``m`` as a real array, or None when it has a nonzero imaginary part."""
-    if np.iscomplexobj(m):
-        return None if np.any(m.imag) else m.real
-    return m
-
-
 class _NoReduction(Exception):
     """The half-size solve does not apply; the message says why."""
 
@@ -143,8 +138,9 @@ def eigensolve(rm: ResponseMatrix, tol_zero: float | None = None,
 
 def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     """Half-size symmetric solve; raises _NoReduction where it does not apply."""
-    a, b = _real(rm.a), _real(rm.b)
-    if a is None or b is None or any(map(np.iscomplexobj, rm.Q + [rm.Qc])):
+    # the assembly makes the halves real arrays exactly for a real problem
+    a, b = rm.a, rm.b
+    if np.iscomplexobj(a):
         raise _NoReduction("complex L")
     # the y rows of L mirror the x rows: the reduced halves set its scale
     if max(defects) > SYMMETRY_TOL * max(np.abs(a).max(), np.abs(b).max()):
@@ -270,8 +266,6 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
     if expected_count is None:
         expected_count = Z.shape[1]
     a, b = rm.a, rm.b
-    if not (np.iscomplexobj(a) or np.iscomplexobj(b)) and _real(Z) is not None:
-        Z = Z.real
     # with zx = B^H Z[x] and zy = B^T Z[y]: (L Z)[x] = B (a zx + b zy) and
     # (L Z)[y] = -conj(B (a conj(zy) + b conj(zx))); B is an isometry
     x, y = halves_index(rm.layout)

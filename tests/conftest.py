@@ -118,10 +118,8 @@ def bos_m2_complex_gauge(bos_m2):
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     U, _ = np.linalg.qr(z)
     rot = ham.OrbitalSet(U.conj().T @ st.orbitals.orbitals, st.grid)
-    H = ham.hamiltonian_matrix(st.space, rot, st.h_op, st.kernel_matrix)
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    C = vecs[:, 0]
-    C *= np.exp(-1j * np.angle(C[np.argmax(np.abs(C))]))
+    energy, C, _ = gs._ci_eigenpair(
+        ham.hamiltonian_matrix(st.space, rot, st.h_op, st.kernel_matrix))
     rho = fs.reduced_densities(st.space, C)
     g_unp = gs.orbital_eom_rhs(st.grid, rot, st.h_op, st.kernel_matrix, rho,
                                project=False)
@@ -129,7 +127,7 @@ def bos_m2_complex_gauge(bos_m2):
     return gs.GroundState(space=st.space, grid=st.grid, h_op=st.h_op,
                           kernel=st.kernel, kernel_matrix=st.kernel_matrix,
                           orbitals=rot, C=C, rho=rho, mu=mu,
-                          energy=vals[0], residuals=dict(st.residuals))
+                          energy=energy, residuals=dict(st.residuals))
 
 
 def random_state_vector(size, seed):

@@ -20,6 +20,7 @@ from scipy.linalg import block_diag
 
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
+from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
 from mclr.hamiltonian import AllBodyTable, PairCoupling
 from mclr.oracle import (_apply_one_body, _basis_operator, _product_apply_h,
@@ -391,27 +392,37 @@ def loc_blocks(state):
 # --- response matrix ----------------------------------------------------------
 
 
+def raw_blocks(state):
+    """(A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u) from the builders."""
+    if isinstance(state, gs.GroundState):
+        return (*li.build_oo_block(state), *li.build_oc_co_blocks(state),
+                li.build_cc_block(state))
+    return (*ld.build_oo_dist(state), *ld.build_oc_co_cc_dist(state))
+
+
 def dense_raw(layout, blocks):
-    """The unprojected D x D response matrix L_raw, filled block by block;
-    the C_v diagonal block is the mirror -conj(cc_u) of the C_u one."""
+    """The unprojected D x D response matrix L_raw, filled block by block
+    from ``raw_blocks``; the C_v diagonal block is the mirror -conj(cc_u)
+    of the C_u one."""
+    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
     D, orb = layout.D, layout.orb
     raw = np.zeros((D, D), dtype=complex)
     u, v = slice(0, orb), slice(orb, 2 * orb)
     cu, cv = layout.cu_slice, layout.cv_slice
-    raw[u, u] = blocks["A"]
-    raw[u, v] = blocks["B"]
-    raw[v, u] = -blocks["B"].conj()
-    raw[v, v] = -blocks["A"].conj()
-    raw[u, cu] = blocks["Loc_u"]
-    raw[u, cv] = blocks["Loc_v"]
-    raw[v, cu] = -blocks["Loc_v"].conj()
-    raw[v, cv] = -blocks["Loc_u"].conj()
-    raw[cu, u] = blocks["Lco_u"]
-    raw[cu, v] = blocks["Lco_v"]
-    raw[cv, u] = -blocks["Lco_v"].conj()
-    raw[cv, v] = -blocks["Lco_u"].conj()
-    raw[cu, cu] = blocks["cc_u"]
-    raw[cv, cv] = -blocks["cc_u"].conj()
+    raw[u, u] = A
+    raw[u, v] = B
+    raw[v, u] = -B.conj()
+    raw[v, v] = -A.conj()
+    raw[u, cu] = Loc_u
+    raw[u, cv] = Loc_v
+    raw[v, cu] = -Loc_v.conj()
+    raw[v, cv] = -Loc_u.conj()
+    raw[cu, u] = Lco_u
+    raw[cu, v] = Lco_v
+    raw[cv, u] = -Lco_v.conj()
+    raw[cv, v] = -Lco_u.conj()
+    raw[cu, cu] = cc_u
+    raw[cv, cv] = -cc_u.conj()
     return raw
 
 
@@ -446,7 +457,7 @@ def dense_PM(rm, power):
 def dense_L(rm):
     """P M^(-1/2) L_raw M^(-1/2) P with every factor a dense D x D matrix."""
     G = dense_PM(rm, -0.5)
-    return G @ dense_raw(rm.layout, rm.blocks) @ G
+    return G @ dense_raw(rm.layout, raw_blocks(rm.state)) @ G
 
 
 # --- first-quantized operators and Lagrange multipliers -----------------------

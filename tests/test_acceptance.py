@@ -193,7 +193,7 @@ def test_criterion_10_linearization_derivative(bos_m2_48):
     g, sp = st.grid, st.space
     A, B = li.build_oo_block(st)
     Loc_u, Loc_v, Lco_u, Lco_v = li.build_oc_co_blocks(st)
-    cc_u, _ = li.build_cc_block(st)
+    cc_u = li.build_cc_block(st)
 
     rng = np.random.default_rng(7)
     phi = st.orbitals.orbitals

@@ -8,7 +8,9 @@ from mclr import (OneBodyOperator, PairCoupling, TwoBodyKernel, build_grid,
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
+from mclr import linres_identical as li
 from mclr import oracle as orc
+from mclr import spectrum as spm
 
 import loop_oracles as lo
 from conftest import oscillator_h
@@ -121,6 +123,10 @@ def test_lanczos_matches_dense_five_bosons_four_orbitals():
     assert lanczos.energy == pytest.approx(dense.energy, abs=1e-10)
     assert np.abs(lanczos.C - dense.C).max() < 1e-8
     assert lanczos.residuals["iterations"] == dense.residuals["iterations"]
+    # the Lanczos branch keeps a real problem exactly real, so the response
+    # takes the half-size solve (a 3e-30 imaginary part in C sent it dense)
+    assert not np.any(lanczos.C.imag)
+    assert spm.eigensolve(li.assemble_L(lanczos)).eigensolver == "rpa"
 
 
 def test_lanczos_csr_matrix_matches_table_and_dense():
@@ -144,6 +150,43 @@ def test_lanczos_csr_matrix_matches_table_and_dense():
     dense = gs._lowest_eigenpair(sp, orbs, h_op, km, gs.SolverOptions())
     assert isinstance(dense[2], np.ndarray)
     assert eps == pytest.approx(dense[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("cutoff", [500, 100])
+def test_real_problem_has_exactly_real_ci_vector(cutoff):
+    # eight bosons on five trap orbitals mixed by a real rotation: 495
+    # configurations, the dense branch at the default cutoff and Lanczos
+    # below it.  In complex arithmetic C kept imaginary parts of 4e-17
+    # (dense) and 4e-16 (Lanczos), enough to send the response to the
+    # dense complex eigensolve
+    grid = build_grid(16, -6.0, 6.0)
+    h_op = oscillator_h(grid)
+    rot = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)))[0]
+    modes = np.linalg.eigh(h_op.matrix)[1][:, :5].T
+    orbs = ham.OrbitalSet(rot @ modes, grid).orthonormalized()
+    km = discretize_kernel(grid, TwoBodyKernel("contact", strength=0.1))
+    sp = fs.enumerate_configs("boson", N=8, M=5)
+    eps, C, H = gs._lowest_eigenpair(
+        sp, orbs, h_op, km, gs.SolverOptions(ci_dense_cutoff=cutoff))
+    assert isinstance(H, np.ndarray) == (sp.size <= cutoff)
+    assert not np.any(C.imag)
+    assert np.abs(H @ C - eps * C).max() < 1e-10
+
+
+def test_real_dist_problem_has_exactly_real_ci_vector(dist_grids, dist_h):
+    # M = (4, 4) on rotated trap orbitals; the phase exp(-1j angle) of the
+    # largest component left 9e-17 in C
+    rng = np.random.default_rng(1)
+    sets = [ham.OrbitalSet(np.linalg.qr(rng.standard_normal((4, 4)))[0]
+                           @ np.linalg.eigh(h.matrix)[1][:, :4].T,
+                           g).orthonormalized()
+            for g, h in zip(dist_grids, dist_h)]
+    space = fs.enumerate_configs("distinguishable", M_list=(4, 4))
+    coupling = PairCoupling.bilinear(dist_grids, 0, 1, 0.2)
+    eps, C, H = gs._ci_eigenpair(
+        gs._dist_hamiltonian(space, sets, dist_h, coupling))
+    assert not np.any(C.imag)
+    assert np.abs(H @ C - eps * C).max() < 1e-12
 
 
 # bos_m2 (N = 2, M = 2, contact 0.1, n = 64) as solved when every iteration

@@ -81,7 +81,7 @@ def test_single_product_limit(dist_11):
     lay = rm.layout
     assert lay.n_conf == 1
     assert np.abs(rm.L[lay.cu_slice, :]).max() < 1e-12
-    cc_u = rm.blocks["cc_u"]
+    cc_u = ld.build_oc_co_cc_dist(dist_11)[-1]
     assert np.abs(cc_u @ dist_11.C).max() < 1e-9
 
 
@@ -253,7 +253,7 @@ def test_linearization_derivative_dist(dist_grids, dist_h):
     st = gs.solve_mch_dist(space, dist_grids, dist_h, coupling)
 
     A, B = ld.build_oo_dist(st)
-    Loc_u, Loc_v, Lco_u, Lco_v, cc_u, _ = ld.build_oc_co_cc_dist(st)
+    Loc_u, Loc_v, Lco_u, Lco_v, cc_u = ld.build_oc_co_cc_dist(st)
     lay = li.ResponseLayout((2, 2), (48, 48), 4)
 
     rng = np.random.default_rng(11)
