@@ -300,7 +300,7 @@ def cmd_linres(args):
     header = [f"config sha256 {cfg_hash}", f"checkpoint {args.checkpoint}",
               f"tol_zero {spec.tol_zero:.6g}"]
     spm.save_spectrum_csv(out_dir / "spectrum.csv", spec, weights, header)
-    _save_weights_csv(out_dir / "weights.csv", spec, weights, header)
+    spm.save_weights_csv(out_dir / "weights.csv", spec, weights, header)
 
     reconstruction_note = None
     if isinstance(state, gs.GroundState):
@@ -334,19 +334,6 @@ def cmd_linres(args):
         print(f"reconstruction = {out_dir / 'reconstruction.ckpt'}")
     print(f"spectrum_csv = {out_dir / 'spectrum.csv'}")
     return EXIT_OK
-
-
-def _save_weights_csv(path, spec, weights, header_lines=()):
-    fmt = "%.17g"
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("mode,omega,sng,abs_gamma_plus,abs_gamma_minus\n")
-        for i, k in enumerate(spec.retained):
-            fh.write(",".join([
-                str(int(k)), fmt % spec.eigenvalues[k].real,
-                fmt % spec.sng[i], fmt % abs(weights.gamma_plus[i]),
-                fmt % abs(weights.gamma_minus[i])]) + "\n")
 
 
 def cmd_oracle(args):

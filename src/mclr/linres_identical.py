@@ -118,11 +118,12 @@ class ResponseLayout:
         return slice(2 * self.orb + self.n_conf, self.D)
 
     def split(self, x):
-        """(list of per-DOF u stacks (M_j, n_j), same for v, C_u, C_v)."""
-        us = [x[self.u_block(j)].reshape(self.M_list[j], self.n_list[j])
-              for j in range(self.Q)]
-        vs = [x[self.v_block(j)].reshape(self.M_list[j], self.n_list[j])
-              for j in range(self.Q)]
+        """(list of per-DOF u stacks (M_j, n_j), same for v, C_u, C_v); the
+        columns of a matrix ``x`` become a trailing axis of each."""
+        us = [x[self.u_block(j)].reshape((self.M_list[j], self.n_list[j])
+                                         + x.shape[1:]) for j in range(self.Q)]
+        vs = [x[self.v_block(j)].reshape((self.M_list[j], self.n_list[j])
+                                         + x.shape[1:]) for j in range(self.Q)]
         return us, vs, x[self.cu_slice], x[self.cv_slice]
 
 
@@ -189,12 +190,12 @@ class ResponseMatrix:
 
     @property
     def L(self) -> np.ndarray:
-        """Dense complex D x D matrix from the lifted halves by the mirror
-        rule, built on each access."""
+        """Dense D x D matrix from the lifted halves by the mirror rule, in
+        their dtype, built on each access."""
         x, y = halves_index(self.layout)
         a = self.lift(self.lift(self.a).conj().T).conj().T
         b = self.lift(self.lift(self.b).T).T
-        L = np.empty((self.D, self.D), dtype=complex)
+        L = np.empty((self.D, self.D), dtype=np.result_type(a, b))
         L[np.ix_(x, x)] = a
         L[np.ix_(x, y)] = b
         L[np.ix_(y, x)] = -b.conj()

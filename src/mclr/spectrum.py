@@ -15,7 +15,10 @@ for the dense fallback.
 
 Retained modes are the positive-branch eigenvalues above the zero-mode
 threshold.  Each is normalized against the Sigma3 pseudo-metric; the sign
-of the pseudo-norm ("sng") fixes the left-vector normalization.
+of the pseudo-norm ("sng") fixes the left-vector normalization.  Only the
+right vectors R and sng are stored: the left vectors Sigma3 R sng and the
+negative partners (Sigma1 conj of both) derive from them, so the response
+weights and the driven first-order state are array products with R.
 
 Half-size reduction.  With x = (u, C_u) and y = (v, C_v), L has the RPA
 form [[A, B], [-B*, -A*]] with A = L[x, x] Hermitian and B = L[x, y]
@@ -61,8 +64,9 @@ __all__ = [
     "classify_zero_modes",
     "response_weights",
     "reconstruct",
-    "spectrum_rows",
+    "save_reconstruction",
     "save_spectrum_csv",
+    "save_weights_csv",
 ]
 
 # relative bound on the symmetry defects below which L counts as exactly
@@ -72,14 +76,15 @@ SYMMETRY_TOL = 1e-9
 
 @dataclass
 class LRSpectrum:
+    """Eigenvalues of L and the retained modes; per mode only ``right`` and
+    ``sng`` are stored, the left and partner vectors derive by Sigma3 and
+    Sigma1."""
+
     rm: ResponseMatrix
     eigenvalues: np.ndarray = field(repr=False)       # all D, sorted by Re
     zero_modes: np.ndarray = None                     # indices into eigenvalues
     retained: np.ndarray = None                       # indices, positive branch
     right: np.ndarray = field(default=None, repr=False)   # normalized columns
-    left: np.ndarray = field(default=None, repr=False)
-    right_neg: np.ndarray = field(default=None, repr=False)
-    left_neg: np.ndarray = field(default=None, repr=False)
     sng: np.ndarray = None
     sng_undefined: np.ndarray = None
     pairing: dict = field(default_factory=dict)
@@ -96,6 +101,21 @@ class LRSpectrum:
     def omega(self) -> np.ndarray:
         """Retained positive excitation energies (real parts)."""
         return self.eigenvalues[self.retained].real
+
+    @property
+    def left(self) -> np.ndarray:
+        """Left vectors Sigma3 R sng of the retained modes."""
+        return sigma3(self.rm.layout)[:, None] * self.right * self.sng
+
+    @property
+    def right_neg(self) -> np.ndarray:
+        """Right vectors Sigma1 conj(R) of the negative partners."""
+        return self.right.conj()[sigma1(self.rm.layout)]
+
+    @property
+    def left_neg(self) -> np.ndarray:
+        """Left vectors Sigma1 conj(Sigma3 R sng) of the negative partners."""
+        return self.left.conj()[sigma1(self.rm.layout)]
 
 
 def symmetry_defects(rm: ResponseMatrix) -> tuple:
@@ -145,8 +165,7 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     # the y rows of L mirror the x rows: the reduced halves set its scale
     if max(defects) > SYMMETRY_TOL * max(np.abs(a).max(), np.abs(b).max()):
         raise _NoReduction("symmetry defect above 1e-9 max|L|")
-    D, signs, perm = rm.D, sigma3(rm.layout), sigma1(rm.layout)
-    x, y = halves_index(rm.layout)
+    D, (x, y) = rm.D, halves_index(rm.layout)
     try:
         K = sla.cholesky(a - b)
     except sla.LinAlgError:
@@ -171,16 +190,14 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     R = np.empty((D, n))
     R[x] = rm.lift(0.5 * (plus + minus))
     R[y] = rm.lift(0.5 * (plus - minus))
-    left = signs[:, None] * R
 
     w = np.zeros(D, dtype=complex)
     w[:n] = -omega[::-1]
     w[D - n:] = omega
     retained = np.arange(D - n, D)
     return LRSpectrum(rm=rm, eigenvalues=w, zero_modes=np.arange(n, D - n),
-                      retained=retained, right=R, left=left,
-                      right_neg=R[perm], left_neg=left[perm],
-                      sng=np.ones(n), sng_undefined=np.zeros(n, dtype=bool),
+                      retained=retained, right=R, sng=np.ones(n),
+                      sng_undefined=np.zeros(n, dtype=bool),
                       pairing={int(k): int(D - 1 - k) for k in retained},
                       tol_zero=tol_zero, tol_im=tol_im, eigensolver="rpa")
 
@@ -191,7 +208,7 @@ def _eigensolve_dense(rm: ResponseMatrix, tol_zero: float | None = None,
     """Dense eigendecomposition of L; the reference for the reduced solve."""
     w, V = sla.eig(rm.L)
     order = np.lexsort((w.imag, w.real))
-    w, V = w[order], V[:, order]
+    w, V = w[order].astype(complex), V[:, order]   # eig of a real L may give real w
     scale = max(np.abs(w).max(), 1.0)
     if tol_zero is None:
         tol_zero = 1e-6 * scale
@@ -207,7 +224,6 @@ def _eigensolve_dense(rm: ResponseMatrix, tol_zero: float | None = None,
     reality_defect = float(np.abs(w[retained].imag).max()) if len(retained) else 0.0
 
     signs = sigma3(rm.layout)[:, None]
-    perm = sigma1(rm.layout)
 
     R = V[:, retained]
     wr = w[retained]
@@ -228,9 +244,6 @@ def _eigensolve_dense(rm: ResponseMatrix, tol_zero: float | None = None,
     undef = np.abs(pseudo) < 1e-10
     sng = np.where(undef, 0.0, np.sign(pseudo))
     R[:, ~undef] /= np.sqrt(np.abs(pseudo[~undef]))
-    left = signs * R * sng
-    right_neg = R.conj()[perm]
-    left_neg = left.conj()[perm]
 
     # match each retained mode to a computed partner at -conj(w)
     neg = np.where(w.real < -tol_zero)[0]
@@ -245,8 +258,7 @@ def _eigensolve_dense(rm: ResponseMatrix, tol_zero: float | None = None,
             pairing_residual = max(pairing_residual, float(cost[r, c]))
 
     return LRSpectrum(rm=rm, eigenvalues=w, zero_modes=zero,
-                      retained=retained, right=R, left=left,
-                      right_neg=right_neg, left_neg=left_neg, sng=sng,
+                      retained=retained, right=R, sng=sng,
                       sng_undefined=undef, pairing=pairing,
                       pairing_residual=pairing_residual,
                       reality_defect=reality_defect, unstable=unstable,
@@ -297,17 +309,22 @@ def expected_zero_modes(M_list) -> int:
 
 @dataclass
 class ResponseWeights:
-    gamma_plus: np.ndarray          # aligned with spec.retained
+    gamma_plus: np.ndarray          # complex, aligned with spec.retained
     gamma_minus: np.ndarray
     flagged: np.ndarray             # sng-undefined modes excluded from sums
 
 
 def response_weights(spec: LRSpectrum, R_vec: np.ndarray) -> ResponseWeights:
-    """Driving weights gamma_k = -(L^k)^dag R and their negative partners."""
-    gp = -(R_vec @ spec.left.conj())
-    gm = -(R_vec @ spec.left_neg.conj())
-    gp = np.where(spec.sng_undefined, 0.0, gp)
-    gm = np.where(spec.sng_undefined, 0.0, gm)
+    """Driving weights gamma_k = -(L^k)^dag R and their negative partners.
+
+    With L^k = Sigma3 R_k sng_k and L^-k = Sigma1 conj(L^k), both are one
+    product with the right vectors; Sigma3 flips sign under Sigma1.
+    """
+    s3R = sigma3(spec.rm.layout) * R_vec
+    gp = -(s3R @ spec.right.conj()) * spec.sng
+    gm = (s3R[sigma1(spec.rm.layout)] @ spec.right) * spec.sng
+    gp = np.where(spec.sng_undefined, 0j, gp)
+    gm = np.where(spec.sng_undefined, 0j, gm)
     return ResponseWeights(gamma_plus=gp, gamma_minus=gm,
                            flagged=spec.sng_undefined.copy())
 
@@ -371,7 +388,6 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
                 resonance_tol: float = 1e-6) -> Reconstruction:
     """Sum the driven response over retained modes at probe frequency omega."""
     rm = spec.rm
-    layout = rm.layout
     state = rm.state
     if not isinstance(state, GroundState):
         raise ValueError("reconstruction supports identical-particle states only")
@@ -384,52 +400,23 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
             f"probe frequency {omega} is resonant with excitation "
             f"{wr[hit[0]]:.9g}; response diverges")
 
-    neghalf = rm.m_neghalf[0]
-    shape = (layout.M_list[0], layout.n_list[0])
-
-    dphi_m = np.zeros(shape, dtype=complex)
-    dphi_p = np.zeros(shape, dtype=complex)
-    dC_m = np.zeros(layout.n_conf, dtype=complex)
-    dC_p = np.zeros(layout.n_conf, dtype=complex)
-    for i, k in enumerate(spec.retained):
-        if spec.sng_undefined[i]:
-            continue
-        wk = spec.eigenvalues[k].real
-        (u,), (v,), cu, cv = layout.split(spec.right[:, i])
-        gp, gm = weights.gamma_plus[i], weights.gamma_minus[i]
-        du = neghalf @ u
-        dv = neghalf.conj() @ v
-        dphi_m += (gp * du) / (omega - wk) + (gm * dv.conj()) / (omega + wk)
-        dphi_p += (np.conj(gp) * dv.conj()) / (omega - wk) \
-            + (np.conj(gm) * du) / (omega + wk)
-        dC_m += (gp * cu) / (omega - wk) + (gm * cv.conj()) / (omega + wk)
-        dC_p += (np.conj(gp) * cv.conj()) / (omega - wk) \
-            + (np.conj(gm) * cu) / (omega + wk)
+    # with lo, hi = 1 / (omega -+ w_k), mode k adds gp lo u + gm hi conj(v)
+    # to the minus part and conj(gp) lo conj(v) + conj(gm) hi u to the plus one
+    keep = ~spec.sng_undefined
+    lo, hi = 1.0 / (omega - wr[keep]), 1.0 / (omega + wr[keep])
+    gp, gm = weights.gamma_plus[keep], weights.gamma_minus[keep]
+    (u,), (v,), cu, cv = rm.layout.split(spec.right[:, keep])
+    v, cv = v.conj(), cv.conj()
+    minus, plus = gp * lo, gm * hi
+    dphi_m, dphi_p = rm.m_neghalf[0] @ np.stack(
+        [u @ minus + v @ plus, v @ minus.conj() + u @ plus.conj()])
+    dC_m = cu @ minus + cv @ plus
+    dC_p = cv @ minus.conj() + cu @ plus.conj()
 
     root_dx = np.sqrt(state.grid.weight)
     return Reconstruction(omega=omega, dphi_minus=dphi_m / root_dx,
                           dphi_plus=dphi_p / root_dx, dC_minus=dC_m,
                           dC_plus=dC_p, grid=state.grid, state=state)
-
-
-def spectrum_rows(spec: LRSpectrum, weights: ResponseWeights | None = None):
-    """(index, Re w, Im w, sng, is_zero_mode, |gamma_k|, |gamma_-k|) rows."""
-    rows = []
-    ret_pos = {int(k): i for i, k in enumerate(spec.retained)}
-    zero_set = set(int(z) for z in spec.zero_modes)
-    for idx in range(len(spec.eigenvalues)):
-        w = spec.eigenvalues[idx]
-        is_zero = idx in zero_set
-        sng = 0.0
-        gp = gm = 0.0
-        if idx in ret_pos:
-            i = ret_pos[idx]
-            sng = float(spec.sng[i])
-            if weights is not None:
-                gp = abs(weights.gamma_plus[i])
-                gm = abs(weights.gamma_minus[i])
-        rows.append((idx, w.real, w.imag, sng, int(is_zero), gp, gm))
-    return rows
 
 
 def save_reconstruction(path, rec: Reconstruction, t: float = 0.0) -> None:
@@ -445,15 +432,40 @@ def save_reconstruction(path, rec: Reconstruction, t: float = 0.0) -> None:
     })
 
 
+def _write_csv(path, header_lines, names, columns) -> None:
+    """CSV of equal-length ``columns`` under "# " ``header_lines``: integer
+    columns print as integers, real ones as "%.17g" and complex ones as the
+    "%.17g" of their moduli (the scalar abs; numpy's vectorized complex abs
+    can differ from it in the last bit)."""
+    fmt = {"i": str, "f": "%.17g".__mod__, "c": lambda v: "%.17g" % abs(v)}
+    text = [list(map(fmt[c.dtype.kind], c.tolist())) for c in columns]
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.write(",".join(names) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*text))
+
+
 def save_spectrum_csv(path, spec: LRSpectrum,
                       weights: ResponseWeights | None = None,
                       header_lines=()) -> None:
-    fmt = "%.17g"
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("index,re_omega,im_omega,sng,is_zero_mode,abs_gamma_plus,"
-                 "abs_gamma_minus\n")
-        for idx, re, im, sng, z, gp, gm in spectrum_rows(spec, weights):
-            fh.write(",".join([str(idx), fmt % re, fmt % im, fmt % sng,
-                               str(z), fmt % gp, fmt % gm]) + "\n")
+    """One row per eigenvalue: index, Re w, Im w, sng, is_zero_mode,
+    |gamma_k|, |gamma_-k|; sng and the weights are 0 off the retained modes."""
+    w, ret = spec.eigenvalues, spec.retained
+    sng, zero = np.zeros(len(w)), np.zeros(len(w), dtype=int)
+    gp, gm = np.zeros((2, len(w)), dtype=complex)
+    sng[ret], zero[spec.zero_modes] = spec.sng, 1
+    if weights is not None:
+        gp[ret], gm[ret] = weights.gamma_plus, weights.gamma_minus
+    _write_csv(path, header_lines,
+               ["index", "re_omega", "im_omega", "sng", "is_zero_mode",
+                "abs_gamma_plus", "abs_gamma_minus"],
+               [np.arange(len(w)), w.real, w.imag, sng, zero, gp, gm])
+
+
+def save_weights_csv(path, spec: LRSpectrum, weights: ResponseWeights,
+                     header_lines=()) -> None:
+    """One row per retained mode: mode, omega, sng, |gamma_k|, |gamma_-k|."""
+    _write_csv(path, header_lines,
+               ["mode", "omega", "sng", "abs_gamma_plus", "abs_gamma_minus"],
+               [spec.retained, spec.omega, spec.sng,
+                weights.gamma_plus, weights.gamma_minus])

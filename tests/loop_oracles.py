@@ -12,7 +12,8 @@ only tests use (exchange kernels, the single-entry density action, the
 coefficient-orbital rows summed directly, the first-quantized one- and
 two-body operators, the Lagrange multipliers recomputed from a state) live
 here as well, and so do the dense forms of the structural operator P M^p
-and of the projected, metric-transformed response matrix.
+and of the projected, metric-transformed response matrix, the per-mode
+sum of the driven response and the per-field CSV writers of the spectrum.
 """
 
 import numpy as np
@@ -458,6 +459,76 @@ def dense_L(rm):
     """P M^(-1/2) L_raw M^(-1/2) P with every factor a dense D x D matrix."""
     G = dense_PM(rm, -0.5)
     return G @ dense_raw(rm.layout, raw_blocks(rm.state)) @ G
+
+
+# --- spectrum: per-mode response sum and per-field CSV writers --------------
+
+
+def reconstruct_loop(spec, weights, omega):
+    """(dphi_minus, dphi_plus, dC_minus, dC_plus) of the driven response at
+    ``omega``, summed mode by mode over the retained modes with a defined
+    sng; orbitals as grid values."""
+    rm = spec.rm
+    layout = rm.layout
+    neghalf = rm.m_neghalf[0]
+    shape = (layout.M_list[0], layout.n_list[0])
+    dphi_m = np.zeros(shape, dtype=complex)
+    dphi_p = np.zeros(shape, dtype=complex)
+    dC_m = np.zeros(layout.n_conf, dtype=complex)
+    dC_p = np.zeros(layout.n_conf, dtype=complex)
+    for i, k in enumerate(spec.retained):
+        if spec.sng_undefined[i]:
+            continue
+        wk = spec.eigenvalues[k].real
+        (u,), (v,), cu, cv = layout.split(spec.right[:, i])
+        gp, gm = weights.gamma_plus[i], weights.gamma_minus[i]
+        du = neghalf @ u
+        dv = neghalf.conj() @ v
+        dphi_m += (gp * du) / (omega - wk) + (gm * dv.conj()) / (omega + wk)
+        dphi_p += (np.conj(gp) * dv.conj()) / (omega - wk) \
+            + (np.conj(gm) * du) / (omega + wk)
+        dC_m += (gp * cu) / (omega - wk) + (gm * cv.conj()) / (omega + wk)
+        dC_p += (np.conj(gp) * cv.conj()) / (omega - wk) \
+            + (np.conj(gm) * cu) / (omega + wk)
+    root_dx = np.sqrt(rm.state.grid.weight)
+    return dphi_m / root_dx, dphi_p / root_dx, dC_m, dC_p
+
+
+def save_spectrum_csv_rows(path, spec, weights=None, header_lines=()):
+    """spectrum.csv written row by row, each field formatted on its own."""
+    fmt = "%.17g"
+    ret_pos = {int(k): i for i, k in enumerate(spec.retained)}
+    zero_set = set(int(z) for z in spec.zero_modes)
+    with open(path, "w", newline="\n") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write("index,re_omega,im_omega,sng,is_zero_mode,abs_gamma_plus,"
+                 "abs_gamma_minus\n")
+        for idx, w in enumerate(spec.eigenvalues):
+            sng = gp = gm = 0.0
+            if idx in ret_pos:
+                i = ret_pos[idx]
+                sng = float(spec.sng[i])
+                if weights is not None:
+                    gp = abs(weights.gamma_plus[i])
+                    gm = abs(weights.gamma_minus[i])
+            fh.write(",".join([str(idx), fmt % w.real, fmt % w.imag, fmt % sng,
+                               str(int(idx in zero_set)), fmt % gp,
+                               fmt % gm]) + "\n")
+
+
+def save_weights_csv_rows(path, spec, weights, header_lines=()):
+    """weights.csv written row by row, each field formatted on its own."""
+    fmt = "%.17g"
+    with open(path, "w", newline="\n") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write("mode,omega,sng,abs_gamma_plus,abs_gamma_minus\n")
+        for i, k in enumerate(spec.retained):
+            fh.write(",".join([
+                str(int(k)), fmt % spec.eigenvalues[k].real,
+                fmt % spec.sng[i], fmt % abs(weights.gamma_plus[i]),
+                fmt % abs(weights.gamma_minus[i])]) + "\n")
 
 
 # --- first-quantized operators and Lagrange multipliers -----------------------

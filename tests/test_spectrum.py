@@ -288,16 +288,14 @@ def test_resolution_checks(spec_m2):
 
 
 def test_resolution_fails_with_truncated_modes(spec_m2):
-    # dropping half the retained modes must leave an order-one defect
-    import dataclasses
+    # dropping half the retained modes must leave an order-one defect; the
+    # left and partner vectors derive from right and sng, so they follow
     half = len(spec_m2.retained) // 2
     trunc = dataclasses.replace(
-        spec_m2,
-        retained=spec_m2.retained[:half],
-        right=spec_m2.right[:, :half], left=spec_m2.left[:, :half],
-        right_neg=spec_m2.right_neg[:, :half],
-        left_neg=spec_m2.left_neg[:, :half],
-        sng=spec_m2.sng[:half], sng_undefined=spec_m2.sng_undefined[:half])
+        spec_m2, retained=spec_m2.retained[:half],
+        right=spec_m2.right[:, :half], sng=spec_m2.sng[:half],
+        sng_undefined=spec_m2.sng_undefined[:half])
+    assert trunc.left.shape == trunc.left_neg.shape == (spec_m2.rm.D, half)
     rep = resolution_checks(trunc)
     assert rep["identity_defect"] > 0.1
 
@@ -467,3 +465,95 @@ def test_indefinite_a_minus_b_falls_back_to_dense(bos_m2_48):
     assert max(spec.sigma1_defect, spec.sigma3_defect) < 1e-12
     assert spec.eigensolver == "dense (A - B not positive definite)"
     assert len(spec.eigenvalues) == rm.D
+
+
+# --- derived vectors, product weights and the loop-free sums -----------------
+
+
+@pytest.fixture(scope="module")
+def spec_complex(bos_m2_complex_gauge):
+    spec = spm.eigensolve(li.assemble_L(bos_m2_complex_gauge))
+    assert spec.eigensolver == "dense (complex L)"
+    return spec
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2", "dist_44",
+                                     "bos_m2_complex_gauge"])
+def test_derived_vectors_and_product_weights(fixture, request):
+    st = request.getfixturevalue(fixture)
+    rm = _assembled(st)
+    spec = spm.eigensolve(rm)
+    assert (spec.eigensolver == "rpa") == (fixture != "bos_m2_complex_gauge")
+    signs, perm = li.sigma3(rm.layout), li.sigma1(rm.layout)
+    R = spec.right
+    # the formulas the two eigensolvers used to store
+    if spec.eigensolver == "rpa":
+        left = signs[:, None] * R
+        stored = (left, R[perm], left[perm])
+    else:
+        left = signs[:, None] * R * spec.sng
+        stored = (left, R.conj()[perm], left.conj()[perm])
+    for got, want in zip((spec.left, spec.right_neg, spec.left_neg), stored):
+        np.testing.assert_array_equal(got, want)
+    probe = _dipole_probe(st, rm)
+    w = spm.response_weights(spec, probe)
+    assert np.abs(w.gamma_plus - -(probe @ spec.left.conj())).max() < 1e-13
+    assert np.abs(w.gamma_minus - -(probe @ spec.left_neg.conj())).max() < 1e-13
+
+
+def _probe_weights(spec, st):
+    return spm.response_weights(spec, li.build_R(st, li.PerturbationSpec(
+        f_dag=position_operator(st.grid), omega=0.55), spec.rm))
+
+
+def _assert_matches_loop(spec, weights, omega):
+    rec = spm.reconstruct(spec, weights, omega)
+    got = (rec.dphi_minus, rec.dphi_plus, rec.dC_minus, rec.dC_plus)
+    for a, b in zip(got, lo.reconstruct_loop(spec, weights, omega)):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0)
+
+
+@pytest.mark.parametrize("omega", [0.55, 2.37])
+def test_reconstruct_matches_mode_loop(bos_m2_48, spec_m2, omega):
+    _assert_matches_loop(spec_m2, _probe_weights(spec_m2, bos_m2_48), omega)
+
+
+def test_reconstruct_matches_mode_loop_dense_complex(bos_m2_complex_gauge,
+                                                     spec_complex):
+    w = _probe_weights(spec_complex, bos_m2_complex_gauge)
+    assert np.abs(w.gamma_plus.imag).max() > 1e-3
+    _assert_matches_loop(spec_complex, w, 0.55)
+
+
+def test_reconstruct_skips_undefined_sng(bos_m2_48, spec_m2):
+    # the weights of the flagged (brightest) mode stay nonzero, so only the
+    # skip keeps it out of either sum
+    w = _probe_weights(spec_m2, bos_m2_48)
+    flag = np.zeros(len(spec_m2.retained), dtype=bool)
+    flag[np.argmax(abs(w.gamma_plus))] = True
+    flagged = dataclasses.replace(spec_m2, sng_undefined=flag)
+    _assert_matches_loop(flagged, w, 0.55)
+    full = spm.reconstruct(spec_m2, w, 0.55).dphi_minus
+    assert np.abs(spm.reconstruct(flagged, w, 0.55).dphi_minus - full).max() \
+        > 1e-3
+
+
+@pytest.mark.parametrize("which", ["rpa", "dense"])
+def test_csv_writers_match_row_oracles(tmp_path, which, request, bos_m2_48):
+    if which == "rpa":
+        spec, st = request.getfixturevalue("spec_m2"), bos_m2_48
+    else:
+        st = request.getfixturevalue("bos_m2_complex_gauge")
+        spec = request.getfixturevalue("spec_complex")
+        assert len(spec.zero_modes) and np.abs(spec.eigenvalues.imag).max() > 0
+    w = _probe_weights(spec, st)
+    header = ["config sha256 0", "tol_zero 1e-06"]
+    for fast, rows, args in (
+            (spm.save_spectrum_csv, lo.save_spectrum_csv_rows, (w,)),
+            (spm.save_spectrum_csv, lo.save_spectrum_csv_rows, (None,)),
+            (spm.save_weights_csv, lo.save_weights_csv_rows, (w,))):
+        fast(tmp_path / "fast.csv", spec, *args, header)
+        rows(tmp_path / "rows.csv", spec, *args, header)
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
