@@ -22,6 +22,7 @@ import argparse
 import configparser
 import hashlib
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,16 @@ def _need(cfg, section, key):
     return cfg.get(section, key)
 
 
+@contextmanager
+def _config_values():
+    """Report errors of turning config values into objects as ConfigError;
+    also a decorator."""
+    try:
+        yield
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
+
+
 def _load_checkpoint(path):
     try:
         return ckpt.load_state(path)
@@ -77,30 +88,30 @@ def _config_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _per_dof(cfg, section, key, j=None, default=None):
+    """[section] key_<j+1> for DOF j, else key, else ``default``; mandatory
+    without a default."""
+    if j is not None and cfg.has_option(section, f"{key}_{j + 1}"):
+        return cfg.get(section, f"{key}_{j + 1}")
+    if default is None:
+        return _need(cfg, section, key)
+    return cfg.get(section, key, fallback=default)
+
+
 def _build_grid_j(cfg, j=None):
-    sec = "grid"
-    suffix = "" if j is None else f"_{j + 1}"
-    n = int(cfg.get(sec, f"points{suffix}",
-                    fallback=_need(cfg, sec, "points")))
-    x_min = float(cfg.get(sec, f"x_min{suffix}",
-                          fallback=_need(cfg, sec, "x_min")))
-    x_max = float(cfg.get(sec, f"x_max{suffix}",
-                          fallback=_need(cfg, sec, "x_max")))
-    return gr.build_grid(n, x_min, x_max)
+    return gr.build_grid(int(_per_dof(cfg, "grid", "points", j)),
+                         float(_per_dof(cfg, "grid", "x_min", j)),
+                         float(_per_dof(cfg, "grid", "x_max", j)))
 
 
 def _build_h(cfg, grid, j=None):
-    suffix = "" if j is None else f"_{j + 1}"
     mass = float(cfg.get("system", "mass", fallback="1.0"))
     h = gr.kinetic_matrix(grid, mass).matrix
     trap = cfg.get("trap", "type", fallback="harmonic")
     if trap == "harmonic":
-        omega = float(cfg.get("trap", f"omega{suffix}",
-                              fallback=cfg.get("trap", "omega", fallback="1.0")))
+        omega = float(_per_dof(cfg, "trap", "omega", j, "1.0"))
         h = h + gr.harmonic_potential(grid, omega).matrix
-    elif trap == "none":
-        pass
-    else:
+    elif trap != "none":
         raise ConfigError(f"unknown trap type {trap!r}")
     return gr.OneBodyOperator(h)
 
@@ -118,13 +129,21 @@ def _build_kernel(cfg):
     raise ConfigError(f"unknown interaction type {kind!r}")
 
 
+def _dof_pair(text, n_dofs):
+    """0-based DOF indices of a 1-based config pair "a-b"."""
+    a, b = (int(t) - 1 for t in text.split("-"))
+    if not (0 <= a < n_dofs and 0 <= b < n_dofs):
+        raise ConfigError(f"pair {text!r} names a DOF outside 1..{n_dofs}")
+    return a, b
+
+
 def _build_coupling(cfg, grids):
     kind = cfg.get("interaction", "type", fallback="none")
     if kind == "none":
         return None
     strength = float(_need(cfg, "interaction", "strength"))
-    pair = cfg.get("interaction", "pair", fallback="1-2")
-    a, b = (int(t) - 1 for t in pair.split("-"))
+    a, b = _dof_pair(cfg.get("interaction", "pair", fallback="1-2"),
+                     len(grids))
     if kind == "bilinear":
         return ham.PairCoupling.bilinear(grids, a, b, strength)
     if kind == "gaussian_pair":
@@ -156,73 +175,60 @@ def _probe_operator(grid, kind, strength):
     raise ConfigError(f"unknown probe type {kind!r}")
 
 
+@_config_values()
 def _build_perturbation(cfg, state):
-    if not cfg.has_section("perturbation"):
+    """Probes of [perturbation]: f_type and f_strength, per DOF overridden by
+    f_type_j and f_strength_j (identical particles are the one-DOF case),
+    and the pair probe g_type."""
+    sec = "perturbation"
+    if not cfg.has_section(sec):
         raise ConfigError("missing mandatory section [perturbation]")
-    omega = float(_need(cfg, "perturbation", "omega"))
-    f_kind = cfg.get("perturbation", "f_type", fallback="none")
-    g_kind = cfg.get("perturbation", "g_type", fallback="none")
-    if isinstance(state, gs.GroundState):
-        f_op = None
-        if f_kind != "none":
-            f_op = _probe_operator(
-                state.grid, f_kind,
-                float(cfg.get("perturbation", "f_strength", fallback="1.0")))
-        g_op = None
-        if g_kind != "none":
-            g_strength = float(cfg.get("perturbation", "g_strength",
-                                       fallback="1.0"))
-            if g_kind == "contact":
-                g_op = gr.TwoBodyKernel("contact", strength=g_strength)
-            elif g_kind == "gaussian":
-                g_op = gr.TwoBodyKernel(
-                    "gaussian", strength=g_strength,
-                    width=float(_need(cfg, "perturbation", "g_width")))
-            else:
-                raise ConfigError(f"unknown pair probe {g_kind!r}")
-        return li.PerturbationSpec(f_dag=f_op, g_dag=g_op, omega=omega)
-    # distinguishable: per-DOF probes f_type_1, f_type_2, ... or one for all
+    omega = float(_need(cfg, sec, "omega"))
+    identical = isinstance(state, gs.GroundState)
+    grids = [state.grid] if identical else state.grids
     f_ops = []
-    for j, grid in enumerate(state.grids):
-        kind = cfg.get("perturbation", f"f_type_{j + 1}", fallback=f_kind)
-        if kind == "none":
-            f_ops.append(None)
-        else:
-            strength = float(cfg.get(
-                "perturbation", f"f_strength_{j + 1}",
-                fallback=cfg.get("perturbation", "f_strength", fallback="1.0")))
-            f_ops.append(_probe_operator(grid, kind, strength))
+    for j, grid in enumerate(grids):
+        kind = _per_dof(cfg, sec, "f_type", j, "none")
+        f_ops.append(None if kind == "none" else _probe_operator(
+            grid, kind, float(_per_dof(cfg, sec, "f_strength", j, "1.0"))))
+    g_kind = cfg.get(sec, "g_type", fallback="none")
+    g_strength = float(cfg.get(sec, "g_strength", fallback="1.0"))
     g = None
-    if g_kind == "bilinear":
-        g_strength = float(cfg.get("perturbation", "g_strength", fallback="1.0"))
-        pair = cfg.get("perturbation", "g_pair", fallback="1-2")
-        a, b = (int(t) - 1 for t in pair.split("-"))
-        g = ham.PairCoupling.bilinear(state.grids, a, b, g_strength)
+    if identical and g_kind in ("contact", "gaussian"):
+        width = float(_need(cfg, sec, "g_width")) if g_kind == "gaussian" else 1.0
+        g = gr.TwoBodyKernel(g_kind, strength=g_strength, width=width)
+    elif not identical and g_kind == "bilinear":
+        a, b = _dof_pair(cfg.get(sec, "g_pair", fallback="1-2"), len(grids))
+        g = ham.PairCoupling.bilinear(grids, a, b, g_strength)
     elif g_kind != "none":
         raise ConfigError(f"unknown pair probe {g_kind!r}")
+    if identical:
+        return li.PerturbationSpec(f_dag=f_ops[0], g_dag=g, omega=omega)
     return ld.DistPerturbationSpec(f_dags=tuple(f_ops), g_dag=g, omega=omega)
 
 
 def _solve_from_config(cfg, statistics_override=None):
-    statistics = statistics_override or _need(cfg, "system", "statistics")
-    opts = _solver_options(cfg)
-    if statistics in ("boson", "fermion"):
-        N = int(_need(cfg, "system", "particles"))
-        M = int(_need(cfg, "system", "orbitals"))
-        space = fs.enumerate_configs(statistics, N=N, M=M)
-        grid = _build_grid_j(cfg)
-        h_op = _build_h(cfg, grid)
-        kernel = _build_kernel(cfg)
-        return gs.solve_mchx(space, grid, h_op, kernel, opts)
-    if statistics in ("dist", "distinguishable"):
-        M_list = tuple(int(t) for t in
-                       _need(cfg, "system", "orbitals").split(","))
-        space = fs.enumerate_configs("distinguishable", M_list=M_list)
-        grids = [_build_grid_j(cfg, j) for j in range(len(M_list))]
-        h_ops = [_build_h(cfg, grids[j], j) for j in range(len(M_list))]
-        coupling = _build_coupling(cfg, grids)
-        return gs.solve_mch_dist(space, grids, h_ops, coupling, opts)
-    raise ConfigError(f"unknown statistics {statistics!r}")
+    with _config_values():
+        statistics = statistics_override or _need(cfg, "system", "statistics")
+        opts = _solver_options(cfg)
+        if statistics in ("boson", "fermion"):
+            N = int(_need(cfg, "system", "particles"))
+            M = int(_need(cfg, "system", "orbitals"))
+            space = fs.enumerate_configs(statistics, N=N, M=M)
+            grid = _build_grid_j(cfg)
+            solve, problem = gs.solve_mchx, (
+                space, grid, _build_h(cfg, grid), _build_kernel(cfg))
+        elif statistics in ("dist", "distinguishable"):
+            M_list = tuple(int(t) for t in
+                           _need(cfg, "system", "orbitals").split(","))
+            space = fs.enumerate_configs("distinguishable", M_list=M_list)
+            grids = [_build_grid_j(cfg, j) for j in range(len(M_list))]
+            h_ops = [_build_h(cfg, grids[j], j) for j in range(len(M_list))]
+            solve, problem = gs.solve_mch_dist, (
+                space, grids, h_ops, _build_coupling(cfg, grids))
+        else:
+            raise ConfigError(f"unknown statistics {statistics!r}")
+    return solve(*problem, opts)
 
 
 def _print_state_summary(state, cfg_hash):
@@ -255,11 +261,7 @@ def cmd_ground(args):
         print(f"# resumed from {out}")
         _print_state_summary(state, cfg_hash)
         return EXIT_OK
-    try:
-        state = _solve_from_config(cfg, statistics_override=args.statistics)
-    except gs.NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+    state = _solve_from_config(cfg, statistics_override=args.statistics)
     ckpt.save_state(out, state)
     _print_state_summary(state, cfg_hash)
     print(f"checkpoint = {out}")
@@ -268,17 +270,15 @@ def cmd_ground(args):
 
 def cmd_linres(args):
     if args.tol_zero is not None and not 0 < args.tol_zero < np.inf:
-        print(f"error: --tol-zero must be a positive finite number, got "
-              f"{args.tol_zero}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--tol-zero must be a positive finite number, got "
+                          f"{args.tol_zero}")
     state = _load_checkpoint(args.checkpoint)
     res = state.residuals
     orb, coef = res.get("orb_residual", np.inf), res.get("c_residual", np.inf)
     if orb > 1e-6 or coef > 1e-6:
-        print(f"error: checkpoint is not converged (orbital residual {orb:.3e}, "
-              f"coefficient residual {coef:.3e}); refusing to linearize",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"checkpoint is not converged (orbital residual "
+                          f"{orb:.3e}, coefficient residual {coef:.3e}); "
+                          "refusing to linearize")
     cfg, text = _load_config(args.config)
     cfg_hash = _config_hash(text)
     pert = _build_perturbation(cfg, state)
@@ -321,6 +321,7 @@ def cmd_linres(args):
     print(f"symmetry_defect_sigma3 = {spec.sigma3_defect:.3e}")
     print(f"pairing_residual = {spec.pairing_residual:.3e}")
     print(f"unstable = {spec.unstable}")
+    print(f"metric_clipped = {rm.metric_clipped}")
     low = np.sort(spec.omega)[:8]
     print("lowest_excitations = " + " ".join(f"{w:.12g}" for w in low))
     if args.dump_matrix:
@@ -342,8 +343,9 @@ def cmd_oracle(args):
     which = args.which
     print(f"# config sha256 {cfg_hash}")
     if which == "osc":
-        lam = float(_need(cfg, "interaction", "strength"))
-        ref = orc.coupled_oscillators_reference(lam)
+        with _config_values():
+            ref = orc.coupled_oscillators_reference(
+                float(_need(cfg, "interaction", "strength")))
         state = _solve_from_config(cfg)
         rm = ld.assemble_L_dist(state)
         spec = spm.eigensolve(rm)
@@ -369,15 +371,15 @@ def cmd_oracle(args):
         print(f"max_diff = {np.abs(low[:len(ref)] - ref[:len(low)]).max():.3e}")
         return EXIT_OK
     if which == "se":
-        N = int(_need(cfg, "system", "particles"))
-        statistics = _need(cfg, "system", "statistics")
-        grid = _build_grid_j(cfg)
-        h_op = _build_h(cfg, grid)
-        kernel = _build_kernel(cfg)
+        with _config_values():
+            N = int(_need(cfg, "system", "particles"))
+            statistics = _need(cfg, "system", "statistics")
+            grid = _build_grid_j(cfg)
+            h_op = _build_h(cfg, grid)
+            kernel = _build_kernel(cfg)
+            omega = float(cfg.get("perturbation", "omega", fallback="0.37"))
         eigsys = orc.exact_diag_grid(N, statistics, grid, h_op, kernel)
-        f_op = gr.position_operator(grid)
-        omega = float(cfg.get("perturbation", "omega", fallback="0.37"))
-        res = orc.se_linear_response(eigsys, f_op, omega)
+        res = orc.se_linear_response(eigsys, gr.position_operator(grid), omega)
         err = np.abs(res["omega_plus"] - res["gaps"]).max()
         print(f"branch_match_defect = {err:.3e}")
         print(f"identity_defect = {res['identity_defect']:.3e}")
@@ -393,9 +395,8 @@ def cmd_oracle(args):
 def cmd_propcheck(args):
     state = _load_checkpoint(args.checkpoint)
     if not isinstance(state, gs.GroundState):
-        print("error: propagation check supports identical-particle "
-              "checkpoints only", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("propagation check supports identical-particle "
+                          "checkpoints only")
     if args.perturb > 0:
         state = gs.perturbed_state(state, args.perturb, seed=args.seed)
     diag = gs.propagate_check(state, args.dt, args.steps,

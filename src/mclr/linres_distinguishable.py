@@ -12,7 +12,9 @@ term is contracted against the reduced density of the DOFs that it and the
 block touch (at most three for Q <= 3; a cross-DOF block whose pair term
 touches neither of its DOFs needs four).  All-body tables are contracted
 against the coefficient tensor itself, so the all-body density
-conj(C_n) C_m is still never stored.
+conj(C_n) C_m is still never stored.  The driving vector gathers the
+per-DOF probes, the mean fields and configuration matrix of the all-body
+probe, and leaves the rows to the skeleton shared with identical particles.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from . import hamiltonian as ham
 from .groundstate import DistGroundState
 from .hamiltonian import PairCoupling
 from .linres_identical import (ResponseLayout, ResponseMatrix, _cc_block,
-                              _require_converged, _response_matrix)
+                              _driving_vector, _require_converged,
+                              _response_matrix)
 
 __all__ = [
     "DistPerturbationSpec",
@@ -178,46 +181,30 @@ def assemble_L_dist(state: DistGroundState,
 
 def build_R_dist(state: DistGroundState, pert: DistPerturbationSpec,
                  rm: ResponseMatrix | None = None) -> np.ndarray:
-    """Projected driving vector for per-DOF and all-body probes."""
+    """Projected driving vector for per-DOF one-body probes and an all-body
+    probe: their mean fields and actions on C, for ``_driving_vector``."""
     _require_converged(state)
     if rm is None:
         rm = assemble_L_dist(state)
-    layout = rm.layout
-    space, C = state.space, state.C
-    scaled = [s.scaled for s in state.sets]
+    space, sets = state.space, state.sets
+    f_dags = pert.f_dags or (None,) * len(sets)
+    om, c1, c2 = [None] * len(sets), None, None
+    if any(f is not None for f in f_dags):
+        h_list = [np.zeros((len(s.scaled),) * 2) if f is None
+                  else ham.one_body_elements(s, f) for s, f in zip(sets, f_dags)]
 
-    S1 = np.zeros(layout.D, dtype=complex)
-    S2 = np.zeros(layout.D, dtype=complex)
-
-    f_dags = pert.f_dags or (None,) * layout.Q
-    f_mats = []
-    for j, f in enumerate(f_dags):
-        if f is None:
-            f_mats.append(None)
-            continue
-        F = f.matrix
-        f_mats.append(ham.one_body_elements(state.sets[j], f))
-        for a in range(layout.M_list[j]):
-            S1[layout.u_slice(j, a)] = -(F @ scaled[j][a])
-            S1[layout.v_slice(j, a)] = F.conj() @ scaled[j][a].conj()
-    if any(m is not None for m in f_mats):
-        h_list = [m if m is not None else np.zeros((layout.M_list[j],) * 2)
-                  for j, m in enumerate(f_mats)]
-        S1[layout.cu_slice] = -fs.apply_hamiltonian_dist(space, C, h_list)
-        S1[layout.cv_slice] = fs.apply_hamiltonian_dist(
-            space, C.conj(), [m.T for m in h_list])
+        def c1(x, transpose):
+            return fs.apply_hamiltonian_dist(
+                space, x, [h.T for h in h_list] if transpose else h_list)
 
     if pert.g_dag is not None:
-        for j in range(layout.Q):
-            om = ham.mean_fields_dist(space, C, state.sets, pert.g_dag, j)
-            for a in range(layout.M_list[j]):
-                acc = np.einsum("bx,bx->x", om[a], scaled[j])
-                S2[layout.u_slice(j, a)] = -acc
-                accs = np.einsum("bx,bx->x", om[a].conj(),
-                                 np.conj(scaled[j]))
-                S2[layout.v_slice(j, a)] = accs
-        G = ham.config_coupling_matrix(pert.g_dag, state.sets, space)
-        S2[layout.cu_slice] = -(G @ C)
-        S2[layout.cv_slice] = G.T @ C.conj()
+        om = [ham.mean_fields_dist(space, state.C, sets, pert.g_dag, j)
+              for j in range(len(sets))]
+        G = ham.config_coupling_matrix(pert.g_dag, sets, space)
 
-    return rm.project(S1, +0.5) + rm.project(S2, -0.5)
+        def c2(x, transpose):
+            return (G.T if transpose else G) @ x
+
+    return _driving_vector(rm, [s.scaled for s in sets],
+                           [None if f is None else f.matrix for f in f_dags],
+                           om, c1, c2)

@@ -4,7 +4,8 @@ The response space stacks, in this order, the orbital response amplitudes
 u_1..u_M, their partners v_1..v_M, and the coefficient amplitudes C_u, C_v;
 its total dimension is D = 2 (M n_points + N_conf).  This is the one-DOF
 case of ``ResponseLayout``; the distinguishable assembly uses the same
-layout and the projector, metric and block-product code below.
+layout, the projector, metric and block-product code and the driving-vector
+skeleton ``_driving_vector`` below, with its own ingredients plugged in.
 
 Inside this module orbital entries live in the scaled convention
 phi~ = sqrt(dx) phi, which turns quadrature sums into plain dot products.
@@ -28,8 +29,9 @@ each DOF (one QR of phi_j^T) and one Q_c of the complement of C make the
 isometry B = kron(1, Q_j) (+) Q_c onto range(P) on x = (u, C_u); the halves
 are a = B^H L[x, x] B and b = B^H L[x, y] B*, with y = (v, C_v), of size
 sum_j M_j (n_j - M_j) + N_conf - 1.  They are formed directly with the
-rectangular factors P M^(-1/2) B = kron(m_j^(-1/2), Q_j) (+) Q_c; the dense
-D x D matrix is built only on demand.
+rectangular factors P M^(-1/2) B = kron(m_j^(-1/2), Q_j) (+) Q_c.  ``project``
+applies P M^(+-1/2) as the per-DOF metric factors and B B^H through ``lift``;
+the dense D x D L and P are built only on demand.
 
 Real arithmetic is decided once, in ``_response_matrix``: when no raw
 block, orbital, one-body density or coefficient has an imaginary part,
@@ -65,6 +67,9 @@ __all__ = [
 ]
 
 STATISTICS_SIGN = {"boson": +1.0, "fermion": -1.0}
+# default metric floor as a fraction of tr rho; natural orbitals at or below
+# it are empty, and ``spectrum.reconstruct`` drops those the floor clipped
+FLOOR_FRACTION = 1e-10
 
 
 @dataclass(frozen=True)
@@ -202,36 +207,29 @@ class ResponseMatrix:
         L[np.ix_(y, y)] = -a.conj()
         return L
 
-    def _projectors(self):
-        """(grid projectors Q_j Q_j^H of each DOF, Qc Qc^H)."""
-        return [q @ q.conj().T for q in self.Q], self.Qc @ self.Qc.conj().T
-
     def project(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
-        """P M^power x for power 0, +1/2 or -1/2, sector by sector: per DOF
-        kron(m_j^power, Pg_j) on u and its conjugate on v, Pc on C_u and
-        Pc* on C_v, with Pg_j = Q_j Q_j^H and Pc = Qc Qc^H.  ``x`` is a
-        vector or a matrix with D rows."""
-        lay = self.layout
-        metric = {0.0: None, 0.5: self.m_half, -0.5: self.m_neghalf}[power]
-        Pg, Pc = self._projectors()
-        out = np.empty(x.shape, dtype=complex)
-        for j, (M, n) in enumerate(zip(lay.M_list, lay.n_list)):
-            for blk, conj in ((lay.u_block(j), False), (lay.v_block(j), True)):
-                g = Pg[j].conj() if conj else Pg[j]
-                y = g @ x[blk].reshape(M, n, -1)
-                if metric is not None:
-                    m = metric[j].conj() if conj else metric[j]
-                    y = np.tensordot(m, y, axes=1)
-                out[blk] = y.reshape(x[blk].shape)
-        out[lay.cu_slice] = Pc @ x[lay.cu_slice]
-        out[lay.cv_slice] = Pc.conj() @ x[lay.cv_slice]
-        return out
+        """P M^power x for power 0, +1/2 or -1/2: on the x rows (u, C_u)
+        the metric factor m_j^power on the orbital slots of each DOF, then
+        P = B B^H through ``lift``; on the y rows (v, C_v) the conjugate of
+        both.  No projector is formed.  ``x`` is a vector or a matrix with
+        D rows; the result has the dtype of ``x`` and the factors."""
+        lay, o = self.layout, self.layout.orb
+        metric = {0.0: [], 0.5: self.m_half, -0.5: self.m_neghalf}[power]
+        # the x rows and the conjugated y rows, side by side on a last axis
+        z = np.stack([np.concatenate([x[:o], x[lay.cu_slice]]),
+                      np.concatenate([x[o:2 * o], x[lay.cv_slice]]).conj()],
+                     axis=-1).astype(np.result_type(x, *metric), copy=False)
+        for j, m in enumerate(metric):
+            blk = lay.u_block(j)
+            z[blk] = (m @ z[blk].reshape(len(m), -1)).reshape(z[blk].shape)
+        z = self.lift(self.lift(z, adjoint=True))
+        px, py = z[..., 0], z[..., 1].conj()
+        return np.concatenate([px[:o], py[:o], px[o:], py[o:]])
 
     def projector(self) -> np.ndarray:
-        """Dense D x D projector P, built on demand."""
-        Pg, Pc = self._projectors()
-        G = _block_diag(*map(np.kron, map(np.eye, self.layout.M_list), Pg))
-        return _block_diag(G, G.conj(), Pc, Pc.conj())
+        """Dense D x D projector P, built on demand from ``project``; real
+        for a real problem."""
+        return self.project(np.eye(self.D))
 
 
 def _require_converged(state, tol=1e-6):
@@ -346,15 +344,6 @@ def _cc_block(H, C):
     return H - eps * np.eye(len(H))
 
 
-def _block_diag(*mats) -> np.ndarray:
-    """Dense block-diagonal matrix of square ``mats``."""
-    at = np.cumsum([0] + [len(m) for m in mats])
-    out = np.zeros((at[-1],) * 2, dtype=np.result_type(*mats))
-    for m, i, j in zip(mats, at, at[1:]):
-        out[i:j, i:j] = m
-    return out
-
-
 def _sandwich(left, X, right) -> np.ndarray:
     """diag(left) X diag(right) for lists of rectangular diagonal blocks;
     the columns of ``left`` (rows of ``right``) partition X."""
@@ -432,7 +421,7 @@ def _response_matrix(state, blocks, phis, rho1s,
     layout = ResponseLayout(tuple(len(p) for p in phis),
                             tuple(p.shape[1] for p in phis), len(C))
     if floor is None:
-        floor = 1e-10 * max(np.trace(r).real for r in rho1s)
+        floor = FLOOR_FRACTION * max(np.trace(r).real for r in rho1s)
     Q, half, neghalf, clipped = [], [], [], False
     for phi, rho in zip(phis, rho1s):
         Q.append(_complement(phi))
@@ -461,49 +450,63 @@ def assemble_L(state: GroundState, floor: float | None = None) -> ResponseMatrix
                             [_hermitized(state.rho.rho1)], floor)
 
 
+def _driving_vector(rm: ResponseMatrix, phis, F, om, c1, c2) -> np.ndarray:
+    """Projected driving vector P M^(+1/2) S1 + P M^(-1/2) S2 for either
+    particle kind, one DOF per entry of ``phis`` (scaled orbitals).
+
+    S1 is the one-body probe: u rows -F_j phi_a for each DOF with a probe
+    matrix ``F[j]`` (None for an unprobed DOF).  S2 is the pair probe: u rows
+    -sum_b Omega_j[a, b] phi_b from its mean fields ``om[j]``, an
+    (M_j, M_j, n_j) stack or None.  The v rows are -conj(u).  ``c1`` and
+    ``c2`` are the configuration actions of the two probes, or None:
+    c(x, transpose) gives O x or O^T x, and C_u = -O C, C_v = O^T conj(C).
+    """
+    lay, C = rm.layout, rm.state.C
+    S = np.zeros((2, lay.D), dtype=complex)
+    for j, (phi, f, o) in enumerate(zip(phis, F, om)):
+        if f is not None:
+            S[0, lay.u_block(j)] = -(phi @ f.T).ravel()
+        if o is not None:
+            S[1, lay.u_block(j)] = -np.einsum("abx,bx->ax", o, phi).ravel()
+    for s, act in zip(S, (c1, c2)):
+        if act is not None:
+            s[lay.cu_slice] = -act(C, False)
+            s[lay.cv_slice] = act(C.conj(), True)
+    S[:, lay.orb:2 * lay.orb] = -S[:, :lay.orb].conj()
+    return rm.project(S[0], +0.5) + rm.project(S[1], -0.5)
+
+
 def build_R(state: GroundState, pert: PerturbationSpec,
             rm: ResponseMatrix | None = None) -> np.ndarray:
-    """Projected driving vector P [M^(+1/2) S1 + M^(-1/2) S2].
-
-    S1 stacks the one-body probe (-f^dag phi, f^* phi^*, and the mapped
-    coefficient entries), S2 the pair-probe mean fields and their
-    coefficient entries.
+    """Projected driving vector P [M^(+1/2) S1 + M^(-1/2) S2] of the
+    one-body probe f (S1) and the pair probe g (S2): the mean fields
+    rho2 . W_g and the second-quantized actions on C, for ``_driving_vector``.
     """
     _require_converged(state)
     if rm is None:
         rm = assemble_L(state)
-    layout = rm.layout
-    phi = state.orbitals.scaled
-    space, C = state.space, state.C
-    rho2 = state.rho.rho2
-
-    S1 = np.zeros(layout.D, dtype=complex)
-    S2 = np.zeros(layout.D, dtype=complex)
-
+    space, phi = state.space, state.orbitals.scaled
+    F = om = c1 = c2 = None
     if pert.f_dag is not None:
         F = pert.f_dag.matrix
         f_mat = ham.one_body_elements(state.orbitals, pert.f_dag)
-        for k in range(len(phi)):
-            S1[layout.u_slice(0, k)] = -(F @ phi[k])
-            S1[layout.v_slice(0, k)] = F.conj() @ phi[k].conj()
-        S1[layout.cu_slice] = -fs.apply_second_quantized(space, C, f_mat)
-        S1[layout.cv_slice] = fs.apply_second_quantized(space, C.conj(), f_mat.T)
+
+        def c1(x, transpose):
+            return fs.apply_second_quantized(
+                space, x, f_mat.T if transpose else f_mat)
 
     if pert.g_dag is not None and pert.g_dag.kind != "none":
         G = discretize_kernel(state.grid, pert.g_dag)
         gloc = ham.local_potentials(state.orbitals, G)        # (s, l, x)
-        om_g = np.einsum("kslq,slx->kqx", rho2, gloc)
-        for k in range(len(phi)):
-            S2[layout.u_slice(0, k)] = -np.einsum("qx,qx->x", om_g[k], phi)
-            S2[layout.v_slice(0, k)] = np.einsum("qx,qx->x", om_g[k].conj(),
-                                                 phi.conj())
+        om = np.einsum("kslq,slx->kqx", state.rho.rho2, gloc)
         gt = ham.two_body_tensor(state.orbitals, G)
         zero = np.zeros((len(phi),) * 2)
-        S2[layout.cu_slice] = -fs.apply_second_quantized(space, C, zero, gt)
-        S2[layout.cv_slice] = fs.apply_second_quantized(
-            space, C.conj(), zero, np.transpose(gt, (3, 2, 1, 0)))
 
-    return rm.project(S1, +0.5) + rm.project(S2, -0.5)
+        def c2(x, transpose):
+            return fs.apply_second_quantized(
+                space, x, zero, gt.transpose(3, 2, 1, 0) if transpose else gt)
+
+    return _driving_vector(rm, [phi], [F], [om], c1, c2)
 
 
 def sigma1(layout) -> np.ndarray:

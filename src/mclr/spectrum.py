@@ -53,7 +53,8 @@ import numpy as np
 from numpy import linalg as sla     # LAPACK drivers, wrapped by profilers
 
 from .groundstate import GroundState
-from .linres_identical import ResponseMatrix, halves_index, sigma1, sigma3
+from .linres_identical import (FLOOR_FRACTION, ResponseMatrix, halves_index,
+                              sigma1, sigma3)
 
 __all__ = [
     "LRSpectrum",
@@ -408,7 +409,14 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
     (u,), (v,), cu, cv = rm.layout.split(spec.right[:, keep])
     v, cv = v.conj(), cv.conj()
     minus, plus = gp * lo, gm * hi
-    dphi_m, dphi_p = rm.m_neghalf[0] @ np.stack(
+    # an empty natural orbital lifted by the floor carries rounding noise
+    # times 1/sqrt(floor): drop it; a floor raised above a real occupation
+    # keeps that orbital, through the same M^(-1/2) as L
+    m, (n, U) = rm.m_neghalf[0], np.linalg.eigh(state.rho.rho1)
+    empty = n < min(rm.floor, FLOOR_FRACTION * n.sum())
+    if empty.any():
+        m = (U * np.where(empty, 0, np.maximum(n, rm.floor) ** -0.5)) @ U.conj().T
+    dphi_m, dphi_p = m @ np.stack(
         [u @ minus + v @ plus, v @ minus.conj() + u @ plus.conj()])
     dC_m = cu @ minus + cv @ plus
     dC_p = cv @ minus.conj() + cu @ plus.conj()

@@ -12,17 +12,20 @@ only tests use (exchange kernels, the single-entry density action, the
 coefficient-orbital rows summed directly, the first-quantized one- and
 two-body operators, the Lagrange multipliers recomputed from a state) live
 here as well, and so do the dense forms of the structural operator P M^p
-and of the projected, metric-transformed response matrix, the per-mode
-sum of the driven response and the per-field CSV writers of the spectrum.
+and of the projected, metric-transformed response matrix, the driving
+vectors written out separately for each particle kind, the per-mode sum
+of the driven response and the per-field CSV writers of the spectrum.
 """
 
 import numpy as np
 from scipy.linalg import block_diag
 
+from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
 from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
+from mclr.grid import discretize_kernel
 from mclr.hamiltonian import AllBodyTable, PairCoupling
 from mclr.oracle import (_apply_one_body, _basis_operator, _product_apply_h,
                          symmetrized_basis)
@@ -459,6 +462,81 @@ def dense_L(rm):
     """P M^(-1/2) L_raw M^(-1/2) P with every factor a dense D x D matrix."""
     G = dense_PM(rm, -0.5)
     return G @ dense_raw(rm.layout, raw_blocks(rm.state)) @ G
+
+
+# --- driving vectors, written out per particle kind --------------------------
+
+
+def build_R(state, pert, rm):
+    """P [M^(+1/2) S1 + M^(-1/2) S2] for identical particles, each row filled
+    orbital slot by orbital slot and projected by the dense ``dense_PM``."""
+    layout = rm.layout
+    phi = state.orbitals.scaled
+    space, C = state.space, state.C
+    S1 = np.zeros(layout.D, dtype=complex)
+    S2 = np.zeros(layout.D, dtype=complex)
+    if pert.f_dag is not None:
+        F = pert.f_dag.matrix
+        f_mat = ham.one_body_elements(state.orbitals, pert.f_dag)
+        for k in range(len(phi)):
+            S1[layout.u_slice(0, k)] = -(F @ phi[k])
+            S1[layout.v_slice(0, k)] = F.conj() @ phi[k].conj()
+        S1[layout.cu_slice] = -fs.apply_second_quantized(space, C, f_mat)
+        S1[layout.cv_slice] = fs.apply_second_quantized(space, C.conj(),
+                                                        f_mat.T)
+    if pert.g_dag is not None and pert.g_dag.kind != "none":
+        G = discretize_kernel(state.grid, pert.g_dag)
+        gloc = ham.local_potentials(state.orbitals, G)        # (s, l, x)
+        om_g = np.einsum("kslq,slx->kqx", state.rho.rho2, gloc)
+        for k in range(len(phi)):
+            S2[layout.u_slice(0, k)] = -np.einsum("qx,qx->x", om_g[k], phi)
+            S2[layout.v_slice(0, k)] = np.einsum("qx,qx->x", om_g[k].conj(),
+                                                 phi.conj())
+        gt = ham.two_body_tensor(state.orbitals, G)
+        zero = np.zeros((len(phi),) * 2)
+        S2[layout.cu_slice] = -fs.apply_second_quantized(space, C, zero, gt)
+        S2[layout.cv_slice] = fs.apply_second_quantized(
+            space, C.conj(), zero, np.transpose(gt, (3, 2, 1, 0)))
+    return dense_PM(rm, 0.5) @ S1 + dense_PM(rm, -0.5) @ S2
+
+
+def build_R_dist(state, pert, rm):
+    """The same for distinguishable DOFs: per-DOF one-body probes and an
+    all-body probe."""
+    layout = rm.layout
+    space, C = state.space, state.C
+    scaled = [s.scaled for s in state.sets]
+    S1 = np.zeros(layout.D, dtype=complex)
+    S2 = np.zeros(layout.D, dtype=complex)
+    f_dags = pert.f_dags or (None,) * layout.Q
+    f_mats = []
+    for j, f in enumerate(f_dags):
+        if f is None:
+            f_mats.append(None)
+            continue
+        F = f.matrix
+        f_mats.append(ham.one_body_elements(state.sets[j], f))
+        for a in range(layout.M_list[j]):
+            S1[layout.u_slice(j, a)] = -(F @ scaled[j][a])
+            S1[layout.v_slice(j, a)] = F.conj() @ scaled[j][a].conj()
+    if any(m is not None for m in f_mats):
+        h_list = [m if m is not None else np.zeros((layout.M_list[j],) * 2)
+                  for j, m in enumerate(f_mats)]
+        S1[layout.cu_slice] = -fs.apply_hamiltonian_dist(space, C, h_list)
+        S1[layout.cv_slice] = fs.apply_hamiltonian_dist(
+            space, C.conj(), [m.T for m in h_list])
+    if pert.g_dag is not None:
+        for j in range(layout.Q):
+            om = ham.mean_fields_dist(space, C, state.sets, pert.g_dag, j)
+            for a in range(layout.M_list[j]):
+                S2[layout.u_slice(j, a)] = -np.einsum("bx,bx->x", om[a],
+                                                      scaled[j])
+                S2[layout.v_slice(j, a)] = np.einsum(
+                    "bx,bx->x", om[a].conj(), np.conj(scaled[j]))
+        G = ham.config_coupling_matrix(pert.g_dag, state.sets, space)
+        S2[layout.cu_slice] = -(G @ C)
+        S2[layout.cv_slice] = G.T @ C.conj()
+    return dense_PM(rm, 0.5) @ S1 + dense_PM(rm, -0.5) @ S2
 
 
 # --- spectrum: per-mode response sum and per-field CSV writers --------------

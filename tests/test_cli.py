@@ -13,8 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mclr import checkpoint as ckpt_mod
 from mclr import cli
+from mclr import grid as gr
+from mclr import hamiltonian as ham
+from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
+from mclr import spectrum as spm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -376,3 +381,110 @@ def test_linres_refuses_unconverged_coefficients(tmp_path, tiny_checkpoint):
     code, err = _linres_quiet(cfg, ck, tmp_path)
     assert code == 1
     assert "not converged" in err and "coefficient residual 1.000e-03" in err
+
+
+@pytest.fixture(scope="module")
+def config_checkpoints(tmp_path_factory):
+    """Checkpoints of harmonic_n2_m2 and coupled_pair_m44, by config name."""
+    d = tmp_path_factory.mktemp("ground")
+    out = {}
+    for name in ("harmonic_n2_m2", "coupled_pair_m44"):
+        out[name] = d / f"{name}.ckpt"
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["ground", "--config", str(CONFIGS / f"{name}.cfg"),
+                             "--checkpoint", str(out[name])]) == 0
+    return out
+
+
+def _edited_config(path, name, old, new):
+    """configs/<name>.cfg with its line ``old`` replaced by ``new``."""
+    lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
+    assert lines.count(old) == 1
+    lines[lines.index(old)] = new
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command,name,old,new", [
+    ("ground", "harmonic_n2_m2", "strength = 0.1", "strength = abc"),
+    ("ground", "harmonic_n2_m2", "particles = 2", "particles = 0"),
+    ("ground", "harmonic_n2_m2", "points = 64", "points = 3"),
+    ("ground", "harmonic_n2_m2", "omega = 1.0", "omega = -1"),        # trap
+    ("ground", "coupled_pair_m44", "pair = 1-2", "pair = 1-1"),
+    ("ground", "coupled_pair_m44", "pair = 1-2", "pair = 1-3"),
+    ("ground", "coupled_pair_m44", "pair = 1-2", "pair = 0-2"),
+    ("linres", "harmonic_n2_m2", "omega = 0.55", "omega = 0"),
+    ("linres", "harmonic_n2_m2", "f_strength = 1.0", "f_strength = abc"),
+    ("linres", "harmonic_n2_m2", "f_strength = 1.0", "g_type = cubic"),
+    ("linres", "coupled_pair_m44", "omega = 0.57", "omega = 0"),
+    ("linres", "coupled_pair_m44", "f_type_2 = none", "g_type = cubic"),
+    ("linres", "coupled_pair_m44", "f_type_2 = none",
+     "g_type = bilinear\ng_pair = 1-3"),
+])
+def test_bad_config_value_is_one_error_line(tmp_path, capsys, config_checkpoints,
+                                            command, name, old, new):
+    cfg = _edited_config(tmp_path / "bad.cfg", name, old, new)
+    if command == "ground":
+        argv = ["ground", "--config", cfg,
+                "--checkpoint", str(tmp_path / "x.ckpt")]
+    else:
+        argv = ["linres", "--config", cfg, "--out-dir", str(tmp_path),
+                "--checkpoint", str(config_checkpoints[name])]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("harmonic_n2_m2", "f_strength = 1.0",
+     "f_strength = 1.0\ng_type = gaussian\ng_strength = 0.2\ng_width = 0.6"),
+    ("coupled_pair_m44", "f_type_2 = none",
+     "f_type_2 = x\ng_type = bilinear\ng_strength = 0.3"),
+])
+def test_linres_pair_probe_config(tmp_path, capsys, config_checkpoints,
+                                  name, old, new):
+    # the pair-probe keys of [perturbation] give the weights of the library
+    # driving vector built from the same probes by hand
+    cfg = _edited_config(tmp_path / "probe.cfg", name, old, new)
+    ck = config_checkpoints[name]
+    code, out, _ = _run(capsys, ["linres", "--checkpoint", str(ck), "--config",
+                                 cfg, "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "eigensolver = rpa" in out
+    assert "metric_clipped = False" in out
+    state = ckpt_mod.load_state(ck)
+    if name == "harmonic_n2_m2":
+        rm = li.assemble_L(state)
+        R = li.build_R(state, li.PerturbationSpec(
+            f_dag=gr.position_operator(state.grid),
+            g_dag=gr.TwoBodyKernel("gaussian", strength=0.2, width=0.6),
+            omega=0.55), rm)
+    else:
+        rm = ld.assemble_L_dist(state)
+        R = ld.build_R_dist(state, ld.DistPerturbationSpec(
+            f_dags=tuple(map(gr.position_operator, state.grids)),
+            g_dag=ham.PairCoupling.bilinear(state.grids, 0, 1, 0.3),
+            omega=0.57), rm)
+    w = spm.response_weights(spm.eigensolve(rm), R)
+    rows = np.loadtxt(tmp_path / "weights.csv", delimiter=",", skiprows=4)
+    for col, gamma in ((3, w.gamma_plus), (4, w.gamma_minus)):
+        assert np.abs(rows[:, col] - np.abs(gamma)).max() \
+            <= 1e-12 * np.abs(gamma).max()
+    assert np.abs(w.gamma_plus).max() > 1e-3
+
+
+def test_linres_free_ladder_drops_empty_orbital(tmp_path, capsys):
+    # the second natural orbital of the free pair is empty (occupation
+    # ~1e-45); its clipped metric direction must not amplify rounding noise
+    # into the driven orbitals, which vanish (x phi_0 lies in the span)
+    cfg, ck = str(CONFIGS / "free_ladder_m2.cfg"), str(tmp_path / "state.ckpt")
+    assert _run(capsys, ["ground", "--config", cfg, "--checkpoint", ck])[0] == 0
+    code, out, _ = _run(capsys, ["linres", "--checkpoint", ck, "--config", cfg,
+                                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "metric_clipped = True" in out
+    _, arrays = ckpt_mod.load_arrays(tmp_path / "reconstruction.ckpt")
+    for key in ("dphi_minus", "dphi_plus"):
+        assert np.abs(arrays[key]).max() < 1e-12
+    assert np.abs(arrays["dC_minus"]).max() > 0.1

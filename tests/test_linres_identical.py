@@ -271,6 +271,39 @@ def test_driving_vector_parity_structure(bos_m2_48):
     assert abs(cu[sp.rank((1, 1))]) > 1e-3
 
 
+def _probes(st):
+    """Probe f, probe g, both, and for two DOFs f on the first DOF only."""
+    if isinstance(st, gs.GroundState):
+        f = position_operator(st.grid)
+        g = TwoBodyKernel("gaussian", strength=0.2, width=0.6)
+        return [li.PerturbationSpec(f_dag=f, omega=0.55),
+                li.PerturbationSpec(g_dag=g, omega=0.55),
+                li.PerturbationSpec(f_dag=f, g_dag=g, omega=0.55)]
+    f = tuple(position_operator(g) for g in st.grids)
+    g = ham.PairCoupling.bilinear(st.grids, 0, 1, 0.3)
+    return [ld.DistPerturbationSpec(f_dags=f, omega=0.57),
+            ld.DistPerturbationSpec(g_dag=g, omega=0.57),
+            ld.DistPerturbationSpec(f_dags=f, g_dag=g, omega=0.57),
+            ld.DistPerturbationSpec(f_dags=(f[0], None), omega=0.57)]
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_m3", "dist_44"])
+def test_driving_vector_matches_per_kind_oracle(fixture, request):
+    # the shared row filler against the driving vectors written out for
+    # each particle kind and projected by the dense P M^(+-1/2)
+    st = request.getfixturevalue(fixture)
+    if isinstance(st, gs.GroundState):
+        rm, build, oracle = li.assemble_L(st), li.build_R, lo.build_R
+    else:
+        rm, build, oracle = ld.assemble_L_dist(st), ld.build_R_dist, \
+            lo.build_R_dist
+    for pert in _probes(st):
+        ref = oracle(st, pert, rm)
+        assert np.abs(ref).max() > 1e-6
+        assert np.abs(build(st, pert, rm) - ref).max() \
+            <= 1e-13 * np.abs(ref).max()
+
+
 def test_pair_probe_selects_even_modes(bos_m2_48):
     # a parity-even interaction probe cannot drive the odd dipole mode but
     # does drive the even breathing-type modes
