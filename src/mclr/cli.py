@@ -341,6 +341,20 @@ def cmd_oracle(args):
     cfg, text = _load_config(args.config)
     cfg_hash = _config_hash(text)
     which = args.which
+    # bdg and osc compare against the references of one model each
+    statistics = _need(cfg, "system", "statistics")
+    n_dofs = cfg.get("system", "orbitals", fallback="").count(",") + 1
+    kind = cfg.get("interaction", "type", fallback="none")
+    if which == "bdg" and (statistics != "boson"
+                           or kind not in ("contact", "none")):
+        raise ConfigError(f"oracle bdg needs boson statistics with a contact "
+                          f"or no interaction, got {statistics} statistics "
+                          f"and interaction {kind!r}")
+    if which == "osc" and (statistics not in ("dist", "distinguishable")
+                           or n_dofs != 2 or kind != "bilinear"):
+        raise ConfigError(f"oracle osc needs two distinguishable DOFs with a "
+                          f"bilinear coupling, got {statistics} statistics, "
+                          f"{n_dofs} DOF(s) and interaction {kind!r}")
     print(f"# config sha256 {cfg_hash}")
     if which == "osc":
         with _config_values():
@@ -373,7 +387,6 @@ def cmd_oracle(args):
     if which == "se":
         with _config_values():
             N = int(_need(cfg, "system", "particles"))
-            statistics = _need(cfg, "system", "statistics")
             grid = _build_grid_j(cfg)
             h_op = _build_h(cfg, grid)
             kernel = _build_kernel(cfg)
@@ -393,6 +406,14 @@ def cmd_oracle(args):
 
 
 def cmd_propcheck(args):
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
+    if not 0 < args.dt < np.inf:
+        raise ConfigError(f"--dt must be a positive finite number, got "
+                          f"{args.dt}")
+    if not 0 <= args.perturb < np.inf:
+        raise ConfigError(f"--perturb must be a non-negative finite number, "
+                          f"got {args.perturb}")
     state = _load_checkpoint(args.checkpoint)
     if not isinstance(state, gs.GroundState):
         raise ConfigError("propagation check supports identical-particle "

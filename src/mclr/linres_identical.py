@@ -24,19 +24,20 @@ to machine precision, and P L P = L holds structurally.  P and M^(-1/2)
 are block diagonal and commute, so the u/C_u rows of L are formed from
 per-DOF block products of the u/C_u rows of L_raw; the v/C_v rows are
 their mirrors.  ``ResponseMatrix`` keeps L as its two RPA halves on
-range(P).  An orthonormal basis Q_j of the complement of the orbitals of
-each DOF (one QR of phi_j^T) and one Q_c of the complement of C make the
-isometry B = kron(1, Q_j) (+) Q_c onto range(P) on x = (u, C_u); the halves
+range(P).  The trailing columns Q_j (Q_c) of the unitary of one
+Householder QR of phi_j^T (of C), kept as compact WY factors, span the
+complement of the orbitals of DOF j (of C); Q_j on each orbital slot and
+Q_c on C_u make the isometry B onto range(P) on x = (u, C_u).  The halves
 are a = B^H L[x, x] B and b = B^H L[x, y] B*, with y = (v, C_v), of size
-sum_j M_j (n_j - M_j) + N_conf - 1.  They are formed directly with the
-rectangular factors P M^(-1/2) B = kron(m_j^(-1/2), Q_j) (+) Q_c.  ``project``
-applies P M^(+-1/2) as the per-DOF metric factors and B B^H through ``lift``;
-the dense D x D L and P are built only on demand.
+sum_j M_j (n_j - M_j) + N_conf - 1.  ``ResponseMatrix.lift`` applies B or
+B^H in two thin products per block, and ``pull`` B^H M^(+-1/2); the halves
+are pulled from both sides of the raw x rows, and ``project`` is
+lift(pull(.)).  The dense D x D L and P are built only on demand.
 
 Real arithmetic is decided once, in ``_response_matrix``: when no raw
 block, orbital, one-body density or coefficient has an imaginary part,
-their real parts are taken, and Q_j, Q_c, the halves and the null vectors
-are real arrays.  The ground state of a real problem is exactly real
+their real parts are taken, and the reflectors, the halves and the null
+vectors are real arrays.  The ground state of a real problem is exactly real
 (``groundstate._ci_eigenpair``), so the decision looks at the problem and
 not at rounding noise; the spectrum reads it from the dtype of the halves.
 """
@@ -102,10 +103,6 @@ class ResponseLayout:
         base = self._dof_offset(j) + a * self.n_list[j]
         return slice(base, base + self.n_list[j])
 
-    def v_slice(self, j: int, a: int) -> slice:
-        base = self.orb + self._dof_offset(j) + a * self.n_list[j]
-        return slice(base, base + self.n_list[j])
-
     def u_block(self, j: int) -> slice:
         base = self._dof_offset(j)
         return slice(base, base + self.M_list[j] * self.n_list[j])
@@ -153,21 +150,22 @@ class ResponseMatrix:
     of ``halves_index`` is kept as its halves on range(P): with B the
     isometry from the reduced coordinates onto range(P) on x,
     L_xx = B ``a`` B^H (``a`` Hermitian) and L_xy = B ``b`` B^T (``b``
-    symmetric).  B is kron(1, Q_j) per DOF and ``Qc`` on C_u, where the
-    columns of ``Q[j]`` span the complement of the orbitals of DOF j and
-    those of ``Qc`` the complement of C; ``lift`` applies it and ``L``
-    builds the dense matrix on demand.  The projector P is B B^H on x and
-    its conjugate on y; the metric powers M^(+-1/2) are kept as the
-    per-DOF ``m_half`` and ``m_neghalf`` of each one-body density.
+    symmetric).  ``reflectors`` holds B as compact WY factors (V, W), one
+    pair per DOF and one for C: Q = I - W V^H is the Householder unitary of
+    the QR of the orbitals of DOF j (of C), and B is its trailing columns on
+    each orbital slot of DOF j (on C_u).  ``lift`` and ``pull`` are the only
+    code that applies B; ``L`` builds the dense matrix on demand.  The
+    projector P is B B^H on x and its conjugate on y; the metric powers
+    M^(+-1/2) are kept as the per-DOF ``m_half`` and ``m_neghalf`` of each
+    one-body density.
     """
 
     layout: ResponseLayout
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    Q: list = field(repr=False, default_factory=list)
+    reflectors: list = field(repr=False, default_factory=list)
     m_half: list = field(repr=False, default_factory=list)
     m_neghalf: list = field(repr=False, default_factory=list)
-    Qc: np.ndarray = field(default=None, repr=False)
     state: GroundState = None
     metric_clipped: bool = False
     floor: float = 0.0                  # eigenvalue floor of the metric
@@ -179,19 +177,45 @@ class ResponseMatrix:
 
     def lift(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """B v from the reduced coordinates to the x rows, or B^H v back with
-        ``adjoint``; block by block, Q_j on each orbital slot of DOF j and
-        Qc on C_u.  ``v`` is a vector or a matrix."""
-        Qs = self.Q + [self.Qc]
-        if adjoint:
-            Qs = [q.conj().T for q in Qs]
+        ``adjoint``.  Per block (each orbital slot of DOF j, then C_u), with
+        Q = I - W V^H from ``reflectors`` and V of shape (n, k):
+        B v = [0; v] - W (V[k:]^H v) and B^H x = x[k:] - V[k:] (W^H x).
+        ``v`` is a vector or an array with the rows on its leading axis."""
+        parts = list(zip(self.layout.M_list + (1,), self.reflectors))
+        k_all = sum(M * V.shape[1] for M, (V, _) in parts)
         cols = v.reshape(len(v), -1)
-        parts, i = [], 0
-        for M, q in zip(self.layout.M_list + (1,), Qs):
-            k = M * q.shape[1]
-            y = q @ cols[i:i + k].reshape(M, q.shape[1], cols.shape[1])
-            parts.append(y.reshape((M * q.shape[0],) + v.shape[1:]))
-            i += k
-        return np.concatenate(parts)
+        c = cols.shape[1]
+        out = np.empty((len(v) - k_all if adjoint else len(v) + k_all, c),
+                       dtype=np.result_type(v, *sum(self.reflectors, ())))
+        i = o = 0
+        for M, (V, W) in parts:
+            n, k = V.shape
+            a, b = (n, n - k) if adjoint else (n - k, n)
+            s = cols[i:i + M * a].reshape(M, a, c)
+            y = out[o:o + M * b].reshape(M, b, c)
+            if adjoint:
+                np.matmul(V[k:], W.conj().T @ s, out=y)
+                np.subtract(s[:, k:], y, out=y)
+            else:
+                np.matmul(W, -(V[k:].conj().T @ s), out=y)
+                y[:, k:] += s
+            i, o = i + M * a, o + M * b
+        return out.reshape((len(out),) + v.shape[1:])
+
+    def pull(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
+        """B^H M^power x on the x rows, for power 0, +1/2 or -1/2.  The
+        metric factor m_j^power acts on the slot index of DOF j and B on the
+        grid index, so they commute: ``lift`` with ``adjoint``, then m_j^power
+        on the reduced slots of each DOF."""
+        metric = {0.0: [], 0.5: self.m_half, -0.5: self.m_neghalf}[power]
+        y = self.lift(x, adjoint=True)
+        y = y.astype(np.result_type(y, *metric), copy=False)
+        i = 0
+        for m, (V, _) in zip(metric, self.reflectors):
+            blk = slice(i, i + len(m) * (len(V) - len(m)))
+            y[blk] = (m @ y[blk].reshape(len(m), -1)).reshape(y[blk].shape)
+            i = blk.stop
+        return y
 
     @property
     def L(self) -> np.ndarray:
@@ -208,21 +232,17 @@ class ResponseMatrix:
         return L
 
     def project(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
-        """P M^power x for power 0, +1/2 or -1/2: on the x rows (u, C_u)
-        the metric factor m_j^power on the orbital slots of each DOF, then
-        P = B B^H through ``lift``; on the y rows (v, C_v) the conjugate of
-        both.  No projector is formed.  ``x`` is a vector or a matrix with
-        D rows; the result has the dtype of ``x`` and the factors."""
+        """P M^power x for power 0, +1/2 or -1/2: B ``pull`` on the x rows
+        (u, C_u) and its conjugate on the y rows (v, C_v), as P and M^power
+        are B B^H and the metric factors on x and their conjugates on y.  No
+        projector is formed.  ``x`` is a vector or a matrix with D rows; the
+        result has the dtype of ``x`` and the factors."""
         lay, o = self.layout, self.layout.orb
-        metric = {0.0: [], 0.5: self.m_half, -0.5: self.m_neghalf}[power]
         # the x rows and the conjugated y rows, side by side on a last axis
         z = np.stack([np.concatenate([x[:o], x[lay.cu_slice]]),
                       np.concatenate([x[o:2 * o], x[lay.cv_slice]]).conj()],
-                     axis=-1).astype(np.result_type(x, *metric), copy=False)
-        for j, m in enumerate(metric):
-            blk = lay.u_block(j)
-            z[blk] = (m @ z[blk].reshape(len(m), -1)).reshape(z[blk].shape)
-        z = self.lift(self.lift(z, adjoint=True))
+                     axis=-1)
+        z = self.lift(self.pull(z, power))
         px, py = z[..., 0], z[..., 1].conj()
         return np.concatenate([px[:o], py[:o], px[o:], py[o:]])
 
@@ -344,45 +364,17 @@ def _cc_block(H, C):
     return H - eps * np.eye(len(H))
 
 
-def _sandwich(left, X, right) -> np.ndarray:
-    """diag(left) X diag(right) for lists of rectangular diagonal blocks;
-    the columns of ``left`` (rows of ``right``) partition X."""
-    at = np.cumsum([0] + [m.shape[1] for m in left])
-    r = np.cumsum([0] + [m.shape[0] for m in left])
-    c = np.cumsum([0] + [m.shape[1] for m in right])
-    Y = np.empty((r[-1], c[-1]), dtype=np.result_type(X, *left, *right))
-    for i, l in enumerate(left):
-        for j, rt in enumerate(right):
-            Y[r[i]:r[i + 1], c[j]:c[j + 1]] = \
-                l @ X[at[i]:at[i + 1], at[j]:at[j + 1]] @ rt
-    return Y
-
-
-def _projected_halves(blocks, Fs: list):
-    """The halves (a, b) of L = P M^(-1/2) L_raw M^(-1/2) P on range(P).
-
-    G = P M^(-1/2) is block diagonal: kron(m_neghalf_j, Q_j Q_j^H) per DOF
-    on u, its conjugate on v, Qc Qc^H and its conjugate on the coefficient
-    sectors.  With x = (u, C_u), y = (v, C_v) and the isometry B of
-    ``ResponseMatrix``, F = G B has the blocks ``Fs``: kron(m_neghalf_j, Q_j)
-    and Qc.  So a = F^H L_raw[x, x] F and b = F^H L_raw[x, y] F*, formed block
-    by block, in the dtype of the raw blocks and the factors.  As
-    L_raw[y, x] = -conj(L_raw[x, y]) and L_raw[y, y] = -conj(L_raw[x, x]),
-    the y rows of L are mirrors of the x rows.
-    """
-    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
-    left = [f.conj().T for f in Fs]
-    a = _sandwich(left, np.block([[A, Loc_u], [Lco_u, cc_u]]), Fs)
-    b = _sandwich(left, np.block([[B, Loc_v],
-                                  [Lco_v, np.zeros(cc_u.shape)]]),
-                  [f.conj() for f in Fs])
-    return a, b
-
-
-def _complement(vectors) -> np.ndarray:
-    """Orthonormal basis, as columns, of the complement of the span of the
-    orthonormal rows ``vectors``, in their dtype."""
-    return np.linalg.qr(vectors.T, mode="complete")[0][:, len(vectors):]
+def _reflectors(rows):
+    """Compact WY factors (V, W = V T) of the Householder QR of ``rows``^T
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 53 (1989)): for k
+    orthonormal rows, Q = I - W V^H is LAPACK's Q, real for real rows, and
+    its columns after the first k span the complement of the rows."""
+    h, tau = np.linalg.qr(rows.T, mode="raw")
+    V = np.tril(h.T, -1) + np.eye(*h.T.shape)
+    T = np.diag(tau)
+    for i in range(1, len(tau)):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ (V[:, :i].conj().T @ V[:, i]))
+    return V, V @ T
 
 
 def _null_vectors(layout, phis, C) -> np.ndarray:
@@ -422,20 +414,24 @@ def _response_matrix(state, blocks, phis, rho1s,
                             tuple(p.shape[1] for p in phis), len(C))
     if floor is None:
         floor = FLOOR_FRACTION * max(np.trace(r).real for r in rho1s)
-    Q, half, neghalf, clipped = [], [], [], False
-    for phi, rho in zip(phis, rho1s):
-        Q.append(_complement(phi))
+    rm = ResponseMatrix(layout=layout, a=None, b=None, state=state, floor=floor,
+                        reflectors=[_reflectors(r) for r in [*phis, C[None, :]]],
+                        null_vectors=_null_vectors(layout, phis, C))
+    for rho in rho1s:
         h, c1 = regularized_power(rho, +0.5, floor)
         nh, c2 = regularized_power(rho, -0.5, floor)
-        half.append(h)
-        neghalf.append(nh)
-        clipped = clipped or c1 or c2
-    Qc = _complement(C[None, :])
-    a, b = _projected_halves(blocks, list(map(np.kron, neghalf, Q)) + [Qc])
-    return ResponseMatrix(layout=layout, a=a, b=b, Q=Q, m_half=half,
-                          m_neghalf=neghalf, Qc=Qc, state=state,
-                          metric_clipped=clipped, floor=floor,
-                          null_vectors=_null_vectors(layout, phis, C))
+        rm.m_half.append(h)
+        rm.m_neghalf.append(nh)
+        rm.metric_clipped = rm.metric_clipped or c1 or c2
+    # with F = P M^(-1/2) B = M^(-1/2) B: a = F^H L_raw[x, x] F and
+    # b = F^H L_raw[x, y] F*, each raw half built just before it is pulled;
+    # the y rows of L mirror the x rows
+    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
+    rm.a = rm.pull(rm.pull(np.block([[A, Loc_u], [Lco_u, cc_u]]), -0.5)
+                   .conj().T, -0.5).conj().T
+    rm.b = rm.pull(rm.pull(np.block([[B, Loc_v], [Lco_v, np.zeros(cc_u.shape)]]),
+                           -0.5).T, -0.5).T
+    return rm
 
 
 def assemble_L(state: GroundState, floor: float | None = None) -> ResponseMatrix:

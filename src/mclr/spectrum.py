@@ -24,16 +24,16 @@ Half-size reduction.  With x = (u, C_u) and y = (v, C_v), L has the RPA
 form [[A, B], [-B*, -A*]] with A = L[x, x] Hermitian and B = L[x, y]
 symmetric.  The assembly keeps them restricted to range(P) on x, whose
 complement is spanned by the analytic null vectors: A = B_P a B_P^H and
-B = B_P b B_P^T with the isometry B_P of ``ResponseMatrix.lift`` and the
-halves ``rm.a`` and ``rm.b``, real symmetric when L is real.  With the
-Cholesky factor a - b = K K^T, the symmetric problem
-K^T (a + b) K z = w^2 z of half the size yields X + Y = K z / sqrt(w) and
-X - Y = (a + b)(X + Y) / w, so (X + Y).(X - Y) = z.z = 1: real
-Sigma3-normalized right vectors, sng = +1, partners at exactly -w,
-biorthogonal even inside degenerate clusters (Stratmann, Scuseria & Frisch,
-J. Chem. Phys. 109, 8218 (1998)).  The vectors are lifted by B_P, and the
-directions outside range(P) are reported as exact zero eigenvalues, so
-the spectrum keeps all D entries.
+B = B_P b B_P^T with the halves ``rm.a`` and ``rm.b``, real symmetric when
+L is real, and B_P the isometry onto range(P) that ``ResponseMatrix.lift``
+applies from its Householder factors.  With the Cholesky factor
+a - b = K K^T, the symmetric problem K^T (a + b) K z = w^2 z of half the
+size yields X + Y = K z / sqrt(w) and X - Y = (a + b)(X + Y) / w, so
+(X + Y).(X - Y) = z.z = 1: real Sigma3-normalized right vectors, sng = +1,
+partners at exactly -w, biorthogonal even inside degenerate clusters
+(Stratmann, Scuseria & Frisch, J. Chem. Phys. 109, 8218 (1998)).  The
+vectors are lifted by B_P, and the directions outside range(P) are
+reported as exact zero eigenvalues, so the spectrum keeps all D entries.
 
 The reduction is used when the halves are real arrays (the assembly
 decides realness once, from the problem; see ``linres_identical``), their
@@ -112,11 +112,6 @@ class LRSpectrum:
     def right_neg(self) -> np.ndarray:
         """Right vectors Sigma1 conj(R) of the negative partners."""
         return self.right.conj()[sigma1(self.rm.layout)]
-
-    @property
-    def left_neg(self) -> np.ndarray:
-        """Left vectors Sigma1 conj(Sigma3 R sng) of the negative partners."""
-        return self.left.conj()[sigma1(self.rm.layout)]
 
 
 def symmetry_defects(rm: ResponseMatrix) -> tuple:
@@ -282,8 +277,7 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
     # with zx = B^H Z[x] and zy = B^T Z[y]: (L Z)[x] = B (a zx + b zy) and
     # (L Z)[y] = -conj(B (a conj(zy) + b conj(zx))); B is an isometry
     x, y = halves_index(rm.layout)
-    zx = rm.lift(Z[x], adjoint=True)
-    zy = rm.lift(Z[y].conj(), adjoint=True).conj()
+    zx, zy = rm.pull(Z[x]), rm.pull(Z[y].conj()).conj()
     LZ = np.vstack([a @ zx + b @ zy, a @ zy.conj() + b @ zx.conj()])
     Lnorm = max(np.abs(a).max(), np.abs(b).max(), 1.0)
     resid = np.linalg.norm(LZ, axis=0) / (np.linalg.norm(Z, axis=0) * Lnorm)
@@ -357,32 +351,6 @@ class Reconstruction:
     def orbital_norms(self, t: float = 0.0) -> np.ndarray:
         d = self.dphi(t)
         return np.array([self.grid.inner(x, x).real for x in d])
-
-    def wavefunction_terms(self, t: float = 0.0) -> list:
-        """Expansion data of the driven wavefunction.
-
-        Returns (config, kind, coefficient) rows: the zeroth-order and
-        first-order coefficient parts on the unchanged configurations, plus
-        one branch per (config, orbital) moving a particle into the
-        response orbital, weighted by sqrt(n_j) ||delta phi_j|| and the
-        statistics phase (-1)^(occupations above j) for fermions.
-        """
-        state = self.state
-        space = state.space
-        norms = np.sqrt(self.orbital_norms(t))
-        dc = self.dC(t)
-        rows = []
-        fermion = space.statistics == "fermion"
-        for i, occ in enumerate(space.configs):
-            rows.append((occ, "static", complex(state.C[i])))
-            rows.append((occ, "coefficient", complex(dc[i])))
-            for j, nj in enumerate(occ):
-                if nj == 0:
-                    continue
-                phase = (-1.0) ** sum(occ[j + 1:]) if fermion else 1.0
-                rows.append((occ, f"response_orbital_{j}",
-                             complex(state.C[i] * phase * np.sqrt(nj) * norms[j])))
-        return rows
 
 
 def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,

@@ -15,6 +15,9 @@ here as well, and so do the dense forms of the structural operator P M^p
 and of the projected, metric-transformed response matrix, the driving
 vectors written out separately for each particle kind, the per-mode sum
 of the driven response and the per-field CSV writers of the spectrum.
+Layout, spectrum and reconstruction accessors that only tests read (the v
+slot of one orbital, the left vectors of the negative partners, the
+expansion rows of the driven wavefunction) are functions here.
 """
 
 import numpy as np
@@ -404,6 +407,12 @@ def raw_blocks(state):
     return (*ld.build_oo_dist(state), *ld.build_oc_co_cc_dist(state))
 
 
+def v_slice(layout, j, a):
+    """Grid points of the v slot of orbital a of DOF j."""
+    base = layout.v_block(j).start + a * layout.n_list[j]
+    return slice(base, base + layout.n_list[j])
+
+
 def dense_raw(layout, blocks):
     """The unprojected D x D response matrix L_raw, filled block by block
     from ``raw_blocks``; the C_v diagonal block is the mirror -conj(cc_u)
@@ -480,7 +489,7 @@ def build_R(state, pert, rm):
         f_mat = ham.one_body_elements(state.orbitals, pert.f_dag)
         for k in range(len(phi)):
             S1[layout.u_slice(0, k)] = -(F @ phi[k])
-            S1[layout.v_slice(0, k)] = F.conj() @ phi[k].conj()
+            S1[v_slice(layout, 0, k)] = F.conj() @ phi[k].conj()
         S1[layout.cu_slice] = -fs.apply_second_quantized(space, C, f_mat)
         S1[layout.cv_slice] = fs.apply_second_quantized(space, C.conj(),
                                                         f_mat.T)
@@ -490,8 +499,8 @@ def build_R(state, pert, rm):
         om_g = np.einsum("kslq,slx->kqx", state.rho.rho2, gloc)
         for k in range(len(phi)):
             S2[layout.u_slice(0, k)] = -np.einsum("qx,qx->x", om_g[k], phi)
-            S2[layout.v_slice(0, k)] = np.einsum("qx,qx->x", om_g[k].conj(),
-                                                 phi.conj())
+            S2[v_slice(layout, 0, k)] = np.einsum("qx,qx->x", om_g[k].conj(),
+                                                  phi.conj())
         gt = ham.two_body_tensor(state.orbitals, G)
         zero = np.zeros((len(phi),) * 2)
         S2[layout.cu_slice] = -fs.apply_second_quantized(space, C, zero, gt)
@@ -518,7 +527,7 @@ def build_R_dist(state, pert, rm):
         f_mats.append(ham.one_body_elements(state.sets[j], f))
         for a in range(layout.M_list[j]):
             S1[layout.u_slice(j, a)] = -(F @ scaled[j][a])
-            S1[layout.v_slice(j, a)] = F.conj() @ scaled[j][a].conj()
+            S1[v_slice(layout, j, a)] = F.conj() @ scaled[j][a].conj()
     if any(m is not None for m in f_mats):
         h_list = [m if m is not None else np.zeros((layout.M_list[j],) * 2)
                   for j, m in enumerate(f_mats)]
@@ -531,7 +540,7 @@ def build_R_dist(state, pert, rm):
             for a in range(layout.M_list[j]):
                 S2[layout.u_slice(j, a)] = -np.einsum("bx,bx->x", om[a],
                                                       scaled[j])
-                S2[layout.v_slice(j, a)] = np.einsum(
+                S2[v_slice(layout, j, a)] = np.einsum(
                     "bx,bx->x", om[a].conj(), np.conj(scaled[j]))
         G = ham.config_coupling_matrix(pert.g_dag, state.sets, space)
         S2[layout.cu_slice] = -(G @ C)
@@ -570,6 +579,38 @@ def reconstruct_loop(spec, weights, omega):
             + (np.conj(gm) * cu) / (omega + wk)
     root_dx = np.sqrt(rm.state.grid.weight)
     return dphi_m / root_dx, dphi_p / root_dx, dC_m, dC_p
+
+
+def left_neg(spec):
+    """Left vectors Sigma1 conj(Sigma3 R sng) of the negative partners."""
+    return spec.left.conj()[li.sigma1(spec.rm.layout)]
+
+
+def wavefunction_terms(rec, t=0.0):
+    """Expansion data of the driven wavefunction.
+
+    Returns (config, kind, coefficient) rows: the zeroth-order and
+    first-order coefficient parts on the unchanged configurations, plus
+    one branch per (config, orbital) moving a particle into the
+    response orbital, weighted by sqrt(n_j) ||delta phi_j|| and the
+    statistics phase (-1)^(occupations above j) for fermions.
+    """
+    state = rec.state
+    space = state.space
+    norms = np.sqrt(rec.orbital_norms(t))
+    dc = rec.dC(t)
+    rows = []
+    fermion = space.statistics == "fermion"
+    for i, occ in enumerate(space.configs):
+        rows.append((occ, "static", complex(state.C[i])))
+        rows.append((occ, "coefficient", complex(dc[i])))
+        for j, nj in enumerate(occ):
+            if nj == 0:
+                continue
+            phase = (-1.0) ** sum(occ[j + 1:]) if fermion else 1.0
+            rows.append((occ, f"response_orbital_{j}",
+                         complex(state.C[i] * phase * np.sqrt(nj) * norms[j])))
+    return rows
 
 
 def save_spectrum_csv_rows(path, spec, weights=None, header_lines=()):

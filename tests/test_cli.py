@@ -171,6 +171,26 @@ def test_oracle_coupled_oscillators(capsys):
     assert max(diffs) < 1e-3
 
 
+@pytest.mark.parametrize("which, config, edit", [
+    ("bdg", "coupled_pair_m44.cfg", None),
+    ("bdg", "harmonic_n2_m2.cfg", ("statistics = boson", "statistics = fermion")),
+    ("osc", "harmonic_n2_m2.cfg", None),
+])
+def test_oracle_rejects_configs_outside_its_model(tmp_path, capsys, which,
+                                                  config, edit):
+    # bdg is a contact-gas reference, osc one of two bilinearly coupled
+    # oscillators: any other model is one error line, before any solve
+    cfg = tmp_path / config
+    text = (CONFIGS / config).read_text()
+    cfg.write_text(text.replace(*edit) if edit else text)
+    code, out, err = _run(capsys, ["oracle", "--which", which,
+                                   "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: oracle {which} needs ")
+    assert len(err.splitlines()) == 1
+
+
 def test_linres_tol_zero_flag(tmp_path, capsys):
     # an absurdly large threshold swallows the true excitations into the
     # zero-mode bucket, proving the flag reaches the classifier
@@ -280,6 +300,28 @@ def test_propcheck_diagnostics(tmp_path, capsys):
     vals = dict(l.split(" = ") for l in out.splitlines() if " = " in l)
     assert float(vals["orb_diff_cond"]) < 1e-8
     assert float(vals["coeff_diff_cond"]) < 1e-8
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--steps", "0", "--steps must be at least 1"),
+    ("--steps", "-3", "--steps must be at least 1"),
+    ("--dt", "0", "--dt must be a positive finite number"),
+    ("--dt", "-1e-3", "--dt must be a positive finite number"),
+    ("--dt", "nan", "--dt must be a positive finite number"),
+    ("--dt", "inf", "--dt must be a positive finite number"),
+    ("--perturb", "-0.02", "--perturb must be a non-negative finite number"),
+    ("--perturb", "nan", "--perturb must be a non-negative finite number"),
+    ("--perturb", "inf", "--perturb must be a non-negative finite number"),
+])
+def test_propcheck_rejects_bad_arguments(tmp_path, capsys, flag, value,
+                                         message):
+    code, out, err = _run(capsys, [
+        "propcheck", "--checkpoint", str(tmp_path / "absent.ckpt"),
+        f"{flag}={value}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
 
 
 # --- unreadable, corrupt and unconverged checkpoints: exit 1, no traceback

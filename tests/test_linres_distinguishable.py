@@ -14,6 +14,7 @@ from mclr import linres_identical as li
 from mclr import oracle as orc
 from mclr import spectrum as spm
 
+import loop_oracles as lo
 from conftest import oscillator_h
 
 
@@ -24,7 +25,7 @@ def test_layout_partition(dist_44):
     for j in range(2):
         for a in range(4):
             covered[lay.u_slice(j, a)] += 1
-            covered[lay.v_slice(j, a)] += 1
+            covered[lo.v_slice(lay, j, a)] += 1
     covered[lay.cu_slice] += 1
     covered[lay.cv_slice] += 1
     assert np.all(covered == 1)

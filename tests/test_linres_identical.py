@@ -23,7 +23,7 @@ def test_layout_partition(bos_m2):
     covered = np.zeros(lay.D, dtype=int)
     for k in range(2):
         covered[lay.u_slice(0, k)] += 1
-        covered[lay.v_slice(0, k)] += 1
+        covered[lo.v_slice(lay, 0, k)] += 1
     covered[lay.cu_slice] += 1
     covered[lay.cv_slice] += 1
     assert np.all(covered == 1)

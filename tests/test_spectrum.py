@@ -248,7 +248,7 @@ def test_wavefunction_terms_shapes(bos_m2_48, spec_m2):
     R = li.build_R(bos_m2_48, li.PerturbationSpec(
         f_dag=position_operator(bos_m2_48.grid), omega=0.55), spec_m2.rm)
     rec = spm.reconstruct(spec_m2, spm.response_weights(spec_m2, R), 0.55)
-    rows = rec.wavefunction_terms(0.1)
+    rows = lo.wavefunction_terms(rec, 0.1)
     kinds = {r[1] for r in rows}
     assert "static" in kinds and "coefficient" in kinds
     assert any(k.startswith("response_orbital") for k in kinds)
@@ -270,7 +270,7 @@ def resolution_checks(spec):
     R = spec.right[:, mask]
     Lv = spec.left[:, mask]
     Rn = spec.right_neg[:, mask]
-    Ln = spec.left_neg[:, mask]
+    Ln = lo.left_neg(spec)[:, mask]
     wr = spec.eigenvalues[spec.retained].real[mask]
     ident = R @ Lv.conj().T + Rn @ Ln.conj().T
     spectral = (R * wr) @ Lv.conj().T - (Rn * wr) @ Ln.conj().T
@@ -295,7 +295,8 @@ def test_resolution_fails_with_truncated_modes(spec_m2):
         spec_m2, retained=spec_m2.retained[:half],
         right=spec_m2.right[:, :half], sng=spec_m2.sng[:half],
         sng_undefined=spec_m2.sng_undefined[:half])
-    assert trunc.left.shape == trunc.left_neg.shape == (spec_m2.rm.D, half)
+    assert trunc.left.shape == lo.left_neg(trunc).shape \
+        == (spec_m2.rm.D, half)
     rep = resolution_checks(trunc)
     assert rep["identity_defect"] > 0.1
 
@@ -390,6 +391,42 @@ def test_halves_are_assembled_on_range_of_P(fixture, request):
     assert np.abs(BBh - rm.projector()[np.ix_(x, x)]).max() < 1e-13
 
 
+@pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m3", "dist_44",
+                                     "bos_m2_complex_gauge"])
+def test_reflectors_match_lapack_complement(fixture, request):
+    # Q = I - W V^H is the unitary of LAPACK's QR of rows^T, whose trailing
+    # columns span the complement of the orbitals of each DOF and of C
+    st = request.getfixturevalue(fixture)
+    sets = [st.orbitals] if isinstance(st, gs.GroundState) else st.sets
+    for rows in [s.scaled for s in sets] + [st.C[None, :]]:
+        if not np.any(np.imag(rows)):
+            rows = rows.real
+        V, W = li._reflectors(rows)
+        (k, n), real = rows.shape, not np.iscomplexobj(rows)
+        assert real == (not np.iscomplexobj(V)) == (not np.iscomplexobj(W))
+        Q = np.eye(n) - W @ V.conj().T
+        assert np.abs(Q.conj().T @ Q - np.eye(n)).max() < 1e-14
+        full = np.linalg.qr(rows.T, mode="complete")[0]
+        assert np.abs(Q[:, k:] - full[:, k:]).max(initial=0) < 1e-14
+    assert real == (fixture != "bos_m2_complex_gauge")
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_m3", "dist_44"])
+def test_assembly_builds_no_dense_basis(fixture, request, monkeypatch):
+    # the complements stay Householder reflectors: only the raw QR runs
+    st = request.getfixturevalue(fixture)
+    qr = np.linalg.qr
+
+    def raw_qr(a, mode="reduced"):
+        if mode != "raw":
+            raise AssertionError(f"a dense basis was built (mode {mode!r})")
+        return qr(a, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", raw_qr)
+    rm = _assembled(st)
+    assert len(rm.reflectors) == rm.layout.Q + 1
+
+
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "dist_44"])
 def test_reduced_solve_builds_no_basis(fixture, request, monkeypatch):
     rm = _assembled(request.getfixturevalue(fixture))
@@ -420,13 +457,14 @@ def test_symmetry_defects_match_dense_operators(layout):
     S1 = np.eye(layout.D)[li.sigma1(layout)]
     S3 = np.diag(li.sigma3(layout))
     x, y = li.halves_index(layout)
-    embedding = [np.eye(n)[:, M:] for M, n in sizes]
-    rotated = [np.linalg.qr(crandn(n, n))[0][:, M:] for M, n in sizes]
+    # reflectors (V, W) of Q = I - W V^H: W = 0 keeps Q = I
+    embedding = [(np.eye(n, M), np.zeros((n, M))) for M, n in sizes]
+    rotated = [li._reflectors(np.linalg.qr(crandn(n, n))[0][:M])
+               for M, n in sizes]
     # complex halves, and real ones (real-arithmetic path)
     for a, b, bases in ((a, b, rotated), (a.real, b.real, embedding),
                         (a, b, embedding)):
-        rm = li.ResponseMatrix(layout=layout, a=a, b=b, Q=bases[:-1],
-                               Qc=bases[-1])
+        rm = li.ResponseMatrix(layout=layout, a=a, b=b, reflectors=bases)
         L = rm.L
         d1, d3 = S1 @ L @ S1 + L.conj(), S3 @ L @ S3 - L.conj().T
         assert np.abs(d1).max() == 0.0 and np.abs(d3).max() > 0.1
@@ -493,12 +531,14 @@ def test_derived_vectors_and_product_weights(fixture, request):
     else:
         left = signs[:, None] * R * spec.sng
         stored = (left, R.conj()[perm], left.conj()[perm])
-    for got, want in zip((spec.left, spec.right_neg, spec.left_neg), stored):
+    for got, want in zip((spec.left, spec.right_neg, lo.left_neg(spec)),
+                         stored):
         np.testing.assert_array_equal(got, want)
     probe = _dipole_probe(st, rm)
     w = spm.response_weights(spec, probe)
     assert np.abs(w.gamma_plus - -(probe @ spec.left.conj())).max() < 1e-13
-    assert np.abs(w.gamma_minus - -(probe @ spec.left_neg.conj())).max() < 1e-13
+    assert np.abs(w.gamma_minus
+                  - -(probe @ lo.left_neg(spec).conj())).max() < 1e-13
 
 
 def _probe_weights(spec, st):
