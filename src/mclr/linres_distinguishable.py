@@ -82,15 +82,16 @@ def build_oo_dist(state: DistGroundState):
         rho = 0.5 * (state.rho1[j] + state.rho1[j].conj().T)
         mu = 0.5 * (state.mu[j] + state.mu[j].conj().T)
         h = state.h_ops[j].matrix
-        om = ham.mean_fields_dist(space, C, state.sets, state.coupling, j) \
-            if state.coupling is not None else None
-        eye = np.eye(layout.n_list[j])
-        for a in range(layout.M_list[j]):
-            for b in range(layout.M_list[j]):
-                blk = rho[a, b] * h - mu[a, b] * eye
-                if om is not None:
-                    blk = blk + np.diag(om[a, b])
-                A[layout.u_slice(j, a), layout.u_slice(j, b)] = blk
+        M, n = layout.M_list[j], layout.n_list[j]
+        # (slot, point, slot, point) view of the block; the grid diagonal
+        # is indexed with one index array on both point axes
+        blk = A[layout.u_block(j), layout.u_block(j)].reshape(M, n, M, n)
+        diag = np.arange(n)
+        np.multiply(rho[:, None, :, None], h[None, :, None, :], out=blk)
+        blk[:, diag, :, diag] -= mu
+        if state.coupling is not None:
+            om = ham.mean_fields_dist(space, C, state.sets, state.coupling, j)
+            blk[:, diag, :, diag] += om.transpose(2, 0, 1)
 
     if state.coupling is None:
         return A, B

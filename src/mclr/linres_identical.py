@@ -358,10 +358,13 @@ def build_cc_block(state: GroundState):
 
 
 def _cc_block(H, C):
-    """H - eps with H hermitized and eps = <C|H|C>."""
-    H = _hermitized(H)
-    eps = float(np.real(np.vdot(C, H @ C)))
-    return H - eps * np.eye(len(H))
+    """H - eps with H hermitized and eps = <C|H|C>, in one new array."""
+    out = np.conjugate(H.T, order="C")
+    out += H
+    out *= 0.5
+    eps = float(np.real(np.vdot(C, out @ C)))
+    out[np.diag_indices_from(out)] -= eps
+    return out
 
 
 def _reflectors(rows):
@@ -427,11 +430,21 @@ def _response_matrix(state, blocks, phis, rho1s,
     # b = F^H L_raw[x, y] F*, each raw half built just before it is pulled;
     # the y rows of L mirror the x rows
     A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
-    rm.a = rm.pull(rm.pull(np.block([[A, Loc_u], [Lco_u, cc_u]]), -0.5)
+    rm.a = rm.pull(rm.pull(_block2(A, Loc_u, Lco_u, cc_u), -0.5)
                    .conj().T, -0.5).conj().T
-    rm.b = rm.pull(rm.pull(np.block([[B, Loc_v], [Lco_v, np.zeros(cc_u.shape)]]),
-                           -0.5).T, -0.5).T
+    rm.b = rm.pull(rm.pull(_block2(B, Loc_v, Lco_v, 0.0), -0.5).T, -0.5).T
     return rm
+
+
+def _block2(top_left, top_right, bottom_left, bottom_right):
+    """[[top_left, top_right], [bottom_left, bottom_right]] filled into one
+    new array; ``bottom_right`` may be a scalar."""
+    k = len(top_left)
+    blocks = (top_left, top_right, bottom_left, bottom_right)
+    out = np.empty((k + len(bottom_left),) * 2, dtype=np.result_type(*blocks))
+    out[:k, :k], out[:k, k:] = top_left, top_right
+    out[k:, :k], out[k:, k:] = bottom_left, bottom_right
+    return out
 
 
 def assemble_L(state: GroundState, floor: float | None = None) -> ResponseMatrix:

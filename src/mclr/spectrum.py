@@ -16,9 +16,10 @@ for the dense fallback.
 Retained modes are the positive-branch eigenvalues above the zero-mode
 threshold.  Each is normalized against the Sigma3 pseudo-metric; the sign
 of the pseudo-norm ("sng") fixes the left-vector normalization.  Only the
-right vectors R and sng are stored: the left vectors Sigma3 R sng and the
+right vectors R and sng are kept: the left vectors Sigma3 R sng and the
 negative partners (Sigma1 conj of both) derive from them, so the response
-weights and the driven first-order state are array products with R.
+weights and the driven first-order state are the products R^T v and R c
+(``LRSpectrum.right_transpose_times`` and ``right_times``).
 
 Half-size reduction.  With x = (u, C_u) and y = (v, C_v), L has the RPA
 form [[A, B], [-B*, -A*]] with A = L[x, x] Hermitian and B = L[x, y]
@@ -32,8 +33,13 @@ size yields X + Y = K z / sqrt(w) and X - Y = (a + b)(X + Y) / w, so
 (X + Y).(X - Y) = z.z = 1: real Sigma3-normalized right vectors, sng = +1,
 partners at exactly -w, biorthogonal even inside degenerate clusters
 (Stratmann, Scuseria & Frisch, J. Chem. Phys. 109, 8218 (1998)).  The
-vectors are lifted by B_P, and the directions outside range(P) are
-reported as exact zero eigenvalues, so the spectrum keeps all D entries.
+solve stops at the eigenvectors Z: the vectors stay factored as K, Z and
+w beside the halves (``RPAFactors``), and the weights and the reconstruction, which
+need only products R c and R^T v with a few columns, take them through
+the factors and one ``lift`` or ``pull``.  The D x n right vectors are
+built only when ``LRSpectrum.right`` is read.  The directions outside
+range(P) are reported as exact zero eigenvalues, so the spectrum keeps
+all D entries.
 
 The reduction is used when the halves are real arrays (the assembly
 decides realness once, from the problem; see ``linres_identical``), their
@@ -58,6 +64,7 @@ from .linres_identical import (FLOOR_FRACTION, ResponseMatrix, halves_index,
 
 __all__ = [
     "LRSpectrum",
+    "RPAFactors",
     "ResponseWeights",
     "Reconstruction",
     "eigensolve",
@@ -75,11 +82,57 @@ __all__ = [
 SYMMETRY_TOL = 1e-9
 
 
+def _real_matmul(A, c):
+    """A @ c for a real matrix A and real or complex columns c (n, k), with
+    the real and imaginary parts of c as columns of one real product
+    instead of a complex copy of A."""
+    if not np.iscomplexobj(c):
+        return A @ c
+    return (A @ np.ascontiguousarray(c).view(np.float64)).view(np.complex128)
+
+
+@dataclass(frozen=True)
+class RPAFactors:
+    """Retained RPA vectors of the half-size solve in the reduced
+    coordinates of the halves, kept factored: X + Y = K Z w^(-1/2) and
+    X - Y = (a + b) K Z w^(-3/2), with a - b = K K^T and Z the eigenvectors
+    of K^T (a + b) K at eigenvalues w^2.  The halves a and b are those of
+    the response matrix; a + b is applied as a + b, not stored."""
+
+    K: np.ndarray = field(repr=False)
+    Z: np.ndarray = field(repr=False)
+    omega: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+
+    def _ab(self, t):
+        return _real_matmul(self.a, t) + _real_matmul(self.b, t)
+
+    def times(self, c):
+        """((X + Y) c, (X - Y) c) for coefficient columns c (n, k)."""
+        k = c.shape[1]
+        s = np.hstack([c * self.omega[:, None] ** -0.5,
+                       c * self.omega[:, None] ** -1.5])
+        g = _real_matmul(self.K, _real_matmul(self.Z, s))
+        return g[:, :k], self._ab(g[:, k:])
+
+    def transpose_times(self, s, t):
+        """(X + Y)^T s + (X - Y)^T t for columns s, t (n, k)."""
+        k = s.shape[1]
+        g = _real_matmul(self.Z.T, _real_matmul(
+            self.K.T, np.hstack([s, self._ab(t)])))
+        return (g[:, :k] * self.omega[:, None] ** -0.5
+                + g[:, k:] * self.omega[:, None] ** -1.5)
+
+
 @dataclass
 class LRSpectrum:
-    """Eigenvalues of L and the retained modes; per mode only ``right`` and
-    ``sng`` are stored, the left and partner vectors derive by Sigma3 and
-    Sigma1."""
+    """Eigenvalues of L and the retained modes; per mode only the right
+    vectors and ``sng`` are kept, the left and partner vectors derive by
+    Sigma3 and Sigma1.  The dense solve stores ``right``; the half-size
+    solve keeps ``factors`` and builds ``right`` from them on first
+    access.  ``right_times`` and ``right_transpose_times`` use whichever is
+    at hand, stored vectors first."""
 
     rm: ResponseMatrix
     eigenvalues: np.ndarray = field(repr=False)       # all D, sorted by Re
@@ -97,6 +150,7 @@ class LRSpectrum:
     eigensolver: str = "dense"            # "rpa", or "dense (<reason>)"
     sigma1_defect: float = 0.0            # max |Sigma1 L Sigma1 + conj(L)|
     sigma3_defect: float = 0.0            # max |Sigma3 L Sigma3 - adjoint(L)|
+    factors: RPAFactors = field(default=None, repr=False)
 
     @property
     def omega(self) -> np.ndarray:
@@ -112,6 +166,51 @@ class LRSpectrum:
     def right_neg(self) -> np.ndarray:
         """Right vectors Sigma1 conj(R) of the negative partners."""
         return self.right.conj()[sigma1(self.rm.layout)]
+
+    def right_times(self, c: np.ndarray) -> np.ndarray:
+        """R c for coefficients ``c`` over the retained modes, a vector or
+        columns.  From the factors: the x rows of R are B_P X and the y
+        rows B_P Y, so R c is one ``lift`` of (X c, Y c)."""
+        if self._right is not None or self.factors is None:
+            return self.right @ c
+        cols = c.reshape(len(c), -1)
+        k = cols.shape[1]
+        plus, minus = self.factors.times(cols)
+        xy = self.rm.lift(0.5 * np.hstack([plus + minus, plus - minus]))
+        out = np.empty((self.rm.D, k), dtype=xy.dtype)
+        x, y = halves_index(self.rm.layout)
+        out[x], out[y] = xy[:, :k], xy[:, k:]
+        return out.reshape((self.rm.D,) + c.shape[1:])
+
+    def right_transpose_times(self, v: np.ndarray) -> np.ndarray:
+        """R^T v for ``v`` over the response space, a vector or columns.
+        From the factors: with p_x, p_y the ``pull`` of the x and y rows of
+        v (B_P is real here), R^T v = X^T p_x + Y^T p_y."""
+        if self._right is not None or self.factors is None:
+            return self.right.T @ v
+        cols = v.reshape(len(v), -1)
+        k = cols.shape[1]
+        x, y = halves_index(self.rm.layout)
+        p = self.rm.pull(np.hstack([cols[x], cols[y]]))
+        px, py = p[:, :k], p[:, k:]
+        out = self.factors.transpose_times(0.5 * (px + py), 0.5 * (px - py))
+        return out.reshape((len(out),) + v.shape[1:])
+
+
+def _right(spec: LRSpectrum) -> np.ndarray:
+    """Normalized right vectors of the retained modes as columns; from the
+    factors they are R I, built on first access and kept."""
+    if spec._right is None and spec.factors is not None:
+        spec._right = spec.right_times(np.eye(len(spec.retained)))
+    return spec._right
+
+
+def _set_right(spec: LRSpectrum, value) -> None:
+    spec._right = value
+
+
+# ``right`` stays an init field of the dataclass (LRSpectrum(right=...))
+LRSpectrum.right = property(_right, _set_right, doc=_right.__doc__)
 
 
 def symmetry_defects(rm: ResponseMatrix) -> tuple:
@@ -161,15 +260,14 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     # the y rows of L mirror the x rows: the reduced halves set its scale
     if max(defects) > SYMMETRY_TOL * max(np.abs(a).max(), np.abs(b).max()):
         raise _NoReduction("symmetry defect above 1e-9 max|L|")
-    D, (x, y) = rm.D, halves_index(rm.layout)
+    D = rm.D
     try:
         K = sla.cholesky(a - b)
     except sla.LinAlgError:
         raise _NoReduction("A - B not positive definite") from None
     # numpy's eigh is LAPACK's divide and conquer (syevd); the MRRR driver
     # is ~3x slower on the clustered spectra of coupled oscillators
-    ab = a + b
-    w2, Z = sla.eigh(K.T @ ab @ K)
+    w2, Z = sla.eigh(K.T @ ((a + b) @ K))
     if w2[0] <= 0:
         raise _NoReduction("A + B not positive definite")
     omega = np.sqrt(w2)
@@ -180,22 +278,17 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
     if tol_im is None:
         tol_im = 1e-7 * omega[-1]
 
-    plus = (K @ Z) / np.sqrt(omega)
-    minus = (ab @ plus) / omega
     n = len(omega)
-    R = np.empty((D, n))
-    R[x] = rm.lift(0.5 * (plus + minus))
-    R[y] = rm.lift(0.5 * (plus - minus))
-
     w = np.zeros(D, dtype=complex)
     w[:n] = -omega[::-1]
     w[D - n:] = omega
     retained = np.arange(D - n, D)
     return LRSpectrum(rm=rm, eigenvalues=w, zero_modes=np.arange(n, D - n),
-                      retained=retained, right=R, sng=np.ones(n),
+                      retained=retained, sng=np.ones(n),
                       sng_undefined=np.zeros(n, dtype=bool),
                       pairing={int(k): int(D - 1 - k) for k in retained},
-                      tol_zero=tol_zero, tol_im=tol_im, eigensolver="rpa")
+                      tol_zero=tol_zero, tol_im=tol_im, eigensolver="rpa",
+                      factors=RPAFactors(K, Z, omega, a, b))
 
 
 def _eigensolve_dense(rm: ResponseMatrix, tol_zero: float | None = None,
@@ -313,11 +406,13 @@ def response_weights(spec: LRSpectrum, R_vec: np.ndarray) -> ResponseWeights:
     """Driving weights gamma_k = -(L^k)^dag R and their negative partners.
 
     With L^k = Sigma3 R_k sng_k and L^-k = Sigma1 conj(L^k), both are one
-    product with the right vectors; Sigma3 flips sign under Sigma1.
+    product R^T v with the right vectors, for v = conj(Sigma3 R) and
+    Sigma1 Sigma3 R; Sigma3 flips sign under Sigma1.
     """
     s3R = sigma3(spec.rm.layout) * R_vec
-    gp = -(s3R @ spec.right.conj()) * spec.sng
-    gm = (s3R[sigma1(spec.rm.layout)] @ spec.right) * spec.sng
+    g = spec.right_transpose_times(
+        np.stack([s3R.conj(), s3R[sigma1(spec.rm.layout)]], axis=1))
+    gp, gm = -g[:, 0].conj() * spec.sng, g[:, 1] * spec.sng
     gp = np.where(spec.sng_undefined, 0j, gp)
     gm = np.where(spec.sng_undefined, 0j, gm)
     return ResponseWeights(gamma_plus=gp, gamma_minus=gm,
@@ -370,13 +465,13 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
             f"{wr[hit[0]]:.9g}; response diverges")
 
     # with lo, hi = 1 / (omega -+ w_k), mode k adds gp lo u + gm hi conj(v)
-    # to the minus part and conj(gp) lo conj(v) + conj(gm) hi u to the plus one
-    keep = ~spec.sng_undefined
-    lo, hi = 1.0 / (omega - wr[keep]), 1.0 / (omega + wr[keep])
-    gp, gm = weights.gamma_plus[keep], weights.gamma_minus[keep]
-    (u,), (v,), cu, cv = rm.layout.split(spec.right[:, keep])
-    v, cv = v.conj(), cv.conj()
-    minus, plus = gp * lo, gm * hi
+    # to the minus part and conj(gp) lo conj(v) + conj(gm) hi u to the plus
+    # one; the sums over k are R c for c = gp lo and c = conj(gm hi), the
+    # modes with undefined sng left out
+    c = np.stack([weights.gamma_plus / (omega - wr),
+                  (weights.gamma_minus / (omega + wr)).conj()], axis=1)
+    c[spec.sng_undefined] = 0
+    (u,), (v,), cu, cv = rm.layout.split(spec.right_times(c))
     # an empty natural orbital lifted by the floor carries rounding noise
     # times 1/sqrt(floor): drop it; a floor raised above a real occupation
     # keeps that orbital, through the same M^(-1/2) as L
@@ -384,10 +479,10 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
     empty = n < min(rm.floor, FLOOR_FRACTION * n.sum())
     if empty.any():
         m = (U * np.where(empty, 0, np.maximum(n, rm.floor) ** -0.5)) @ U.conj().T
-    dphi_m, dphi_p = m @ np.stack(
-        [u @ minus + v @ plus, v @ minus.conj() + u @ plus.conj()])
-    dC_m = cu @ minus + cv @ plus
-    dC_p = cv @ minus.conj() + cu @ plus.conj()
+    dphi_m, dphi_p = m @ np.stack([u[..., 0] + v[..., 1].conj(),
+                                   v[..., 0].conj() + u[..., 1]])
+    dC_m = cu[:, 0] + cv[:, 1].conj()
+    dC_p = cv[:, 0].conj() + cu[:, 1]
 
     root_dx = np.sqrt(state.grid.weight)
     return Reconstruction(omega=omega, dphi_minus=dphi_m / root_dx,

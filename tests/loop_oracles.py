@@ -14,7 +14,9 @@ two-body operators, the Lagrange multipliers recomputed from a state) live
 here as well, and so do the dense forms of the structural operator P M^p
 and of the projected, metric-transformed response matrix, the driving
 vectors written out separately for each particle kind, the per-mode sum
-of the driven response and the per-field CSV writers of the spectrum.
+of the driven response, the response weights and the driven response as
+products with the stored right vectors, and the per-field CSV writers of
+the spectrum.
 Layout, spectrum and reconstruction accessors that only tests read (the v
 slot of one orbital, the left vectors of the negative partners, the
 expansion rows of the driven wavefunction) are functions here.
@@ -348,6 +350,27 @@ def _layout(state):
                              state.space.size)
 
 
+def oo_dist_diagonal(state, j):
+    """Diagonal DOF block rho h - mu + diag(Omega) of A for DOF j, filled
+    slot pair by slot pair."""
+    layout = _layout(state)
+    M, n = layout.M_list[j], layout.n_list[j]
+    rho = 0.5 * (state.rho1[j] + state.rho1[j].conj().T)
+    mu = 0.5 * (state.mu[j] + state.mu[j].conj().T)
+    h = state.h_ops[j].matrix
+    om = ham.mean_fields_dist(state.space, state.C, state.sets,
+                              state.coupling, j) \
+        if state.coupling is not None else None
+    out = np.zeros((M * n, M * n), dtype=complex)
+    for a in range(M):
+        for b in range(M):
+            blk = rho[a, b] * h - mu[a, b] * np.eye(n)
+            if om is not None:
+                blk = blk + np.diag(om[a, b])
+            out[a * n:(a + 1) * n, b * n:(b + 1) * n] = blk
+    return out
+
+
 def build_oo_cross(state):
     """Cross-DOF parts of the (A, B) orbital-orbital blocks, pair by pair."""
     layout = _layout(state)
@@ -579,6 +602,40 @@ def reconstruct_loop(spec, weights, omega):
             + (np.conj(gm) * cu) / (omega + wk)
     root_dx = np.sqrt(rm.state.grid.weight)
     return dphi_m / root_dx, dphi_p / root_dx, dC_m, dC_p
+
+
+def response_weights_right(spec, R_vec):
+    """(gamma_plus, gamma_minus) as two products with the stored right
+    vectors ``spec.right``, modes with undefined sng set to 0."""
+    s3R = li.sigma3(spec.rm.layout) * R_vec
+    gp = -(s3R @ spec.right.conj()) * spec.sng
+    gm = (s3R[li.sigma1(spec.rm.layout)] @ spec.right) * spec.sng
+    return (np.where(spec.sng_undefined, 0j, gp),
+            np.where(spec.sng_undefined, 0j, gm))
+
+
+def reconstruct_right(spec, weights, omega):
+    """(dphi_minus, dphi_plus, dC_minus, dC_plus) of the driven response at
+    ``omega`` from the u, v, C_u, C_v blocks of the stored right vectors,
+    with the metric of ``spectrum.reconstruct`` (empty natural orbitals
+    dropped); orbitals as grid values."""
+    rm, state = spec.rm, spec.rm.state
+    wr = spec.eigenvalues[spec.retained].real
+    keep = ~spec.sng_undefined
+    lo, hi = 1.0 / (omega - wr[keep]), 1.0 / (omega + wr[keep])
+    gp, gm = weights.gamma_plus[keep], weights.gamma_minus[keep]
+    (u,), (v,), cu, cv = rm.layout.split(spec.right[:, keep])
+    v, cv = v.conj(), cv.conj()
+    minus, plus = gp * lo, gm * hi
+    m, (n, U) = rm.m_neghalf[0], np.linalg.eigh(state.rho.rho1)
+    empty = n < min(rm.floor, li.FLOOR_FRACTION * n.sum())
+    if empty.any():
+        m = (U * np.where(empty, 0, np.maximum(n, rm.floor) ** -0.5)) @ U.conj().T
+    dphi_m, dphi_p = m @ np.stack(
+        [u @ minus + v @ plus, v @ minus.conj() + u @ plus.conj()])
+    root_dx = np.sqrt(state.grid.weight)
+    return (dphi_m / root_dx, dphi_p / root_dx, cu @ minus + cv @ plus,
+            cv @ minus.conj() + cu @ plus.conj())
 
 
 def left_neg(spec):

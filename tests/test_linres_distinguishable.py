@@ -68,6 +68,16 @@ def test_no_same_dof_exchange(dist_44):
         assert np.array_equal(A2[blk, blk], A[blk, blk])
 
 
+@pytest.mark.parametrize("fixture", ["dist_44", "dist_22_uncoupled"])
+def test_diagonal_blocks_match_slot_loop(fixture, request):
+    st = request.getfixturevalue(fixture)
+    A, _ = ld.build_oo_dist(st)
+    lay = ld._layout(st)
+    for j in range(lay.Q):
+        blk = lay.u_block(j)
+        np.testing.assert_array_equal(A[blk, blk], lo.oo_dist_diagonal(st, j))
+
+
 def test_pairing_symmetries_dist(dist_44):
     rm = ld.assemble_L_dist(dist_44)
     S1 = np.eye(rm.D)[li.sigma1(rm.layout)]

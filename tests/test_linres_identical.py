@@ -83,6 +83,25 @@ def test_cc_block_gaps_are_ci_excitations(bos_m2):
     assert np.allclose(got, gaps, atol=1e-9)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cc_block_and_block_fill_are_exact(dtype):
+    # the in-place forms equal the textbook expressions bit for bit
+    rng = np.random.default_rng(7)
+    H = rng.normal(size=(6, 6)).astype(dtype)
+    if dtype is complex:
+        H += 1j * rng.normal(size=(6, 6))
+    C = rng.normal(size=6) / 3
+    herm = 0.5 * (H + H.conj().T)
+    eps = float(np.real(np.vdot(C, herm @ C)))
+    np.testing.assert_array_equal(li._cc_block(H, C), herm - eps * np.eye(6))
+    tl, tr, bl = H[:4, :4], H[:4, :2].real, H[4:, :4]
+    np.testing.assert_array_equal(
+        li._block2(tl, tr, bl, 0.0),
+        np.block([[tl, tr], [bl, np.zeros((2, 2))]]))
+    np.testing.assert_array_equal(li._block2(tl, tr, bl, H[4:, 4:]),
+                                  np.block([[tl, tr], [bl, H[4:, 4:]]]))
+
+
 def test_assembled_dimension_and_projection(bos_m2):
     rm = li.assemble_L(bos_m2)
     assert rm.D == 2 * (2 * 64 + 3)

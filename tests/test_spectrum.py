@@ -1,11 +1,13 @@
 """Eigenanalysis, zero modes, response weights, and reconstruction."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mclr import TwoBodyKernel, build_grid, position_operator
+from mclr import cli
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import linres_distinguishable as ld
@@ -597,3 +599,69 @@ def test_csv_writers_match_row_oracles(tmp_path, which, request, bos_m2_48):
         rows(tmp_path / "rows.csv", spec, *args, header)
         assert (tmp_path / "fast.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
+
+
+# --- factored RPA vectors ------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_CASES = [*sorted((ROOT / "configs").glob("*.cfg")),
+                ROOT / "perfbench" / "boson_n5m4.cfg"]
+
+
+@pytest.fixture(scope="module", params=CONFIG_CASES, ids=lambda p: p.stem)
+def config_problem(request):
+    """(response matrix, driving vector, probe frequency) of a shipped config,
+    as ``mclr linres`` builds them."""
+    cfg, _ = cli._load_config(request.param)
+    st = cli._solve_from_config(cfg)
+    pert = cli._build_perturbation(cfg, st)
+    if isinstance(st, gs.GroundState):
+        rm = li.assemble_L(st)
+        return rm, li.build_R(st, pert, rm), pert.omega
+    rm = ld.assemble_L_dist(st)
+    return rm, ld.build_R_dist(st, pert, rm), pert.omega
+
+
+def test_factored_products_match_right_oracles(config_problem):
+    rm, R, omega = config_problem
+    spec = spm.eigensolve(rm)
+    w = spm.response_weights(spec, R)
+    identical = isinstance(rm.state, gs.GroundState)
+    rec = spm.reconstruct(spec, w, omega) if identical else None
+    # the oracles read spec.right, which the products above left unbuilt
+    assert spec._right is None or spec.eigensolver != "rpa"
+    for got, want in zip((w.gamma_plus, w.gamma_minus),
+                         lo.response_weights_right(spec, R)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if identical:
+        got = (rec.dphi_minus, rec.dphi_plus, rec.dC_minus, rec.dC_plus)
+        for a, b in zip(got, lo.reconstruct_right(spec, w, omega)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_command_path_keeps_rpa_vectors_factored(tmp_path, bos_m2_48,
+                                                 monkeypatch):
+    # eigensolve -> weights -> both CSVs -> reconstruction, as in
+    # ``mclr linres``: no D x n right vectors and no lift of n columns
+    rm = li.assemble_L(bos_m2_48)
+    R = li.build_R(bos_m2_48, li.PerturbationSpec(
+        f_dag=position_operator(bos_m2_48.grid), omega=0.55), rm)
+    widths = []
+    lift = li.ResponseMatrix.lift
+
+    def recording_lift(self, v, adjoint=False):
+        widths.append(v.reshape(len(v), -1).shape[1])
+        return lift(self, v, adjoint)
+
+    monkeypatch.setattr(li.ResponseMatrix, "lift", recording_lift)
+    spec = spm.eigensolve(rm)
+    assert spec.eigensolver == "rpa"
+    w = spm.response_weights(spec, R)
+    spm.save_spectrum_csv(tmp_path / "spectrum.csv", spec, w)
+    spm.save_weights_csv(tmp_path / "weights.csv", spec, w)
+    spm.reconstruct(spec, w, 0.55)
+    assert spec._right is None
+    assert widths and max(widths) <= 4 < len(spec.retained)
+    # read on demand, the vectors are the factored ones and are kept
+    assert spec.right.shape == (rm.D, len(spec.retained))
+    assert spec.right is spec.right
