@@ -291,8 +291,8 @@ def cmd_linres(args):
         R = ld.build_R_dist(state, pert, rm)
 
     spec = spm.eigensolve(rm, tol_zero=args.tol_zero)
-    zrep = spm.classify_zero_modes(
-        spec, expected_count=spm.expected_zero_modes(rm.layout.M_list))
+    zrep = spm.classify_zero_modes(spec, expected_count=spm.expected_zero_modes(
+        rm.layout.M_list, rm.layout.n_list, [len(n) for n, _ in rm.natural]))
     weights = spm.response_weights(spec, R)
 
     out_dir = Path(args.out_dir)

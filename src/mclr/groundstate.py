@@ -25,8 +25,9 @@ minimizes ||f_k - dF gamma|| and the mixed trial g_k - dG gamma is
 orthonormalized per DOF in the QR gauge of the steps.
 
 Inverses of the one-body density matrix are regularized by flooring its
-eigenvalues at ``rho_floor * N`` (``rho_floor`` for a distinguishable DOF,
-whose density has unit trace). A trial is accepted only if the CI energy
+eigenvalues at ``FLOOR_FRACTION`` tr rho: ``FLOOR_FRACTION * N`` for
+identical particles, ``FLOOR_FRACTION`` for a distinguishable DOF, whose
+density has unit trace. A trial is accepted only if the CI energy
 does not rise. A rejected mixed trial clears the mixing history and falls
 back to the plain block g_k; a rejected plain block backtracks (halving tau,
 rebuilding K_tau and clearing the history), which keeps the outer iteration
@@ -64,8 +65,12 @@ __all__ = [
     "perturbed_state",
     "orbital_eom_rhs",
     "regularized_inverse",
-    "regularized_power",
 ]
+
+# density floor as a fraction of tr rho, shared with the response metric:
+# natural orbitals below it are empty; the solver floors them in rho^-1, and
+# the response coordinates (``linres_identical``) leave them out
+FLOOR_FRACTION = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
@@ -83,7 +88,6 @@ class SolverOptions:
     max_iter: int = 500
     tau: float = 1.0
     inner_steps: int = 10
-    rho_floor: float = 1e-10
     ci_dense_cutoff: int = 500
     verbose: bool = False
 
@@ -127,22 +131,11 @@ class DistGroundState:
         return [np.sort(np.linalg.eigvalsh(r))[::-1] for r in self.rho1]
 
 
-def regularized_power(mat: np.ndarray, power: float, floor: float):
-    """Hermitian matrix power with an eigenvalue floor.
-
-    Returns (result, clipped) where ``clipped`` reports whether any
-    eigenvalue had to be lifted to the floor.
-    """
-    m = 0.5 * (mat + mat.conj().T)
-    vals, vecs = np.linalg.eigh(m)
-    clipped = bool(np.any(vals < floor))
-    vals = np.maximum(vals.real, floor)
-    return (vecs * vals**power) @ vecs.conj().T, clipped
-
-
 def regularized_inverse(mat: np.ndarray, floor: float) -> np.ndarray:
-    inv, _ = regularized_power(mat, -1.0, floor)
-    return inv
+    """Inverse of the Hermitian part of ``mat`` with its eigenvalues lifted
+    to ``floor``."""
+    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    return (vecs * np.maximum(vals, floor) ** -1.0) @ vecs.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +404,7 @@ def solve_mchx(space: ConfigSpace, grid: Grid, h_op: OneBodyOperator,
         return [orbital_eom_rhs(grid, sets[0], h_op, kernel_matrix, rho)]
 
     (orbs,), energy, C, rho, residuals = _self_consistent(
-        space, [orbs], [h_eig], opts, opts.rho_floor * space.N,
+        space, [orbs], [h_eig], opts, FLOOR_FRACTION * space.N,
         ci, densities, rhs)
     g = orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=False)
     mu = _mu_matrix(grid, orbs, g)
@@ -477,7 +470,7 @@ def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
         return _dist_orbital_rhs(space, cur_sets, h_ops, coupling, C, rho1)
 
     sets, energy, C, rho1, residuals = _self_consistent(
-        space, sets, h_eigs, opts, opts.rho_floor, ci, densities, rhs)
+        space, sets, h_eigs, opts, FLOOR_FRACTION, ci, densities, rhs)
     raw = _dist_orbital_rhs(space, sets, h_ops, coupling, C, rho1, project=False)
     mu = [grids[j].weight * (raw[j] @ sets[j].orbitals.conj().T) for j in range(Q)]
     residuals["mu_defect"] = max(float(np.abs(m - m.conj().T).max()) for m in mu)

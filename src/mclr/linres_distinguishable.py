@@ -167,17 +167,12 @@ def build_oc_co_cc_dist(state: DistGroundState):
     return Loc_u, Loc_v, Loc_u.conj().T, Loc_v.T, _cc_block(H, C)
 
 
-def assemble_L_dist(state: DistGroundState,
-                    floor: float | None = None) -> ResponseMatrix:
-    """Full metric-transformed, projected response matrix for Q DOFs.
-
-    ``floor`` lifts the eigenvalues of each one-body density before its
-    inverse square root is taken; the default is 1e-10 tr rho = 1e-10.
-    """
+def assemble_L_dist(state: DistGroundState) -> ResponseMatrix:
+    """Full metric-transformed, projected response matrix for Q DOFs."""
     blocks = (*build_oo_dist(state), *build_oc_co_cc_dist(state))
     rho1s = [0.5 * (r + r.conj().T) for r in state.rho1]
     return _response_matrix(state, blocks, [s.scaled for s in state.sets],
-                            rho1s, floor)
+                            rho1s)
 
 
 def build_R_dist(state: DistGroundState, pert: DistPerturbationSpec,

@@ -27,10 +27,13 @@ their mirrors.  ``ResponseMatrix`` keeps L as its two RPA halves on
 range(P).  The trailing columns Q_j (Q_c) of the unitary of one
 Householder QR of phi_j^T (of C), kept as compact WY factors, span the
 complement of the orbitals of DOF j (of C); Q_j on each orbital slot and
-Q_c on C_u make the isometry B onto range(P) on x = (u, C_u).  The halves
-are a = B^H L[x, x] B and b = B^H L[x, y] B*, with y = (v, C_v), of size
-sum_j M_j (n_j - M_j) + N_conf - 1.  ``ResponseMatrix.lift`` applies B or
-B^H in two thin products per block, and ``pull`` B^H M^(+-1/2); the halves
+Q_c on C_u make the isometry B onto range(P) on x = (u, C_u).  The metric
+of DOF j is its one-body density U n U^H on the K_j natural orbitals U it
+keeps (``_response_matrix``); an empty orbital has no coordinates.  The
+halves are a = F^H L[x, x] F and b = F^H L[x, y] F*, with F = B U
+n^(-1/2) and y = (v, C_v), of size sum_j K_j (n_j - M_j) + N_conf - 1.
+``ResponseMatrix.lift`` applies B U or U^H B^H, two thin products per
+block and one on its slot axis, and ``pull`` n^(+-1/2) U^H B^H; the halves
 are pulled from both sides of the raw x rows, and ``project`` is
 lift(pull(.)).  The dense D x D L and P are built only on demand.
 
@@ -51,7 +54,7 @@ import numpy as np
 from . import fockspace as fs
 from . import hamiltonian as ham
 from .grid import OneBodyOperator, TwoBodyKernel, discretize_kernel
-from .groundstate import GroundState, regularized_power
+from .groundstate import FLOOR_FRACTION, GroundState
 
 __all__ = [
     "ResponseLayout",
@@ -68,9 +71,6 @@ __all__ = [
 ]
 
 STATISTICS_SIGN = {"boson": +1.0, "fermion": -1.0}
-# default metric floor as a fraction of tr rho; natural orbitals at or below
-# it are empty, and ``spectrum.reconstruct`` drops those the floor clipped
-FLOOR_FRACTION = 1e-10
 
 
 @dataclass(frozen=True)
@@ -153,22 +153,23 @@ class ResponseMatrix:
     symmetric).  ``reflectors`` holds B as compact WY factors (V, W), one
     pair per DOF and one for C: Q = I - W V^H is the Householder unitary of
     the QR of the orbitals of DOF j (of C), and B is its trailing columns on
-    each orbital slot of DOF j (on C_u).  ``lift`` and ``pull`` are the only
-    code that applies B; ``L`` builds the dense matrix on demand.  The
-    projector P is B B^H on x and its conjugate on y; the metric powers
-    M^(+-1/2) are kept as the per-DOF ``m_half`` and ``m_neghalf`` of each
-    one-body density.
+    each orbital slot of DOF j (on C_u).  ``natural`` holds, per DOF, the
+    kept natural orbitals of the one-body density as (occupations n,
+    orbitals U as columns); the reduced slot coordinates are these
+    orbitals, so the lift is B U and empty orbitals have no coordinates.
+    ``lift`` and ``pull`` are the only code that applies B and U; ``L``
+    builds the dense matrix on demand.  The projector is B U U^H B^H on x
+    and its conjugate on y, which is P where no orbital is empty; the
+    metric powers are U n^(+-1/2) U^H.
     """
 
     layout: ResponseLayout
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     reflectors: list = field(repr=False, default_factory=list)
-    m_half: list = field(repr=False, default_factory=list)
-    m_neghalf: list = field(repr=False, default_factory=list)
+    natural: list = field(repr=False, default_factory=list)
     state: GroundState = None
-    metric_clipped: bool = False
-    floor: float = 0.0                  # eigenvalue floor of the metric
+    metric_clipped: bool = False        # a natural orbital was left out
     null_vectors: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -176,45 +177,57 @@ class ResponseMatrix:
         return self.layout.D
 
     def lift(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """B v from the reduced coordinates to the x rows, or B^H v back with
-        ``adjoint``.  Per block (each orbital slot of DOF j, then C_u), with
-        Q = I - W V^H from ``reflectors`` and V of shape (n, k):
-        B v = [0; v] - W (V[k:]^H v) and B^H x = x[k:] - V[k:] (W^H x).
-        ``v`` is a vector or an array with the rows on its leading axis."""
-        parts = list(zip(self.layout.M_list + (1,), self.reflectors))
-        k_all = sum(M * V.shape[1] for M, (V, _) in parts)
+        """B U v from the reduced coordinates to the x rows, or U^H B^H v
+        back with ``adjoint``.  Per block (each orbital slot of DOF j, then
+        C_u), with Q = I - W V^H from ``reflectors`` and V of shape (n, k):
+        B v = [0; v] - W (V[k:]^H v) and B^H x = x[k:] - V[k:] (W^H x).  U,
+        the kept natural orbitals of DOF j (``natural``), maps the reduced
+        slots to the M_j orbital slots in one product on the slot axis; C
+        has one slot and no U.  ``v`` is a vector or an array with the rows
+        on its leading axis."""
+        units = [U for _, U in self.natural] + [None]
+        parts = [(M, M if U is None else U.shape[1], U, V, W) for M, U, (V, W)
+                 in zip(self.layout.M_list + (1,), units, self.reflectors)]
         cols = v.reshape(len(v), -1)
         c = cols.shape[1]
-        out = np.empty((len(v) - k_all if adjoint else len(v) + k_all, c),
-                       dtype=np.result_type(v, *sum(self.reflectors, ())))
+        out = np.empty((sum(K * (len(V) - V.shape[1]) if adjoint else M * len(V)
+                            for M, K, _, V, _ in parts), c),
+                       dtype=np.result_type(v, *sum(self.reflectors, ()),
+                                            *units[:-1]))
         i = o = 0
-        for M, (V, W) in parts:
+        for M, K, U, V, W in parts:
             n, k = V.shape
-            a, b = (n, n - k) if adjoint else (n - k, n)
-            s = cols[i:i + M * a].reshape(M, a, c)
-            y = out[o:o + M * b].reshape(M, b, c)
+            a, b = (M * n, K * (n - k)) if adjoint else (K * (n - k), M * n)
+            s, y = cols[i:i + a], out[o:o + b]
             if adjoint:
-                np.matmul(V[k:], W.conj().T @ s, out=y)
-                np.subtract(s[:, k:], y, out=y)
+                s = s.reshape(M, n, c)
+                g = (y if U is None else np.empty_like(y, shape=(M * (n - k), c))
+                     ).reshape(M, n - k, c)
+                np.matmul(V[k:], W.conj().T @ s, out=g)
+                np.subtract(s[:, k:], g, out=g)
+                if U is not None:
+                    np.matmul(U.conj().T, g.reshape(M, -1), out=y.reshape(K, -1))
             else:
+                if U is not None:
+                    s = U @ s.reshape(K, -1)
+                s, y = s.reshape(M, n - k, c), y.reshape(M, n, c)
                 np.matmul(W, -(V[k:].conj().T @ s), out=y)
                 y[:, k:] += s
-            i, o = i + M * a, o + M * b
+            i, o = i + a, o + b
         return out.reshape((len(out),) + v.shape[1:])
 
     def pull(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
-        """B^H M^power x on the x rows, for power 0, +1/2 or -1/2.  The
-        metric factor m_j^power acts on the slot index of DOF j and B on the
-        grid index, so they commute: ``lift`` with ``adjoint``, then m_j^power
-        on the reduced slots of each DOF."""
-        metric = {0.0: [], 0.5: self.m_half, -0.5: self.m_neghalf}[power]
+        """n^power U^H B^H x on the x rows: ``lift`` with ``adjoint``, then
+        the kept occupations n_j^power of each DOF on its reduced slots.
+        With U n U^H the one-body density on its kept natural orbitals, this
+        is B^H M^power x for power 0, +1/2 or -1/2, taken on those orbitals."""
         y = self.lift(x, adjoint=True)
-        y = y.astype(np.result_type(y, *metric), copy=False)
         i = 0
-        for m, (V, _) in zip(metric, self.reflectors):
-            blk = slice(i, i + len(m) * (len(V) - len(m)))
-            y[blk] = (m @ y[blk].reshape(len(m), -1)).reshape(y[blk].shape)
-            i = blk.stop
+        for (occ, _), (V, _) in zip(self.natural, self.reflectors):
+            rows = len(occ) * (len(V) - V.shape[1])
+            blk = y[i:i + rows].reshape(len(occ), -1)
+            blk *= occ[:, None] ** power
+            i += rows
         return y
 
     @property
@@ -247,8 +260,8 @@ class ResponseMatrix:
         return np.concatenate([px[:o], py[:o], px[o:], py[o:]])
 
     def projector(self) -> np.ndarray:
-        """Dense D x D projector P, built on demand from ``project``; real
-        for a real problem."""
+        """Dense D x D projector onto the response coordinates, built on
+        demand from ``project``; real for a real problem."""
         return self.project(np.eye(self.D))
 
 
@@ -398,15 +411,17 @@ def _null_vectors(layout, phis, C) -> np.ndarray:
     return np.hstack([Z, Z.conj()[sigma1(layout)]])
 
 
-def _response_matrix(state, blocks, phis, rho1s,
-                     floor: float | None) -> ResponseMatrix:
-    """Projector, metric powers and L from the raw ``blocks`` (A, B, Loc_u,
-    Loc_v, Lco_u, Lco_v, cc_u), for one DOF per entry of ``phis`` (scaled
-    orbitals) and ``rho1s`` (hermitized one-body densities); identical
-    particles are the one-DOF case.
+def _response_matrix(state, blocks, phis, rho1s) -> ResponseMatrix:
+    """Projector, metric and L from the raw ``blocks`` (A, B, Loc_u, Loc_v,
+    Lco_u, Lco_v, cc_u), for one DOF per entry of ``phis`` (scaled orbitals)
+    and ``rho1s`` (hermitized one-body densities); identical particles are
+    the one-DOF case.
 
-    The default metric floor is 1e-10 tr rho: 1e-10 N for identical
-    particles, 1e-10 for distinguishable DOFs (unit-trace densities).
+    A natural orbital of DOF j is kept when its occupation is at least
+    FLOOR_FRACTION tr rho_j (FLOOR_FRACTION N for identical particles,
+    FLOOR_FRACTION for distinguishable DOFs).  An empty one has no inverse
+    metric, and the directions it would carry leave delta Psi unchanged
+    (Beck, Jaeckle, Worth & Meyer, Phys. Rep. 324, 1 (2000)).
     """
     C = state.C
     # the one realness decision of the response layer (module docstring)
@@ -415,20 +430,20 @@ def _response_matrix(state, blocks, phis, rho1s,
         phis, rho1s, C = [p.real for p in phis], [r.real for r in rho1s], C.real
     layout = ResponseLayout(tuple(len(p) for p in phis),
                             tuple(p.shape[1] for p in phis), len(C))
-    if floor is None:
-        floor = FLOOR_FRACTION * max(np.trace(r).real for r in rho1s)
-    rm = ResponseMatrix(layout=layout, a=None, b=None, state=state, floor=floor,
-                        reflectors=[_reflectors(r) for r in [*phis, C[None, :]]],
-                        null_vectors=_null_vectors(layout, phis, C))
+    natural = []
     for rho in rho1s:
-        h, c1 = regularized_power(rho, +0.5, floor)
-        nh, c2 = regularized_power(rho, -0.5, floor)
-        rm.m_half.append(h)
-        rm.m_neghalf.append(nh)
-        rm.metric_clipped = rm.metric_clipped or c1 or c2
-    # with F = P M^(-1/2) B = M^(-1/2) B: a = F^H L_raw[x, x] F and
-    # b = F^H L_raw[x, y] F*, each raw half built just before it is pulled;
-    # the y rows of L mirror the x rows
+        occ, U = np.linalg.eigh(rho)
+        keep = occ >= FLOOR_FRACTION * np.trace(rho).real
+        natural.append((occ[keep], U[:, keep]))
+    rm = ResponseMatrix(layout=layout, a=None, b=None, state=state,
+                        reflectors=[_reflectors(r) for r in [*phis, C[None, :]]],
+                        natural=natural,
+                        metric_clipped=sum(len(o) for o, _ in natural)
+                        < sum(layout.M_list),
+                        null_vectors=_null_vectors(layout, phis, C))
+    # with F = M^(-1/2) B U: a = F^H L_raw[x, x] F and b = F^H L_raw[x, y]
+    # F*, each raw half built just before it is pulled; the y rows of L
+    # mirror the x rows
     A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
     rm.a = rm.pull(rm.pull(_block2(A, Loc_u, Lco_u, cc_u), -0.5)
                    .conj().T, -0.5).conj().T
@@ -447,16 +462,12 @@ def _block2(top_left, top_right, bottom_left, bottom_right):
     return out
 
 
-def assemble_L(state: GroundState, floor: float | None = None) -> ResponseMatrix:
-    """Full metric-transformed, projected response matrix.
-
-    ``floor`` lifts the eigenvalues of the one-body density before its
-    inverse square root is taken; the default is 1e-10 tr rho = 1e-10 N.
-    """
+def assemble_L(state: GroundState) -> ResponseMatrix:
+    """Full metric-transformed, projected response matrix."""
     blocks = (*build_oo_block(state), *build_oc_co_blocks(state),
               build_cc_block(state))
     return _response_matrix(state, blocks, [state.orbitals.scaled],
-                            [_hermitized(state.rho.rho1)], floor)
+                            [_hermitized(state.rho.rho1)])
 
 
 def _driving_vector(rm: ResponseMatrix, phis, F, om, c1, c2) -> np.ndarray:

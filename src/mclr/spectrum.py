@@ -38,14 +38,15 @@ w beside the halves (``RPAFactors``), and the weights and the reconstruction, wh
 need only products R c and R^T v with a few columns, take them through
 the factors and one ``lift`` or ``pull``.  The D x n right vectors are
 built only when ``LRSpectrum.right`` is read.  The directions outside
-range(P) are reported as exact zero eigenvalues, so the spectrum keeps
+the response coordinates (outside range(P), or along an empty natural
+orbital) are reported as exact zero eigenvalues, so the spectrum keeps
 all D entries.
 
 The reduction is used when the halves are real arrays (the assembly
 decides realness once, from the problem; see ``linres_identical``), their
 Sigma3 defect is below 1e-9 max|L|, a - b and a + b are positive definite
-and every w lies above tol_zero.  Otherwise (a complex problem, unstable
-states, singular metrics with extra null directions) a dense eigensolve
+and every w lies above tol_zero.  Otherwise (a complex problem, an
+unstable state, an excitation at or below tol_zero) a dense eigensolve
 of L runs instead; there degenerate clusters are rotated to make the
 pseudo-metric diagonal inside the cluster, which keeps biorthogonality
 exact under degeneracy.
@@ -59,8 +60,7 @@ import numpy as np
 from numpy import linalg as sla     # LAPACK drivers, wrapped by profilers
 
 from .groundstate import GroundState
-from .linres_identical import (FLOOR_FRACTION, ResponseMatrix, halves_index,
-                              sigma1, sigma3)
+from .linres_identical import ResponseMatrix, halves_index, sigma1, sigma3
 
 __all__ = [
     "LRSpectrum",
@@ -386,13 +386,16 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
         report["mismatch"] = (
             f"found {report['count']} eigenvalues below tol_zero="
             f"{spec.tol_zero:.3e} but expected {expected_count}; "
-            "check metric regularization or the threshold")
+            "check the threshold")
     return report
 
 
-def expected_zero_modes(M_list) -> int:
-    """2 (sum_j M_j^2 + 1); identical particles pass (M,)."""
-    return 2 * (int(sum(m * m for m in M_list)) + 1)
+def expected_zero_modes(M_list, n_list=(), K_list=()) -> int:
+    """2 (sum_j M_j^2 + 1) analytic null vectors plus the 2 sum_j (M_j - K_j)
+    (n_j - M_j) directions of the empty natural orbitals, with K_j of the
+    M_j kept and n_j grid points; identical particles pass (M,) alone."""
+    return 2 * int(sum(m * m for m in M_list) + 1 + sum(
+        (m - k) * (n - m) for m, n, k in zip(M_list, n_list, K_list)))
 
 
 @dataclass
@@ -472,13 +475,9 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
                   (weights.gamma_minus / (omega + wr)).conj()], axis=1)
     c[spec.sng_undefined] = 0
     (u,), (v,), cu, cv = rm.layout.split(spec.right_times(c))
-    # an empty natural orbital lifted by the floor carries rounding noise
-    # times 1/sqrt(floor): drop it; a floor raised above a real occupation
-    # keeps that orbital, through the same M^(-1/2) as L
-    m, (n, U) = rm.m_neghalf[0], np.linalg.eigh(state.rho.rho1)
-    empty = n < min(rm.floor, FLOOR_FRACTION * n.sum())
-    if empty.any():
-        m = (U * np.where(empty, 0, np.maximum(n, rm.floor) ** -0.5)) @ U.conj().T
+    # M^(-1/2) on the kept natural orbitals, which span the lifted u and v
+    n, U = rm.natural[0]
+    m = (U * n ** -0.5) @ U.conj().T
     dphi_m, dphi_p = m @ np.stack([u[..., 0] + v[..., 1].conj(),
                                    v[..., 0].conj() + u[..., 1]])
     dC_m = cu[:, 0] + cv[:, 1].conj()

@@ -462,14 +462,26 @@ def dense_raw(layout, blocks):
     return raw
 
 
+def natural_power(rho, power):
+    """rho^power on the natural orbitals of ``rho`` with occupation at least
+    FLOOR_FRACTION tr rho, 0 on the empty ones; the exact identity for
+    power 0 when none is empty (U U^dag from ``eigh`` is off it by a few
+    ulps, more than the bound the tests hold ``projector()`` to)."""
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    keep = vals >= gs.FLOOR_FRACTION * np.trace(rho).real
+    if power == 0 and keep.all():
+        return np.eye(len(rho))
+    return (vecs[:, keep] * vals[keep] ** power) @ vecs[:, keep].conj().T
+
+
 def dense_PM(rm, power):
     """P M^power as a dense D x D matrix, from the ground state of ``rm``.
 
-    Per DOF, kron(rho_j^power, 1 - |phi_j><phi_j|) on u and its conjugate
-    on v, with the eigenvalues of rho_j lifted to ``rm.floor``; then
-    1 - |C><C| on C_u and its conjugate on C_v. For power 0 the metric
-    factor is the exact identity: U U^dag from ``eigh`` is off it by a
-    few ulps, more than the bound the tests hold ``projector()`` to.
+    Per DOF, kron(U n^power U^dag, 1 - |phi_j><phi_j|) on u and its
+    conjugate on v, with (n, U) the natural orbitals of rho_j kept by the
+    rule of the assembly (occupation at least FLOOR_FRACTION tr rho_j);
+    then 1 - |C><C| on C_u and its conjugate on C_v. For power 0 with no
+    orbital left out the metric factor is the exact identity.
     """
     st = rm.state
     if isinstance(st, gs.GroundState):
@@ -478,11 +490,7 @@ def dense_PM(rm, power):
         phis, rhos = [s.scaled for s in st.sets], st.rho1
     orbital = []
     for phi, rho in zip(phis, rhos):
-        if power == 0:
-            m = np.eye(len(rho))
-        else:
-            vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-            m = (vecs * np.maximum(vals, rm.floor) ** power) @ vecs.conj().T
+        m = natural_power(rho, power)
         Pg = np.eye(phi.shape[1]) - phi.T @ phi.conj()
         orbital.append(np.kron(m, Pg))
     G = block_diag(*orbital)
@@ -580,7 +588,7 @@ def reconstruct_loop(spec, weights, omega):
     sng; orbitals as grid values."""
     rm = spec.rm
     layout = rm.layout
-    neghalf = rm.m_neghalf[0]
+    neghalf = natural_power(rm.state.rho.rho1, -0.5)
     shape = (layout.M_list[0], layout.n_list[0])
     dphi_m = np.zeros(shape, dtype=complex)
     dphi_p = np.zeros(shape, dtype=complex)
@@ -618,7 +626,7 @@ def reconstruct_right(spec, weights, omega):
     """(dphi_minus, dphi_plus, dC_minus, dC_plus) of the driven response at
     ``omega`` from the u, v, C_u, C_v blocks of the stored right vectors,
     with the metric of ``spectrum.reconstruct`` (empty natural orbitals
-    dropped); orbitals as grid values."""
+    left out); orbitals as grid values."""
     rm, state = spec.rm, spec.rm.state
     wr = spec.eigenvalues[spec.retained].real
     keep = ~spec.sng_undefined
@@ -627,10 +635,7 @@ def reconstruct_right(spec, weights, omega):
     (u,), (v,), cu, cv = rm.layout.split(spec.right[:, keep])
     v, cv = v.conj(), cv.conj()
     minus, plus = gp * lo, gm * hi
-    m, (n, U) = rm.m_neghalf[0], np.linalg.eigh(state.rho.rho1)
-    empty = n < min(rm.floor, li.FLOOR_FRACTION * n.sum())
-    if empty.any():
-        m = (U * np.where(empty, 0, np.maximum(n, rm.floor) ** -0.5)) @ U.conj().T
+    m = natural_power(state.rho.rho1, -0.5)
     dphi_m, dphi_p = m @ np.stack(
         [u @ minus + v @ plus, v @ minus.conj() + u @ plus.conj()])
     root_dx = np.sqrt(state.grid.weight)

@@ -96,9 +96,10 @@ def test_linres_outputs(tmp_path, capsys):
     assert (tmp_path / "weights.csv").exists()
     assert (tmp_path / "response_matrix.ckpt").exists()
     zero_line = [l for l in out.splitlines() if l.startswith("zero_modes")][0]
-    assert "expected 10" in zero_line
-    # the empty second orbital makes the metric singular
-    assert "eigensolver = dense (" in out
+    # the empty second orbital leaves the response coordinates: its
+    # 2 (64 - 2) directions join the 10 analytic null vectors
+    assert "expected 134" in zero_line
+    assert "eigensolver = rpa" in out
 
 
 def test_linres_interacting_zero_mode_count(tmp_path, capsys):
@@ -238,14 +239,15 @@ def test_linres_never_builds_dense_matrices(tmp_path, capsys, monkeypatch,
 
 
 def test_linres_dense_fallback_spectrum(tmp_path, capsys):
-    # the free ladder's empty orbital makes A - B singular: the dense eig
-    # path still gives the excitation ladder 1, 2, 2, 3, ... to 1e-12
+    # with the free ladder's empty orbital left out, A - B is positive
+    # definite and the half-size solve gives the excitation ladder 1, 2, 2,
+    # 3, ... to 1e-12, as the dense eig path did before
     cfg, ck = str(CONFIGS / "free_ladder_m2.cfg"), str(tmp_path / "state.ckpt")
     _run(capsys, ["ground", "--config", cfg, "--checkpoint", ck])
     code, out, _ = _run(capsys, ["linres", "--checkpoint", ck, "--config", cfg,
                                  "--out-dir", str(tmp_path)])
     assert code == 0
-    assert "eigensolver = dense (A - B not positive definite)" in out
+    assert "eigensolver = rpa" in out
     rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=4)
     w, zero = rows[:, 1], rows[:, 4]
     retained = np.sort(w[(w > 0) & (zero == 0)])

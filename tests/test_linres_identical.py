@@ -221,7 +221,7 @@ def test_structural_operator_on_complex_orbital_span(power):
     oc = np.zeros((orb, nc))
     blocks = (np.zeros((orb, orb)), np.zeros((orb, orb)), oc, oc, oc.T, oc.T,
               np.zeros((nc, nc)))
-    _check_project(li._response_matrix(state, blocks, phis, rhos, None), power)
+    _check_project(li._response_matrix(state, blocks, phis, rhos), power)
 
 
 def test_null_vectors_annihilated(bos_m2):

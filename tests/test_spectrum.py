@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mclr import TwoBodyKernel, build_grid, position_operator
+from mclr.grid import diagonal_operator
 from mclr import cli
 from mclr import fockspace as fs
 from mclr import groundstate as gs
@@ -16,6 +17,13 @@ from mclr import spectrum as spm
 
 import loop_oracles as lo
 from conftest import oscillator_h
+
+
+@pytest.fixture(scope="module")
+def free_m2(grid64, h64):
+    """A free boson pair at M = 2: its second natural orbital is empty."""
+    return gs.solve_mchx(fs.enumerate_configs("boson", N=2, M=2), grid64, h64,
+                         TwoBodyKernel("none"))
 
 
 @pytest.fixture(scope="module")
@@ -85,18 +93,21 @@ def test_zero_mode_counts(bos_m1, bos_m2):
         assert rep["constructed_ok"]
 
 
-def test_zero_mode_mismatch_is_reported(grid64, h64):
-    # a free M=2 gas has an EXACTLY unoccupied orbital: the metric is
-    # singular and extra null directions appear; the report must say so
-    sp = fs.enumerate_configs("boson", N=2, M=2)
-    st = gs.solve_mchx(sp, grid64, h64, TwoBodyKernel("none"))
-    rm = li.assemble_L(st)
+def test_zero_mode_mismatch_is_reported(free_m2):
+    # the free pair's exactly unoccupied orbital leaves the response
+    # coordinates: its 2 (n - M) directions are counted with the analytic
+    # null vectors, so the census matches (a mismatch is reported in
+    # test_cli.py::test_linres_tol_zero_flag)
+    rm = li.assemble_L(free_m2)
     assert rm.metric_clipped
     spec = spm.eigensolve(rm)
-    assert spec.eigensolver.startswith("dense")
-    rep = spm.classify_zero_modes(spec, expected_count=10)
-    assert rep["count"] > 10
-    assert "mismatch" in rep
+    assert spec.eigensolver == "rpa"
+    lay = rm.layout
+    expected = spm.expected_zero_modes(lay.M_list, lay.n_list,
+                                       [len(n) for n, _ in rm.natural])
+    rep = spm.classify_zero_modes(spec, expected_count=expected)
+    assert rep["count"] == expected == 10 + 2 * (64 - 2)
+    assert rep["constructed_ok"] and "mismatch" not in rep
 
 
 def test_grid_refinement_keeps_census_and_low_spectrum(bos_m2):
@@ -133,10 +144,8 @@ def test_default_tolerances_give_converged_low_spectrum(bos_m2):
     assert np.abs(low[0] - low[1]).max() < 1e-7
 
 
-def test_noninteracting_ladder(grid64, h64):
-    sp = fs.enumerate_configs("boson", N=2, M=2)
-    st = gs.solve_mchx(sp, grid64, h64, TwoBodyKernel("none"))
-    spec = spm.eigensolve(li.assemble_L(st))
+def test_noninteracting_ladder(free_m2):
+    spec = spm.eigensolve(li.assemble_L(free_m2))
     low = np.sort(spec.omega)[:2]
     assert low[0] == pytest.approx(1.0, abs=1e-4)
     assert low[1] == pytest.approx(2.0, abs=1e-4)
@@ -160,17 +169,17 @@ def test_weights_parity_selection(bos_m2_48, spec_m2):
     assert abs(w.gamma_plus[order[2]]) < 1e-8
 
 
-def test_reconstruct_uses_assembly_floor(bos_m2_48):
-    # a floor above the smaller natural occupation clips the metric; the
-    # driven orbitals must go through the same M^(-1/2) as L itself
-    st = bos_m2_48
-    floor = 2.0 * np.linalg.eigvalsh(st.rho.rho1).min()
-    rm = li.assemble_L(st, floor=floor)
-    assert rm.metric_clipped and rm.floor == floor
+def test_reconstruct_uses_assembly_floor(free_m2):
+    # the free pair's empty natural orbital is left out of L; the driven
+    # orbitals must go through the same M^(-1/2) as L itself, on the kept
+    # orbital only.  The probe x^2 drives phi_0 out of the orbital span.
+    st = free_m2
+    rm = li.assemble_L(st)
+    assert rm.metric_clipped
     spec = spm.eigensolve(rm)
     om = 0.55
     R = li.build_R(st, li.PerturbationSpec(
-        f_dag=position_operator(st.grid), omega=om), rm)
+        f_dag=diagonal_operator(st.grid, st.grid.points ** 2), omega=om), rm)
     w = spm.response_weights(spec, R)
     rec = spm.reconstruct(spec, w, om)
     expect_m = np.zeros_like(rec.dphi_minus)
@@ -183,15 +192,24 @@ def test_reconstruct_uses_assembly_floor(bos_m2_48):
         expect_p += (np.conj(gp) * v.conj() / (om - wk)
                      + np.conj(gm) * u / (om + wk))
     root_dx = np.sqrt(st.grid.weight)
+    assert np.abs(expect_m).max() > 0.1
     assert np.abs(rec.dphi_minus - expect_m / root_dx).max() < 1e-10
     assert np.abs(rec.dphi_plus - expect_p / root_dx).max() < 1e-10
 
 
-def test_default_metric_floor_scales_with_density_trace(bos_m2, dist_11):
-    # one rule, 1e-10 tr rho: 1e-10 N for identical particles, 1e-10 for
-    # distinguishable DOFs (unit-trace densities)
-    assert li.assemble_L(bos_m2).floor == pytest.approx(2e-10, rel=1e-12)
-    assert ld.assemble_L_dist(dist_11).floor == pytest.approx(1e-10, rel=1e-12)
+def test_default_metric_floor_scales_with_density_trace(bos_m2, free_m2):
+    # one keep rule, occupation >= FLOOR_FRACTION tr rho (2e-10 for a
+    # pair), shared with the ground-state solver: bos_m2 keeps its
+    # 2.3e-4-occupied orbital, the free pair drops its empty one
+    assert li.FLOOR_FRACTION is gs.FLOOR_FRACTION
+    for st, kept in ((bos_m2, 2), (free_m2, 1)):
+        rm = li.assemble_L(st)
+        ((occ, U),) = rm.natural
+        n = np.linalg.eigvalsh(st.rho.rho1)
+        assert U.shape == (2, kept) and rm.metric_clipped == (kept < 2)
+        assert np.abs(occ - n[2 - kept:]).max() < 1e-14
+        assert np.count_nonzero(n >= 2 * gs.FLOOR_FRACTION) == kept
+    assert np.linalg.eigvalsh(bos_m2.rho.rho1)[0] > 1e-4
 
 
 def test_reconstruct_refuses_distinguishable(dist_11):
@@ -349,7 +367,7 @@ def _dipole_probe(st, rm):
 
 @pytest.mark.parametrize("fixture", ["bos_m1", "bos_m2", "bos_m3", "ferm_m2",
                                      "ferm_m3", "bos_m2_48", "dist_11",
-                                     "dist_44"])
+                                     "dist_44", "free_m2"])
 def test_reduced_solve_matches_dense(fixture, request):
     st = request.getfixturevalue(fixture)
     rm = _assembled(st)
@@ -376,16 +394,19 @@ def test_reduced_solve_matches_dense(fixture, request):
         assert np.abs(np.abs(a[lone]) - np.abs(b[lone])).max() < 1e-8
 
 
-@pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m2", "dist_44"])
+@pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m2", "dist_44",
+                                     "free_m2"])
 def test_halves_are_assembled_on_range_of_P(fixture, request):
     # the halves live on the complement of the analytic null vectors on x,
-    # and the lift B is an isometry onto range(P) there
+    # less the K_j-th to M_j-th (empty) natural orbitals of each DOF, and
+    # the lift B U is an isometry onto that part of range(P)
     rm = _assembled(request.getfixturevalue(fixture))
     lay = rm.layout
-    n = sum(M * (k - M) for M, k in zip(lay.M_list, lay.n_list)) \
+    K = [len(occ) for occ, _ in rm.natural]
+    n = sum(k * (p - M) for M, p, k in zip(lay.M_list, lay.n_list, K)) \
         + lay.n_conf - 1
     assert rm.a.shape == rm.b.shape == (n, n)
-    assert lay.D - 2 * n == spm.expected_zero_modes(lay.M_list)
+    assert lay.D - 2 * n == spm.expected_zero_modes(lay.M_list, lay.n_list, K)
     assert np.abs(rm.lift(rm.lift(np.eye(n)), adjoint=True)
                   - np.eye(n)).max() < 1e-13
     x, _ = li.halves_index(lay)
@@ -466,7 +487,9 @@ def test_symmetry_defects_match_dense_operators(layout):
     # complex halves, and real ones (real-arithmetic path)
     for a, b, bases in ((a, b, rotated), (a.real, b.real, embedding),
                         (a, b, embedding)):
-        rm = li.ResponseMatrix(layout=layout, a=a, b=b, reflectors=bases)
+        rm = li.ResponseMatrix(layout=layout, a=a, b=b, reflectors=bases,
+                               natural=[(np.ones(M), np.eye(M))
+                                        for M in layout.M_list])
         L = rm.L
         d1, d3 = S1 @ L @ S1 + L.conj(), S3 @ L @ S3 - L.conj().T
         assert np.abs(d1).max() == 0.0 and np.abs(d3).max() > 0.1
