@@ -227,7 +227,9 @@ def _compile(space: ConfigSpace) -> OperatorTable:
 
 
 def _bincount(index, values, n):
-    """np.bincount with complex weights."""
+    """np.bincount with real or complex weights."""
+    if not np.iscomplexobj(values):
+        return np.bincount(index, values, minlength=n)
     return (np.bincount(index, values.real, minlength=n)
             + 1j * np.bincount(index, values.imag, minlength=n))
 
@@ -242,8 +244,8 @@ def _apply_key(space: ConfigSpace, C, orbitals) -> np.ndarray:
     key += M**2 if len(orbitals) == 4 else 0
     t = space.table
     e = slice(t.start[key], t.start[key + 1])
-    out = np.zeros(space.size, dtype=complex)
-    out[t.dst[e]] = t.fac[e] * np.asarray(C, dtype=complex)[t.src[e]]
+    out = np.zeros(space.size, dtype=np.result_type(t.fac, C))
+    out[t.dst[e]] = t.fac[e] * np.asarray(C)[t.src[e]]
     return out
 
 
@@ -314,7 +316,7 @@ class ReducedDensities:
 
 
 def reduced_densities(space: ConfigSpace, C: np.ndarray) -> ReducedDensities:
-    C = np.asarray(C, dtype=complex)
+    C = np.asarray(C)
     if space.identical:
         M, t = space.M, space.table
         rho = _bincount(t.key, C[t.dst].conj() * t.fac * C[t.src], t.n_keys)
@@ -335,7 +337,7 @@ def dist_reduced_density(space: ConfigSpace, C: np.ndarray, dofs) -> np.ndarray:
         raise ValueError("distinguishable spaces only")
     Q = len(space.M_list)
     dofs = tuple(dofs)
-    t = np.asarray(C, dtype=complex).reshape(space.M_list)
+    t = np.asarray(C).reshape(space.M_list)
     others = [ax for ax in range(Q) if ax not in dofs]
     rho = np.tensordot(t.conj(), t, axes=(others, others))
     # tensordot leaves kept axes in original order: bra dofs then ket dofs,
@@ -356,13 +358,10 @@ def apply_hamiltonian_dist(space: ConfigSpace, C: np.ndarray, h_elems,
     """
     if space.identical:
         raise ValueError("distinguishable spaces only")
-    t = np.asarray(C, dtype=complex).reshape(space.M_list)
-    out = np.zeros_like(t)
-    for j, hj in enumerate(h_elems):
-        # contract h^j along axis j, keeping axis order
-        moved = np.tensordot(np.asarray(hj, dtype=complex), t, axes=(1, j))
-        out += np.moveaxis(moved, 0, j)
-    out = out.reshape(space.size)
+    t = np.asarray(C).reshape(space.M_list)
+    # contract h^j along axis j, keeping axis order
+    out = sum(np.moveaxis(np.tensordot(hj, t, axes=(1, j)), 0, j)
+              for j, hj in enumerate(h_elems)).reshape(space.size)
     if W_conf is not None:
-        out = out + np.asarray(W_conf) @ np.asarray(C, dtype=complex)
+        out = out + np.asarray(W_conf) @ t.reshape(space.size)
     return out

@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+def as_float(x) -> np.ndarray:
+    """``x`` as an array of its own dtype promoted to at least float64."""
+    return np.asarray(x, dtype=np.result_type(np.asarray(x), float))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform interior grid between hard walls."""
@@ -52,13 +57,14 @@ class Grid:
 
 @dataclass(frozen=True)
 class OneBodyOperator:
-    """Dense one-body operator acting on grid-function values."""
+    """Dense one-body operator on grid-function values; the matrix keeps its
+    dtype, promoted to at least float64, so a real operator stays real."""
 
     matrix: np.ndarray = field(repr=False)
     hermitian: bool = True
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = as_float(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
@@ -157,9 +163,7 @@ def diagonal_operator(grid: Grid, values: np.ndarray) -> OneBodyOperator:
     values = np.asarray(values)
     if values.shape != (grid.n_points,):
         raise ValueError("diagonal values must match the grid")
-    return OneBodyOperator(np.diag(values.astype(complex)),
-                           hermitian=bool(np.max(np.abs(values.imag)) == 0.0
-                                          if np.iscomplexobj(values) else True))
+    return OneBodyOperator(np.diag(values), hermitian=not np.any(np.imag(values)))
 
 
 def discretize_kernel(grid: Grid, kernel: TwoBodyKernel) -> np.ndarray:

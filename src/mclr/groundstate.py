@@ -167,12 +167,14 @@ def _mu_matrix(grid, orbs, g_unprojected):
 
 def _ci_eigenpair(H, v0=None):
     """(energy, C, H) of the lowest eigenpair of the configuration matrix H,
-    dense (``eigh``) or scipy sparse (Lanczos from ``v0``).  An H without
-    imaginary part is solved, and returned, real, so C is exactly real."""
+    dense (``eigh``) or scipy sparse (Lanczos from ``v0``).  A real H (that
+    of a real problem) gives an exactly real C; a complex H without
+    imaginary part is solved, and returned, real."""
     dense = isinstance(H, np.ndarray)
-    if not np.any((H if dense else H.data).imag):
+    if np.iscomplexobj(H) and not np.any((H if dense else H.data).imag):
         H = H.real
-        v0 = None if v0 is None else v0.real
+    if v0 is not None and not np.iscomplexobj(H):
+        v0 = v0.real
     if dense:
         vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     else:
@@ -181,7 +183,7 @@ def _ci_eigenpair(H, v0=None):
     C = vecs[:, 0]
     big = C[np.argmax(np.abs(C))]
     # largest component positive; exactly +-1 for real C, unlike exp(-1j pi)
-    return float(vals[0]), (C * (abs(big) / big)).astype(complex), H
+    return float(vals[0]), C * (abs(big) / big), H
 
 
 def _lowest_eigenpair(space, orbs, h_op, kernel_matrix, opts, v0=None):
@@ -292,7 +294,7 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
     stored = []  # (f, g) of the last accepted blocks at the current tau
     counts = {"backtracks": 0, "forced_accepts": 0, "mixing_rejects": 0}
     orb_res = scaled_res = c_res = np.inf
-    C = np.full(space.size, 1.0 / np.sqrt(space.size), dtype=complex)
+    C = np.full(space.size, 1.0 / np.sqrt(space.size))
     found = ci(sets, C)
     took = "start"
 
@@ -419,14 +421,13 @@ def solve_mchx(space: ConfigSpace, grid: Grid, h_op: OneBodyOperator,
 
 
 def _dist_hamiltonian(space, sets, h_ops, coupling):
-    mats = [ham.one_body_elements(sets[j], h_ops[j]) for j in range(len(sets))]
-    H = np.zeros((space.size, space.size), dtype=complex)
-    for j, hj in enumerate(mats):
-        left = int(np.prod(space.M_list[:j], initial=1))
-        right = int(np.prod(space.M_list[j + 1:], initial=1))
-        H += np.kron(np.kron(np.eye(left), hj), np.eye(right))
+    M = space.M_list
+    H = sum(np.kron(np.kron(np.eye(int(np.prod(M[:j]))),
+                            ham.one_body_elements(s, h)),
+                    np.eye(int(np.prod(M[j + 1:]))))
+            for j, (s, h) in enumerate(zip(sets, h_ops)))
     if coupling is not None:
-        H += ham.config_coupling_matrix(coupling, sets, space)
+        H = H + ham.config_coupling_matrix(coupling, sets, space)
     return H
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fockspace import ConfigSpace, apply_second_quantized, dist_reduced_density
-from .grid import Grid, OneBodyOperator
+from .grid import Grid, OneBodyOperator, as_float
 
 __all__ = [
     "OrbitalSet",
@@ -39,13 +39,14 @@ __all__ = [
 
 @dataclass
 class OrbitalSet:
-    """M orthonormal orbitals stored as grid-value rows of shape (M, n)."""
+    """M orthonormal orbitals stored as grid-value rows of shape (M, n), in
+    their dtype promoted to at least float64: real orbitals stay real."""
 
     orbitals: np.ndarray = field(repr=False)
     grid: Grid = None
 
     def __post_init__(self):
-        self.orbitals = np.atleast_2d(np.asarray(self.orbitals, dtype=complex))
+        self.orbitals = np.atleast_2d(as_float(self.orbitals))
 
     @property
     def M(self) -> int:
@@ -85,7 +86,7 @@ def local_potentials(orbs: OrbitalSet, kernel_matrix: np.ndarray) -> np.ndarray:
     """
     phi = orbs.orbitals
     M, n = phi.shape
-    out = np.empty((M, M, n), dtype=complex)
+    out = np.empty((M, M, n), dtype=np.result_type(phi, kernel_matrix))
     for s in range(M):
         for l in range(M):
             out[s, l] = orbs.grid.weight * (kernel_matrix @ (phi[s].conj() * phi[l]))
@@ -135,7 +136,7 @@ class PairCoupling:
                 raise ValueError("pair coupling needs two distinct DOFs")
             if a > b:
                 a, b, table = b, a, np.asarray(table).T
-            fixed.append((a, b, np.asarray(table, dtype=complex)))
+            fixed.append((a, b, as_float(table)))
         self.terms = fixed
 
     @classmethod
@@ -157,7 +158,7 @@ class AllBodyTable:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=complex)
+        self.table = as_float(self.table)
         if self.table.ndim > 3:
             raise ValueError("all-body tables are limited to 3 degrees of freedom")
 
@@ -195,13 +196,14 @@ def config_coupling_matrix(coupling, sets, space: ConfigSpace) -> np.ndarray:
     """
     Q = len(space.M_list)
     scaled = [s.scaled for s in sets]
-    W = np.zeros((space.size, space.size), dtype=complex)
+    W = np.zeros((space.size, space.size))
     for dofs, table in _terms(coupling):
         ops = _term_operands(dofs, table, scaled)
         for l in range(Q):
             if l not in dofs:
                 ops += [np.eye(space.M_list[l]), [l, Q + l]]
-        W += np.einsum(*ops, list(range(2 * Q)), optimize=True).reshape(W.shape)
+        W = W + np.einsum(*ops, list(range(2 * Q)),
+                          optimize=True).reshape(W.shape)
     return W
 
 
@@ -218,18 +220,17 @@ def mean_fields_dist(space: ConfigSpace, C: np.ndarray, sets, coupling,
     coefficient tensor, so conj(C_n) C_m is never formed.
     """
     Mj = space.M_list[j]
-    out = np.zeros((Mj, Mj, sets[j].grid.n_points), dtype=complex)
-    if coupling is None:
-        return out
-    Q = len(space.M_list)
-    C = np.asarray(C, dtype=complex)
     scaled = [s.scaled for s in sets]
+    terms = [] if coupling is None else _terms(coupling)
+    out = np.zeros((Mj, Mj, sets[j].grid.n_points),
+                   dtype=np.result_type(C, *scaled, *(t for _, t in terms)))
+    Q = len(space.M_list)
     if isinstance(coupling, AllBodyTable):
         Ct = C.reshape(space.M_list)
         ops = _term_operands(tuple(range(Q)), coupling.table, scaled, keep=(j,))
         return np.einsum(Ct.conj(), list(range(Q)), Ct, list(range(Q, 2 * Q)),
                          *ops, [j, Q + j, 2 * Q + j], optimize=True)
-    for (a, b), table in _terms(coupling):
+    for (a, b), table in terms:
         if j in (a, b):
             c, t = (b, table) if j == a else (a, table.T)   # t[x_j, x_c]
             rho = dist_reduced_density(space, C, (j, c))    # [p, r, q, s]

@@ -60,6 +60,13 @@ def _layout(state) -> ResponseLayout:
                           state.space.size)
 
 
+def _dtype(state):
+    """float64 for a real problem, complex128 if any input is complex."""
+    tables = [] if state.coupling is None else ham._terms(state.coupling)
+    return np.result_type(state.C, *state.mu, *(s.orbitals for s in state.sets),
+                          *(h.matrix for h in state.h_ops), *(t for _, t in tables))
+
+
 def build_oo_dist(state: DistGroundState):
     """Orbital-orbital block: (A, B) over the stacked per-DOF u/v sectors.
 
@@ -74,8 +81,8 @@ def build_oo_dist(state: DistGroundState):
     C = state.C
     space = state.space
 
-    A = np.zeros((layout.orb, layout.orb), dtype=complex)
-    B = np.zeros((layout.orb, layout.orb), dtype=complex)
+    A = np.zeros((layout.orb, layout.orb), dtype=_dtype(state))
+    B = np.zeros_like(A)
 
     # diagonal blocks: rho h - mu + Omega
     for j in range(Q):
@@ -134,8 +141,8 @@ def build_oc_co_cc_dist(state: DistGroundState):
     C = state.C
     space = state.space
 
-    Loc_u = np.zeros((layout.orb, layout.n_conf), dtype=complex)
-    Loc_v = np.zeros((layout.orb, layout.n_conf), dtype=complex)
+    Loc_u = np.zeros((layout.orb, layout.n_conf), dtype=_dtype(state))
+    Loc_v = np.zeros_like(Loc_u)
     Ct = C.reshape(space.M_list)
     P = 3 * Q                                   # row orbital of Loc_v
     for j in range(Q):

@@ -34,15 +34,18 @@ halves are a = F^H L[x, x] F and b = F^H L[x, y] F*, with F = B U
 n^(-1/2) and y = (v, C_v), of size sum_j K_j (n_j - M_j) + N_conf - 1.
 ``ResponseMatrix.lift`` applies B U or U^H B^H, two thin products per
 block and one on its slot axis, and ``pull`` n^(+-1/2) U^H B^H; the halves
-are pulled from both sides of the raw x rows, and ``project`` is
-lift(pull(.)).  The dense D x D L and P are built only on demand.
+are pulled from both sides of the raw x rows.  ``project`` applies P M^p
+through the k leading columns of each Q instead.  The dense D x D L and P
+are built only on demand.
 
-Real arithmetic is decided once, in ``_response_matrix``: when no raw
-block, orbital, one-body density or coefficient has an imaginary part,
-their real parts are taken, and the reflectors, the halves and the null
-vectors are real arrays.  The ground state of a real problem is exactly real
-(``groundstate._ci_eigenpair``), so the decision looks at the problem and
-not at rounding noise; the spectrum reads it from the dtype of the halves.
+Real arithmetic follows the problem: a real problem has float64
+operators, orbitals, C (``groundstate._ci_eigenpair``) and raw blocks from
+construction on, so the reflectors, the halves and the null vectors are
+real arrays.  Complex input (say a checkpoint written with complex128
+arrays) meets the one realness test, in ``_response_matrix``: when no
+complex raw block, orbital, one-body density or coefficient has an
+imaginary part, their real parts are taken.  The spectrum reads the
+decision from the dtype of the halves.
 """
 
 from __future__ import annotations
@@ -157,10 +160,10 @@ class ResponseMatrix:
     kept natural orbitals of the one-body density as (occupations n,
     orbitals U as columns); the reduced slot coordinates are these
     orbitals, so the lift is B U and empty orbitals have no coordinates.
-    ``lift`` and ``pull`` are the only code that applies B and U; ``L``
-    builds the dense matrix on demand.  The projector is B U U^H B^H on x
-    and its conjugate on y, which is P where no orbital is empty; the
-    metric powers are U n^(+-1/2) U^H.
+    ``lift`` and ``pull`` apply B and U; ``L`` builds the dense matrix on
+    demand.  The projector is B U U^H B^H on x and its conjugate on y,
+    which is P where no orbital is empty; ``project`` applies it through
+    the leading columns of Q.  The metric powers are U n^(+-1/2) U^H.
     """
 
     layout: ResponseLayout
@@ -183,13 +186,11 @@ class ResponseMatrix:
         B v = [0; v] - W (V[k:]^H v) and B^H x = x[k:] - V[k:] (W^H x).  U,
         the kept natural orbitals of DOF j (``natural``), maps the reduced
         slots to the M_j orbital slots in one product on the slot axis; C
-        has one slot and no U.  ``v`` is a vector or an array with the rows
-        on its leading axis."""
+        has one slot and no U.  ``v`` is a matrix, one vector per column."""
         units = [U for _, U in self.natural] + [None]
         parts = [(M, M if U is None else U.shape[1], U, V, W) for M, U, (V, W)
                  in zip(self.layout.M_list + (1,), units, self.reflectors)]
-        cols = v.reshape(len(v), -1)
-        c = cols.shape[1]
+        c = v.shape[1]
         out = np.empty((sum(K * (len(V) - V.shape[1]) if adjoint else M * len(V)
                             for M, K, _, V, _ in parts), c),
                        dtype=np.result_type(v, *sum(self.reflectors, ()),
@@ -198,7 +199,7 @@ class ResponseMatrix:
         for M, K, U, V, W in parts:
             n, k = V.shape
             a, b = (M * n, K * (n - k)) if adjoint else (K * (n - k), M * n)
-            s, y = cols[i:i + a], out[o:o + b]
+            s, y = v[i:i + a], out[o:o + b]
             if adjoint:
                 s = s.reshape(M, n, c)
                 g = (y if U is None else np.empty_like(y, shape=(M * (n - k), c))
@@ -214,7 +215,7 @@ class ResponseMatrix:
                 np.matmul(W, -(V[k:].conj().T @ s), out=y)
                 y[:, k:] += s
             i, o = i + a, o + b
-        return out.reshape((len(out),) + v.shape[1:])
+        return out
 
     def pull(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
         """n^power U^H B^H x on the x rows: ``lift`` with ``adjoint``, then
@@ -245,17 +246,29 @@ class ResponseMatrix:
         return L
 
     def project(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
-        """P M^power x for power 0, +1/2 or -1/2: B ``pull`` on the x rows
-        (u, C_u) and its conjugate on the y rows (v, C_v), as P and M^power
-        are B B^H and the metric factors on x and their conjugates on y.  No
-        projector is formed.  ``x`` is a vector or a matrix with D rows; the
-        result has the dtype of ``x`` and the factors."""
+        """P M^power x for power 0, +1/2 or -1/2: B U n^power U^H B^H on the
+        x rows (u, C_u) and its conjugate on the y rows (v, C_v).  Per block
+        it is 1 - Q1 Q1^H on each slot, Q1 = I[:, :k] - W V[:k]^H the k
+        leading columns of Q (``reflectors``), which span the orbitals of DOF
+        j (or C), then U n^power U^H on the slot axis (C: one slot, no
+        metric); k columns where ``lift`` and ``pull`` take n - k.  No
+        projector is formed.  ``x`` is a vector or a matrix with D rows."""
         lay, o = self.layout, self.layout.orb
         # the x rows and the conjugated y rows, side by side on a last axis
         z = np.stack([np.concatenate([x[:o], x[lay.cu_slice]]),
                       np.concatenate([x[o:2 * o], x[lay.cv_slice]]).conj()],
                      axis=-1)
-        z = self.lift(self.pull(z, power))
+        c, i, parts = z[0].size, 0, []
+        metric = [(U * n ** power) @ U.conj().T for n, U in self.natural]
+        for M, m, (V, W) in zip(lay.M_list + (1,), metric + [np.ones((1, 1))],
+                                self.reflectors):
+            n, k = V.shape
+            q = np.eye(n, k) - W @ V[:k].conj().T            # Q1
+            s = z[i:i + M * n].reshape(M, n, c)
+            s = s - q @ (q.conj().T @ s)
+            parts.append((m @ s.reshape(M, -1)).reshape(M * n, c))
+            i += M * n
+        z = np.concatenate(parts).reshape(z.shape)
         px, py = z[..., 0], z[..., 1].conj()
         return np.concatenate([px[:o], py[:o], px[o:], py[o:]])
 
@@ -305,7 +318,7 @@ def build_oo_block(state: GroundState):
 
     eye = np.eye(n)
     A = np.einsum("kq,xy->kxqy", rho1, h) - np.einsum("kq,xy->kxqy", mu, eye)
-    B = np.zeros((M, n, M, n), dtype=complex)
+    B = np.zeros_like(A)
     if km is not None and np.any(km):
         w = ham.local_potentials(state.orbitals, km)         # (s, l, x)
         om = np.einsum("kslq,slx->kqx", rho2, w)
@@ -323,7 +336,7 @@ def _mapped_vectors(state):
     scattered in one step from the compiled operator table."""
     space, t = state.space, state.space.table
     M = space.M
-    out = np.zeros((t.n_keys, space.size), dtype=complex)
+    out = np.zeros((t.n_keys, space.size), dtype=np.result_type(state.C, float))
     out[t.key, t.dst] = t.fac * state.C[t.src]
     return out[:M * M].reshape(M, M, -1), out[M * M:].reshape(M, M, M, M, -1)
 
@@ -397,17 +410,11 @@ def _null_vectors(layout, phis, C) -> np.ndarray:
     """Analytic null vectors, as columns: ground orbital b of DOF j in u slot
     (j, a) for every a, b, and C in the C_u slot, then their block-swapped
     conjugates.  ``phis`` holds the scaled orbitals of each DOF."""
-    cols = []
-    for j, phi in enumerate(phis):
-        for a in range(len(phi)):
-            for b in range(len(phi)):
-                z = np.zeros(layout.D, dtype=C.dtype)
-                z[layout.u_slice(j, a)] = phi[b]
-                cols.append(z)
-    z = np.zeros(layout.D, dtype=C.dtype)
-    z[layout.cu_slice] = C
-    cols.append(z)
-    Z = np.column_stack(cols)
+    cols = [(layout.u_slice(j, a), p) for j, phi in enumerate(phis)
+            for a in range(len(phi)) for p in phi] + [(layout.cu_slice, C)]
+    Z = np.zeros((layout.D, len(cols)), dtype=np.result_type(C, *phis))
+    for i, (rows, v) in enumerate(cols):
+        Z[rows, i] = v
     return np.hstack([Z, Z.conj()[sigma1(layout)]])
 
 
@@ -425,7 +432,8 @@ def _response_matrix(state, blocks, phis, rho1s) -> ResponseMatrix:
     """
     C = state.C
     # the one realness decision of the response layer (module docstring)
-    if not any(np.any(np.imag(m)) for m in [*blocks, *phis, *rho1s, C]):
+    if not any(np.iscomplexobj(m) and np.any(m.imag)
+               for m in [*blocks, *phis, *rho1s, C]):
         blocks = [m.real for m in blocks]
         phis, rho1s, C = [p.real for p in phis], [r.real for r in rho1s], C.real
     layout = ResponseLayout(tuple(len(p) for p in phis),
@@ -481,18 +489,17 @@ def _driving_vector(rm: ResponseMatrix, phis, F, om, c1, c2) -> np.ndarray:
     ``c2`` are the configuration actions of the two probes, or None:
     c(x, transpose) gives O x or O^T x, and C_u = -O C, C_v = O^T conj(C).
     """
-    lay, C = rm.layout, rm.state.C
-    S = np.zeros((2, lay.D), dtype=complex)
-    for j, (phi, f, o) in enumerate(zip(phis, F, om)):
-        if f is not None:
-            S[0, lay.u_block(j)] = -(phi @ f.T).ravel()
-        if o is not None:
-            S[1, lay.u_block(j)] = -np.einsum("abx,bx->ax", o, phi).ravel()
-    for s, act in zip(S, (c1, c2)):
-        if act is not None:
-            s[lay.cu_slice] = -act(C, False)
-            s[lay.cv_slice] = act(C.conj(), True)
-    S[:, lay.orb:2 * lay.orb] = -S[:, :lay.orb].conj()
+    C = rm.state.C
+    S = []
+    for act, u in ((c1, [None if f is None else -(phi @ f.T)
+                         for phi, f in zip(phis, F)]),
+                   (c2, [None if o is None else -np.einsum("abx,bx->ax", o, phi)
+                         for phi, o in zip(phis, om)])):
+        u = np.concatenate([np.zeros(phi.size) if x is None else x.ravel()
+                            for phi, x in zip(phis, u)])
+        c = ([np.zeros(len(C))] * 2 if act is None
+             else [-act(C, False), act(C.conj(), True)])
+        S.append(np.concatenate([u, -u.conj(), *c]))
     return rm.project(S[0], +0.5) + rm.project(S[1], -0.5)
 
 

@@ -363,15 +363,14 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
     block-swapped conjugates.  A count mismatch is reported, not silenced.
     """
     rm = spec.rm
-    Z = rm.null_vectors
     if expected_count is None:
-        expected_count = Z.shape[1]
-    a, b = rm.a, rm.b
-    # with zx = B^H Z[x] and zy = B^T Z[y]: (L Z)[x] = B (a zx + b zy) and
-    # (L Z)[y] = -conj(B (a conj(zy) + b conj(zx))); B is an isometry
-    x, y = halves_index(rm.layout)
-    zx, zy = rm.pull(Z[x]), rm.pull(Z[y].conj()).conj()
-    LZ = np.vstack([a @ zx + b @ zy, a @ zy.conj() + b @ zx.conj()])
+        expected_count = rm.null_vectors.shape[1]
+    # the first half of the null vectors lives on the x rows: with zx = B^H
+    # Z[x], (L Z)[x] = B a zx and (L Z)[y] = -conj(B b conj(zx)), B an
+    # isometry; the Sigma1 mirrors in the second half swap x and y in L Z
+    Z, a, b = rm.null_vectors[:, :rm.null_vectors.shape[1] // 2], rm.a, rm.b
+    zx = rm.pull(Z[halves_index(rm.layout)[0]])
+    LZ = np.vstack([a @ zx, b @ zx.conj()])
     Lnorm = max(np.abs(a).max(), np.abs(b).max(), 1.0)
     resid = np.linalg.norm(LZ, axis=0) / (np.linalg.norm(Z, axis=0) * Lnorm)
     report = {

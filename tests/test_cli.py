@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mclr import checkpoint as ckpt_mod
 from mclr import cli
 from mclr import grid as gr
+from mclr import groundstate as gs
 from mclr import hamiltonian as ham
 from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
@@ -390,7 +391,8 @@ def test_ground_resume_from_corrupt_checkpoint(tmp_path, tiny_checkpoint,
                                                capsys):
     cfg, data = tiny_checkpoint
     ck = tmp_path / "cut.ckpt"
-    ck.write_bytes(data[:2000])
+    # cut relative to the file: a fixed length can exceed a small checkpoint
+    ck.write_bytes(data[:len(data) // 2])
     code, _, err = _run(capsys, ["ground", "--config", str(cfg),
                                  "--checkpoint", str(ck), "--resume"])
     assert code == 1
@@ -532,3 +534,49 @@ def test_linres_free_ladder_drops_empty_orbital(tmp_path, capsys):
     for key in ("dphi_minus", "dphi_plus"):
         assert np.abs(arrays[key]).max() < 1e-12
     assert np.abs(arrays["dC_minus"]).max() > 0.1
+
+
+def _complex128_copy(state):
+    """``state`` with every array ``mclr ground`` stored as complex128 before
+    real problems were kept real: the same values, zero imaginary parts."""
+    c = lambda a: np.asarray(a).astype(complex)
+    if isinstance(state, gs.GroundState):
+        state.orbitals = ham.OrbitalSet(c(state.orbitals.orbitals), state.grid)
+        state.h_op = gr.OneBodyOperator(c(state.h_op.matrix), hermitian=False)
+        state.mu = c(state.mu)
+    else:
+        state.sets = [ham.OrbitalSet(c(s.orbitals), s.grid) for s in state.sets]
+        state.h_ops = [gr.OneBodyOperator(c(h.matrix), hermitian=False)
+                       for h in state.h_ops]
+        state.mu = [c(m) for m in state.mu]
+        state.coupling = ham.PairCoupling(
+            [(a, b, c(t)) for a, b, t in state.coupling.terms])
+    state.C = c(state.C)
+    return state
+
+
+@pytest.mark.parametrize("name", ["harmonic_n2_m2", "coupled_pair_m44"])
+def test_linres_reads_complex128_checkpoint(tmp_path, capsys,
+                                            config_checkpoints, name):
+    # a checkpoint written with complex128 arrays of zero imaginary part
+    # still takes the half-size solve and gives the float64 checkpoint's
+    # spectrum
+    ck = tmp_path / "complex.ckpt"
+    ckpt_mod.save_state(ck, _complex128_copy(
+        ckpt_mod.load_state(config_checkpoints[name])))
+    assert ckpt_mod.load_arrays(ck)[1]["C"].dtype == np.complex128
+    cfg = str(CONFIGS / f"{name}.cfg")
+    spectra = []
+    for path, out_dir in ((config_checkpoints[name], tmp_path / "real"),
+                          (ck, tmp_path / "complex")):
+        code, out, _ = _run(capsys, ["linres", "--checkpoint", str(path),
+                                     "--config", cfg, "--out-dir", str(out_dir)])
+        assert code == 0
+        assert "eigensolver = rpa" in out.splitlines()
+        spectra.append(np.loadtxt(out_dir / "spectrum.csv", delimiter=",",
+                                  skiprows=4))
+    real, cplx = spectra
+    assert real.shape == cplx.shape
+    # column by column, relative to the largest entry of the column
+    assert np.all(np.abs(real - cplx).max(axis=0)
+                  <= 1e-12 * np.abs(real).max(axis=0))

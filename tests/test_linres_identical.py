@@ -385,3 +385,28 @@ def test_linearization_derivative(bos_m2_48):
         errs.append(err / scale)
     slope = np.polyfit(np.log(etas), np.log(errs), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m3", "dist_44"])
+def test_real_problem_is_float64_from_construction(fixture, request):
+    # a real problem keeps float64 from its operators through the ground
+    # state to the raw response blocks: no complex array with zero
+    # imaginary part anywhere on the way
+    st = request.getfixturevalue(fixture)
+    if isinstance(st, gs.GroundState):
+        arrays = [st.h_op.matrix, st.orbitals.orbitals, st.rho.rho1,
+                  st.rho.rho2, *li.build_oo_block(st)]
+    else:
+        arrays = [*(h.matrix for h in st.h_ops),
+                  *(s.orbitals for s in st.sets), *st.rho1,
+                  *ld.build_oo_dist(st)]
+    assert [a.dtype for a in [st.C, *arrays]] == [np.float64] * (1 + len(arrays))
+
+
+def test_complex_gauge_stays_complex(bos_m2_complex_gauge):
+    # complex input runs complex all the way and takes the dense solve
+    st = bos_m2_complex_gauge
+    for a in (st.C, st.orbitals.orbitals, st.rho.rho1, st.rho.rho2,
+              *li.build_oo_block(st)):
+        assert a.dtype == np.complex128
+    assert spm.eigensolve(li.assemble_L(st)).eigensolver == "dense (complex L)"
