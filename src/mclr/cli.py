@@ -299,8 +299,8 @@ def cmd_linres(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     header = [f"config sha256 {cfg_hash}", f"checkpoint {args.checkpoint}",
               f"tol_zero {spec.tol_zero:.6g}"]
-    spm.save_spectrum_csv(out_dir / "spectrum.csv", spec, weights, header)
-    spm.save_weights_csv(out_dir / "weights.csv", spec, weights, header)
+    spm.save_spectrum_csv(out_dir / "spectrum.csv", spec, weights, header,
+                          weights_path=out_dir / "weights.csv")
 
     reconstruction_note = None
     if isinstance(state, gs.GroundState):

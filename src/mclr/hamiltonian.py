@@ -84,13 +84,8 @@ def local_potentials(orbs: OrbitalSet, kernel_matrix: np.ndarray) -> np.ndarray:
 
     Returns an (M, M, n) array of grid-diagonal functions.
     """
-    phi = orbs.orbitals
-    M, n = phi.shape
-    out = np.empty((M, M, n), dtype=np.result_type(phi, kernel_matrix))
-    for s in range(M):
-        for l in range(M):
-            out[s, l] = orbs.grid.weight * (kernel_matrix @ (phi[s].conj() * phi[l]))
-    return out
+    phi, dx = orbs.orbitals, orbs.grid.weight
+    return dx * ((phi.conj()[:, None] * phi[None]) @ kernel_matrix.T)
 
 
 def two_body_tensor(orbs: OrbitalSet, kernel_matrix: np.ndarray) -> np.ndarray:
@@ -163,6 +158,19 @@ class AllBodyTable:
             raise ValueError("all-body tables are limited to 3 degrees of freedom")
 
 
+_EINSUM_PATHS = {}
+
+
+def _einsum(*operands):
+    """``np.einsum(*operands, optimize=True)``, with the contraction path
+    searched once per operand shapes and subscripts and then reused."""
+    key = tuple(o.shape if isinstance(o, np.ndarray) else repr(o)
+                for o in operands)
+    if key not in _EINSUM_PATHS:
+        _EINSUM_PATHS[key] = np.einsum_path(*operands, optimize="greedy")[0]
+    return np.einsum(*operands, optimize=_EINSUM_PATHS[key])
+
+
 def _terms(coupling):
     """Coupling as (touched DOFs, table with one grid axis per touched DOF)."""
     if isinstance(coupling, PairCoupling):
@@ -202,8 +210,7 @@ def config_coupling_matrix(coupling, sets, space: ConfigSpace) -> np.ndarray:
         for l in range(Q):
             if l not in dofs:
                 ops += [np.eye(space.M_list[l]), [l, Q + l]]
-        W = W + np.einsum(*ops, list(range(2 * Q)),
-                          optimize=True).reshape(W.shape)
+        W = W + _einsum(*ops, list(range(2 * Q))).reshape(W.shape)
     return W
 
 
@@ -228,8 +235,8 @@ def mean_fields_dist(space: ConfigSpace, C: np.ndarray, sets, coupling,
     if isinstance(coupling, AllBodyTable):
         Ct = C.reshape(space.M_list)
         ops = _term_operands(tuple(range(Q)), coupling.table, scaled, keep=(j,))
-        return np.einsum(Ct.conj(), list(range(Q)), Ct, list(range(Q, 2 * Q)),
-                         *ops, [j, Q + j, 2 * Q + j], optimize=True)
+        return _einsum(Ct.conj(), list(range(Q)), Ct, list(range(Q, 2 * Q)),
+                       *ops, [j, Q + j, 2 * Q + j])
     for (a, b), table in terms:
         if j in (a, b):
             c, t = (b, table) if j == a else (a, table.T)   # t[x_j, x_c]
@@ -238,8 +245,7 @@ def mean_fields_dist(space: ConfigSpace, C: np.ndarray, sets, coupling,
             out += np.tensordot(rho, pair @ t.T, axes=([1, 3], [0, 1]))
         else:
             rho = dist_reduced_density(space, C, (j, a, b))
-            diag = np.einsum(rho, [j, a, b, j, Q + a, Q + b],
-                             *_term_operands((a, b), table, scaled), [j],
-                             optimize=True)
+            diag = _einsum(rho, [j, a, b, j, Q + a, Q + b],
+                           *_term_operands((a, b), table, scaled), [j])
             out[range(Mj), range(Mj)] += diag[:, None]
     return out

@@ -120,10 +120,10 @@ def build_oo_dist(state: DistGroundState):
                 dens = [Ct.conj(), list(range(Q)), Ct, list(range(Q, 2 * Q))]
             ops = dens + ham._term_operands(dofs, table, scaled, keep=(j, k)) \
                 + [scaled[j], [Q + j, X]]
-            A[blk] += np.einsum(*ops, scaled[k].conj(), [k, Y], [j, X, Q + k, Y],
-                                optimize=True).reshape(A[blk].shape)
-            B[blk] += np.einsum(*ops, scaled[k], [Q + k, Y], [j, X, k, Y],
-                                optimize=True).reshape(B[blk].shape)
+            A[blk] += ham._einsum(*ops, scaled[k].conj(), [k, Y],
+                                  [j, X, Q + k, Y]).reshape(A[blk].shape)
+            B[blk] += ham._einsum(*ops, scaled[k], [Q + k, Y],
+                                  [j, X, k, Y]).reshape(B[blk].shape)
     return A, B
 
 
@@ -159,15 +159,14 @@ def build_oc_co_cc_dist(state: DistGroundState):
             ops = ops + [orb, [Q + j, X]]
             # u columns: derivative in C_m; configurations off the touched
             # DOFs match the column
-            Loc_u[layout.u_block(j)] += np.einsum(
+            Loc_u[layout.u_block(j)] += ham._einsum(
                 Ct.conj(), [l if l in dofs else Q + l for l in range(Q)], *ops,
-                [j, X, *range(Q, 2 * Q)], optimize=True).reshape(-1, layout.n_conf)
+                [j, X, *range(Q, 2 * Q)]).reshape(-1, layout.n_conf)
             # v columns: derivative in conj(C_n); slot j of the column fixes
             # the row orbital
-            Loc_v[layout.u_block(j)] += np.einsum(
+            Loc_v[layout.u_block(j)] += ham._einsum(
                 Ct, [Q + l if l in dofs else l for l in range(Q)], *ops,
-                np.eye(Mj), [P, j], [P, X, *range(Q)],
-                optimize=True).reshape(-1, layout.n_conf)
+                np.eye(Mj), [P, j], [P, X, *range(Q)]).reshape(-1, layout.n_conf)
 
     from .groundstate import _dist_hamiltonian
     H = _dist_hamiltonian(space, state.sets, state.h_ops, state.coupling)

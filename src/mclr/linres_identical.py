@@ -51,6 +51,7 @@ decision from the dtype of the halves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -179,6 +180,11 @@ class ResponseMatrix:
     def D(self) -> int:
         return self.layout.D
 
+    @cached_property
+    def scale(self) -> float:
+        """max(|a|, |b|), that of L (its y rows mirror the x rows)."""
+        return max(_absmax(self.a), _absmax(self.b))
+
     def lift(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """B U v from the reduced coordinates to the x rows, or U^H B^H v
         back with ``adjoint``.  Per block (each orbital slot of DOF j, then
@@ -287,6 +293,11 @@ def _require_converged(state, tol=1e-6):
                 "expansion point must satisfy the static equations")
 
 
+def _absmax(x) -> float:
+    """max |x|; for a real x as max(max x, -min x), without an |x| array."""
+    return float(np.abs(x).max() if np.iscomplexobj(x) else max(x.max(), -x.min()))
+
+
 def _hermitized(mat):
     return 0.5 * (mat + mat.conj().T)
 
@@ -366,8 +377,8 @@ def build_oc_co_blocks(state: GroundState):
     if km is not None and np.any(km):
         w = ham.local_potentials(state.orbitals, km)         # (s, l, x)
         wphi = w[:, :, None] * phi                           # (s, l, q, x)
-        Loc_u += np.einsum("slqx,qlskc->kxc", wphi, two.conj(), optimize=True)
-        Loc_v += np.einsum("slqx,kslqc->kxc", wphi, two, optimize=True)
+        Loc_u += ham._einsum("slqx,qlskc->kxc", wphi, two.conj())
+        Loc_v += ham._einsum("slqx,kslqc->kxc", wphi, two)
     Loc_u, Loc_v = Loc_u.reshape(M * n, nc), Loc_v.reshape(M * n, nc)
     return Loc_u, Loc_v, Loc_u.conj().T, Loc_v.T
 
@@ -450,21 +461,20 @@ def _response_matrix(state, blocks, phis, rho1s) -> ResponseMatrix:
                         < sum(layout.M_list),
                         null_vectors=_null_vectors(layout, phis, C))
     # with F = M^(-1/2) B U: a = F^H L_raw[x, x] F and b = F^H L_raw[x, y]
-    # F*, each raw half built just before it is pulled; the y rows of L
-    # mirror the x rows
+    # F*; one buffer holds each raw half in turn, let go before the last pull
     A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
-    rm.a = rm.pull(rm.pull(_block2(A, Loc_u, Lco_u, cc_u), -0.5)
+    raw = np.empty((len(A) + len(cc_u),) * 2, dtype=np.result_type(*blocks))
+    rm.a = rm.pull(rm.pull(_block2(raw, A, Loc_u, Lco_u, cc_u), -0.5)
                    .conj().T, -0.5).conj().T
-    rm.b = rm.pull(rm.pull(_block2(B, Loc_v, Lco_v, 0.0), -0.5).T, -0.5).T
+    raw = rm.pull(_block2(raw, B, Loc_v, Lco_v, 0.0), -0.5)
+    rm.b = rm.pull(raw.T, -0.5).T
     return rm
 
 
-def _block2(top_left, top_right, bottom_left, bottom_right):
-    """[[top_left, top_right], [bottom_left, bottom_right]] filled into one
-    new array; ``bottom_right`` may be a scalar."""
+def _block2(out, top_left, top_right, bottom_left, bottom_right):
+    """Fill [[top_left, top_right], [bottom_left, bottom_right]] into
+    ``out`` and return it; ``bottom_right`` may be a scalar."""
     k = len(top_left)
-    blocks = (top_left, top_right, bottom_left, bottom_right)
-    out = np.empty((k + len(bottom_left),) * 2, dtype=np.result_type(*blocks))
     out[:k, :k], out[:k, k:] = top_left, top_right
     out[k:, :k], out[k:, k:] = bottom_left, bottom_right
     return out

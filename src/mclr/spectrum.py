@@ -29,7 +29,8 @@ B = B_P b B_P^T with the halves ``rm.a`` and ``rm.b``, real symmetric when
 L is real, and B_P the isometry onto range(P) that ``ResponseMatrix.lift``
 applies from its Householder factors.  With the Cholesky factor
 a - b = K K^T, the symmetric problem K^T (a + b) K z = w^2 z of half the
-size yields X + Y = K z / sqrt(w) and X - Y = (a + b)(X + Y) / w, so
+size (only its lower triangle, which ``eigh`` reads, is formed) yields
+X + Y = K z / sqrt(w) and X - Y = (a + b)(X + Y) / w, so
 (X + Y).(X - Y) = z.z = 1: real Sigma3-normalized right vectors, sng = +1,
 partners at exactly -w, biorthogonal even inside degenerate clusters
 (Stratmann, Scuseria & Frisch, J. Chem. Phys. 109, 8218 (1998)).  The
@@ -49,7 +50,9 @@ and every w lies above tol_zero.  Otherwise (a complex problem, an
 unstable state, an excitation at or below tol_zero) a dense eigensolve
 of L runs instead; there degenerate clusters are rotated to make the
 pseudo-metric diagonal inside the cluster, which keeps biorthogonality
-exact under degeneracy.
+exact under degeneracy.  The checks take max|L| = max(|a|, |b|) once
+(``ResponseMatrix.scale``) without |.| arrays; both CSV files are written
+from one text table.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ import numpy as np
 from numpy import linalg as sla     # LAPACK drivers, wrapped by profilers
 
 from .groundstate import GroundState
-from .linres_identical import ResponseMatrix, halves_index, sigma1, sigma3
+from .linres_identical import (ResponseMatrix, _absmax, halves_index, sigma1,
+                              sigma3)
 
 __all__ = [
     "LRSpectrum",
@@ -74,7 +78,6 @@ __all__ = [
     "reconstruct",
     "save_reconstruction",
     "save_spectrum_csv",
-    "save_weights_csv",
 ]
 
 # relative bound on the symmetry defects below which L counts as exactly
@@ -224,8 +227,7 @@ def symmetry_defects(rm: ResponseMatrix) -> tuple:
     exactly when the lift embeds coordinates.
     """
     a, b = rm.a, rm.b
-    return 0.0, float(max(np.abs(a - a.conj().T).max(),
-                          np.abs(b - b.T).max()))
+    return 0.0, max(_absmax(a - a.conj().T), _absmax(b - b.T))
 
 
 class _NoReduction(Exception):
@@ -252,13 +254,13 @@ def eigensolve(rm: ResponseMatrix, tol_zero: float | None = None,
 
 
 def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
-    """Half-size symmetric solve; raises _NoReduction where it does not apply."""
+    """Half-size symmetric solve on the lower triangle of K^T (a + b) K;
+    raises _NoReduction where it does not apply."""
     # the assembly makes the halves real arrays exactly for a real problem
     a, b = rm.a, rm.b
     if np.iscomplexobj(a):
         raise _NoReduction("complex L")
-    # the y rows of L mirror the x rows: the reduced halves set its scale
-    if max(defects) > SYMMETRY_TOL * max(np.abs(a).max(), np.abs(b).max()):
+    if max(defects) > SYMMETRY_TOL * rm.scale:
         raise _NoReduction("symmetry defect above 1e-9 max|L|")
     D = rm.D
     try:
@@ -267,7 +269,7 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
         raise _NoReduction("A - B not positive definite") from None
     # numpy's eigh is LAPACK's divide and conquer (syevd); the MRRR driver
     # is ~3x slower on the clustered spectra of coupled oscillators
-    w2, Z = sla.eigh(K.T @ ((a + b) @ K))
+    w2, Z = sla.eigh(_lower_product(K, a + b))
     if w2[0] <= 0:
         raise _NoReduction("A + B not positive definite")
     omega = np.sqrt(w2)
@@ -289,6 +291,22 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
                       pairing={int(k): int(D - 1 - k) for k in retained},
                       tol_zero=tol_zero, tol_im=tol_im, eigensolver="rpa",
                       factors=RPAFactors(K, Z, omega, a, b))
+
+
+def _lower_product(K, S) -> np.ndarray:
+    """Lower triangle of K^T S K (zeros above) for a lower triangular K, in
+    four column blocks [c, e) as K[c:, c:]^T (S[c:, c:] K[c:, c:e]): about
+    1.9 n^3 flops where the full product takes 4 n^3.  The result is C
+    ordered: into an F-ordered one BLAS rounds differently."""
+    n = len(K)
+    edges = [n * p // 4 for p in range(5)]
+    w = max(e - c for c, e in zip(edges, edges[1:]))
+    out, work = np.zeros((n, n)), np.empty((n, w))
+    for c, e in zip(edges, edges[1:]):
+        g = np.matmul(S[c:, c:], K[c:, c:e], out=work[:n - c, :e - c])
+        np.matmul(K[c:, c:].T, g, out=out[c:, c:e])
+        out[c:e, c:e] = np.tril(out[c:e, c:e])
+    return out
 
 
 def _eigensolve_dense(rm: ResponseMatrix, tol_zero: float | None = None,
@@ -371,7 +389,7 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
     Z, a, b = rm.null_vectors[:, :rm.null_vectors.shape[1] // 2], rm.a, rm.b
     zx = rm.pull(Z[halves_index(rm.layout)[0]])
     LZ = np.vstack([a @ zx, b @ zx.conj()])
-    Lnorm = max(np.abs(a).max(), np.abs(b).max(), 1.0)
+    Lnorm = max(rm.scale, 1.0)
     resid = np.linalg.norm(LZ, axis=0) / (np.linalg.norm(Z, axis=0) * Lnorm)
     report = {
         "indices": spec.zero_modes,
@@ -501,40 +519,37 @@ def save_reconstruction(path, rec: Reconstruction, t: float = 0.0) -> None:
     })
 
 
-def _write_csv(path, header_lines, names, columns) -> None:
-    """CSV of equal-length ``columns`` under "# " ``header_lines``: integer
-    columns print as integers, real ones as "%.17g" and complex ones as the
-    "%.17g" of their moduli (the scalar abs; numpy's vectorized complex abs
-    can differ from it in the last bit)."""
-    fmt = {"i": str, "f": "%.17g".__mod__, "c": lambda v: "%.17g" % abs(v)}
-    text = [list(map(fmt[c.dtype.kind], c.tolist())) for c in columns]
+def _write_csv(path, header_lines, names, rows) -> None:
+    """CSV of text ``rows`` under "# " ``header_lines``."""
     with open(path, "w", newline="\n") as fh:
         fh.writelines(f"# {line}\n" for line in header_lines)
         fh.write(",".join(names) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*text))
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def save_spectrum_csv(path, spec: LRSpectrum,
                       weights: ResponseWeights | None = None,
-                      header_lines=()) -> None:
+                      header_lines=(), weights_path=None) -> None:
     """One row per eigenvalue: index, Re w, Im w, sng, is_zero_mode,
-    |gamma_k|, |gamma_-k|; sng and the weights are 0 off the retained modes."""
-    w, ret = spec.eigenvalues, spec.retained
-    sng, zero = np.zeros(len(w)), np.zeros(len(w), dtype=int)
-    gp, gm = np.zeros((2, len(w)), dtype=complex)
-    sng[ret], zero[spec.zero_modes] = spec.sng, 1
-    if weights is not None:
-        gp[ret], gm[ret] = weights.gamma_plus, weights.gamma_minus
+    |gamma_k|, |gamma_-k|; sng and the weights are 0 off the retained modes.
+
+    With ``weights_path`` also the weights CSV, one row per retained mode
+    (mode, omega, sng, |gamma_k|, |gamma_-k|) cut from the same text rows:
+    each value is formatted once, "%.17g", the weights by their scalar abs
+    (numpy's vectorized complex abs can differ from it in the last bit)."""
+    fmt, w, ret = "%.17g".__mod__, spec.eigenvalues, spec.retained.tolist()
+    zero = set(spec.zero_modes.tolist())
+    rows = [[str(k), fmt(x), fmt(y), "0", "1" if k in zero else "0", "0", "0"]
+            for k, (x, y) in enumerate(zip(w.real.tolist(), w.imag.tolist()))]
+    gp, gm = ([0.0] * len(ret),) * 2 if weights is None else (
+        weights.gamma_plus.tolist(), weights.gamma_minus.tolist())
+    for k, sng, p, m in zip(ret, spec.sng.tolist(), gp, gm):
+        rows[k][3], rows[k][5], rows[k][6] = fmt(sng), fmt(abs(p)), fmt(abs(m))
     _write_csv(path, header_lines,
                ["index", "re_omega", "im_omega", "sng", "is_zero_mode",
-                "abs_gamma_plus", "abs_gamma_minus"],
-               [np.arange(len(w)), w.real, w.imag, sng, zero, gp, gm])
-
-
-def save_weights_csv(path, spec: LRSpectrum, weights: ResponseWeights,
-                     header_lines=()) -> None:
-    """One row per retained mode: mode, omega, sng, |gamma_k|, |gamma_-k|."""
-    _write_csv(path, header_lines,
-               ["mode", "omega", "sng", "abs_gamma_plus", "abs_gamma_minus"],
-               [spec.retained, spec.omega, spec.sng,
-                weights.gamma_plus, weights.gamma_minus])
+                "abs_gamma_plus", "abs_gamma_minus"], rows)
+    if weights_path is not None:
+        _write_csv(weights_path, header_lines,
+                   ["mode", "omega", "sng", "abs_gamma_plus",
+                    "abs_gamma_minus"],
+                   [[rows[k][i] for i in (0, 1, 3, 5, 6)] for k in ret])

@@ -239,6 +239,29 @@ def test_mean_field_hermitian_pairs():
             assert np.abs(om[a, b] - om[b, a].conj()).max() < 1e-12
 
 
+def test_cached_einsum_path_matches_optimized_einsum(monkeypatch):
+    rng = np.random.default_rng(3)
+    searches = []
+    search = np.einsum_path
+
+    def counting_search(*args, **kwargs):
+        searches.append(args[0].shape)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(ham, "_EINSUM_PATHS", {})
+    monkeypatch.setattr(np, "einsum_path", counting_search)
+    for shape in [(3, 4, 5), (3, 4, 5), (4, 4, 6)]:
+        ops = [rng.normal(size=shape), [0, 1, 2],
+               rng.normal(size=shape[1:]) + 1j, [1, 2],
+               rng.normal(size=(shape[2], 7)), [2, 3], [0, 3]]
+        want = np.einsum(*ops, optimize=True)
+        got = ham._einsum(*ops)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the repeated shape reuses its path, the new shape searches its own
+    assert searches == [(3, 4, 5), (4, 4, 6)]
+    assert len(ham._EINSUM_PATHS) == 2
+
+
 def test_allbody_table_dimension_guard():
     with pytest.raises(ValueError):
         AllBodyTable(np.zeros((2, 2, 2, 2)))

@@ -95,11 +95,13 @@ def test_cc_block_and_block_fill_are_exact(dtype):
     eps = float(np.real(np.vdot(C, herm @ C)))
     np.testing.assert_array_equal(li._cc_block(H, C), herm - eps * np.eye(6))
     tl, tr, bl = H[:4, :4], H[:4, :2].real, H[4:, :4]
-    np.testing.assert_array_equal(
-        li._block2(tl, tr, bl, 0.0),
-        np.block([[tl, tr], [bl, np.zeros((2, 2))]]))
-    np.testing.assert_array_equal(li._block2(tl, tr, bl, H[4:, 4:]),
+    out = np.empty((6, 6), dtype=dtype)
+    np.testing.assert_array_equal(li._block2(out, tl, tr, bl, H[4:, 4:]),
                                   np.block([[tl, tr], [bl, H[4:, 4:]]]))
+    # a second fill of the same buffer leaves nothing of the first
+    assert li._block2(out, tl, tr, bl, 0.0) is out
+    np.testing.assert_array_equal(
+        out, np.block([[tl, tr], [bl, np.zeros((2, 2))]]))
 
 
 def test_assembled_dimension_and_projection(bos_m2):

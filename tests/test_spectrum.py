@@ -517,6 +517,30 @@ def test_cholesky_vectors_are_sigma3_normalized(fixture, request):
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 126, 367])
+def test_lower_product_matches_full_product(n):
+    # the blocked lower triangle of K^T S K, and zeros above the diagonal
+    rng = np.random.default_rng(n)
+    G = rng.normal(size=(n, n))
+    K = np.linalg.cholesky(G @ G.T + n * np.eye(n))
+    S = rng.normal(size=(n, n))
+    S = S + S.T
+    want = np.tril(K.T @ (S @ K))
+    got = spm._lower_product(K, S)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert not np.triu(got, 1).any()
+
+
+def test_scale_of_L_is_taken_once(bos_m2_48, monkeypatch):
+    # the RPA defect test and the zero-mode census share max(|a|, |b|)
+    rm = li.assemble_L(bos_m2_48)
+    seen, absmax = [], li._absmax
+    monkeypatch.setattr(li, "_absmax", lambda x: seen.append(x) or absmax(x))
+    spm.classify_zero_modes(spm.eigensolve(rm))
+    assert len(seen) == 2 and seen[0] is rm.a and seen[1] is rm.b
+    assert rm.scale == max(np.abs(rm.a).max(), np.abs(rm.b).max())
+
+
 def test_indefinite_a_minus_b_falls_back_to_dense(bos_m2_48):
     # a - c I on range(P) is L - c Sigma3 P: it keeps both pairing
     # symmetries and shifts the reduced A - B by -c; a c inside its
@@ -614,14 +638,16 @@ def test_csv_writers_match_row_oracles(tmp_path, which, request, bos_m2_48):
         assert len(spec.zero_modes) and np.abs(spec.eigenvalues.imag).max() > 0
     w = _probe_weights(spec, st)
     header = ["config sha256 0", "tol_zero 1e-06"]
-    for fast, rows, args in (
-            (spm.save_spectrum_csv, lo.save_spectrum_csv_rows, (w,)),
-            (spm.save_spectrum_csv, lo.save_spectrum_csv_rows, (None,)),
-            (spm.save_weights_csv, lo.save_weights_csv_rows, (w,))):
-        fast(tmp_path / "fast.csv", spec, *args, header)
-        rows(tmp_path / "rows.csv", spec, *args, header)
-        assert (tmp_path / "fast.csv").read_bytes() == \
-            (tmp_path / "rows.csv").read_bytes()
+    # one call writes both files from one text table
+    spm.save_spectrum_csv(tmp_path / "fast.csv", spec, w, header,
+                          weights_path=tmp_path / "fast_w.csv")
+    lo.save_spectrum_csv_rows(tmp_path / "rows.csv", spec, w, header)
+    lo.save_weights_csv_rows(tmp_path / "rows_w.csv", spec, w, header)
+    spm.save_spectrum_csv(tmp_path / "fast_none.csv", spec, None, header)
+    lo.save_spectrum_csv_rows(tmp_path / "rows_none.csv", spec, None, header)
+    for name in ("", "_w", "_none"):
+        assert (tmp_path / f"fast{name}.csv").read_bytes() == \
+            (tmp_path / f"rows{name}.csv").read_bytes()
 
 
 # --- factored RPA vectors ------------------------------------------------------
@@ -680,8 +706,8 @@ def test_command_path_keeps_rpa_vectors_factored(tmp_path, bos_m2_48,
     spec = spm.eigensolve(rm)
     assert spec.eigensolver == "rpa"
     w = spm.response_weights(spec, R)
-    spm.save_spectrum_csv(tmp_path / "spectrum.csv", spec, w)
-    spm.save_weights_csv(tmp_path / "weights.csv", spec, w)
+    spm.save_spectrum_csv(tmp_path / "spectrum.csv", spec, w,
+                          weights_path=tmp_path / "weights.csv")
     spm.reconstruct(spec, w, 0.55)
     assert spec._right is None
     assert widths and max(widths) <= 4 < len(spec.retained)
