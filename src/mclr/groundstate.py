@@ -16,6 +16,14 @@ stationarity residuals vanish:
       part implicitly, so the stable step does not shrink with the kinetic
       cutoff ~ 1/dx^2.
 
+The coefficients are fixed over a block, so B is planned once per
+coefficient vector (``OrbitalRHS``): the densities, the mean-field
+contractions over C and h^T are set up when C changes, and each inner step
+evaluates the plan on the current orbitals with orbital products alone,
+the constant-mean-field idea of MCTDH. The natural orbitals of rho, from
+one eigendecomposition per iteration, give both the scaled residual below
+and the regularized inverse of the step.
+
 Each block is one step of a fixed-point map x -> g(x) on the orbitals at
 fixed coefficients and tau, and the outer loop accelerates it by Anderson
 mixing (Anderson, J. ACM 12, 547 (1965); Pulay, Chem. Phys. Lett. 73, 393
@@ -131,11 +139,69 @@ class DistGroundState:
         return [np.sort(np.linalg.eigvalsh(r))[::-1] for r in self.rho1]
 
 
+def _hermitian_eigh(mat):
+    """Eigenpairs of the Hermitian part of ``mat``."""
+    return np.linalg.eigh(0.5 * (mat + mat.conj().T))
+
+
+def _floored_inverse(vals, vecs, floor):
+    return (vecs * np.maximum(vals, floor) ** -1.0) @ vecs.conj().T
+
+
 def regularized_inverse(mat: np.ndarray, floor: float) -> np.ndarray:
     """Inverse of the Hermitian part of ``mat`` with its eigenvalues lifted
     to ``floor``."""
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    return (vecs * np.maximum(vals, floor) ** -1.0) @ vecs.conj().T
+    return _floored_inverse(*_hermitian_eigh(mat), floor)
+
+
+class OrbitalRHS:
+    """Right-hand sides of the orbital equations of motion at fixed
+    coefficients, one (M_j, n_j) array per DOF:
+
+        B_j = P_j [ rho1_j h_j phi_j + sum_q Omega^j[:, q] phi^j_q ],
+
+    P_j = 1 - |phi^j><phi^j| and Omega^j the mean fields of a
+    ``ham.MeanFieldPlan`` (the two-body term sum_slq rho_kslq W_sl |phi_q>
+    for identical particles).  Everything that depends on C alone is done
+    when the plan is built; ``rhs(phis)`` on the orbitals ``phis`` does only
+    orbital products.  Holding the densities fixed over a sweep of orbital
+    steps is the constant-mean-field scheme of MCTDH (Beck, Jaeckle, Worth
+    and Meyer, Phys. Rep. 324, 1 (2000)).
+    """
+
+    def __init__(self, rho1, h_ops, weights, fields):
+        self.rho1 = rho1                           # per DOF (M_j, M_j)
+        self.h_t = [h.matrix.T for h in h_ops]     # acts on orbital rows
+        self.weights = weights
+        self.fields = fields                       # MeanFieldPlan or None
+
+    @classmethod
+    def identical(cls, grid, h_op, kernel_matrix, rho):
+        field = None
+        if kernel_matrix is not None and np.any(kernel_matrix):
+            field = ham.MeanFieldPlan.identical(rho.rho2, kernel_matrix,
+                                                grid.weight)
+        return cls([np.asarray(rho.rho1)], [h_op], [grid.weight], [field])
+
+    @classmethod
+    def distinguishable(cls, space, grids, h_ops, coupling, C, rho1):
+        weights = [g.weight for g in grids]
+        fields = [None] * len(grids) if coupling is None else [
+            ham.MeanFieldPlan.distinguishable(space, C, coupling, j, weights)
+            for j in range(len(grids))]
+        return cls(rho1, h_ops, weights, fields)
+
+    def __call__(self, phis, project=True):
+        out = []
+        for phi, r, h_t, w, field in zip(phis, self.rho1, self.h_t,
+                                         self.weights, self.fields):
+            g = r @ (phi @ h_t)
+            if field is not None:
+                g = g + np.einsum("kqx,qx->kx", field(phis), phi)
+            if project:
+                g = g - (w * (phi.conj() @ g.T)).T @ phi
+            out.append(g)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +213,8 @@ def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=True):
 
         B_k = P [ sum_q rho_kq h |phi_q> + sum_slq rho_kslq W_sl |phi_q> ].
     """
-    phi = orbs.orbitals
-    h_phi = phi @ h_op.matrix.T
-    g = np.asarray(rho.rho1) @ h_phi
-    if kernel_matrix is not None and np.any(kernel_matrix):
-        w = ham.local_potentials(orbs, kernel_matrix)            # (s, l, x)
-        om = np.einsum("kslq,slx->kqx", rho.rho2, w)
-        g = g + np.einsum("kqx,qx->kx", om, phi)
-    if not project:
-        return g
-    overlaps = grid.weight * (phi.conj() @ g.T)                  # (j, k)
-    return g - overlaps.T @ phi
+    rhs = OrbitalRHS.identical(grid, h_op, kernel_matrix, rho)
+    return rhs([orbs.orbitals], project)[0]
 
 
 def _mu_matrix(grid, orbs, g_unprojected):
@@ -215,8 +272,8 @@ def _kinetic_preconditioners(h_eigs, tau):
     return out
 
 
-def _descend(orbs, step):
-    """orth(phi - P step), P = 1 - |phi><phi|.
+def _descend(phi, weight, step):
+    """orth(phi - P step), P = 1 - |phi><phi|, on orbital rows ``phi``.
 
     K_tau rho^-1 B has a part along the orbitals that orthonormalization
     does not remove exactly, so without P the step has fixed points with
@@ -224,20 +281,19 @@ def _descend(orbs, step):
     residual stalled at 0.5). With P a fixed point needs
     P K_tau rho^-1 B = 0, and as K_tau is positive definite, B = 0.
     """
-    phi = orbs.orbitals
-    step = step - (orbs.grid.weight * (step @ phi.conj().T)) @ phi
-    return OrbitalSet(phi - step, orbs.grid).orthonormalized()
+    step = step - (weight * (step @ phi.conj().T)) @ phi
+    return ham.orthonormal_rows(phi - step, weight)
 
 
-def _scaled_residual(sets, B, rho1, floor):
-    """max_k ||(U^dag B)_k|| / n_k over natural orbitals with n_k above ``floor``.
+def _scaled_residual(sets, B, natural, floor):
+    """max_k ||(U^dag B)_k|| / n_k over natural orbitals with n_k above
+    ``floor``, ``natural`` the (n, U) of each one-body density.
 
     ||B_k|| scales with the occupation, so a weakly occupied orbital passes
     an unscaled tolerance long before it is converged.
     """
     worst = 0.0
-    for s, b, r in zip(sets, B, rho1):
-        occ, U = np.linalg.eigh(0.5 * (r + r.conj().T))
+    for s, b, (occ, U) in zip(sets, B, natural):
         keep = occ > floor
         if np.any(keep):
             nat = U[:, keep].conj().T @ b
@@ -276,17 +332,17 @@ def _anderson_mix(stored, x, g, sets):
     return out
 
 
-def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
+def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
     """Alternate configuration eigenpairs and Anderson-mixed orbital blocks.
 
     ``sets`` is the list of per-DOF orbital sets (one for identical
     particles). ``ci(sets, C)`` returns (energy, C, H), H anything that
-    applies the configuration Hamiltonian with ``@``; ``densities(C)``
-    returns (rho, per-DOF one-body densities); ``rhs(sets, C, rho)``
-    returns the per-DOF projected right-hand sides B. The step, the mixing,
-    the backtracking and the stopping test are those of the module
-    docstring; the B of the convergence check is reused by the first step,
-    and the eigenpair that accepted a trial is the next iteration's.
+    applies the configuration Hamiltonian with ``@``; ``plan(C)`` returns
+    (rho, rhs), the densities of C and its ``OrbitalRHS``. The step, the
+    mixing, the backtracking and the stopping test are those of the module
+    docstring. One plan serves an outer iteration: the convergence check,
+    whose B the first step reuses, and every step of its blocks. The
+    eigenpair that accepted a trial is the next iteration's.
     """
     tau = opts.tau
     K = _kinetic_preconditioners(h_eigs, tau)
@@ -299,23 +355,24 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
     took = "start"
 
     def descent_block():
-        trial, Bt = sets, B
+        phis, Bt = [s.orbitals for s in sets], B
         for step in range(opts.inner_steps):
             if step:
-                Bt = rhs(trial, C, rho)
-            trial = [_descend(s, tau * (i @ b) @ k)
-                     for s, i, b, k in zip(trial, inv, Bt, K)]
-        return trial
+                Bt = rhs(phis)
+            phis = [_descend(phi, w, tau * (i @ b) @ k)
+                    for phi, w, i, b, k in zip(phis, rhs.weights, inv, Bt, K)]
+        return [OrbitalSet(phi, s.grid) for phi, s in zip(phis, sets)]
 
     def descends(found):
         return found[0] <= eps + 1e-13 * max(1.0, abs(eps))
 
     for outer in range(opts.max_iter):
         eps, C, H = found
-        rho, rho1 = densities(C)
-        B = rhs(sets, C, rho)
+        rho, rhs = plan(C)
+        B = rhs([s.orbitals for s in sets])
         orb_res = max(s.grid.norm(b) for s, Bj in zip(sets, B) for b in Bj)
-        scaled_res = _scaled_residual(sets, B, rho1, floor)
+        natural = [_hermitian_eigh(r) for r in rhs.rho1]
+        scaled_res = _scaled_residual(sets, B, natural, floor)
         c_res = float(np.linalg.norm(H @ C - eps * C))
         history.append(eps)
         if opts.verbose:
@@ -325,7 +382,7 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
         if max(orb_res, scaled_res) < opts.tol_orb and c_res < opts.tol_c:
             break
 
-        inv = [regularized_inverse(r, floor) for r in rho1]
+        inv = [_floored_inverse(*nat, floor) for nat in natural]
         trial = descent_block()
         x, g = _flat(sets), _flat(trial)
         took = None
@@ -377,7 +434,7 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, densities, rhs):
         "tol_orb": opts.tol_orb,
         "tol_c": opts.tol_c,
     }
-    return sets, eps, C, rho, residuals
+    return sets, eps, C, rho, rhs, residuals
 
 
 def solve_mchx(space: ConfigSpace, grid: Grid, h_op: OneBodyOperator,
@@ -398,18 +455,13 @@ def solve_mchx(space: ConfigSpace, grid: Grid, h_op: OneBodyOperator,
     def ci(sets, C):
         return _lowest_eigenpair(space, sets[0], h_op, kernel_matrix, opts, v0=C)
 
-    def densities(C):
+    def plan(C):
         rho = fs.reduced_densities(space, C)
-        return rho, [rho.rho1]
+        return rho, OrbitalRHS.identical(grid, h_op, kernel_matrix, rho)
 
-    def rhs(sets, C, rho):
-        return [orbital_eom_rhs(grid, sets[0], h_op, kernel_matrix, rho)]
-
-    (orbs,), energy, C, rho, residuals = _self_consistent(
-        space, [orbs], [h_eig], opts, FLOOR_FRACTION * space.N,
-        ci, densities, rhs)
-    g = orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=False)
-    mu = _mu_matrix(grid, orbs, g)
+    (orbs,), energy, C, rho, rhs, residuals = _self_consistent(
+        space, [orbs], [h_eig], opts, FLOOR_FRACTION * space.N, ci, plan)
+    mu = _mu_matrix(grid, orbs, rhs([orbs.orbitals], project=False)[0])
     residuals["mu_defect"] = float(np.abs(mu - mu.conj().T).max())
     return GroundState(space=space, grid=grid, h_op=h_op, kernel=kernel,
                        kernel_matrix=kernel_matrix, orbitals=orbs, C=C,
@@ -433,19 +485,9 @@ def _dist_hamiltonian(space, sets, h_ops, coupling):
 
 def _dist_orbital_rhs(space, sets, h_ops, coupling, C, rho1, project=True):
     """Per-DOF equation-of-motion right-hand sides (list of (M_j, n_j) arrays)."""
-    Q = len(sets)
-    out, raw = [], []
-    for j in range(Q):
-        phi = sets[j].orbitals
-        g = rho1[j] @ (phi @ h_ops[j].matrix.T)
-        if coupling is not None:
-            om = ham.mean_fields_dist(space, C, sets, coupling, j)
-            g = g + np.einsum("nmx,mx->nx", om, phi)
-        raw.append(g)
-        if project:
-            overlaps = sets[j].grid.weight * (phi.conj() @ g.T)
-            out.append(g - overlaps.T @ phi)
-    return out if project else raw
+    rhs = OrbitalRHS.distinguishable(space, [s.grid for s in sets], h_ops,
+                                     coupling, C, rho1)
+    return rhs([s.orbitals for s in sets], project)
 
 
 def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
@@ -463,16 +505,14 @@ def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
     def ci(cur_sets, C):
         return _ci_eigenpair(_dist_hamiltonian(space, cur_sets, h_ops, coupling))
 
-    def densities(C):
+    def plan(C):
         rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
-        return rho1, rho1
+        return rho1, OrbitalRHS.distinguishable(space, grids, h_ops, coupling,
+                                                C, rho1)
 
-    def rhs(cur_sets, C, rho1):
-        return _dist_orbital_rhs(space, cur_sets, h_ops, coupling, C, rho1)
-
-    sets, energy, C, rho1, residuals = _self_consistent(
-        space, sets, h_eigs, opts, FLOOR_FRACTION, ci, densities, rhs)
-    raw = _dist_orbital_rhs(space, sets, h_ops, coupling, C, rho1, project=False)
+    sets, energy, C, rho1, rhs, residuals = _self_consistent(
+        space, sets, h_eigs, opts, FLOOR_FRACTION, ci, plan)
+    raw = rhs([s.orbitals for s in sets], project=False)
     mu = [grids[j].weight * (raw[j] @ sets[j].orbitals.conj().T) for j in range(Q)]
     residuals["mu_defect"] = max(float(np.abs(m - m.conj().T).max()) for m in mu)
     return DistGroundState(space=space, grids=list(grids), h_ops=list(h_ops),

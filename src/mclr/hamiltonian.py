@@ -26,6 +26,7 @@ from .grid import Grid, OneBodyOperator, as_float
 
 __all__ = [
     "OrbitalSet",
+    "orthonormal_rows",
     "one_body_elements",
     "local_potentials",
     "two_body_tensor",
@@ -33,6 +34,7 @@ __all__ = [
     "PairCoupling",
     "AllBodyTable",
     "config_coupling_matrix",
+    "MeanFieldPlan",
     "mean_fields_dist",
 ]
 
@@ -62,13 +64,18 @@ class OrbitalSet:
         return float(np.abs(ov - np.eye(self.M)).max())
 
     def orthonormalized(self) -> "OrbitalSet":
-        """Gram-Schmidt in quadrature metric (QR on the scaled vectors)."""
-        q, r = np.linalg.qr(self.scaled.T)
-        # fix phases so the stepper stays continuous
-        phases = np.sign(np.real(np.diag(r)))
-        phases[phases == 0] = 1.0
-        q = q * phases
-        return OrbitalSet(q.T / np.sqrt(self.grid.weight), self.grid)
+        """Gram-Schmidt in quadrature metric (``orthonormal_rows``)."""
+        return OrbitalSet(orthonormal_rows(self.orbitals, self.grid.weight),
+                          self.grid)
+
+
+def orthonormal_rows(phi: np.ndarray, weight: float) -> np.ndarray:
+    """The rows of ``phi`` orthonormalized under the quadrature weight: a QR
+    of the sqrt(weight)-scaled columns, in the gauge with a positive real
+    diagonal of R, which keeps the stepper continuous."""
+    root = np.sqrt(weight)
+    q, r = np.linalg.qr(root * phi.T)
+    return (q * np.where(r.diagonal().real < 0, -1.0, 1.0)).T / root
 
 
 def one_body_elements(orbs: OrbitalSet, op: OneBodyOperator) -> np.ndarray:
@@ -186,7 +193,8 @@ def _term_operands(dofs, table, scaled, keep=()):
     Labels for Q DOFs: bra orbital of DOF l is l, ket orbital Q + l, grid
     point 2Q + l.  Touched axes in ``keep`` stay on the grid; every other
     touched axis is integrated against conj(bra orbital) * ket orbital.
-    ``scaled`` holds sqrt(dx)-weighted orbitals, so no weights appear.
+    ``scaled`` holds sqrt(dx)-weighted orbitals, so no weights appear, or
+    raw orbitals with the weights folded into ``table``.
     """
     Q = len(scaled)
     ops = [table, [2 * Q + l for l in dofs]]
@@ -214,38 +222,103 @@ def config_coupling_matrix(coupling, sets, space: ConfigSpace) -> np.ndarray:
     return W
 
 
+def _pair_products(phi):
+    """conj(phi_r) phi_s on the grid, one row per (r, s): an (M^2, n) array."""
+    return (phi.conj()[:, None] * phi[None]).reshape(-1, phi.shape[1])
+
+
+class MeanFieldPlan:
+    """The mean-field diagonals Omega[p, q](x) of DOF j at fixed
+    coefficients, with every contraction over C done once.
+
+    A pair term touching j, with partner DOF c (c = j for identical
+    particles), contributes
+
+        Omega[p, q](x) += sum_rs R[pq, rs] sum_y conj(phi^c_r(y)) phi^c_s(y) T[y, x],
+
+    R the two-body density of j and c and T the coupling table (the kernel)
+    times the quadrature weight of y; terms with the same partner share R
+    and add their T.  A pair term on DOFs (a, b) that leaves x_j alone adds a
+    constant on the diagonal only: its orbital matrix elements contracted
+    with the density of j, a and b, diagonal in j.  An all-body table
+    (Q <= 3) is contracted with the coefficient tensor, so conj(C_n) C_m is
+    never formed.  ``plan(phis)`` evaluates the stack on the orbitals
+    ``phis`` (one (M_l, n_l) array per DOF) as an (M_j, M_j, n_j) array,
+    touching only orbital products.
+    """
+
+    def __init__(self, j, touching=(), missing=(), all_body=None):
+        self.j = j
+        self.touching = touching    # (c, R (M_j^2, M_c^2), T (n_c, n_j))
+        self.missing = missing      # (a, b, R (M_j, M_a^2 M_b^2), T (n_a, n_b))
+        self.all_body = all_body    # (conj C, C as tensors, weighted table)
+        self.dtype = np.result_type(
+            float, *(x for term in touching for x in term[1:]),
+            *(x for term in missing for x in term[2:]), *(all_body or ()))
+
+    @classmethod
+    def identical(cls, rho2, kernel_matrix, weight):
+        """Direct mean fields sum_sl rho2[k, s, l, q] W_sl(x) of identical
+        particles, W_sl the ``local_potentials``."""
+        M = len(rho2)
+        R = rho2.transpose(0, 3, 1, 2).reshape(M * M, M * M)
+        return cls(0, touching=[(0, R, weight * kernel_matrix.T)])
+
+    @classmethod
+    def distinguishable(cls, space, C, coupling, j, weights):
+        """Mean fields of DOF j under ``coupling`` (None: zero), with
+        ``weights`` the quadrature weights of the DOFs."""
+        Q = len(space.M_list)
+        if isinstance(coupling, AllBodyTable):
+            Ct = C.reshape(space.M_list)
+            w = np.prod([weights[l] for l in range(Q) if l != j])
+            return cls(j, all_body=(Ct.conj(), Ct, w * coupling.table))
+        tables = {}     # partner (c,) or untouched pair (a, b) -> summed T
+        for (a, b), t in ([] if coupling is None else _terms(coupling)):
+            if j in (a, b):
+                c, t = (b, t) if j == a else (a, t.T)    # t[x_j, x_c]
+                key, T = (c,), weights[c] * t.T
+            else:
+                key, T = (a, b), weights[a] * weights[b] * t
+            tables[key] = tables[key] + T if key in tables else T
+        touching, missing = [], []
+        M = space.M_list[j]
+        for key, T in tables.items():
+            rho = dist_reduced_density(space, C, (j,) + key)
+            if len(key) == 1:                            # rho[p, r, q, s]
+                R = rho.transpose(0, 2, 1, 3).reshape(M * M, -1)
+                touching.append((key[0], R, T))
+            else:                                        # rho[p, a, b, q, c, d]
+                R = np.einsum("pabpcd->pacbd", rho).reshape(M, -1)
+                missing.append((*key, R, T))
+        return cls(j, touching, missing)
+
+    def __call__(self, phis):
+        phi = phis[self.j]
+        M, n = phi.shape
+        out = np.zeros((M * M, n), np.result_type(self.dtype, *phis))
+        for c, R, T in self.touching:
+            out += R @ (_pair_products(phis[c]) @ T)
+        for a, b, R, T in self.missing:
+            E = _pair_products(phis[a]) @ T @ _pair_products(phis[b]).T
+            out[::M + 1] += (R @ E.ravel())[:, None]
+        if self.all_body is not None:
+            conj_c, Ct, table = self.all_body
+            Q, j = Ct.ndim, self.j
+            ops = _term_operands(tuple(range(Q)), table, phis, keep=(j,))
+            out += _einsum(conj_c, list(range(Q)), Ct, list(range(Q, 2 * Q)),
+                           *ops, [j, Q + j, 2 * Q + j]).reshape(M * M, n)
+        return out.reshape(M, M, n)
+
+
 def mean_fields_dist(space: ConfigSpace, C: np.ndarray, sets, coupling,
                      j: int) -> np.ndarray:
     """All mean-field diagonals of DOF j: an (M_j, M_j, n_j) stack.
 
     Omega^j[p, q](x_j) sums conj(C_n) C_m over configuration pairs with slot-j
-    labels (p, q) times the coupling integrated over every other coordinate.
-    A pair term touching j is contracted against the reduced density of j
-    and its partner DOF.  A pair term that leaves x_j alone adds a constant
-    on the diagonal only (n_j = m_j), from the reduced density of j and the
-    term's two DOFs.  An all-body table is contracted against the
-    coefficient tensor, so conj(C_n) C_m is never formed.
+    labels (p, q) times the coupling integrated over every other coordinate;
+    see ``MeanFieldPlan``.
     """
-    Mj = space.M_list[j]
-    scaled = [s.scaled for s in sets]
-    terms = [] if coupling is None else _terms(coupling)
-    out = np.zeros((Mj, Mj, sets[j].grid.n_points),
-                   dtype=np.result_type(C, *scaled, *(t for _, t in terms)))
-    Q = len(space.M_list)
-    if isinstance(coupling, AllBodyTable):
-        Ct = C.reshape(space.M_list)
-        ops = _term_operands(tuple(range(Q)), coupling.table, scaled, keep=(j,))
-        return _einsum(Ct.conj(), list(range(Q)), Ct, list(range(Q, 2 * Q)),
-                       *ops, [j, Q + j, 2 * Q + j])
-    for (a, b), table in terms:
-        if j in (a, b):
-            c, t = (b, table) if j == a else (a, table.T)   # t[x_j, x_c]
-            rho = dist_reduced_density(space, C, (j, c))    # [p, r, q, s]
-            pair = scaled[c].conj()[:, None, :] * scaled[c][None, :, :]
-            out += np.tensordot(rho, pair @ t.T, axes=([1, 3], [0, 1]))
-        else:
-            rho = dist_reduced_density(space, C, (j, a, b))
-            diag = _einsum(rho, [j, a, b, j, Q + a, Q + b],
-                           *_term_operands((a, b), table, scaled), [j])
-            out[range(Mj), range(Mj)] += diag[:, None]
-    return out
+    plan = MeanFieldPlan.distinguishable(space, C, coupling, j,
+                                         [s.grid.weight for s in sets])
+    return plan([s.orbitals for s in sets])

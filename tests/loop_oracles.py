@@ -9,10 +9,11 @@ scatter (one table per ladder key, built configuration by configuration,
 applied with ``np.add.at``) is the reference for the compiled operator
 table.  A few direct-definition helpers that
 only tests use (exchange kernels, the single-entry density action, the
-coefficient-orbital rows summed directly, the first-quantized one- and
-two-body operators, the Lagrange multipliers recomputed from a state) live
-here as well, and so do the dense forms of the structural operator P M^p
-and of the projected, metric-transformed response matrix, the driving
+coefficient-orbital rows summed directly, the orbital right-hand sides
+summed term by term, the first-quantized one- and two-body operators,
+the Lagrange multipliers recomputed from a state) live here as well,
+and so do the dense forms of the structural operator P M^p and of the
+projected, metric-transformed response matrix, the driving
 vectors written out separately for each particle kind, the per-mode sum
 of the driven response, the response weights and the driven response as
 products with the stored right vectors, and the per-field CSV writers of
@@ -167,6 +168,33 @@ def exchange_matrix(orbs, kernel_matrix, s, l):
                                * phi[s].conj()[None, :])
 
 
+def _project_rows(B, phi, weight):
+    """Each row b of B minus sum_j phi_j <phi_j|b>, overlap by overlap."""
+    out = np.array(B, dtype=complex)
+    for k in range(len(B)):
+        for j in range(len(phi)):
+            out[k] -= weight * np.vdot(phi[j], B[k]) * phi[j]
+    return out
+
+
+def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho):
+    """B_k = P [ sum_q rho_kq h phi_q + sum_slq rho_kslq W_sl phi_q ], term
+    by term, with W_sl(x) = dx sum_y conj(phi_s(y)) W(x, y) phi_l(y)."""
+    phi, dx = orbs.orbitals, grid.weight
+    M = len(phi)
+    g = np.zeros(phi.shape, dtype=complex)
+    for k in range(M):
+        for q in range(M):
+            g[k] += rho.rho1[k, q] * (h_op.matrix @ phi[q])
+            if kernel_matrix is None:
+                continue
+            for s in range(M):
+                for l in range(M):
+                    w_sl = dx * (kernel_matrix @ (phi[s].conj() * phi[l]))
+                    g[k] += rho.rho2[k, s, l, q] * w_sl * phi[q]
+    return _project_rows(g, phi, dx)
+
+
 def co_blocks_direct(state):
     """Coefficient-orbital rows built from their own defining sums.
 
@@ -286,6 +314,27 @@ def mean_fields_dist(space, C, sets, coupling, j):
         for k, mvec in enumerate(space.configs):
             out[nvec[j], mvec[j]] += C[i].conjugate() * C[k] * partial_coupling(
                 coupling, sets, space, j, nvec, mvec)
+    return out
+
+
+def dist_orbital_rhs(space, sets, h_ops, coupling, C):
+    """Per-DOF B_j = P_j [ rho1_j h_j phi^j + sum_q Omega^j[:, q] phi^j_q ],
+    with rho1_j and the mean fields summed over configuration pairs."""
+    out = []
+    for j, s in enumerate(sets):
+        phi, M = s.orbitals, s.M
+        rho1 = np.zeros((M, M), dtype=complex)
+        for i, nvec in enumerate(space.configs):
+            for k, mvec in enumerate(space.configs):
+                if all(nvec[l] == mvec[l] for l in range(len(sets)) if l != j):
+                    rho1[nvec[j], mvec[j]] += np.conj(C[i]) * C[k]
+        om = mean_fields_dist(space, C, sets, coupling, j)
+        g = np.zeros(phi.shape, dtype=complex)
+        for k in range(M):
+            for q in range(M):
+                g[k] += rho1[k, q] * (h_ops[j].matrix @ phi[q]) \
+                    + om[k, q] * phi[q]
+        out.append(_project_rows(g, phi, s.grid.weight))
     return out
 
 

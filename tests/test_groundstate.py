@@ -256,7 +256,8 @@ def test_scaled_residual_sees_weak_natural_orbital(bos_m2):
                           st.grid).orthonormalized()
     B = gs.orbital_eom_rhs(st.grid, orbs, st.h_op, st.kernel_matrix, st.rho)
     orb_res = max(st.grid.norm(b) for b in B)
-    scaled = gs._scaled_residual([orbs], [B], [st.rho.rho1], 1e-10 * 2)
+    natural = [gs._hermitian_eigh(st.rho.rho1)]
+    scaled = gs._scaled_residual([orbs], [B], natural, 1e-10 * 2)
     assert orb_res < st.residuals["tol_orb"] < 1e-2 * scaled
     assert st.residuals["scaled_orb_residual"] < st.residuals["tol_orb"]
 
