@@ -4,7 +4,9 @@ Layout: 8-byte magic, u32 format version, u64 header length, u32 CRC-32 of
 everything that follows, UTF-8 JSON header, then the concatenated array
 payload.  The header carries scalar metadata and an array directory (name,
 dtype, shape, byte offset).  Arrays round-trip bit-exactly.  A truncated or
-modified file is refused with ``ValueError("corrupt checkpoint: ...")``.
+modified file, and a state checkpoint with a header entry missing or of the
+wrong type or with an array missing, is refused with
+``ValueError("corrupt checkpoint: ...")``.
 """
 
 from __future__ import annotations
@@ -173,12 +175,31 @@ def save_state(path, state) -> None:
 
 
 def load_state(path):
+    """The ground state of a checkpoint.  A header entry that is missing or
+    of the wrong type, or a missing array, is refused as a corrupt file."""
     header, arrays = load_arrays(path)
+    try:
+        return _state(header, arrays)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise _corrupt(f"missing or ill-typed entry ({type(exc).__name__}: "
+                       f"{exc})") from None
+
+
+def _residuals(header) -> dict:
+    res = dict(header["residuals"])
+    if not all(isinstance(v, (int, float)) for v in res.values()):
+        raise TypeError(f"residuals {res!r} are not all numbers")
+    return res
+
+
+def _state(header, arrays):
     if header["kind"] == "identical":
         g = header["grid"]
         grid = build_grid(g["n_points"], g["x_min"], g["x_max"])
-        space = fs.enumerate_configs(header["statistics"], N=header["N"],
-                                     M=header["M"])
+        N, M = header["N"], header["M"]
+        if not (isinstance(N, int) and isinstance(M, int)):
+            raise TypeError(f"N = {N!r} and M = {M!r} must be integers")
+        space = fs.enumerate_configs(header["statistics"], N=N, M=M)
         kmeta = header["kernel"]
         kernel = TwoBodyKernel(kind=kmeta["kind"], strength=kmeta["strength"],
                                width=kmeta["width"],
@@ -190,8 +211,8 @@ def load_state(path):
             h_op=OneBodyOperator(arrays["h_matrix"], hermitian=False),
             kernel=kernel, kernel_matrix=arrays["kernel_matrix"],
             orbitals=orbs, C=C, rho=fs.reduced_densities(space, C),
-            mu=arrays["mu"], energy=header["energy"],
-            residuals=dict(header["residuals"]))
+            mu=arrays["mu"], energy=float(header["energy"]),
+            residuals=_residuals(header))
         return state
     if header["kind"] == "distinguishable":
         grids = [build_grid(g["n_points"], g["x_min"], g["x_max"])
@@ -199,6 +220,8 @@ def load_state(path):
         space = fs.enumerate_configs("distinguishable",
                                      M_list=header["M_list"])
         Q = len(grids)
+        if Q != len(space.M_list):
+            raise ValueError(f"{Q} grids for {len(space.M_list)} DOFs")
         sets = [OrbitalSet(arrays[f"orbitals_{j}"], grids[j]) for j in range(Q)]
         h_ops = [OneBodyOperator(arrays[f"h_matrix_{j}"], hermitian=False)
                  for j in range(Q)]
@@ -215,6 +238,6 @@ def load_state(path):
         rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
         return DistGroundState(space=space, grids=grids, h_ops=h_ops,
                                coupling=coupling, sets=sets, C=C, rho1=rho1,
-                               mu=mu, energy=header["energy"],
-                               residuals=dict(header["residuals"]))
+                               mu=mu, energy=float(header["energy"]),
+                               residuals=_residuals(header))
     raise ValueError(f"unknown checkpoint kind {header['kind']!r}")

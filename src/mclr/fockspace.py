@@ -39,8 +39,6 @@ __all__ = [
     "ConfigSpace",
     "ReducedDensities",
     "enumerate_configs",
-    "apply_rho_kq",
-    "apply_rho_kslq",
     "apply_second_quantized",
     "reduced_densities",
     "apply_hamiltonian_dist",
@@ -232,32 +230,6 @@ def _bincount(index, values, n):
         return np.bincount(index, values, minlength=n)
     return (np.bincount(index, values.real, minlength=n)
             + 1j * np.bincount(index, values.imag, minlength=n))
-
-
-def _apply_key(space: ConfigSpace, C, orbitals) -> np.ndarray:
-    if not space.identical:
-        raise ValueError("density operators need an identical-particle space")
-    M = space.M
-    if not all(0 <= p < M for p in orbitals):
-        raise IndexError("orbital index out of range")
-    key = np.ravel_multi_index(orbitals, (M,) * len(orbitals))
-    key += M**2 if len(orbitals) == 4 else 0
-    t = space.table
-    e = slice(t.start[key], t.start[key + 1])
-    out = np.zeros(space.size, dtype=np.result_type(t.fac, C))
-    out[t.dst[e]] = t.fac[e] * np.asarray(C)[t.src[e]]
-    return out
-
-
-def apply_rho_kq(space: ConfigSpace, C: np.ndarray, k: int, q: int) -> np.ndarray:
-    """Coefficient vector of (c_k^dag c_q) |Psi>."""
-    return _apply_key(space, C, (k, q))
-
-
-def apply_rho_kslq(space: ConfigSpace, C: np.ndarray, k: int, s: int,
-                   l: int, q: int) -> np.ndarray:
-    """Coefficient vector of (c_k^dag c_s^dag c_l c_q) |Psi>."""
-    return _apply_key(space, C, (k, s, l, q))
 
 
 def apply_second_quantized(space: ConfigSpace, C: np.ndarray | None,

@@ -76,10 +76,6 @@ class OneBodyOperator:
                     f"operator flagged hermitian but relative defect is {defect:.3e}"
                 )
 
-    def __add__(self, other: "OneBodyOperator") -> "OneBodyOperator":
-        return OneBodyOperator(self.matrix + other.matrix,
-                               hermitian=self.hermitian and other.hermitian)
-
 
 @dataclass(frozen=True)
 class TwoBodyKernel:

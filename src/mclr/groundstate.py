@@ -483,13 +483,6 @@ def _dist_hamiltonian(space, sets, h_ops, coupling):
     return H
 
 
-def _dist_orbital_rhs(space, sets, h_ops, coupling, C, rho1, project=True):
-    """Per-DOF equation-of-motion right-hand sides (list of (M_j, n_j) arrays)."""
-    rhs = OrbitalRHS.distinguishable(space, [s.grid for s in sets], h_ops,
-                                     coupling, C, rho1)
-    return rhs([s.orbitals for s in sets], project)
-
-
 def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
                    opts: SolverOptions | None = None) -> DistGroundState:
     """Self-consistent stationary state for coupled distinguishable DOFs."""

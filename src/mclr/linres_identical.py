@@ -31,12 +31,14 @@ Q_c on C_u make the isometry B onto range(P) on x = (u, C_u).  The metric
 of DOF j is its one-body density U n U^H on the K_j natural orbitals U it
 keeps (``_response_matrix``); an empty orbital has no coordinates.  The
 halves are a = F^H L[x, x] F and b = F^H L[x, y] F*, with F = B U
-n^(-1/2) and y = (v, C_v), of size sum_j K_j (n_j - M_j) + N_conf - 1.
+n^(-1/2) and y = (v, C_v), of size n = sum_j K_j (n_j - M_j) + N_conf - 1.
 ``ResponseMatrix.lift`` applies B U or U^H B^H, two thin products per
 block and one on its slot axis, and ``pull`` n^(+-1/2) U^H B^H; the halves
-are pulled from both sides of the raw x rows.  ``project`` applies P M^p
-through the k leading columns of each Q instead.  The dense D x D L and P
-are built only on demand.
+are pulled from both sides of the raw x rows.  The one boundary between
+the 2n reduced coordinates and the D-space is the isometry T = B U on x
+and conj(B U) on y (``to_space``, ``to_reduced``): L = T L_r T^H with
+L_r = [[a, b], [-b*, -a*]], and P M^p = T n^p T^H (``project``).  The
+dense D x D L and P are built only on demand.
 
 Real arithmetic follows the problem: a real problem has float64
 operators, orbitals, C (``groundstate._ci_eigenpair``) and raw blocks from
@@ -71,7 +73,6 @@ __all__ = [
     "build_R",
     "sigma1",
     "sigma3",
-    "halves_index",
 ]
 
 STATISTICS_SIGN = {"boson": +1.0, "fermion": -1.0}
@@ -150,8 +151,8 @@ class PerturbationSpec:
 class ResponseMatrix:
     """Projected, metric-transformed response matrix with its ingredients.
 
-    L = [[L_xx, L_xy], [-conj(L_xy), -conj(L_xx)]] on the (x, y) sectors
-    of ``halves_index`` is kept as its halves on range(P): with B the
+    L = [[L_xx, L_xy], [-conj(L_xy), -conj(L_xx)]] on the x = (u, C_u) and
+    y = (v, C_v) sectors is kept as its halves on range(P): with B the
     isometry from the reduced coordinates onto range(P) on x,
     L_xx = B ``a`` B^H (``a`` Hermitian) and L_xy = B ``b`` B^T (``b``
     symmetric).  ``reflectors`` holds B as compact WY factors (V, W), one
@@ -161,10 +162,11 @@ class ResponseMatrix:
     kept natural orbitals of the one-body density as (occupations n,
     orbitals U as columns); the reduced slot coordinates are these
     orbitals, so the lift is B U and empty orbitals have no coordinates.
-    ``lift`` and ``pull`` apply B and U; ``L`` builds the dense matrix on
-    demand.  The projector is B U U^H B^H on x and its conjugate on y,
-    which is P where no orbital is empty; ``project`` applies it through
-    the leading columns of Q.  The metric powers are U n^(+-1/2) U^H.
+    ``lift`` and ``pull`` apply B U on the x rows; ``to_space`` and
+    ``to_reduced`` apply T, B U on x and conj(B U) on y, on all 2n reduced
+    coordinates, and ``L`` and ``project`` are built on them.  The
+    projector is T T^H, which is P where no orbital is empty, and the
+    metric powers are U n^(+-1/2) U^H.
     """
 
     layout: ResponseLayout
@@ -228,7 +230,11 @@ class ResponseMatrix:
         the kept occupations n_j^power of each DOF on its reduced slots.
         With U n U^H the one-body density on its kept natural orbitals, this
         is B^H M^power x for power 0, +1/2 or -1/2, taken on those orbitals."""
-        y = self.lift(x, adjoint=True)
+        return self._scaled(self.lift(x, adjoint=True), power)
+
+    def _scaled(self, y: np.ndarray, power: float) -> np.ndarray:
+        """``y`` with its reduced slot rows scaled in place by the kept
+        occupations n_j^power of each DOF; the C rows keep their values."""
         i = 0
         for (occ, _), (V, _) in zip(self.natural, self.reflectors):
             rows = len(occ) * (len(V) - V.shape[1])
@@ -237,46 +243,43 @@ class ResponseMatrix:
             i += rows
         return y
 
+    def to_space(self, v: np.ndarray, power: float = 0.0) -> np.ndarray:
+        """T n^power v from the 2n reduced rows (x coordinates, then y) to
+        the D rows of the response space: B U on the x half onto the rows
+        (u, C_u) and conj(B U) on the y half onto (v, C_v), in one ``lift``.
+        T is an isometry, and L = T L_r T^H since L[x, y] = B U b (B U)^T.
+        ``v`` is a matrix, one vector per column."""
+        n, k, o = len(self.a), v.shape[1], self.layout.orb
+        xy = self.lift(self._scaled(np.hstack([v[:n], v[n:].conj()]), power))
+        x, y = xy[:, :k], xy[:, k:].conj()
+        return np.concatenate([x[:o], y[:o], x[o:], y[o:]])
+
+    def to_reduced(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
+        """n^power T^H x: ``pull`` of the (u, C_u) rows of the columns ``x``
+        over its conjugate of the (v, C_v) rows, in one ``pull``."""
+        lay, k = self.layout, x.shape[1]
+        o = lay.orb
+        xs = np.concatenate([x[:o], x[lay.cu_slice]])
+        ys = np.concatenate([x[o:2 * o], x[lay.cv_slice]]).conj()
+        p = self.pull(np.hstack([xs, ys]), power)
+        return np.vstack([p[:, :k], p[:, k:].conj()])
+
+    @property
+    def L_r(self) -> np.ndarray:
+        """The 2n x 2n reduced matrix [[a, b], [-b*, -a*]]."""
+        return np.block([[self.a, self.b], [-self.b.conj(), -self.a.conj()]])
+
     @property
     def L(self) -> np.ndarray:
-        """Dense D x D matrix from the lifted halves by the mirror rule, in
-        their dtype, built on each access."""
-        x, y = halves_index(self.layout)
-        a = self.lift(self.lift(self.a).conj().T).conj().T
-        b = self.lift(self.lift(self.b).T).T
-        L = np.empty((self.D, self.D), dtype=np.result_type(a, b))
-        L[np.ix_(x, x)] = a
-        L[np.ix_(x, y)] = b
-        L[np.ix_(y, x)] = -b.conj()
-        L[np.ix_(y, y)] = -a.conj()
-        return L
+        """Dense D x D matrix T L_r T^H, in the dtype of the halves and the
+        lift, built on each access."""
+        return self.to_space(self.to_space(self.L_r).conj().T).conj().T
 
     def project(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
-        """P M^power x for power 0, +1/2 or -1/2: B U n^power U^H B^H on the
-        x rows (u, C_u) and its conjugate on the y rows (v, C_v).  Per block
-        it is 1 - Q1 Q1^H on each slot, Q1 = I[:, :k] - W V[:k]^H the k
-        leading columns of Q (``reflectors``), which span the orbitals of DOF
-        j (or C), then U n^power U^H on the slot axis (C: one slot, no
-        metric); k columns where ``lift`` and ``pull`` take n - k.  No
-        projector is formed.  ``x`` is a vector or a matrix with D rows."""
-        lay, o = self.layout, self.layout.orb
-        # the x rows and the conjugated y rows, side by side on a last axis
-        z = np.stack([np.concatenate([x[:o], x[lay.cu_slice]]),
-                      np.concatenate([x[o:2 * o], x[lay.cv_slice]]).conj()],
-                     axis=-1)
-        c, i, parts = z[0].size, 0, []
-        metric = [(U * n ** power) @ U.conj().T for n, U in self.natural]
-        for M, m, (V, W) in zip(lay.M_list + (1,), metric + [np.ones((1, 1))],
-                                self.reflectors):
-            n, k = V.shape
-            q = np.eye(n, k) - W @ V[:k].conj().T            # Q1
-            s = z[i:i + M * n].reshape(M, n, c)
-            s = s - q @ (q.conj().T @ s)
-            parts.append((m @ s.reshape(M, -1)).reshape(M * n, c))
-            i += M * n
-        z = np.concatenate(parts).reshape(z.shape)
-        px, py = z[..., 0], z[..., 1].conj()
-        return np.concatenate([px[:o], py[:o], px[o:], py[o:]])
+        """P M^power x = T n^power T^H x for power 0, +1/2 or -1/2, with no
+        projector formed.  ``x`` is a vector or a matrix with D rows."""
+        cols = x.reshape(len(x), -1)
+        return self.to_space(self.to_reduced(cols, power)).reshape(x.shape)
 
     def projector(self) -> np.ndarray:
         """Dense D x D projector onto the response coordinates, built on
@@ -551,13 +554,6 @@ def sigma1(layout) -> np.ndarray:
     orb, nc = layout.orb, layout.n_conf
     u, cu = np.arange(orb), np.arange(2 * orb, 2 * orb + nc)
     return np.concatenate([u + orb, u, cu + nc, cu])
-
-
-def halves_index(layout):
-    """(x, y): the u/C_u indices of the response space and their Sigma1
-    partners in the v/C_v sectors, in the row order of the halves a, b."""
-    x = np.flatnonzero(sigma3(layout) > 0)
-    return x, sigma1(layout)[x]
 
 
 def sigma3(layout) -> np.ndarray:

@@ -9,46 +9,42 @@ organize its spectrum:
   eigenvector, so left vectors cost no second eigensolve.
 
 Sigma1 is applied as an index swap and Sigma3 as a sign vector.  L is
-kept as its RPA halves on range(P) (see ``ResponseMatrix``); the checks
-and the half-size solve below work on them, and the dense L is built only
-for the dense fallback.
+kept as its RPA halves a, b on range(P) (see ``ResponseMatrix``): with x =
+(u, C_u) and y = (v, C_v), L = T L_r T^H for the 2n x 2n reduced matrix
+L_r = [[a, b], [-b*, -a*]] and the isometry T of ``ResponseMatrix.to_space``.
+Both eigensolvers work on the halves, in the reduced coordinates, where
+Sigma3 is diag(1_n, -1_n) and Sigma1 swaps the halves.  The directions
+outside them (outside range(P), or along an empty natural orbital) are
+reported as exact zero eigenvalues, so the spectrum keeps all D entries.
 
 Retained modes are the positive-branch eigenvalues above the zero-mode
 threshold.  Each is normalized against the Sigma3 pseudo-metric; the sign
 of the pseudo-norm ("sng") fixes the left-vector normalization.  Only the
-right vectors R and sng are kept: the left vectors Sigma3 R sng and the
-negative partners (Sigma1 conj of both) derive from them, so the response
-weights and the driven first-order state are the products R^T v and R c
-(``LRSpectrum.right_transpose_times`` and ``right_times``).
+right vectors and sng are kept, as reduced vectors V with R = T V: the
+left vectors Sigma3 R sng and the negative partners (Sigma1 conj of both)
+derive from them, so the response weights and the driven first-order
+state are the products R^T v and R c (``LRSpectrum.right_transpose_times``
+and ``right_times``), each with a few columns through one ``to_reduced`` or
+``to_space``.  The D x k right vectors are built only when
+``LRSpectrum.right`` is read.
 
-Half-size reduction.  With x = (u, C_u) and y = (v, C_v), L has the RPA
-form [[A, B], [-B*, -A*]] with A = L[x, x] Hermitian and B = L[x, y]
-symmetric.  The assembly keeps them restricted to range(P) on x, whose
-complement is spanned by the analytic null vectors: A = B_P a B_P^H and
-B = B_P b B_P^T with the halves ``rm.a`` and ``rm.b``, real symmetric when
-L is real, and B_P the isometry onto range(P) that ``ResponseMatrix.lift``
-applies from its Householder factors.  With the Cholesky factor
-a - b = K K^T, the symmetric problem K^T (a + b) K z = w^2 z of half the
-size (only its lower triangle, which ``eigh`` reads, is formed) yields
-X + Y = K z / sqrt(w) and X - Y = (a + b)(X + Y) / w, so
-(X + Y).(X - Y) = z.z = 1: real Sigma3-normalized right vectors, sng = +1,
-partners at exactly -w, biorthogonal even inside degenerate clusters
-(Stratmann, Scuseria & Frisch, J. Chem. Phys. 109, 8218 (1998)).  The
-solve stops at the eigenvectors Z: the vectors stay factored as K, Z and
-w beside the halves (``RPAFactors``), and the weights and the reconstruction, which
-need only products R c and R^T v with a few columns, take them through
-the factors and one ``lift`` or ``pull``.  The D x n right vectors are
-built only when ``LRSpectrum.right`` is read.  The directions outside
-the response coordinates (outside range(P), or along an empty natural
-orbital) are reported as exact zero eigenvalues, so the spectrum keeps
-all D entries.
+Half-size reduction.  a is Hermitian and b symmetric, real when L is real.
+With the Cholesky factor a - b = K K^T, the symmetric problem
+K^T (a + b) K z = w^2 z of half the size (only its lower triangle, which
+``eigh`` reads, is formed) yields X + Y = K z / sqrt(w) and
+X - Y = (a + b)(X + Y) / w, so (X + Y).(X - Y) = z.z = 1: real
+Sigma3-normalized right vectors, sng = +1, partners at exactly -w,
+biorthogonal even inside degenerate clusters (Stratmann, Scuseria & Frisch,
+J. Chem. Phys. 109, 8218 (1998)).  The solve stops at the eigenvectors Z:
+V = [X; Y] stays factored as K, Z and w beside the halves (``RPAFactors``).
 
 The reduction is used when the halves are real arrays (the assembly
 decides realness once, from the problem; see ``linres_identical``), their
 Sigma3 defect is below 1e-9 max|L|, a - b and a + b are positive definite
 and every w lies above tol_zero.  Otherwise (a complex problem, an
-unstable state, an excitation at or below tol_zero) a dense eigensolve
-of L runs instead; there degenerate clusters are rotated to make the
+unstable state, an excitation at or below tol_zero) ``eig`` runs on the
+dense L_r and V is its 2n x k array of retained vectors
+(``ReducedVectors``); there degenerate clusters are rotated to make the
 pseudo-metric diagonal inside the cluster, which keeps biorthogonality
 exact under degeneracy.  The checks take max|L| = max(|a|, |b|) once
 (``ResponseMatrix.scale``) without |.| arrays; both CSV files are written
@@ -58,17 +54,18 @@ from one text table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy import linalg as sla     # LAPACK drivers, wrapped by profilers
 
 from .groundstate import GroundState
-from .linres_identical import (ResponseMatrix, _absmax, halves_index, sigma1,
-                              sigma3)
+from .linres_identical import ResponseMatrix, _absmax, sigma1, sigma3
 
 __all__ = [
     "LRSpectrum",
     "RPAFactors",
+    "ReducedVectors",
     "ResponseWeights",
     "Reconstruction",
     "eigensolve",
@@ -83,6 +80,11 @@ __all__ = [
 # relative bound on the symmetry defects below which L counts as exactly
 # paired for the half-size reduction
 SYMMETRY_TOL = 1e-9
+# dense path: an imaginary part above IM_TOL max|Re w| makes L unstable, and
+# retained eigenvalues within CLUSTER_TOL max(|w|, 1) form a degenerate
+# cluster
+IM_TOL = 1e-7
+CLUSTER_TOL = 1e-8
 
 
 def _real_matmul(A, c):
@@ -112,36 +114,52 @@ class RPAFactors:
         return _real_matmul(self.a, t) + _real_matmul(self.b, t)
 
     def times(self, c):
-        """((X + Y) c, (X - Y) c) for coefficient columns c (n, k)."""
+        """The 2n reduced rows [X c; Y c] for coefficient columns c (n, k)."""
         k = c.shape[1]
         s = np.hstack([c * self.omega[:, None] ** -0.5,
                        c * self.omega[:, None] ** -1.5])
         g = _real_matmul(self.K, _real_matmul(self.Z, s))
-        return g[:, :k], self._ab(g[:, k:])
+        plus, minus = g[:, :k], self._ab(g[:, k:])
+        return 0.5 * np.vstack([plus + minus, plus - minus])
 
-    def transpose_times(self, s, t):
-        """(X + Y)^T s + (X - Y)^T t for columns s, t (n, k)."""
-        k = s.shape[1]
-        g = _real_matmul(self.Z.T, _real_matmul(
-            self.K.T, np.hstack([s, self._ab(t)])))
+    def transpose_times(self, p):
+        """X^T p_x + Y^T p_y for the 2n reduced rows p = [p_x; p_y], as
+        (X + Y)^T s + (X - Y)^T t with s, t = (p_x +- p_y) / 2."""
+        n, k = len(self.K), p.shape[1]
+        g = _real_matmul(self.Z.T, _real_matmul(self.K.T, 0.5 * np.hstack(
+            [p[:n] + p[n:], self._ab(p[:n] - p[n:])])))
         return (g[:, :k] * self.omega[:, None] ** -0.5
                 + g[:, k:] * self.omega[:, None] ** -1.5)
+
+
+@dataclass(frozen=True)
+class ReducedVectors:
+    """Retained right vectors of the dense solve: the columns of V, 2n x k,
+    in the reduced coordinates; the same products as ``RPAFactors``."""
+
+    V: np.ndarray = field(repr=False)
+
+    def times(self, c):
+        return self.V @ c
+
+    def transpose_times(self, p):
+        return self.V.T @ p
 
 
 @dataclass
 class LRSpectrum:
     """Eigenvalues of L and the retained modes; per mode only the right
     vectors and ``sng`` are kept, the left and partner vectors derive by
-    Sigma3 and Sigma1.  The dense solve stores ``right``; the half-size
-    solve keeps ``factors`` and builds ``right`` from them on first
-    access.  ``right_times`` and ``right_transpose_times`` use whichever is
-    at hand, stored vectors first."""
+    Sigma3 and Sigma1.  The right vectors are R = T V (``to_space`` of the
+    response matrix) with V in the reduced coordinates: ``vectors`` holds V
+    as the factors of the half-size solve or as the array of the dense one,
+    and ``right_times`` and ``right_transpose_times`` take R through it."""
 
     rm: ResponseMatrix
     eigenvalues: np.ndarray = field(repr=False)       # all D, sorted by Re
     zero_modes: np.ndarray = None                     # indices into eigenvalues
     retained: np.ndarray = None                       # indices, positive branch
-    right: np.ndarray = field(default=None, repr=False)   # normalized columns
+    vectors: RPAFactors | ReducedVectors = field(default=None, repr=False)
     sng: np.ndarray = None
     sng_undefined: np.ndarray = None
     pairing: dict = field(default_factory=dict)
@@ -149,16 +167,20 @@ class LRSpectrum:
     reality_defect: float = 0.0
     unstable: bool = False
     tol_zero: float = 0.0
-    tol_im: float = 0.0
     eigensolver: str = "dense"            # "rpa", or "dense (<reason>)"
     sigma1_defect: float = 0.0            # max |Sigma1 L Sigma1 + conj(L)|
     sigma3_defect: float = 0.0            # max |Sigma3 L Sigma3 - adjoint(L)|
-    factors: RPAFactors = field(default=None, repr=False)
 
     @property
     def omega(self) -> np.ndarray:
         """Retained positive excitation energies (real parts)."""
         return self.eigenvalues[self.retained].real
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """Normalized right vectors of the retained modes as D x k columns,
+        R I, built on first access and kept."""
+        return self.right_times(np.eye(len(self.retained)))
 
     @property
     def left(self) -> np.ndarray:
@@ -171,60 +193,24 @@ class LRSpectrum:
         return self.right.conj()[sigma1(self.rm.layout)]
 
     def right_times(self, c: np.ndarray) -> np.ndarray:
-        """R c for coefficients ``c`` over the retained modes, a vector or
-        columns.  From the factors: the x rows of R are B_P X and the y
-        rows B_P Y, so R c is one ``lift`` of (X c, Y c)."""
-        if self._right is not None or self.factors is None:
-            return self.right @ c
-        cols = c.reshape(len(c), -1)
-        k = cols.shape[1]
-        plus, minus = self.factors.times(cols)
-        xy = self.rm.lift(0.5 * np.hstack([plus + minus, plus - minus]))
-        out = np.empty((self.rm.D, k), dtype=xy.dtype)
-        x, y = halves_index(self.rm.layout)
-        out[x], out[y] = xy[:, :k], xy[:, k:]
-        return out.reshape((self.rm.D,) + c.shape[1:])
+        """R c = T (V c) for coefficient columns ``c`` over the retained
+        modes."""
+        return self.rm.to_space(self.vectors.times(c))
 
     def right_transpose_times(self, v: np.ndarray) -> np.ndarray:
-        """R^T v for ``v`` over the response space, a vector or columns.
-        From the factors: with p_x, p_y the ``pull`` of the x and y rows of
-        v (B_P is real here), R^T v = X^T p_x + Y^T p_y."""
-        if self._right is not None or self.factors is None:
-            return self.right.T @ v
-        cols = v.reshape(len(v), -1)
-        k = cols.shape[1]
-        x, y = halves_index(self.rm.layout)
-        p = self.rm.pull(np.hstack([cols[x], cols[y]]))
-        px, py = p[:, :k], p[:, k:]
-        out = self.factors.transpose_times(0.5 * (px + py), 0.5 * (px - py))
-        return out.reshape((len(out),) + v.shape[1:])
-
-
-def _right(spec: LRSpectrum) -> np.ndarray:
-    """Normalized right vectors of the retained modes as columns; from the
-    factors they are R I, built on first access and kept."""
-    if spec._right is None and spec.factors is not None:
-        spec._right = spec.right_times(np.eye(len(spec.retained)))
-    return spec._right
-
-
-def _set_right(spec: LRSpectrum, value) -> None:
-    spec._right = value
-
-
-# ``right`` stays an init field of the dataclass (LRSpectrum(right=...))
-LRSpectrum.right = property(_right, _set_right, doc=_right.__doc__)
+        """R^T v = V^T conj(T^H conj(v)) for columns ``v`` over the response
+        space."""
+        p = self.rm.to_reduced(v.conj()).conj()
+        return self.vectors.transpose_times(p)
 
 
 def symmetry_defects(rm: ResponseMatrix) -> tuple:
     """(max |Sigma1 L Sigma1 + conj(L)|, max |Sigma3 L Sigma3 - adjoint(L)|).
 
-    Computed on the halves: the y rows of L are mirrors of its x rows, so
-    the Sigma1 defect is exactly 0 by construction.  The Sigma3 defect is
-    taken on range(P), in the reduced coordinates of the halves:
-    max(|a - adjoint(a)|, |b - transpose(b)|) is that of
-    Sigma3 L Sigma3 - adjoint(L) pulled back by the lift, and equals it
-    exactly when the lift embeds coordinates.
+    Computed on the halves: L = T L_r T^H mirrors its x rows into its y
+    rows, so the Sigma1 defect is exactly 0.  The Sigma3 defect is that of
+    L_r, max(|a - adjoint(a)|, |b - transpose(b)|): the dense one pulled
+    back by T, and equal to it when T embeds coordinates.
     """
     a, b = rm.a, rm.b
     return 0.0, max(_absmax(a - a.conj().T), _absmax(b - b.T))
@@ -234,9 +220,8 @@ class _NoReduction(Exception):
     """The half-size solve does not apply; the message says why."""
 
 
-def eigensolve(rm: ResponseMatrix, tol_zero: float | None = None,
-               tol_im: float | None = None,
-               cluster_tol: float | None = None) -> LRSpectrum:
+def eigensolve(rm: ResponseMatrix,
+               tol_zero: float | None = None) -> LRSpectrum:
     """Eigenpairs of L with pairing and biorthogonal bookkeeping.
 
     Uses the half-size RPA reduction where it applies and the dense
@@ -245,15 +230,15 @@ def eigensolve(rm: ResponseMatrix, tol_zero: float | None = None,
     """
     defects = symmetry_defects(rm)
     try:
-        spec = _eigensolve_rpa(rm, defects, tol_zero, tol_im)
+        spec = _eigensolve_rpa(rm, defects, tol_zero)
     except _NoReduction as exc:
-        spec = _eigensolve_dense(rm, tol_zero, tol_im, cluster_tol)
+        spec = _eigensolve_dense(rm, tol_zero)
         spec.eigensolver = f"dense ({exc})"
     spec.sigma1_defect, spec.sigma3_defect = defects
     return spec
 
 
-def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
+def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero):
     """Half-size symmetric solve on the lower triangle of K^T (a + b) K;
     raises _NoReduction where it does not apply."""
     # the assembly makes the halves real arrays exactly for a real problem
@@ -277,8 +262,6 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
         tol_zero = 1e-6 * max(omega[-1], 1.0)
     if omega[0] <= tol_zero:
         raise _NoReduction("an excitation at or below tol_zero")
-    if tol_im is None:
-        tol_im = 1e-7 * omega[-1]
 
     n = len(omega)
     w = np.zeros(D, dtype=complex)
@@ -289,8 +272,8 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, tol_im):
                       retained=retained, sng=np.ones(n),
                       sng_undefined=np.zeros(n, dtype=bool),
                       pairing={int(k): int(D - 1 - k) for k in retained},
-                      tol_zero=tol_zero, tol_im=tol_im, eigensolver="rpa",
-                      factors=RPAFactors(K, Z, omega, a, b))
+                      tol_zero=tol_zero, eigensolver="rpa",
+                      vectors=RPAFactors(K, Z, omega, a, b))
 
 
 def _lower_product(K, S) -> np.ndarray:
@@ -309,30 +292,29 @@ def _lower_product(K, S) -> np.ndarray:
     return out
 
 
-def _eigensolve_dense(rm: ResponseMatrix, tol_zero: float | None = None,
-                      tol_im: float | None = None,
-                      cluster_tol: float | None = None) -> LRSpectrum:
-    """Dense eigendecomposition of L; the reference for the reduced solve."""
-    w, V = sla.eig(rm.L)
+def _eigensolve_dense(rm: ResponseMatrix,
+                      tol_zero: float | None = None) -> LRSpectrum:
+    """Dense eigendecomposition of the 2n x 2n L_r, where Sigma3 is
+    diag(1_n, -1_n); the D - 2n directions outside the reduced coordinates
+    are exact zero eigenvalues.  The retained vectors stay reduced."""
+    w, V = sla.eig(rm.L_r)
+    w = np.concatenate([w, np.zeros(rm.D - len(w))]).astype(complex)
     order = np.lexsort((w.imag, w.real))
-    w, V = w[order].astype(complex), V[:, order]   # eig of a real L may give real w
+    w = w[order]
     scale = max(np.abs(w).max(), 1.0)
     if tol_zero is None:
         tol_zero = 1e-6 * scale
-    re_scale = max(np.abs(w.real).max(), 1e-30)
-    if tol_im is None:
-        tol_im = 1e-7 * re_scale
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * scale
+    tol_im = IM_TOL * max(np.abs(w.real).max(), 1e-30)
+    cluster_tol = CLUSTER_TOL * scale
 
     zero = np.where(np.abs(w) < tol_zero)[0]
     retained = np.where(w.real > tol_zero)[0]
     unstable = bool(np.any(np.abs(w.imag) > tol_im))
     reality_defect = float(np.abs(w[retained].imag).max()) if len(retained) else 0.0
 
-    signs = sigma3(rm.layout)[:, None]
+    signs = np.repeat([1.0, -1.0], len(V) // 2)[:, None]
 
-    R = V[:, retained]
+    R = V[:, order[retained]]
     wr = w[retained]
     # Sigma3-orthogonalize inside (near-)degenerate clusters
     i = 0
@@ -365,11 +347,11 @@ def _eigensolve_dense(rm: ResponseMatrix, tol_zero: float | None = None,
             pairing_residual = max(pairing_residual, float(cost[r, c]))
 
     return LRSpectrum(rm=rm, eigenvalues=w, zero_modes=zero,
-                      retained=retained, right=R, sng=sng,
+                      retained=retained, vectors=ReducedVectors(R), sng=sng,
                       sng_undefined=undef, pairing=pairing,
                       pairing_residual=pairing_residual,
                       reality_defect=reality_defect, unstable=unstable,
-                      tol_zero=tol_zero, tol_im=tol_im)
+                      tol_zero=tol_zero)
 
 
 def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
@@ -383,12 +365,12 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
     rm = spec.rm
     if expected_count is None:
         expected_count = rm.null_vectors.shape[1]
-    # the first half of the null vectors lives on the x rows: with zx = B^H
-    # Z[x], (L Z)[x] = B a zx and (L Z)[y] = -conj(B b conj(zx)), B an
-    # isometry; the Sigma1 mirrors in the second half swap x and y in L Z
-    Z, a, b = rm.null_vectors[:, :rm.null_vectors.shape[1] // 2], rm.a, rm.b
-    zx = rm.pull(Z[halves_index(rm.layout)[0]])
-    LZ = np.vstack([a @ zx, b @ zx.conj()])
+    # |L Z| = |L_r T^H Z|, T an isometry; the first half of the null vectors
+    # lives on the x rows, T^H Z = [zx; 0], and the Sigma1 mirrors in the
+    # second half have the same norms
+    Z = rm.null_vectors[:, :rm.null_vectors.shape[1] // 2]
+    zx = rm.to_reduced(Z)[:len(rm.a)]
+    LZ = np.vstack([rm.a @ zx, rm.b @ zx.conj()])
     Lnorm = max(rm.scale, 1.0)
     resid = np.linalg.norm(LZ, axis=0) / (np.linalg.norm(Z, axis=0) * Lnorm)
     report = {
@@ -491,12 +473,11 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
     c = np.stack([weights.gamma_plus / (omega - wr),
                   (weights.gamma_minus / (omega + wr)).conj()], axis=1)
     c[spec.sng_undefined] = 0
-    (u,), (v,), cu, cv = rm.layout.split(spec.right_times(c))
-    # M^(-1/2) on the kept natural orbitals, which span the lifted u and v
-    n, U = rm.natural[0]
-    m = (U * n ** -0.5) @ U.conj().T
-    dphi_m, dphi_p = m @ np.stack([u[..., 0] + v[..., 1].conj(),
-                                   v[..., 0].conj() + u[..., 1]])
+    # and the orbital parts take M^(-1/2): M^(-1/2) R c = T n^(-1/2) V c
+    (u,), (v,), cu, cv = rm.layout.split(
+        rm.to_space(spec.vectors.times(c), -0.5))
+    dphi_m = u[..., 0] + v[..., 1].conj()
+    dphi_p = v[..., 0].conj() + u[..., 1]
     dC_m = cu[:, 0] + cv[:, 1].conj()
     dC_p = cv[:, 0].conj() + cu[:, 1]
 

@@ -9,19 +9,24 @@ scatter (one table per ladder key, built configuration by configuration,
 applied with ``np.add.at``) is the reference for the compiled operator
 table.  A few direct-definition helpers that
 only tests use (exchange kernels, the single-entry density action, the
+density action of one ladder key on the compiled table, the
 coefficient-orbital rows summed directly, the orbital right-hand sides
-summed term by term, the first-quantized one- and two-body operators,
-the Lagrange multipliers recomputed from a state) live here as well,
-and so do the dense forms of the structural operator P M^p and of the
-projected, metric-transformed response matrix, the driving
+summed term by term or from one ``OrbitalRHS`` build, the
+first-quantized one- and two-body operators, the Lagrange multipliers
+recomputed from a state) live here as well, and so do the dense forms of
+the structural operator P M^p and of the projected, metric-transformed
+response matrix, the dense D x D eigensolve of that matrix that both
+eigensolver paths are checked against, the driving
 vectors written out separately for each particle kind, the per-mode sum
 of the driven response, the response weights and the driven response as
 products with the stored right vectors, and the per-field CSV writers of
 the spectrum.
-Layout, spectrum and reconstruction accessors that only tests read (the v
-slot of one orbital, the left vectors of the negative partners, the
+Layout, spectrum and reconstruction accessors that only tests read (the
+row indices of the halves, the v slot of one orbital, the left vectors of the negative partners, the
 expansion rows of the driven wavefunction) are functions here.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -114,6 +119,34 @@ def scatter(space, C, key):
     out = np.zeros(space.size, dtype=complex)
     np.add.at(out, dst, fac * np.asarray(C, dtype=complex)[src])
     return out
+
+
+def _apply_key(space, C, orbitals):
+    """Coefficient vector of one ladder key, (k, q) or (k, s, l, q), applied
+    to C as the key's slice of the compiled table ``space.table``."""
+    if not space.identical:
+        raise ValueError("density operators need an identical-particle space")
+    M = space.M
+    if not all(0 <= p < M for p in orbitals):
+        raise IndexError("orbital index out of range")
+    key = np.ravel_multi_index(orbitals, (M,) * len(orbitals))
+    key += M**2 if len(orbitals) == 4 else 0
+    t = space.table
+    e = slice(t.start[key], t.start[key + 1])
+    out = np.zeros(space.size, dtype=np.result_type(t.fac, C))
+    out[t.dst[e]] = t.fac[e] * np.asarray(C)[t.src[e]]
+    return out
+
+
+def apply_rho_kq(space, C, k, q):
+    """Coefficient vector of (c_k^dag c_q) |Psi>, from the compiled table."""
+    return _apply_key(space, C, (k, q))
+
+
+def apply_rho_kslq(space, C, k, s, l, q):
+    """Coefficient vector of (c_k^dag c_s^dag c_l c_q) |Psi>, from the
+    compiled table."""
+    return _apply_key(space, C, (k, s, l, q))
 
 
 def second_quantized(space, C, h, W=None):
@@ -338,6 +371,15 @@ def dist_orbital_rhs(space, sets, h_ops, coupling, C):
     return out
 
 
+def dist_orbital_rhs_plan(space, sets, h_ops, coupling, C, rho1,
+                          project=True):
+    """Per-DOF right-hand sides from one ``OrbitalRHS`` build and one
+    evaluation, as the solver takes them."""
+    rhs = gs.OrbitalRHS.distinguishable(space, [s.grid for s in sets], h_ops,
+                                        coupling, C, rho1)
+    return rhs([s.orbitals for s in sets], project)
+
+
 def config_coupling_matrix(coupling, sets, space):
     """<n|W|m> element by element."""
     Q = len(space.M_list)
@@ -479,6 +521,13 @@ def raw_blocks(state):
     return (*ld.build_oo_dist(state), *ld.build_oc_co_cc_dist(state))
 
 
+def halves_index(layout):
+    """(x, y): the u/C_u indices of the response space and their Sigma1
+    partners in the v/C_v sectors, in the row order of the halves a, b."""
+    x = np.flatnonzero(li.sigma3(layout) > 0)
+    return x, li.sigma1(layout)[x]
+
+
 def v_slice(layout, j, a):
     """Grid points of the v slot of orbital a of DOF j."""
     base = layout.v_block(j).start + a * layout.n_list[j]
@@ -551,6 +600,41 @@ def dense_L(rm):
     """P M^(-1/2) L_raw M^(-1/2) P with every factor a dense D x D matrix."""
     G = dense_PM(rm, -0.5)
     return G @ dense_raw(rm.layout, raw_blocks(rm.state)) @ G
+
+
+def full_eig(rm, tol_zero=None):
+    """Eigenpairs of the dense D x D ``rm.L`` from ``numpy.linalg.eig``, the
+    cross-check of both eigensolver paths, which solve in the reduced
+    coordinates.  Eigenvalues sorted by real part, then imaginary part; the
+    retained right vectors (real part above ``tol_zero``, by default 1e-6
+    max(|w|, 1)) made Sigma3-orthogonal inside clusters closer than 1e-8
+    max(|w|, 1) and Sigma3-normalized.  Returns the fields the weights
+    oracles read."""
+    w, V = np.linalg.eig(rm.L)
+    order = np.lexsort((w.imag, w.real))
+    w, V = w[order].astype(complex), V[:, order]
+    scale = max(np.abs(w).max(), 1.0)
+    if tol_zero is None:
+        tol_zero = 1e-6 * scale
+    retained = np.flatnonzero(w.real > tol_zero)
+    signs = li.sigma3(rm.layout)[:, None]
+    R, wr = V[:, retained], w[retained]
+    i = 0
+    while i < len(wr):
+        j = i + 1
+        while j < len(wr) and abs(wr[j] - wr[i]) <= 1e-8 * scale:
+            j += 1
+        block = R[:, i:j]
+        G = block.conj().T @ (signs * block)
+        R[:, i:j] = block @ np.linalg.eigh(0.5 * (G + G.conj().T))[1]
+        i = j
+    pseudo = np.einsum("ij,ij->j", R.conj(), signs * R).real
+    undef = np.abs(pseudo) < 1e-10
+    R[:, ~undef] /= np.sqrt(np.abs(pseudo[~undef]))
+    return SimpleNamespace(rm=rm, eigenvalues=w, retained=retained, right=R,
+                           zero_modes=np.flatnonzero(np.abs(w) < tol_zero),
+                           sng=np.where(undef, 0.0, np.sign(pseudo)),
+                           sng_undefined=undef)
 
 
 # --- driving vectors, written out per particle kind --------------------------

@@ -283,7 +283,7 @@ def test_criterion_11_fockspace_brute_force():
                         ref = perm @ lo.first_quantized_one_body(
                             M, N, stats, k, q, basis=basis) @ perm.T
                         mine = dense_of(lambda e, k=k, q=q:
-                                        fs.apply_rho_kq(sp, e, k, q))
+                                        lo.apply_rho_kq(sp, e, k, q))
                         scale = max(1.0, np.abs(ref).max())
                         worst = max(worst, np.abs(mine - ref).max() / scale)
 
@@ -296,7 +296,7 @@ def test_criterion_11_fockspace_brute_force():
                     ref = perm @ lo.first_quantized_two_body(
                         M, N, stats, k, s, l, q, basis=basis) @ perm.T
                     mine = dense_of(lambda e, a=(k, s, l, q):
-                                    fs.apply_rho_kslq(sp, e, *a))
+                                    lo.apply_rho_kslq(sp, e, *a))
                     scale = max(1.0, np.abs(ref).max())
                     worst = max(worst, np.abs(mine - ref).max() / scale)
     elapsed = time.monotonic() - t0

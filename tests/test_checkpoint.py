@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from mclr import checkpoint as ckpt
 from mclr import cli
@@ -81,3 +82,48 @@ def test_array_blob_roundtrip(tmp_path):
     for name, arr in arrays.items():
         assert np.array_equal(loaded[name], arr)
         assert loaded[name].dtype == arr.dtype
+
+
+
+@pytest.mark.parametrize("header", [{"kind": "identical"}, {"nokind": 1}])
+def test_bare_headers_are_corrupt(tmp_path, header):
+    path = tmp_path / "bare.ckpt"
+    ckpt.save_arrays(path, header, {})
+    with pytest.raises(ValueError, match="^corrupt checkpoint: "):
+        ckpt.load_state(path)
+
+
+DROP = "<drop the array>"
+
+# one entry of a written state checkpoint broken; the file keeps a valid
+# CRC, so only the reading of its header and arrays can refuse it
+BROKEN_ENTRIES = [
+    ("bos_m1", "grid", "64 points"),
+    ("bos_m1", "N", None),
+    ("bos_m1", "M", 2.5),
+    ("bos_m1", "energy", "low"),
+    ("bos_m1", "residuals", {"orb_residual": "small"}),
+    ("bos_m1", "residuals", 3),
+    ("bos_m1", "C", DROP),
+    ("bos_m1", "orbitals", DROP),
+    ("dist_11", "M_list", None),
+    ("dist_11", "grids", {"n_points": 48}),
+    ("dist_11", "grids", []),
+    ("dist_11", "orbitals_1", DROP),
+]
+
+
+@pytest.mark.parametrize("fixture, key, value", BROKEN_ENTRIES)
+def test_missing_or_ill_typed_entries_are_corrupt(tmp_path, request, fixture,
+                                                  key, value):
+    path = tmp_path / "state.ckpt"
+    ckpt.save_state(path, request.getfixturevalue(fixture))
+    header, arrays = ckpt.load_arrays(path)
+    del header["arrays"]
+    if value == DROP:
+        del arrays[key]
+    else:
+        header[key] = value
+    ckpt.save_arrays(path, header, arrays)
+    with pytest.raises(ValueError, match="^corrupt checkpoint: "):
+        ckpt.load_state(path)

@@ -399,6 +399,19 @@ def test_ground_resume_from_corrupt_checkpoint(tmp_path, tiny_checkpoint,
     assert "corrupt checkpoint" in err
 
 
+@pytest.mark.parametrize("header", [{"kind": "identical"}, {"nokind": 1}])
+def test_linres_refuses_checkpoint_without_header_keys(
+        tmp_path, tiny_checkpoint, header):
+    # a valid CRC over a header that lacks the state's entries
+    ck = tmp_path / "bare.ckpt"
+    ckpt_mod.save_arrays(ck, header, {})
+    code, err = _linres_quiet(tiny_checkpoint[0], ck, tmp_path)
+    assert code == 1
+    assert err.startswith("error: cannot load checkpoint")
+    assert "corrupt checkpoint: missing or ill-typed entry" in err
+    assert len(err.splitlines()) == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_linres_refuses_header_byte_flips(tmp_path_factory, tiny_checkpoint,

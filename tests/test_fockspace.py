@@ -53,8 +53,8 @@ def test_number_operator_on_condensate():
     sp = fs.enumerate_configs("boson", N=2, M=2)
     C = np.zeros(3, complex)
     C[sp.rank((2, 0))] = 1.0
-    assert np.allclose(fs.apply_rho_kq(sp, C, 1, 1), 0.0)
-    out = fs.apply_rho_kq(sp, C, 0, 0)
+    assert np.allclose(lo.apply_rho_kq(sp, C, 1, 1), 0.0)
+    out = lo.apply_rho_kq(sp, C, 0, 0)
     assert out[sp.rank((2, 0))] == pytest.approx(2.0)
 
 
@@ -64,7 +64,7 @@ def test_fermion_hop_sign():
     sp = fs.enumerate_configs("fermion", N=2, M=3)
     C = np.zeros(3, complex)
     C[sp.rank((1, 1, 0))] = 1.0
-    out = fs.apply_rho_kq(sp, C, 2, 0)
+    out = lo.apply_rho_kq(sp, C, 2, 0)
     val = out[sp.rank((0, 1, 1))]
     ref = lo.first_quantized_one_body(3, 2, "fermion", 2, 0)
     labels, _ = orc.symmetrized_basis(3, 2, "fermion")
@@ -80,18 +80,18 @@ def test_pair_move_ladder_factors():
     sp = fs.enumerate_configs("boson", N=2, M=2)
     C = np.zeros(3, complex)
     C[sp.rank((0, 2))] = 1.0
-    out = fs.apply_rho_kslq(sp, C, 0, 0, 1, 1)
+    out = lo.apply_rho_kslq(sp, C, 0, 0, 1, 1)
     assert out[sp.rank((2, 0))] == pytest.approx(2.0)
     C11 = np.zeros(3, complex)
     C11[sp.rank((1, 1))] = 1.0
-    assert np.allclose(fs.apply_rho_kslq(sp, C11, 0, 0, 1, 1), 0.0)
+    assert np.allclose(lo.apply_rho_kslq(sp, C11, 0, 0, 1, 1), 0.0)
 
 
 def test_two_body_annihilates_empty():
     sp = fs.enumerate_configs("boson", N=2, M=3)
     C = np.zeros(sp.size, complex)
     C[sp.rank((2, 0, 0))] = 1.0
-    assert np.allclose(fs.apply_rho_kslq(sp, C, 0, 0, 1, 1), 0.0)
+    assert np.allclose(lo.apply_rho_kslq(sp, C, 0, 0, 1, 1), 0.0)
 
 
 def test_fermion_double_annihilation_zero():
@@ -99,7 +99,7 @@ def test_fermion_double_annihilation_zero():
     for i in range(sp.size):
         C = np.zeros(sp.size, complex)
         C[i] = 1.0
-        assert np.allclose(fs.apply_rho_kslq(sp, C, 0, 0, 1, 1), 0.0)
+        assert np.allclose(lo.apply_rho_kslq(sp, C, 0, 0, 1, 1), 0.0)
 
 
 def test_reduced_densities_balanced_pair():
@@ -132,8 +132,8 @@ def test_hermitian_adjoint_pairing(seed):
     D = random_state_vector(sp.size, seed + 1)
     for k in range(3):
         for q in range(3):
-            lhs = np.vdot(C, fs.apply_rho_kq(sp, D, k, q))
-            rhs = np.conj(np.vdot(D, fs.apply_rho_kq(sp, C, q, k)))
+            lhs = np.vdot(C, lo.apply_rho_kq(sp, D, k, q))
+            rhs = np.conj(np.vdot(D, lo.apply_rho_kq(sp, C, q, k)))
             assert lhs == pytest.approx(rhs)
 
 
@@ -144,9 +144,9 @@ def test_commutator_identity(seed):
     sp = fs.enumerate_configs("boson", N=3, M=2)
     C = random_state_vector(sp.size, seed)
     k, q = 0, 1
-    a = fs.apply_rho_kq(sp, fs.apply_rho_kq(sp, C, q, k), k, q)
-    b = fs.apply_rho_kq(sp, fs.apply_rho_kq(sp, C, k, q), q, k)
-    rhs = fs.apply_rho_kq(sp, C, k, k) - fs.apply_rho_kq(sp, C, q, q)
+    a = lo.apply_rho_kq(sp, lo.apply_rho_kq(sp, C, q, k), k, q)
+    b = lo.apply_rho_kq(sp, lo.apply_rho_kq(sp, C, k, q), q, k)
+    rhs = lo.apply_rho_kq(sp, C, k, k) - lo.apply_rho_kq(sp, C, q, q)
     assert np.allclose(a - b, rhs, atol=1e-12)
 
 
@@ -245,10 +245,10 @@ def test_compiled_table_matches_per_key_scatter(case):
     assert _rel(one, ref_one) < 1e-13
     assert _rel(two, ref_two) < 1e-13
     for k, s, l, q in np.ndindex(M, M, M, M):
-        assert np.array_equal(fs.apply_rho_kslq(sp, C, k, s, l, q),
+        assert np.array_equal(lo.apply_rho_kslq(sp, C, k, s, l, q),
                               lo.scatter(sp, C, (k, s, l, q)))
     for k, q in np.ndindex(M, M):
-        assert np.array_equal(fs.apply_rho_kq(sp, C, k, q),
+        assert np.array_equal(lo.apply_rho_kq(sp, C, k, q),
                               lo.scatter(sp, C, (k, q)))
 
 

@@ -293,7 +293,8 @@ def test_linearization_derivative_dist(dist_grids, dist_h):
 
     def rhs(sets, C):
         rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
-        Bv = gs._dist_orbital_rhs(space, sets, st.h_ops, coupling, C, rho1)
+        Bv = lo.dist_orbital_rhs_plan(space, sets, st.h_ops, coupling, C,
+                                        rho1)
         from mclr.groundstate import _dist_hamiltonian
         H = _dist_hamiltonian(space, sets, st.h_ops, coupling)
         hc = H @ C

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from mclr import TwoBodyKernel, build_grid, position_operator
 from mclr.grid import diagonal_operator
@@ -309,14 +310,18 @@ def test_resolution_checks(spec_m2):
 
 def test_resolution_fails_with_truncated_modes(spec_m2):
     # dropping half the retained modes must leave an order-one defect; the
-    # left and partner vectors derive from right and sng, so they follow
-    half = len(spec_m2.retained) // 2
+    # right vectors derive from the reduced ones, the left and partner
+    # vectors from right and sng, so they all follow
+    n = len(spec_m2.retained)
+    half = n // 2
+    V = spec_m2.vectors.times(np.eye(n)[:, :half])
     trunc = dataclasses.replace(
         spec_m2, retained=spec_m2.retained[:half],
-        right=spec_m2.right[:, :half], sng=spec_m2.sng[:half],
+        vectors=spm.ReducedVectors(V), sng=spec_m2.sng[:half],
         sng_undefined=spec_m2.sng_undefined[:half])
     assert trunc.left.shape == lo.left_neg(trunc).shape \
         == (spec_m2.rm.D, half)
+    assert np.abs(trunc.right - spec_m2.right[:, :half]).max() < 1e-14
     rep = resolution_checks(trunc)
     assert rep["identity_defect"] > 0.1
 
@@ -409,7 +414,7 @@ def test_halves_are_assembled_on_range_of_P(fixture, request):
     assert lay.D - 2 * n == spm.expected_zero_modes(lay.M_list, lay.n_list, K)
     assert np.abs(rm.lift(rm.lift(np.eye(n)), adjoint=True)
                   - np.eye(n)).max() < 1e-13
-    x, _ = li.halves_index(lay)
+    x, _ = lo.halves_index(lay)
     BBh = rm.lift(rm.lift(np.eye(lay.D // 2), adjoint=True))
     assert np.abs(BBh - rm.projector()[np.ix_(x, x)]).max() < 1e-13
 
@@ -479,7 +484,7 @@ def test_symmetry_defects_match_dense_operators(layout):
     a, b = crandn(k, k), crandn(k, k)
     S1 = np.eye(layout.D)[li.sigma1(layout)]
     S3 = np.diag(li.sigma3(layout))
-    x, y = li.halves_index(layout)
+    x, y = lo.halves_index(layout)
     # reflectors (V, W) of Q = I - W V^H: W = 0 keeps Q = I
     embedding = [(np.eye(n, M), np.zeros((n, M))) for M, n in sizes]
     rotated = [li._reflectors(np.linalg.qr(crandn(n, n))[0][:M])
@@ -541,17 +546,55 @@ def test_scale_of_L_is_taken_once(bos_m2_48, monkeypatch):
     assert rm.scale == max(np.abs(rm.a).max(), np.abs(rm.b).max())
 
 
-def test_indefinite_a_minus_b_falls_back_to_dense(bos_m2_48):
-    # a - c I on range(P) is L - c Sigma3 P: it keeps both pairing
-    # symmetries and shifts the reduced A - B by -c; a c inside its
-    # spectrum leaves it indefinite
-    rm = li.assemble_L(bos_m2_48)
+def _shifted(rm):
+    """``rm`` with a - c I on range(P), which is L - c Sigma3 P: it keeps
+    both pairing symmetries and shifts the reduced A - B by -c; c, the
+    median of the spectrum of A - B, leaves it indefinite."""
     lam = np.linalg.eigvalsh(rm.a - rm.b)
-    shifted = dataclasses.replace(rm, a=rm.a - np.median(lam) * np.eye(len(rm.a)))
-    spec = spm.eigensolve(shifted)
+    return dataclasses.replace(rm, a=rm.a - np.median(lam) * np.eye(len(rm.a)))
+
+
+def test_indefinite_a_minus_b_falls_back_to_dense(bos_m2_48):
+    rm = li.assemble_L(bos_m2_48)
+    spec = spm.eigensolve(_shifted(rm))
     assert max(spec.sigma1_defect, spec.sigma3_defect) < 1e-12
     assert spec.eigensolver == "dense (A - B not positive definite)"
     assert len(spec.eigenvalues) == rm.D
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m3", "dist_44",
+                                     "bos_m2_complex_gauge", "shifted"])
+def test_eigensolve_matches_full_eig(fixture, request):
+    # both eigensolver paths solve in the reduced coordinates; the dense
+    # D x D eig of the built L is the cross-check: all D eigenvalues, the
+    # zero-mode census and |gamma+-| of modes without a degenerate partner
+    st = request.getfixturevalue("bos_m2_48" if fixture == "shifted"
+                                 else fixture)
+    rm = _assembled(st)
+    R = _dipole_probe(st, rm)
+    if fixture == "shifted":
+        rm = _shifted(rm)
+    spec = spm.eigensolve(rm)
+    assert spec.eigensolver.startswith(
+        "dense" if fixture in ("bos_m2_complex_gauge", "shifted") else "rpa")
+    full = lo.full_eig(rm, spec.tol_zero)
+    scale = np.abs(spec.eigenvalues).max()
+    # a complex pair w, conj(w) sorts by rounding of its real parts, so the
+    # eigenvalues are matched, not compared in order
+    cost = np.abs(spec.eigenvalues[:, None] - full.eigenvalues[None, :])
+    assert len(full.eigenvalues) == len(spec.eigenvalues) == rm.D
+    assert cost[linear_sum_assignment(cost)].max() < 1e-10 * scale
+    assert len(spec.zero_modes) == len(full.zero_modes)
+    np.testing.assert_array_equal(spec.retained, full.retained)
+    w = spm.response_weights(spec, R)
+    near = np.diff(spec.omega) < 1e-6 * scale
+    lone = np.ones(len(spec.retained), dtype=bool)
+    lone[:-1] &= ~near
+    lone[1:] &= ~near
+    assert lone.sum() > 40
+    for got, want in zip((w.gamma_plus, w.gamma_minus),
+                         lo.response_weights_right(full, R)):
+        assert np.abs(np.abs(got[lone]) - np.abs(want[lone])).max() < 1e-10
 
 
 # --- derived vectors, product weights and the loop-free sums -----------------
@@ -571,18 +614,20 @@ def test_derived_vectors_and_product_weights(fixture, request):
     rm = _assembled(st)
     spec = spm.eigensolve(rm)
     assert (spec.eigensolver == "rpa") == (fixture != "bos_m2_complex_gauge")
-    signs, perm = li.sigma3(rm.layout), li.sigma1(rm.layout)
-    R = spec.right
-    # the formulas the two eigensolvers used to store
-    if spec.eigensolver == "rpa":
-        left = signs[:, None] * R
-        stored = (left, R[perm], left[perm])
-    else:
-        left = signs[:, None] * R * spec.sng
-        stored = (left, R.conj()[perm], left.conj()[perm])
+    # one store on both paths: the reduced vectors V, with R = T V; Sigma3
+    # is diag(1, -1) and Sigma1 the swap of the halves in the reduced
+    # coordinates, and T commutes with both (up to the rounding of the
+    # lift, which can differ between columns)
+    n = len(spec.retained)
+    V = spec.vectors.times(np.eye(n))
+    assert V.shape == (2 * len(rm.a), n)
+    np.testing.assert_array_equal(spec.right, rm.to_space(V))
+    left = np.repeat([1.0, -1.0], len(rm.a))[:, None] * V * spec.sng
+    swap = np.roll(np.arange(2 * len(rm.a)), len(rm.a))
     for got, want in zip((spec.left, spec.right_neg, lo.left_neg(spec)),
-                         stored):
-        np.testing.assert_array_equal(got, want)
+                         (left, V.conj()[swap], left.conj()[swap])):
+        want = rm.to_space(want)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     probe = _dipole_probe(st, rm)
     w = spm.response_weights(spec, probe)
     assert np.abs(w.gamma_plus - -(probe @ spec.left.conj())).max() < 1e-13
@@ -678,7 +723,7 @@ def test_factored_products_match_right_oracles(config_problem):
     identical = isinstance(rm.state, gs.GroundState)
     rec = spm.reconstruct(spec, w, omega) if identical else None
     # the oracles read spec.right, which the products above left unbuilt
-    assert spec._right is None or spec.eigensolver != "rpa"
+    assert "right" not in vars(spec)
     for got, want in zip((w.gamma_plus, w.gamma_minus),
                          lo.response_weights_right(spec, R)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -709,7 +754,7 @@ def test_command_path_keeps_rpa_vectors_factored(tmp_path, bos_m2_48,
     spm.save_spectrum_csv(tmp_path / "spectrum.csv", spec, w,
                           weights_path=tmp_path / "weights.csv")
     spm.reconstruct(spec, w, 0.55)
-    assert spec._right is None
+    assert "right" not in vars(spec)
     assert widths and max(widths) <= 4 < len(spec.retained)
     # read on demand, the vectors are the factored ones and are kept
     assert spec.right.shape == (rm.D, len(spec.retained))
