@@ -14,7 +14,7 @@ from mclr import (OneBodyOperator, PairCoupling, build_grid,
                   harmonic_potential, kinetic_matrix)
 from mclr import fockspace as fs
 from mclr import groundstate as gs
-from mclr import linres_distinguishable as ld
+from mclr import linres_identical as li
 from mclr import oracle as orc
 from mclr import spectrum as spm
 
@@ -32,7 +32,7 @@ def main():
     for lam in (0.05, 0.1, 0.2, 0.4, 0.6):
         coupling = PairCoupling.bilinear(grids, 0, 1, lam)
         state = gs.solve_mch_dist(space, grids, h_ops, coupling)
-        spec = spm.eigensolve(ld.assemble_L_dist(state))
+        spec = spm.eigensolve(li.assemble_L(state))
         low = np.sort(spec.omega)[:2]
         ref = orc.coupled_oscillators_reference(lam)
         print(f"  {lam:.2f}   {low[0]:.8f}   {low[1]:.8f}   "

@@ -33,13 +33,13 @@ def main():
 
     print(f"# two bosons, contact strength {strength}, M = {M}")
     state = gs.solve_mchx(space, grid, h, kernel)
-    occ = state.natural_occupations().real
+    (occ,) = state.natural_occupations()
     print(f"ground energy      {state.energy:.10f}")
     print(f"natural occupations {np.array2string(occ, precision=6)}")
 
     rm = li.assemble_L(state)
     spec = spm.eigensolve(rm)
-    probe = li.PerturbationSpec(f_dag=position_operator(grid), omega=0.55)
+    probe = li.PerturbationSpec(f_dags=(position_operator(grid),), omega=0.55)
     weights = spm.response_weights(spec, li.build_R(state, probe, rm))
 
     exact = orc.exact_diag_grid(2, "boson", grid, h, kernel, n_states=8)

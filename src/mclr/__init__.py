@@ -6,8 +6,7 @@ from .grid import (Grid, OneBodyOperator, TwoBodyKernel, build_grid,
                    position_operator)
 from .fockspace import ConfigSpace, enumerate_configs, reduced_densities
 from .hamiltonian import OrbitalSet, PairCoupling, AllBodyTable
-from .groundstate import (GroundState, DistGroundState, SolverOptions,
-                          NonConvergenceError, solve_mchx, solve_mch_dist,
-                          propagate_check)
+from .groundstate import (GroundState, SolverOptions, NonConvergenceError,
+                          solve_mchx, solve_mch_dist, propagate_check)
 
 __version__ = "0.1.0"

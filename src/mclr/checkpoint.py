@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fockspace as fs
 from .grid import Grid, OneBodyOperator, TwoBodyKernel, build_grid
-from .groundstate import DistGroundState, GroundState
+from .groundstate import GroundState, _densities
 from .hamiltonian import AllBodyTable, OrbitalSet, PairCoupling
 
 MAGIC = b"MCLRCKPT"
@@ -111,70 +111,59 @@ def _grid_meta(grid: Grid) -> dict:
     return {"n_points": grid.n_points, "x_min": grid.x_min, "x_max": grid.x_max}
 
 
-def save_state(path, state) -> None:
-    if isinstance(state, GroundState):
-        header = {
-            "kind": "identical",
-            "statistics": state.space.statistics,
-            "N": state.space.N,
-            "M": state.space.M,
-            "grid": _grid_meta(state.grid),
-            "energy": state.energy,
-            "residuals": {k: v for k, v in state.residuals.items()
-                          if not isinstance(v, (list, np.ndarray))},
-            "kernel": {"kind": state.kernel.kind,
-                       "strength": state.kernel.strength,
-                       "width": state.kernel.width},
-        }
-        arrays = {
-            "orbitals": state.orbitals.orbitals,
-            "C": state.C,
-            "mu": state.mu,
-            "h_matrix": state.h_op.matrix,
-            "kernel_matrix": state.kernel_matrix,
-        }
-        if state.kernel.kind == "general":
-            arrays["kernel_table"] = state.kernel.table
-        save_arrays(path, header, arrays)
-        return
-    if isinstance(state, DistGroundState):
-        coupling = state.coupling
-        if coupling is None:
-            cmeta = {"type": "none"}
-            ctables = {}
-        elif isinstance(coupling, PairCoupling):
-            cmeta = {"type": "pair",
-                     "pairs": [[a, b] for a, b, _ in coupling.terms]}
-            ctables = {f"coupling_{i}": t for i, (_, _, t) in
-                       enumerate(coupling.terms)}
-        elif isinstance(coupling, AllBodyTable):
-            cmeta = {"type": "table"}
-            ctables = {"coupling_table": coupling.table}
-        else:
-            raise TypeError(f"cannot serialize coupling {type(coupling)!r}")
-        header = {
-            "kind": "distinguishable",
-            "statistics": "distinguishable",
-            "M_list": list(state.space.M_list),
-            "grids": [_grid_meta(g) for g in state.grids],
-            "energy": state.energy,
-            "residuals": {k: v for k, v in state.residuals.items()
-                          if not isinstance(v, (list, np.ndarray))},
-            "coupling": cmeta,
-        }
-        arrays = {}
-        for j, s in enumerate(state.sets):
-            arrays[f"orbitals_{j}"] = s.orbitals
-            arrays[f"mu_{j}"] = state.mu[j]
-            arrays[f"h_matrix_{j}"] = state.h_ops[j].matrix
-        arrays["C"] = state.C
-        arrays.update(ctables)
-        save_arrays(path, header, arrays)
-        return
-    raise TypeError(f"cannot serialize {type(state)!r}")
+def _grid(meta) -> Grid:
+    return build_grid(meta["n_points"], meta["x_min"], meta["x_max"])
 
 
-def load_state(path):
+def _array_name(space, base: str, j: int) -> str:
+    """Name of the array ``base`` of DOF j: bare for identical particles,
+    with the suffix _j for distinguishable DOFs."""
+    return base if space.identical else f"{base}_{j}"
+
+
+def _interaction_entries(state):
+    """(header entries, arrays) of the interaction: the kernel and its
+    matrix for identical particles, the coupling for distinguishable DOFs."""
+    it = state.interaction
+    if state.space.identical:
+        arrays = {"kernel_matrix": state.kernel_matrix}
+        if it.kind == "general":
+            arrays["kernel_table"] = it.table
+        return {"kernel": {"kind": it.kind, "strength": it.strength,
+                           "width": it.width}}, arrays
+    if it is None:
+        return {"coupling": {"type": "none"}}, {}
+    if isinstance(it, PairCoupling):
+        return ({"coupling": {"type": "pair",
+                              "pairs": [[a, b] for a, b, _ in it.terms]}},
+                {f"coupling_{i}": t for i, (_, _, t) in enumerate(it.terms)})
+    if isinstance(it, AllBodyTable):
+        return {"coupling": {"type": "table"}}, {"coupling_table": it.table}
+    raise TypeError(f"cannot serialize coupling {type(it)!r}")
+
+
+def save_state(path, state: GroundState) -> None:
+    space = state.space
+    if space.identical:
+        header = {"kind": "identical", "N": space.N, "M": space.M,
+                  "grid": _grid_meta(state.grids[0])}
+    else:
+        header = {"kind": "distinguishable", "M_list": list(space.M_list),
+                  "grids": [_grid_meta(g) for g in state.grids]}
+    entries, tables = _interaction_entries(state)
+    header.update(entries, statistics=space.statistics, energy=state.energy,
+                  residuals={k: v for k, v in state.residuals.items()
+                             if not isinstance(v, (list, np.ndarray))})
+    arrays = {}
+    for j, (s, mu, h) in enumerate(zip(state.sets, state.mu, state.h_ops)):
+        arrays[_array_name(space, "orbitals", j)] = s.orbitals
+        arrays[_array_name(space, "mu", j)] = mu
+        arrays[_array_name(space, "h_matrix", j)] = h.matrix
+    arrays["C"] = state.C
+    save_arrays(path, header, {**arrays, **tables})
+
+
+def load_state(path) -> GroundState:
     """The ground state of a checkpoint.  A header entry that is missing or
     of the wrong type, or a missing array, is refused as a corrupt file."""
     header, arrays = load_arrays(path)
@@ -192,52 +181,43 @@ def _residuals(header) -> dict:
     return res
 
 
-def _state(header, arrays):
-    if header["kind"] == "identical":
-        g = header["grid"]
-        grid = build_grid(g["n_points"], g["x_min"], g["x_max"])
-        N, M = header["N"], header["M"]
-        if not (isinstance(N, int) and isinstance(M, int)):
-            raise TypeError(f"N = {N!r} and M = {M!r} must be integers")
-        space = fs.enumerate_configs(header["statistics"], N=N, M=M)
-        kmeta = header["kernel"]
-        kernel = TwoBodyKernel(kind=kmeta["kind"], strength=kmeta["strength"],
-                               width=kmeta["width"],
-                               table=arrays.get("kernel_table"))
-        orbs = OrbitalSet(arrays["orbitals"], grid)
-        C = arrays["C"]
-        state = GroundState(
-            space=space, grid=grid,
-            h_op=OneBodyOperator(arrays["h_matrix"], hermitian=False),
-            kernel=kernel, kernel_matrix=arrays["kernel_matrix"],
-            orbitals=orbs, C=C, rho=fs.reduced_densities(space, C),
-            mu=arrays["mu"], energy=float(header["energy"]),
-            residuals=_residuals(header))
-        return state
-    if header["kind"] == "distinguishable":
-        grids = [build_grid(g["n_points"], g["x_min"], g["x_max"])
-                 for g in header["grids"]]
-        space = fs.enumerate_configs("distinguishable",
-                                     M_list=header["M_list"])
-        Q = len(grids)
-        if Q != len(space.M_list):
-            raise ValueError(f"{Q} grids for {len(space.M_list)} DOFs")
-        sets = [OrbitalSet(arrays[f"orbitals_{j}"], grids[j]) for j in range(Q)]
-        h_ops = [OneBodyOperator(arrays[f"h_matrix_{j}"], hermitian=False)
-                 for j in range(Q)]
-        mu = [arrays[f"mu_{j}"] for j in range(Q)]
-        cmeta = header["coupling"]
-        if cmeta["type"] == "none":
-            coupling = None
-        elif cmeta["type"] == "pair":
-            coupling = PairCoupling([(a, b, arrays[f"coupling_{i}"])
-                                     for i, (a, b) in enumerate(cmeta["pairs"])])
-        else:
-            coupling = AllBodyTable(arrays["coupling_table"])
-        C = arrays["C"]
-        rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
-        return DistGroundState(space=space, grids=grids, h_ops=h_ops,
-                               coupling=coupling, sets=sets, C=C, rho1=rho1,
-                               mu=mu, energy=float(header["energy"]),
-                               residuals=_residuals(header))
-    raise ValueError(f"unknown checkpoint kind {header['kind']!r}")
+def _coupling(meta, arrays):
+    if meta["type"] == "none":
+        return None
+    if meta["type"] == "pair":
+        return PairCoupling([(a, b, arrays[f"coupling_{i}"])
+                             for i, (a, b) in enumerate(meta["pairs"])])
+    return AllBodyTable(arrays["coupling_table"])
+
+
+def _state(header, arrays) -> GroundState:
+    kind, kernel_matrix = header["kind"], None
+    if kind == "identical":
+        grids = [_grid(header["grid"])]
+        space = fs.enumerate_configs(header["statistics"], N=header["N"],
+                                     M=header["M"])
+        k = header["kernel"]
+        interaction = TwoBodyKernel(kind=k["kind"], strength=k["strength"],
+                                    width=k["width"],
+                                    table=arrays.get("kernel_table"))
+        kernel_matrix = arrays["kernel_matrix"]
+    elif kind == "distinguishable":
+        grids = [_grid(g) for g in header["grids"]]
+        space = fs.enumerate_configs("distinguishable", M_list=header["M_list"])
+        if len(grids) != len(space.M_list):
+            raise ValueError(f"{len(grids)} grids for {len(space.M_list)} DOFs")
+        interaction = _coupling(header["coupling"], arrays)
+    else:
+        raise ValueError(f"unknown checkpoint kind {kind!r}")
+    Q = range(len(grids))
+    C = arrays["C"]
+    rho1, rho2 = _densities(space, C)
+    return GroundState(
+        space=space, grids=grids,
+        h_ops=[OneBodyOperator(arrays[_array_name(space, "h_matrix", j)],
+                               hermitian=False) for j in Q],
+        sets=[OrbitalSet(arrays[_array_name(space, "orbitals", j)], grids[j])
+              for j in Q],
+        C=C, rho1=rho1, mu=[arrays[_array_name(space, "mu", j)] for j in Q],
+        interaction=interaction, rho2=rho2, kernel_matrix=kernel_matrix,
+        energy=float(header["energy"]), residuals=_residuals(header))

@@ -13,7 +13,9 @@ propcheck real-time propagation diagnostics of the differential conditions
 
 Configs are flat INI files with sections [system], [grid], [trap],
 [interaction], [solver], [perturbation]; every output embeds the resolved
-config and its SHA-256 so runs can be reproduced bit for bit.
+config and its SHA-256 so runs can be reproduced bit for bit.  Unusable
+input and a ``ValueError`` of the library (say, ``propcheck`` on a state of
+distinguishable DOFs) are one ``error:`` line on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from . import fockspace as fs
 from . import grid as gr
 from . import groundstate as gs
 from . import hamiltonian as ham
-from . import linres_distinguishable as ld
 from . import linres_identical as li
 from . import oracle as orc
 from . import spectrum as spm
@@ -184,8 +185,7 @@ def _build_perturbation(cfg, state):
     if not cfg.has_section(sec):
         raise ConfigError("missing mandatory section [perturbation]")
     omega = float(_need(cfg, sec, "omega"))
-    identical = isinstance(state, gs.GroundState)
-    grids = [state.grid] if identical else state.grids
+    identical, grids = state.space.identical, state.grids
     f_ops = []
     for j, grid in enumerate(grids):
         kind = _per_dof(cfg, sec, "f_type", j, "none")
@@ -202,9 +202,7 @@ def _build_perturbation(cfg, state):
         g = ham.PairCoupling.bilinear(grids, a, b, g_strength)
     elif g_kind != "none":
         raise ConfigError(f"unknown pair probe {g_kind!r}")
-    if identical:
-        return li.PerturbationSpec(f_dag=f_ops[0], g_dag=g, omega=omega)
-    return ld.DistPerturbationSpec(f_dags=tuple(f_ops), g_dag=g, omega=omega)
+    return li.PerturbationSpec(f_dags=tuple(f_ops), g_dag=g, omega=omega)
 
 
 def _solve_from_config(cfg, statistics_override=None):
@@ -234,13 +232,10 @@ def _solve_from_config(cfg, statistics_override=None):
 def _print_state_summary(state, cfg_hash):
     print(f"# config sha256 {cfg_hash}")
     print(f"energy = {state.energy:.17g}")
-    occ = state.natural_occupations()
-    if isinstance(occ, list):
-        for j, o in enumerate(occ):
-            print(f"natural_occupations_{j + 1} = "
-                  + " ".join(f"{x.real:.12g}" for x in o))
-    else:
-        print("natural_occupations = " + " ".join(f"{x.real:.12g}" for x in occ))
+    for j, occ in enumerate(state.natural_occupations()):
+        label = "" if state.space.identical else f"_{j + 1}"
+        print(f"natural_occupations{label} = "
+              + " ".join(f"{x.real:.12g}" for x in occ))
     res = state.residuals
     print(f"orbital_residual = {res['orb_residual']:.3e}")
     if "scaled_orb_residual" in res:  # absent from older checkpoints
@@ -275,20 +270,15 @@ def cmd_linres(args):
     state = _load_checkpoint(args.checkpoint)
     res = state.residuals
     orb, coef = res.get("orb_residual", np.inf), res.get("c_residual", np.inf)
-    if orb > 1e-6 or coef > 1e-6:
+    if orb > gs.LINEARIZATION_TOL or coef > gs.LINEARIZATION_TOL:
         raise ConfigError(f"checkpoint is not converged (orbital residual "
                           f"{orb:.3e}, coefficient residual {coef:.3e}); "
                           "refusing to linearize")
     cfg, text = _load_config(args.config)
     cfg_hash = _config_hash(text)
     pert = _build_perturbation(cfg, state)
-
-    if isinstance(state, gs.GroundState):
-        rm = li.assemble_L(state)
-        R = li.build_R(state, pert, rm)
-    else:
-        rm = ld.assemble_L_dist(state)
-        R = ld.build_R_dist(state, pert, rm)
+    rm = li.assemble_L(state)
+    R = li.build_R(state, pert, rm)
 
     spec = spm.eigensolve(rm, tol_zero=args.tol_zero)
     zrep = spm.classify_zero_modes(spec, expected_count=spm.expected_zero_modes(
@@ -302,13 +292,12 @@ def cmd_linres(args):
     spm.save_spectrum_csv(out_dir / "spectrum.csv", spec, weights, header,
                           weights_path=out_dir / "weights.csv")
 
-    reconstruction_note = None
-    if isinstance(state, gs.GroundState):
-        try:
-            rec = spm.reconstruct(spec, weights, pert.omega)
-            spm.save_reconstruction(out_dir / "reconstruction.ckpt", rec)
-        except ValueError as exc:
-            reconstruction_note = str(exc)
+    try:
+        rec = spm.reconstruct(spec, weights, pert.omega)
+        spm.save_reconstruction(out_dir / "reconstruction.ckpt", rec)
+        reconstruction = f"reconstruction = {out_dir / 'reconstruction.ckpt'}"
+    except ValueError as exc:
+        reconstruction = f"reconstruction_skipped = {exc}"
 
     print(f"# config sha256 {cfg_hash}")
     print(f"dimension = {rm.D}")
@@ -329,10 +318,7 @@ def cmd_linres(args):
                          {"kind": "response_matrix", "D": rm.D},
                          {"L": rm.L, "P": rm.projector(), "R": R})
         print(f"matrix_dump = {out_dir / 'response_matrix.ckpt'}")
-    if reconstruction_note:
-        print(f"reconstruction_skipped = {reconstruction_note}")
-    elif isinstance(state, gs.GroundState):
-        print(f"reconstruction = {out_dir / 'reconstruction.ckpt'}")
+    print(reconstruction)
     print(f"spectrum_csv = {out_dir / 'spectrum.csv'}")
     return EXIT_OK
 
@@ -361,7 +347,7 @@ def cmd_oracle(args):
             ref = orc.coupled_oscillators_reference(
                 float(_need(cfg, "interaction", "strength")))
         state = _solve_from_config(cfg)
-        rm = ld.assemble_L_dist(state)
+        rm = li.assemble_L(state)
         spec = spm.eigensolve(rm)
         low = np.sort(spec.omega)[:2]
         print("mode  reference      computed       abs_diff")
@@ -371,9 +357,9 @@ def cmd_oracle(args):
         return EXIT_OK
     if which == "bdg":
         state = _solve_from_config(cfg)
-        lam = state.kernel.strength
-        bdg = orc.bdg_reference(state.grid, state.h_op, lam, state.space.N,
-                                condensate=state.orbitals.orbitals[0])
+        bdg = orc.bdg_reference(state.grids[0], state.h_ops[0],
+                                state.interaction.strength, state.space.N,
+                                condensate=state.sets[0].orbitals[0])
         rm = li.assemble_L(state)
         spec = spm.eigensolve(rm)
         low = np.sort(spec.omega)[:5]
@@ -415,9 +401,6 @@ def cmd_propcheck(args):
         raise ConfigError(f"--perturb must be a non-negative finite number, "
                           f"got {args.perturb}")
     state = _load_checkpoint(args.checkpoint)
-    if not isinstance(state, gs.GroundState):
-        raise ConfigError("propagation check supports identical-particle "
-                          "checkpoints only")
     if args.perturb > 0:
         state = gs.perturbed_state(state, args.perturb, seed=args.seed)
     diag = gs.propagate_check(state, args.dt, args.steps,
@@ -467,7 +450,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except gs.NonConvergenceError as exc:

@@ -92,7 +92,12 @@ def _boson_configs(N, M):
 
 def enumerate_configs(statistics: str, N: int | None = None, M: int | None = None,
                       M_list=None) -> ConfigSpace:
-    """Enumerate the configuration basis for the given statistics."""
+    """Enumerate the configuration basis for the given statistics.  N, M
+    and every entry of M_list are integers (a bool is not one)."""
+    for n in (N, M, *(M_list or ())):
+        if n is not None and (isinstance(n, bool)
+                              or not isinstance(n, (int, np.integer))):
+            raise ValueError(f"configuration counts must be integers, got {n!r}")
     if statistics in ("boson", "fermion"):
         if N is None or M is None:
             raise ValueError("identical particles need N and M")
@@ -280,11 +285,6 @@ class ReducedDensities:
     def __init__(self, rho1, rho2=None):
         self.rho1 = rho1
         self.rho2 = rho2
-
-    def natural_occupations(self):
-        if isinstance(self.rho1, list):
-            return [np.sort(np.linalg.eigvalsh(r))[::-1] for r in self.rho1]
-        return np.sort(np.linalg.eigvalsh(self.rho1))[::-1]
 
 
 def reduced_densities(space: ConfigSpace, C: np.ndarray) -> ReducedDensities:

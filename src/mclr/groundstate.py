@@ -48,16 +48,24 @@ two orbital residuals are below ``tol_orb``: ``orb_residual`` = max_k ||B_k||
 and ``scaled_orb_residual`` = max_k ||(U^dag B)_k|| / n_k over the natural
 orbitals with occupation n_k above the density floor. ||B_k|| scales with
 n_k, so the first alone would pass weakly occupied orbitals early.
+
+Both solvers return one ``GroundState``: per DOF a grid, a one-body
+operator, an orbital set, a one-body density and the multipliers mu, with
+identical particles the one-DOF case (Beck, Jaeckle, Worth & Meyer, Phys.
+Rep. 324, 1 (2000)).  Only the interaction differs in kind: a
+``TwoBodyKernel`` with its discretized matrix and the two-body density for
+identical particles, a ``PairCoupling``, ``AllBodyTable`` or None across
+distinguishable DOFs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fockspace as fs
-from .fockspace import ConfigSpace, ReducedDensities
+from .fockspace import ConfigSpace
 from .grid import Grid, OneBodyOperator, TwoBodyKernel, discretize_kernel
 from . import hamiltonian as ham
 from .hamiltonian import OrbitalSet
@@ -65,20 +73,21 @@ from .hamiltonian import OrbitalSet
 __all__ = [
     "SolverOptions",
     "GroundState",
-    "DistGroundState",
     "NonConvergenceError",
     "solve_mchx",
     "solve_mch_dist",
     "propagate_check",
     "perturbed_state",
     "orbital_eom_rhs",
-    "regularized_inverse",
 ]
 
 # density floor as a fraction of tr rho, shared with the response metric:
 # natural orbitals below it are empty; the solver floors them in rho^-1, and
 # the response coordinates (``linres_identical``) leave them out
 FLOOR_FRACTION = 1e-10
+# largest stationarity residual (orbital and coefficient) of a state that
+# the response is linearized about
+LINEARIZATION_TOL = 1e-6
 
 
 class NonConvergenceError(RuntimeError):
@@ -102,41 +111,44 @@ class SolverOptions:
 
 @dataclass
 class GroundState:
-    """Converged stationary state of identical particles."""
-
-    space: ConfigSpace
-    grid: Grid
-    h_op: OneBodyOperator
-    kernel: TwoBodyKernel
-    kernel_matrix: np.ndarray = field(repr=False)
-    orbitals: OrbitalSet = None
-    C: np.ndarray = field(default=None, repr=False)
-    rho: ReducedDensities = None
-    mu: np.ndarray = field(default=None, repr=False)
-    energy: float = 0.0
-    residuals: dict = field(default_factory=dict)
-
-    def natural_occupations(self):
-        return self.rho.natural_occupations()
-
-
-@dataclass
-class DistGroundState:
-    """Converged stationary state of distinguishable degrees of freedom."""
+    """Converged stationary state, one entry per DOF in ``grids``,
+    ``h_ops``, ``sets`` (``OrbitalSet``), ``rho1`` and ``mu``; identical
+    particles are the one-DOF case.  ``interaction`` is a ``TwoBodyKernel``
+    for identical particles, whose ``rho2`` and ``kernel_matrix`` are None
+    otherwise, and a ``PairCoupling``, ``AllBodyTable`` or None across
+    distinguishable DOFs."""
 
     space: ConfigSpace
     grids: list
     h_ops: list
-    coupling: object
-    sets: list = None
-    C: np.ndarray = field(default=None, repr=False)
-    rho1: list = None
-    mu: list = None
+    sets: list
+    C: np.ndarray = field(repr=False)
+    rho1: list = field(repr=False)
+    mu: list = field(repr=False)
+    interaction: object = None
+    rho2: np.ndarray = field(default=None, repr=False)
+    kernel_matrix: np.ndarray = field(default=None, repr=False)
     energy: float = 0.0
     residuals: dict = field(default_factory=dict)
 
     def natural_occupations(self):
+        """Natural occupations of each DOF, in descending order."""
         return [np.sort(np.linalg.eigvalsh(r))[::-1] for r in self.rho1]
+
+
+def _densities(space: ConfigSpace, C: np.ndarray):
+    """(per-DOF one-body densities, two-body density or None) of C."""
+    rd = fs.reduced_densities(space, C)
+    return ([rd.rho1], rd.rho2) if space.identical else (rd.rho1, None)
+
+
+def _require_converged(state, tol=LINEARIZATION_TOL):
+    for name in ("orb_residual", "c_residual"):
+        res = state.residuals.get(name)
+        if res is None or res > tol:
+            raise ValueError(
+                f"stationarity residual {name} = {res} above {tol}: the "
+                "expansion point must satisfy the static equations")
 
 
 def _hermitian_eigh(mat):
@@ -146,12 +158,6 @@ def _hermitian_eigh(mat):
 
 def _floored_inverse(vals, vecs, floor):
     return (vecs * np.maximum(vals, floor) ** -1.0) @ vecs.conj().T
-
-
-def regularized_inverse(mat: np.ndarray, floor: float) -> np.ndarray:
-    """Inverse of the Hermitian part of ``mat`` with its eigenvalues lifted
-    to ``floor``."""
-    return _floored_inverse(*_hermitian_eigh(mat), floor)
 
 
 class OrbitalRHS:
@@ -215,11 +221,6 @@ def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=True):
     """
     rhs = OrbitalRHS.identical(grid, h_op, kernel_matrix, rho)
     return rhs([orbs.orbitals], project)[0]
-
-
-def _mu_matrix(grid, orbs, g_unprojected):
-    """mu_kq = <phi_q| g_k >, the Lagrange multipliers of the stationary set."""
-    return grid.weight * (g_unprojected @ orbs.orbitals.conj().T)
 
 
 def _ci_eigenpair(H, v0=None):
@@ -338,11 +339,12 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
     ``sets`` is the list of per-DOF orbital sets (one for identical
     particles). ``ci(sets, C)`` returns (energy, C, H), H anything that
     applies the configuration Hamiltonian with ``@``; ``plan(C)`` returns
-    (rho, rhs), the densities of C and its ``OrbitalRHS``. The step, the
-    mixing, the backtracking and the stopping test are those of the module
-    docstring. One plan serves an outer iteration: the convergence check,
-    whose B the first step reuses, and every step of its blocks. The
-    eigenpair that accepted a trial is the next iteration's.
+    (rho2, rhs), the two-body density of C (None for distinguishable DOFs)
+    and its ``OrbitalRHS``. The step, the mixing, the backtracking and the
+    stopping test are those of the module docstring. One plan serves an
+    outer iteration: the convergence check, whose B the first step reuses,
+    and every step of its blocks. The eigenpair that accepted a trial is
+    the next iteration's.
     """
     tau = opts.tau
     K = _kinetic_preconditioners(h_eigs, tau)
@@ -368,7 +370,7 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
 
     for outer in range(opts.max_iter):
         eps, C, H = found
-        rho, rhs = plan(C)
+        rho2, rhs = plan(C)
         B = rhs([s.orbitals for s in sets])
         orb_res = max(s.grid.norm(b) for s, Bj in zip(sets, B) for b in Bj)
         natural = [_hermitian_eigh(r) for r in rhs.rho1]
@@ -434,7 +436,7 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
         "tol_orb": opts.tol_orb,
         "tol_c": opts.tol_c,
     }
-    return sets, eps, C, rho, rhs, residuals
+    return sets, eps, C, rho2, rhs, residuals
 
 
 def solve_mchx(space: ConfigSpace, grid: Grid, h_op: OneBodyOperator,
@@ -457,15 +459,27 @@ def solve_mchx(space: ConfigSpace, grid: Grid, h_op: OneBodyOperator,
 
     def plan(C):
         rho = fs.reduced_densities(space, C)
-        return rho, OrbitalRHS.identical(grid, h_op, kernel_matrix, rho)
+        return rho.rho2, OrbitalRHS.identical(grid, h_op, kernel_matrix, rho)
 
-    (orbs,), energy, C, rho, rhs, residuals = _self_consistent(
-        space, [orbs], [h_eig], opts, FLOOR_FRACTION * space.N, ci, plan)
-    mu = _mu_matrix(grid, orbs, rhs([orbs.orbitals], project=False)[0])
-    residuals["mu_defect"] = float(np.abs(mu - mu.conj().T).max())
-    return GroundState(space=space, grid=grid, h_op=h_op, kernel=kernel,
-                       kernel_matrix=kernel_matrix, orbitals=orbs, C=C,
-                       rho=rho, mu=mu, energy=energy, residuals=residuals)
+    return _stationary_state(space, [h_op], kernel, kernel_matrix, [orbs],
+                             [h_eig], opts, FLOOR_FRACTION * space.N, ci, plan)
+
+
+def _stationary_state(space, h_ops, interaction, kernel_matrix, sets, h_eigs,
+                      opts, floor, ci, plan) -> GroundState:
+    """``_self_consistent`` from ``sets``, then the state with the
+    multipliers mu_kq = <phi_q|g_k> of each DOF, g the unprojected
+    right-hand side, and their hermiticity defect ``mu_defect``."""
+    sets, energy, C, rho2, rhs, residuals = _self_consistent(
+        space, sets, h_eigs, opts, floor, ci, plan)
+    raw = rhs([s.orbitals for s in sets], project=False)
+    mu = [s.grid.weight * (g @ s.orbitals.conj().T) for s, g in zip(sets, raw)]
+    residuals["mu_defect"] = max(float(np.abs(m - m.conj().T).max()) for m in mu)
+    return GroundState(space=space, grids=[s.grid for s in sets],
+                       h_ops=list(h_ops), sets=sets, C=C, rho1=rhs.rho1, mu=mu,
+                       interaction=interaction, rho2=rho2,
+                       kernel_matrix=kernel_matrix, energy=energy,
+                       residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +498,7 @@ def _dist_hamiltonian(space, sets, h_ops, coupling):
 
 
 def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
-                   opts: SolverOptions | None = None) -> DistGroundState:
+                   opts: SolverOptions | None = None) -> GroundState:
     """Self-consistent stationary state for coupled distinguishable DOFs."""
     if space.identical:
         raise ValueError("distinguishable spaces only; see solve_mchx")
@@ -500,37 +514,37 @@ def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
 
     def plan(C):
         rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
-        return rho1, OrbitalRHS.distinguishable(space, grids, h_ops, coupling,
+        return None, OrbitalRHS.distinguishable(space, grids, h_ops, coupling,
                                                 C, rho1)
 
-    sets, energy, C, rho1, rhs, residuals = _self_consistent(
-        space, sets, h_eigs, opts, FLOOR_FRACTION, ci, plan)
-    raw = rhs([s.orbitals for s in sets], project=False)
-    mu = [grids[j].weight * (raw[j] @ sets[j].orbitals.conj().T) for j in range(Q)]
-    residuals["mu_defect"] = max(float(np.abs(m - m.conj().T).max()) for m in mu)
-    return DistGroundState(space=space, grids=list(grids), h_ops=list(h_ops),
-                           coupling=coupling, sets=sets, C=C, rho1=rho1, mu=mu,
-                           energy=energy, residuals=residuals)
+    return _stationary_state(space, h_ops, coupling, None, sets, h_eigs, opts,
+                             FLOOR_FRACTION, ci, plan)
 
 
 # ---------------------------------------------------------------------------
 # real-time propagation check
 
 
+def _propagation_needs_identical(state):
+    if not state.space.identical:
+        raise ValueError("propagation check supports identical-particle "
+                         "checkpoints only")
+
+
 def perturbed_state(state: GroundState, eta: float, seed: int = 0) -> GroundState:
     """Copy of the state with a small random, properly normalized distortion."""
+    _propagation_needs_identical(state)
     rng = np.random.default_rng(seed)
-    phi = state.orbitals.orbitals
+    (orbs,) = state.sets
+    phi = orbs.orbitals
     noise = rng.standard_normal(phi.shape) + 1j * rng.standard_normal(phi.shape)
-    orbs = OrbitalSet(phi + eta * noise, state.grid).orthonormalized()
+    orbs = OrbitalSet(phi + eta * noise, orbs.grid).orthonormalized()
     dc = rng.standard_normal(state.C.shape) + 1j * rng.standard_normal(state.C.shape)
     C = state.C + eta * dc
     C = C / np.linalg.norm(C)
-    rho = fs.reduced_densities(state.space, C)
-    return GroundState(space=state.space, grid=state.grid, h_op=state.h_op,
-                       kernel=state.kernel, kernel_matrix=state.kernel_matrix,
-                       orbitals=orbs, C=C, rho=rho, mu=None,
-                       energy=np.nan, residuals=dict(state.residuals))
+    rho1, rho2 = _densities(state.space, C)
+    return replace(state, sets=[orbs], C=C, rho1=rho1, rho2=rho2, mu=None,
+                   energy=np.nan, residuals=dict(state.residuals))
 
 
 def propagate_check(state: GroundState, dt: float, n_steps: int,
@@ -539,11 +553,13 @@ def propagate_check(state: GroundState, dt: float, n_steps: int,
 
     Returns the maxima over all steps of |<phi_k|dphi_q/dt>|, |C^dag dC/dt|,
     |<Psi|dPsi/dt>|, and the orthonormality/norm drifts.  Steps are rejected
-    if the coefficient norm drifts beyond 1e-6.
+    if the coefficient norm drifts beyond 1e-6.  rho^-1 is floored at
+    ``FLOOR_FRACTION`` tr rho, as in the solver.
     """
-    space, grid = state.space, state.grid
-    h_op, km = state.h_op, state.kernel_matrix
-    floor = 1e-12
+    _propagation_needs_identical(state)
+    space, (grid,), (h_op,) = state.space, state.grids, state.h_ops
+    km = state.kernel_matrix
+    floor = FLOOR_FRACTION * space.N
 
     def h_elems(orbs):
         h = ham.one_body_elements(orbs, h_op)
@@ -554,7 +570,7 @@ def propagate_check(state: GroundState, dt: float, n_steps: int,
         orbs = OrbitalSet(phi_mat, grid)
         rho = fs.reduced_densities(space, C)
         B = orbital_eom_rhs(grid, orbs, h_op, km, rho)
-        rho_inv = regularized_inverse(rho.rho1, floor)
+        rho_inv = _floored_inverse(*_hermitian_eigh(rho.rho1), floor)
         phi_dot = -1j * (rho_inv @ B)
         h, W = h_elems(orbs)
         hc = fs.apply_second_quantized(space, C, h, W)
@@ -563,7 +579,7 @@ def propagate_check(state: GroundState, dt: float, n_steps: int,
         c_dot = -1j * hc
         return phi_dot, c_dot, rho
 
-    phi = state.orbitals.orbitals.copy()
+    phi = state.sets[0].orbitals.copy()
     C = state.C.copy()
     diag = {"orb_diff_cond": 0.0, "coeff_diff_cond": 0.0, "full_diff_cond": 0.0,
             "orthonormality_drift": 0.0, "norm_drift": 0.0}

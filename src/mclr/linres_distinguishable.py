@@ -1,73 +1,57 @@
-"""Response-matrix assembly for Q coupled distinguishable degrees of freedom.
+"""Response-matrix blocks for Q coupled distinguishable degrees of freedom.
 
 The response vector stacks u-amplitudes of every DOF (u^1 .. u^Q, each DOF
 contributing M_j orbital slots on its own grid), then the v partners, then
 C_u and C_v; D = 2 (sum_j M_j n_j + N_conf).
 
-Structure mirrors the identical-particle case with two differences rooted
-in distinguishability: the diagonal (same-DOF) u-blocks carry no exchange
-term at all, the diagonal v-blocks are exactly zero, and exchange-like
-couplings appear only between different degrees of freedom.  Every coupling
-term is contracted against the reduced density of the DOFs that it and the
-block touch (at most three for Q <= 3; a cross-DOF block whose pair term
-touches neither of its DOFs needs four).  All-body tables are contracted
-against the coefficient tensor itself, so the all-body density
-conj(C_n) C_m is still never stored.  The driving vector gathers the
-per-DOF probes, the mean fields and configuration matrix of the all-body
-probe, and leaves the rows to the skeleton shared with identical particles.
+These are the raw blocks and the pair-probe ingredients of the one
+``GroundState`` with distinguishable DOFs; ``linres_identical.assemble_L``
+and ``build_R`` take them for such a state and share everything else
+(layout, projector, metric, driving-vector skeleton) with identical
+particles, the one-DOF case.  The blocks differ from the identical-particle
+ones in two ways rooted in distinguishability: the diagonal (same-DOF)
+u-blocks carry no exchange term at all, the diagonal v-blocks are exactly
+zero, and exchange-like couplings appear only between different degrees of
+freedom.  Every coupling term is contracted against the reduced density of
+the DOFs that it and the block touch (at most three for Q <= 3; a cross-DOF
+block whose pair term touches neither of its DOFs needs four).  All-body
+tables are contracted against the coefficient tensor itself, so the
+all-body density conj(C_n) C_m is still never stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from . import fockspace as fs
 from . import hamiltonian as ham
-from .groundstate import DistGroundState
+from . import linres_identical as li
+from .groundstate import GroundState, _dist_hamiltonian, _require_converged
 from .hamiltonian import PairCoupling
-from .linres_identical import (ResponseLayout, ResponseMatrix, _cc_block,
-                              _driving_vector, _require_converged,
-                              _response_matrix)
 
 __all__ = [
-    "DistPerturbationSpec",
     "build_oo_dist",
     "build_oc_co_cc_dist",
-    "assemble_L_dist",
-    "build_R_dist",
+    "pair_probe_dist",
 ]
 
 
-@dataclass(frozen=True)
-class DistPerturbationSpec:
-    """Per-DOF one-body probes, optional all-body probe, frequency > 0."""
-
-    f_dags: tuple = ()
-    g_dag: object = None
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("static probes (omega <= 0) need a separate treatment")
-
-
-def _layout(state) -> ResponseLayout:
-    return ResponseLayout(tuple(state.space.M_list),
+def _layout(state) -> li.ResponseLayout:
+    return li.ResponseLayout(tuple(state.space.M_list),
                           tuple(g.n_points for g in state.grids),
                           state.space.size)
 
 
 def _dtype(state):
     """float64 for a real problem, complex128 if any input is complex."""
-    tables = [] if state.coupling is None else ham._terms(state.coupling)
+    tables = [] if state.interaction is None else ham._terms(state.interaction)
     return np.result_type(state.C, *state.mu, *(s.orbitals for s in state.sets),
                           *(h.matrix for h in state.h_ops), *(t for _, t in tables))
 
 
-def build_oo_dist(state: DistGroundState):
+def build_oo_dist(state: GroundState):
     """Orbital-orbital block: (A, B) over the stacked per-DOF u/v sectors.
 
     Diagonal DOF blocks of A are rho^j h^j - mu^j + Omega^j with no exchange
@@ -96,22 +80,22 @@ def build_oo_dist(state: DistGroundState):
         diag = np.arange(n)
         np.multiply(rho[:, None, :, None], h[None, :, None, :], out=blk)
         blk[:, diag, :, diag] -= mu
-        if state.coupling is not None:
-            om = ham.mean_fields_dist(space, C, state.sets, state.coupling, j)
+        if state.interaction is not None:
+            om = ham.mean_fields_dist(space, C, state.sets, state.interaction, j)
             blk[:, diag, :, diag] += om.transpose(2, 0, 1)
 
-    if state.coupling is None:
+    if state.interaction is None:
         return A, B
 
     # cross-DOF exchange-like couplings, one contraction per coupling term;
     # in the labels of ham._term_operands the (j, k) block of A is indexed
     # (n_j, x_j, m_k, x_k) and that of B (n_j, x_j, n_k, x_k)
     Ct = C.reshape(space.M_list)
-    pairwise = isinstance(state.coupling, PairCoupling)
+    pairwise = isinstance(state.interaction, PairCoupling)
     for j, k in permutations(range(Q), 2):
         blk = (layout.u_block(j), layout.u_block(k))
         X, Y = 2 * Q + j, 2 * Q + k
-        for dofs, table in ham._terms(state.coupling):
+        for dofs, table in ham._terms(state.interaction):
             if pairwise:
                 U = sorted({j, k, *dofs})
                 dens = [fs.dist_reduced_density(space, C, U),
@@ -127,7 +111,7 @@ def build_oo_dist(state: DistGroundState):
     return A, B
 
 
-def build_oc_co_cc_dist(state: DistGroundState):
+def build_oc_co_cc_dist(state: GroundState):
     """(Loc_u, Loc_v, Lco_u, Lco_v, cc_u) in the stacked layout.
 
     The coefficient-orbital rows are the adjoint / transpose partners of
@@ -150,9 +134,9 @@ def build_oc_co_cc_dist(state: DistGroundState):
         # the one-body part acts like a term touching only DOF j, with
         # h|phi> in place of |phi>
         pieces = [((j,), [], scaled[j] @ state.h_ops[j].matrix.T)]
-        if state.coupling is not None:
+        if state.interaction is not None:
             pieces += [(dofs, ham._term_operands(dofs, t, scaled, keep=(j,)),
-                        scaled[j]) for dofs, t in ham._terms(state.coupling)]
+                        scaled[j]) for dofs, t in ham._terms(state.interaction)]
         for dofs, ops, orb in pieces:
             if j not in dofs:                   # such a term keeps n_j = m_j
                 ops = ops + [np.eye(Mj), [j, Q + j]]
@@ -168,45 +152,19 @@ def build_oc_co_cc_dist(state: DistGroundState):
                 Ct, [Q + l if l in dofs else l for l in range(Q)], *ops,
                 np.eye(Mj), [P, j], [P, X, *range(Q)]).reshape(-1, layout.n_conf)
 
-    from .groundstate import _dist_hamiltonian
-    H = _dist_hamiltonian(space, state.sets, state.h_ops, state.coupling)
-    return Loc_u, Loc_v, Loc_u.conj().T, Loc_v.T, _cc_block(H, C)
+    H = _dist_hamiltonian(space, state.sets, state.h_ops, state.interaction)
+    return Loc_u, Loc_v, Loc_u.conj().T, Loc_v.T, li._cc_block(H, C)
 
 
-def assemble_L_dist(state: DistGroundState) -> ResponseMatrix:
-    """Full metric-transformed, projected response matrix for Q DOFs."""
-    blocks = (*build_oo_dist(state), *build_oc_co_cc_dist(state))
-    rho1s = [0.5 * (r + r.conj().T) for r in state.rho1]
-    return _response_matrix(state, blocks, [s.scaled for s in state.sets],
-                            rho1s)
+def pair_probe_dist(state: GroundState, g):
+    """Per-DOF mean fields and configuration action of the all-body probe
+    ``g``, a ``PairCoupling`` or ``AllBodyTable``."""
+    sets = state.sets
+    om = [ham.mean_fields_dist(state.space, state.C, sets, g, j)
+          for j in range(len(sets))]
+    G = ham.config_coupling_matrix(g, sets, state.space)
 
+    def c2(x, transpose):
+        return (G.T if transpose else G) @ x
 
-def build_R_dist(state: DistGroundState, pert: DistPerturbationSpec,
-                 rm: ResponseMatrix | None = None) -> np.ndarray:
-    """Projected driving vector for per-DOF one-body probes and an all-body
-    probe: their mean fields and actions on C, for ``_driving_vector``."""
-    _require_converged(state)
-    if rm is None:
-        rm = assemble_L_dist(state)
-    space, sets = state.space, state.sets
-    f_dags = pert.f_dags or (None,) * len(sets)
-    om, c1, c2 = [None] * len(sets), None, None
-    if any(f is not None for f in f_dags):
-        h_list = [np.zeros((len(s.scaled),) * 2) if f is None
-                  else ham.one_body_elements(s, f) for s, f in zip(sets, f_dags)]
-
-        def c1(x, transpose):
-            return fs.apply_hamiltonian_dist(
-                space, x, [h.T for h in h_list] if transpose else h_list)
-
-    if pert.g_dag is not None:
-        om = [ham.mean_fields_dist(space, state.C, sets, pert.g_dag, j)
-              for j in range(len(sets))]
-        G = ham.config_coupling_matrix(pert.g_dag, sets, space)
-
-        def c2(x, transpose):
-            return (G.T if transpose else G) @ x
-
-    return _driving_vector(rm, [s.scaled for s in sets],
-                           [None if f is None else f.matrix for f in f_dags],
-                           om, c1, c2)
+    return om, c2

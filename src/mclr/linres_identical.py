@@ -1,11 +1,15 @@
-"""Assembly of the linear-response matrix for identical bosons and fermions.
+"""Assembly of the linear-response matrix of a ``GroundState``, for
+identical bosons and fermions and for distinguishable DOFs.
 
 The response space stacks, in this order, the orbital response amplitudes
 u_1..u_M, their partners v_1..v_M, and the coefficient amplitudes C_u, C_v;
-its total dimension is D = 2 (M n_points + N_conf).  This is the one-DOF
-case of ``ResponseLayout``; the distinguishable assembly uses the same
-layout, the projector, metric and block-product code and the driving-vector
-skeleton ``_driving_vector`` below, with its own ingredients plugged in.
+its total dimension is D = 2 (M n_points + N_conf) for identical
+particles, the one-DOF case of ``ResponseLayout``.  ``assemble_L`` and
+``build_R`` serve both kinds: the raw blocks and the pair-probe ingredients
+come from the builders of the state's kind (identical particles here,
+distinguishable DOFs in ``linres_distinguishable``), and the layout, the
+projector, metric and block-product code and the driving-vector skeleton
+``_driving_vector`` are shared.
 
 Inside this module orbital entries live in the scaled convention
 phi~ = sqrt(dx) phi, which turns quadrature sums into plain dot products.
@@ -59,8 +63,9 @@ import numpy as np
 
 from . import fockspace as fs
 from . import hamiltonian as ham
-from .grid import OneBodyOperator, TwoBodyKernel, discretize_kernel
-from .groundstate import FLOOR_FRACTION, GroundState
+from . import linres_distinguishable as ld
+from .grid import discretize_kernel
+from .groundstate import FLOOR_FRACTION, GroundState, _require_converged
 
 __all__ = [
     "ResponseLayout",
@@ -136,10 +141,13 @@ class ResponseLayout:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Driving fields: one-body probe, optional pair probe, frequency > 0."""
+    """Driving fields: one one-body probe per DOF in ``f_dags`` (None for
+    an unprobed DOF; empty for none at all), an optional pair probe
+    ``g_dag`` (a ``TwoBodyKernel`` for identical particles, a
+    ``PairCoupling`` or ``AllBodyTable`` across DOFs), frequency > 0."""
 
-    f_dag: OneBodyOperator | None = None
-    g_dag: TwoBodyKernel | None = None
+    f_dags: tuple = ()
+    g_dag: object = None
     omega: float = 1.0
 
     def __post_init__(self):
@@ -166,7 +174,8 @@ class ResponseMatrix:
     ``to_reduced`` apply T, B U on x and conj(B U) on y, on all 2n reduced
     coordinates, and ``L`` and ``project`` are built on them.  The
     projector is T T^H, which is P where no orbital is empty, and the
-    metric powers are U n^(+-1/2) U^H.
+    metric powers are U n^(+-1/2) U^H.  ``state`` is the ``GroundState``
+    the response is linearized about, of either particle kind.
     """
 
     layout: ResponseLayout
@@ -287,15 +296,6 @@ class ResponseMatrix:
         return self.project(np.eye(self.D))
 
 
-def _require_converged(state, tol=1e-6):
-    for name in ("orb_residual", "c_residual"):
-        res = state.residuals.get(name)
-        if res is None or res > tol:
-            raise ValueError(
-                f"stationarity residual {name} = {res} above {tol}: the "
-                "expansion point must satisfy the static equations")
-
-
 def _absmax(x) -> float:
     """max |x|; for a real x as max(max x, -min x), without an |x| array."""
     return float(np.abs(x).max() if np.iscomplexobj(x) else max(x.max(), -x.min()))
@@ -307,11 +307,9 @@ def _hermitized(mat):
 
 def _ingredients(state):
     """Scaled orbitals plus the hermitized density/multiplier matrices."""
-    phi = state.orbitals.scaled
-    rho1 = _hermitized(state.rho.rho1)
-    mu = _hermitized(state.mu)
-    h = state.h_op.matrix
-    return phi, rho1, state.rho.rho2, mu, h
+    (orbs,), (rho1,), (mu,), (h_op,) = (state.sets, state.rho1, state.mu,
+                                        state.h_ops)
+    return orbs.scaled, _hermitized(rho1), state.rho2, _hermitized(mu), h_op.matrix
 
 
 def build_oo_block(state: GroundState):
@@ -334,7 +332,7 @@ def build_oo_block(state: GroundState):
     A = np.einsum("kq,xy->kxqy", rho1, h) - np.einsum("kq,xy->kxqy", mu, eye)
     B = np.zeros_like(A)
     if km is not None and np.any(km):
-        w = ham.local_potentials(state.orbitals, km)         # (s, l, x)
+        w = ham.local_potentials(state.sets[0], km)          # (s, l, x)
         om = np.einsum("kslq,slx->kqx", rho2, w)
         # exchange kernels, scaled convention
         K1 = np.einsum("lx,xy,sy->slxy", phi, km, phi.conj())   # K_sl
@@ -378,7 +376,7 @@ def build_oc_co_blocks(state: GroundState):
     Loc_u = np.einsum("qx,qkc->kxc", h_phi, one.conj())
     Loc_v = np.einsum("qx,kqc->kxc", h_phi, one)
     if km is not None and np.any(km):
-        w = ham.local_potentials(state.orbitals, km)         # (s, l, x)
+        w = ham.local_potentials(state.sets[0], km)          # (s, l, x)
         wphi = w[:, :, None] * phi                           # (s, l, q, x)
         Loc_u += ham._einsum("slqx,qlskc->kxc", wphi, two.conj())
         Loc_v += ham._einsum("slqx,kslqc->kxc", wphi, two)
@@ -394,7 +392,7 @@ def build_cc_block(state: GroundState):
     """
     _require_converged(state)
     return _cc_block(ham.hamiltonian_matrix(
-        state.space, state.orbitals, state.h_op, state.kernel_matrix), state.C)
+        state.space, state.sets[0], state.h_ops[0], state.kernel_matrix), state.C)
 
 
 def _cc_block(H, C):
@@ -432,11 +430,10 @@ def _null_vectors(layout, phis, C) -> np.ndarray:
     return np.hstack([Z, Z.conj()[sigma1(layout)]])
 
 
-def _response_matrix(state, blocks, phis, rho1s) -> ResponseMatrix:
+def _response_matrix(state, blocks) -> ResponseMatrix:
     """Projector, metric and L from the raw ``blocks`` (A, B, Loc_u, Loc_v,
-    Lco_u, Lco_v, cc_u), for one DOF per entry of ``phis`` (scaled orbitals)
-    and ``rho1s`` (hermitized one-body densities); identical particles are
-    the one-DOF case.
+    Lco_u, Lco_v, cc_u), one DOF per orbital set of ``state``; identical
+    particles are the one-DOF case.
 
     A natural orbital of DOF j is kept when its occupation is at least
     FLOOR_FRACTION tr rho_j (FLOOR_FRACTION N for identical particles,
@@ -444,6 +441,8 @@ def _response_matrix(state, blocks, phis, rho1s) -> ResponseMatrix:
     metric, and the directions it would carry leave delta Psi unchanged
     (Beck, Jaeckle, Worth & Meyer, Phys. Rep. 324, 1 (2000)).
     """
+    phis = [s.scaled for s in state.sets]
+    rho1s = [_hermitized(r) for r in state.rho1]
     C = state.C
     # the one realness decision of the response layer (module docstring)
     if not any(np.iscomplexobj(m) and np.any(m.imag)
@@ -483,12 +482,18 @@ def _block2(out, top_left, top_right, bottom_left, bottom_right):
     return out
 
 
+def _raw_blocks(state: GroundState):
+    """(A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u) from the block builders of
+    the particle kind."""
+    if state.space.identical:
+        return (*build_oo_block(state), *build_oc_co_blocks(state),
+                build_cc_block(state))
+    return (*ld.build_oo_dist(state), *ld.build_oc_co_cc_dist(state))
+
+
 def assemble_L(state: GroundState) -> ResponseMatrix:
     """Full metric-transformed, projected response matrix."""
-    blocks = (*build_oo_block(state), *build_oc_co_blocks(state),
-              build_cc_block(state))
-    return _response_matrix(state, blocks, [state.orbitals.scaled],
-                            [_hermitized(state.rho.rho1)])
+    return _response_matrix(state, _raw_blocks(state))
 
 
 def _driving_vector(rm: ResponseMatrix, phis, F, om, c1, c2) -> np.ndarray:
@@ -519,34 +524,48 @@ def _driving_vector(rm: ResponseMatrix, phis, F, om, c1, c2) -> np.ndarray:
 def build_R(state: GroundState, pert: PerturbationSpec,
             rm: ResponseMatrix | None = None) -> np.ndarray:
     """Projected driving vector P [M^(+1/2) S1 + M^(-1/2) S2] of the
-    one-body probe f (S1) and the pair probe g (S2): the mean fields
-    rho2 . W_g and the second-quantized actions on C, for ``_driving_vector``.
-    """
+    one-body probes f_j (S1) and the pair probe g (S2): their actions on C
+    and the mean fields of g, for ``_driving_vector``."""
     _require_converged(state)
+    space, sets = state.space, state.sets
+    f_dags = pert.f_dags or (None,) * len(sets)
+    if len(f_dags) != len(sets):
+        raise ValueError(f"{len(f_dags)} one-body probes for {len(sets)} DOFs")
     if rm is None:
         rm = assemble_L(state)
-    space, phi = state.space, state.orbitals.scaled
-    F = om = c1 = c2 = None
-    if pert.f_dag is not None:
-        F = pert.f_dag.matrix
-        f_mat = ham.one_body_elements(state.orbitals, pert.f_dag)
+    om, c1, c2 = [None] * len(sets), None, None
+    if any(f is not None for f in f_dags):
+        mats = [np.zeros((len(s.scaled),) * 2) if f is None
+                else ham.one_body_elements(s, f) for s, f in zip(sets, f_dags)]
 
         def c1(x, transpose):
-            return fs.apply_second_quantized(
-                space, x, f_mat.T if transpose else f_mat)
+            m = [h.T for h in mats] if transpose else mats
+            if space.identical:
+                return fs.apply_second_quantized(space, x, m[0])
+            return fs.apply_hamiltonian_dist(space, x, m)
 
-    if pert.g_dag is not None and pert.g_dag.kind != "none":
-        G = discretize_kernel(state.grid, pert.g_dag)
-        gloc = ham.local_potentials(state.orbitals, G)        # (s, l, x)
-        om = np.einsum("kslq,slx->kqx", state.rho.rho2, gloc)
-        gt = ham.two_body_tensor(state.orbitals, G)
-        zero = np.zeros((len(phi),) * 2)
+    if pert.g_dag is not None:
+        om, c2 = (_pair_probe if space.identical else ld.pair_probe_dist)(
+            state, pert.g_dag)
+    return _driving_vector(rm, [s.scaled for s in sets],
+                           [None if f is None else f.matrix for f in f_dags],
+                           om, c1, c2)
 
-        def c2(x, transpose):
-            return fs.apply_second_quantized(
-                space, x, zero, gt.transpose(3, 2, 1, 0) if transpose else gt)
 
-    return _driving_vector(rm, [phi], [F], [om], c1, c2)
+def _pair_probe(state, g):
+    """Mean fields rho2 . W_g and configuration action of the pair probe
+    ``g``, a ``TwoBodyKernel``, on identical particles."""
+    (orbs,), space = state.sets, state.space
+    G = discretize_kernel(orbs.grid, g)
+    gloc = ham.local_potentials(orbs, G)                     # (s, l, x)
+    gt = ham.two_body_tensor(orbs, G)
+    zero = np.zeros((len(gt),) * 2)
+
+    def c2(x, transpose):
+        return fs.apply_second_quantized(
+            space, x, zero, gt.transpose(3, 2, 1, 0) if transpose else gt)
+
+    return [np.einsum("kslq,slx->kqx", state.rho2, gloc)], c2
 
 
 def sigma1(layout) -> np.ndarray:

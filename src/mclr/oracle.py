@@ -285,7 +285,7 @@ def bdg_reference(grid: Grid, h_op: OneBodyOperator, contact_lambda: float,
         space = fs.enumerate_configs("boson", N=N, M=1)
         kern = TwoBodyKernel("contact", strength=contact_lambda)
         state = solve_mchx(space, grid, h_op, kern, opts or SolverOptions())
-        condensate = state.orbitals.orbitals[0]
+        condensate = state.sets[0].orbitals[0]
     phi_t = np.sqrt(grid.weight) * np.asarray(condensate)   # unit vector
     dens = np.abs(condensate) ** 2                          # |phi(x)|^2
     n = grid.n_points

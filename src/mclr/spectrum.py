@@ -59,7 +59,6 @@ from functools import cached_property
 import numpy as np
 from numpy import linalg as sla     # LAPACK drivers, wrapped by profilers
 
-from .groundstate import GroundState
 from .linres_identical import ResponseMatrix, _absmax, sigma1, sigma3
 
 __all__ = [
@@ -455,7 +454,7 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
     """Sum the driven response over retained modes at probe frequency omega."""
     rm = spec.rm
     state = rm.state
-    if not isinstance(state, GroundState):
+    if not state.space.identical:
         raise ValueError("reconstruction supports identical-particle states only")
     wr = spec.eigenvalues[spec.retained].real
     hit = np.where(np.abs(omega - wr) < resonance_tol)[0]
@@ -481,10 +480,11 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
     dC_m = cu[:, 0] + cv[:, 1].conj()
     dC_p = cv[:, 0].conj() + cu[:, 1]
 
-    root_dx = np.sqrt(state.grid.weight)
+    (grid,) = state.grids
+    root_dx = np.sqrt(grid.weight)
     return Reconstruction(omega=omega, dphi_minus=dphi_m / root_dx,
                           dphi_plus=dphi_p / root_dx, dC_minus=dC_m,
-                          dC_plus=dC_p, grid=state.grid, state=state)
+                          dC_plus=dC_p, grid=grid, state=state)
 
 
 def save_reconstruction(path, rec: Reconstruction, t: float = 0.0) -> None:

@@ -3,6 +3,8 @@
 Ground-state solves are session-scoped; tests treat them as read-only.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,17 +119,16 @@ def bos_m2_complex_gauge(bos_m2):
     rng = np.random.default_rng(42)
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     U, _ = np.linalg.qr(z)
-    rot = ham.OrbitalSet(U.conj().T @ st.orbitals.orbitals, st.grid)
+    rot = ham.OrbitalSet(U.conj().T @ st.sets[0].orbitals, st.grids[0])
     energy, C, _ = gs._ci_eigenpair(
-        ham.hamiltonian_matrix(st.space, rot, st.h_op, st.kernel_matrix))
+        ham.hamiltonian_matrix(st.space, rot, st.h_ops[0], st.kernel_matrix))
     rho = fs.reduced_densities(st.space, C)
-    g_unp = gs.orbital_eom_rhs(st.grid, rot, st.h_op, st.kernel_matrix, rho,
-                               project=False)
-    mu = gs._mu_matrix(st.grid, rot, g_unp)
-    return gs.GroundState(space=st.space, grid=st.grid, h_op=st.h_op,
-                          kernel=st.kernel, kernel_matrix=st.kernel_matrix,
-                          orbitals=rot, C=C, rho=rho, mu=mu,
-                          energy=energy, residuals=dict(st.residuals))
+    g_unp = gs.orbital_eom_rhs(st.grids[0], rot, st.h_ops[0],
+                               st.kernel_matrix, rho, project=False)
+    mu = st.grids[0].weight * (g_unp @ rot.orbitals.conj().T)
+    return dataclasses.replace(st, sets=[rot], C=C, rho1=[rho.rho1],
+                               rho2=rho.rho2, mu=[mu], energy=energy,
+                               residuals=dict(st.residuals))
 
 
 def random_state_vector(size, seed):

@@ -34,7 +34,6 @@ from scipy.linalg import block_diag
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
-from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
 from mclr.grid import discretize_kernel
 from mclr.hamiltonian import AllBodyTable, PairCoupling
@@ -240,7 +239,7 @@ def co_blocks_direct(state):
     one, two = li._mapped_vectors(state)
     interacting = km is not None and np.any(km)
     if interacting:
-        w = ham.local_potentials(state.orbitals, km)
+        w = ham.local_potentials(state.sets[0], km)
 
     Lco_u = np.zeros((nc, layout.orb), dtype=complex)
     Lco_v = np.zeros((nc, layout.orb), dtype=complex)
@@ -450,8 +449,8 @@ def oo_dist_diagonal(state, j):
     mu = 0.5 * (state.mu[j] + state.mu[j].conj().T)
     h = state.h_ops[j].matrix
     om = ham.mean_fields_dist(state.space, state.C, state.sets,
-                              state.coupling, j) \
-        if state.coupling is not None else None
+                              state.interaction, j) \
+        if state.interaction is not None else None
     out = np.zeros((M * n, M * n), dtype=complex)
     for a in range(M):
         for b in range(M):
@@ -476,7 +475,8 @@ def build_oo_cross(state):
             for i_n, nvec in enumerate(space.configs):
                 for i_m, mvec in enumerate(space.configs):
                     w = C[i_n].conjugate() * C[i_m]
-                    t = _reduced_pair(state.coupling, scaled, nvec, mvec, j, k)
+                    t = _reduced_pair(state.interaction, scaled, nvec, mvec,
+                                      j, k)
                     left = w * scaled[j][mvec[j]][:, None] * t
                     row = layout.u_slice(j, nvec[j])
                     A[row, layout.u_slice(k, mvec[k])] += \
@@ -501,9 +501,10 @@ def loc_blocks(state):
                 col = np.zeros(layout.n_list[j], dtype=complex)
                 if all(nvec[l] == mvec[l] for l in range(Q) if l != j):
                     col += h_phi[mvec[j]]
-                if state.coupling is not None:
-                    col += partial_coupling(state.coupling, state.sets, space,
-                                            j, nvec, mvec) * scaled[j][mvec[j]]
+                if state.interaction is not None:
+                    col += partial_coupling(state.interaction, state.sets,
+                                            space, j, nvec, mvec) \
+                        * scaled[j][mvec[j]]
                 row = layout.u_slice(j, nvec[j])
                 Loc_u[row, i_m] += C[i_n].conjugate() * col
                 Loc_v[row, i_n] += C[i_m] * col
@@ -513,12 +514,7 @@ def loc_blocks(state):
 # --- response matrix ----------------------------------------------------------
 
 
-def raw_blocks(state):
-    """(A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u) from the builders."""
-    if isinstance(state, gs.GroundState):
-        return (*li.build_oo_block(state), *li.build_oc_co_blocks(state),
-                li.build_cc_block(state))
-    return (*ld.build_oo_dist(state), *ld.build_oc_co_cc_dist(state))
+raw_blocks = li._raw_blocks
 
 
 def halves_index(layout):
@@ -582,12 +578,9 @@ def dense_PM(rm, power):
     orbital left out the metric factor is the exact identity.
     """
     st = rm.state
-    if isinstance(st, gs.GroundState):
-        phis, rhos = [st.orbitals.scaled], [st.rho.rho1]
-    else:
-        phis, rhos = [s.scaled for s in st.sets], st.rho1
     orbital = []
-    for phi, rho in zip(phis, rhos):
+    for s, rho in zip(st.sets, st.rho1):
+        phi = s.scaled
         m = natural_power(rho, power)
         Pg = np.eye(phi.shape[1]) - phi.T @ phi.conj()
         orbital.append(np.kron(m, Pg))
@@ -644,13 +637,14 @@ def build_R(state, pert, rm):
     """P [M^(+1/2) S1 + M^(-1/2) S2] for identical particles, each row filled
     orbital slot by orbital slot and projected by the dense ``dense_PM``."""
     layout = rm.layout
-    phi = state.orbitals.scaled
+    phi = state.sets[0].scaled
     space, C = state.space, state.C
     S1 = np.zeros(layout.D, dtype=complex)
     S2 = np.zeros(layout.D, dtype=complex)
-    if pert.f_dag is not None:
-        F = pert.f_dag.matrix
-        f_mat = ham.one_body_elements(state.orbitals, pert.f_dag)
+    (f_dag,) = pert.f_dags or (None,)
+    if f_dag is not None:
+        F = f_dag.matrix
+        f_mat = ham.one_body_elements(state.sets[0], f_dag)
         for k in range(len(phi)):
             S1[layout.u_slice(0, k)] = -(F @ phi[k])
             S1[v_slice(layout, 0, k)] = F.conj() @ phi[k].conj()
@@ -658,14 +652,14 @@ def build_R(state, pert, rm):
         S1[layout.cv_slice] = fs.apply_second_quantized(space, C.conj(),
                                                         f_mat.T)
     if pert.g_dag is not None and pert.g_dag.kind != "none":
-        G = discretize_kernel(state.grid, pert.g_dag)
-        gloc = ham.local_potentials(state.orbitals, G)        # (s, l, x)
-        om_g = np.einsum("kslq,slx->kqx", state.rho.rho2, gloc)
+        G = discretize_kernel(state.grids[0], pert.g_dag)
+        gloc = ham.local_potentials(state.sets[0], G)         # (s, l, x)
+        om_g = np.einsum("kslq,slx->kqx", state.rho2, gloc)
         for k in range(len(phi)):
             S2[layout.u_slice(0, k)] = -np.einsum("qx,qx->x", om_g[k], phi)
             S2[v_slice(layout, 0, k)] = np.einsum("qx,qx->x", om_g[k].conj(),
                                                   phi.conj())
-        gt = ham.two_body_tensor(state.orbitals, G)
+        gt = ham.two_body_tensor(state.sets[0], G)
         zero = np.zeros((len(phi),) * 2)
         S2[layout.cu_slice] = -fs.apply_second_quantized(space, C, zero, gt)
         S2[layout.cv_slice] = fs.apply_second_quantized(
@@ -721,7 +715,7 @@ def reconstruct_loop(spec, weights, omega):
     sng; orbitals as grid values."""
     rm = spec.rm
     layout = rm.layout
-    neghalf = natural_power(rm.state.rho.rho1, -0.5)
+    neghalf = natural_power(rm.state.rho1[0], -0.5)
     shape = (layout.M_list[0], layout.n_list[0])
     dphi_m = np.zeros(shape, dtype=complex)
     dphi_p = np.zeros(shape, dtype=complex)
@@ -741,7 +735,7 @@ def reconstruct_loop(spec, weights, omega):
         dC_m += (gp * cu) / (omega - wk) + (gm * cv.conj()) / (omega + wk)
         dC_p += (np.conj(gp) * cv.conj()) / (omega - wk) \
             + (np.conj(gm) * cu) / (omega + wk)
-    root_dx = np.sqrt(rm.state.grid.weight)
+    root_dx = np.sqrt(rm.state.grids[0].weight)
     return dphi_m / root_dx, dphi_p / root_dx, dC_m, dC_p
 
 
@@ -768,10 +762,10 @@ def reconstruct_right(spec, weights, omega):
     (u,), (v,), cu, cv = rm.layout.split(spec.right[:, keep])
     v, cv = v.conj(), cv.conj()
     minus, plus = gp * lo, gm * hi
-    m = natural_power(state.rho.rho1, -0.5)
+    m = natural_power(state.rho1[0], -0.5)
     dphi_m, dphi_p = m @ np.stack(
         [u @ minus + v @ plus, v @ minus.conj() + u @ plus.conj()])
-    root_dx = np.sqrt(state.grid.weight)
+    root_dx = np.sqrt(state.grids[0].weight)
     return (dphi_m / root_dx, dphi_p / root_dx, cu @ minus + cv @ plus,
             cv @ minus.conj() + cu @ plus.conj())
 
@@ -892,9 +886,13 @@ def first_quantized_two_body(n_modes: int, N: int, statistics: str, k: int,
 
 
 def lagrange_multipliers(state):
-    """Recompute mu from the state; hermiticity defect goes to residuals."""
-    g = gs.orbital_eom_rhs(state.grid, state.orbitals, state.h_op,
-                           state.kernel_matrix, state.rho, project=False)
-    mu = gs._mu_matrix(state.grid, state.orbitals, g)
+    """Recompute mu_kq = <phi_q|g_k> of identical particles from the state,
+    g the unprojected right-hand side; the hermiticity defect goes to
+    residuals."""
+    (grid,), (orbs,) = state.grids, state.sets
+    rho = fs.ReducedDensities(state.rho1[0], state.rho2)
+    g = gs.orbital_eom_rhs(grid, orbs, state.h_ops[0], state.kernel_matrix,
+                           rho, project=False)
+    mu = grid.weight * (g @ orbs.orbitals.conj().T)
     state.residuals["mu_defect"] = float(np.abs(mu - mu.conj().T).max())
     return mu

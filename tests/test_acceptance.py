@@ -15,7 +15,6 @@ from mclr import TwoBodyKernel, build_grid, position_operator
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
-from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
 from mclr import oracle as orc
 from mclr import spectrum as spm
@@ -99,7 +98,7 @@ def test_criterion_03_pairing_symmetries(bos_m1, bos_m2, bos_m3, ferm_m2,
                     np.abs(S1 @ rm.L @ S1 + rm.L.conj()).max(),
                     np.abs(S3 @ rm.L @ S3 - rm.L.conj().T).max())
     for st in (dist_11, dist_44):
-        rm = ld.assemble_L_dist(st)
+        rm = li.assemble_L(st)
         S1 = np.eye(rm.D)[li.sigma1(rm.layout)]
         S3 = np.diag(li.sigma3(rm.layout))
         worst = max(worst,
@@ -112,8 +111,8 @@ def test_criterion_04_bdg_reduction(bos_m1):
     t0 = time.monotonic()
     rm = li.assemble_L(bos_m1)
     spec = spm.eigensolve(rm)
-    bdg = orc.bdg_reference(bos_m1.grid, bos_m1.h_op, 0.1, 2,
-                            condensate=bos_m1.orbitals.orbitals[0])
+    bdg = orc.bdg_reference(bos_m1.grids[0], bos_m1.h_ops[0], 0.1, 2,
+                            condensate=bos_m1.sets[0].orbitals[0])
     diff = np.abs(np.sort(spec.omega)[:5] - bdg["frequencies"][:5]).max()
     elapsed = time.monotonic() - t0
     ok = diff < 1e-7 and elapsed < 120.0
@@ -149,7 +148,7 @@ def test_criterion_06_convergence_toward_exact(grid48, h48, sweep48):
 
 
 def test_criterion_07_coupled_mode_frequencies(dist_44):
-    rm = ld.assemble_L_dist(dist_44)
+    rm = li.assemble_L(dist_44)
     spec = spm.eigensolve(rm)
     ref = orc.coupled_oscillators_reference(0.2)
     low = np.sort(spec.omega)[:2]
@@ -175,7 +174,7 @@ def test_criterion_09_biorthogonality_and_pairing(bos_m1, bos_m2, bos_m3,
     worst_pair = 0.0
     rosters = [(li.assemble_L(st), st) for st in
                (bos_m1, bos_m2, bos_m3, ferm_m2, ferm_m3, bos_m2_48)]
-    rosters += [(ld.assemble_L_dist(st), st) for st in (dist_11, dist_44)]
+    rosters += [(li.assemble_L(st), st) for st in (dist_11, dist_44)]
     for rm, _ in rosters:
         spec = spm.eigensolve(rm)
         n = len(spec.retained)
@@ -190,13 +189,13 @@ def test_criterion_09_biorthogonality_and_pairing(bos_m1, bos_m2, bos_m3,
 
 def test_criterion_10_linearization_derivative(bos_m2_48):
     st = bos_m2_48
-    g, sp = st.grid, st.space
+    g, sp = st.grids[0], st.space
     A, B = li.build_oo_block(st)
     Loc_u, Loc_v, Lco_u, Lco_v = li.build_oc_co_blocks(st)
     cc_u = li.build_cc_block(st)
 
     rng = np.random.default_rng(7)
-    phi = st.orbitals.orbitals
+    phi = st.sets[0].orbitals
     n, M = g.n_points, sp.M
     du = rng.standard_normal((M, n)) + 1j * rng.standard_normal((M, n))
     du -= (g.weight * (phi.conj() @ du.T)).T @ phi
@@ -207,15 +206,15 @@ def test_criterion_10_linearization_derivative(bos_m2_48):
     pred_u = (A @ du_t.reshape(-1) + B @ du_t.conj().reshape(-1)
               + Loc_u @ dC + Loc_v @ dC.conj()).reshape(M, n)
     pred_c = cc_u @ dC + Lco_u @ du_t.reshape(-1) + Lco_v @ du_t.conj().reshape(-1)
-    ph_t = st.orbitals.scaled
+    ph_t = st.sets[0].scaled
     pred_u = pred_u - (ph_t.conj() @ pred_u.T).T @ ph_t
     pred_c = pred_c - st.C * np.vdot(st.C, pred_c)
 
     def rhs(phi_mat, C):
         orbs = ham.OrbitalSet(phi_mat, g)
         rho = fs.reduced_densities(sp, C)
-        Bv = gs.orbital_eom_rhs(g, orbs, st.h_op, st.kernel_matrix, rho)
-        hmat = ham.one_body_elements(orbs, st.h_op)
+        Bv = gs.orbital_eom_rhs(g, orbs, st.h_ops[0], st.kernel_matrix, rho)
+        hmat = ham.one_body_elements(orbs, st.h_ops[0])
         W = ham.two_body_tensor(orbs, st.kernel_matrix)
         hc = fs.apply_second_quantized(sp, C, hmat, W)
         return np.sqrt(g.weight) * Bv, hc - C * np.vdot(C, hc)

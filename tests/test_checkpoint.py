@@ -1,12 +1,20 @@
 """Bit-exact round trips of the binary checkpoint format."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mclr import checkpoint as ckpt
 from mclr import cli
+
+DATA = Path(__file__).resolve().parent / "data"
+# lowest_excitations printed by ``mclr linres`` on each committed checkpoint
+# of tests/data, a state of identical particles and one of distinguishable
+# DOFs on 16 grid points, when they were written
+REFERENCE = json.loads((DATA / "lowest_excitations.json").read_text())
 
 
 def test_identical_roundtrip(tmp_path, bos_m2):
@@ -16,11 +24,11 @@ def test_identical_roundtrip(tmp_path, bos_m2):
     assert loaded.space.statistics == "boson"
     assert loaded.space.N == 2 and loaded.space.M == 2
     assert loaded.energy == bos_m2.energy                        # bit exact
-    assert np.array_equal(loaded.orbitals.orbitals, bos_m2.orbitals.orbitals)
+    assert np.array_equal(loaded.sets[0].orbitals, bos_m2.sets[0].orbitals)
     assert np.array_equal(loaded.C, bos_m2.C)
     assert np.array_equal(loaded.mu, bos_m2.mu)
     assert np.array_equal(loaded.kernel_matrix, bos_m2.kernel_matrix)
-    assert loaded.grid.weight == bos_m2.grid.weight
+    assert loaded.grids[0].weight == bos_m2.grids[0].weight
 
 
 def test_residual_header_keeps_solver_counters(tmp_path, bos_m2, dist_44):
@@ -63,7 +71,7 @@ def test_distinguishable_roundtrip(tmp_path, dist_11):
     for a, b in zip(loaded.sets, dist_11.sets):
         assert np.array_equal(a.orbitals, b.orbitals)
     assert np.array_equal(loaded.C, dist_11.C)
-    for a, b in zip(loaded.coupling.terms, dist_11.coupling.terms):
+    for a, b in zip(loaded.interaction.terms, dist_11.interaction.terms):
         assert a[0] == b[0] and a[1] == b[1]
         assert np.array_equal(a[2], b[2])
 
@@ -127,3 +135,42 @@ def test_missing_or_ill_typed_entries_are_corrupt(tmp_path, request, fixture,
     ckpt.save_arrays(path, header, arrays)
     with pytest.raises(ValueError, match="^corrupt checkpoint: "):
         ckpt.load_state(path)
+
+
+def _entries(path):
+    """(header without its array directory, {name: (dtype, shape)}, arrays)."""
+    header, arrays = ckpt.load_arrays(path)
+    directory = {e["name"]: (e["dtype"], e["shape"])
+                 for e in header.pop("arrays")}
+    return header, directory, arrays
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_committed_checkpoint_survives_load_and_save(tmp_path, name):
+    # the files were written before identical and distinguishable states
+    # shared one type: every header entry and every array, by name, bit for
+    # bit, survives loading and saving again; only the payload order may
+    # differ
+    again = tmp_path / "again.ckpt"
+    ckpt.save_state(again, ckpt.load_state(DATA / f"{name}.ckpt"))
+    h1, d1, a1 = _entries(DATA / f"{name}.ckpt")
+    h2, d2, a2 = _entries(again)
+    assert h1 == h2
+    assert d1 == d2
+    for key, arr in a1.items():
+        assert arr.dtype == a2[key].dtype
+        assert arr.tobytes() == a2[key].tobytes(), key
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_committed_checkpoint_reproduces_its_spectrum(tmp_path, capsys, name):
+    code = cli.main(["linres", "--checkpoint", str(DATA / f"{name}.ckpt"),
+                     "--config", str(DATA / f"{name}.cfg"),
+                     "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    line = [l for l in out.splitlines() if l.startswith("lowest_excitations")]
+    got = np.array(line[0].split("=")[1].split(), float)
+    want = np.array(REFERENCE[name].split(), float)
+    assert got.shape == want.shape == (8,)
+    assert np.abs(got - want).max() < 1e-9

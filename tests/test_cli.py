@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from mclr import checkpoint as ckpt_mod
 from mclr import cli
 from mclr import grid as gr
-from mclr import groundstate as gs
 from mclr import hamiltonian as ham
-from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
 from mclr import spectrum as spm
 
@@ -69,16 +67,22 @@ def test_ground_nonconvergence_exit_code(tmp_path, capsys):
     assert "residual" in err
 
 
-def test_ground_resume_reproduces_energy(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["harmonic_n2_m2", "coupled_pair_m44"])
+def test_ground_resume_reproduces_energy(tmp_path, capsys, name):
+    # the resumed summary repeats every line of the solve's, energy and
+    # natural occupations (one line per DOF) included
     ck = tmp_path / "state.ckpt"
-    cfg = str(CONFIGS / "harmonic_n2_m2.cfg")
+    cfg = str(CONFIGS / f"{name}.cfg")
     _, out1, _ = _run(capsys, ["ground", "--config", cfg, "--checkpoint", str(ck)])
     code, out2, _ = _run(capsys, ["ground", "--config", cfg,
                                   "--checkpoint", str(ck), "--resume"])
     assert code == 0
-    e1 = float([l for l in out1.splitlines() if l.startswith("energy")][0].split("=")[1])
-    e2 = float([l for l in out2.splitlines() if l.startswith("energy")][0].split("=")[1])
-    assert e1 == e2
+    solved, resumed = out1.splitlines(), out2.splitlines()
+    assert solved[-1] == f"checkpoint = {ck}"
+    assert resumed[0] == f"# resumed from {ck}"
+    assert resumed[1:] == solved[:-1]
+    assert sum(l.startswith("natural_occupations") for l in solved) \
+        == (1 if name == "harmonic_n2_m2" else 2)
 
 
 def test_linres_outputs(tmp_path, capsys):
@@ -305,6 +309,50 @@ def test_propcheck_diagnostics(tmp_path, capsys):
     assert float(vals["coeff_diff_cond"]) < 1e-8
 
 
+@pytest.mark.parametrize("perturb", ["0", "0.02"])
+def test_propcheck_refuses_distinguishable_checkpoint(capsys, config_checkpoints,
+                                                      perturb):
+    code, out, err = _run(capsys, [
+        "propcheck", "--checkpoint", str(config_checkpoints["coupled_pair_m44"]),
+        "--perturb", perturb, "--dt", "2e-4", "--steps", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == ("error: propagation check supports identical-particle "
+                   "checkpoints only\n")
+
+
+def test_linres_distinguishable_reports_skipped_reconstruction(
+        tmp_path, capsys, config_checkpoints):
+    code, out, _ = _run(capsys, [
+        "linres", "--checkpoint", str(config_checkpoints["coupled_pair_m44"]),
+        "--config", str(CONFIGS / "coupled_pair_m44.cfg"),
+        "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert ("reconstruction_skipped = reconstruction supports "
+            "identical-particle states only") in out.splitlines()
+    assert not (tmp_path / "reconstruction.ckpt").exists()
+
+
+def test_linres_refuses_non_integer_orbital_counts(tmp_path, capsys,
+                                                  config_checkpoints):
+    # M_list = [4.5, 4] in the header of a coupled_pair_m44 checkpoint used
+    # to load as (4, 4) and give that spectrum
+    header, arrays = ckpt_mod.load_arrays(config_checkpoints["coupled_pair_m44"])
+    del header["arrays"]
+    header["M_list"] = [4.5, 4]
+    ck = tmp_path / "half.ckpt"
+    ckpt_mod.save_arrays(ck, header, arrays)
+    code, out, err = _run(capsys, [
+        "linres", "--checkpoint", str(ck),
+        "--config", str(CONFIGS / "coupled_pair_m44.cfg"),
+        "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot load checkpoint")
+    assert "must be integers, got 4.5" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--steps", "0", "--steps must be at least 1"),
     ("--steps", "-3", "--steps must be at least 1"),
@@ -514,17 +562,13 @@ def test_linres_pair_probe_config(tmp_path, capsys, config_checkpoints,
     assert "metric_clipped = False" in out
     state = ckpt_mod.load_state(ck)
     if name == "harmonic_n2_m2":
-        rm = li.assemble_L(state)
-        R = li.build_R(state, li.PerturbationSpec(
-            f_dag=gr.position_operator(state.grid),
-            g_dag=gr.TwoBodyKernel("gaussian", strength=0.2, width=0.6),
-            omega=0.55), rm)
+        g, omega = gr.TwoBodyKernel("gaussian", strength=0.2, width=0.6), 0.55
     else:
-        rm = ld.assemble_L_dist(state)
-        R = ld.build_R_dist(state, ld.DistPerturbationSpec(
-            f_dags=tuple(map(gr.position_operator, state.grids)),
-            g_dag=ham.PairCoupling.bilinear(state.grids, 0, 1, 0.3),
-            omega=0.57), rm)
+        g, omega = ham.PairCoupling.bilinear(state.grids, 0, 1, 0.3), 0.57
+    rm = li.assemble_L(state)
+    R = li.build_R(state, li.PerturbationSpec(
+        f_dags=tuple(map(gr.position_operator, state.grids)), g_dag=g,
+        omega=omega), rm)
     w = spm.response_weights(spm.eigensolve(rm), R)
     rows = np.loadtxt(tmp_path / "weights.csv", delimiter=",", skiprows=4)
     for col, gamma in ((3, w.gamma_plus), (4, w.gamma_minus)):
@@ -553,17 +597,13 @@ def _complex128_copy(state):
     """``state`` with every array ``mclr ground`` stored as complex128 before
     real problems were kept real: the same values, zero imaginary parts."""
     c = lambda a: np.asarray(a).astype(complex)
-    if isinstance(state, gs.GroundState):
-        state.orbitals = ham.OrbitalSet(c(state.orbitals.orbitals), state.grid)
-        state.h_op = gr.OneBodyOperator(c(state.h_op.matrix), hermitian=False)
-        state.mu = c(state.mu)
-    else:
-        state.sets = [ham.OrbitalSet(c(s.orbitals), s.grid) for s in state.sets]
-        state.h_ops = [gr.OneBodyOperator(c(h.matrix), hermitian=False)
-                       for h in state.h_ops]
-        state.mu = [c(m) for m in state.mu]
-        state.coupling = ham.PairCoupling(
-            [(a, b, c(t)) for a, b, t in state.coupling.terms])
+    state.sets = [ham.OrbitalSet(c(s.orbitals), s.grid) for s in state.sets]
+    state.h_ops = [gr.OneBodyOperator(c(h.matrix), hermitian=False)
+                   for h in state.h_ops]
+    state.mu = [c(m) for m in state.mu]
+    if not state.space.identical:
+        state.interaction = ham.PairCoupling(
+            [(a, b, c(t)) for a, b, t in state.interaction.terms])
     state.C = c(state.C)
     return state
 

@@ -41,10 +41,11 @@ def _random_state(M_list, kind, seed):
     space = fs.enumerate_configs("distinguishable", M_list=M_list)
     C = random_state_vector(space.size, seed)
     rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
-    return gs.DistGroundState(
+    return gs.GroundState(
         space=space, grids=grids, h_ops=[oscillator_h(g) for g in grids],
-        coupling=coupling, sets=sets, C=C, rho1=rho1,
-        mu=[np.zeros((M, M), dtype=complex) for M in M_list], energy=0.0,
+        sets=sets, C=C, rho1=rho1,
+        mu=[np.zeros((M, M), dtype=complex) for M in M_list],
+        interaction=coupling, energy=0.0,
         residuals={"orb_residual": 0.0, "c_residual": 0.0})
 
 
@@ -67,15 +68,15 @@ def state(request):
 def test_mean_fields_match_pair_loop(state):
     for j in range(len(state.sets)):
         new = ham.mean_fields_dist(state.space, state.C, state.sets,
-                                   state.coupling, j)
+                                   state.interaction, j)
         ref = lo.mean_fields_dist(state.space, state.C, state.sets,
-                                  state.coupling, j)
+                                  state.interaction, j)
         assert np.abs(new - ref).max() < TOL
 
 
 def test_config_coupling_matrix_matches_pair_loop(state):
-    new = ham.config_coupling_matrix(state.coupling, state.sets, state.space)
-    ref = lo.config_coupling_matrix(state.coupling, state.sets, state.space)
+    new = ham.config_coupling_matrix(state.interaction, state.sets, state.space)
+    ref = lo.config_coupling_matrix(state.interaction, state.sets, state.space)
     assert np.abs(new - ref).max() < TOL
 
 

@@ -39,6 +39,27 @@ def test_fermion_overfilling_rejected():
         fs.enumerate_configs("fermion", N=3, M=2)
 
 
+@pytest.mark.parametrize("statistics, counts", [
+    ("boson", {"N": 2, "M": 2.5}),           # recursed without end
+    ("boson", {"N": 2.0, "M": 2}),
+    ("fermion", {"N": 2, "M": 3.5}),
+    ("fermion", {"N": True, "M": 2}),        # a bool is not a count
+    ("distinguishable", {"M_list": [2.5, 2]}),  # was cut to (2, 2)
+    ("distinguishable", {"M_list": (2, True)}),
+], ids=["boson-M", "boson-N", "fermion-M", "fermion-bool", "dist-M_list",
+        "dist-bool"])
+def test_non_integer_counts_rejected(statistics, counts):
+    with pytest.raises(ValueError, match="must be integers"):
+        fs.enumerate_configs(statistics, **counts)
+
+
+def test_numpy_integer_counts_accepted():
+    sp = fs.enumerate_configs("boson", N=np.int64(2), M=np.int64(2))
+    assert sp.size == 3
+    sp = fs.enumerate_configs("dist", M_list=[np.int64(2), 3])
+    assert sp.M_list == (2, 3)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([("boson", 2, 3), ("boson", 3, 2), ("fermion", 2, 4),
                         ("fermion", 3, 5)]))

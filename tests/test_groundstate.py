@@ -21,7 +21,7 @@ def test_noninteracting_condensate(grid64, h64):
     st = gs.solve_mchx(sp, grid64, h64, TwoBodyKernel("none"))
     assert st.energy == pytest.approx(1.0, abs=1e-8)
     # the orbital is the oscillator gaussian
-    phi = st.orbitals.orbitals[0]
+    phi = st.sets[0].orbitals[0]
     gauss = np.exp(-grid64.points**2 / 2)
     gauss /= grid64.norm(gauss)
     overlap = abs(grid64.inner(gauss, phi))
@@ -79,10 +79,11 @@ def test_lagrange_multipliers_condensate(grid64, h64):
     mu = lo.lagrange_multipliers(st)
     assert mu[0, 0].real == pytest.approx(3 * 0.5, abs=1e-7)
     h2 = OneBodyOperator(2.0 * h64.matrix)
-    st2 = gs.GroundState(space=st.space, grid=st.grid, h_op=h2,
-                         kernel=st.kernel, kernel_matrix=st.kernel_matrix,
-                         orbitals=st.orbitals, C=st.C, rho=st.rho, mu=None,
-                         energy=np.nan, residuals=dict(st.residuals))
+    st2 = gs.GroundState(space=st.space, grids=st.grids, h_ops=[h2],
+                         sets=st.sets, C=st.C, rho1=st.rho1, mu=None,
+                         interaction=st.interaction, rho2=st.rho2,
+                         kernel_matrix=st.kernel_matrix, energy=np.nan,
+                         residuals=dict(st.residuals))
     mu2 = lo.lagrange_multipliers(st2)
     assert mu2[0, 0].real == pytest.approx(2 * mu[0, 0].real, abs=1e-7)
 
@@ -93,8 +94,9 @@ def test_energy_invariant_under_orbital_rotation(bos_m2):
     rng = np.random.default_rng(42)
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     U, _ = np.linalg.qr(z)
-    rot = ham.OrbitalSet(U.conj().T @ bos_m2.orbitals.orbitals, bos_m2.grid)
-    H = ham.hamiltonian_matrix(bos_m2.space, rot, bos_m2.h_op,
+    rot = ham.OrbitalSet(U.conj().T @ bos_m2.sets[0].orbitals,
+                         bos_m2.grids[0])
+    H = ham.hamiltonian_matrix(bos_m2.space, rot, bos_m2.h_ops[0],
                                bos_m2.kernel_matrix)
     e_rot = np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0]
     assert e_rot == pytest.approx(bos_m2.energy, abs=1e-10)
@@ -247,16 +249,17 @@ def test_backtracks_are_counted(grid48, h48):
 def test_scaled_residual_sees_weak_natural_orbital(bos_m2):
     # ||B_k|| scales with n_k: a 1e-6 error in the natural orbital with
     # n = 2.3e-4 stays below tol_orb in max ||B_k|| but not once scaled
-    st = bos_m2
-    occ, U = np.linalg.eigh(st.rho.rho1)
+    st, (g,) = bos_m2, bos_m2.grids
+    occ, U = np.linalg.eigh(st.rho1[0])
     assert occ[0] < 1e-3
-    bump = np.exp(-st.grid.points**2) * st.grid.points**3
-    bump /= st.grid.norm(bump)
-    orbs = ham.OrbitalSet(st.orbitals.orbitals + 1e-6 * np.outer(U[:, 0], bump),
-                          st.grid).orthonormalized()
-    B = gs.orbital_eom_rhs(st.grid, orbs, st.h_op, st.kernel_matrix, st.rho)
-    orb_res = max(st.grid.norm(b) for b in B)
-    natural = [gs._hermitian_eigh(st.rho.rho1)]
+    bump = np.exp(-g.points**2) * g.points**3
+    bump /= g.norm(bump)
+    orbs = ham.OrbitalSet(st.sets[0].orbitals + 1e-6 * np.outer(U[:, 0], bump),
+                          g).orthonormalized()
+    B = gs.orbital_eom_rhs(g, orbs, st.h_ops[0], st.kernel_matrix,
+                           fs.ReducedDensities(st.rho1[0], st.rho2))
+    orb_res = max(g.norm(b) for b in B)
+    natural = [gs._hermitian_eigh(st.rho1[0])]
     scaled = gs._scaled_residual([orbs], [B], natural, 1e-10 * 2)
     assert orb_res < st.residuals["tol_orb"] < 1e-2 * scaled
     assert st.residuals["scaled_orb_residual"] < st.residuals["tol_orb"]
@@ -269,7 +272,7 @@ def test_empty_orbital_converges_and_reports_scaled_residual(grid64, h64):
     sp = fs.enumerate_configs("boson", N=2, M=2)
     st = gs.solve_mchx(sp, grid64, h64, TwoBodyKernel("none"))
     res = st.residuals
-    assert np.sort(st.natural_occupations().real)[0] < 1e-10 * 2
+    assert np.sort(st.natural_occupations()[0].real)[0] < 1e-10 * 2
     assert 0.0 <= res["scaled_orb_residual"] < res["tol_orb"]
     assert res["orb_residual"] < res["tol_orb"]
     assert st.energy == pytest.approx(1.0, abs=1e-8)
@@ -292,8 +295,8 @@ def test_propagate_perturbed_projected(bos_m2_48):
 def test_propagate_without_projector_shows_phase_rate(bos_m2_48):
     pert = gs.perturbed_state(bos_m2_48, 0.02, seed=1)
     diag = gs.propagate_check(pert, 2e-4, 5, use_coeff_projector=False)
-    h = ham.one_body_elements(pert.orbitals, pert.h_op)
-    W = ham.two_body_tensor(pert.orbitals, pert.kernel_matrix)
+    h = ham.one_body_elements(pert.sets[0], pert.h_ops[0])
+    W = ham.two_body_tensor(pert.sets[0], pert.kernel_matrix)
     rate = abs(np.vdot(pert.C, fs.apply_second_quantized(
         pert.space, pert.C, h, W)))
     assert diag["coeff_diff_cond"] == pytest.approx(rate, rel=1e-3)

@@ -1,5 +1,6 @@
 """Response matrix for coupled distinguishable degrees of freedom."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,10 +59,7 @@ def test_no_same_dof_exchange(dist_44):
     # rebuilding from a coupling-free clone reproduces exactly those diagonal
     # one-body + mean-field pieces
     st = dist_44
-    clone = gs.DistGroundState(
-        space=st.space, grids=st.grids, h_ops=st.h_ops, coupling=st.coupling,
-        sets=st.sets, C=st.C, rho1=st.rho1, mu=st.mu, energy=st.energy,
-        residuals=dict(st.residuals))
+    clone = dataclasses.replace(st, residuals=dict(st.residuals))
     A2, _ = ld.build_oo_dist(clone)
     for j in range(2):
         blk = lay.u_block(j)
@@ -79,7 +77,7 @@ def test_diagonal_blocks_match_slot_loop(fixture, request):
 
 
 def test_pairing_symmetries_dist(dist_44):
-    rm = ld.assemble_L_dist(dist_44)
+    rm = li.assemble_L(dist_44)
     S1 = np.eye(rm.D)[li.sigma1(rm.layout)]
     S3 = np.diag(li.sigma3(rm.layout))
     assert np.abs(S1 @ rm.L @ S1 + rm.L.conj()).max() < 1e-9
@@ -88,7 +86,7 @@ def test_pairing_symmetries_dist(dist_44):
 
 def test_single_product_limit(dist_11):
     # M_list = (1, 1): one configuration, coefficient sector fully projected
-    rm = ld.assemble_L_dist(dist_11)
+    rm = li.assemble_L(dist_11)
     lay = rm.layout
     assert lay.n_conf == 1
     assert np.abs(rm.L[lay.cu_slice, :]).max() < 1e-12
@@ -97,7 +95,7 @@ def test_single_product_limit(dist_11):
 
 
 def test_normal_modes_coupled_oscillators(dist_44):
-    rm = ld.assemble_L_dist(dist_44)
+    rm = li.assemble_L(dist_44)
     spec = spm.eigensolve(rm)
     ref = orc.coupled_oscillators_reference(0.2)
     low = np.sort(spec.omega)[:2]
@@ -105,7 +103,7 @@ def test_normal_modes_coupled_oscillators(dist_44):
 
 
 def test_uncoupled_spectrum_is_union_of_ladders(dist_22_uncoupled):
-    rm = ld.assemble_L_dist(dist_22_uncoupled)
+    rm = li.assemble_L(dist_22_uncoupled)
     spec = spm.eigensolve(rm)
     low = np.sort(spec.omega)[:5]
     # independent oscillators: gaps 1, 1, 2, 2, 2 (j=1 and j=2 ladders plus
@@ -114,7 +112,7 @@ def test_uncoupled_spectrum_is_union_of_ladders(dist_22_uncoupled):
 
 
 def test_zero_mode_count_dist(dist_44):
-    rm = ld.assemble_L_dist(dist_44)
+    rm = li.assemble_L(dist_44)
     spec = spm.eigensolve(rm)
     rep = spm.classify_zero_modes(spec)
     assert rep["expected"] == 2 * (16 + 16 + 1)
@@ -123,7 +121,7 @@ def test_zero_mode_count_dist(dist_44):
 
 
 def test_biorthogonality_dist(dist_44):
-    rm = ld.assemble_L_dist(dist_44)
+    rm = li.assemble_L(dist_44)
     spec = spm.eigensolve(rm)
     n_ret = len(spec.retained)
     b1 = spec.left.conj().T @ spec.right - np.eye(n_ret)
@@ -139,7 +137,7 @@ def test_lr_tdh_reduction(dist_11):
     g1, g2 = st.grids
     p1 = st.sets[0].scaled[0]
     p2 = st.sets[1].scaled[0]
-    table = st.coupling.terms[0][2]
+    table = st.interaction.terms[0][2]
     n1, n2 = g1.n_points, g2.n_points
 
     # mean fields, multipliers, projectors straight from their definitions
@@ -163,7 +161,7 @@ def test_lr_tdh_reduction(dist_11):
                   [Q2 @ K21_v @ Q1.conj(), np.zeros((n2, n2))]])
     L_tdh = np.block([[A, B], [-B.conj(), -A.conj()]])
 
-    rm = ld.assemble_L_dist(st)
+    rm = li.assemble_L(st)
     lay = rm.layout
     orb = lay.orb
     sel = np.r_[0:2 * orb]
@@ -180,10 +178,10 @@ def test_driving_single_dof_probe(dist_44):
     # probing one DOF leaves the other's orbital entries empty, yet the
     # coefficient entries still couple the whole system
     st = dist_44
-    rm = ld.assemble_L_dist(st)
-    pert = ld.DistPerturbationSpec(
+    rm = li.assemble_L(st)
+    pert = li.PerturbationSpec(
         f_dags=(position_operator(st.grids[0]), None), omega=0.57)
-    R = ld.build_R_dist(st, pert, rm)
+    R = li.build_R(st, pert, rm)
     lay = rm.layout
     assert np.abs(R[lay.u_block(1)]).max() < 1e-14
     # the probed DOF's orbital entries are small (x maps low oscillator
@@ -193,9 +191,17 @@ def test_driving_single_dof_probe(dist_44):
     assert np.abs(rm.projector() @ R - R).max() < 1e-12
 
 
+def test_driving_refuses_probe_count_mismatch(dist_44):
+    # one probe for two DOFs would silently drive only the first
+    pert = li.PerturbationSpec(
+        f_dags=(position_operator(dist_44.grids[0]),), omega=0.57)
+    with pytest.raises(ValueError, match="1 one-body probes for 2 DOFs"):
+        li.build_R(dist_44, pert)
+
+
 def test_driving_all_fields_zero(dist_44):
-    rm = ld.assemble_L_dist(dist_44)
-    R = ld.build_R_dist(dist_44, ld.DistPerturbationSpec(omega=0.5), rm)
+    rm = li.assemble_L(dist_44)
+    R = li.build_R(dist_44, li.PerturbationSpec(omega=0.5), rm)
     assert np.abs(R).max() == 0.0
 
 
@@ -220,7 +226,7 @@ def test_mixed_grids_per_dof():
     coup = PairCoupling.bilinear(grids, 0, 1, 0.2)
     sp = fs.enumerate_configs("distinguishable", M_list=(3, 4))
     st = gs.solve_mch_dist(sp, grids, h_ops, coup)
-    spec = spm.eigensolve(ld.assemble_L_dist(st))
+    spec = spm.eigensolve(li.assemble_L(st))
     ref = orc.coupled_oscillators_reference(0.2)
     assert np.abs(np.sort(spec.omega)[:2] - ref).max() < 1e-6
 
@@ -234,8 +240,8 @@ def test_allbody_table_equals_pair_coupling():
     st_p = gs.solve_mch_dist(sp, grids, h_ops, pair)
     st_t = gs.solve_mch_dist(sp, grids, h_ops, table)
     assert st_p.energy == pytest.approx(st_t.energy, abs=1e-12)
-    L_p = ld.assemble_L_dist(st_p).L
-    L_t = ld.assemble_L_dist(st_t).L
+    L_p = li.assemble_L(st_p).L
+    L_t = li.assemble_L(st_t).L
     assert np.abs(L_p - L_t).max() < 1e-12
 
 
@@ -251,7 +257,7 @@ def test_three_dof_chain_normal_modes():
         (1, 2, 0.15 * np.outer(grids[1].points, grids[2].points))])
     sp = fs.enumerate_configs("distinguishable", M_list=(2, 2, 2))
     st = gs.solve_mch_dist(sp, grids, h_ops, coup)
-    spec = spm.eigensolve(ld.assemble_L_dist(st))
+    spec = spm.eigensolve(li.assemble_L(st))
     assert np.abs(np.sort(spec.omega)[:3] - ref).max() < 1e-6
     rep = spm.classify_zero_modes(spec)
     assert rep["count"] == rep["expected"] == 2 * (4 + 4 + 4 + 1)

@@ -1,5 +1,6 @@
 """Block structure and physics of the identical-particle response matrix."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,6 @@ from mclr import TwoBodyKernel, position_operator
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
-from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
 from mclr import oracle as orc
 from mclr import spectrum as spm
@@ -36,8 +36,8 @@ def test_oo_block_free_case(grid64, h64):
     A, B = li.build_oo_block(st)
     assert np.abs(B).max() == 0.0
     lay = li.ResponseLayout((2,), (64,), 3)
-    rho = st.rho.rho1
-    mu = 0.5 * (st.mu + st.mu.conj().T)
+    (rho,), (mu,) = st.rho1, st.mu
+    mu = 0.5 * (mu + mu.conj().T)
     for k in range(2):
         for q in range(2):
             ref = rho[k, q] * h64.matrix - mu[k, q] * np.eye(64)
@@ -72,7 +72,7 @@ def test_cc_block_star_is_transpose_for_real_orbitals(bos_m2):
 
 def test_cc_block_gaps_are_ci_excitations(bos_m2):
     cc_u = li.build_cc_block(bos_m2)
-    H = ham.hamiltonian_matrix(bos_m2.space, bos_m2.orbitals, bos_m2.h_op,
+    H = ham.hamiltonian_matrix(bos_m2.space, bos_m2.sets[0], bos_m2.h_ops[0],
                                bos_m2.kernel_matrix)
     vals = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
     gaps = vals[1:] - vals[0]
@@ -128,18 +128,15 @@ def test_statistics_toggle_flips_exchange_only(bos_m3):
     # exchange part of the u-u block and nothing else
     st = bos_m3
     A_b, B_b = li.build_oo_block(st)
-    flipped = gs.GroundState(
-        space=fs.enumerate_configs("fermion", N=3, M=3), grid=st.grid,
-        h_op=st.h_op, kernel=st.kernel, kernel_matrix=st.kernel_matrix,
-        orbitals=st.orbitals, C=None, rho=st.rho, mu=st.mu,
-        energy=st.energy, residuals=dict(st.residuals))
+    flipped = dataclasses.replace(
+        st, space=fs.enumerate_configs("fermion", N=3, M=3), C=None)
     A_f, B_f = li.build_oo_block(flipped)
     assert np.abs(B_b - B_f).max() == 0.0
     diff = A_b - A_f
-    lay = li.ResponseLayout((3,), (st.grid.n_points,), st.space.size)
-    phi = st.orbitals.scaled
+    lay = li.ResponseLayout((3,), (st.grids[0].n_points,), st.space.size)
+    phi = st.sets[0].scaled
     K1 = np.einsum("lx,xy,sy->slxy", phi, st.kernel_matrix, phi.conj())
-    kap1 = np.einsum("kslq,slxy->kqxy", st.rho.rho2, K1)
+    kap1 = np.einsum("kslq,slxy->kqxy", st.rho2, K1)
     for k in range(3):
         for q in range(3):
             assert np.abs(diff[lay.u_slice(0, k), lay.u_slice(0, q)]
@@ -166,10 +163,7 @@ def test_single_configuration_limit_has_trivial_coefficient_sector(ferm_m3):
 def test_block_projection_matches_dense(fixture, tol, request):
     # L from block products against P M^(-1/2) L_raw M^(-1/2) P, dense
     st = request.getfixturevalue(fixture)
-    if isinstance(st, gs.GroundState):
-        rm = li.assemble_L(st)
-    else:
-        rm = ld.assemble_L_dist(st)
+    rm = li.assemble_L(st)
     assert np.abs(rm.L - lo.dense_L(rm)).max() < tol
 
 
@@ -194,10 +188,7 @@ def _check_project(rm, power):
                                      "bos_m2_complex_gauge"])
 def test_structural_operator_matches_dense(fixture, power, request):
     st = request.getfixturevalue(fixture)
-    if isinstance(st, gs.GroundState):
-        rm = li.assemble_L(st)
-    else:
-        rm = ld.assemble_L_dist(st)
+    rm = li.assemble_L(st)
     _check_project(rm, power)
 
 
@@ -223,7 +214,7 @@ def test_structural_operator_on_complex_orbital_span(power):
     oc = np.zeros((orb, nc))
     blocks = (np.zeros((orb, orb)), np.zeros((orb, orb)), oc, oc, oc.T, oc.T,
               np.zeros((nc, nc)))
-    _check_project(li._response_matrix(state, blocks, phis, rhos), power)
+    _check_project(li._response_matrix(state, blocks), power)
 
 
 def test_null_vectors_annihilated(bos_m2):
@@ -234,12 +225,7 @@ def test_null_vectors_annihilated(bos_m2):
 
 
 def test_unconverged_state_rejected(bos_m2):
-    bad = gs.GroundState(space=bos_m2.space, grid=bos_m2.grid,
-                         h_op=bos_m2.h_op, kernel=bos_m2.kernel,
-                         kernel_matrix=bos_m2.kernel_matrix,
-                         orbitals=bos_m2.orbitals, C=bos_m2.C,
-                         rho=bos_m2.rho, mu=bos_m2.mu, energy=bos_m2.energy,
-                         residuals={"orb_residual": 1e-2})
+    bad = dataclasses.replace(bos_m2, residuals={"orb_residual": 1e-2})
     with pytest.raises(ValueError):
         li.build_oo_block(bad)
 
@@ -247,14 +233,14 @@ def test_unconverged_state_rejected(bos_m2):
 def test_bdg_reduction(bos_m1):
     rm = li.assemble_L(bos_m1)
     spec = spm.eigensolve(rm)
-    bdg = orc.bdg_reference(bos_m1.grid, bos_m1.h_op, 0.1, 2,
-                            condensate=bos_m1.orbitals.orbitals[0])
+    bdg = orc.bdg_reference(bos_m1.grids[0], bos_m1.h_ops[0], 0.1, 2,
+                            condensate=bos_m1.sets[0].orbitals[0])
     lr = np.sort(spec.omega)[:5]
     assert np.abs(lr - bdg["frequencies"][:5]).max() < 1e-7
 
 
 def test_driving_vector_lives_in_projected_space(bos_m2_48):
-    pert = li.PerturbationSpec(f_dag=position_operator(bos_m2_48.grid),
+    pert = li.PerturbationSpec(f_dags=(position_operator(bos_m2_48.grids[0]),),
                                omega=0.55)
     rm = li.assemble_L(bos_m2_48)
     R = li.build_R(bos_m2_48, pert, rm)
@@ -274,10 +260,10 @@ def test_driving_vector_parity_structure(bos_m2_48):
     st = bos_m2_48
     rm = li.assemble_L(st)
     R = li.build_R(st, li.PerturbationSpec(
-        f_dag=position_operator(st.grid), omega=0.55), rm)
+        f_dags=(position_operator(st.grids[0]),), omega=0.55), rm)
     lay = rm.layout
     flip = slice(None, None, -1)
-    phi = st.orbitals.orbitals
+    phi = st.sets[0].orbitals
     for k in range(lay.M_list[0]):
         orbital_even = np.abs(phi[k] - phi[k][flip]).max() < 1e-9
         u = R[lay.u_slice(0, k)]
@@ -294,18 +280,18 @@ def test_driving_vector_parity_structure(bos_m2_48):
 
 def _probes(st):
     """Probe f, probe g, both, and for two DOFs f on the first DOF only."""
-    if isinstance(st, gs.GroundState):
-        f = position_operator(st.grid)
+    if st.space.identical:
+        f = position_operator(st.grids[0])
         g = TwoBodyKernel("gaussian", strength=0.2, width=0.6)
-        return [li.PerturbationSpec(f_dag=f, omega=0.55),
+        return [li.PerturbationSpec(f_dags=(f,), omega=0.55),
                 li.PerturbationSpec(g_dag=g, omega=0.55),
-                li.PerturbationSpec(f_dag=f, g_dag=g, omega=0.55)]
+                li.PerturbationSpec(f_dags=(f,), g_dag=g, omega=0.55)]
     f = tuple(position_operator(g) for g in st.grids)
     g = ham.PairCoupling.bilinear(st.grids, 0, 1, 0.3)
-    return [ld.DistPerturbationSpec(f_dags=f, omega=0.57),
-            ld.DistPerturbationSpec(g_dag=g, omega=0.57),
-            ld.DistPerturbationSpec(f_dags=f, g_dag=g, omega=0.57),
-            ld.DistPerturbationSpec(f_dags=(f[0], None), omega=0.57)]
+    return [li.PerturbationSpec(f_dags=f, omega=0.57),
+            li.PerturbationSpec(g_dag=g, omega=0.57),
+            li.PerturbationSpec(f_dags=f, g_dag=g, omega=0.57),
+            li.PerturbationSpec(f_dags=(f[0], None), omega=0.57)]
 
 
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_m3", "dist_44"])
@@ -313,15 +299,12 @@ def test_driving_vector_matches_per_kind_oracle(fixture, request):
     # the shared row filler against the driving vectors written out for
     # each particle kind and projected by the dense P M^(+-1/2)
     st = request.getfixturevalue(fixture)
-    if isinstance(st, gs.GroundState):
-        rm, build, oracle = li.assemble_L(st), li.build_R, lo.build_R
-    else:
-        rm, build, oracle = ld.assemble_L_dist(st), ld.build_R_dist, \
-            lo.build_R_dist
+    rm = li.assemble_L(st)
+    oracle = lo.build_R if st.space.identical else lo.build_R_dist
     for pert in _probes(st):
         ref = oracle(st, pert, rm)
         assert np.abs(ref).max() > 1e-6
-        assert np.abs(build(st, pert, rm) - ref).max() \
+        assert np.abs(li.build_R(st, pert, rm) - ref).max() \
             <= 1e-13 * np.abs(ref).max()
 
 
@@ -346,13 +329,13 @@ def test_pair_probe_selects_even_modes(bos_m2_48):
 def test_linearization_derivative(bos_m2_48):
     """Finite differences of the nonlinear flow reproduce the raw blocks."""
     st = bos_m2_48
-    g, sp = st.grid, st.space
+    g, sp = st.grids[0], st.space
     A, B = li.build_oo_block(st)
     Loc_u, Loc_v, Lco_u, Lco_v = li.build_oc_co_blocks(st)
     cc_u = li.build_cc_block(st)
 
     rng = np.random.default_rng(7)
-    phi = st.orbitals.orbitals
+    phi = st.sets[0].orbitals
     n, M = g.n_points, sp.M
     du = rng.standard_normal((M, n)) + 1j * rng.standard_normal((M, n))
     du -= (g.weight * (phi.conj() @ du.T)).T @ phi
@@ -363,15 +346,15 @@ def test_linearization_derivative(bos_m2_48):
     pred_u = (A @ du_t.reshape(-1) + B @ du_t.conj().reshape(-1)
               + Loc_u @ dC + Loc_v @ dC.conj()).reshape(M, n)
     pred_c = cc_u @ dC + Lco_u @ du_t.reshape(-1) + Lco_v @ du_t.conj().reshape(-1)
-    ph_t = st.orbitals.scaled
+    ph_t = st.sets[0].scaled
     pred_u = pred_u - (ph_t.conj() @ pred_u.T).T @ ph_t
     pred_c = pred_c - st.C * np.vdot(st.C, pred_c)
 
     def rhs(phi_mat, C):
         orbs = ham.OrbitalSet(phi_mat, g)
         rho = fs.reduced_densities(sp, C)
-        Bv = gs.orbital_eom_rhs(g, orbs, st.h_op, st.kernel_matrix, rho)
-        h = ham.one_body_elements(orbs, st.h_op)
+        Bv = gs.orbital_eom_rhs(g, orbs, st.h_ops[0], st.kernel_matrix, rho)
+        h = ham.one_body_elements(orbs, st.h_ops[0])
         W = ham.two_body_tensor(orbs, st.kernel_matrix)
         hc = fs.apply_second_quantized(sp, C, h, W)
         return np.sqrt(g.weight) * Bv, hc - C * np.vdot(C, hc)
@@ -395,20 +378,17 @@ def test_real_problem_is_float64_from_construction(fixture, request):
     # state to the raw response blocks: no complex array with zero
     # imaginary part anywhere on the way
     st = request.getfixturevalue(fixture)
-    if isinstance(st, gs.GroundState):
-        arrays = [st.h_op.matrix, st.orbitals.orbitals, st.rho.rho1,
-                  st.rho.rho2, *li.build_oo_block(st)]
-    else:
-        arrays = [*(h.matrix for h in st.h_ops),
-                  *(s.orbitals for s in st.sets), *st.rho1,
-                  *ld.build_oo_dist(st)]
+    arrays = [*(h.matrix for h in st.h_ops), *(s.orbitals for s in st.sets),
+              *st.rho1, *lo.raw_blocks(st)[:2]]
+    if st.rho2 is not None:
+        arrays.append(st.rho2)
     assert [a.dtype for a in [st.C, *arrays]] == [np.float64] * (1 + len(arrays))
 
 
 def test_complex_gauge_stays_complex(bos_m2_complex_gauge):
     # complex input runs complex all the way and takes the dense solve
     st = bos_m2_complex_gauge
-    for a in (st.C, st.orbitals.orbitals, st.rho.rho1, st.rho.rho2,
+    for a in (st.C, st.sets[0].orbitals, st.rho1[0], st.rho2,
               *li.build_oo_block(st)):
         assert a.dtype == np.complex128
     assert spm.eigensolve(li.assemble_L(st)).eigensolver == "dense (complex L)"

@@ -108,8 +108,8 @@ def test_bdg_free_limit(grid64, h64):
 
 
 def test_bdg_uv_normalization(bos_m1):
-    out = orc.bdg_reference(bos_m1.grid, bos_m1.h_op, 0.1, 2,
-                            condensate=bos_m1.orbitals.orbitals[0])
+    out = orc.bdg_reference(bos_m1.grids[0], bos_m1.h_ops[0], 0.1, 2,
+                            condensate=bos_m1.sets[0].orbitals[0])
     assert out["norm_defects"].max() < 1e-10
 
 

@@ -110,11 +110,11 @@ def test_one_plan_per_outer_iteration(kind, bos_m2, dist_44, monkeypatch):
 
     monkeypatch.setattr(gs.OrbitalRHS, kind, classmethod(counted))
     if kind == "identical":
-        st = gs.solve_mchx(bos_m2.space, bos_m2.grid, bos_m2.h_op,
-                           bos_m2.kernel)
+        st = gs.solve_mchx(bos_m2.space, bos_m2.grids[0], bos_m2.h_ops[0],
+                           bos_m2.interaction)
     else:
         st = gs.solve_mch_dist(dist_44.space, dist_44.grids, dist_44.h_ops,
-                               dist_44.coupling)
+                               dist_44.interaction)
     iterations = st.residuals["iterations"]
     assert iterations > 1 and gs.SolverOptions().inner_steps > 1
     assert len(builds) == iterations

@@ -12,7 +12,6 @@ from mclr.grid import diagonal_operator
 from mclr import cli
 from mclr import fockspace as fs
 from mclr import groundstate as gs
-from mclr import linres_distinguishable as ld
 from mclr import linres_identical as li
 from mclr import spectrum as spm
 
@@ -138,7 +137,7 @@ def test_default_tolerances_give_converged_low_spectrum(bos_m2):
     # orbital converged at the default tol_orb: the low spectrum agrees
     # with a tol_orb = 1e-12 solve
     st = bos_m2
-    tight = gs.solve_mchx(st.space, st.grid, st.h_op, st.kernel,
+    tight = gs.solve_mchx(st.space, st.grids[0], st.h_ops[0], st.interaction,
                           gs.SolverOptions(tol_orb=1e-12))
     low = [np.sort(spm.eigensolve(li.assemble_L(s)).omega)[:5]
            for s in (st, tight)]
@@ -161,7 +160,7 @@ def test_weights_zero_probe(spec_m2):
 def test_weights_parity_selection(bos_m2_48, spec_m2):
     rm = spec_m2.rm
     R = li.build_R(bos_m2_48, li.PerturbationSpec(
-        f_dag=position_operator(bos_m2_48.grid), omega=0.55), rm)
+        f_dags=(position_operator(bos_m2_48.grids[0]),), omega=0.55), rm)
     w = spm.response_weights(spec_m2, R)
     order = np.argsort(spec_m2.omega)
     # the parity-even modes right above the dipole are dark
@@ -180,7 +179,8 @@ def test_reconstruct_uses_assembly_floor(free_m2):
     spec = spm.eigensolve(rm)
     om = 0.55
     R = li.build_R(st, li.PerturbationSpec(
-        f_dag=diagonal_operator(st.grid, st.grid.points ** 2), omega=om), rm)
+        f_dags=(diagonal_operator(st.grids[0], st.grids[0].points ** 2),),
+        omega=om), rm)
     w = spm.response_weights(spec, R)
     rec = spm.reconstruct(spec, w, om)
     expect_m = np.zeros_like(rec.dphi_minus)
@@ -192,7 +192,7 @@ def test_reconstruct_uses_assembly_floor(free_m2):
         expect_m += gp * u / (om - wk) + gm * v.conj() / (om + wk)
         expect_p += (np.conj(gp) * v.conj() / (om - wk)
                      + np.conj(gm) * u / (om + wk))
-    root_dx = np.sqrt(st.grid.weight)
+    root_dx = np.sqrt(st.grids[0].weight)
     assert np.abs(expect_m).max() > 0.1
     assert np.abs(rec.dphi_minus - expect_m / root_dx).max() < 1e-10
     assert np.abs(rec.dphi_plus - expect_p / root_dx).max() < 1e-10
@@ -206,15 +206,15 @@ def test_default_metric_floor_scales_with_density_trace(bos_m2, free_m2):
     for st, kept in ((bos_m2, 2), (free_m2, 1)):
         rm = li.assemble_L(st)
         ((occ, U),) = rm.natural
-        n = np.linalg.eigvalsh(st.rho.rho1)
+        n = np.linalg.eigvalsh(st.rho1[0])
         assert U.shape == (2, kept) and rm.metric_clipped == (kept < 2)
         assert np.abs(occ - n[2 - kept:]).max() < 1e-14
         assert np.count_nonzero(n >= 2 * gs.FLOOR_FRACTION) == kept
-    assert np.linalg.eigvalsh(bos_m2.rho.rho1)[0] > 1e-4
+    assert np.linalg.eigvalsh(bos_m2.rho1[0])[0] > 1e-4
 
 
 def test_reconstruct_refuses_distinguishable(dist_11):
-    rm = ld.assemble_L_dist(dist_11)
+    rm = li.assemble_L(dist_11)
     spec = spm.eigensolve(rm)
     w = spm.response_weights(spec, np.zeros(rm.D, dtype=complex))
     with pytest.raises(ValueError, match="identical-particle states only"):
@@ -231,7 +231,7 @@ def test_reconstruct_zero_weights(spec_m2):
 def test_reconstruct_resonance_guard(bos_m2_48, spec_m2):
     w1 = np.sort(spec_m2.omega)[0]
     R = li.build_R(bos_m2_48, li.PerturbationSpec(
-        f_dag=position_operator(bos_m2_48.grid), omega=w1), spec_m2.rm)
+        f_dags=(position_operator(bos_m2_48.grids[0]),), omega=w1), spec_m2.rm)
     w = spm.response_weights(spec_m2, R)
     with pytest.raises(ValueError, match="resonant"):
         spm.reconstruct(spec_m2, w, omega=w1 + 1e-9)
@@ -245,7 +245,7 @@ def test_reconstruct_pole_scaling(bos_m2_48, spec_m2):
     for off in offsets:
         om = w1 + off
         R = li.build_R(bos_m2_48, li.PerturbationSpec(
-            f_dag=position_operator(bos_m2_48.grid), omega=om), rm)
+            f_dags=(position_operator(bos_m2_48.grids[0]),), omega=om), rm)
         rec = spm.reconstruct(spec_m2, spm.response_weights(spec_m2, R), om)
         norms.append(np.sqrt(rec.orbital_norms(0.0).sum()))
     slope = np.polyfit(np.log(offsets), np.log(norms), 1)[0]
@@ -254,10 +254,10 @@ def test_reconstruct_pole_scaling(bos_m2_48, spec_m2):
 
 def test_reconstructed_orbitals_orthogonal_to_ground(bos_m2_48, spec_m2):
     R = li.build_R(bos_m2_48, li.PerturbationSpec(
-        f_dag=position_operator(bos_m2_48.grid), omega=0.55), spec_m2.rm)
+        f_dags=(position_operator(bos_m2_48.grids[0]),), omega=0.55), spec_m2.rm)
     rec = spm.reconstruct(spec_m2, spm.response_weights(spec_m2, R), 0.55)
-    g = bos_m2_48.grid
-    phi = bos_m2_48.orbitals.orbitals
+    g = bos_m2_48.grids[0]
+    phi = bos_m2_48.sets[0].orbitals
     for t in (0.0, 0.4):
         d = rec.dphi(t)
         for k in range(2):
@@ -267,7 +267,7 @@ def test_reconstructed_orbitals_orthogonal_to_ground(bos_m2_48, spec_m2):
 
 def test_wavefunction_terms_shapes(bos_m2_48, spec_m2):
     R = li.build_R(bos_m2_48, li.PerturbationSpec(
-        f_dag=position_operator(bos_m2_48.grid), omega=0.55), spec_m2.rm)
+        f_dags=(position_operator(bos_m2_48.grids[0]),), omega=0.55), spec_m2.rm)
     rec = spm.reconstruct(spec_m2, spm.response_weights(spec_m2, R), 0.55)
     rows = lo.wavefunction_terms(rec, 0.1)
     kinds = {r[1] for r in rows}
@@ -339,7 +339,7 @@ def test_eigenvalues_gauge_invariant(bos_m2, bos_m2_complex_gauge):
 
 def test_spectrum_csv_format(tmp_path, spec_m2, bos_m2_48):
     R = li.build_R(bos_m2_48, li.PerturbationSpec(
-        f_dag=position_operator(bos_m2_48.grid), omega=0.55), spec_m2.rm)
+        f_dags=(position_operator(bos_m2_48.grids[0]),), omega=0.55), spec_m2.rm)
     w = spm.response_weights(spec_m2, R)
     path = tmp_path / "spectrum.csv"
     spm.save_spectrum_csv(path, spec_m2, w, header_lines=["test run"])
@@ -356,17 +356,8 @@ def test_spectrum_csv_format(tmp_path, spec_m2, bos_m2_48):
 # --- half-size reduction against the dense eigensolve ------------------------
 
 
-def _assembled(st):
-    if isinstance(st, gs.GroundState):
-        return li.assemble_L(st)
-    return ld.assemble_L_dist(st)
-
-
 def _dipole_probe(st, rm):
-    if isinstance(st, gs.GroundState):
-        return li.build_R(st, li.PerturbationSpec(
-            f_dag=position_operator(st.grid), omega=0.55), rm)
-    return ld.build_R_dist(st, ld.DistPerturbationSpec(
+    return li.build_R(st, li.PerturbationSpec(
         f_dags=tuple(position_operator(g) for g in st.grids), omega=0.55), rm)
 
 
@@ -375,7 +366,7 @@ def _dipole_probe(st, rm):
                                      "dist_44", "free_m2"])
 def test_reduced_solve_matches_dense(fixture, request):
     st = request.getfixturevalue(fixture)
-    rm = _assembled(st)
+    rm = li.assemble_L(st)
     fast, dense = spm.eigensolve(rm), spm._eigensolve_dense(rm)
     assert fast.eigensolver == "rpa"
     scale = np.abs(dense.eigenvalues).max()
@@ -405,7 +396,7 @@ def test_halves_are_assembled_on_range_of_P(fixture, request):
     # the halves live on the complement of the analytic null vectors on x,
     # less the K_j-th to M_j-th (empty) natural orbitals of each DOF, and
     # the lift B U is an isometry onto that part of range(P)
-    rm = _assembled(request.getfixturevalue(fixture))
+    rm = li.assemble_L(request.getfixturevalue(fixture))
     lay = rm.layout
     K = [len(occ) for occ, _ in rm.natural]
     n = sum(k * (p - M) for M, p, k in zip(lay.M_list, lay.n_list, K)) \
@@ -425,8 +416,7 @@ def test_reflectors_match_lapack_complement(fixture, request):
     # Q = I - W V^H is the unitary of LAPACK's QR of rows^T, whose trailing
     # columns span the complement of the orbitals of each DOF and of C
     st = request.getfixturevalue(fixture)
-    sets = [st.orbitals] if isinstance(st, gs.GroundState) else st.sets
-    for rows in [s.scaled for s in sets] + [st.C[None, :]]:
+    for rows in [s.scaled for s in st.sets] + [st.C[None, :]]:
         if not np.any(np.imag(rows)):
             rows = rows.real
         V, W = li._reflectors(rows)
@@ -451,13 +441,13 @@ def test_assembly_builds_no_dense_basis(fixture, request, monkeypatch):
         return qr(a, mode)
 
     monkeypatch.setattr(np.linalg, "qr", raw_qr)
-    rm = _assembled(st)
+    rm = li.assemble_L(st)
     assert len(rm.reflectors) == rm.layout.Q + 1
 
 
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "dist_44"])
 def test_reduced_solve_builds_no_basis(fixture, request, monkeypatch):
-    rm = _assembled(request.getfixturevalue(fixture))
+    rm = li.assemble_L(request.getfixturevalue(fixture))
 
     def no_qr(*args, **kwargs):
         raise AssertionError("a basis was built at solve time")
@@ -513,7 +503,7 @@ def test_symmetry_defects_match_dense_operators(layout):
 
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_m3", "dist_44"])
 def test_cholesky_vectors_are_sigma3_normalized(fixture, request):
-    rm = _assembled(request.getfixturevalue(fixture))
+    rm = li.assemble_L(request.getfixturevalue(fixture))
     spec = spm.eigensolve(rm)
     assert spec.eigensolver == "rpa"
     x = np.flatnonzero(li.sigma3(rm.layout) > 0)
@@ -570,7 +560,7 @@ def test_eigensolve_matches_full_eig(fixture, request):
     # zero-mode census and |gamma+-| of modes without a degenerate partner
     st = request.getfixturevalue("bos_m2_48" if fixture == "shifted"
                                  else fixture)
-    rm = _assembled(st)
+    rm = li.assemble_L(st)
     R = _dipole_probe(st, rm)
     if fixture == "shifted":
         rm = _shifted(rm)
@@ -611,7 +601,7 @@ def spec_complex(bos_m2_complex_gauge):
                                      "bos_m2_complex_gauge"])
 def test_derived_vectors_and_product_weights(fixture, request):
     st = request.getfixturevalue(fixture)
-    rm = _assembled(st)
+    rm = li.assemble_L(st)
     spec = spm.eigensolve(rm)
     assert (spec.eigensolver == "rpa") == (fixture != "bos_m2_complex_gauge")
     # one store on both paths: the reduced vectors V, with R = T V; Sigma3
@@ -637,7 +627,7 @@ def test_derived_vectors_and_product_weights(fixture, request):
 
 def _probe_weights(spec, st):
     return spm.response_weights(spec, li.build_R(st, li.PerturbationSpec(
-        f_dag=position_operator(st.grid), omega=0.55), spec.rm))
+        f_dags=(position_operator(st.grids[0]),), omega=0.55), spec.rm))
 
 
 def _assert_matches_loop(spec, weights, omega):
@@ -709,18 +699,15 @@ def config_problem(request):
     cfg, _ = cli._load_config(request.param)
     st = cli._solve_from_config(cfg)
     pert = cli._build_perturbation(cfg, st)
-    if isinstance(st, gs.GroundState):
-        rm = li.assemble_L(st)
-        return rm, li.build_R(st, pert, rm), pert.omega
-    rm = ld.assemble_L_dist(st)
-    return rm, ld.build_R_dist(st, pert, rm), pert.omega
+    rm = li.assemble_L(st)
+    return rm, li.build_R(st, pert, rm), pert.omega
 
 
 def test_factored_products_match_right_oracles(config_problem):
     rm, R, omega = config_problem
     spec = spm.eigensolve(rm)
     w = spm.response_weights(spec, R)
-    identical = isinstance(rm.state, gs.GroundState)
+    identical = rm.state.space.identical
     rec = spm.reconstruct(spec, w, omega) if identical else None
     # the oracles read spec.right, which the products above left unbuilt
     assert "right" not in vars(spec)
@@ -739,7 +726,7 @@ def test_command_path_keeps_rpa_vectors_factored(tmp_path, bos_m2_48,
     # ``mclr linres``: no D x n right vectors and no lift of n columns
     rm = li.assemble_L(bos_m2_48)
     R = li.build_R(bos_m2_48, li.PerturbationSpec(
-        f_dag=position_operator(bos_m2_48.grid), omega=0.55), rm)
+        f_dags=(position_operator(bos_m2_48.grids[0]),), omega=0.55), rm)
     widths = []
     lift = li.ResponseMatrix.lift
 
