@@ -159,7 +159,7 @@ def _solver_options(cfg):
         for name in ("tol_orb", "tol_c", "tau"):
             if cfg.has_option("solver", name):
                 setattr(opts, name, cfg.getfloat("solver", name))
-        for name in ("max_iter", "inner_steps", "ci_dense_cutoff"):
+        for name in ("max_iter", "inner_steps"):
             if cfg.has_option("solver", name):
                 setattr(opts, name, cfg.getint("solver", name))
     return opts
@@ -268,12 +268,7 @@ def cmd_linres(args):
         raise ConfigError(f"--tol-zero must be a positive finite number, got "
                           f"{args.tol_zero}")
     state = _load_checkpoint(args.checkpoint)
-    res = state.residuals
-    orb, coef = res.get("orb_residual", np.inf), res.get("c_residual", np.inf)
-    if orb > gs.LINEARIZATION_TOL or coef > gs.LINEARIZATION_TOL:
-        raise ConfigError(f"checkpoint is not converged (orbital residual "
-                          f"{orb:.3e}, coefficient residual {coef:.3e}); "
-                          "refusing to linearize")
+    gs._require_converged(state)
     cfg, text = _load_config(args.config)
     cfg_hash = _config_hash(text)
     pert = _build_perturbation(cfg, state)

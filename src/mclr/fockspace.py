@@ -41,7 +41,6 @@ __all__ = [
     "enumerate_configs",
     "apply_second_quantized",
     "reduced_densities",
-    "apply_hamiltonian_dist",
     "dist_reduced_density",
 ]
 
@@ -94,7 +93,7 @@ def enumerate_configs(statistics: str, N: int | None = None, M: int | None = Non
                       M_list=None) -> ConfigSpace:
     """Enumerate the configuration basis for the given statistics.  N, M
     and every entry of M_list are integers (a bool is not one)."""
-    for n in (N, M, *(M_list or ())):
+    for n in (N, M, *(() if M_list is None else M_list)):
         if n is not None and (isinstance(n, bool)
                               or not isinstance(n, (int, np.integer))):
             raise ValueError(f"configuration counts must be integers, got {n!r}")
@@ -121,7 +120,7 @@ def enumerate_configs(statistics: str, N: int | None = None, M: int | None = Non
             assert len(configs) == comb(M, N)
         return ConfigSpace(statistics, configs, N=N, M=M)
     if statistics in ("distinguishable", "dist"):
-        if not M_list or any(m < 1 for m in M_list):
+        if M_list is None or len(M_list) == 0 or any(m < 1 for m in M_list):
             raise ValueError("distinguishable spaces need all M_j >= 1")
         M_list = tuple(int(m) for m in M_list)
         configs = tuple(tuple(c) for c in np.ndindex(*M_list))
@@ -257,7 +256,7 @@ def _second_quantized_entries(space: ConfigSpace, h: np.ndarray,
     """(dst, src, w): H of ``apply_second_quantized`` as COO entries
     H[dst, src] += w over the compiled table; entries may repeat."""
     if not space.identical:
-        raise ValueError("identical-particle spaces only; see apply_hamiltonian_dist")
+        raise ValueError("identical-particle spaces only")
     M = space.M
     h = np.asarray(h)
     if h.shape != (M, M):
@@ -319,21 +318,3 @@ def dist_reduced_density(space: ConfigSpace, C: np.ndarray, dofs) -> np.ndarray:
     nd = len(dofs)
     rho = rho.transpose(perm + [p + nd for p in perm])
     return rho
-
-
-def apply_hamiltonian_dist(space: ConfigSpace, C: np.ndarray, h_elems,
-                           W_conf: np.ndarray | None = None) -> np.ndarray:
-    """Apply H = sum_j sum h^j[n,m] rho^j_nm + W_conf to C.
-
-    ``h_elems`` is a list of per-DOF orbital-space matrices; ``W_conf`` is
-    the configuration-space matrix of the coupling.
-    """
-    if space.identical:
-        raise ValueError("distinguishable spaces only")
-    t = np.asarray(C).reshape(space.M_list)
-    # contract h^j along axis j, keeping axis order
-    out = sum(np.moveaxis(np.tensordot(hj, t, axes=(1, j)), 0, j)
-              for j, hj in enumerate(h_elems)).reshape(space.size)
-    if W_conf is not None:
-        out = out + np.asarray(W_conf) @ t.reshape(space.size)
-    return out

@@ -4,7 +4,9 @@ The stationary state is found by alternating two relaxation moves until the
 stationarity residuals vanish:
 
   (a) with orbitals frozen, the lowest eigenpair of the configuration-space
-      Hamiltonian gives the coefficient vector and the energy;
+      Hamiltonian gives the coefficient vector and the energy (dense up to
+      ``CI_DENSE_CUTOFF`` states, Lanczos on a CSR matrix for a larger space
+      of identical particles);
   (b) with coefficients frozen, the orbitals take ``inner_steps``
       preconditioned imaginary-time steps
 
@@ -55,7 +57,11 @@ identical particles the one-DOF case (Beck, Jaeckle, Worth & Meyer, Phys.
 Rep. 324, 1 (2000)).  Only the interaction differs in kind: a
 ``TwoBodyKernel`` with its discretized matrix and the two-body density for
 identical particles, a ``PairCoupling``, ``AllBodyTable`` or None across
-distinguishable DOFs.
+distinguishable DOFs.  The solvers differ only in their initial orbitals:
+``_stationary_state`` builds the configuration eigenpair and the orbital
+right-hand side once for both kinds, from ``ham.hamiltonian_matrix`` and
+``ham.mean_field_plans`` on the interaction operand (``_operand``: the
+kernel matrix, or the coupling).
 """
 
 from __future__ import annotations
@@ -88,6 +94,9 @@ FLOOR_FRACTION = 1e-10
 # largest stationarity residual (orbital and coefficient) of a state that
 # the response is linearized about
 LINEARIZATION_TOL = 1e-6
+# configuration spaces of identical particles up to this size are solved
+# with a dense ``eigh``, larger ones by Lanczos on a CSR matrix
+CI_DENSE_CUTOFF = 500
 
 
 class NonConvergenceError(RuntimeError):
@@ -105,7 +114,6 @@ class SolverOptions:
     max_iter: int = 500
     tau: float = 1.0
     inner_steps: int = 10
-    ci_dense_cutoff: int = 500
     verbose: bool = False
 
 
@@ -131,6 +139,11 @@ class GroundState:
     energy: float = 0.0
     residuals: dict = field(default_factory=dict)
 
+    @property
+    def operand(self):
+        """The interaction as ``hamiltonian`` takes it (``_operand``)."""
+        return _operand(self.space, self.interaction, self.kernel_matrix)
+
     def natural_occupations(self):
         """Natural occupations of each DOF, in descending order."""
         return [np.sort(np.linalg.eigvalsh(r))[::-1] for r in self.rho1]
@@ -142,13 +155,24 @@ def _densities(space: ConfigSpace, C: np.ndarray):
     return ([rd.rho1], rd.rho2) if space.identical else (rd.rho1, None)
 
 
+def _operand(space, interaction, kernel_matrix):
+    """The interaction operand of ``hamiltonian_matrix`` and
+    ``mean_field_plans``: the discretized kernel of identical particles
+    (None where it vanishes) or the coupling across distinguishable DOFs."""
+    if space.identical:
+        return (kernel_matrix if kernel_matrix is not None
+                and np.any(kernel_matrix) else None)
+    return interaction
+
+
 def _require_converged(state, tol=LINEARIZATION_TOL):
-    for name in ("orb_residual", "c_residual"):
-        res = state.residuals.get(name)
-        if res is None or res > tol:
-            raise ValueError(
-                f"stationarity residual {name} = {res} above {tol}: the "
-                "expansion point must satisfy the static equations")
+    """ValueError unless the orbital and the coefficient residual of
+    ``state`` are at most ``tol``; a missing one counts as infinite."""
+    orb, coef = (state.residuals.get(name, np.inf)
+                 for name in ("orb_residual", "c_residual"))
+    if not (orb <= tol and coef <= tol):
+        raise ValueError(f"not converged (orbital residual {orb:.3e}, "
+                         f"coefficient residual {coef:.3e})")
 
 
 def _hermitian_eigh(mat):
@@ -181,22 +205,6 @@ class OrbitalRHS:
         self.weights = weights
         self.fields = fields                       # MeanFieldPlan or None
 
-    @classmethod
-    def identical(cls, grid, h_op, kernel_matrix, rho):
-        field = None
-        if kernel_matrix is not None and np.any(kernel_matrix):
-            field = ham.MeanFieldPlan.identical(rho.rho2, kernel_matrix,
-                                                grid.weight)
-        return cls([np.asarray(rho.rho1)], [h_op], [grid.weight], [field])
-
-    @classmethod
-    def distinguishable(cls, space, grids, h_ops, coupling, C, rho1):
-        weights = [g.weight for g in grids]
-        fields = [None] * len(grids) if coupling is None else [
-            ham.MeanFieldPlan.distinguishable(space, C, coupling, j, weights)
-            for j in range(len(grids))]
-        return cls(rho1, h_ops, weights, fields)
-
     def __call__(self, phis, project=True):
         out = []
         for phi, r, h_t, w, field in zip(phis, self.rho1, self.h_t,
@@ -210,16 +218,15 @@ class OrbitalRHS:
         return out
 
 
-# ---------------------------------------------------------------------------
-# identical particles
-
-
 def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=True):
-    """Right-hand side of the orbital equations of motion, one row per k:
+    """Right-hand side of the orbital equations of motion of identical
+    particles, one row per k:
 
         B_k = P [ sum_q rho_kq h |phi_q> + sum_slq rho_kslq W_sl |phi_q> ].
     """
-    rhs = OrbitalRHS.identical(grid, h_op, kernel_matrix, rho)
+    fields = ham.mean_field_plans(None, None, rho.rho2, kernel_matrix,
+                                  [grid.weight])
+    rhs = OrbitalRHS([np.asarray(rho.rho1)], [h_op], [grid.weight], fields)
     return rhs([orbs.orbitals], project)[0]
 
 
@@ -244,17 +251,18 @@ def _ci_eigenpair(H, v0=None):
     return float(vals[0]), C * (abs(big) / big), H
 
 
-def _lowest_eigenpair(space, orbs, h_op, kernel_matrix, opts, v0=None):
-    """``_ci_eigenpair`` of the dense configuration Hamiltonian up to
-    ``ci_dense_cutoff`` states and of a sparse CSR matrix above."""
-    if space.size <= opts.ci_dense_cutoff:
+def _lowest_eigenpair(space, sets, h_ops, interaction, v0=None):
+    """``_ci_eigenpair`` of the configuration Hamiltonian of either particle
+    kind (``interaction`` the operand of ``ham.hamiltonian_matrix``): dense
+    up to ``CI_DENSE_CUTOFF`` states, and a sparse CSR matrix, Lanczos from
+    ``v0``, for a larger space of identical particles."""
+    if not space.identical or space.size <= CI_DENSE_CUTOFF:
         return _ci_eigenpair(
-            ham.hamiltonian_matrix(space, orbs, h_op, kernel_matrix))
+            ham.hamiltonian_matrix(space, sets, h_ops, interaction))
     from scipy.sparse import csr_matrix
-    h = ham.one_body_elements(orbs, h_op)
-    W = None
-    if kernel_matrix is not None and np.any(kernel_matrix):
-        W = ham.two_body_tensor(orbs, kernel_matrix)
+    h = ham.one_body_elements(sets[0], h_ops[0])
+    W = None if interaction is None else ham.two_body_tensor(sets[0],
+                                                             interaction)
     dst, src, w = fs._second_quantized_entries(space, h, W)
     # repeated (dst, src) entries are summed once here, not per matvec
     return _ci_eigenpair(csr_matrix((w, (dst, src)), shape=(space.size,) * 2),
@@ -445,33 +453,49 @@ def solve_mchx(space: ConfigSpace, grid: Grid, h_op: OneBodyOperator,
     """Self-consistent stationary state for identical bosons or fermions."""
     if not space.identical:
         raise ValueError("identical-particle spaces only; see solve_mch_dist")
-    opts = opts or SolverOptions()
-    kernel_matrix = discretize_kernel(grid, kernel)
-
     h_eig = np.linalg.eigh(h_op.matrix)
     if initial is None:
         orbs = OrbitalSet(h_eig[1][:, :space.M].T / np.sqrt(grid.weight), grid)
     else:
         orbs = initial.orthonormalized()
+    return _stationary_state(space, [h_op], kernel,
+                             discretize_kernel(grid, kernel), [orbs], [h_eig],
+                             opts)
 
-    def ci(sets, C):
-        return _lowest_eigenpair(space, sets[0], h_op, kernel_matrix, opts, v0=C)
 
-    def plan(C):
-        rho = fs.reduced_densities(space, C)
-        return rho.rho2, OrbitalRHS.identical(grid, h_op, kernel_matrix, rho)
-
-    return _stationary_state(space, [h_op], kernel, kernel_matrix, [orbs],
-                             [h_eig], opts, FLOOR_FRACTION * space.N, ci, plan)
+def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
+                   opts: SolverOptions | None = None) -> GroundState:
+    """Self-consistent stationary state for coupled distinguishable DOFs."""
+    if space.identical:
+        raise ValueError("distinguishable spaces only; see solve_mchx")
+    h_eigs = [np.linalg.eigh(h.matrix) for h in h_ops]
+    sets = [OrbitalSet(vecs[:, :space.M_list[j]].T / np.sqrt(grids[j].weight),
+                       grids[j]) for j, (_, vecs) in enumerate(h_eigs)]
+    return _stationary_state(space, h_ops, coupling, None, sets, h_eigs, opts)
 
 
 def _stationary_state(space, h_ops, interaction, kernel_matrix, sets, h_eigs,
-                      opts, floor, ci, plan) -> GroundState:
+                      opts) -> GroundState:
     """``_self_consistent`` from ``sets``, then the state with the
     multipliers mu_kq = <phi_q|g_k> of each DOF, g the unprojected
-    right-hand side, and their hermiticity defect ``mu_defect``."""
+    right-hand side, and their hermiticity defect ``mu_defect``.  The
+    configuration eigenpair and the orbital right-hand side come from
+    ``ham.hamiltonian_matrix`` and ``ham.mean_field_plans`` for either
+    particle kind; the density floor is ``FLOOR_FRACTION`` tr rho."""
+    operand = _operand(space, interaction, kernel_matrix)
+    weights = [s.grid.weight for s in sets]
+
+    def ci(cur_sets, C):
+        return _lowest_eigenpair(space, cur_sets, h_ops, operand, v0=C)
+
+    def plan(C):
+        rho1, rho2 = _densities(space, C)
+        fields = ham.mean_field_plans(space, C, rho2, operand, weights)
+        return rho2, OrbitalRHS(rho1, h_ops, weights, fields)
+
+    floor = FLOOR_FRACTION * (space.N if space.identical else 1)
     sets, energy, C, rho2, rhs, residuals = _self_consistent(
-        space, sets, h_eigs, opts, floor, ci, plan)
+        space, sets, h_eigs, opts or SolverOptions(), floor, ci, plan)
     raw = rhs([s.orbitals for s in sets], project=False)
     mu = [s.grid.weight * (g @ s.orbitals.conj().T) for s, g in zip(sets, raw)]
     residuals["mu_defect"] = max(float(np.abs(m - m.conj().T).max()) for m in mu)
@@ -480,45 +504,6 @@ def _stationary_state(space, h_ops, interaction, kernel_matrix, sets, h_eigs,
                        interaction=interaction, rho2=rho2,
                        kernel_matrix=kernel_matrix, energy=energy,
                        residuals=residuals)
-
-
-# ---------------------------------------------------------------------------
-# distinguishable degrees of freedom
-
-
-def _dist_hamiltonian(space, sets, h_ops, coupling):
-    M = space.M_list
-    H = sum(np.kron(np.kron(np.eye(int(np.prod(M[:j]))),
-                            ham.one_body_elements(s, h)),
-                    np.eye(int(np.prod(M[j + 1:]))))
-            for j, (s, h) in enumerate(zip(sets, h_ops)))
-    if coupling is not None:
-        H = H + ham.config_coupling_matrix(coupling, sets, space)
-    return H
-
-
-def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
-                   opts: SolverOptions | None = None) -> GroundState:
-    """Self-consistent stationary state for coupled distinguishable DOFs."""
-    if space.identical:
-        raise ValueError("distinguishable spaces only; see solve_mchx")
-    opts = opts or SolverOptions()
-    Q = len(space.M_list)
-
-    h_eigs = [np.linalg.eigh(h.matrix) for h in h_ops]
-    sets = [OrbitalSet(vecs[:, :space.M_list[j]].T / np.sqrt(grids[j].weight),
-                       grids[j]) for j, (_, vecs) in enumerate(h_eigs)]
-
-    def ci(cur_sets, C):
-        return _ci_eigenpair(_dist_hamiltonian(space, cur_sets, h_ops, coupling))
-
-    def plan(C):
-        rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
-        return None, OrbitalRHS.distinguishable(space, grids, h_ops, coupling,
-                                                C, rho1)
-
-    return _stationary_state(space, h_ops, coupling, None, sets, h_eigs, opts,
-                             FLOOR_FRACTION, ci, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +543,12 @@ def propagate_check(state: GroundState, dt: float, n_steps: int,
     """
     _propagation_needs_identical(state)
     space, (grid,), (h_op,) = state.space, state.grids, state.h_ops
-    km = state.kernel_matrix
+    km = state.operand
     floor = FLOOR_FRACTION * space.N
 
     def h_elems(orbs):
         h = ham.one_body_elements(orbs, h_op)
-        W = ham.two_body_tensor(orbs, km) if np.any(km) else None
+        W = None if km is None else ham.two_body_tensor(orbs, km)
         return h, W
 
     def rhs(phi_mat, C):

@@ -1,13 +1,19 @@
 """Orbital-space matrix elements feeding the ground-state and response builds.
 
-Identical particles: one-body elements h_kq, direct potentials W_sl(r), the
-four-index interaction tensor, and the dense configuration-space
-Hamiltonian.
+This is the one module that knows how each particle kind builds its
+configuration matrix and its mean fields; the solver, the response blocks
+and the probes all take them from ``hamiltonian_matrix`` and
+``mean_field_plans``, with one one-body operator per DOF and an interaction
+operand that is the discretized kernel for identical particles (the one-DOF
+case) and a ``PairCoupling`` or ``AllBodyTable`` across distinguishable
+DOFs.
 
-Distinguishable degrees of freedom: pairwise (and small all-body) couplings,
-their configuration matrix elements, and the per-DOF mean-field operators,
-all contracted against reduced densities or the coefficient tensor rather
-than summed over configuration pairs.
+Identical particles: one-body elements h_kq, direct potentials W_sl(r) and
+the four-index interaction tensor, applied through the compiled operator
+table of the configuration space.  Distinguishable degrees of freedom:
+pairwise (and small all-body) couplings and their configuration matrix
+elements, contracted against reduced densities or the coefficient tensor
+rather than summed over configuration pairs.
 
 Index convention for the interaction tensor: ``W[k, s, q, l]`` pairs bra k /
 ket q on the first coordinate and bra s / ket l on the second,
@@ -35,7 +41,7 @@ __all__ = [
     "AllBodyTable",
     "config_coupling_matrix",
     "MeanFieldPlan",
-    "mean_fields_dist",
+    "mean_field_plans",
 ]
 
 
@@ -107,14 +113,30 @@ def two_body_tensor(orbs: OrbitalSet, kernel_matrix: np.ndarray) -> np.ndarray:
     return W.transpose(0, 2, 1, 3)
 
 
-def hamiltonian_matrix(space: ConfigSpace, orbs: OrbitalSet,
-                       h_op: OneBodyOperator,
-                       kernel_matrix: np.ndarray | None) -> np.ndarray:
-    """Dense configuration-space Hamiltonian: one bincount over the compiled
-    operator table of ``space``."""
-    h = one_body_elements(orbs, h_op)
-    W = None if kernel_matrix is None else two_body_tensor(orbs, kernel_matrix)
-    return apply_second_quantized(space, None, h, W)
+def hamiltonian_matrix(space: ConfigSpace, sets, h_ops,
+                       interaction) -> np.ndarray:
+    """Dense configuration-space Hamiltonian of either particle kind, one
+    one-body operator per DOF in ``h_ops`` (None: zero) and ``sets`` their
+    orbital sets.  ``interaction`` is the discretized kernel of identical
+    particles (one bincount over the compiled operator table of ``space``),
+    or the ``PairCoupling`` / ``AllBodyTable`` across distinguishable DOFs
+    (one Kronecker product per DOF plus ``config_coupling_matrix``); None is
+    no interaction."""
+    h = [None if op is None else one_body_elements(s, op)
+         for s, op in zip(sets, h_ops)]
+    if space.identical:
+        W = None if interaction is None else two_body_tensor(sets[0],
+                                                             interaction)
+        return apply_second_quantized(
+            space, None, np.zeros((space.M,) * 2) if h[0] is None else h[0], W)
+    M = space.M_list
+    H = sum((np.kron(np.kron(np.eye(int(np.prod(M[:j]))), hj),
+                     np.eye(int(np.prod(M[j + 1:]))))
+             for j, hj in enumerate(h) if hj is not None),
+            np.zeros((space.size,) * 2))
+    if interaction is not None:
+        H = H + config_coupling_matrix(interaction, sets, space)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +266,7 @@ class MeanFieldPlan:
     (Q <= 3) is contracted with the coefficient tensor, so conj(C_n) C_m is
     never formed.  ``plan(phis)`` evaluates the stack on the orbitals
     ``phis`` (one (M_l, n_l) array per DOF) as an (M_j, M_j, n_j) array,
-    touching only orbital products.
+    touching only orbital products.  ``mean_field_plans`` builds them.
     """
 
     def __init__(self, j, touching=(), missing=(), all_body=None):
@@ -255,43 +277,6 @@ class MeanFieldPlan:
         self.dtype = np.result_type(
             float, *(x for term in touching for x in term[1:]),
             *(x for term in missing for x in term[2:]), *(all_body or ()))
-
-    @classmethod
-    def identical(cls, rho2, kernel_matrix, weight):
-        """Direct mean fields sum_sl rho2[k, s, l, q] W_sl(x) of identical
-        particles, W_sl the ``local_potentials``."""
-        M = len(rho2)
-        R = rho2.transpose(0, 3, 1, 2).reshape(M * M, M * M)
-        return cls(0, touching=[(0, R, weight * kernel_matrix.T)])
-
-    @classmethod
-    def distinguishable(cls, space, C, coupling, j, weights):
-        """Mean fields of DOF j under ``coupling`` (None: zero), with
-        ``weights`` the quadrature weights of the DOFs."""
-        Q = len(space.M_list)
-        if isinstance(coupling, AllBodyTable):
-            Ct = C.reshape(space.M_list)
-            w = np.prod([weights[l] for l in range(Q) if l != j])
-            return cls(j, all_body=(Ct.conj(), Ct, w * coupling.table))
-        tables = {}     # partner (c,) or untouched pair (a, b) -> summed T
-        for (a, b), t in ([] if coupling is None else _terms(coupling)):
-            if j in (a, b):
-                c, t = (b, t) if j == a else (a, t.T)    # t[x_j, x_c]
-                key, T = (c,), weights[c] * t.T
-            else:
-                key, T = (a, b), weights[a] * weights[b] * t
-            tables[key] = tables[key] + T if key in tables else T
-        touching, missing = [], []
-        M = space.M_list[j]
-        for key, T in tables.items():
-            rho = dist_reduced_density(space, C, (j,) + key)
-            if len(key) == 1:                            # rho[p, r, q, s]
-                R = rho.transpose(0, 2, 1, 3).reshape(M * M, -1)
-                touching.append((key[0], R, T))
-            else:                                        # rho[p, a, b, q, c, d]
-                R = np.einsum("pabpcd->pacbd", rho).reshape(M, -1)
-                missing.append((*key, R, T))
-        return cls(j, touching, missing)
 
     def __call__(self, phis):
         phi = phis[self.j]
@@ -311,14 +296,48 @@ class MeanFieldPlan:
         return out.reshape(M, M, n)
 
 
-def mean_fields_dist(space: ConfigSpace, C: np.ndarray, sets, coupling,
-                     j: int) -> np.ndarray:
-    """All mean-field diagonals of DOF j: an (M_j, M_j, n_j) stack.
+def mean_field_plans(space: ConfigSpace, C: np.ndarray, rho2, interaction,
+                     weights) -> list:
+    """One ``MeanFieldPlan`` per DOF of the coefficient vector C, all None
+    without an ``interaction``.  For identical particles ``interaction`` is
+    the discretized kernel and ``rho2`` the two-body density of C: the
+    direct mean fields sum_sl rho2[k, s, l, q] W_sl(x), W_sl the
+    ``local_potentials``.  Across distinguishable DOFs it is a
+    ``PairCoupling`` or ``AllBodyTable`` and ``rho2`` is None.  ``weights``
+    are the quadrature weights of the DOFs."""
+    if interaction is None:
+        return [None] * len(weights)
+    if rho2 is not None:
+        M = len(rho2)
+        R = rho2.transpose(0, 3, 1, 2).reshape(M * M, M * M)
+        return [MeanFieldPlan(0, touching=[(0, R, weights[0] * interaction.T)])]
+    return [_dist_plan(space, C, interaction, j, weights)
+            for j in range(len(weights))]
 
-    Omega^j[p, q](x_j) sums conj(C_n) C_m over configuration pairs with slot-j
-    labels (p, q) times the coupling integrated over every other coordinate;
-    see ``MeanFieldPlan``.
-    """
-    plan = MeanFieldPlan.distinguishable(space, C, coupling, j,
-                                         [s.grid.weight for s in sets])
-    return plan([s.orbitals for s in sets])
+
+def _dist_plan(space, C, coupling, j, weights) -> MeanFieldPlan:
+    """The ``MeanFieldPlan`` of DOF j under ``coupling``."""
+    Q = len(space.M_list)
+    if isinstance(coupling, AllBodyTable):
+        Ct = C.reshape(space.M_list)
+        w = np.prod([weights[l] for l in range(Q) if l != j])
+        return MeanFieldPlan(j, all_body=(Ct.conj(), Ct, w * coupling.table))
+    tables = {}     # partner (c,) or untouched pair (a, b) -> summed T
+    for (a, b), t in _terms(coupling):
+        if j in (a, b):
+            c, t = (b, t) if j == a else (a, t.T)    # t[x_j, x_c]
+            key, T = (c,), weights[c] * t.T
+        else:
+            key, T = (a, b), weights[a] * weights[b] * t
+        tables[key] = tables[key] + T if key in tables else T
+    touching, missing = [], []
+    M = space.M_list[j]
+    for key, T in tables.items():
+        rho = dist_reduced_density(space, C, (j,) + key)
+        if len(key) == 1:                            # rho[p, r, q, s]
+            R = rho.transpose(0, 2, 1, 3).reshape(M * M, -1)
+            touching.append((key[0], R, T))
+        else:                                        # rho[p, a, b, q, c, d]
+            R = np.einsum("pabpcd->pacbd", rho).reshape(M, -1)
+            missing.append((*key, R, T))
+    return MeanFieldPlan(j, touching, missing)

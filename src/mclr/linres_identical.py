@@ -5,11 +5,16 @@ The response space stacks, in this order, the orbital response amplitudes
 u_1..u_M, their partners v_1..v_M, and the coefficient amplitudes C_u, C_v;
 its total dimension is D = 2 (M n_points + N_conf) for identical
 particles, the one-DOF case of ``ResponseLayout``.  ``assemble_L`` and
-``build_R`` serve both kinds: the raw blocks and the pair-probe ingredients
-come from the builders of the state's kind (identical particles here,
-distinguishable DOFs in ``linres_distinguishable``), and the layout, the
-projector, metric and block-product code and the driving-vector skeleton
-``_driving_vector`` are shared.
+``build_R`` serve both kinds, and so do the blocks built from the
+configuration matrix and the mean fields of ``hamiltonian``: per DOF the
+diagonal orbital block rho h - mu + Omega (``build_oo_block``), the
+coefficient block H - eps (``build_cc_block``) and the probes' actions
+(their configuration matrices and mean fields, for ``_driving_vector``).
+What stays per kind is the exchange (same-DOF for identical particles,
+here; across DOFs in ``linres_distinguishable.cross_dof_exchange``) and the
+orbital-coefficient couplings, a gather from the compiled operator table
+here and a tensor contraction in ``linres_distinguishable``.  The layout,
+the projector, metric and block-product code are shared.
 
 Inside this module orbital entries live in the scaled convention
 phi~ = sqrt(dx) phi, which turns quadrature sums into plain dot products.
@@ -61,7 +66,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fockspace as fs
 from . import hamiltonian as ham
 from . import linres_distinguishable as ld
 from .grid import discretize_kernel
@@ -92,6 +96,12 @@ class ResponseLayout:
     M_list: tuple
     n_list: tuple
     n_conf: int
+
+    @classmethod
+    def of(cls, state) -> "ResponseLayout":
+        """The layout of a ``GroundState`` of either particle kind."""
+        return cls(tuple(s.M for s in state.sets),
+                   tuple(g.n_points for g in state.grids), state.space.size)
 
     @property
     def Q(self) -> int:
@@ -313,34 +323,53 @@ def _ingredients(state):
 
 
 def build_oo_block(state: GroundState):
-    """Orbital-orbital sub-matrices (A, B):
+    """Orbital-orbital sub-matrices (A, B) over the stacked per-DOF u/v
+    sectors, for either particle kind.  The diagonal block of DOF j is
 
-    A[kq] = rho_kq h - mu_kq + Omega_kq +/- kappa1_kq   (u rows, u columns)
-    B[kq] = kappa2_kq                                    (u rows, v columns)
+        A[kq] = rho_kq h - mu_kq + Omega_kq   (u rows, u columns),
 
-    with Omega the direct and kappa1/kappa2 the exchange couplings; the sign
-    is + for bosons, - for fermions.  The same-statistics lower rows follow
-    from (A, B) by the structural pattern [[A, B], [-conj(B), -conj(A)]].
+    Omega the mean fields of ``ham.mean_field_plans``.  Identical particles
+    add their exchange, +/- kappa1 to A (+ for bosons, - for fermions) and
+    kappa2 as B; distinguishable DOFs have none within a DOF, and B is zero
+    there, but couple across DOFs (``ld.cross_dof_exchange``).  The
+    same-statistics lower rows follow from (A, B) by the structural pattern
+    [[A, B], [-conj(B), -conj(A)]].
     """
     _require_converged(state)
-    phi, rho1, rho2, mu, h = _ingredients(state)
-    M, n = phi.shape
-    sign = STATISTICS_SIGN[state.space.statistics]
-    km = state.kernel_matrix
-
-    eye = np.eye(n)
-    A = np.einsum("kq,xy->kxqy", rho1, h) - np.einsum("kq,xy->kxqy", mu, eye)
+    layout = ResponseLayout.of(state)
+    operand, phis = state.operand, [s.orbitals for s in state.sets]
+    plans = ham.mean_field_plans(state.space, state.C, state.rho2, operand,
+                                 [g.weight for g in state.grids])
+    fields = [None if p is None else p(phis) for p in plans]
+    rho1s = [_hermitized(r) for r in state.rho1]
+    mus = [_hermitized(m) for m in state.mu]
+    hs = [h.matrix for h in state.h_ops]
+    A = np.zeros((layout.orb,) * 2, dtype=np.result_type(
+        state.C, *rho1s, *mus, *hs, *phis, *(f for f in fields if f is not None)))
     B = np.zeros_like(A)
-    if km is not None and np.any(km):
-        w = ham.local_potentials(state.sets[0], km)          # (s, l, x)
-        om = np.einsum("kslq,slx->kqx", rho2, w)
-        # exchange kernels, scaled convention
-        K1 = np.einsum("lx,xy,sy->slxy", phi, km, phi.conj())   # K_sl
-        K2 = np.einsum("sx,xy,ly->lsxy", phi, km, phi)          # K_{l* s}
-        kap1 = np.einsum("kslq,slxy->kxqy", rho2, K1)
-        A += np.einsum("kqx,xy->kxqy", om, eye) + sign * kap1
-        B = np.einsum("kqls,lsxy->kxqy", rho2, K2)
-    return A.reshape(M * n, M * n), B.reshape(M * n, M * n)
+    for j, (rho, mu, h, om) in enumerate(zip(rho1s, mus, hs, fields)):
+        M, n = layout.M_list[j], layout.n_list[j]
+        # (slot, point, slot, point) view of the block; the grid diagonal
+        # is indexed with one index array on both point axes
+        blk = A[layout.u_block(j), layout.u_block(j)].reshape(M, n, M, n)
+        diag = np.arange(n)
+        np.multiply(rho[:, None, :, None], h[None, :, None, :], out=blk)
+        blk[:, diag, :, diag] -= mu
+        if om is not None:
+            blk[:, diag, :, diag] += om.transpose(2, 0, 1)
+    if operand is None:
+        return A, B
+    if not state.space.identical:
+        ld.cross_dof_exchange(state, A, B)
+        return A, B
+    # exchange kernels, scaled convention
+    phi, rho2 = state.sets[0].scaled, state.rho2
+    sign = STATISTICS_SIGN[state.space.statistics]
+    K1 = np.einsum("lx,xy,sy->slxy", phi, operand, phi.conj())   # K_sl
+    K2 = np.einsum("sx,xy,ly->lsxy", phi, operand, phi)          # K_{l* s}
+    A += sign * np.einsum("kslq,slxy->kxqy", rho2, K1).reshape(A.shape)
+    B += np.einsum("kqls,lsxy->kxqy", rho2, K2).reshape(B.shape)
+    return A, B
 
 
 def _mapped_vectors(state):
@@ -385,14 +414,16 @@ def build_oc_co_blocks(state: GroundState):
 
 
 def build_cc_block(state: GroundState):
-    """Coefficient-coefficient block H - eps of the C_u rows.
+    """Coefficient-coefficient block H - eps of the C_u rows, H the
+    configuration Hamiltonian of either particle kind.
 
     The C_v block is its mirror eps - conj(H), the starred Hamiltonian:
     matrix elements conjugated, density operators untouched.
     """
     _require_converged(state)
-    return _cc_block(ham.hamiltonian_matrix(
-        state.space, state.sets[0], state.h_ops[0], state.kernel_matrix), state.C)
+    return _cc_block(ham.hamiltonian_matrix(state.space, state.sets,
+                                            state.h_ops, state.operand),
+                     state.C)
 
 
 def _cc_block(H, C):
@@ -483,12 +514,10 @@ def _block2(out, top_left, top_right, bottom_left, bottom_right):
 
 
 def _raw_blocks(state: GroundState):
-    """(A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u) from the block builders of
-    the particle kind."""
-    if state.space.identical:
-        return (*build_oo_block(state), *build_oc_co_blocks(state),
-                build_cc_block(state))
-    return (*ld.build_oo_dist(state), *ld.build_oc_co_cc_dist(state))
+    """(A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u); only the orbital-coefficient
+    couplings have a builder per particle kind."""
+    oc_co = build_oc_co_blocks if state.space.identical else ld.build_oc_co_dist
+    return (*build_oo_block(state), *oc_co(state), build_cc_block(state))
 
 
 def assemble_L(state: GroundState) -> ResponseMatrix:
@@ -496,27 +525,27 @@ def assemble_L(state: GroundState) -> ResponseMatrix:
     return _response_matrix(state, _raw_blocks(state))
 
 
-def _driving_vector(rm: ResponseMatrix, phis, F, om, c1, c2) -> np.ndarray:
+def _driving_vector(rm: ResponseMatrix, phis, F, om, O1, O2) -> np.ndarray:
     """Projected driving vector P M^(+1/2) S1 + P M^(-1/2) S2 for either
     particle kind, one DOF per entry of ``phis`` (scaled orbitals).
 
     S1 is the one-body probe: u rows -F_j phi_a for each DOF with a probe
     matrix ``F[j]`` (None for an unprobed DOF).  S2 is the pair probe: u rows
     -sum_b Omega_j[a, b] phi_b from its mean fields ``om[j]``, an
-    (M_j, M_j, n_j) stack or None.  The v rows are -conj(u).  ``c1`` and
-    ``c2`` are the configuration actions of the two probes, or None:
-    c(x, transpose) gives O x or O^T x, and C_u = -O C, C_v = O^T conj(C).
+    (M_j, M_j, n_j) stack or None.  The v rows are -conj(u).  ``O1`` and
+    ``O2`` are the configuration matrices of the two probes, or None:
+    C_u = -O C, C_v = O^T conj(C).
     """
     C = rm.state.C
     S = []
-    for act, u in ((c1, [None if f is None else -(phi @ f.T)
-                         for phi, f in zip(phis, F)]),
-                   (c2, [None if o is None else -np.einsum("abx,bx->ax", o, phi)
-                         for phi, o in zip(phis, om)])):
+    for O, u in ((O1, [None if f is None else -(phi @ f.T)
+                       for phi, f in zip(phis, F)]),
+                 (O2, [None if o is None else -np.einsum("abx,bx->ax", o, phi)
+                       for phi, o in zip(phis, om)])):
         u = np.concatenate([np.zeros(phi.size) if x is None else x.ravel()
                             for phi, x in zip(phis, u)])
-        c = ([np.zeros(len(C))] * 2 if act is None
-             else [-act(C, False), act(C.conj(), True)])
+        c = ([np.zeros(len(C))] * 2 if O is None
+             else [-(O @ C), O.T @ C.conj()])
         S.append(np.concatenate([u, -u.conj(), *c]))
     return rm.project(S[0], +0.5) + rm.project(S[1], -0.5)
 
@@ -524,8 +553,11 @@ def _driving_vector(rm: ResponseMatrix, phis, F, om, c1, c2) -> np.ndarray:
 def build_R(state: GroundState, pert: PerturbationSpec,
             rm: ResponseMatrix | None = None) -> np.ndarray:
     """Projected driving vector P [M^(+1/2) S1 + M^(-1/2) S2] of the
-    one-body probes f_j (S1) and the pair probe g (S2): their actions on C
-    and the mean fields of g, for ``_driving_vector``."""
+    one-body probes f_j (S1) and the pair probe g (S2), for either particle
+    kind: their configuration matrices from ``ham.hamiltonian_matrix`` and
+    the mean fields of g from ``ham.mean_field_plans``, for
+    ``_driving_vector``.  g is discretized on the grid for identical
+    particles and taken as it is across DOFs."""
     _require_converged(state)
     space, sets = state.space, state.sets
     f_dags = pert.f_dags or (None,) * len(sets)
@@ -533,39 +565,20 @@ def build_R(state: GroundState, pert: PerturbationSpec,
         raise ValueError(f"{len(f_dags)} one-body probes for {len(sets)} DOFs")
     if rm is None:
         rm = assemble_L(state)
-    om, c1, c2 = [None] * len(sets), None, None
+    om, O1, O2 = [None] * len(sets), None, None
     if any(f is not None for f in f_dags):
-        mats = [np.zeros((len(s.scaled),) * 2) if f is None
-                else ham.one_body_elements(s, f) for s, f in zip(sets, f_dags)]
-
-        def c1(x, transpose):
-            m = [h.T for h in mats] if transpose else mats
-            if space.identical:
-                return fs.apply_second_quantized(space, x, m[0])
-            return fs.apply_hamiltonian_dist(space, x, m)
-
+        O1 = ham.hamiltonian_matrix(space, sets, f_dags, None)
     if pert.g_dag is not None:
-        om, c2 = (_pair_probe if space.identical else ld.pair_probe_dist)(
-            state, pert.g_dag)
+        g = pert.g_dag
+        if space.identical:
+            g = discretize_kernel(state.grids[0], g)
+        plans = ham.mean_field_plans(space, state.C, state.rho2, g,
+                                     [s.grid.weight for s in sets])
+        om = [p([s.orbitals for s in sets]) for p in plans]
+        O2 = ham.hamiltonian_matrix(space, sets, [None] * len(sets), g)
     return _driving_vector(rm, [s.scaled for s in sets],
                            [None if f is None else f.matrix for f in f_dags],
-                           om, c1, c2)
-
-
-def _pair_probe(state, g):
-    """Mean fields rho2 . W_g and configuration action of the pair probe
-    ``g``, a ``TwoBodyKernel``, on identical particles."""
-    (orbs,), space = state.sets, state.space
-    G = discretize_kernel(orbs.grid, g)
-    gloc = ham.local_potentials(orbs, G)                     # (s, l, x)
-    gt = ham.two_body_tensor(orbs, G)
-    zero = np.zeros((len(gt),) * 2)
-
-    def c2(x, transpose):
-        return fs.apply_second_quantized(
-            space, x, zero, gt.transpose(3, 2, 1, 0) if transpose else gt)
-
-    return [np.einsum("kslq,slx->kqx", state.rho2, gloc)], c2
+                           om, O1, O2)
 
 
 def sigma1(layout) -> np.ndarray:

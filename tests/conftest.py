@@ -121,7 +121,7 @@ def bos_m2_complex_gauge(bos_m2):
     U, _ = np.linalg.qr(z)
     rot = ham.OrbitalSet(U.conj().T @ st.sets[0].orbitals, st.grids[0])
     energy, C, _ = gs._ci_eigenpair(
-        ham.hamiltonian_matrix(st.space, rot, st.h_ops[0], st.kernel_matrix))
+        ham.hamiltonian_matrix(st.space, [rot], st.h_ops, st.kernel_matrix))
     rho = fs.reduced_densities(st.space, C)
     g_unp = gs.orbital_eom_rhs(st.grids[0], rot, st.h_ops[0],
                                st.kernel_matrix, rho, project=False)

@@ -11,7 +11,8 @@ table.  A few direct-definition helpers that
 only tests use (exchange kernels, the single-entry density action, the
 density action of one ladder key on the compiled table, the
 coefficient-orbital rows summed directly, the orbital right-hand sides
-summed term by term or from one ``OrbitalRHS`` build, the
+summed term by term or from one ``OrbitalRHS`` build, the Hamiltonian of
+distinguishable DOFs applied axis by axis, the
 first-quantized one- and two-body operators, the Lagrange multipliers
 recomputed from a state) live here as well, and so do the dense forms of
 the structural operator P M^p and of the projected, metric-transformed
@@ -374,9 +375,22 @@ def dist_orbital_rhs_plan(space, sets, h_ops, coupling, C, rho1,
                           project=True):
     """Per-DOF right-hand sides from one ``OrbitalRHS`` build and one
     evaluation, as the solver takes them."""
-    rhs = gs.OrbitalRHS.distinguishable(space, [s.grid for s in sets], h_ops,
-                                        coupling, C, rho1)
+    weights = [s.grid.weight for s in sets]
+    rhs = gs.OrbitalRHS(rho1, h_ops, weights, ham.mean_field_plans(
+        space, C, None, coupling, weights))
     return rhs([s.orbitals for s in sets], project)
+
+
+def apply_hamiltonian_dist(space, C, h_elems, W_conf=None):
+    """Apply H = sum_j sum h^j[n,m] rho^j_nm + W_conf to C, one tensor axis
+    per DOF: ``h_elems`` holds the per-DOF orbital-space matrices, ``W_conf``
+    the configuration-space matrix of the coupling."""
+    t = np.asarray(C).reshape(space.M_list)
+    out = sum(np.moveaxis(np.tensordot(hj, t, axes=(1, j)), 0, j)
+              for j, hj in enumerate(h_elems)).reshape(space.size)
+    if W_conf is not None:
+        out = out + np.asarray(W_conf) @ t.reshape(space.size)
+    return out
 
 
 def config_coupling_matrix(coupling, sets, space):
@@ -434,22 +448,16 @@ def _reduced_pair(coupling, scaled, nvec, mvec, j, k):
     return out
 
 
-def _layout(state):
-    return li.ResponseLayout(tuple(state.space.M_list),
-                             tuple(g.n_points for g in state.grids),
-                             state.space.size)
-
-
 def oo_dist_diagonal(state, j):
     """Diagonal DOF block rho h - mu + diag(Omega) of A for DOF j, filled
     slot pair by slot pair."""
-    layout = _layout(state)
+    layout = li.ResponseLayout.of(state)
     M, n = layout.M_list[j], layout.n_list[j]
     rho = 0.5 * (state.rho1[j] + state.rho1[j].conj().T)
     mu = 0.5 * (state.mu[j] + state.mu[j].conj().T)
     h = state.h_ops[j].matrix
-    om = ham.mean_fields_dist(state.space, state.C, state.sets,
-                              state.interaction, j) \
+    om = mean_fields_dist(state.space, state.C, state.sets,
+                          state.interaction, j) \
         if state.interaction is not None else None
     out = np.zeros((M * n, M * n), dtype=complex)
     for a in range(M):
@@ -463,7 +471,7 @@ def oo_dist_diagonal(state, j):
 
 def build_oo_cross(state):
     """Cross-DOF parts of the (A, B) orbital-orbital blocks, pair by pair."""
-    layout = _layout(state)
+    layout = li.ResponseLayout.of(state)
     scaled = [s.scaled for s in state.sets]
     C, space = state.C, state.space
     A = np.zeros((layout.orb, layout.orb), dtype=complex)
@@ -488,7 +496,7 @@ def build_oo_cross(state):
 
 def loc_blocks(state):
     """(Loc_u, Loc_v) orbital-coefficient columns, pair by pair."""
-    layout = _layout(state)
+    layout = li.ResponseLayout.of(state)
     Q = layout.Q
     scaled = [s.scaled for s in state.sets]
     C, space = state.C, state.space
@@ -689,18 +697,18 @@ def build_R_dist(state, pert, rm):
     if any(m is not None for m in f_mats):
         h_list = [m if m is not None else np.zeros((layout.M_list[j],) * 2)
                   for j, m in enumerate(f_mats)]
-        S1[layout.cu_slice] = -fs.apply_hamiltonian_dist(space, C, h_list)
-        S1[layout.cv_slice] = fs.apply_hamiltonian_dist(
+        S1[layout.cu_slice] = -apply_hamiltonian_dist(space, C, h_list)
+        S1[layout.cv_slice] = apply_hamiltonian_dist(
             space, C.conj(), [m.T for m in h_list])
     if pert.g_dag is not None:
         for j in range(layout.Q):
-            om = ham.mean_fields_dist(space, C, state.sets, pert.g_dag, j)
+            om = mean_fields_dist(space, C, state.sets, pert.g_dag, j)
             for a in range(layout.M_list[j]):
                 S2[layout.u_slice(j, a)] = -np.einsum("bx,bx->x", om[a],
                                                       scaled[j])
                 S2[v_slice(layout, j, a)] = np.einsum(
                     "bx,bx->x", om[a].conj(), np.conj(scaled[j]))
-        G = ham.config_coupling_matrix(pert.g_dag, state.sets, space)
+        G = config_coupling_matrix(pert.g_dag, state.sets, space)
         S2[layout.cu_slice] = -(G @ C)
         S2[layout.cv_slice] = G.T @ C.conj()
     return dense_PM(rm, 0.5) @ S1 + dense_PM(rm, -0.5) @ S2

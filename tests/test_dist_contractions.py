@@ -9,6 +9,7 @@ from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
 from mclr import linres_distinguishable as ld
+from mclr import linres_identical as li
 
 import loop_oracles as lo
 from conftest import oscillator_h, random_state_vector
@@ -66,9 +67,10 @@ def state(request):
 
 
 def test_mean_fields_match_pair_loop(state):
-    for j in range(len(state.sets)):
-        new = ham.mean_fields_dist(state.space, state.C, state.sets,
-                                   state.interaction, j)
+    plans = ham.mean_field_plans(state.space, state.C, None, state.interaction,
+                                 [g.weight for g in state.grids])
+    for j, plan in enumerate(plans):
+        new = plan([s.orbitals for s in state.sets])
         ref = lo.mean_fields_dist(state.space, state.C, state.sets,
                                   state.interaction, j)
         assert np.abs(new - ref).max() < TOL
@@ -81,9 +83,9 @@ def test_config_coupling_matrix_matches_pair_loop(state):
 
 
 def test_cross_dof_oo_blocks_match_pair_loop(state):
-    A, B = ld.build_oo_dist(state)
+    A, B = li.build_oo_block(state)
     A_ref, B_ref = lo.build_oo_cross(state)
-    lay = ld._layout(state)
+    lay = li.ResponseLayout.of(state)
     for j in range(lay.Q):
         for k in range(lay.Q):
             if k != j:
@@ -93,7 +95,7 @@ def test_cross_dof_oo_blocks_match_pair_loop(state):
 
 
 def test_orbital_coefficient_columns_match_pair_loop(state):
-    Loc_u, Loc_v, *_ = ld.build_oc_co_cc_dist(state)
+    Loc_u, Loc_v, *_ = ld.build_oc_co_dist(state)
     ref_u, ref_v = lo.loc_blocks(state)
     assert np.abs(Loc_u - ref_u).max() < TOL
     assert np.abs(Loc_v - ref_v).max() < TOL

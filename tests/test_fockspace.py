@@ -46,8 +46,9 @@ def test_fermion_overfilling_rejected():
     ("fermion", {"N": True, "M": 2}),        # a bool is not a count
     ("distinguishable", {"M_list": [2.5, 2]}),  # was cut to (2, 2)
     ("distinguishable", {"M_list": (2, True)}),
+    ("distinguishable", {"M_list": np.array([2.5, 2])}),
 ], ids=["boson-M", "boson-N", "fermion-M", "fermion-bool", "dist-M_list",
-        "dist-bool"])
+        "dist-bool", "dist-array"])
 def test_non_integer_counts_rejected(statistics, counts):
     with pytest.raises(ValueError, match="must be integers"):
         fs.enumerate_configs(statistics, **counts)
@@ -58,6 +59,11 @@ def test_numpy_integer_counts_accepted():
     assert sp.size == 3
     sp = fs.enumerate_configs("dist", M_list=[np.int64(2), 3])
     assert sp.M_list == (2, 3)
+    # an integer array, not only a list of numpy integers
+    sp = fs.enumerate_configs("dist", M_list=np.array([2, 3]))
+    assert sp.M_list == (2, 3)
+    with pytest.raises(ValueError, match="need all M_j >= 1"):
+        fs.enumerate_configs("dist", M_list=np.array([], dtype=int))
 
 
 @settings(max_examples=30, deadline=None)
@@ -349,5 +355,5 @@ def test_apply_hamiltonian_dist_uncoupled():
     for i, cfg in enumerate(sp.configs):
         C = np.zeros(sp.size, complex)
         C[i] = 1.0
-        out = fs.apply_hamiltonian_dist(sp, C, [e1, e2])
+        out = lo.apply_hamiltonian_dist(sp, C, [e1, e2])
         assert out[i] == pytest.approx(e1[cfg[0], cfg[0]] + e2[cfg[1], cfg[1]])

@@ -96,32 +96,32 @@ def test_energy_invariant_under_orbital_rotation(bos_m2):
     U, _ = np.linalg.qr(z)
     rot = ham.OrbitalSet(U.conj().T @ bos_m2.sets[0].orbitals,
                          bos_m2.grids[0])
-    H = ham.hamiltonian_matrix(bos_m2.space, rot, bos_m2.h_ops[0],
+    H = ham.hamiltonian_matrix(bos_m2.space, [rot], bos_m2.h_ops,
                                bos_m2.kernel_matrix)
     e_rot = np.linalg.eigvalsh(0.5 * (H + H.conj().T))[0]
     assert e_rot == pytest.approx(bos_m2.energy, abs=1e-10)
 
 
-def test_iterative_ci_path_matches_dense(grid48, h48):
+def test_iterative_ci_path_matches_dense(grid48, h48, monkeypatch):
     # forcing the Lanczos branch must not change the solution
     sp = fs.enumerate_configs("boson", N=2, M=2)
     kern = TwoBodyKernel("contact", strength=0.3)
     dense = gs.solve_mchx(sp, grid48, h48, kern)
-    opts = gs.SolverOptions(ci_dense_cutoff=1)
-    lanczos = gs.solve_mchx(sp, grid48, h48, kern, opts)
+    monkeypatch.setattr(gs, "CI_DENSE_CUTOFF", 1)
+    lanczos = gs.solve_mchx(sp, grid48, h48, kern)
     assert lanczos.energy == pytest.approx(dense.energy, abs=1e-9)
     assert np.abs(np.abs(lanczos.C) - np.abs(dense.C)).max() < 1e-6
 
 
-def test_lanczos_matches_dense_five_bosons_four_orbitals():
+def test_lanczos_matches_dense_five_bosons_four_orbitals(monkeypatch):
     # perfbench/boson_n5m4.cfg: 56 configurations, dense by default
     grid = build_grid(32, -6.0, 6.0)
     h = oscillator_h(grid)
     sp = fs.enumerate_configs("boson", N=5, M=4)
     kern = TwoBodyKernel("contact", strength=0.1)
     dense = gs.solve_mchx(sp, grid, h, kern)
-    lanczos = gs.solve_mchx(sp, grid, h, kern,
-                            gs.SolverOptions(ci_dense_cutoff=sp.size - 1))
+    monkeypatch.setattr(gs, "CI_DENSE_CUTOFF", sp.size - 1)
+    lanczos = gs.solve_mchx(sp, grid, h, kern)
     assert lanczos.energy == pytest.approx(dense.energy, abs=1e-10)
     assert np.abs(lanczos.C - dense.C).max() < 1e-8
     assert lanczos.residuals["iterations"] == dense.residuals["iterations"]
@@ -131,7 +131,7 @@ def test_lanczos_matches_dense_five_bosons_four_orbitals():
     assert spm.eigensolve(li.assemble_L(lanczos)).eigensolver == "rpa"
 
 
-def test_lanczos_csr_matrix_matches_table_and_dense():
+def test_lanczos_csr_matrix_matches_table_and_dense(monkeypatch):
     # five bosons on four rotated trap orbitals: 56 configurations, with the
     # dense cutoff just below them the Lanczos branch and its CSR matrix run
     grid = build_grid(32, -6.0, 6.0)
@@ -143,19 +143,20 @@ def test_lanczos_csr_matrix_matches_table_and_dense():
     orbs = ham.OrbitalSet(U @ modes, grid).orthonormalized()
     km = discretize_kernel(grid, TwoBodyKernel("contact", strength=0.1))
     sp = fs.enumerate_configs("boson", N=5, M=4)
-    eps, C, H = gs._lowest_eigenpair(
-        sp, orbs, h_op, km, gs.SolverOptions(ci_dense_cutoff=sp.size - 1))
+    monkeypatch.setattr(gs, "CI_DENSE_CUTOFF", sp.size - 1)
+    eps, C, H = gs._lowest_eigenpair(sp, [orbs], [h_op], km)
     assert not isinstance(H, np.ndarray)
     h = ham.one_body_elements(orbs, h_op)
     W = ham.two_body_tensor(orbs, km)
     assert np.abs(H @ C - fs.apply_second_quantized(sp, C, h, W)).max() < 1e-12
-    dense = gs._lowest_eigenpair(sp, orbs, h_op, km, gs.SolverOptions())
+    monkeypatch.undo()
+    dense = gs._lowest_eigenpair(sp, [orbs], [h_op], km)
     assert isinstance(dense[2], np.ndarray)
     assert eps == pytest.approx(dense[0], abs=1e-10)
 
 
 @pytest.mark.parametrize("cutoff", [500, 100])
-def test_real_problem_has_exactly_real_ci_vector(cutoff):
+def test_real_problem_has_exactly_real_ci_vector(cutoff, monkeypatch):
     # eight bosons on five trap orbitals mixed by a real rotation: 495
     # configurations, the dense branch at the default cutoff and Lanczos
     # below it.  In complex arithmetic C kept imaginary parts of 4e-17
@@ -168,8 +169,8 @@ def test_real_problem_has_exactly_real_ci_vector(cutoff):
     orbs = ham.OrbitalSet(rot @ modes, grid).orthonormalized()
     km = discretize_kernel(grid, TwoBodyKernel("contact", strength=0.1))
     sp = fs.enumerate_configs("boson", N=8, M=5)
-    eps, C, H = gs._lowest_eigenpair(
-        sp, orbs, h_op, km, gs.SolverOptions(ci_dense_cutoff=cutoff))
+    monkeypatch.setattr(gs, "CI_DENSE_CUTOFF", cutoff)
+    eps, C, H = gs._lowest_eigenpair(sp, [orbs], [h_op], km)
     assert isinstance(H, np.ndarray) == (sp.size <= cutoff)
     assert not np.any(C.imag)
     assert np.abs(H @ C - eps * C).max() < 1e-10
@@ -185,8 +186,7 @@ def test_real_dist_problem_has_exactly_real_ci_vector(dist_grids, dist_h):
             for g, h in zip(dist_grids, dist_h)]
     space = fs.enumerate_configs("distinguishable", M_list=(4, 4))
     coupling = PairCoupling.bilinear(dist_grids, 0, 1, 0.2)
-    eps, C, H = gs._ci_eigenpair(
-        gs._dist_hamiltonian(space, sets, dist_h, coupling))
+    eps, C, H = gs._lowest_eigenpair(space, sets, dist_h, coupling)
     assert not np.any(C.imag)
     assert np.abs(H @ C - eps * C).max() < 1e-12
 
@@ -199,24 +199,43 @@ BOS_M2_HISTORY = [
     1.0393239457207588, 1.0393239457197543, 1.0393239457197454]
 
 
-def test_accepted_trial_eigenpair_is_reused(grid64, h64, monkeypatch):
+def _counted_ci_solve(monkeypatch, solve, *problem):
+    """The state of ``solve(*problem)`` and whether it called
+    ``_lowest_eigenpair`` once for the initial orbitals, then once per
+    trial block, plus once for each mixed trial rejected in favour of the
+    plain one."""
     calls = []
-    solve = gs._lowest_eigenpair
+    lowest = gs._lowest_eigenpair
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return lowest(*args, **kwargs)
 
     monkeypatch.setattr(gs, "_lowest_eigenpair", counted)
-    sp = fs.enumerate_configs("boson", N=2, M=2)
-    st = gs.solve_mchx(sp, grid64, h64, TwoBodyKernel("contact", strength=0.1))
+    st = solve(*problem)
     res = st.residuals
-    # one solve for the initial orbitals, then one per trial block, plus one
-    # for each mixed trial that was rejected in favour of the plain one
-    assert len(calls) == (res["iterations"] + res["backtracks"]
-                          + res["mixing_rejects"])
+    return st, len(calls) == (res["iterations"] + res["backtracks"]
+                              + res["mixing_rejects"])
+
+
+def test_accepted_trial_eigenpair_is_reused(grid64, h64, monkeypatch):
+    sp = fs.enumerate_configs("boson", N=2, M=2)
+    st, reused = _counted_ci_solve(monkeypatch, gs.solve_mchx, sp, grid64, h64,
+                                   TwoBodyKernel("contact", strength=0.1))
+    assert reused
+    res = st.residuals
     assert res["iterations"] == len(BOS_M2_HISTORY)
     assert res["energy_history"] == pytest.approx(BOS_M2_HISTORY, rel=1e-13)
+
+
+def test_accepted_trial_eigenpair_is_reused_distinguishable(
+        dist_grids, dist_h, monkeypatch):
+    # the solve of the dist_44 fixture shares the loop and the count
+    sp = fs.enumerate_configs("distinguishable", M_list=(4, 4))
+    coupling = PairCoupling.bilinear(dist_grids, 0, 1, 0.2)
+    st, reused = _counted_ci_solve(monkeypatch, gs.solve_mch_dist, sp,
+                                   dist_grids, dist_h, coupling)
+    assert reused and st.residuals["iterations"] > 1
 
 
 def test_nonconvergence_reports_residuals(grid48, h48):

@@ -134,7 +134,7 @@ def test_hamiltonian_matrix_diagonal_case():
     g = build_grid(32, -6, 6)
     orbs = _osc_orbitals(g, 2)
     sp = fs.enumerate_configs("boson", N=2, M=2)
-    H = ham.hamiltonian_matrix(sp, orbs, oscillator_h(g), None)
+    H = ham.hamiltonian_matrix(sp, [orbs], [oscillator_h(g)], None)
     expect = [2 * 0.5, 0.5 + 1.5, 2 * 1.5]
     assert np.allclose(np.diag(H).real, expect, atol=1e-8)
     assert np.abs(H - np.diag(np.diag(H))).max() < 1e-8
@@ -147,7 +147,7 @@ def test_hamiltonian_matrix_vs_first_quantized_pair():
     sp = fs.enumerate_configs("boson", N=2, M=2)
     kern = TwoBodyKernel("contact", strength=0.35)
     W = discretize_kernel(g, kern)
-    H = ham.hamiltonian_matrix(sp, orbs, oscillator_h(g), W)
+    H = ham.hamiltonian_matrix(sp, [orbs], [oscillator_h(g)], W)
 
     n = g.n_points
     phi = np.sqrt(g.weight) * orbs.orbitals          # unit vectors
@@ -176,7 +176,7 @@ def test_hamiltonian_matrix_hermitian_random():
     hmat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     hop = OneBodyOperator(0.5 * (hmat + hmat.conj().T))
     W = discretize_kernel(g, TwoBodyKernel("gaussian", strength=0.4, width=0.5))
-    H = ham.hamiltonian_matrix(sp, orbs, hop, W)
+    H = ham.hamiltonian_matrix(sp, [orbs], [hop], W)
     assert np.abs(H - H.conj().T).max() < 1e-10
 
 
@@ -186,7 +186,7 @@ def test_energy_consistency_invariant():
     sp = fs.enumerate_configs("boson", N=2, M=2)
     kern = discretize_kernel(g, TwoBodyKernel("gaussian", strength=0.6, width=0.5))
     hop = oscillator_h(g)
-    H = ham.hamiltonian_matrix(sp, orbs, hop, kern)
+    H = ham.hamiltonian_matrix(sp, [orbs], [hop], kern)
     h = ham.one_body_elements(orbs, hop)
     W = ham.two_body_tensor(orbs, kern)
     for seed in range(5):
@@ -198,16 +198,55 @@ def test_energy_consistency_invariant():
         assert abs(e_direct - e_density) < 1e-10
 
 
+@pytest.mark.parametrize("case", ["pair_q2", "allbody_q3", "unprobed_dof"])
+def test_hamiltonian_matrix_distinguishable(case):
+    # per DOF one operator (None: zero) and a coupling, against the
+    # Hamiltonian applied axis by axis plus the coupling summed over
+    # configuration pairs
+    rng = np.random.default_rng(len(case))
+    Q = 3 if case == "allbody_q3" else 2
+    grids = [build_grid(8 + 2 * j, -3.0, 3.0) for j in range(Q)]
+    M_list = (2, 3, 2)[:Q]
+    sets = [_random_orbitals(g, M, seed=j) for j, (g, M)
+            in enumerate(zip(grids, M_list))]
+    h_ops = []
+    for g in grids:
+        a = rng.standard_normal((g.n_points,) * 2)
+        h_ops.append(OneBodyOperator(a + a.T))
+    if case == "pair_q2":
+        coupling = PairCoupling.gaussian_pair(grids, 0, 1, 0.4, 0.8)
+    elif case == "allbody_q3":
+        coupling = AllBodyTable(rng.standard_normal(
+            tuple(g.n_points for g in grids)))
+    else:
+        coupling, h_ops[1] = None, None
+    sp = fs.enumerate_configs("distinguishable", M_list=M_list)
+    H = ham.hamiltonian_matrix(sp, sets, h_ops, coupling)
+    h_elems = [np.zeros((M, M)) if op is None else ham.one_body_elements(s, op)
+               for s, op, M in zip(sets, h_ops, M_list)]
+    W = None if coupling is None else lo.config_coupling_matrix(coupling,
+                                                                sets, sp)
+    ref = np.column_stack([lo.apply_hamiltonian_dist(sp, e, h_elems, W)
+                           for e in np.eye(sp.size)])
+    assert np.abs(H - ref).max() < 1e-12 * np.abs(ref).max()
+
+
 # --- couplings between distinguishable degrees of freedom
+
+
+def _mean_fields(sp, C, sets, coupling, j):
+    """The mean fields of DOF j from ``ham.mean_field_plans``."""
+    plans = ham.mean_field_plans(sp, C, None, coupling,
+                                 [s.grid.weight for s in sets])
+    return plans[j]([s.orbitals for s in sets])
 
 
 def test_mean_field_zero_without_coupling():
     grids = [build_grid(16, -3, 3)] * 2
     sp = fs.enumerate_configs("distinguishable", M_list=(2, 2))
-    sets = [_osc_orbitals(grids[j], 2) for j in range(2)]
     C = random_state_vector(sp.size, 0)
-    om = ham.mean_fields_dist(sp, C, sets, None, 0)
-    assert np.abs(om).max() == 0.0
+    assert ham.mean_field_plans(sp, C, None, None,
+                                [g.weight for g in grids]) == [None, None]
 
 
 def test_mean_field_bilinear_hartree_product():
@@ -220,7 +259,7 @@ def test_mean_field_bilinear_hartree_product():
     a = np.array([1.0, 0.0])
     b = np.array([1.0, 1.0]) / np.sqrt(2)     # mixes even/odd: <x> != 0
     C = np.kron(a, b).astype(complex)
-    om = ham.mean_fields_dist(sp, C, sets, coup, 0)[0, 0]
+    om = _mean_fields(sp, C, sets, coup, 0)[0, 0]
     phi2 = sets[1].orbitals
     mix = (b[0] * phi2[0] + b[1] * phi2[1])
     x2 = grids[1].weight * np.real(np.vdot(mix, grids[1].points * mix))
@@ -233,7 +272,7 @@ def test_mean_field_hermitian_pairs():
     sp = fs.enumerate_configs("distinguishable", M_list=(2, 2))
     coup = PairCoupling.gaussian_pair(grids, 0, 1, 0.5, 0.7)
     C = random_state_vector(sp.size, 4)
-    om = ham.mean_fields_dist(sp, C, sets, coup, 0)
+    om = _mean_fields(sp, C, sets, coup, 0)
     for a in range(2):
         for b in range(2):
             assert np.abs(om[a, b] - om[b, a].conj()).max() < 1e-12

@@ -1,6 +1,5 @@
 """Response matrix for coupled distinguishable degrees of freedom."""
 
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +32,7 @@ def test_layout_partition(dist_44):
 
 
 def test_uncoupled_blocks_are_dof_diagonal(dist_22_uncoupled):
-    A, B = ld.build_oo_dist(dist_22_uncoupled)
+    A, B = li.build_oo_block(dist_22_uncoupled)
     lay = li.ResponseLayout((2, 2), (48, 48), 4)
     assert np.abs(B).max() == 0.0
     cross = A[lay.u_block(0), lay.u_block(1)]
@@ -41,39 +40,24 @@ def test_uncoupled_blocks_are_dof_diagonal(dist_22_uncoupled):
 
 
 def test_diagonal_v_blocks_vanish(dist_44):
-    _, B = ld.build_oo_dist(dist_44)
+    _, B = li.build_oo_block(dist_44)
     lay = li.ResponseLayout((4, 4), (48, 48), 16)
     for j in range(2):
         assert np.abs(B[lay.u_block(j), lay.u_block(j)]).max() == 0.0
 
 
-def test_no_same_dof_exchange(dist_44):
-    # the diagonal blocks must not change when the cross-DOF couplings are
-    # removed from the block builder output
-    A, B = ld.build_oo_dist(dist_44)
-    lay = li.ResponseLayout((4, 4), (48, 48), 16)
-    A_diag = np.zeros_like(A)
-    for j in range(2):
-        blk = lay.u_block(j)
-        A_diag[blk, blk] = A[blk, blk]
-    # rebuilding from a coupling-free clone reproduces exactly those diagonal
-    # one-body + mean-field pieces
-    st = dist_44
-    clone = dataclasses.replace(st, residuals=dict(st.residuals))
-    A2, _ = ld.build_oo_dist(clone)
-    for j in range(2):
-        blk = lay.u_block(j)
-        assert np.array_equal(A2[blk, blk], A[blk, blk])
-
-
 @pytest.mark.parametrize("fixture", ["dist_44", "dist_22_uncoupled"])
 def test_diagonal_blocks_match_slot_loop(fixture, request):
+    # rho h - mu + Omega and no same-DOF exchange: the oracle fills the
+    # blocks slot pair by slot pair from mean fields summed over
+    # configuration pairs, so the two agree to rounding
     st = request.getfixturevalue(fixture)
-    A, _ = ld.build_oo_dist(st)
-    lay = ld._layout(st)
+    A, _ = li.build_oo_block(st)
+    lay = li.ResponseLayout.of(st)
     for j in range(lay.Q):
         blk = lay.u_block(j)
-        np.testing.assert_array_equal(A[blk, blk], lo.oo_dist_diagonal(st, j))
+        ref = lo.oo_dist_diagonal(st, j)
+        assert np.abs(A[blk, blk] - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def test_pairing_symmetries_dist(dist_44):
@@ -90,7 +74,7 @@ def test_single_product_limit(dist_11):
     lay = rm.layout
     assert lay.n_conf == 1
     assert np.abs(rm.L[lay.cu_slice, :]).max() < 1e-12
-    cc_u = ld.build_oc_co_cc_dist(dist_11)[-1]
+    cc_u = li.build_cc_block(dist_11)
     assert np.abs(cc_u @ dist_11.C).max() < 1e-9
 
 
@@ -211,7 +195,9 @@ def test_allbody_probe_mean_field_pattern(dist_22_uncoupled):
     st = dist_22_uncoupled
     lam = 0.3
     probe = PairCoupling.bilinear(st.grids, 0, 1, lam)
-    om = ham.mean_fields_dist(st.space, st.C, st.sets, probe, 0)
+    om = ham.mean_field_plans(st.space, st.C, None, probe,
+                              [g.weight for g in st.grids])[0](
+        [s.orbitals for s in st.sets])
     p2 = st.sets[1].scaled
     # ground state occupies orbital 0 of DOF 2; <x>_00 = 0 by parity
     x2_00 = np.real(p2[0].conj() @ (st.grids[1].points * p2[0]))
@@ -269,8 +255,9 @@ def test_linearization_derivative_dist(dist_grids, dist_h):
     coupling = PairCoupling.bilinear(dist_grids, 0, 1, 0.2)
     st = gs.solve_mch_dist(space, dist_grids, dist_h, coupling)
 
-    A, B = ld.build_oo_dist(st)
-    Loc_u, Loc_v, Lco_u, Lco_v, cc_u = ld.build_oc_co_cc_dist(st)
+    A, B = li.build_oo_block(st)
+    Loc_u, Loc_v, Lco_u, Lco_v = ld.build_oc_co_dist(st)
+    cc_u = li.build_cc_block(st)
     lay = li.ResponseLayout((2, 2), (48, 48), 4)
 
     rng = np.random.default_rng(11)
@@ -301,8 +288,7 @@ def test_linearization_derivative_dist(dist_grids, dist_h):
         rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
         Bv = lo.dist_orbital_rhs_plan(space, sets, st.h_ops, coupling, C,
                                         rho1)
-        from mclr.groundstate import _dist_hamiltonian
-        H = _dist_hamiltonian(space, sets, st.h_ops, coupling)
+        H = ham.hamiltonian_matrix(space, sets, st.h_ops, coupling)
         hc = H @ C
         hc = hc - C * np.vdot(C, hc)
         return ([np.sqrt(st.grids[j].weight) * Bv[j] for j in range(Q)], hc)
@@ -326,5 +312,5 @@ def test_linearization_derivative_dist(dist_grids, dist_h):
 @pytest.mark.parametrize("module", [li, ld])
 def test_unconverged_coefficients_rejected(module):
     state = SimpleNamespace(residuals={"orb_residual": 0.0, "c_residual": 1e-3})
-    with pytest.raises(ValueError, match="c_residual"):
+    with pytest.raises(ValueError, match="coefficient residual 1.000e-03"):
         module._require_converged(state)

@@ -72,7 +72,7 @@ def test_cc_block_star_is_transpose_for_real_orbitals(bos_m2):
 
 def test_cc_block_gaps_are_ci_excitations(bos_m2):
     cc_u = li.build_cc_block(bos_m2)
-    H = ham.hamiltonian_matrix(bos_m2.space, bos_m2.sets[0], bos_m2.h_ops[0],
+    H = ham.hamiltonian_matrix(bos_m2.space, bos_m2.sets, bos_m2.h_ops,
                                bos_m2.kernel_matrix)
     vals = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
     gaps = vals[1:] - vals[0]

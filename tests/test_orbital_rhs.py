@@ -47,7 +47,9 @@ def test_identical_rhs_matches_term_loop(statistics, N, M, kernel, gauge):
     h_op = oscillator_h(grid)
     ref = lo.orbital_eom_rhs(grid, orbs, h_op, km, rho)
     assert _rel(gs.orbital_eom_rhs(grid, orbs, h_op, km, rho), ref) < REL
-    (B,) = gs.OrbitalRHS.identical(grid, h_op, km, rho)([orbs.orbitals])
+    fields = ham.mean_field_plans(space, None, rho.rho2, km, [grid.weight])
+    rhs = gs.OrbitalRHS([rho.rho1], [h_op], [grid.weight], fields)
+    (B,) = rhs([orbs.orbitals])
     assert _rel(B, ref) < REL
 
 
@@ -85,13 +87,13 @@ def test_dist_plan_matches_configuration_pair_loop(case, gauge):
     weights = [g.weight for g in grids]
     space = fs.enumerate_configs("distinguishable", M_list=M_list)
     C = random_state_vector(space.size, Q)
-    for j in range(Q):
+    plans = ham.mean_field_plans(space, C, None, coupling, weights)
+    for j, plan in enumerate(plans):
         ref = lo.mean_fields_dist(space, C, sets, coupling, j)
-        plan = ham.MeanFieldPlan.distinguishable(space, C, coupling, j, weights)
         assert _rel(plan(phis), ref) < REL
     h_ops = [oscillator_h(g) for g in grids]
     rho1 = [fs.dist_reduced_density(space, C, (j,)) for j in range(Q)]
-    rhs = gs.OrbitalRHS.distinguishable(space, grids, h_ops, coupling, C, rho1)
+    rhs = gs.OrbitalRHS(rho1, h_ops, weights, plans)
     ref = lo.dist_orbital_rhs(space, sets, h_ops, coupling, C)
     for B, B_ref in zip(rhs(phis), ref):
         assert _rel(B, B_ref) < REL
@@ -102,13 +104,13 @@ def test_one_plan_per_outer_iteration(kind, bos_m2, dist_44, monkeypatch):
     # the coefficients are fixed over a block, so its inner steps and the
     # convergence check share the plan of the iteration's C
     builds = []
-    build = getattr(gs.OrbitalRHS, kind).__func__
 
-    def counted(cls, *args):
-        builds.append(1)
-        return build(cls, *args)
+    class Counted(gs.OrbitalRHS):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
 
-    monkeypatch.setattr(gs.OrbitalRHS, kind, classmethod(counted))
+    monkeypatch.setattr(gs, "OrbitalRHS", Counted)
     if kind == "identical":
         st = gs.solve_mchx(bos_m2.space, bos_m2.grids[0], bos_m2.h_ops[0],
                            bos_m2.interaction)
