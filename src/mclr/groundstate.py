@@ -32,7 +32,11 @@ mixing (Anderson, J. ACM 12, 547 (1965); Pulay, Chem. Phys. Lett. 73, 393
 (1980)) with memory ``ANDERSON_MEMORY``: with f = g - x over the flattened
 orbitals of all DOFs and the (f, g) of the last accepted blocks, gamma
 minimizes ||f_k - dF gamma|| and the mixed trial g_k - dG gamma is
-orthonormalized per DOF in the QR gauge of the steps.
+orthonormalized per DOF by ``ham.orthonormal_rows``, a Householder QR in
+the gauge with positive real diagonal of R.  Each step orthonormalizes its
+rows in the same gauge by the Cholesky factor of their overlap
+(``_descend``), which needs no QR because the step is projected off the
+orbitals.
 
 Inverses of the one-body density matrix are regularized by flooring its
 eigenvalues at ``FLOOR_FRACTION`` tr rho: ``FLOOR_FRACTION * N`` for
@@ -289,9 +293,17 @@ def _descend(phi, weight, step):
     B != 0 (two bosons, M = 2, contact strength 2, tau = 1e3: the orbital
     residual stalled at 0.5). With P a fixed point needs
     P K_tau rho^-1 B = 0, and as K_tau is positive definite, B = 0.
+
+    The rows psi = phi - P step are orthonormalized as L^-1 psi, L the
+    Cholesky factor of their overlap w psi psi^dag = 1 + w s s^dag (s = P
+    step, up to the rounding of phi): positive definite with condition
+    number at most 1 + w ||s||^2, and L^T is the R with positive real
+    diagonal of ``ham.orthonormal_rows``, so both give the same rows.
     """
     step = step - (weight * (step @ phi.conj().T)) @ phi
-    return ham.orthonormal_rows(phi - step, weight)
+    psi = phi - step
+    L = np.linalg.cholesky(weight * (psi @ psi.conj().T))
+    return np.linalg.inv(L) @ psi
 
 
 def _scaled_residual(sets, B, natural, floor):
@@ -324,8 +336,9 @@ def _anderson_mix(stored, x, g, sets):
     ``stored`` holds the (f, g) of earlier accepted blocks, f = g - x over the
     flattened orbitals of every DOF. With gamma = argmin ||f_k - dF gamma||
     the mixed point is g_k - dG gamma, dF, dG the differences of consecutive
-    columns of f and g. Each DOF is then orthonormalized in the QR gauge of
-    ``_descend``.
+    columns of f and g. Each DOF is then orthonormalized by the Householder
+    QR of ``OrbitalSet.orthonormalized``, in the gauge whose rows
+    ``_descend`` gives by a Cholesky factor.
     """
     F = np.column_stack([f for f, _ in stored] + [g - x])
     G = np.column_stack([gk for _, gk in stored] + [g])

@@ -24,6 +24,7 @@ ket q on the first coordinate and bra s / ket l on the second,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -70,15 +71,18 @@ class OrbitalSet:
         return float(np.abs(ov - np.eye(self.M)).max())
 
     def orthonormalized(self) -> "OrbitalSet":
-        """Gram-Schmidt in quadrature metric (``orthonormal_rows``)."""
+        """Householder QR in quadrature metric (``orthonormal_rows``)."""
         return OrbitalSet(orthonormal_rows(self.orbitals, self.grid.weight),
                           self.grid)
 
 
 def orthonormal_rows(phi: np.ndarray, weight: float) -> np.ndarray:
-    """The rows of ``phi`` orthonormalized under the quadrature weight: a QR
-    of the sqrt(weight)-scaled columns, in the gauge with a positive real
-    diagonal of R, which keeps the stepper continuous."""
+    """The rows of ``phi`` orthonormalized under the quadrature weight: a
+    Householder QR of the sqrt(weight)-scaled columns, in the gauge with a
+    positive real diagonal of R, which keeps the stepper continuous.  It
+    takes arbitrary rows (initial guesses, Anderson-mixed trials); the
+    orbital step, whose rows are near orthonormal, gets the same rows from
+    a Cholesky factor (``groundstate._descend``)."""
     root = np.sqrt(weight)
     q, r = np.linalg.qr(root * phi.T)
     return (q * np.where(r.diagonal().real < 0, -1.0, 1.0)).T / root
@@ -119,9 +123,10 @@ def hamiltonian_matrix(space: ConfigSpace, sets, h_ops,
     one-body operator per DOF in ``h_ops`` (None: zero) and ``sets`` their
     orbital sets.  ``interaction`` is the discretized kernel of identical
     particles (one bincount over the compiled operator table of ``space``),
-    or the ``PairCoupling`` / ``AllBodyTable`` across distinguishable DOFs
-    (one Kronecker product per DOF plus ``config_coupling_matrix``); None is
-    no interaction."""
+    or the ``PairCoupling`` / ``AllBodyTable`` across distinguishable DOFs,
+    whose matrix is ``config_coupling_matrix``; None is no interaction.
+    Across distinguishable DOFs each one-body term is its orbital matrix
+    broadcast against the identities of the other DOFs (``_on_dofs``)."""
     h = [None if op is None else one_body_elements(s, op)
          for s, op in zip(sets, h_ops)]
     if space.identical:
@@ -129,14 +134,34 @@ def hamiltonian_matrix(space: ConfigSpace, sets, h_ops,
                                                              interaction)
         return apply_second_quantized(
             space, None, np.zeros((space.M,) * 2) if h[0] is None else h[0], W)
-    M = space.M_list
-    H = sum((np.kron(np.kron(np.eye(int(np.prod(M[:j]))), hj),
-                     np.eye(int(np.prod(M[j + 1:]))))
+    H = sum((_on_dofs(hj, space.M_list, (j,))
              for j, hj in enumerate(h) if hj is not None),
             np.zeros((space.size,) * 2))
     if interaction is not None:
         H = H + config_coupling_matrix(interaction, sets, space)
     return H
+
+
+def _on_dofs(E, M_list, dofs):
+    """Configuration matrix of the operator E on the ascending DOFs
+    ``dofs``, E indexed by their bra orbitals and then their ket orbitals,
+    with the identity on every other DOF: E broadcast against the
+    identities of the blocks of untouched DOFs before, between and after
+    the touched ones."""
+    edges = [0, *(d + s for d in dofs for s in (0, 1)), len(M_list)]
+    blocks = [prod(M_list[lo:hi]) for lo, hi in zip(edges[::2], edges[1::2])]
+    # axes: bra (block 0, dofs[0], block 1, ..., dofs[-1], block k), then ket
+    n_ax = 2 * len(dofs) + 1
+    shape = [1] * (2 * n_ax)
+    for i, d in enumerate(dofs):
+        shape[2 * i + 1] = shape[n_ax + 2 * i + 1] = M_list[d]
+    out = np.reshape(E, shape)
+    for i, size in enumerate(blocks):
+        if size > 1:
+            shape = [1] * (2 * n_ax)
+            shape[2 * i] = shape[n_ax + 2 * i] = size
+            out = out * np.eye(size).reshape(shape)
+    return out.reshape((prod(M_list),) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +255,26 @@ def config_coupling_matrix(coupling, sets, space: ConfigSpace) -> np.ndarray:
     """Configuration-space matrix <n|W|m> of the coupling.
 
     Each term's orbital matrix elements sit on the DOFs it touches, with the
-    identity on every other DOF.
+    identity on every other DOF (``_on_dofs``).  Those of a pair term
+    (a, b, T) are two matmuls over the orbital pair products,
+
+        E[rt, su] = sum_xy conj(phi^a_r(x)) phi^a_s(x) T[x, y] conj(phi^b_t(y)) phi^b_u(y),
+
+    and those of an all-body table one contraction with every orbital.
     """
-    Q = len(space.M_list)
+    Q, M = len(space.M_list), space.M_list
     scaled = [s.scaled for s in sets]
     W = np.zeros((space.size, space.size))
     for dofs, table in _terms(coupling):
-        ops = _term_operands(dofs, table, scaled)
-        for l in range(Q):
-            if l not in dofs:
-                ops += [np.eye(space.M_list[l]), [l, Q + l]]
-        W = W + _einsum(*ops, list(range(2 * Q))).reshape(W.shape)
+        if len(dofs) == 2:
+            a, b = dofs
+            E = (_pair_products(scaled[a]) @ table
+                 @ _pair_products(scaled[b]).T)
+            E = E.reshape(M[a], M[a], M[b], M[b]).transpose(0, 2, 1, 3)
+        else:
+            E = _einsum(*_term_operands(dofs, table, scaled),
+                        [*dofs, *(Q + l for l in dofs)])
+        W = W + _on_dofs(E, M, dofs)
     return W
 
 

@@ -265,6 +265,40 @@ def test_backtracks_are_counted(grid48, h48):
     assert st.energy == pytest.approx(default.energy, abs=1e-10)
 
 
+def test_descend_matches_qr_gauge(grid48, monkeypatch):
+    # the Cholesky factor of the step's overlap gives the rows of the QR
+    # gauge with positive real diagonal, on real and complex orbitals and
+    # projected steps from 1e-10 to 1 in quadrature norm, orthonormal to
+    # the rounding of the QR itself, and without calling the QR
+    rng = np.random.default_rng(11)
+    w = grid48.weight
+    cases = []
+    for kind in ("real", "complex"):
+        for M in (2, 4, 6):
+            def draw():
+                x = rng.standard_normal((M, grid48.n_points))
+                return x + 1j * rng.standard_normal(x.shape) if kind == "complex" else x
+            phi = ham.orthonormal_rows(draw(), w)
+            for norm in (1e-10, 1e-6, 1e-3, 1e-1, 1.0):
+                s = draw()
+                s = s - (w * (s @ phi.conj().T)) @ phi
+                s *= norm / np.sqrt(w * np.sum(np.abs(s) ** 2))
+                # _descend removes the part along the orbitals itself
+                step = s + rng.standard_normal((M, M)) @ phi
+                cases.append((phi, step, ham.orthonormal_rows(phi - s, w)))
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("the orbital step called the QR")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for phi, step, ref in cases:
+        got = gs._descend(phi, w, step)
+        assert got.dtype == ref.dtype
+        assert np.abs(got - ref).max() < 1e-13
+        defect = np.abs(w * (got @ got.conj().T) - np.eye(len(got))).max()
+        assert defect <= 2e-15
+
+
 def test_scaled_residual_sees_weak_natural_orbital(bos_m2):
     # ||B_k|| scales with n_k: a 1e-6 error in the natural orbital with
     # n = 2.3e-4 stays below tol_orb in max ||B_k|| but not once scaled

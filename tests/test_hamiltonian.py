@@ -198,37 +198,82 @@ def test_energy_consistency_invariant():
         assert abs(e_direct - e_density) < 1e-10
 
 
-@pytest.mark.parametrize("case", ["pair_q2", "allbody_q3", "unprobed_dof"])
-def test_hamiltonian_matrix_distinguishable(case):
-    # per DOF one operator (None: zero) and a coupling, against the
-    # Hamiltonian applied axis by axis plus the coupling summed over
-    # configuration pairs
+def _dist_problem(case):
+    """(space, orbital sets, one-body operators, coupling) of one case of
+    ``test_hamiltonian_matrix_distinguishable``."""
     rng = np.random.default_rng(len(case))
-    Q = 3 if case == "allbody_q3" else 2
+    Q = {"allbody_q3": 3, "skip_dof_q3": 3, "pairs_q4": 4}.get(case, 2)
     grids = [build_grid(8 + 2 * j, -3.0, 3.0) for j in range(Q)]
-    M_list = (2, 3, 2)[:Q]
+    M_list = (2, 3, 2, 3)[:Q]
     sets = [_random_orbitals(g, M, seed=j) for j, (g, M)
             in enumerate(zip(grids, M_list))]
+
+    def table(a, b, dtype=float):
+        t = rng.standard_normal((grids[a].n_points, grids[b].n_points))
+        return t + 1j * rng.standard_normal(t.shape) if dtype is complex else t
+
     h_ops = []
     for g in grids:
         a = rng.standard_normal((g.n_points,) * 2)
-        h_ops.append(OneBodyOperator(a + a.T))
+        if case == "complex_q2":
+            a = a + 1j * rng.standard_normal(a.shape)
+        h_ops.append(OneBodyOperator(a + a.conj().T))
     if case == "pair_q2":
         coupling = PairCoupling.gaussian_pair(grids, 0, 1, 0.4, 0.8)
     elif case == "allbody_q3":
         coupling = AllBodyTable(rng.standard_normal(
             tuple(g.n_points for g in grids)))
+    elif case == "complex_q2":
+        coupling = PairCoupling([(0, 1, table(0, 1, complex))])
+    elif case == "skip_dof_q3":
+        coupling = PairCoupling.gaussian_pair(grids, 0, 2, 0.4, 0.8)
+    elif case == "two_terms_q2":
+        coupling = PairCoupling([(0, 1, table(0, 1)), (1, 0, table(1, 0))])
+    elif case == "pairs_q4":
+        coupling = PairCoupling([(a, b, table(a, b))
+                                 for a, b in ((0, 1), (1, 3), (0, 2), (2, 3))])
     else:
         coupling, h_ops[1] = None, None
     sp = fs.enumerate_configs("distinguishable", M_list=M_list)
+    return sp, sets, h_ops, coupling
+
+
+@pytest.mark.parametrize("case", ["pair_q2", "allbody_q3", "unprobed_dof",
+                                  "complex_q2", "skip_dof_q3", "two_terms_q2",
+                                  "pairs_q4"])
+def test_hamiltonian_matrix_distinguishable(case):
+    # per DOF one operator (None: zero) and a coupling, against the
+    # Hamiltonian applied axis by axis plus the coupling summed over
+    # configuration pairs.  The orbitals are complex; complex_q2 adds
+    # complex one-body operators and a complex pair table, skip_dof_q3
+    # couples the first and the third DOF around an untouched one,
+    # two_terms_q2 has two terms on one pair (one given as (b, a)), and
+    # pairs_q4 four pair terms across four DOFs
+    sp, sets, h_ops, coupling = _dist_problem(case)
     H = ham.hamiltonian_matrix(sp, sets, h_ops, coupling)
     h_elems = [np.zeros((M, M)) if op is None else ham.one_body_elements(s, op)
-               for s, op, M in zip(sets, h_ops, M_list)]
+               for s, op, M in zip(sets, h_ops, sp.M_list)]
     W = None if coupling is None else lo.config_coupling_matrix(coupling,
                                                                 sets, sp)
     ref = np.column_stack([lo.apply_hamiltonian_dist(sp, e, h_elems, W)
                            for e in np.eye(sp.size)])
-    assert np.abs(H - ref).max() < 1e-12 * np.abs(ref).max()
+    assert np.abs(H - ref).max() < 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", ["skip_dof_q3", "pairs_q4"])
+def test_pair_coupling_hamiltonian_needs_no_kron_or_einsum(case, monkeypatch):
+    # pair terms are two matmuls over orbital pair products and every term
+    # is placed by broadcasting against identities: no Kronecker product
+    # and no einsum, so no contraction-path search either
+    sp, sets, h_ops, coupling = _dist_problem(case)
+    ref = ham.hamiltonian_matrix(sp, sets, h_ops, coupling)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair-coupling build called kron or einsum")
+
+    for name in ("kron", "einsum", "einsum_path"):
+        monkeypatch.setattr(np, name, refuse)
+    assert np.array_equal(ham.hamiltonian_matrix(sp, sets, h_ops, coupling), ref)
 
 
 # --- couplings between distinguishable degrees of freedom
