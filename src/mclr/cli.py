@@ -297,6 +297,7 @@ def cmd_linres(args):
     print(f"# config sha256 {cfg_hash}")
     print(f"dimension = {rm.D}")
     print(f"eigensolver = {spec.eigensolver}")
+    print("parity_sectors = " + " ".join(map(str, spec.sector_sizes)))
     print(f"zero_modes = {zrep['count']} (expected {zrep['expected']})")
     if "mismatch" in zrep:
         print(f"zero_mode_warning = {zrep['mismatch']}")

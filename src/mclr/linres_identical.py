@@ -49,6 +49,27 @@ and conj(B U) on y (``to_space``, ``to_reduced``): L = T L_r T^H with
 L_r = [[a, b], [-b*, -a*]], and P M^p = T n^p T^H (``project``).  The
 dense D x D L and P are built only on demand.
 
+Mirror-parity sectors.  When every grid is symmetric about 0, every
+orbital is even or odd and C lies in one parity class of configurations
+(a configuration's parity is the product of those of its occupied
+orbitals), each to PARITY_TOL, the response of the reflection x -> -x
+splits into an even and an odd part, and the reduced coordinates are
+built to be each one or the other.  Per DOF the Householder QR of the
+orbitals runs in the even/odd (butterfly) frame of the grid
+(``MirrorFrame``), the even orbitals first, each pivoted on a frame row
+of its own parity, so every complement column is even or odd; it is
+applied in ``lift`` and ``pull`` as sums and differences of mirrored grid
+rows, O(n_j) per column.  The complement of C is its Householder pivoted
+on a row of its own class (``SwapFrame`` when that is not the first), so
+the other class passes through unchanged.  The natural orbitals take one
+parity each: those of rho, or of each parity block of rho where an even
+and an odd one share an occupation.  ``ResponseMatrix.sectors`` records
+the sector of each reduced coordinate, the parity of its natural orbital
+times that of its complement column (+1 even, -1 odd); a and b are then
+block diagonal to rounding, and ``spectrum`` solves the sectors apart.
+Without the symmetry the QR runs in the grid rows as before and every
+coordinate is in sector +1: one sector, the same code.
+
 Real arithmetic follows the problem: a real problem has float64
 operators, orbitals, C (``groundstate._ci_eigenpair``) and raw blocks from
 construction on, so the reflectors, the halves and the null vectors are
@@ -66,6 +87,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fockspace as fs
 from . import hamiltonian as ham
 from . import linres_distinguishable as ld
 from .grid import discretize_kernel
@@ -85,6 +107,10 @@ __all__ = [
 ]
 
 STATISTICS_SIGN = {"boson": +1.0, "fermion": -1.0}
+# a grid, an orbital or C counts as mirror symmetric when its defect under
+# the reflection x -> -x is at most PARITY_TOL (relative to the grid length;
+# orbitals and C are unit vectors)
+PARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -184,8 +210,12 @@ class ResponseMatrix:
     ``to_reduced`` apply T, B U on x and conj(B U) on y, on all 2n reduced
     coordinates, and ``L`` and ``project`` are built on them.  The
     projector is T T^H, which is P where no orbital is empty, and the
-    metric powers are U n^(+-1/2) U^H.  ``state`` is the ``GroundState``
-    the response is linearized about, of either particle kind.
+    metric powers are U n^(+-1/2) U^H.  ``frames`` holds, per block, the
+    rows the Householder QR ran in (a ``MirrorFrame`` or ``SwapFrame``, or
+    None for the block's own rows), and ``sectors`` the mirror-parity
+    sector (+1 even, -1 odd) of every reduced coordinate (module
+    docstring).  ``state`` is the ``GroundState`` the response is
+    linearized about, of either particle kind.
     """
 
     layout: ResponseLayout
@@ -193,6 +223,8 @@ class ResponseMatrix:
     b: np.ndarray = field(repr=False)
     reflectors: list = field(repr=False, default_factory=list)
     natural: list = field(repr=False, default_factory=list)
+    frames: list = field(repr=False, default_factory=list)
+    sectors: np.ndarray = field(default=None, repr=False)
     state: GroundState = None
     metric_clipped: bool = False        # a natural orbital was left out
     null_vectors: np.ndarray = field(default=None, repr=False)
@@ -210,25 +242,31 @@ class ResponseMatrix:
         """B U v from the reduced coordinates to the x rows, or U^H B^H v
         back with ``adjoint``.  Per block (each orbital slot of DOF j, then
         C_u), with Q = I - W V^H from ``reflectors`` and V of shape (n, k):
-        B v = [0; v] - W (V[k:]^H v) and B^H x = x[k:] - V[k:] (W^H x).  U,
-        the kept natural orbitals of DOF j (``natural``), maps the reduced
-        slots to the M_j orbital slots in one product on the slot axis; C
-        has one slot and no U.  ``v`` is a matrix, one vector per column."""
+        B v = G ([0; v] - W (V[k:]^H v)) and B^H x = y[k:] - V[k:] (W^H y)
+        for y = G^T x, G the block's entry of ``frames`` (``to_frame`` is
+        G^T, ``from_frame`` G; None is the identity).  U, the kept natural
+        orbitals of DOF j (``natural``), maps the reduced slots to the M_j
+        orbital slots in one product on the slot axis; C has one slot and
+        no U.  ``v`` is a matrix, one vector per column."""
         units = [U for _, U in self.natural] + [None]
-        parts = [(M, M if U is None else U.shape[1], U, V, W) for M, U, (V, W)
-                 in zip(self.layout.M_list + (1,), units, self.reflectors)]
+        frames = self.frames or [None] * len(units)
+        parts = [(M, M if U is None else U.shape[1], U, V, W, G)
+                 for M, U, (V, W), G in zip(self.layout.M_list + (1,), units,
+                                            self.reflectors, frames)]
         c = v.shape[1]
         out = np.empty((sum(K * (len(V) - V.shape[1]) if adjoint else M * len(V)
-                            for M, K, _, V, _ in parts), c),
+                            for M, K, _, V, _, _ in parts), c),
                        dtype=np.result_type(v, *sum(self.reflectors, ()),
                                             *units[:-1]))
         i = o = 0
-        for M, K, U, V, W in parts:
+        for M, K, U, V, W, G in parts:
             n, k = V.shape
             a, b = (M * n, K * (n - k)) if adjoint else (K * (n - k), M * n)
             s, y = v[i:i + a], out[o:o + b]
             if adjoint:
                 s = s.reshape(M, n, c)
+                if G is not None:
+                    s = G.to_frame(s)
                 g = (y if U is None else np.empty_like(y, shape=(M * (n - k), c))
                      ).reshape(M, n - k, c)
                 np.matmul(V[k:], W.conj().T @ s, out=g)
@@ -239,8 +277,11 @@ class ResponseMatrix:
                 if U is not None:
                     s = U @ s.reshape(K, -1)
                 s, y = s.reshape(M, n - k, c), y.reshape(M, n, c)
-                np.matmul(W, -(V[k:].conj().T @ s), out=y)
-                y[:, k:] += s
+                t = y if G is None else np.empty_like(y)
+                np.matmul(W, -(V[k:].conj().T @ s), out=t)
+                t[:, k:] += s
+                if G is not None:
+                    y[...] = G.from_frame(t)
             i, o = i + a, o + b
         return out
 
@@ -449,6 +490,168 @@ def _reflectors(rows):
     return V, V @ T
 
 
+@dataclass(frozen=True)
+class MirrorFrame:
+    """The even/odd (butterfly) frame of the n points of a mirror-symmetric
+    grid, point r mirroring to n - 1 - r.  The even rows are the centre
+    point of an odd n and then (x_r + x_(n-1-r)) / sqrt 2, the odd rows
+    (x_r - x_(n-1-r)) / sqrt 2, each kind from the centre of the grid
+    outward; the first ``n_even`` even rows come first, then the first
+    ``n_odd`` odd rows, then the other even rows, then the other odd ones.
+    An orthogonal map, applied on axis 1 with slices."""
+
+    n_even: int
+    n_odd: int
+
+    def _runs(self, n):
+        """(h, the centre point's frame row or None, the four runs): each
+        run is (frame rows, pairs), pair i being the points h - 1 - i and
+        n - h + i, counted from the centre; the runs are the even pivot
+        pairs, the odd pivots, the other even pairs and the other odd
+        rows.  The centre of an odd n is an even row, a pivot if any is."""
+        h, mid = n // 2, n % 2
+        k, pe = self.n_even + self.n_odd, max(self.n_even - mid, 0)
+        centre = (0 if self.n_even else k) if mid else None
+        lo = k + (mid if not self.n_even else 0)
+        return h, centre, ((slice(self.n_even - pe, self.n_even), slice(0, pe)),
+                           (slice(self.n_even, k), slice(0, self.n_odd)),
+                           (slice(lo, lo + h - pe), slice(pe, h)),
+                           (slice(lo + h - pe, n), slice(self.n_odd, h)))
+
+    def to_frame(self, x):
+        h, centre, runs = self._runs(x.shape[1])
+        top, bottom = x[:, h - 1::-1], x[:, x.shape[1] - h:]
+        f = np.empty_like(x)
+        for (rows, pairs), op in zip(runs, (np.add, np.subtract) * 2):
+            op(top[:, pairs], bottom[:, pairs], out=f[:, rows])
+        f *= np.sqrt(0.5)
+        if centre is not None:
+            f[:, centre] = x[:, h]
+        return f
+
+    def from_frame(self, f):
+        """The transpose of ``to_frame``: the even and the odd pair rows
+        gathered run by run, then their sums and differences."""
+        n = f.shape[1]
+        h, centre, runs = self._runs(n)
+        even, odd = (np.concatenate([f[:, rows] for rows, _ in runs[i::2]],
+                                    axis=1) for i in (0, 1))
+        x = np.empty_like(f)
+        np.add(even, odd, out=x[:, h - 1::-1])
+        np.subtract(even, odd, out=x[:, n - h:])
+        x *= np.sqrt(0.5)
+        if centre is not None:
+            x[:, h] = f[:, centre]
+        return x
+
+    def odd_rows(self, n: int) -> np.ndarray:
+        """Which of the n frame rows are odd."""
+        odd = np.zeros(n, dtype=bool)
+        _, _, runs = self._runs(n)
+        odd[runs[1][0]] = odd[runs[3][0]] = True
+        return odd
+
+
+@dataclass(frozen=True)
+class SwapFrame:
+    """Rows 0 and ``row`` of one block swapped (an involution)."""
+
+    row: int
+
+    def to_frame(self, x):
+        f = x.copy()
+        f[:, [0, self.row]] = x[:, [self.row, 0]]
+        return f
+
+    from_frame = to_frame
+
+
+def _mirror_parities(state, phis, C):
+    """(mirror parity +-1 of each orbital, per DOF; mask of the
+    configurations in the parity class of C) when every grid is mirror
+    symmetric, every orbital has a parity and C lies in one parity class,
+    each to PARITY_TOL; None otherwise.  A configuration's parity is the
+    product of the parities of its occupied orbitals, one per particle."""
+    pars = [np.where((phi.conj() * phi[:, ::-1]).sum(axis=1).real < 0, -1, 1)
+            for phi in phis]
+    if any(np.abs(phi - p[:, None] * phi[:, ::-1]).max() > PARITY_TOL
+           for phi, p in zip(phis, pars)) or any(
+               np.abs(g.points + g.points[::-1]).max()
+               > PARITY_TOL * (g.x_max - g.x_min) for g in state.grids):
+        return None
+    space = state.space
+    cfg = np.array(space.configs, dtype=np.intp).reshape(space.size, -1)
+    if space.identical:
+        even = cfg[:, pars[0] < 0].sum(axis=1) % 2 == 0
+    else:
+        even = np.prod([p[cfg[:, j]] for j, p in enumerate(pars)], axis=0) > 0
+    weight = np.abs(C) ** 2
+    cls = even if weight[even].sum() >= weight[~even].sum() else ~even
+    if np.sqrt(weight[~cls].sum()) > PARITY_TOL:
+        return None
+    return pars, cls
+
+
+def _natural_orbitals(rho, parities=None):
+    """Kept natural orbitals (occupations n, orbitals U as columns, their
+    parities) of one DOF's one-body density, in ascending occupation.
+    Given the mirror parities of the orbitals, each natural orbital takes
+    the parity of the class that carries it; where ``eigh`` mixes the two
+    classes beyond PARITY_TOL (an occupation shared by an even and an odd
+    natural orbital, as for a fermion pair), the natural orbitals are
+    those of each parity block of rho instead."""
+    occ, U = np.linalg.eigh(rho)
+    par = np.ones(len(occ), dtype=int)
+    if parities is not None:
+        even, odd = (np.linalg.norm(U[parities == c], axis=0) for c in (1, -1))
+        par = np.where(odd > even, -1, 1)
+        if np.minimum(even, odd).max() > PARITY_TOL:
+            U = np.zeros_like(U)
+            for cls in (1, -1):
+                idx = np.flatnonzero(parities == cls)
+                occ[idx], U[np.ix_(idx, idx)] = np.linalg.eigh(
+                    rho[np.ix_(idx, idx)])
+                par[idx] = cls
+            order = np.argsort(occ, kind="stable")
+            occ, U, par = occ[order], U[:, order], par[order]
+    keep = occ >= FLOOR_FRACTION * np.trace(rho).real
+    return occ[keep], U[:, keep], par[keep]
+
+
+def _orbital_complement(phi, parities=None):
+    """(frame or None, reflectors, parity of each complement column) of
+    one DOF's scaled orbitals ``phi``.  Given their mirror parities, the
+    Householder QR runs in the butterfly frame of the grid
+    (``MirrorFrame``), even orbitals first, each pivoted on a frame row of
+    its parity nearest the centre of the grid (where the orbitals are
+    large: the complement columns of the outer rows stay close to unit
+    vectors, as in 1 - phi phi^H); each reflector and each complement
+    column is then even or odd to the parity defect of the orbitals."""
+    M, n = phi.shape
+    if parities is None:
+        return None, _reflectors(phi), np.ones(n - M, dtype=int)
+    G = MirrorFrame(int(np.sum(parities > 0)), int(np.sum(parities < 0)))
+    return G, _reflectors(G.to_frame(phi[np.argsort(parities < 0,
+                                                       kind="stable")])), \
+        np.where(G.odd_rows(n)[M:], -1, 1)
+
+
+def _coefficient_complement(C, cls=None):
+    """(frame or None, reflectors, parity of each complement column
+    relative to C) of the coefficient vector.  Given the mask ``cls`` of
+    the parity class of C, the Householder is pivoted on the first row of
+    the class (``SwapFrame`` where that is not row 0), so its reflector
+    stays inside the class to the parity defect of C; each complement
+    column is a row of the class (+1) or of the other class (-1)."""
+    if cls is None:
+        return None, _reflectors(C[None, :]), np.ones(len(C) - 1, dtype=int)
+    first = int(np.argmax(cls))
+    G = SwapFrame(first) if first else None
+    rows = C[None, :] if G is None else G.to_frame(C[None, :])
+    cls = cls if G is None else G.to_frame(cls[None, :])[0]
+    return G, _reflectors(rows), np.where(cls[1:], 1, -1)
+
+
 def _null_vectors(layout, phis, C) -> np.ndarray:
     """Analytic null vectors, as columns: ground orbital b of DOF j in u slot
     (j, a) for every a, b, and C in the C_u slot, then their block-swapped
@@ -482,14 +685,23 @@ def _response_matrix(state, blocks) -> ResponseMatrix:
         phis, rho1s, C = [p.real for p in phis], [r.real for r in rho1s], C.real
     layout = ResponseLayout(tuple(len(p) for p in phis),
                             tuple(p.shape[1] for p in phis), len(C))
-    natural = []
-    for rho in rho1s:
-        occ, U = np.linalg.eigh(rho)
-        keep = occ >= FLOOR_FRACTION * np.trace(rho).real
-        natural.append((occ[keep], U[:, keep]))
+    pars, cls = (_mirror_parities(state, phis, C)
+                 or ([None] * len(phis), None))
+    natural, frames, reflectors, sectors = [], [], [], []
+    for phi, rho, parities in zip(phis, rho1s, pars):
+        occ, U, par = _natural_orbitals(rho, parities)
+        G, refl, trailing = _orbital_complement(phi, parities)
+        natural.append((occ, U))
+        frames.append(G)
+        reflectors.append(refl)
+        sectors.append(np.outer(par, trailing).ravel())
+    G, refl, trailing = _coefficient_complement(C, cls)
+    frames.append(G)
+    reflectors.append(refl)
+    sectors.append(trailing)
     rm = ResponseMatrix(layout=layout, a=None, b=None, state=state,
-                        reflectors=[_reflectors(r) for r in [*phis, C[None, :]]],
-                        natural=natural,
+                        reflectors=reflectors, natural=natural, frames=frames,
+                        sectors=np.concatenate(sectors),
                         metric_clipped=sum(len(o) for o, _ in natural)
                         < sum(layout.M_list),
                         null_vectors=_null_vectors(layout, phis, C))
@@ -525,39 +737,62 @@ def assemble_L(state: GroundState) -> ResponseMatrix:
     return _response_matrix(state, _raw_blocks(state))
 
 
-def _driving_vector(rm: ResponseMatrix, phis, F, om, O1, O2) -> np.ndarray:
+def _driving_vector(rm: ResponseMatrix, phis, F, om, OC1, OC2) -> np.ndarray:
     """Projected driving vector P M^(+1/2) S1 + P M^(-1/2) S2 for either
     particle kind, one DOF per entry of ``phis`` (scaled orbitals).
 
     S1 is the one-body probe: u rows -F_j phi_a for each DOF with a probe
     matrix ``F[j]`` (None for an unprobed DOF).  S2 is the pair probe: u rows
     -sum_b Omega_j[a, b] phi_b from its mean fields ``om[j]``, an
-    (M_j, M_j, n_j) stack or None.  The v rows are -conj(u).  ``O1`` and
-    ``O2`` are the configuration matrices of the two probes, or None:
-    C_u = -O C, C_v = O^T conj(C).
+    (M_j, M_j, n_j) stack or None.  The v rows are -conj(u).  ``OC1`` and
+    ``OC2`` are the probes' actions (O C, O^T conj(C)) on the coefficients,
+    O the configuration matrix of the probe, or None: C_u = -O C,
+    C_v = O^T conj(C).  An absent probe (``OC`` None) adds nothing.
     """
-    C = rm.state.C
-    S = []
-    for O, u in ((O1, [None if f is None else -(phi @ f.T)
-                       for phi, f in zip(phis, F)]),
-                 (O2, [None if o is None else -np.einsum("abx,bx->ax", o, phi)
-                       for phi, o in zip(phis, om)])):
+    R = np.zeros(rm.D)
+    for OC, power, u in (
+            (OC1, +0.5, [None if f is None else -(phi @ f.T)
+                         for phi, f in zip(phis, F)]),
+            (OC2, -0.5, [None if o is None else -np.einsum("abx,bx->ax", o, phi)
+                         for phi, o in zip(phis, om)])):
+        if OC is None:
+            continue
         u = np.concatenate([np.zeros(phi.size) if x is None else x.ravel()
                             for phi, x in zip(phis, u)])
-        c = ([np.zeros(len(C))] * 2 if O is None
-             else [-(O @ C), O.T @ C.conj()])
-        S.append(np.concatenate([u, -u.conj(), *c]))
-    return rm.project(S[0], +0.5) + rm.project(S[1], -0.5)
+        R = R + rm.project(np.concatenate([u, -u.conj(), -OC[0], OC[1]]),
+                           power)
+    return R
+
+
+def _probe_action(state, f_dags, g):
+    """(O C, O^T conj(C)) for the probe O with one-body operators ``f_dags``
+    (one per DOF, None: zero) and pair operand ``g`` (None: none).  For
+    identical particles both are applied through the compiled operator
+    table, the second as the conjugate of O^H C (orbital elements h^H and
+    W^H[k, s, q, l] = conj(W[q, l, k, s])); across DOFs O is the dense
+    ``ham.hamiltonian_matrix``."""
+    space, sets, C = state.space, state.sets, state.C
+    if not space.identical:
+        O = ham.hamiltonian_matrix(space, sets, f_dags, g)
+        return O @ C, O.T @ C.conj()
+    (f,) = f_dags
+    h = (np.zeros((space.M,) * 2) if f is None
+         else ham.one_body_elements(sets[0], f))
+    W = None if g is None else ham.two_body_tensor(sets[0], g)
+    return (fs.apply_second_quantized(space, C, h, W),
+            fs.apply_second_quantized(
+                space, C, h.conj().T,
+                None if W is None else W.conj().transpose(2, 3, 0, 1)).conj())
 
 
 def build_R(state: GroundState, pert: PerturbationSpec,
             rm: ResponseMatrix | None = None) -> np.ndarray:
     """Projected driving vector P [M^(+1/2) S1 + M^(-1/2) S2] of the
     one-body probes f_j (S1) and the pair probe g (S2), for either particle
-    kind: their configuration matrices from ``ham.hamiltonian_matrix`` and
-    the mean fields of g from ``ham.mean_field_plans``, for
-    ``_driving_vector``.  g is discretized on the grid for identical
-    particles and taken as it is across DOFs."""
+    kind: their actions on C (``_probe_action``) and the mean fields of g
+    from ``ham.mean_field_plans``, for ``_driving_vector``.  g is
+    discretized on the grid for identical particles and taken as it is
+    across DOFs."""
     _require_converged(state)
     space, sets = state.space, state.sets
     f_dags = pert.f_dags or (None,) * len(sets)
@@ -565,9 +800,9 @@ def build_R(state: GroundState, pert: PerturbationSpec,
         raise ValueError(f"{len(f_dags)} one-body probes for {len(sets)} DOFs")
     if rm is None:
         rm = assemble_L(state)
-    om, O1, O2 = [None] * len(sets), None, None
+    om, OC1, OC2 = [None] * len(sets), None, None
     if any(f is not None for f in f_dags):
-        O1 = ham.hamiltonian_matrix(space, sets, f_dags, None)
+        OC1 = _probe_action(state, f_dags, None)
     if pert.g_dag is not None:
         g = pert.g_dag
         if space.identical:
@@ -575,10 +810,10 @@ def build_R(state: GroundState, pert: PerturbationSpec,
         plans = ham.mean_field_plans(space, state.C, state.rho2, g,
                                      [s.grid.weight for s in sets])
         om = [p([s.orbitals for s in sets]) for p in plans]
-        O2 = ham.hamiltonian_matrix(space, sets, [None] * len(sets), g)
+        OC2 = _probe_action(state, [None] * len(sets), g)
     return _driving_vector(rm, [s.scaled for s in sets],
                            [None if f is None else f.matrix for f in f_dags],
-                           om, O1, O2)
+                           om, OC1, OC2)
 
 
 def sigma1(layout) -> np.ndarray:

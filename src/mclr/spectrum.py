@@ -32,19 +32,36 @@ Half-size reduction.  a is Hermitian and b symmetric, real when L is real.
 With the Cholesky factor a - b = K K^T, the symmetric problem
 K^T (a + b) K z = w^2 z of half the size (only its lower triangle, which
 ``eigh`` reads, is formed) yields X + Y = K z / sqrt(w) and
-X - Y = (a + b)(X + Y) / w, so (X + Y).(X - Y) = z.z = 1: real
-Sigma3-normalized right vectors, sng = +1, partners at exactly -w,
+X - Y = (a + b)(X + Y) / w = K^-T z sqrt(w), so (X + Y).(X - Y) = z.z = 1:
+real Sigma3-normalized right vectors, sng = +1, partners at exactly -w,
 biorthogonal even inside degenerate clusters (Stratmann, Scuseria & Frisch,
-J. Chem. Phys. 109, 8218 (1998)).  The solve stops at the eigenvectors Z:
-V = [X; Y] stays factored as K, Z and w beside the halves (``RPAFactors``).
+J. Chem. Phys. 109, 8218 (1998)).  X - Y is applied as K^-T z sqrt(w), by
+block substitution, so the normalization holds to rounding whatever the
+spread of the w.  The solve stops at the eigenvectors Z: V = [X; Y] stays
+factored as K, Z and w (``RPAFactors``).
+
+Parity sectors.  For a mirror-symmetric problem the assembly labels each
+reduced coordinate even or odd (``ResponseMatrix.sectors``, see
+``linres_identical``), and a and b have no entries between the sectors
+beyond rounding.  ``parity_sectors`` checks that: when the Frobenius norm
+of an off-sector block of a or of b exceeds SECTOR_TOL max|L| (1e-10), the
+problem is solved as one sector.  Below the gate, dropping the blocks
+moves a - b and a + b by at most 2 sqrt(2) SECTOR_TOL max|L| in the
+2-norm, and the
+half-size solve runs once per sector: one Cholesky factor, one lower
+product and one ``eigh`` of about half the size each.  The sectors' modes
+are merged in ascending order, and ``RPAFactors`` keeps K and Z per sector
+with the reduced rows and the modes it covers, so the weights, the
+reconstruction and both CSV files read the same products as before.  A
+problem without the symmetry is one sector and runs the same code.
 
 The reduction is used when the halves are real arrays (the assembly
 decides realness once, from the problem; see ``linres_identical``), their
 Sigma3 defect is below 1e-9 max|L|, a - b and a + b are positive definite
 and every w lies above tol_zero.  Otherwise (a complex problem, an
 unstable state, an excitation at or below tol_zero) ``eig`` runs on the
-dense L_r and V is its 2n x k array of retained vectors
-(``ReducedVectors``); there degenerate clusters are rotated to make the
+dense L_r, always as one sector, and V is its 2n x k array of retained
+vectors (``ReducedVectors``); there degenerate clusters are rotated to make the
 pseudo-metric diagonal inside the cluster, which keeps biorthogonality
 exact under degeneracy.  The checks take max|L| = max(|a|, |b|) once
 (``ResponseMatrix.scale``) without |.| arrays; both CSV files are written
@@ -68,6 +85,7 @@ __all__ = [
     "ResponseWeights",
     "Reconstruction",
     "eigensolve",
+    "parity_sectors",
     "symmetry_defects",
     "classify_zero_modes",
     "response_weights",
@@ -79,6 +97,9 @@ __all__ = [
 # relative bound on the symmetry defects below which L counts as exactly
 # paired for the half-size reduction
 SYMMETRY_TOL = 1e-9
+# bound on the Frobenius norm of each off-sector block of a and of b,
+# relative to max|L|, below which the parity sectors are solved apart
+SECTOR_TOL = 1e-10
 # dense path: an imaginary part above IM_TOL max|Re w| makes L unstable, and
 # retained eigenvalues within CLUSTER_TOL max(|w|, 1) form a degenerate
 # cluster
@@ -95,40 +116,72 @@ def _real_matmul(A, c):
     return (A @ np.ascontiguousarray(c).view(np.float64)).view(np.complex128)
 
 
+def _block_inverses(K, size: int = 64) -> list:
+    """The inverses of the diagonal blocks of ``size`` rows (the last one
+    shorter) of a lower triangular K, for ``_triangular_solve``."""
+    return [sla.inv(K[i:i + size, i:i + size]) for i in range(0, len(K), size)]
+
+
+def _triangular_solve(K, inv, B, transpose=False):
+    """K^-1 B, or K^-T B with ``transpose``, for a lower triangular K with
+    the inverted diagonal blocks ``inv`` (``_block_inverses``) and real or
+    complex columns B: block substitution, O(n^2) per column."""
+    if np.iscomplexobj(B):
+        B = np.ascontiguousarray(B)
+        return _triangular_solve(K, inv, B.view(np.float64), transpose).view(
+            np.complex128)
+    x, size = np.empty_like(B), len(inv[0])
+    blocks = list(enumerate(range(0, len(K), size)))
+    for k, i in reversed(blocks) if transpose else blocks:
+        j = i + len(inv[k])
+        if transpose:
+            x[i:j] = inv[k].T @ (B[i:j] - K[j:, i:j].T @ x[j:])
+        else:
+            x[i:j] = inv[k] @ (B[i:j] - K[i:j, :i] @ x[:i])
+    return x
+
+
 @dataclass(frozen=True)
 class RPAFactors:
     """Retained RPA vectors of the half-size solve in the reduced
-    coordinates of the halves, kept factored: X + Y = K Z w^(-1/2) and
-    X - Y = (a + b) K Z w^(-3/2), with a - b = K K^T and Z the eigenvectors
-    of K^T (a + b) K at eigenvalues w^2.  The halves a and b are those of
-    the response matrix; a + b is applied as a + b, not stored."""
+    coordinates of the halves, kept factored per parity sector.  Sector s
+    holds the reduced rows ``rows`` and the modes ``modes`` (index arrays,
+    or slices for a single sector): there X + Y = K Z w^(-1/2) and
+    X - Y = K^-T Z w^(1/2), with K the Cholesky factor of the sector's
+    block of a - b and Z the eigenvectors of K^T (a + b) K at eigenvalues
+    w^2; outside its rows and modes X and Y vanish.  ``sectors`` holds
+    (rows, modes, K, Z, the inverted diagonal blocks of K) per sector."""
 
-    K: np.ndarray = field(repr=False)
-    Z: np.ndarray = field(repr=False)
+    sectors: tuple = field(repr=False)
     omega: np.ndarray = field(repr=False)
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-
-    def _ab(self, t):
-        return _real_matmul(self.a, t) + _real_matmul(self.b, t)
 
     def times(self, c):
         """The 2n reduced rows [X c; Y c] for coefficient columns c (n, k)."""
-        k = c.shape[1]
-        s = np.hstack([c * self.omega[:, None] ** -0.5,
-                       c * self.omega[:, None] ** -1.5])
-        g = _real_matmul(self.K, _real_matmul(self.Z, s))
-        plus, minus = g[:, :k], self._ab(g[:, k:])
-        return 0.5 * np.vstack([plus + minus, plus - minus])
+        n, k = len(self.omega), c.shape[1]
+        out = np.zeros((2 * n, k), dtype=np.result_type(c, float))
+        for rows, modes, K, Z, inv in self.sectors:
+            w = self.omega[modes, None]
+            g = _real_matmul(Z, np.hstack([c[modes] * w ** -0.5,
+                                           c[modes] * w ** 0.5]))
+            plus = _real_matmul(K, g[:, :k])
+            minus = _triangular_solve(K, inv, g[:, k:], transpose=True)
+            out[:n][rows] = 0.5 * (plus + minus)
+            out[n:][rows] = 0.5 * (plus - minus)
+        return out
 
     def transpose_times(self, p):
         """X^T p_x + Y^T p_y for the 2n reduced rows p = [p_x; p_y], as
         (X + Y)^T s + (X - Y)^T t with s, t = (p_x +- p_y) / 2."""
-        n, k = len(self.K), p.shape[1]
-        g = _real_matmul(self.Z.T, _real_matmul(self.K.T, 0.5 * np.hstack(
-            [p[:n] + p[n:], self._ab(p[:n] - p[n:])])))
-        return (g[:, :k] * self.omega[:, None] ** -0.5
-                + g[:, k:] * self.omega[:, None] ** -1.5)
+        n, k = len(self.omega), p.shape[1]
+        out = np.empty((n, k), dtype=np.result_type(p, float))
+        for rows, modes, K, Z, inv in self.sectors:
+            px, py = p[:n][rows], p[n:][rows]
+            g = _real_matmul(Z.T, np.hstack([
+                _real_matmul(K.T, 0.5 * (px + py)),
+                _triangular_solve(K, inv, 0.5 * (px - py))]))
+            w = self.omega[modes, None]
+            out[modes] = g[:, :k] * w ** -0.5 + g[:, k:] * w ** 0.5
+        return out
 
 
 @dataclass(frozen=True)
@@ -167,6 +220,7 @@ class LRSpectrum:
     unstable: bool = False
     tol_zero: float = 0.0
     eigensolver: str = "dense"            # "rpa", or "dense (<reason>)"
+    sector_sizes: tuple = ()              # reduced coordinates per sector
     sigma1_defect: float = 0.0            # max |Sigma1 L Sigma1 + conj(L)|
     sigma3_defect: float = 0.0            # max |Sigma3 L Sigma3 - adjoint(L)|
 
@@ -237,32 +291,65 @@ def eigensolve(rm: ResponseMatrix,
     return spec
 
 
+def parity_sectors(rm: ResponseMatrix) -> list:
+    """Index arrays of the parity sectors of the reduced coordinates, even
+    first: those ``rm.sectors`` records, or one sector with every
+    coordinate when it records none or only one parity, or when an
+    off-sector block of a or b has a Frobenius norm above SECTOR_TOL
+    max|L|."""
+    n, labels = len(rm.a), rm.sectors
+    if labels is None:
+        return [np.arange(n)]
+    even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
+    gate = SECTOR_TOL * rm.scale
+    if len(even) and len(odd) and max(np.linalg.norm(m[even][:, odd])
+                                      for m in (rm.a, rm.b)) <= gate:
+        return [even, odd]
+    return [np.arange(n)]
+
+
 def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero):
-    """Half-size symmetric solve on the lower triangle of K^T (a + b) K;
-    raises _NoReduction where it does not apply."""
+    """Half-size symmetric solve on the lower triangle of K^T (a + b) K,
+    one per parity sector; raises _NoReduction where it does not apply."""
     # the assembly makes the halves real arrays exactly for a real problem
     a, b = rm.a, rm.b
     if np.iscomplexobj(a):
         raise _NoReduction("complex L")
     if max(defects) > SYMMETRY_TOL * rm.scale:
         raise _NoReduction("symmetry defect above 1e-9 max|L|")
-    D = rm.D
-    try:
-        K = sla.cholesky(a - b)
-    except sla.LinAlgError:
-        raise _NoReduction("A - B not positive definite") from None
-    # numpy's eigh is LAPACK's divide and conquer (syevd); the MRRR driver
-    # is ~3x slower on the clustered spectra of coupled oscillators
-    w2, Z = sla.eigh(_lower_product(K, a + b))
-    if w2[0] <= 0:
+    D, n = rm.D, len(a)
+    groups = parity_sectors(rm)
+    one = len(groups) == 1
+    solves = []
+    for g in groups:
+        ag, bg = (a, b) if one else (a[g][:, g], b[g][:, g])
+        try:
+            K = sla.cholesky(ag - bg)
+        except sla.LinAlgError:
+            raise _NoReduction("A - B not positive definite") from None
+        # numpy's eigh is LAPACK's divide and conquer (syevd); the MRRR
+        # driver is ~3x slower on the clustered spectra of coupled
+        # oscillators
+        solves.append((g, K, *sla.eigh(_lower_product(K, ag + bg))))
+    w2 = np.concatenate([w for *_, w, _ in solves])
+    if w2.min() <= 0:
         raise _NoReduction("A + B not positive definite")
-    omega = np.sqrt(w2)
+    # the modes of all sectors in ascending order: sector i holds the
+    # positions ``mode[start:start + len(g)]``
+    order = np.argsort(w2, kind="stable")
+    omega, mode = np.sqrt(w2[order]), np.empty(n, dtype=np.intp)
+    mode[order] = np.arange(n)
+    sectors, start = [], 0
+    for g, K, _, Z in solves:
+        rows, modes = ((slice(None),) * 2 if one
+                       else (g, mode[start:start + len(g)]))
+        sectors.append((rows, modes, K, Z, _block_inverses(K)))
+        start += len(g)
     if tol_zero is None:
         tol_zero = 1e-6 * max(omega[-1], 1.0)
     if omega[0] <= tol_zero:
         raise _NoReduction("an excitation at or below tol_zero")
 
-    n = len(omega)
     w = np.zeros(D, dtype=complex)
     w[:n] = -omega[::-1]
     w[D - n:] = omega
@@ -272,16 +359,19 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero):
                       sng_undefined=np.zeros(n, dtype=bool),
                       pairing={int(k): int(D - 1 - k) for k in retained},
                       tol_zero=tol_zero, eigensolver="rpa",
-                      vectors=RPAFactors(K, Z, omega, a, b))
+                      sector_sizes=tuple(len(g) for g in groups),
+                      vectors=RPAFactors(tuple(sectors), omega))
 
 
 def _lower_product(K, S) -> np.ndarray:
     """Lower triangle of K^T S K (zeros above) for a lower triangular K, in
     four column blocks [c, e) as K[c:, c:]^T (S[c:, c:] K[c:, c:e]): about
-    1.9 n^3 flops where the full product takes 4 n^3.  The result is C
+    1.9 n^3 flops where the full product takes 4 n^3.  Below 128 rows, where
+    the calls cost more than the flops, it is one block.  The result is C
     ordered: into an F-ordered one BLAS rounds differently."""
     n = len(K)
-    edges = [n * p // 4 for p in range(5)]
+    parts = 4 if n >= 128 else 1
+    edges = [n * p // parts for p in range(parts + 1)]
     w = max(e - c for c, e in zip(edges, edges[1:]))
     out, work = np.zeros((n, n)), np.empty((n, w))
     for c, e in zip(edges, edges[1:]):
@@ -295,7 +385,10 @@ def _eigensolve_dense(rm: ResponseMatrix,
                       tol_zero: float | None = None) -> LRSpectrum:
     """Dense eigendecomposition of the 2n x 2n L_r, where Sigma3 is
     diag(1_n, -1_n); the D - 2n directions outside the reduced coordinates
-    are exact zero eigenvalues.  The retained vectors stay reduced."""
+    are exact zero eigenvalues.  The retained vectors stay reduced.  It
+    solves the whole L_r as one sector, whatever ``rm.sectors`` says: the
+    cases it serves (complex or unstable L, modes at or below tol_zero) are
+    rare and small enough not to need the split."""
     w, V = sla.eig(rm.L_r)
     w = np.concatenate([w, np.zeros(rm.D - len(w))]).astype(complex)
     order = np.lexsort((w.imag, w.real))
@@ -347,6 +440,7 @@ def _eigensolve_dense(rm: ResponseMatrix,
 
     return LRSpectrum(rm=rm, eigenvalues=w, zero_modes=zero,
                       retained=retained, vectors=ReducedVectors(R), sng=sng,
+                      sector_sizes=(len(rm.a),),
                       sng_undefined=undef, pairing=pairing,
                       pairing_residual=pairing_residual,
                       reality_defect=reality_defect, unstable=unstable,

@@ -83,6 +83,16 @@ def ferm_m3(grid64, h64):
 
 
 @pytest.fixture(scope="session")
+def ferm_n2m4(grid48, h48):
+    """Two trapped fermions in four orbitals: the ground state is odd under
+    the mirror x -> -x (one even and one odd orbital occupied), and its
+    natural occupations come in degenerate even/odd pairs."""
+    space = fs.enumerate_configs("fermion", N=2, M=4)
+    return gs.solve_mchx(space, grid48, h48,
+                         TwoBodyKernel("gaussian", strength=0.3, width=0.5))
+
+
+@pytest.fixture(scope="session")
 def dist_grids():
     return [build_grid(48, -8.0, 8.0), build_grid(48, -8.0, 8.0)]
 
@@ -115,10 +125,15 @@ def dist_22_uncoupled(dist_grids, dist_h):
 @pytest.fixture(scope="session")
 def bos_m2_complex_gauge(bos_m2):
     """bos_m2 with its orbitals rotated by a random complex unitary."""
-    st = bos_m2
     rng = np.random.default_rng(42)
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    U, _ = np.linalg.qr(z)
+    return orbital_gauge(bos_m2, np.linalg.qr(z)[0])
+
+
+def orbital_gauge(st, U):
+    """``st`` with its orbitals rotated by the unitary ``U`` (new orbital a
+    is sum_b conj(U[b, a]) phi_b), its configuration eigenpair, densities
+    and multipliers recomputed in that gauge."""
     rot = ham.OrbitalSet(U.conj().T @ st.sets[0].orbitals, st.grids[0])
     energy, C, _ = gs._ci_eigenpair(
         ham.hamiltonian_matrix(st.space, [rot], st.h_ops, st.kernel_matrix))

@@ -21,12 +21,14 @@ eigensolver paths are checked against, the driving
 vectors written out separately for each particle kind, the per-mode sum
 of the driven response, the response weights and the driven response as
 products with the stored right vectors, and the per-field CSV writers of
-the spectrum.
+the spectrum, and the one-sector solve the parity sectors are checked
+against.
 Layout, spectrum and reconstruction accessors that only tests read (the
 row indices of the halves, the v slot of one orbital, the left vectors of the negative partners, the
 expansion rows of the driven wavefunction) are functions here.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +38,7 @@ from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
 from mclr import linres_identical as li
+from mclr import spectrum as spm
 from mclr.grid import discretize_kernel
 from mclr.hamiltonian import AllBodyTable, PairCoupling
 from mclr.oracle import (_apply_one_body, _basis_operator, _product_apply_h,
@@ -845,6 +848,39 @@ def save_weights_csv_rows(path, spec, weights, header_lines=()):
                 str(int(k)), fmt % spec.eigenvalues[k].real,
                 fmt % spec.sng[i], fmt % abs(weights.gamma_plus[i]),
                 fmt % abs(weights.gamma_minus[i])]) + "\n")
+
+
+# --- parity sectors: the one-sector solve and what it is compared on --------
+
+
+def one_sector(rm):
+    """``rm`` with every reduced coordinate in one sector: the eigensolve
+    then runs the single half-size solve."""
+    return dataclasses.replace(rm, sectors=np.ones(len(rm.a), dtype=int))
+
+
+def cluster_weights(spec, R_vec, tol=1e-8):
+    """(sqrt(sum |gamma+|^2), sqrt(sum |gamma-|^2)) over each cluster of
+    retained modes within ``tol`` max|omega| of each other: |gamma+-| of a
+    lone mode, and what no rotation inside a degenerate cluster changes."""
+    w = spm.response_weights(spec, R_vec)
+    omega = spec.omega
+    edges = np.flatnonzero(np.diff(omega) > tol * np.abs(omega).max()) + 1
+    return tuple(np.sqrt(np.add.reduceat(np.abs(g) ** 2, np.r_[0, edges]))
+                 for g in (w.gamma_plus, w.gamma_minus))
+
+
+def sector_outputs(rm, R_vec, omega):
+    """What ``mclr linres`` writes from the eigensolve of ``rm``: the
+    spectrum, its zero-mode census, the cluster weights and, for identical
+    particles, the arrays of ``reconstruction.ckpt``."""
+    spec = spm.eigensolve(rm)
+    rec = None
+    if rm.state.space.identical:
+        r = spm.reconstruct(spec, spm.response_weights(spec, R_vec), omega)
+        rec = (r.dphi_minus, r.dphi_plus, r.dC_minus, r.dC_plus,
+               r.orbital_norms(0.0))
+    return spec, cluster_weights(spec, R_vec), rec
 
 
 # --- first-quantized operators and Lagrange multipliers -----------------------

@@ -333,6 +333,21 @@ def test_linres_distinguishable_reports_skipped_reconstruction(
     assert not (tmp_path / "reconstruction.ckpt").exists()
 
 
+def test_linres_prints_parity_sectors(tmp_path, capsys, config_checkpoints):
+    # the coupled pair splits into its even and odd sectors; the dense
+    # fallback solves one, of all n reduced coordinates
+    cfg = str(CONFIGS / "coupled_pair_m44.cfg")
+    args = ["linres", "--checkpoint", str(config_checkpoints["coupled_pair_m44"]),
+            "--config", cfg, "--out-dir", str(tmp_path)]
+    code, out, _ = _run(capsys, args)
+    lines = out.splitlines()
+    assert code == 0 and "parity_sectors = 183 184" in lines
+    assert lines.index("parity_sectors = 183 184") \
+        == lines.index("eigensolver = rpa") + 1
+    code, out, _ = _run(capsys, args + ["--tol-zero", "1.5"])
+    assert code == 0 and "parity_sectors = 367" in out.splitlines()
+
+
 def test_linres_refuses_non_integer_orbital_counts(tmp_path, capsys,
                                                   config_checkpoints):
     # M_list = [4.5, 4] in the header of a coupled_pair_m44 checkpoint used
@@ -633,3 +648,27 @@ def test_linres_reads_complex128_checkpoint(tmp_path, capsys,
     # column by column, relative to the largest entry of the column
     assert np.all(np.abs(real - cplx).max(axis=0)
                   <= 1e-12 * np.abs(real).max(axis=0))
+
+
+@pytest.mark.parametrize("name", ["harmonic_n2_m2", "coupled_pair_m44"])
+def test_complex128_checkpoint_loads_real(tmp_path, config_checkpoints, name):
+    # a checkpoint whose complex128 arrays have no imaginary part loads as
+    # the float64 state, array for array; a complex state in memory still
+    # meets the realness test of the response assembly and takes the
+    # half-size solve in real arithmetic
+    real = ckpt_mod.load_state(config_checkpoints[name])
+    ck = tmp_path / "complex.ckpt"
+    ckpt_mod.save_state(ck, _complex128_copy(
+        ckpt_mod.load_state(config_checkpoints[name])))
+    loaded = ckpt_mod.load_state(ck)
+    pairs = [(loaded.C, real.C), *zip(loaded.mu, real.mu),
+             *((a.orbitals, b.orbitals) for a, b in zip(loaded.sets, real.sets)),
+             *((a.matrix, b.matrix) for a, b in zip(loaded.h_ops, real.h_ops))]
+    for got, want in pairs:
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+    rm = li.assemble_L(_complex128_copy(ckpt_mod.load_state(ck)))
+    assert rm.a.dtype == rm.b.dtype == np.float64
+    spec, want = spm.eigensolve(rm), spm.eigensolve(li.assemble_L(real))
+    assert spec.eigensolver == "rpa"
+    assert np.abs(spec.omega - want.omega).max() <= 1e-12 * want.omega.max()

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mclr import TwoBodyKernel, position_operator
+from mclr import (OneBodyOperator, TwoBodyKernel, kinetic_matrix,
+                  position_operator)
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
@@ -308,6 +309,37 @@ def test_driving_vector_matches_per_kind_oracle(fixture, request):
             <= 1e-13 * np.abs(ref).max()
 
 
+def _dense_probe_action(state, f_dags, g):
+    """(O C, O^T conj(C)) from the probe's dense configuration matrix."""
+    O = ham.hamiltonian_matrix(state.space, state.sets, f_dags, g)
+    return O @ state.C, O.T @ state.C.conj()
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_n2m4"])
+def test_probes_act_through_the_operator_table(fixture, request, monkeypatch):
+    # R with the probes applied to C through the compiled table (O C, and
+    # O^H C for the C_v rows), against R from their dense n_conf x n_conf
+    # configuration matrices; the non-Hermitian probe tells O^H from O
+    st = request.getfixturevalue(fixture)
+    rm = li.assemble_L(st)
+    grid = st.grids[0]
+    skew = OneBodyOperator(np.diag(grid.points) + 0.3j * np.triu(
+        kinetic_matrix(grid).matrix), hermitian=False)
+    perts = [li.PerturbationSpec(f_dags=(f,), omega=0.55)
+             for f in (position_operator(grid), skew)]
+    perts.append(li.PerturbationSpec(
+        g_dag=TwoBodyKernel("gaussian", strength=0.2, width=0.6), omega=0.55))
+    with monkeypatch.context() as m:
+        m.setattr(ham, "hamiltonian_matrix", lambda *a: pytest.fail(
+            "a dense configuration matrix was built"))
+        got = [li.build_R(st, pert, rm) for pert in perts]
+    monkeypatch.setattr(li, "_probe_action", _dense_probe_action)
+    for pert, R in zip(perts, got):
+        want = li.build_R(st, pert, rm)
+        assert np.abs(want[rm.layout.cu_slice]).max() > 1e-3
+        assert np.abs(R - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_pair_probe_selects_even_modes(bos_m2_48):
     # a parity-even interaction probe cannot drive the odd dipole mode but
     # does drive the even breathing-type modes
@@ -392,3 +424,20 @@ def test_complex_gauge_stays_complex(bos_m2_complex_gauge):
               *li.build_oo_block(st)):
         assert a.dtype == np.complex128
     assert spm.eigensolve(li.assemble_L(st)).eigensolver == "dense (complex L)"
+
+
+@pytest.mark.parametrize("n, n_even, n_odd", [(8, 1, 1), (64, 2, 2), (9, 2, 1),
+                                              (9, 0, 2), (7, 3, 2), (5, 1, 0)])
+def test_mirror_frame_is_an_orthogonal_parity_split(n, n_even, n_odd):
+    # G^T (to_frame) and G (from_frame) are transposes and G is orthogonal;
+    # each frame row is even or odd under x -> -x, and the first rows are
+    # the even pivots, then the odd ones
+    G = li.MirrorFrame(n_even, n_odd)
+    eye = np.eye(n)[None]
+    Gt, back = G.to_frame(eye)[0], G.from_frame(eye)[0]
+    assert np.abs(Gt @ Gt.T - np.eye(n)).max() < 1e-15
+    assert np.abs(back - Gt.T).max() == 0.0
+    odd = G.odd_rows(n)
+    np.testing.assert_array_equal(Gt[:, ::-1], np.where(odd, -1, 1)[:, None] * Gt)
+    assert not odd[:n_even].any() and odd[n_even:n_even + n_odd].all()
+    assert odd.sum() == n // 2

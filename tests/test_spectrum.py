@@ -16,7 +16,7 @@ from mclr import linres_identical as li
 from mclr import spectrum as spm
 
 import loop_oracles as lo
-from conftest import oscillator_h
+from conftest import orbital_gauge, oscillator_h
 
 
 @pytest.fixture(scope="module")
@@ -696,7 +696,10 @@ CONFIG_CASES = [*sorted((ROOT / "configs").glob("*.cfg")),
 def config_problem(request):
     """(response matrix, driving vector, probe frequency) of a shipped config,
     as ``mclr linres`` builds them."""
-    cfg, _ = cli._load_config(request.param)
+    return _linres_inputs(cli._load_config(request.param)[0])
+
+
+def _linres_inputs(cfg):
     st = cli._solve_from_config(cfg)
     pert = cli._build_perturbation(cfg, st)
     rm = li.assemble_L(st)
@@ -746,3 +749,151 @@ def test_command_path_keeps_rpa_vectors_factored(tmp_path, bos_m2_48,
     # read on demand, the vectors are the factored ones and are kept
     assert spec.right.shape == (rm.D, len(spec.retained))
     assert spec.right is spec.right
+
+
+# --- parity sectors ------------------------------------------------------------
+
+
+def _assert_matches_one_sector(rm, R, omega, rec_tol=1e-10):
+    # the sector solve against the single half-size solve of the same
+    # halves: all D eigenvalues, the census, the cluster weights and the
+    # reconstruction arrays, relative to the largest entry of each above 1
+    spec, weights, rec = lo.sector_outputs(rm, R, omega)
+    one, one_weights, one_rec = lo.sector_outputs(lo.one_sector(rm), R, omega)
+    assert spec.eigensolver == one.eigensolver == "rpa"
+    assert len(spec.sector_sizes) == 2 and min(spec.sector_sizes) > 0
+    assert sum(spec.sector_sizes) == len(rm.a)
+    assert one.sector_sizes == (len(rm.a),)
+    scale = np.abs(one.omega).max()
+    assert np.abs(spec.eigenvalues - one.eigenvalues).max() <= 1e-12 * scale
+    np.testing.assert_array_equal(spec.zero_modes, one.zero_modes)
+    for got, want in zip(weights, one_weights):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10
+    for got, want in zip(rec or (), one_rec or ()):
+        assert np.abs(got - want).max() <= rec_tol * max(np.abs(want).max(), 1.0)
+
+
+def test_sector_solve_matches_one_sector_on_configs(config_problem):
+    _assert_matches_one_sector(*config_problem)
+
+
+def _parity_swapped(st):
+    """``st`` with its orbital slots 1 and 2 swapped: for the odd fermion
+    pair both leading slots are even, so the first configuration leaves
+    the parity class of C and the coefficient reflector pivots elsewhere."""
+    return orbital_gauge(st, np.eye(4)[[0, 2, 1, 3]])
+
+
+@pytest.mark.parametrize("fixture", ["dist_44", "ferm_n2m4", "swapped"])
+def test_sector_solve_matches_one_sector(fixture, request):
+    st = request.getfixturevalue("ferm_n2m4" if fixture == "swapped"
+                                 else fixture)
+    if fixture == "swapped":
+        st = _parity_swapped(st)
+    rm = li.assemble_L(st)
+    # the fermion pair's reconstruction is the most sensitive to the
+    # rounding-level off-sector entries that the sector solve drops (5.7e-14
+    # max|L|): its response at 0.55 draws on an even and an odd mode 2.4e-4
+    # apart near 2, through M^(-1/2) at a 3.7e-5 occupation; measured 2.4e-10
+    _assert_matches_one_sector(rm, _dipole_probe(st, rm), 0.55,
+                               rec_tol=1e-10 if fixture == "dist_44" else 1e-9)
+
+
+def test_odd_fermion_pair_has_odd_coefficients(ferm_n2m4):
+    # one even and one odd orbital hold the pair: C lies in the odd class,
+    # whose first configuration is (1, 1, 0, 0); the natural occupations
+    # come in even/odd pairs, and each natural orbital has one parity
+    st = ferm_n2m4
+    pars, cls = li._mirror_parities(st, [s.scaled for s in st.sets], st.C)
+    np.testing.assert_array_equal(pars[0], [1, -1, 1, -1])
+    assert cls[0] and not cls[1] and np.abs(st.C[~cls]).max() < 1e-12
+    occ, U = li.assemble_L(st).natural[0]
+    assert np.abs(occ[0::2] - occ[1::2]).max() < 1e-12
+    odd = np.linalg.norm(U[[1, 3]], axis=0)
+    assert np.all(np.minimum(odd, np.linalg.norm(U[[0, 2]], axis=0))
+                  <= li.PARITY_TOL)
+
+
+def test_degenerate_natural_orbitals_are_taken_per_parity_block():
+    # an even and an odd orbital share an occupation, and a 1e-14 coupling
+    # between them turns eigh's pair into two mixtures; each parity block
+    # of rho gives one natural orbital of each parity instead
+    parities = np.array([1, -1, 1, -1])
+    rho = np.diag([0.7, 0.7, 0.4, 0.2])
+    rho[0, 1] = rho[1, 0] = 1e-14
+    assert np.abs(np.linalg.eigh(rho)[1][:2, 2:]).min() > 0.1
+    occ, U, par = li._natural_orbitals(rho, parities)
+    np.testing.assert_allclose(occ, [0.2, 0.4, 0.7, 0.7], rtol=1e-13)
+    np.testing.assert_array_equal(par, [-1, 1, 1, -1])
+    np.testing.assert_array_equal(U[parities[:, None] != par[None, :]], 0.0)
+    assert np.abs(U.T @ rho @ U - np.diag(occ)).max() < 1e-13
+    # without the parities, eigh's vectors are kept
+    occ, U, par = li._natural_orbitals(rho)
+    assert np.all(par == 1) and np.abs(U[:2, 2:]).min() > 0.1
+
+
+def test_swapped_slots_pivot_inside_the_class(ferm_n2m4):
+    st = _parity_swapped(ferm_n2m4)
+    rm = li.assemble_L(st)
+    assert isinstance(rm.frames[-1], li.SwapFrame) and rm.frames[-1].row > 0
+    # the spectrum does not depend on the order of the orbital slots
+    want = spm.eigensolve(li.assemble_L(ferm_n2m4)).omega
+    got = spm.eigensolve(rm).omega
+    assert np.abs(got - want).max() < 1e-9 * want.max()
+
+
+def test_complement_columns_have_one_parity(bos_m2_48):
+    # each reduced coordinate lifts to a response with the parity of its
+    # sector: every orbital slot of the lift is even or odd on the grid
+    rm = li.assemble_L(bos_m2_48)
+    lay = rm.layout
+    (occ, U), = rm.natural
+    cols = rm.lift(np.eye(len(rm.a)))
+    (u,), _, cu, _ = lay.split(np.vstack([cols[:lay.orb], cols[:lay.orb],
+                                          cols[lay.orb:], cols[lay.orb:]]))
+    pars = li._mirror_parities(bos_m2_48, [s.scaled for s in bos_m2_48.sets],
+                               bos_m2_48.C)[0][0]
+    # slot a with parity p_a carries a response of parity p_a s
+    want = pars[:, None, None] * rm.sectors[None, None, :]
+    mirrored = u[:, ::-1, :]
+    assert np.abs(mirrored - want * u).max() < 1e-13
+
+
+def test_mirror_broken_grid_is_one_sector():
+    # harmonic_n2_m2 on the grid [-7.5, 8.5]: the trap is mirror symmetric
+    # about 0 and the walls are not
+    cfg, _ = cli._load_config(ROOT / "configs" / "harmonic_n2_m2.cfg")
+    low = []
+    for x_min, x_max in (("-8.0", "8.0"), ("-7.5", "8.5")):
+        cfg.set("grid", "x_min", x_min)
+        cfg.set("grid", "x_max", x_max)
+        rm, R, omega = _linres_inputs(cfg)
+        spec, weights, rec = lo.sector_outputs(rm, R, omega)
+        low.append(np.sort(spec.omega)[:6])
+    assert np.all(rm.sectors == 1) and all(G is None for G in rm.frames)
+    assert spec.eigensolver == "rpa" and spec.sector_sizes == (len(rm.a),)
+    # the same solve as a forced one-sector run, bit for bit
+    one, one_weights, one_rec = lo.sector_outputs(lo.one_sector(rm), R, omega)
+    np.testing.assert_array_equal(spec.eigenvalues, one.eigenvalues)
+    for got, want in zip((*weights, *rec), (*one_weights, *one_rec)):
+        np.testing.assert_array_equal(got, want)
+    # and the walls, far out, leave the low spectrum of the symmetric box
+    assert np.abs(low[1] - low[0]).max() < 1e-6
+
+
+def test_off_sector_entry_above_the_gate_gives_one_sector(bos_m2_48):
+    rm = li.assemble_L(bos_m2_48)
+    even, odd = (np.flatnonzero(rm.sectors == s) for s in (1, -1))
+    assert len(spm.parity_sectors(rm)) == 2
+    a = rm.a.copy()
+    entry = 2 * spm.SECTOR_TOL * rm.scale
+    a[even[3], odd[5]] = a[odd[5], even[3]] = entry
+    mutated = dataclasses.replace(rm, a=a)
+    groups = spm.parity_sectors(mutated)
+    assert len(groups) == 1 and len(groups[0]) == len(a)
+    spec = spm.eigensolve(mutated)
+    assert spec.eigensolver == "rpa" and spec.sector_sizes == (len(a),)
+    # just below the gate the sectors are kept
+    a[even[3], odd[5]] = a[odd[5], even[3]] = 0.5 * entry / np.sqrt(2)
+    assert len(spm.parity_sectors(dataclasses.replace(rm, a=a))) == 2
