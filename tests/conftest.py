@@ -93,6 +93,16 @@ def ferm_n2m4(grid48, h48):
 
 
 @pytest.fixture(scope="session")
+def bos_m3_odd_grid():
+    """Two bosons in three orbitals on a grid of 47 points, whose centre
+    point is its own mirror image."""
+    grid = build_grid(47, -6.0, 6.0)
+    return gs.solve_mchx(fs.enumerate_configs("boson", N=2, M=3), grid,
+                         oscillator_h(grid),
+                         TwoBodyKernel("gaussian", strength=0.3, width=0.5))
+
+
+@pytest.fixture(scope="session")
 def dist_grids():
     return [build_grid(48, -8.0, 8.0), build_grid(48, -8.0, 8.0)]
 

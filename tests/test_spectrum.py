@@ -391,7 +391,7 @@ def test_reduced_solve_matches_dense(fixture, request):
 
 
 @pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m2", "dist_44",
-                                     "free_m2"])
+                                     "free_m2", "bos_m3_odd_grid"])
 def test_halves_are_assembled_on_range_of_P(fixture, request):
     # the halves live on the complement of the analytic null vectors on x,
     # less the K_j-th to M_j-th (empty) natural orbitals of each DOF, and
@@ -785,7 +785,8 @@ def _parity_swapped(st):
     return orbital_gauge(st, np.eye(4)[[0, 2, 1, 3]])
 
 
-@pytest.mark.parametrize("fixture", ["dist_44", "ferm_n2m4", "swapped"])
+@pytest.mark.parametrize("fixture", ["dist_44", "ferm_n2m4", "swapped",
+                                     "bos_m3_odd_grid"])
 def test_sector_solve_matches_one_sector(fixture, request):
     st = request.getfixturevalue("ferm_n2m4" if fixture == "swapped"
                                  else fixture)
@@ -796,8 +797,8 @@ def test_sector_solve_matches_one_sector(fixture, request):
     # rounding-level off-sector entries that the sector solve drops (5.7e-14
     # max|L|): its response at 0.55 draws on an even and an odd mode 2.4e-4
     # apart near 2, through M^(-1/2) at a 3.7e-5 occupation; measured 2.4e-10
-    _assert_matches_one_sector(rm, _dipole_probe(st, rm), 0.55,
-                               rec_tol=1e-10 if fixture == "dist_44" else 1e-9)
+    _assert_matches_one_sector(rm, _dipole_probe(st, rm), 0.55, rec_tol=(
+        1e-9 if st.space.statistics == "fermion" else 1e-10))
 
 
 def test_odd_fermion_pair_has_odd_coefficients(ferm_n2m4):
