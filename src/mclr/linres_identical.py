@@ -576,8 +576,8 @@ def _mirror_parities(state, phis, C):
             for phi in phis]
     if any(np.abs(phi - p[:, None] * phi[:, ::-1]).max() > PARITY_TOL
            for phi, p in zip(phis, pars)) or any(
-               np.abs(g.points + g.points[::-1]).max()
-               > PARITY_TOL * (g.x_max - g.x_min) for g in state.grids):
+               abs(g.x_min + g.x_max) > PARITY_TOL * (g.x_max - g.x_min)
+               for g in state.grids):
         return None
     space = state.space
     cfg = np.array(space.configs, dtype=np.intp).reshape(space.size, -1)
