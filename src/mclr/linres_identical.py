@@ -67,14 +67,15 @@ and an odd one share an occupation.  ``ResponseMatrix.sectors`` records
 the sector of each reduced coordinate, the parity of its natural orbital
 times that of its complement column (+1 even, -1 odd); a and b are then
 block diagonal to rounding, and ``spectrum`` solves the sectors apart.
-Without the symmetry the QR runs in the grid rows as before and every
-coordinate is in sector +1: one sector, the same code.
+Without the symmetry the QR runs in the grid rows and every coordinate
+is in sector +1: one sector, the same code.
 
 Real arithmetic follows the problem: a real problem has float64
 operators, orbitals, C (``groundstate._ci_eigenpair``) and raw blocks from
 construction on, so the reflectors, the halves and the null vectors are
-real arrays.  Complex input (say a checkpoint written with complex128
-arrays) meets the one realness test, in ``_response_matrix``: when no
+real arrays.  Complex input (say a state whose arrays were cast to
+complex128; ``checkpoint.load_state`` already returns such a checkpoint
+as float64) meets the one realness test, in ``_response_matrix``: when no
 complex raw block, orbital, one-body density or coefficient has an
 imaginary part, their real parts are taken.  The spectrum reads the
 decision from the dtype of the halves.
