@@ -33,17 +33,21 @@ to machine precision, and P L P = L holds structurally.  P and M^(-1/2)
 are block diagonal and commute, so the u/C_u rows of L are formed from
 per-DOF block products of the u/C_u rows of L_raw; the v/C_v rows are
 their mirrors.  ``ResponseMatrix`` keeps L as its two RPA halves on
-range(P).  The trailing columns Q_j (Q_c) of the unitary of one
-Householder QR of phi_j^T (of C), kept as compact WY factors, span the
-complement of the orbitals of DOF j (of C); Q_j on each orbital slot and
+range(P).  The trailing columns of the unitary of one Householder QR of
+phi_j^T span the complement of the orbitals of DOF j; they are formed
+once per assembly as the dense n_j x (n_j - M_j) basis Q_j.  The
+complement of C, n_conf - 1 columns, is never formed: it stays the one
+Householder reflector Q_c = I - W V^H of C.  Q_j on each orbital slot and
 Q_c on C_u make the isometry B onto range(P) on x = (u, C_u).  The metric
 of DOF j is its one-body density U n U^H on the K_j natural orbitals U it
 keeps (``_response_matrix``); an empty orbital has no coordinates.  The
 halves are a = F^H L[x, x] F and b = F^H L[x, y] F*, with F = B U
 n^(-1/2) and y = (v, C_v), of size n = sum_j K_j (n_j - M_j) + N_conf - 1.
-``ResponseMatrix.lift`` applies B U or U^H B^H, two thin products per
-block and one on its slot axis, and ``pull`` n^(+-1/2) U^H B^H; the halves
-are pulled from both sides of the raw x rows.  The one boundary between
+``ResponseMatrix.lift`` applies B U or U^H B^H, per DOF one batched
+product with Q_j and one with U on the slot axis, and ``pull``
+n^(+-1/2) U^H B^H; the halves are pulled from both sides of the raw x
+rows, the second side through a transposed view that BLAS reads in
+place.  The one boundary between
 the 2n reduced coordinates and the D-space is the isometry T = B U on x
 and conj(B U) on y (``to_space``, ``to_reduced``): L = T L_r T^H with
 L_r = [[a, b], [-b*, -a*]], and P M^p = T n^p T^H (``project``).  The
@@ -56,23 +60,23 @@ orbitals), each to PARITY_TOL, the response of the reflection x -> -x
 splits into an even and an odd part, and the reduced coordinates are
 built to be each one or the other.  Per DOF the Householder QR of the
 orbitals runs in the even/odd (butterfly) frame of the grid
-(``MirrorFrame``), the even orbitals first, each pivoted on a frame row
-of its own parity, so every complement column is even or odd; it is
-applied in ``lift`` and ``pull`` as sums and differences of mirrored grid
-rows, O(n_j) per column.  The complement of C is its Householder pivoted
-on a row of its own class (``SwapFrame`` when that is not the first), so
-the other class passes through unchanged.  The natural orbitals take one
-parity each: those of rho, or of each parity block of rho where an even
-and an odd one share an occupation.  ``ResponseMatrix.sectors`` records
-the sector of each reduced coordinate, the parity of its natural orbital
-times that of its complement column (+1 even, -1 odd); a and b are then
-block diagonal to rounding, and ``spectrum`` solves the sectors apart.
-Without the symmetry the QR runs in the grid rows and every coordinate
-is in sector +1: one sector, the same code.
+(``_mirror_frame``), the even orbitals first, each pivoted on a frame row
+of its own parity, so every complement column is even or odd; Q_j is
+taken back to the grid rows when it is formed.  The complement of C is
+its Householder pivoted on a row of its own class (``SwapFrame`` when
+that is not the first), so the other class passes through unchanged.
+The natural orbitals take one parity each: those of rho, or of each
+parity block of rho where an even and an odd one share an occupation.
+``ResponseMatrix.sectors`` records the sector of each reduced
+coordinate, the parity of its natural orbital times that of its
+complement column (+1 even, -1 odd); a and b are then block diagonal
+to rounding, and ``spectrum`` solves the sectors apart.  Without the
+symmetry the QR runs in the grid rows and every coordinate is in sector
++1: one sector, the same code.
 
 Real arithmetic follows the problem: a real problem has float64
 operators, orbitals, C (``groundstate._ci_eigenpair``) and raw blocks from
-construction on, so the reflectors, the halves and the null vectors are
+construction on, so the complements, the halves and the null vectors are
 real arrays.  Complex input (say a state whose arrays were cast to
 complex128; ``checkpoint.load_state`` already returns such a checkpoint
 as float64) meets the one realness test, in ``_response_matrix``: when no
@@ -200,20 +204,20 @@ class ResponseMatrix:
     y = (v, C_v) sectors is kept as its halves on range(P): with B the
     isometry from the reduced coordinates onto range(P) on x,
     L_xx = B ``a`` B^H (``a`` Hermitian) and L_xy = B ``b`` B^T (``b``
-    symmetric).  ``reflectors`` holds B as compact WY factors (V, W), one
-    pair per DOF and one for C: Q = I - W V^H is the Householder unitary of
-    the QR of the orbitals of DOF j (of C), and B is its trailing columns on
-    each orbital slot of DOF j (on C_u).  ``natural`` holds, per DOF, the
-    kept natural orbitals of the one-body density as (occupations n,
+    symmetric).  ``bases`` holds, per DOF, Q_j, the dense orthonormal
+    basis of the complement of its orbitals (n_j x (n_j - M_j)), and B is
+    Q_j on each orbital slot of DOF j; ``reflector`` holds the compact WY
+    factors (V, W) of the Householder of C, Q_c = I - W V^H, and B is its
+    trailing columns on C_u, applied in the rows ``swap`` puts first (a
+    ``SwapFrame``, or None for the rows of C).  ``natural`` holds, per DOF,
+    the kept natural orbitals of the one-body density as (occupations n,
     orbitals U as columns); the reduced slot coordinates are these
     orbitals, so the lift is B U and empty orbitals have no coordinates.
     ``lift`` and ``pull`` apply B U on the x rows; ``to_space`` and
     ``to_reduced`` apply T, B U on x and conj(B U) on y, on all 2n reduced
     coordinates, and ``L`` and ``project`` are built on them.  The
     projector is T T^H, which is P where no orbital is empty, and the
-    metric powers are U n^(+-1/2) U^H.  ``frames`` holds, per block, the
-    rows the Householder QR ran in (a ``MirrorFrame`` or ``SwapFrame``, or
-    None for the block's own rows), and ``sectors`` the mirror-parity
+    metric powers are U n^(+-1/2) U^H.  ``sectors`` holds the mirror-parity
     sector (+1 even, -1 odd) of every reduced coordinate (module
     docstring).  ``state`` is the ``GroundState`` the response is
     linearized about, of either particle kind.
@@ -222,9 +226,10 @@ class ResponseMatrix:
     layout: ResponseLayout
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    reflectors: list = field(repr=False, default_factory=list)
+    bases: list = field(repr=False, default_factory=list)
+    reflector: tuple = field(repr=False, default=None)
     natural: list = field(repr=False, default_factory=list)
-    frames: list = field(repr=False, default_factory=list)
+    swap: SwapFrame = None
     sectors: np.ndarray = field(default=None, repr=False)
     state: GroundState = None
     metric_clipped: bool = False        # a natural orbital was left out
@@ -239,70 +244,58 @@ class ResponseMatrix:
         """max(|a|, |b|), that of L (its y rows mirror the x rows)."""
         return max(_absmax(self.a), _absmax(self.b))
 
-    def lift(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """B U v from the reduced coordinates to the x rows, or U^H B^H v
-        back with ``adjoint``.  Per block (each orbital slot of DOF j, then
-        C_u), with Q = I - W V^H from ``reflectors`` and V of shape (n, k):
-        B v = G ([0; v] - W (V[k:]^H v)) and B^H x = y[k:] - V[k:] (W^H y)
-        for y = G^T x, G the block's entry of ``frames`` (``to_frame`` is
-        G^T, ``from_frame`` G; None is the identity).  U, the kept natural
-        orbitals of DOF j (``natural``), maps the reduced slots to the M_j
-        orbital slots in one product on the slot axis; C has one slot and
-        no U.  ``v`` is a matrix, one vector per column."""
-        units = [U for _, U in self.natural] + [None]
-        frames = self.frames or [None] * len(units)
-        parts = [(M, M if U is None else U.shape[1], U, V, W, G)
-                 for M, U, (V, W), G in zip(self.layout.M_list + (1,), units,
-                                            self.reflectors, frames)]
-        c = v.shape[1]
-        out = np.empty((sum(K * (len(V) - V.shape[1]) if adjoint else M * len(V)
-                            for M, K, _, V, _, _ in parts), c),
-                       dtype=np.result_type(v, *sum(self.reflectors, ()),
-                                            *units[:-1]))
+    def lift(self, v: np.ndarray, adjoint: bool = False,
+             power: float = 0.0) -> np.ndarray:
+        """B U n^power v from the reduced coordinates to the x rows, or
+        n^power U^H B^H v back with ``adjoint``.  Per DOF j, one batched
+        product with Q_j (``bases``; Q_j^H for the adjoint) over the
+        orbital slots and one with U n^power, its kept natural orbitals
+        scaled by their occupations (``natural``), on the slot axis, which
+        maps the reduced slots to the M_j orbital slots.  On C_u, with
+        Q_c = I - W V^H from ``reflector`` and V of shape (n, 1),
+        B v = G ([0; v] - W (V[1:]^H v)) and B^H x = y[1:] - V[1:] (W^H y)
+        for y = G^T x, G the ``swap`` (``to_frame`` is G^T, ``from_frame``
+        G; None is the identity).  ``v`` is a matrix, one vector per column;
+        a transposed view is read in place."""
+        (V, W), G, c = self.reflector, self.swap, v.shape[1]
+        parts = [(U * occ ** power, Q) for (occ, U), Q in zip(self.natural,
+                                                             self.bases)]
+        sizes = [(len(U) * len(Q), U.shape[1] * Q.shape[1]) for U, Q in parts]
+        out = np.empty((sum(r if adjoint else f for f, r in sizes)
+                        + len(V) - (1 if adjoint else 0), c),
+                       dtype=np.result_type(v, V, W, *(m for p in parts
+                                                       for m in p)))
         i = o = 0
-        for M, K, U, V, W, G in parts:
-            n, k = V.shape
-            a, b = (M * n, K * (n - k)) if adjoint else (K * (n - k), M * n)
+        for (U, Q), (full, reduced) in zip(parts, sizes):
+            (M, K), r = U.shape, Q.shape[1]
+            a, b = (full, reduced) if adjoint else (reduced, full)
             s, y = v[i:i + a], out[o:o + b]
             if adjoint:
-                s = s.reshape(M, n, c)
-                if G is not None:
-                    s = G.to_frame(s)
-                g = (y if U is None else np.empty_like(y, shape=(M * (n - k), c))
-                     ).reshape(M, n - k, c)
-                np.matmul(V[k:], W.conj().T @ s, out=g)
-                np.subtract(s[:, k:], g, out=g)
-                if U is not None:
-                    np.matmul(U.conj().T, g.reshape(M, -1), out=y.reshape(K, -1))
+                g = np.matmul(Q.conj().T, s.reshape(M, len(Q), c))
+                np.matmul(U.conj().T, g.reshape(M, -1), out=y.reshape(K, -1))
             else:
-                if U is not None:
-                    s = U @ s.reshape(K, -1)
-                s, y = s.reshape(M, n - k, c), y.reshape(M, n, c)
-                t = y if G is None else np.empty_like(y)
-                np.matmul(W, -(V[k:].conj().T @ s), out=t)
-                t[:, k:] += s
-                if G is not None:
-                    y[...] = G.from_frame(t)
+                t = np.matmul(Q, s.reshape(K, r, c))
+                np.matmul(U, t.reshape(K, -1), out=y.reshape(M, -1))
             i, o = i + a, o + b
+        s, y = v[i:], out[o:]
+        if adjoint:
+            if G is not None:
+                s = G.to_frame(s)
+            np.matmul(V[1:], W.conj().T @ s, out=y)
+            np.subtract(s[1:], y, out=y)
+        else:
+            t = y if G is None else np.empty_like(y)
+            np.matmul(W, -(V[1:].conj().T @ s), out=t)
+            t[1:] += s
+            if G is not None:
+                y[...] = G.from_frame(t)
         return out
 
     def pull(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
-        """n^power U^H B^H x on the x rows: ``lift`` with ``adjoint``, then
-        the kept occupations n_j^power of each DOF on its reduced slots.
-        With U n U^H the one-body density on its kept natural orbitals, this
-        is B^H M^power x for power 0, +1/2 or -1/2, taken on those orbitals."""
-        return self._scaled(self.lift(x, adjoint=True), power)
-
-    def _scaled(self, y: np.ndarray, power: float) -> np.ndarray:
-        """``y`` with its reduced slot rows scaled in place by the kept
-        occupations n_j^power of each DOF; the C rows keep their values."""
-        i = 0
-        for (occ, _), (V, _) in zip(self.natural, self.reflectors):
-            rows = len(occ) * (len(V) - V.shape[1])
-            blk = y[i:i + rows].reshape(len(occ), -1)
-            blk *= occ[:, None] ** power
-            i += rows
-        return y
+        """n^power U^H B^H x on the x rows: ``lift`` with ``adjoint``.  With
+        U n U^H the one-body density on its kept natural orbitals, this is
+        B^H M^power x for power 0, +1/2 or -1/2, taken on those orbitals."""
+        return self.lift(x, adjoint=True, power=power)
 
     def to_space(self, v: np.ndarray, power: float = 0.0) -> np.ndarray:
         """T n^power v from the 2n reduced rows (x coordinates, then y) to
@@ -311,7 +304,7 @@ class ResponseMatrix:
         T is an isometry, and L = T L_r T^H since L[x, y] = B U b (B U)^T.
         ``v`` is a matrix, one vector per column."""
         n, k, o = len(self.a), v.shape[1], self.layout.orb
-        xy = self.lift(self._scaled(np.hstack([v[:n], v[n:].conj()]), power))
+        xy = self.lift(np.hstack([v[:n], v[n:].conj()]), power=power)
         x, y = xy[:, :k], xy[:, k:].conj()
         return np.concatenate([x[:o], y[:o], x[o:], y[o:]])
 
@@ -491,66 +484,23 @@ def _reflectors(rows):
     return V, V @ T
 
 
-@dataclass(frozen=True)
-class MirrorFrame:
-    """The even/odd (butterfly) frame of the n points of a mirror-symmetric
-    grid, point r mirroring to n - 1 - r.  The even rows are the centre
-    point of an odd n and then (x_r + x_(n-1-r)) / sqrt 2, the odd rows
-    (x_r - x_(n-1-r)) / sqrt 2, each kind from the centre of the grid
+def _mirror_frame(n: int, n_even: int, n_odd: int):
+    """(G^T, which rows are odd): the even/odd (butterfly) frame of the n
+    points of a mirror-symmetric grid, point r mirroring to n - 1 - r, as
+    an orthogonal matrix of frame rows.  The even rows are the centre point
+    of an odd n and then (e_r + e_(n-1-r)) / sqrt 2, the odd rows
+    (e_r - e_(n-1-r)) / sqrt 2, each kind from the centre of the grid
     outward; the first ``n_even`` even rows come first, then the first
-    ``n_odd`` odd rows, then the other even rows, then the other odd ones.
-    An orthogonal map, applied on axis 1 with slices."""
-
-    n_even: int
-    n_odd: int
-
-    def _runs(self, n):
-        """(h, the centre point's frame row or None, the four runs): each
-        run is (frame rows, pairs), pair i being the points h - 1 - i and
-        n - h + i, counted from the centre; the runs are the even pivot
-        pairs, the odd pivots, the other even pairs and the other odd
-        rows.  The centre of an odd n is an even row, a pivot if any is."""
-        h, mid = n // 2, n % 2
-        k, pe = self.n_even + self.n_odd, max(self.n_even - mid, 0)
-        centre = (0 if self.n_even else k) if mid else None
-        lo = k + (mid if not self.n_even else 0)
-        return h, centre, ((slice(self.n_even - pe, self.n_even), slice(0, pe)),
-                           (slice(self.n_even, k), slice(0, self.n_odd)),
-                           (slice(lo, lo + h - pe), slice(pe, h)),
-                           (slice(lo + h - pe, n), slice(self.n_odd, h)))
-
-    def to_frame(self, x):
-        h, centre, runs = self._runs(x.shape[1])
-        top, bottom = x[:, h - 1::-1], x[:, x.shape[1] - h:]
-        f = np.empty_like(x)
-        for (rows, pairs), op in zip(runs, (np.add, np.subtract) * 2):
-            op(top[:, pairs], bottom[:, pairs], out=f[:, rows])
-        f *= np.sqrt(0.5)
-        if centre is not None:
-            f[:, centre] = x[:, h]
-        return f
-
-    def from_frame(self, f):
-        """The transpose of ``to_frame``: the even and the odd pair rows
-        gathered run by run, then their sums and differences."""
-        n = f.shape[1]
-        h, centre, runs = self._runs(n)
-        even, odd = (np.concatenate([f[:, rows] for rows, _ in runs[i::2]],
-                                    axis=1) for i in (0, 1))
-        x = np.empty_like(f)
-        np.add(even, odd, out=x[:, h - 1::-1])
-        np.subtract(even, odd, out=x[:, n - h:])
-        x *= np.sqrt(0.5)
-        if centre is not None:
-            x[:, h] = f[:, centre]
-        return x
-
-    def odd_rows(self, n: int) -> np.ndarray:
-        """Which of the n frame rows are odd."""
-        odd = np.zeros(n, dtype=bool)
-        _, _, runs = self._runs(n)
-        odd[runs[1][0]] = odd[runs[3][0]] = True
-        return odd
+    ``n_odd`` odd rows, then the other even rows, then the other odd
+    ones."""
+    h, eye = n // 2, np.eye(n)
+    top, bottom = eye[h - 1::-1], eye[n - h:]
+    even = np.vstack([eye[h:n - h], (top + bottom) * np.sqrt(0.5)])
+    odd = (top - bottom) * np.sqrt(0.5)
+    return (np.vstack([even[:n_even], odd[:n_odd],
+                       even[n_even:], odd[n_odd:]]),
+            np.repeat([False, True, False, True],
+                      [n_even, n_odd, len(even) - n_even, h - n_odd]))
 
 
 @dataclass(frozen=True)
@@ -561,7 +511,7 @@ class SwapFrame:
 
     def to_frame(self, x):
         f = x.copy()
-        f[:, [0, self.row]] = x[:, [self.row, 0]]
+        f[[0, self.row]] = x[[self.row, 0]]
         return f
 
     from_frame = to_frame
@@ -620,25 +570,30 @@ def _natural_orbitals(rho, parities=None):
 
 
 def _orbital_complement(phi, parities=None):
-    """(frame or None, reflectors, parity of each complement column) of
-    one DOF's scaled orbitals ``phi``.  Given their mirror parities, the
-    Householder QR runs in the butterfly frame of the grid
-    (``MirrorFrame``), even orbitals first, each pivoted on a frame row of
-    its parity nearest the centre of the grid (where the orbitals are
-    large: the complement columns of the outer rows stay close to unit
-    vectors, as in 1 - phi phi^H); each reflector and each complement
-    column is then even or odd to the parity defect of the orbitals."""
+    """(Q, parity of each of its columns): the dense orthonormal basis of
+    the complement of one DOF's scaled orbitals ``phi``, the trailing
+    columns of the unitary G (I - W V^H) of their Householder QR
+    (``_reflectors``) in the rows G^T.  Given their mirror parities, G is
+    the butterfly frame of the grid (``_mirror_frame``), the even orbitals
+    first, each pivoted on a frame row of its parity nearest the centre of
+    the grid (where the orbitals are large: the complement columns of the
+    outer rows stay close to unit vectors, as in 1 - phi phi^H); each
+    column of Q is then even or odd to the parity defect of the orbitals.
+    Without them G is the identity."""
     M, n = phi.shape
-    if parities is None:
-        return None, _reflectors(phi), np.ones(n - M, dtype=int)
-    G = MirrorFrame(int(np.sum(parities > 0)), int(np.sum(parities < 0)))
-    return G, _reflectors(G.to_frame(phi[np.argsort(parities < 0,
-                                                       kind="stable")])), \
-        np.where(G.odd_rows(n)[M:], -1, 1)
+    Gt, odd = None, np.zeros(n, dtype=bool)
+    if parities is not None:
+        Gt, odd = _mirror_frame(n, int(np.sum(parities > 0)),
+                                int(np.sum(parities < 0)))
+        phi = phi[np.argsort(parities < 0, kind="stable")] @ Gt.T
+    V, W = _reflectors(phi)
+    Q = -W @ V[M:].conj().T
+    Q[M:] += np.eye(n - M)
+    return (Q if Gt is None else Gt.T @ Q), np.where(odd[M:], -1, 1)
 
 
 def _coefficient_complement(C, cls=None):
-    """(frame or None, reflectors, parity of each complement column
+    """(swap or None, reflectors, parity of each complement column
     relative to C) of the coefficient vector.  Given the mask ``cls`` of
     the parity class of C, the Householder is pivoted on the first row of
     the class (``SwapFrame`` where that is not row 0), so its reflector
@@ -648,9 +603,9 @@ def _coefficient_complement(C, cls=None):
         return None, _reflectors(C[None, :]), np.ones(len(C) - 1, dtype=int)
     first = int(np.argmax(cls))
     G = SwapFrame(first) if first else None
-    rows = C[None, :] if G is None else G.to_frame(C[None, :])
-    cls = cls if G is None else G.to_frame(cls[None, :])[0]
-    return G, _reflectors(rows), np.where(cls[1:], 1, -1)
+    if G is not None:
+        C, cls = G.to_frame(C), G.to_frame(cls)
+    return G, _reflectors(C[None, :]), np.where(cls[1:], 1, -1)
 
 
 def _null_vectors(layout, phis, C) -> np.ndarray:
@@ -688,21 +643,18 @@ def _response_matrix(state, blocks) -> ResponseMatrix:
                             tuple(p.shape[1] for p in phis), len(C))
     pars, cls = (_mirror_parities(state, phis, C)
                  or ([None] * len(phis), None))
-    natural, frames, reflectors, sectors = [], [], [], []
+    natural, bases, sectors = [], [], []
     for phi, rho, parities in zip(phis, rho1s, pars):
         occ, U, par = _natural_orbitals(rho, parities)
-        G, refl, trailing = _orbital_complement(phi, parities)
+        Q, trailing = _orbital_complement(phi, parities)
         natural.append((occ, U))
-        frames.append(G)
-        reflectors.append(refl)
+        bases.append(Q)
         sectors.append(np.outer(par, trailing).ravel())
-    G, refl, trailing = _coefficient_complement(C, cls)
-    frames.append(G)
-    reflectors.append(refl)
+    swap, refl, trailing = _coefficient_complement(C, cls)
     sectors.append(trailing)
     rm = ResponseMatrix(layout=layout, a=None, b=None, state=state,
-                        reflectors=reflectors, natural=natural, frames=frames,
-                        sectors=np.concatenate(sectors),
+                        bases=bases, reflector=refl, natural=natural,
+                        swap=swap, sectors=np.concatenate(sectors),
                         metric_clipped=sum(len(o) for o, _ in natural)
                         < sum(layout.M_list),
                         null_vectors=_null_vectors(layout, phis, C))

@@ -20,15 +20,18 @@ response matrix, the dense D x D eigensolve of that matrix that both
 eigensolver paths are checked against, the driving
 vectors written out separately for each particle kind, the per-mode sum
 of the driven response, the response weights and the driven response as
-products with the stored right vectors, and the per-field CSV writers of
-the spectrum, and the one-sector solve the parity sectors are checked
-against.
+products with the stored right vectors, the per-field CSV writers of
+the spectrum, the one-sector solve the parity sectors are checked
+against, the butterfly frame and compact-WY application of the
+complements that the dense bases are checked against, and the symmetry
+defects from full n x n differences.
 Layout, spectrum and reconstruction accessors that only tests read (the
 row indices of the halves, the v slot of one orbital, the left vectors of the negative partners, the
 expansion rows of the driven wavefunction) are functions here.
 """
 
 import dataclasses
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -848,6 +851,151 @@ def save_weights_csv_rows(path, spec, weights, header_lines=()):
                 str(int(k)), fmt % spec.eigenvalues[k].real,
                 fmt % spec.sng[i], fmt % abs(weights.gamma_plus[i]),
                 fmt % abs(weights.gamma_minus[i])]) + "\n")
+
+
+# --- complements: the butterfly frame and the compact-WY application ---------
+
+
+@dataclass(frozen=True)
+class MirrorFrame:
+    """The even/odd (butterfly) frame of the n points of a mirror-symmetric
+    grid, with the row order of ``li._mirror_frame``, applied on axis 1
+    with slices: O(n) per column, no n x n matrix."""
+
+    n_even: int
+    n_odd: int
+
+    def _runs(self, n):
+        """(h, the centre point's frame row or None, the four runs): each
+        run is (frame rows, pairs), pair i being the points h - 1 - i and
+        n - h + i, counted from the centre; the runs are the even pivot
+        pairs, the odd pivots, the other even pairs and the other odd
+        rows.  The centre of an odd n is an even row, a pivot if any is."""
+        h, mid = n // 2, n % 2
+        k, pe = self.n_even + self.n_odd, max(self.n_even - mid, 0)
+        centre = (0 if self.n_even else k) if mid else None
+        lo = k + (mid if not self.n_even else 0)
+        return h, centre, ((slice(self.n_even - pe, self.n_even), slice(0, pe)),
+                           (slice(self.n_even, k), slice(0, self.n_odd)),
+                           (slice(lo, lo + h - pe), slice(pe, h)),
+                           (slice(lo + h - pe, n), slice(self.n_odd, h)))
+
+    def to_frame(self, x):
+        h, centre, runs = self._runs(x.shape[1])
+        top, bottom = x[:, h - 1::-1], x[:, x.shape[1] - h:]
+        f = np.empty_like(x)
+        for (rows, pairs), op in zip(runs, (np.add, np.subtract) * 2):
+            op(top[:, pairs], bottom[:, pairs], out=f[:, rows])
+        f *= np.sqrt(0.5)
+        if centre is not None:
+            f[:, centre] = x[:, h]
+        return f
+
+    def from_frame(self, f):
+        """The transpose of ``to_frame``: the even and the odd pair rows
+        gathered run by run, then their sums and differences."""
+        n = f.shape[1]
+        h, centre, runs = self._runs(n)
+        even, odd = (np.concatenate([f[:, rows] for rows, _ in runs[i::2]],
+                                    axis=1) for i in (0, 1))
+        x = np.empty_like(f)
+        np.add(even, odd, out=x[:, h - 1::-1])
+        np.subtract(even, odd, out=x[:, n - h:])
+        x *= np.sqrt(0.5)
+        if centre is not None:
+            x[:, h] = f[:, centre]
+        return x
+
+    def odd_rows(self, n: int) -> np.ndarray:
+        """Which of the n frame rows are odd."""
+        odd = np.zeros(n, dtype=bool)
+        _, _, runs = self._runs(n)
+        odd[runs[1][0]] = odd[runs[3][0]] = True
+        return odd
+
+
+def wy_complements(rm):
+    """Per DOF (``MirrorFrame`` or None, compact WY factors (V, W)) of the
+    Householder QR of its orbitals that ``rm.bases`` are formed from, then
+    (``rm.swap``, ``rm.reflector``) for C."""
+    st = rm.state
+    phis, C = [s.scaled for s in st.sets], st.C
+    if not np.iscomplexobj(rm.a):
+        phis, C = [p.real for p in phis], C.real
+    pars = li._mirror_parities(st, phis, C)
+    out = []
+    for j, phi in enumerate(phis):
+        if pars is None:
+            out.append((None, li._reflectors(phi)))
+            continue
+        p = pars[0][j]
+        G = MirrorFrame(int(np.sum(p > 0)), int(np.sum(p < 0)))
+        out.append((G, li._reflectors(
+            G.to_frame(phi[np.argsort(p < 0, kind="stable")]))))
+    return out + [(rm.swap, rm.reflector)]
+
+
+def _in_frame(G, x, back=False):
+    """The (slots, points, columns) stack ``x`` in the rows G^T (G with
+    ``back``): a ``MirrorFrame`` on the point axis, the ``SwapFrame`` of C
+    on its one slot."""
+    if G is None:
+        return x
+    if isinstance(G, MirrorFrame):
+        return G.from_frame(x) if back else G.to_frame(x)
+    return G.to_frame(x[0])[None]
+
+
+def wy_lift(rm, v, adjoint=False, power=0.0):
+    """B U n^power v, or n^power U^H B^H v with ``adjoint``, block by block
+    from the frames and WY factors of ``wy_complements``: with
+    Q = I - W V^H and V of shape (n, k), B v = G ([0; v] - W (V[k:]^H v))
+    and B^H x = y[k:] - V[k:] (W^H y) for y = G^T x, then (n, U) of
+    ``rm.natural`` on the slot axis, n^power on the reduced slots
+    (C has one slot and no U)."""
+    c, i, out = v.shape[1], 0, []
+    for M, (occ, U), (G, (V, W)) in zip(rm.layout.M_list + (1,),
+                                        rm.natural + [(None, None)],
+                                        wy_complements(rm)):
+        (n, k), K = V.shape, M if U is None else U.shape[1]
+        rows = M * n if adjoint else K * (n - k)
+        s, i = v[i:i + rows], i + rows
+        if adjoint:
+            y = _in_frame(G, s.reshape(M, n, c))
+            y = y[:, k:] - V[k:] @ (W.conj().T @ y)
+            if U is not None:
+                y = (U.conj().T @ y.reshape(M, -1)) * occ[:, None] ** power
+        else:
+            if U is not None:
+                s = U @ (s.reshape(K, -1) * occ[:, None] ** power)
+            s = s.reshape(M, n - k, c)
+            y = W @ -(V[k:].conj().T @ s)
+            y[:, k:] += s
+            y = _in_frame(G, y, back=True)
+        out.append(y.reshape(-1, c))
+    return np.concatenate(out)
+
+
+class WYResponseMatrix(li.ResponseMatrix):
+    """A ``ResponseMatrix`` whose ``lift`` is ``wy_lift``, so that its
+    ``pull``, ``to_space`` and ``to_reduced`` run the frames and the WY
+    factors too."""
+
+    def lift(self, v, adjoint=False, power=0.0):
+        return wy_lift(self, v, adjoint, power)
+
+
+def wy_response(rm):
+    """``rm`` with the butterfly and compact-WY ``lift`` of ``wy_lift``."""
+    return WYResponseMatrix(**{f.name: getattr(rm, f.name)
+                               for f in dataclasses.fields(rm)})
+
+
+def symmetry_defects_full(rm):
+    """``spm.symmetry_defects`` from the full n x n differences a - a^H and
+    b - b^T."""
+    a, b = rm.a, rm.b
+    return 0.0, max(li._absmax(a - a.conj().T), li._absmax(b - b.T))
 
 
 # --- parity sectors: the one-sector solve and what it is compared on --------

@@ -429,15 +429,17 @@ def test_complex_gauge_stays_complex(bos_m2_complex_gauge):
 @pytest.mark.parametrize("n, n_even, n_odd", [(8, 1, 1), (64, 2, 2), (9, 2, 1),
                                               (9, 0, 2), (7, 3, 2), (5, 1, 0)])
 def test_mirror_frame_is_an_orthogonal_parity_split(n, n_even, n_odd):
-    # G^T (to_frame) and G (from_frame) are transposes and G is orthogonal;
-    # each frame row is even or odd under x -> -x, and the first rows are
-    # the even pivots, then the odd ones
-    G = li.MirrorFrame(n_even, n_odd)
+    # G^T is orthogonal and is the butterfly of the oracle, whose to_frame
+    # (G^T) and from_frame (G) are transposes; each frame row is even or
+    # odd under x -> -x, and the first rows are the even pivots, then the
+    # odd ones
+    Gt, odd = li._mirror_frame(n, n_even, n_odd)
+    G = lo.MirrorFrame(n_even, n_odd)
     eye = np.eye(n)[None]
-    Gt, back = G.to_frame(eye)[0], G.from_frame(eye)[0]
     assert np.abs(Gt @ Gt.T - np.eye(n)).max() < 1e-15
-    assert np.abs(back - Gt.T).max() == 0.0
-    odd = G.odd_rows(n)
+    assert np.abs(G.to_frame(eye)[0] - Gt).max() == 0.0
+    assert np.abs(G.from_frame(eye)[0] - Gt.T).max() == 0.0
+    np.testing.assert_array_equal(G.odd_rows(n), odd)
     np.testing.assert_array_equal(Gt[:, ::-1], np.where(odd, -1, 1)[:, None] * Gt)
     assert not odd[:n_even].any() and odd[n_even:n_even + n_odd].all()
     assert odd.sum() == n // 2

@@ -2,6 +2,7 @@
 
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -431,7 +432,9 @@ def test_reflectors_match_lapack_complement(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_m3", "dist_44"])
 def test_assembly_builds_no_dense_basis(fixture, request, monkeypatch):
-    # the complements stay Householder reflectors: only the raw QR runs
+    # only the raw QR runs, and the complement of C stays one Householder
+    # reflector: no n_conf x n_conf basis; the orbital bases are formed
+    # from their reflectors
     st = request.getfixturevalue(fixture)
     qr = np.linalg.qr
 
@@ -442,7 +445,9 @@ def test_assembly_builds_no_dense_basis(fixture, request, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", raw_qr)
     rm = li.assemble_L(st)
-    assert len(rm.reflectors) == rm.layout.Q + 1
+    assert all(V.shape == (rm.layout.n_conf, 1) for V in rm.reflector)
+    assert [Q.shape for Q in rm.bases] == [
+        (n, n - M) for M, n in zip(rm.layout.M_list, rm.layout.n_list)]
 
 
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "dist_44"])
@@ -475,14 +480,20 @@ def test_symmetry_defects_match_dense_operators(layout):
     S1 = np.eye(layout.D)[li.sigma1(layout)]
     S3 = np.diag(li.sigma3(layout))
     x, y = lo.halves_index(layout)
-    # reflectors (V, W) of Q = I - W V^H: W = 0 keeps Q = I
-    embedding = [(np.eye(n, M), np.zeros((n, M))) for M, n in sizes]
-    rotated = [li._reflectors(np.linalg.qr(crandn(n, n))[0][:M])
-               for M, n in sizes]
+    # per DOF the complement basis, trailing columns of the identity or of
+    # a random unitary; for C the reflector (V, W) of Q = I - W V^H, where
+    # W = 0 keeps Q = I
+    embedding = ([np.eye(n)[:, M:] for M, n in sizes[:-1]],
+                 (np.eye(layout.n_conf, 1), np.zeros((layout.n_conf, 1))))
+    rotated = ([li._orbital_complement(np.linalg.qr(crandn(n, n))[0][:M])[0]
+                for M, n in sizes[:-1]],
+               li._reflectors(np.linalg.qr(crandn(layout.n_conf,
+                                                  layout.n_conf))[0][:1]))
     # complex halves, and real ones (real-arithmetic path)
     for a, b, bases in ((a, b, rotated), (a.real, b.real, embedding),
                         (a, b, embedding)):
-        rm = li.ResponseMatrix(layout=layout, a=a, b=b, reflectors=bases,
+        rm = li.ResponseMatrix(layout=layout, a=a, b=b, bases=bases[0],
+                               reflector=bases[1],
                                natural=[(np.ones(M), np.eye(M))
                                         for M in layout.M_list])
         L = rm.L
@@ -733,9 +744,9 @@ def test_command_path_keeps_rpa_vectors_factored(tmp_path, bos_m2_48,
     widths = []
     lift = li.ResponseMatrix.lift
 
-    def recording_lift(self, v, adjoint=False):
+    def recording_lift(self, v, adjoint=False, power=0.0):
         widths.append(v.reshape(len(v), -1).shape[1])
-        return lift(self, v, adjoint)
+        return lift(self, v, adjoint, power)
 
     monkeypatch.setattr(li.ResponseMatrix, "lift", recording_lift)
     spec = spm.eigensolve(rm)
@@ -837,11 +848,58 @@ def test_degenerate_natural_orbitals_are_taken_per_parity_block():
 def test_swapped_slots_pivot_inside_the_class(ferm_n2m4):
     st = _parity_swapped(ferm_n2m4)
     rm = li.assemble_L(st)
-    assert isinstance(rm.frames[-1], li.SwapFrame) and rm.frames[-1].row > 0
+    assert isinstance(rm.swap, li.SwapFrame) and rm.swap.row > 0
     # the spectrum does not depend on the order of the orbital slots
     want = spm.eigensolve(li.assemble_L(ferm_n2m4)).omega
     got = spm.eigensolve(rm).omega
     assert np.abs(got - want).max() < 1e-9 * want.max()
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m3", "dist_44",
+                                     "bos_m2_complex_gauge", "bos_m3_odd_grid",
+                                     "swapped", "ferm_n2m4"])
+def test_dense_bases_match_butterfly_wy_oracle(fixture, request):
+    # lift (both ways), pull, to_space and to_reduced through the dense
+    # bases against the butterfly frames and compact-WY factors they are
+    # formed from, on C-ordered and on transposed (F-ordered) columns
+    st = request.getfixturevalue("ferm_n2m4" if fixture == "swapped"
+                                 else fixture)
+    if fixture == "swapped":
+        st = _parity_swapped(st)
+    rm = li.assemble_L(st)
+    wy = lo.wy_response(rm)
+    rng = np.random.default_rng(11)
+    n, half = len(rm.a), rm.layout.D // 2
+    calls = [(n, lambda m, x: m.lift(x)),
+             (half, lambda m, x: m.lift(x, adjoint=True)),
+             (2 * n, lambda m, x: m.to_space(x)),
+             (2 * n, lambda m, x: m.to_space(x, -0.5)),
+             (2 * half, lambda m, x: m.to_reduced(x)),
+             (2 * half, lambda m, x: m.to_reduced(x, 0.5))]
+    calls += [(half, lambda m, x, p=p: m.pull(x, p)) for p in (0.0, 0.5, -0.5)]
+    for rows, call in calls:
+        x = rng.standard_normal((rows, 6)) + 1j * rng.standard_normal(
+            (rows, 6))
+        for v in (x, np.ascontiguousarray(x.real)):
+            want = call(wy, v)
+            for order in (v, np.ascontiguousarray(v.T).T):
+                got = call(rm, order)
+                assert got.dtype == want.dtype
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 5, 128, 300])
+def test_symmetry_defects_match_full_temporaries(n, bos_m2_48):
+    # the row-panel comparison gives the value of the full differences
+    # a - a^H and b - b^T to the last bit, complex and real
+    rng = np.random.default_rng(n)
+    a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(2))
+    for rm in (SimpleNamespace(a=a, b=b), SimpleNamespace(a=a.real, b=b.real),
+               SimpleNamespace(a=a.real, b=0.5 * (b + b.T).real),
+               li.assemble_L(bos_m2_48)):
+        got, want = spm.symmetry_defects(rm), lo.symmetry_defects_full(rm)
+        assert got == want
 
 
 def test_complement_columns_have_one_parity(bos_m2_48):
@@ -872,7 +930,10 @@ def test_mirror_broken_grid_is_one_sector():
         rm, R, omega = _linres_inputs(cfg)
         spec, weights, rec = lo.sector_outputs(rm, R, omega)
         low.append(np.sort(spec.omega)[:6])
-    assert np.all(rm.sectors == 1) and all(G is None for G in rm.frames)
+    # the QRs ran in the rows of the grid and of C: no frame, no swap
+    phi = rm.state.sets[0].scaled
+    assert np.all(rm.sectors == 1) and rm.swap is None
+    assert np.array_equal(rm.bases[0], li._orbital_complement(phi)[0])
     assert spec.eigensolver == "rpa" and spec.sector_sizes == (len(rm.a),)
     # the same solve as a forced one-sector run, bit for bit
     one, one_weights, one_rec = lo.sector_outputs(lo.one_sector(rm), R, omega)
