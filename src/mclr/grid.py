@@ -129,17 +129,14 @@ def kinetic_matrix(grid: Grid, mass: float = 1.0) -> OneBodyOperator:
     length = grid.x_max - grid.x_min
     npl = n + 1
     j = np.arange(1, n + 1)
-    diff = j[:, None] - j[None, :]
-    summ = j[:, None] + j[None, :]
+    # t_ij = f(|i - j|) - f(i + j), and (2 (n + 1)^2 + 1) / 3 - f(2i) for i = j,
+    # f(k) = (-1)^k / sin^2(k pi / (2 (n + 1))) on its 2n + 1 arguments, gathered
+    k = np.arange(2 * n + 1)
     with np.errstate(divide="ignore"):
-        t = np.where(
-            diff == 0,
-            (2.0 * npl**2 + 1.0) / 3.0 - 1.0 / np.sin(np.pi * j / npl) ** 2,
-            (-1.0) ** diff * (1.0 / np.sin(np.pi * diff / (2 * npl)) ** 2
-                              - 1.0 / np.sin(np.pi * summ / (2 * npl)) ** 2),
-        )
+        f = (-1.0) ** k / np.sin(np.pi * k / (2 * npl)) ** 2
+    t = f[np.abs(np.subtract.outer(j, j))] - f[np.add.outer(j, j)]
+    np.fill_diagonal(t, (2.0 * npl**2 + 1.0) / 3.0 - f[2 * j])
     t *= np.pi**2 / (2.0 * length**2) / (2.0 * mass)
-    t = 0.5 * (t + t.T)
     return OneBodyOperator(t, hermitian=True)
 
 

@@ -22,21 +22,21 @@ The coefficients are fixed over a block, so B is planned once per
 coefficient vector (``OrbitalRHS``): the densities, the mean-field
 contractions over C and h^T are set up when C changes, and each inner step
 evaluates the plan on the current orbitals with orbital products alone,
-the constant-mean-field idea of MCTDH. The natural orbitals of rho, from
-one eigendecomposition per iteration, give both the scaled residual below
-and the regularized inverse of the step.
+the constant-mean-field idea of MCTDH. DOFs of equal (M_j, n_j) step as one
+(G, M, n) stack, with one Cholesky factor and inverse per group and step and
+pair products formed once per DOF (``ham.mean_fields``); the natural orbitals
+of rho give both the scaled residual below and the step's regularized inverse.
 
 Each block is one step of a fixed-point map x -> g(x) on the orbitals at
 fixed coefficients and tau, and the outer loop accelerates it by Anderson
 mixing (Anderson, J. ACM 12, 547 (1965); Pulay, Chem. Phys. Lett. 73, 393
 (1980)) with memory ``ANDERSON_MEMORY``: with f = g - x over the flattened
-orbitals of all DOFs and the (f, g) of the last accepted blocks, gamma
-minimizes ||f_k - dF gamma|| and the mixed trial g_k - dG gamma is
-orthonormalized per DOF by ``ham.orthonormal_rows``, a Householder QR in
-the gauge with positive real diagonal of R.  Each step orthonormalizes its
-rows in the same gauge by the Cholesky factor of their overlap
-(``_descend``), which needs no QR because the step is projected off the
-orbitals.
+orbital stacks and the (f, g) of the last accepted blocks, gamma minimizes
+||f_k - dF gamma|| and the mixed trial g_k - dG gamma is orthonormalized
+per DOF by ``ham.orthonormal_rows``, a Householder QR in the gauge with
+positive real diagonal of R.  Each step orthonormalizes its rows in the
+same gauge by the Cholesky factor of their overlap (``_descend``), which
+needs no QR because the step is projected off the orbitals.
 
 Inverses of the one-body density matrix are regularized by flooring its
 eigenvalues at ``FLOOR_FRACTION`` tr rho: ``FLOOR_FRACTION * N`` for
@@ -180,44 +180,68 @@ def _require_converged(state, tol=LINEARIZATION_TOL):
 
 
 def _hermitian_eigh(mat):
-    """Eigenpairs of the Hermitian part of ``mat``."""
-    return np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    """Eigenpairs of the Hermitian part of ``mat`` (or of each in a stack)."""
+    return np.linalg.eigh(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
 
 
 def _floored_inverse(vals, vecs, floor):
-    return (vecs * np.maximum(vals, floor) ** -1.0) @ vecs.conj().T
+    return ((vecs * np.maximum(vals, floor)[..., None, :] ** -1.0)
+            @ vecs.conj().swapaxes(-1, -2))
 
 
 class OrbitalRHS:
     """Right-hand sides of the orbital equations of motion at fixed
-    coefficients, one (M_j, n_j) array per DOF:
+    coefficients, for DOF j the (M_j, n_j) array
 
         B_j = P_j [ rho1_j h_j phi_j + sum_q Omega^j[:, q] phi^j_q ],
 
     P_j = 1 - |phi^j><phi^j| and Omega^j the mean fields of a
     ``ham.MeanFieldPlan`` (the two-body term sum_slq rho_kslq W_sl |phi_q>
     for identical particles).  Everything that depends on C alone is done
-    when the plan is built; ``rhs(phis)`` on the orbitals ``phis`` does only
-    orbital products.  Holding the densities fixed over a sweep of orbital
-    steps is the constant-mean-field scheme of MCTDH (Beck, Jaeckle, Worth
-    and Meyer, Phys. Rep. 324, 1 (2000)).
+    when the plan is built; ``rhs(stacks)`` does only orbital products, on
+    the (G, M, n) stack of each group of equal-shape DOFs in ``groups`` (a
+    group of one keeps its (M, n) rows).  Holding the densities fixed over a
+    sweep of orbital steps is the constant-mean-field scheme of MCTDH.
     """
 
     def __init__(self, rho1, h_ops, weights, fields):
         self.rho1 = rho1                           # per DOF (M_j, M_j)
-        self.h_t = [h.matrix.T for h in h_ops]     # acts on orbital rows
-        self.weights = weights
-        self.fields = fields                       # MeanFieldPlan or None
+        shapes = [(len(r), len(h.matrix)) for r, h in zip(rho1, h_ops)]
+        self.groups = list({s: [j for j, t in enumerate(shapes) if t == s]
+                            for s in shapes}.values())
+        self.rho = self.stack(rho1)
+        self.h_t = [h.swapaxes(-1, -2)             # act on orbital rows
+                    for h in self.stack([h.matrix for h in h_ops])]
+        self.weights = [w if np.ndim(w) == 0 else w[:, None, None]
+                        for w in self.stack(weights)]
+        self.fields = fields              # all MeanFieldPlan or all None
 
-    def __call__(self, phis, project=True):
+    def stack(self, arrays):
+        """Per group the (G, ...) stack of the per-DOF ``arrays``."""
+        return arrays if len(self.groups) == len(arrays) else [
+            arrays[g[0]] if len(g) == 1 else np.stack([arrays[j] for j in g])
+            for g in self.groups]
+
+    def unstack(self, stacks):
+        """The per-DOF arrays (views) of the group ``stacks``."""
+        if len(self.groups) == len(self.rho1):
+            return stacks
+        views = {j: x for g, stack in zip(self.groups, stacks)
+                 for j, x in zip(g, [stack] if len(g) == 1 else stack)}
+        return [views[j] for j in range(len(views))]
+
+    def __call__(self, stacks, project=True):
+        fields = [None] * len(stacks) if self.fields[0] is None else self.stack(
+            ham.mean_fields(self.fields, self.unstack(stacks)))
         out = []
-        for phi, r, h_t, w, field in zip(phis, self.rho1, self.h_t,
-                                         self.weights, self.fields):
+        for phi, r, h_t, w, om in zip(stacks, self.rho, self.h_t,
+                                      self.weights, fields):
             g = r @ (phi @ h_t)
-            if field is not None:
-                g = g + np.einsum("kqx,qx->kx", field(phis), phi)
+            if om is not None:
+                g = g + np.einsum("...kqx,...qx->...kx", om, phi)
             if project:
-                g = g - (w * (phi.conj() @ g.T)).T @ phi
+                g = g - (w * (phi.conj() @ g.swapaxes(-1, -2))
+                         ).swapaxes(-1, -2) @ phi
             out.append(g)
         return out
 
@@ -285,8 +309,18 @@ def _kinetic_preconditioners(h_eigs, tau):
     return out
 
 
+def _descent_block(stacks, B, rhs, inv, K, tau, steps):
+    """``steps`` steps phi <- orth(phi - tau P K_tau rho^-1 B) on stacks."""
+    for step in range(steps):
+        if step:
+            B = rhs(stacks)
+        stacks = [_descend(phi, w, tau * (i @ b) @ k)
+                  for phi, w, i, b, k in zip(stacks, rhs.weights, inv, B, K)]
+    return stacks
+
+
 def _descend(phi, weight, step):
-    """orth(phi - P step), P = 1 - |phi><phi|, on orbital rows ``phi``.
+    """orth(phi - P step), P = 1 - |phi><phi|, on orbital rows (M, n) or stacks.
 
     K_tau rho^-1 B has a part along the orbitals that orthonormalization
     does not remove exactly, so without P the step has fixed points with
@@ -300,58 +334,50 @@ def _descend(phi, weight, step):
     number at most 1 + w ||s||^2, and L^T is the R with positive real
     diagonal of ``ham.orthonormal_rows``, so both give the same rows.
     """
-    step = step - (weight * (step @ phi.conj().T)) @ phi
+    step = step - (weight * (step @ phi.conj().swapaxes(-1, -2))) @ phi
     psi = phi - step
-    L = np.linalg.cholesky(weight * (psi @ psi.conj().T))
+    L = np.linalg.cholesky(weight * (psi @ psi.conj().swapaxes(-1, -2)))
     return np.linalg.inv(L) @ psi
 
 
-def _scaled_residual(sets, B, natural, floor):
-    """max_k ||(U^dag B)_k|| / n_k over natural orbitals with n_k above
-    ``floor``, ``natural`` the (n, U) of each one-body density.
-
-    ||B_k|| scales with the occupation, so a weakly occupied orbital passes
-    an unscaled tolerance long before it is converged.
-    """
-    worst = 0.0
-    for s, b, (occ, U) in zip(sets, B, natural):
+def _orbital_residuals(weights, B, natural, floor):
+    """The orbital residuals of the module docstring on B's stacks, from
+    the natural orbitals (n, U) in ``natural`` with n_k above ``floor``."""
+    orb = scaled = 0.0
+    for w, b, (occ, U) in zip(weights, B, natural):
+        norms = [np.sqrt(w * np.sum(np.abs(x) ** 2, -1, keepdims=True))[..., 0]
+                 for x in (b, U.conj().swapaxes(-1, -2) @ b)]
         keep = occ > floor
-        if np.any(keep):
-            nat = U[:, keep].conj().T @ b
-            norms = np.sqrt(s.grid.weight * np.sum(np.abs(nat) ** 2, axis=1))
-            worst = max(worst, float(np.max(norms / occ[keep])))
-    return worst
+        orb = max(orb, float(norms[0].max()))
+        scaled = max(scaled, float(np.max(norms[1][keep] / occ[keep], initial=0)))
+    return orb, scaled
 
 
 ANDERSON_MEMORY = 5   # stored blocks, i.e. difference columns, of the mixing
 
 
-def _flat(sets):
-    return np.concatenate([s.orbitals.ravel() for s in sets])
+def _flat(stacks):
+    return np.concatenate([s.ravel() for s in stacks])
 
 
-def _anderson_mix(stored, x, g, sets):
-    """Anderson-mixed orbital sets from the stored blocks and the current one.
+def _anderson_mix(stored, x, g, stacks, weights):
+    """Anderson-mixed orbital stacks from the stored blocks and this one.
 
     ``stored`` holds the (f, g) of earlier accepted blocks, f = g - x over the
-    flattened orbitals of every DOF. With gamma = argmin ||f_k - dF gamma||
+    flattened orbital stacks. With gamma = argmin ||f_k - dF gamma||
     the mixed point is g_k - dG gamma, dF, dG the differences of consecutive
     columns of f and g. Each DOF is then orthonormalized by the Householder
-    QR of ``OrbitalSet.orthonormalized``, in the gauge whose rows
-    ``_descend`` gives by a Cholesky factor.
+    QR of ``ham.orthonormal_rows``, in the gauge whose rows ``_descend``
+    gives by a Cholesky factor.
     """
     F = np.column_stack([f for f, _ in stored] + [g - x])
     G = np.column_stack([gk for _, gk in stored] + [g])
     dF, dG = np.diff(F, axis=1), np.diff(G, axis=1)
     gamma = np.linalg.lstsq(dF, F[:, -1], rcond=None)[0]
     mixed = G[:, -1] - dG @ gamma
-    out, start = [], 0
-    for s in sets:
-        stop = start + s.orbitals.size
-        out.append(OrbitalSet(mixed[start:stop].reshape(s.orbitals.shape),
-                              s.grid).orthonormalized())
-        start = stop
-    return out
+    ends = np.cumsum([0] + [s.size for s in stacks])
+    return [ham.orthonormal_rows(mixed[a:b].reshape(s.shape), w)
+            for a, b, s, w in zip(ends, ends[1:], stacks, weights)]
 
 
 def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
@@ -362,10 +388,9 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
     applies the configuration Hamiltonian with ``@``; ``plan(C)`` returns
     (rho2, rhs), the two-body density of C (None for distinguishable DOFs)
     and its ``OrbitalRHS``. The step, the mixing, the backtracking and the
-    stopping test are those of the module docstring. One plan serves an
-    outer iteration: the convergence check, whose B the first step reuses,
-    and every step of its blocks. The eigenpair that accepted a trial is
-    the next iteration's.
+    stopping test are those of the module docstring. One plan and its stacks
+    serve an iteration's convergence check (whose B the first step reuses),
+    blocks and mixing; the eigenpair that accepted a trial is the next one's.
     """
     tau = opts.tau
     K = _kinetic_preconditioners(h_eigs, tau)
@@ -377,14 +402,8 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
     found = ci(sets, C)
     took = "start"
 
-    def descent_block():
-        phis, Bt = [s.orbitals for s in sets], B
-        for step in range(opts.inner_steps):
-            if step:
-                Bt = rhs(phis)
-            phis = [_descend(phi, w, tau * (i @ b) @ k)
-                    for phi, w, i, b, k in zip(phis, rhs.weights, inv, Bt, K)]
-        return [OrbitalSet(phi, s.grid) for phi, s in zip(phis, sets)]
+    def orbital_sets(stacks):
+        return [OrbitalSet(p, s.grid) for p, s in zip(rhs.unstack(stacks), sets)]
 
     def descends(found):
         return found[0] <= eps + 1e-13 * max(1.0, abs(eps))
@@ -392,10 +411,10 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
     for outer in range(opts.max_iter):
         eps, C, H = found
         rho2, rhs = plan(C)
-        B = rhs([s.orbitals for s in sets])
-        orb_res = max(s.grid.norm(b) for s, Bj in zip(sets, B) for b in Bj)
-        natural = [_hermitian_eigh(r) for r in rhs.rho1]
-        scaled_res = _scaled_residual(sets, B, natural, floor)
+        x = rhs.stack([s.orbitals for s in sets])
+        B = rhs(x)
+        natural = [_hermitian_eigh(r) for r in rhs.rho]
+        orb_res, scaled_res = _orbital_residuals(rhs.weights, B, natural, floor)
         c_res = float(np.linalg.norm(H @ C - eps * C))
         history.append(eps)
         if opts.verbose:
@@ -406,11 +425,11 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
             break
 
         inv = [_floored_inverse(*nat, floor) for nat in natural]
-        trial = descent_block()
-        x, g = _flat(sets), _flat(trial)
+        trial = _descent_block(x, B, rhs, inv, rhs.stack(K), tau, opts.inner_steps)
+        xf, g = _flat(x), _flat(trial)
         took = None
         if stored:
-            mixed = _anderson_mix(stored, x, g, sets)
+            mixed = orbital_sets(_anderson_mix(stored, xf, g, x, rhs.weights))
             found = ci(mixed, C)
             if descends(found):
                 sets, took = mixed, "mixed"
@@ -420,11 +439,12 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
         if took is None:
             for attempt in range(3):
                 if attempt:
-                    trial = descent_block()
+                    trial = _descent_block(x, B, rhs, inv, rhs.stack(K), tau,
+                                           opts.inner_steps)
                     g = _flat(trial)
-                found = ci(trial, C)
+                found = ci(orbital_sets(trial), C)
                 if descends(found):
-                    sets, took = trial, "plain"
+                    sets, took = orbital_sets(trial), "plain"
                     break
                 tau *= 0.5
                 counts["backtracks"] += 1
@@ -432,10 +452,10 @@ def _self_consistent(space, sets, h_eigs, opts, floor, ci, plan):
                 stored.clear()
             else:
                 # accept anyway once tau is tiny; the residual check decides
-                sets, took = trial, "forced"
+                sets, took = orbital_sets(trial), "forced"
                 counts["forced_accepts"] += 1
                 continue
-        stored.append((g - x, g))
+        stored.append((g - xf, g))
         del stored[:-ANDERSON_MEMORY]
     else:
         raise NonConvergenceError(
@@ -509,7 +529,7 @@ def _stationary_state(space, h_ops, interaction, kernel_matrix, sets, h_eigs,
     floor = FLOOR_FRACTION * (space.N if space.identical else 1)
     sets, energy, C, rho2, rhs, residuals = _self_consistent(
         space, sets, h_eigs, opts or SolverOptions(), floor, ci, plan)
-    raw = rhs([s.orbitals for s in sets], project=False)
+    raw = rhs.unstack(rhs(rhs.stack([s.orbitals for s in sets]), False))
     mu = [s.grid.weight * (g @ s.orbitals.conj().T) for s, g in zip(sets, raw)]
     residuals["mu_defect"] = max(float(np.abs(m - m.conj().T).max()) for m in mu)
     return GroundState(space=space, grids=[s.grid for s in sets],

@@ -43,6 +43,7 @@ __all__ = [
     "config_coupling_matrix",
     "MeanFieldPlan",
     "mean_field_plans",
+    "mean_fields",
 ]
 
 
@@ -76,16 +77,17 @@ class OrbitalSet:
                           self.grid)
 
 
-def orthonormal_rows(phi: np.ndarray, weight: float) -> np.ndarray:
+def orthonormal_rows(phi: np.ndarray, weight) -> np.ndarray:
     """The rows of ``phi`` orthonormalized under the quadrature weight: a
     Householder QR of the sqrt(weight)-scaled columns, in the gauge with a
     positive real diagonal of R, which keeps the stepper continuous.  It
-    takes arbitrary rows (initial guesses, Anderson-mixed trials); the
-    orbital step, whose rows are near orthonormal, gets the same rows from
+    takes arbitrary rows (initial guesses, Anderson-mixed trials, (G, M, n)
+    stacks with (G, 1, 1) weights); the orbital step gets the same rows from
     a Cholesky factor (``groundstate._descend``)."""
     root = np.sqrt(weight)
-    q, r = np.linalg.qr(root * phi.T)
-    return (q * np.where(r.diagonal().real < 0, -1.0, 1.0)).T / root
+    q, r = np.linalg.qr(root * phi.swapaxes(-1, -2))
+    sign = np.where(np.diagonal(r, axis1=-2, axis2=-1).real < 0, -1.0, 1.0)
+    return (q * sign[..., None, :]).swapaxes(-1, -2) / root
 
 
 def one_body_elements(orbs: OrbitalSet, op: OneBodyOperator) -> np.ndarray:
@@ -298,9 +300,9 @@ class MeanFieldPlan:
     constant on the diagonal only: its orbital matrix elements contracted
     with the density of j, a and b, diagonal in j.  An all-body table
     (Q <= 3) is contracted with the coefficient tensor, so conj(C_n) C_m is
-    never formed.  ``plan(phis)`` evaluates the stack on the orbitals
-    ``phis`` (one (M_l, n_l) array per DOF) as an (M_j, M_j, n_j) array,
-    touching only orbital products.  ``mean_field_plans`` builds them.
+    never formed.  ``plan(phis, pairs)`` evaluates the stack on the orbitals
+    ``phis`` (one (M_l, n_l) array per DOF) as an (M_j, M_j, n_j) array from
+    the products ``pairs`` of the DOFs in ``reads`` (see ``mean_fields``).
     """
 
     def __init__(self, j, touching=(), missing=(), all_body=None):
@@ -311,15 +313,18 @@ class MeanFieldPlan:
         self.dtype = np.result_type(
             float, *(x for term in touching for x in term[1:]),
             *(x for term in missing for x in term[2:]), *(all_body or ()))
+        self.reads = {t[0] for t in touching} | {x for t in missing for x in t[:2]}
 
-    def __call__(self, phis):
-        phi = phis[self.j]
-        M, n = phi.shape
+    def __call__(self, phis, pairs):
+        M, n = phis[self.j].shape
+        if len(self.touching) == 1 and not self.missing and self.all_body is None:
+            c, R, T = self.touching[0]      # a lone term needs no zeroed sum
+            return (R @ (pairs[c] @ T)).reshape(M, M, n)
         out = np.zeros((M * M, n), np.result_type(self.dtype, *phis))
         for c, R, T in self.touching:
-            out += R @ (_pair_products(phis[c]) @ T)
+            out += R @ (pairs[c] @ T)
         for a, b, R, T in self.missing:
-            E = _pair_products(phis[a]) @ T @ _pair_products(phis[b]).T
+            E = pairs[a] @ T @ pairs[b].T
             out[::M + 1] += (R @ E.ravel())[:, None]
         if self.all_body is not None:
             conj_c, Ct, table = self.all_body
@@ -328,6 +333,14 @@ class MeanFieldPlan:
             out += _einsum(conj_c, list(range(Q)), Ct, list(range(Q, 2 * Q)),
                            *ops, [j, Q + j, 2 * Q + j]).reshape(M * M, n)
         return out.reshape(M, M, n)
+
+
+def mean_fields(plans, phis):
+    """Each of ``plans`` (None stays None) on the orbitals ``phis``, from the
+    ``_pair_products`` of the DOFs some plan ``reads``, each formed once."""
+    reads = set().union(*(p.reads for p in plans if p is not None))
+    pairs = [_pair_products(p) if j in reads else None for j, p in enumerate(phis)]
+    return [None if p is None else p(phis, pairs) for p in plans]
 
 
 def mean_field_plans(space: ConfigSpace, C: np.ndarray, rho2, interaction,

@@ -375,7 +375,7 @@ def build_oo_block(state: GroundState):
     operand, phis = state.operand, [s.orbitals for s in state.sets]
     plans = ham.mean_field_plans(state.space, state.C, state.rho2, operand,
                                  [g.weight for g in state.grids])
-    fields = [None if p is None else p(phis) for p in plans]
+    fields = ham.mean_fields(plans, phis)
     rho1s = [_hermitized(r) for r in state.rho1]
     mus = [_hermitized(m) for m in state.mu]
     hs = [h.matrix for h in state.h_ops]
@@ -762,7 +762,7 @@ def build_R(state: GroundState, pert: PerturbationSpec,
             g = discretize_kernel(state.grids[0], g)
         plans = ham.mean_field_plans(space, state.C, state.rho2, g,
                                      [s.grid.weight for s in sets])
-        om = [p([s.orbitals for s in sets]) for p in plans]
+        om = ham.mean_fields(plans, [s.orbitals for s in sets])
         OC2 = _probe_action(state, [None] * len(sets), g)
     return _driving_vector(rm, [s.scaled for s in sets],
                            [None if f is None else f.matrix for f in f_dags],

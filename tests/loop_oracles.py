@@ -11,7 +11,9 @@ table.  A few direct-definition helpers that
 only tests use (exchange kernels, the single-entry density action, the
 density action of one ladder key on the compiled table, the
 coefficient-orbital rows summed directly, the orbital right-hand sides
-summed term by term or from one ``OrbitalRHS`` build, the Hamiltonian of
+summed term by term or from one ``OrbitalRHS`` build, the orbital step
+and its right-hand side one DOF at a time, the kinetic matrix from full
+n x n argument arrays, the Hamiltonian of
 distinguishable DOFs applied axis by axis, the
 first-quantized one- and two-body operators, the Lagrange multipliers
 recomputed from a state) live here as well, and so do the dense forms of
@@ -380,11 +382,79 @@ def dist_orbital_rhs(space, sets, h_ops, coupling, C):
 def dist_orbital_rhs_plan(space, sets, h_ops, coupling, C, rho1,
                           project=True):
     """Per-DOF right-hand sides from one ``OrbitalRHS`` build and one
-    evaluation, as the solver takes them."""
+    evaluation on the stacked orbitals, as the solver takes them."""
     weights = [s.grid.weight for s in sets]
     rhs = gs.OrbitalRHS(rho1, h_ops, weights, ham.mean_field_plans(
         space, C, None, coupling, weights))
-    return rhs([s.orbitals for s in sets], project)
+    return rhs.unstack(rhs(rhs.stack([s.orbitals for s in sets]), project))
+
+
+# --- the orbital step, one DOF at a time ------------------------------------
+
+
+class LoopOrbitalRHS:
+    """``gs.OrbitalRHS`` evaluated one DOF at a time: per DOF one (M_j, n_j)
+    array of orbitals in, one right-hand side out, each mean-field plan
+    forming the pair products it reads itself."""
+
+    def __init__(self, rho1, h_ops, weights, fields):
+        self.rho1 = rho1
+        self.h_t = [h.matrix.T for h in h_ops]
+        self.weights = weights
+        self.fields = fields
+
+    def __call__(self, phis, project=True):
+        out = []
+        for phi, r, h_t, w, field in zip(phis, self.rho1, self.h_t,
+                                         self.weights, self.fields):
+            g = r @ (phi @ h_t)
+            if field is not None:
+                om = ham.mean_fields([field], phis)[0]
+                g = g + np.einsum("kqx,qx->kx", om, phi)
+            if project:
+                g = g - (w * (phi.conj() @ g.T)).T @ phi
+            out.append(g)
+        return out
+
+
+def descend(phi, weight, step):
+    """orth(phi - P step) on the (M, n) orbital rows of one DOF, by the
+    Cholesky factor of the overlap of the stepped rows."""
+    step = step - (weight * (step @ phi.conj().T)) @ phi
+    psi = phi - step
+    L = np.linalg.cholesky(weight * (psi @ psi.conj().T))
+    return np.linalg.inv(L) @ psi
+
+
+def descent_block(phis, B, rhs, inv, K, tau, steps):
+    """``gs._descent_block`` one DOF at a time: per-DOF orbitals, right-hand
+    sides, floored inverses of rho and K_tau^T, ``rhs`` a ``LoopOrbitalRHS``."""
+    for step in range(steps):
+        if step:
+            B = rhs(phis)
+        phis = [descend(phi, w, tau * (i @ b) @ k)
+                for phi, w, i, b, k in zip(phis, rhs.weights, inv, B, K)]
+    return phis
+
+
+def kinetic_matrix(grid, mass=1.0):
+    """The sine-DVR kinetic matrix with 1/sin^2 evaluated on the full
+    n x n difference and sum arrays, off the diagonal and on it."""
+    n = grid.n_points
+    length = grid.x_max - grid.x_min
+    npl = n + 1
+    j = np.arange(1, n + 1)
+    diff = j[:, None] - j[None, :]
+    summ = j[:, None] + j[None, :]
+    with np.errstate(divide="ignore"):
+        t = np.where(
+            diff == 0,
+            (2.0 * npl**2 + 1.0) / 3.0 - 1.0 / np.sin(np.pi * j / npl) ** 2,
+            (-1.0) ** diff * (1.0 / np.sin(np.pi * diff / (2 * npl)) ** 2
+                              - 1.0 / np.sin(np.pi * summ / (2 * npl)) ** 2),
+        )
+    t *= np.pi**2 / (2.0 * length**2) / (2.0 * mass)
+    return 0.5 * (t + t.T)
 
 
 def apply_hamiltonian_dist(space, C, h_elems, W_conf=None):

@@ -69,8 +69,8 @@ def state(request):
 def test_mean_fields_match_pair_loop(state):
     plans = ham.mean_field_plans(state.space, state.C, None, state.interaction,
                                  [g.weight for g in state.grids])
-    for j, plan in enumerate(plans):
-        new = plan([s.orbitals for s in state.sets])
+    fields = ham.mean_fields(plans, [s.orbitals for s in state.sets])
+    for j, new in enumerate(fields):
         ref = lo.mean_fields_dist(state.space, state.C, state.sets,
                                   state.interaction, j)
         assert np.abs(new - ref).max() < TOL

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mclr import grid as gr
 
+import loop_oracles as lo
+
 
 def test_build_grid_small_example():
     g = gr.build_grid(4, 0.0, 5.0)
@@ -35,6 +37,19 @@ def test_kinetic_eigenvalues_are_box_levels():
     L = g.x_max - g.x_min
     expect = np.arange(1, 33) ** 2 * np.pi**2 / (2 * L**2)
     assert np.allclose(np.linalg.eigvalsh(T.matrix), expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 47, 48, 64, 128, 256])
+@pytest.mark.parametrize("mass, x_min, x_max", [(1.0, -8.0, 8.0),
+                                                (2.3, -7.5, 8.5)])
+def test_kinetic_matrix_matches_full_argument_formula(n, mass, x_min, x_max):
+    # 1/sin^2 on the 2n + 1 distinct arguments, gathered, against the
+    # formula evaluated on the full n x n difference and sum arrays
+    g = gr.build_grid(n, x_min, x_max)
+    T = gr.kinetic_matrix(g, mass).matrix
+    ref = lo.kinetic_matrix(g, mass)
+    assert np.abs(T - ref).max() <= 2e-16 * np.abs(ref).max()
+    assert np.array_equal(T, T.T)
 
 
 def test_kinetic_matrix_real_symmetric_nonnegative():

@@ -269,33 +269,44 @@ def test_descend_matches_qr_gauge(grid48, monkeypatch):
     # the Cholesky factor of the step's overlap gives the rows of the QR
     # gauge with positive real diagonal, on real and complex orbitals and
     # projected steps from 1e-10 to 1 in quadrature norm, orthonormal to
-    # the rounding of the QR itself, and without calling the QR
+    # the rounding of the QR itself, and without calling the QR; for a
+    # stack of 1 to 3 DOFs with different weights, as the solver steps a
+    # group of equal-shape DOFs, and for the (M, n) rows of a group of one
     rng = np.random.default_rng(11)
-    w = grid48.weight
     cases = []
     for kind in ("real", "complex"):
         for M in (2, 4, 6):
             def draw():
                 x = rng.standard_normal((M, grid48.n_points))
                 return x + 1j * rng.standard_normal(x.shape) if kind == "complex" else x
-            phi = ham.orthonormal_rows(draw(), w)
             for norm in (1e-10, 1e-6, 1e-3, 1e-1, 1.0):
-                s = draw()
-                s = s - (w * (s @ phi.conj().T)) @ phi
-                s *= norm / np.sqrt(w * np.sum(np.abs(s) ** 2))
-                # _descend removes the part along the orbitals itself
-                step = s + rng.standard_normal((M, M)) @ phi
-                cases.append((phi, step, ham.orthonormal_rows(phi - s, w)))
+                for G in (1, 2, 3):
+                    ws = grid48.weight * (1.0 + 0.5 * np.arange(G))
+                    stack = []
+                    for w in ws:
+                        phi = ham.orthonormal_rows(draw(), w)
+                        s = draw()
+                        s = s - (w * (s @ phi.conj().T)) @ phi
+                        s *= norm / np.sqrt(w * np.sum(np.abs(s) ** 2))
+                        # _descend removes the part along the orbitals itself
+                        step = s + rng.standard_normal((M, M)) @ phi
+                        stack.append((phi, step,
+                                      ham.orthonormal_rows(phi - s, w)))
+                    phi, step, ref = map(np.stack, zip(*stack))
+                    cases.append((phi, ws[:, None, None], step, ref))
+                    if G == 1:
+                        cases.append((phi[0], ws[0], step[0], ref[0]))
 
     def no_qr(*args, **kwargs):
         raise AssertionError("the orbital step called the QR")
 
     monkeypatch.setattr(np.linalg, "qr", no_qr)
-    for phi, step, ref in cases:
+    for phi, w, step, ref in cases:
         got = gs._descend(phi, w, step)
-        assert got.dtype == ref.dtype
+        assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.abs(got - ref).max() < 1e-13
-        defect = np.abs(w * (got @ got.conj().T) - np.eye(len(got))).max()
+        gram = w * (got @ np.swapaxes(got.conj(), -1, -2))
+        defect = np.abs(gram - np.eye(got.shape[-2])).max()
         assert defect <= 2e-15
 
 
@@ -312,8 +323,9 @@ def test_scaled_residual_sees_weak_natural_orbital(bos_m2):
     B = gs.orbital_eom_rhs(g, orbs, st.h_ops[0], st.kernel_matrix,
                            fs.ReducedDensities(st.rho1[0], st.rho2))
     orb_res = max(g.norm(b) for b in B)
-    natural = [gs._hermitian_eigh(st.rho1[0])]
-    scaled = gs._scaled_residual([orbs], [B], natural, 1e-10 * 2)
+    natural = [gs._hermitian_eigh(st.rho1[0][None])]
+    _, scaled = gs._orbital_residuals([np.full((1, 1, 1), g.weight)],
+                                      [B[None]], natural, 1e-10 * 2)
     assert orb_res < st.residuals["tol_orb"] < 1e-2 * scaled
     assert st.residuals["scaled_orb_residual"] < st.residuals["tol_orb"]
 

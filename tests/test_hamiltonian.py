@@ -283,7 +283,7 @@ def _mean_fields(sp, C, sets, coupling, j):
     """The mean fields of DOF j from ``ham.mean_field_plans``."""
     plans = ham.mean_field_plans(sp, C, None, coupling,
                                  [s.grid.weight for s in sets])
-    return plans[j]([s.orbitals for s in sets])
+    return ham.mean_fields(plans, [s.orbitals for s in sets])[j]
 
 
 def test_mean_field_zero_without_coupling():

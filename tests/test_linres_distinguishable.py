@@ -195,9 +195,9 @@ def test_allbody_probe_mean_field_pattern(dist_22_uncoupled):
     st = dist_22_uncoupled
     lam = 0.3
     probe = PairCoupling.bilinear(st.grids, 0, 1, lam)
-    om = ham.mean_field_plans(st.space, st.C, None, probe,
-                              [g.weight for g in st.grids])[0](
-        [s.orbitals for s in st.sets])
+    plans = ham.mean_field_plans(st.space, st.C, None, probe,
+                                 [g.weight for g in st.grids])
+    om = ham.mean_fields(plans, [s.orbitals for s in st.sets])[0]
     p2 = st.sets[1].scaled
     # ground state occupies orbital 0 of DOF 2; <x>_00 = 0 by parity
     x2_00 = np.real(p2[0].conj() @ (st.grids[1].points * p2[0]))
