@@ -275,7 +275,7 @@ def cmd_linres(args):
     rm = li.assemble_L(state)
     R = li.build_R(state, pert, rm)
 
-    spec = spm.eigensolve(rm, tol_zero=args.tol_zero)
+    spec = spm.eigensolve(rm, tol_zero=args.tol_zero, drive=R)
     zrep = spm.classify_zero_modes(spec, expected_count=spm.expected_zero_modes(
         rm.layout.M_list, rm.layout.n_list, [len(n) for n, _ in rm.natural]))
     weights = spm.response_weights(spec, R)
@@ -298,6 +298,8 @@ def cmd_linres(args):
     print(f"dimension = {rm.D}")
     print(f"eigensolver = {spec.eigensolver}")
     print("parity_sectors = " + " ".join(map(str, spec.sector_sizes)))
+    print("driven_sectors = "
+          + (" ".join(map(str, spec.driven_sizes)) or "none"))
     print(f"zero_modes = {zrep['count']} (expected {zrep['expected']})")
     if "mismatch" in zrep:
         print(f"zero_mode_warning = {zrep['mismatch']}")
@@ -344,7 +346,8 @@ def cmd_oracle(args):
                 float(_need(cfg, "interaction", "strength")))
         state = _solve_from_config(cfg)
         rm = li.assemble_L(state)
-        spec = spm.eigensolve(rm)
+        # eigenvalues only: a drive of no columns forms no vectors
+        spec = spm.eigensolve(rm, drive=np.zeros((rm.D, 0)))
         low = np.sort(spec.omega)[:2]
         print("mode  reference      computed       abs_diff")
         for i in range(2):
@@ -357,7 +360,8 @@ def cmd_oracle(args):
                                 state.interaction.strength, state.space.N,
                                 condensate=state.sets[0].orbitals[0])
         rm = li.assemble_L(state)
-        spec = spm.eigensolve(rm)
+        # eigenvalues only: a drive of no columns forms no vectors
+        spec = spm.eigensolve(rm, drive=np.zeros((rm.D, 0)))
         low = np.sort(spec.omega)[:5]
         ref = bdg["frequencies"][:5]
         print("mode  bdg            response       abs_diff")

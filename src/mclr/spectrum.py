@@ -53,7 +53,16 @@ product and one ``eigh`` of about half the size each.  The sectors' modes
 are merged in ascending order, and ``RPAFactors`` keeps K and Z per sector
 with the reduced rows and the modes it covers, so the weights, the
 reconstruction and both CSV files read the same products as before.  A
-problem without the symmetry is one sector and runs the same code.
+problem without the symmetry is one sector and runs the same code.  A
+probe of definite parity drives the modes of its own sector only:
+``eigensolve`` takes the driving vectors whose weights and reconstruction
+will be read (``drive``; None keeps every vector, no columns none), and a
+sector whose part of r = T^H R has a norm of at most SECTOR_TOL |r| for
+every column R is undriven.  Its lower product goes to ``eigvalsh``; it
+keeps no K, Z or inverted blocks, and its modes get exact zero weights,
+while ``RPAFactors`` refuses (ValueError) a nonzero coefficient on them or
+a component above the gate in their rows.  Driven sectors, so every
+one-sector problem with a nonzero drive, and the dense path run as before.
 
 The reduction is used when the halves are real arrays (the assembly
 decides realness once, from the problem; see ``linres_identical``), their
@@ -141,6 +150,10 @@ def _triangular_solve(K, inv, B, transpose=False):
     return x
 
 
+_UNDRIVEN = ("the modes of an undriven parity sector have no vectors; "
+             "eigensolve with this drive, or with drive=None")
+
+
 @dataclass(frozen=True)
 class RPAFactors:
     """Retained RPA vectors of the half-size solve in the reduced
@@ -150,7 +163,9 @@ class RPAFactors:
     X - Y = K^-T Z w^(1/2), with K the Cholesky factor of the sector's
     block of a - b and Z the eigenvectors of K^T (a + b) K at eigenvalues
     w^2; outside its rows and modes X and Y vanish.  ``sectors`` holds
-    (rows, modes, K, Z, the inverted diagonal blocks of K) per sector."""
+    (rows, modes, K, Z, the inverted diagonal blocks of K) per sector; an
+    undriven sector (module docstring) holds None for the last three, and
+    its modes take only zero coefficients and give exact zeros."""
 
     sectors: tuple = field(repr=False)
     omega: np.ndarray = field(repr=False)
@@ -160,6 +175,10 @@ class RPAFactors:
         n, k = len(self.omega), c.shape[1]
         out = np.zeros((2 * n, k), dtype=np.result_type(c, float))
         for rows, modes, K, Z, inv in self.sectors:
+            if Z is None:
+                if np.any(c[modes]):
+                    raise ValueError(_UNDRIVEN)
+                continue
             w = self.omega[modes, None]
             g = _real_matmul(Z, np.hstack([c[modes] * w ** -0.5,
                                            c[modes] * w ** 0.5]))
@@ -176,6 +195,13 @@ class RPAFactors:
         out = np.empty((n, k), dtype=np.result_type(p, float))
         for rows, modes, K, Z, inv in self.sectors:
             px, py = p[:n][rows], p[n:][rows]
+            if Z is None:
+                part = np.hypot(np.linalg.norm(px, axis=0),
+                                np.linalg.norm(py, axis=0))
+                if np.any(part > SECTOR_TOL * np.linalg.norm(p, axis=0)):
+                    raise ValueError(_UNDRIVEN)
+                out[modes] = 0
+                continue
             g = _real_matmul(Z.T, np.hstack([
                 _real_matmul(K.T, 0.5 * (px + py)),
                 _triangular_solve(K, inv, 0.5 * (px - py))]))
@@ -221,6 +247,7 @@ class LRSpectrum:
     tol_zero: float = 0.0
     eigensolver: str = "dense"            # "rpa", or "dense (<reason>)"
     sector_sizes: tuple = ()              # reduced coordinates per sector
+    driven_sizes: tuple = ()              # those of the sectors with vectors
     sigma1_defect: float = 0.0            # max |Sigma1 L Sigma1 + conj(L)|
     sigma3_defect: float = 0.0            # max |Sigma3 L Sigma3 - adjoint(L)|
 
@@ -280,17 +307,21 @@ class _NoReduction(Exception):
     """The half-size solve does not apply; the message says why."""
 
 
-def eigensolve(rm: ResponseMatrix,
-               tol_zero: float | None = None) -> LRSpectrum:
+def eigensolve(rm: ResponseMatrix, tol_zero: float | None = None,
+               drive: np.ndarray | None = None) -> LRSpectrum:
     """Eigenpairs of L with pairing and biorthogonal bookkeeping.
 
     Uses the half-size RPA reduction where it applies and the dense
     eigensolve otherwise (see the module docstring); ``eigensolver`` on the
-    result names the path and, for the dense one, the reason.
+    result names the path and, for the dense one, the reason.  ``drive``
+    holds the driving vectors (a D vector, or D rows of columns) whose
+    weights and reconstruction will be read: the half-size path forms the
+    vectors of the parity sectors they reach only, none for a drive of no
+    columns, and every one for None.
     """
     defects = symmetry_defects(rm)
     try:
-        spec = _eigensolve_rpa(rm, defects, tol_zero)
+        spec = _eigensolve_rpa(rm, defects, tol_zero, drive)
     except _NoReduction as exc:
         spec = _eigensolve_dense(rm, tol_zero)
         spec.eigensolver = f"dense ({exc})"
@@ -315,9 +346,25 @@ def parity_sectors(rm: ResponseMatrix) -> list:
     return [np.arange(n)]
 
 
-def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero):
+def _driven(rm: ResponseMatrix, groups, drive) -> list:
+    """Per sector of ``groups``, whether a column R of ``drive`` reaches it:
+    its part of r = T^H R has a norm above SECTOR_TOL |r|; every sector for
+    None."""
+    if drive is None:
+        return [True] * len(groups)
+    cols = np.reshape(drive, (rm.D, -1))
+    if not cols.shape[1]:
+        return [False] * len(groups)
+    r, n = rm.to_reduced(cols), len(rm.a)
+    gate = SECTOR_TOL * np.linalg.norm(r, axis=0)
+    return [bool(np.any(np.linalg.norm(r[np.r_[g, g + n]], axis=0) > gate))
+            for g in groups]
+
+
+def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, drive):
     """Half-size symmetric solve on the lower triangle of K^T (a + b) K,
-    one per parity sector; raises _NoReduction where it does not apply."""
+    one per parity sector, eigenvalues alone where ``drive`` does not reach;
+    raises _NoReduction where it does not apply."""
     # the assembly makes the halves real arrays exactly for a real problem
     a, b = rm.a, rm.b
     if np.iscomplexobj(a):
@@ -326,9 +373,9 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero):
         raise _NoReduction("symmetry defect above 1e-9 max|L|")
     D, n = rm.D, len(a)
     groups = parity_sectors(rm)
-    one = len(groups) == 1
+    one, driven = len(groups) == 1, _driven(rm, groups, drive)
     solves = []
-    for g in groups:
+    for g, vectors in zip(groups, driven):
         ag, bg = (a, b) if one else (a[g][:, g], b[g][:, g])
         try:
             K = sla.cholesky(ag - bg)
@@ -337,7 +384,9 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero):
         # numpy's eigh is LAPACK's divide and conquer (syevd); the MRRR
         # driver is ~3x slower on the clustered spectra of coupled
         # oscillators
-        solves.append((g, K, *sla.eigh(_lower_product(K, ag + bg))))
+        S = _lower_product(K, ag + bg)
+        solves.append((g, K, *sla.eigh(S)) if vectors
+                      else (g, None, sla.eigvalsh(S), None))
     w2 = np.concatenate([w for *_, w, _ in solves])
     if w2.min() <= 0:
         raise _NoReduction("A + B not positive definite")
@@ -350,7 +399,8 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero):
     for g, K, _, Z in solves:
         rows, modes = ((slice(None),) * 2 if one
                        else (g, mode[start:start + len(g)]))
-        sectors.append((rows, modes, K, Z, _block_inverses(K)))
+        sectors.append((rows, modes, K, Z,
+                        None if K is None else _block_inverses(K)))
         start += len(g)
     if tol_zero is None:
         tol_zero = 1e-6 * max(omega[-1], 1.0)
@@ -367,6 +417,8 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero):
                       pairing={int(k): int(D - 1 - k) for k in retained},
                       tol_zero=tol_zero, eigensolver="rpa",
                       sector_sizes=tuple(len(g) for g in groups),
+                      driven_sizes=tuple(len(g) for g, d in zip(groups, driven)
+                                         if d),
                       vectors=RPAFactors(tuple(sectors), omega))
 
 
@@ -447,7 +499,7 @@ def _eigensolve_dense(rm: ResponseMatrix,
 
     return LRSpectrum(rm=rm, eigenvalues=w, zero_modes=zero,
                       retained=retained, vectors=ReducedVectors(R), sng=sng,
-                      sector_sizes=(len(rm.a),),
+                      sector_sizes=(len(rm.a),), driven_sizes=(len(rm.a),),
                       sng_undefined=undef, pairing=pairing,
                       pairing_residual=pairing_residual,
                       reality_defect=reality_defect, unstable=unstable,
@@ -616,17 +668,24 @@ def save_spectrum_csv(path, spec: LRSpectrum,
     |gamma_k|, |gamma_-k|; sng and the weights are 0 off the retained modes.
 
     With ``weights_path`` also the weights CSV, one row per retained mode
-    (mode, omega, sng, |gamma_k|, |gamma_-k|) cut from the same text rows:
-    each value is formatted once, "%.17g", the weights by their scalar abs
-    (numpy's vectorized complex abs can differ from it in the last bit)."""
-    fmt, w, ret = "%.17g".__mod__, spec.eigenvalues, spec.retained.tolist()
+    (mode, omega, sng, |gamma_k|, |gamma_-k|) cut from the same text rows.
+    Values are "%.17g", each retained omega formatted once: a partner at
+    exactly -w (as on the RPA path) is "-" and its text.  The weights are
+    formatted by their scalar abs (numpy's vectorized complex abs can
+    differ from it in the last bit), exact zeros (undriven modes) as "0"."""
+    fmt, w, ret = "%.17g".__mod__, spec.eigenvalues.tolist(), \
+        spec.retained.tolist()
     zero = set(spec.zero_modes.tolist())
-    rows = [[str(k), fmt(x), fmt(y), "0", "1" if k in zero else "0", "0", "0"]
-            for k, (x, y) in enumerate(zip(w.real.tolist(), w.imag.tolist()))]
+    text = {k: fmt(w[k].real) for k in ret}
+    text.update((j, "-" + text[k]) for k, j in spec.pairing.items()
+                if w[j] == -w[k])
+    rows = [[str(k), text[k] if k in text else fmt(x.real), fmt(x.imag), "0",
+             "1" if k in zero else "0", "0", "0"] for k, x in enumerate(w)]
     gp, gm = ([0.0] * len(ret),) * 2 if weights is None else (
         weights.gamma_plus.tolist(), weights.gamma_minus.tolist())
     for k, sng, p, m in zip(ret, spec.sng.tolist(), gp, gm):
-        rows[k][3], rows[k][5], rows[k][6] = fmt(sng), fmt(abs(p)), fmt(abs(m))
+        rows[k][3] = fmt(sng)
+        rows[k][5], rows[k][6] = (fmt(abs(g)) if g else "0" for g in (p, m))
     _write_csv(path, header_lines,
                ["index", "re_omega", "im_omega", "sng", "is_zero_mode",
                 "abs_gamma_plus", "abs_gamma_minus"], rows)

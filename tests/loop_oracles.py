@@ -923,6 +923,29 @@ def save_weights_csv_rows(path, spec, weights, header_lines=()):
                 fmt % abs(weights.gamma_minus[i])]) + "\n")
 
 
+def save_spectrum_csv_values(path, spec, weights=None, header_lines=(),
+                             weights_path=None):
+    """Both CSV files from one table of text rows, every value formatted on
+    its own: the real and imaginary part of each eigenvalue, and sng and
+    the scalar abs of each weight of a retained mode."""
+    fmt, w, ret = "%.17g".__mod__, spec.eigenvalues, spec.retained.tolist()
+    zero = set(spec.zero_modes.tolist())
+    rows = [[str(k), fmt(x), fmt(y), "0", "1" if k in zero else "0", "0", "0"]
+            for k, (x, y) in enumerate(zip(w.real.tolist(), w.imag.tolist()))]
+    gp, gm = ([0.0] * len(ret),) * 2 if weights is None else (
+        weights.gamma_plus.tolist(), weights.gamma_minus.tolist())
+    for k, sng, p, m in zip(ret, spec.sng.tolist(), gp, gm):
+        rows[k][3], rows[k][5], rows[k][6] = fmt(sng), fmt(abs(p)), fmt(abs(m))
+    spm._write_csv(path, header_lines,
+                   ["index", "re_omega", "im_omega", "sng", "is_zero_mode",
+                    "abs_gamma_plus", "abs_gamma_minus"], rows)
+    if weights_path is not None:
+        spm._write_csv(weights_path, header_lines,
+                       ["mode", "omega", "sng", "abs_gamma_plus",
+                        "abs_gamma_minus"],
+                       [[rows[k][i] for i in (0, 1, 3, 5, 6)] for k in ret])
+
+
 # --- complements: the butterfly frame and the compact-WY application ---------
 
 
@@ -1088,11 +1111,11 @@ def cluster_weights(spec, R_vec, tol=1e-8):
                  for g in (w.gamma_plus, w.gamma_minus))
 
 
-def sector_outputs(rm, R_vec, omega):
-    """What ``mclr linres`` writes from the eigensolve of ``rm``: the
-    spectrum, its zero-mode census, the cluster weights and, for identical
-    particles, the arrays of ``reconstruction.ckpt``."""
-    spec = spm.eigensolve(rm)
+def sector_outputs(rm, R_vec, omega, drive=None):
+    """What ``mclr linres`` writes from the eigensolve of ``rm`` with
+    ``drive``: the spectrum, its zero-mode census, the cluster weights and,
+    for identical particles, the arrays of ``reconstruction.ckpt``."""
+    spec = spm.eigensolve(rm, drive=drive)
     rec = None
     if rm.state.space.identical:
         r = spm.reconstruct(spec, spm.response_weights(spec, R_vec), omega)

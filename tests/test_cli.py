@@ -334,8 +334,9 @@ def test_linres_distinguishable_reports_skipped_reconstruction(
 
 
 def test_linres_prints_parity_sectors(tmp_path, capsys, config_checkpoints):
-    # the coupled pair splits into its even and odd sectors; the dense
-    # fallback solves one, of all n reduced coordinates
+    # the coupled pair splits into its even and odd sectors, and the dipole
+    # probe drives the odd one; the dense fallback solves one sector, of
+    # all n reduced coordinates, with its vectors
     cfg = str(CONFIGS / "coupled_pair_m44.cfg")
     args = ["linres", "--checkpoint", str(config_checkpoints["coupled_pair_m44"]),
             "--config", cfg, "--out-dir", str(tmp_path)]
@@ -344,8 +345,31 @@ def test_linres_prints_parity_sectors(tmp_path, capsys, config_checkpoints):
     assert code == 0 and "parity_sectors = 183 184" in lines
     assert lines.index("parity_sectors = 183 184") \
         == lines.index("eigensolver = rpa") + 1
+    assert lines.index("driven_sectors = 184") \
+        == lines.index("parity_sectors = 183 184") + 1
     code, out, _ = _run(capsys, args + ["--tol-zero", "1.5"])
-    assert code == 0 and "parity_sectors = 367" in out.splitlines()
+    lines = out.splitlines()
+    assert code == 0 and "parity_sectors = 367" in lines
+    assert "driven_sectors = 367" in lines
+
+
+def test_linres_zero_probe_drives_no_sector(tmp_path, capsys,
+                                            config_checkpoints):
+    # without a probe no sector is solved with vectors: every weight and
+    # the reconstruction are exact zeros
+    cfg = _edited_config(tmp_path / "none.cfg", "harmonic_n2_m2",
+                         "f_type = x", "f_type = none")
+    code, out, _ = _run(capsys, [
+        "linres", "--checkpoint", str(config_checkpoints["harmonic_n2_m2"]),
+        "--config", cfg, "--out-dir", str(tmp_path)])
+    lines = out.splitlines()
+    assert code == 0 and "parity_sectors = 63 63" in lines
+    assert lines.index("driven_sectors = none") \
+        == lines.index("parity_sectors = 63 63") + 1
+    rows = np.loadtxt(tmp_path / "weights.csv", delimiter=",", skiprows=4)
+    assert len(rows) == 126 and np.all(rows[:, 3:] == 0)
+    _, arrays = ckpt_mod.load_arrays(tmp_path / "reconstruction.ckpt")
+    assert all(np.all(a == 0) for a in arrays.values())
 
 
 def test_linres_refuses_non_integer_orbital_counts(tmp_path, capsys,

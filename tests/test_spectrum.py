@@ -674,26 +674,39 @@ def test_reconstruct_skips_undefined_sng(bos_m2_48, spec_m2):
         > 1e-3
 
 
-@pytest.mark.parametrize("which", ["rpa", "dense"])
+@pytest.mark.parametrize("which", ["rpa", "rpa_driven", "dense"])
 def test_csv_writers_match_row_oracles(tmp_path, which, request, bos_m2_48):
-    if which == "rpa":
+    if which.startswith("rpa"):
         spec, st = request.getfixturevalue("spec_m2"), bos_m2_48
     else:
         st = request.getfixturevalue("bos_m2_complex_gauge")
         spec = request.getfixturevalue("spec_complex")
         assert len(spec.zero_modes) and np.abs(spec.eigenvalues.imag).max() > 0
+    if which == "rpa_driven":
+        # the dipole probe leaves the even sector undriven: exact zero
+        # weights there
+        spec = spm.eigensolve(spec.rm, drive=_dipole_probe(st, spec.rm))
     w = _probe_weights(spec, st)
+    if which == "rpa_driven":
+        assert np.sum(w.gamma_plus == 0) == spec.sector_sizes[0]
     header = ["config sha256 0", "tol_zero 1e-06"]
-    # one call writes both files from one text table
+    # one call writes both files from one text table, equal to the rows
+    # formatted field by field and to the table of values formatted one by
+    # one, with each exact partner and each zero weight formatted as well
     spm.save_spectrum_csv(tmp_path / "fast.csv", spec, w, header,
                           weights_path=tmp_path / "fast_w.csv")
     lo.save_spectrum_csv_rows(tmp_path / "rows.csv", spec, w, header)
     lo.save_weights_csv_rows(tmp_path / "rows_w.csv", spec, w, header)
+    lo.save_spectrum_csv_values(tmp_path / "values.csv", spec, w, header,
+                                weights_path=tmp_path / "values_w.csv")
     spm.save_spectrum_csv(tmp_path / "fast_none.csv", spec, None, header)
     lo.save_spectrum_csv_rows(tmp_path / "rows_none.csv", spec, None, header)
+    lo.save_spectrum_csv_values(tmp_path / "values_none.csv", spec, None,
+                                header)
     for name in ("", "_w", "_none"):
-        assert (tmp_path / f"fast{name}.csv").read_bytes() == \
-            (tmp_path / f"rows{name}.csv").read_bytes()
+        want = (tmp_path / f"rows{name}.csv").read_bytes()
+        assert (tmp_path / f"fast{name}.csv").read_bytes() == want
+        assert (tmp_path / f"values{name}.csv").read_bytes() == want
 
 
 # --- factored RPA vectors ------------------------------------------------------
@@ -959,3 +972,161 @@ def test_off_sector_entry_above_the_gate_gives_one_sector(bos_m2_48):
     # just below the gate the sectors are kept
     a[even[3], odd[5]] = a[odd[5], even[3]] = 0.5 * entry / np.sqrt(2)
     assert len(spm.parity_sectors(dataclasses.replace(rm, a=a))) == 2
+
+
+# --- driven sectors: eigenvectors only where the probe reaches ---------------
+
+
+def _sector_modes(spec):
+    """(modes, has vectors) of each sector of an RPA spectrum."""
+    return [(modes, Z is not None) for _, modes, _, Z, _ in spec.vectors.sectors]
+
+
+def _assert_drive_matches_all_vectors(rm, R, omega):
+    # the solve with the drive against the one that keeps every vector:
+    # the eigenvalues and the census, the weights of the driven sectors bit
+    # for bit and exact zeros in the others, the cluster weights and the
+    # reconstruction; returns the driven spectrum
+    spec, clusters, rec = lo.sector_outputs(rm, R, omega, drive=R)
+    full, full_clusters, full_rec = lo.sector_outputs(rm, R, omega)
+    assert spec.eigensolver == full.eigensolver == "rpa"
+    assert spec.sector_sizes == full.sector_sizes
+    assert full.driven_sizes == full.sector_sizes
+    scale = np.abs(full.omega).max()
+    assert np.abs(spec.eigenvalues - full.eigenvalues).max() <= 1e-12 * scale
+    np.testing.assert_array_equal(spec.zero_modes, full.zero_modes)
+    w, fw = spm.response_weights(spec, R), spm.response_weights(full, R)
+    for (modes, driven), (full_modes, _) in zip(_sector_modes(spec),
+                                                _sector_modes(full)):
+        for got, want in ((w.gamma_plus, fw.gamma_plus),
+                          (w.gamma_minus, fw.gamma_minus)):
+            if driven:
+                np.testing.assert_array_equal(got[modes], want[full_modes])
+            else:
+                assert np.all(got[modes] == 0)
+    for got, want in zip(clusters, full_clusters):
+        assert np.abs(got - want).max() <= 1e-10
+    for got, want in zip(rec or (), full_rec or ()):
+        assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
+    return spec
+
+
+def test_drive_matches_all_vectors_on_configs(config_problem):
+    # the dipole probe of every shipped config reaches its odd sector only
+    spec = _assert_drive_matches_all_vectors(*config_problem)
+    assert len(spec.sector_sizes) == 2 and len(spec.driven_sizes) == 1
+
+
+@pytest.mark.parametrize("fixture", ["dist_44", "ferm_n2m4", "swapped",
+                                     "bos_m3_odd_grid"])
+def test_drive_matches_all_vectors(fixture, request):
+    st = request.getfixturevalue("ferm_n2m4" if fixture == "swapped"
+                                 else fixture)
+    if fixture == "swapped":
+        st = _parity_swapped(st)
+    rm = li.assemble_L(st)
+    spec = _assert_drive_matches_all_vectors(rm, _dipole_probe(st, rm), 0.55)
+    assert len(spec.sector_sizes) == 2 and len(spec.driven_sizes) == 1
+
+
+def _assert_same_outputs(rm, R, omega, drive):
+    # with ``drive`` the eigensolve forms every vector: all outputs equal
+    # those of drive=None bit for bit
+    spec, clusters, rec = lo.sector_outputs(rm, R, omega, drive=drive)
+    full, full_clusters, full_rec = lo.sector_outputs(rm, R, omega)
+    assert spec.driven_sizes == spec.sector_sizes == full.sector_sizes
+    np.testing.assert_array_equal(spec.eigenvalues, full.eigenvalues)
+    w, fw = spm.response_weights(spec, R), spm.response_weights(full, R)
+    for got, want in zip((w.gamma_plus, w.gamma_minus, *clusters, *rec),
+                         (fw.gamma_plus, fw.gamma_minus, *full_clusters,
+                          *full_rec)):
+        np.testing.assert_array_equal(got, want)
+    return spec
+
+
+def _mixed_probe(st, rm):
+    # diag(x + x^2): an odd and an even part
+    grid = st.grids[0]
+    return li.build_R(st, li.PerturbationSpec(f_dags=(diagonal_operator(
+        grid, grid.points + grid.points ** 2),), omega=0.55), rm)
+
+
+def test_mixed_parity_probe_forms_both_sectors(bos_m2_48):
+    rm = li.assemble_L(bos_m2_48)
+    R = _mixed_probe(bos_m2_48, rm)
+    spec = _assert_same_outputs(rm, R, 0.55, R)
+    assert spec.eigensolver == "rpa" and len(spec.sector_sizes) == 2
+
+
+def test_one_sector_and_dense_path_ignore_the_drive(bos_m2_48):
+    # a mirror-broken grid is one sector, which a nonzero drive reaches
+    cfg, _ = cli._load_config(ROOT / "configs" / "harmonic_n2_m2.cfg")
+    cfg.set("grid", "x_min", "-7.5")
+    cfg.set("grid", "x_max", "8.5")
+    rm, R, omega = _linres_inputs(cfg)
+    spec = _assert_same_outputs(rm, R, omega, R)
+    assert spec.eigensolver == "rpa" and spec.sector_sizes == (len(rm.a),)
+    # the dense path forms every vector, for any drive
+    rm = li.assemble_L(bos_m2_48)
+    R = _dipole_probe(bos_m2_48, rm)
+    for drive in (R, np.zeros((rm.D, 0))):
+        spec = spm.eigensolve(rm, tol_zero=1.5, drive=drive)
+        full = spm.eigensolve(rm, tol_zero=1.5)
+        assert spec.eigensolver == "dense (an excitation at or below tol_zero)"
+        assert spec.driven_sizes == spec.sector_sizes == (len(rm.a),)
+        np.testing.assert_array_equal(spec.eigenvalues, full.eigenvalues)
+        np.testing.assert_array_equal(spec.right, full.right)
+
+
+def test_undriven_sector_refuses_its_modes(bos_m2_48):
+    rm = li.assemble_L(bos_m2_48)
+    spec = spm.eigensolve(rm, drive=_dipole_probe(bos_m2_48, rm))
+    (even, even_driven), (odd, odd_driven) = (
+        (modes, driven) for modes, driven in _sector_modes(spec))
+    assert odd_driven and not even_driven
+    with pytest.raises(ValueError, match="undriven parity sector"):
+        spec.right
+    c = np.zeros((len(spec.retained), 1))
+    c[odd[0]] = 1.0
+    assert np.abs(spec.right_times(c)).max() > 0
+    c[even[0]] = 1e-300
+    with pytest.raises(ValueError, match="undriven parity sector"):
+        spec.right_times(c)
+    # a response of the even sector, and one of the odd sector
+    n, sector = len(rm.a), rm.sectors
+    e = np.zeros((2 * n, 2))
+    e[np.flatnonzero(sector > 0)[0], 0] = e[np.flatnonzero(sector < 0)[0], 1] = 1
+    v = rm.to_space(e)
+    got = spec.right_transpose_times(v[:, 1:])
+    assert np.all(got[even] == 0) and np.abs(got[odd]).max() > 0
+    with pytest.raises(ValueError, match="undriven parity sector"):
+        spec.right_transpose_times(v[:, :1])
+
+
+@pytest.mark.parametrize("probe,eigh,eigvalsh", [
+    ("dipole", 1, 1), ("mixed", 2, 0), ("empty", 0, 2)])
+def test_vectors_only_for_driven_sectors(bos_m2_48, monkeypatch, probe, eigh,
+                                         eigvalsh):
+    # spm.sla is numpy.linalg, which the assembly uses too: it is counted
+    # around the eigensolve alone
+    rm = li.assemble_L(bos_m2_48)
+    drive = {"dipole": _dipole_probe, "mixed": _mixed_probe}.get(
+        probe, lambda st, rm: np.zeros((rm.D, 0)))(bos_m2_48, rm)
+    calls = []
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return getattr(np.linalg, name)(*args, **kwargs)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(spm, "sla", SimpleNamespace(
+            **{k: getattr(np.linalg, k) for k in ("cholesky", "inv",
+                                                  "LinAlgError", "eig")},
+            eigh=counted("eigh"), eigvalsh=counted("eigvalsh")))
+        spec = spm.eigensolve(rm, drive=drive)
+    assert spec.eigensolver == "rpa" and len(spec.sector_sizes) == 2
+    assert (calls.count("eigh"), calls.count("eigvalsh")) == (eigh, eigvalsh)
+    assert len(calls) == 2
+    assert len(spec.driven_sizes) == eigh
