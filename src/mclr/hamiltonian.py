@@ -49,14 +49,15 @@ __all__ = [
 
 @dataclass
 class OrbitalSet:
-    """M orthonormal orbitals stored as grid-value rows of shape (M, n), in
+    """M orthonormal orbitals stored as C-ordered grid-value rows (M, n), in
     their dtype promoted to at least float64: real orbitals stay real."""
 
     orbitals: np.ndarray = field(repr=False)
     grid: Grid = None
 
     def __post_init__(self):
-        self.orbitals = np.atleast_2d(as_float(self.orbitals))
+        self.orbitals = np.ascontiguousarray(
+            np.atleast_2d(as_float(self.orbitals)))
 
     @property
     def M(self) -> int:

@@ -33,38 +33,38 @@ to machine precision, and P L P = L holds structurally.  P and M^(-1/2)
 are block diagonal and commute, so the u/C_u rows of L are formed from
 per-DOF block products of the u/C_u rows of L_raw; the v/C_v rows are
 their mirrors.  ``ResponseMatrix`` keeps L as its two RPA halves on
-range(P).  The trailing columns of the unitary of one Householder QR of
+range(P).  The trailing columns of the unitary of the complete QR of
 phi_j^T span the complement of the orbitals of DOF j; they are formed
 once per assembly as the dense n_j x (n_j - M_j) basis Q_j.  The
-complement of C, n_conf - 1 columns, is never formed: it stays the one
-Householder reflector Q_c = I - W V^H of C.  Q_j on each orbital slot and
-Q_c on C_u make the isometry B onto range(P) on x = (u, C_u).  The metric
-of DOF j is its one-body density U n U^H on the K_j natural orbitals U it
-keeps (``_response_matrix``); an empty orbital has no coordinates.  The
-halves are a = F^H L[x, x] F and b = F^H L[x, y] F*, with F = B U
-n^(-1/2) and y = (v, C_v), of size n = sum_j K_j (n_j - M_j) + N_conf - 1.
+complement of C, n_conf - 1 columns, is never formed: it is the columns
+H e_i, i != p, of the one Householder reflector H = I - h h^H that maps
+C onto its pivot row p.  Q_j on each orbital slot and H on C_u make the
+isometry B onto range(P) on x = (u, C_u).  The metric of DOF j is its
+one-body density U n U^H on the K_j natural orbitals U it keeps
+(``_response_matrix``); an empty orbital has no coordinates.  The halves
+are a = F^H L[x, x] F and b = F^H L[x, y] F*, with F = B U n^(-1/2) and
+y = (v, C_v), of size n = sum_j K_j (n_j - M_j) + N_conf - 1.
 ``ResponseMatrix.lift`` applies B U or U^H B^H, per DOF one batched
 product with Q_j and one with U on the slot axis, and ``pull``
 n^(+-1/2) U^H B^H; the halves are pulled from both sides of the raw x
 rows, the second side through a transposed view that BLAS reads in
-place.  The one boundary between
-the 2n reduced coordinates and the D-space is the isometry T = B U on x
-and conj(B U) on y (``to_space``, ``to_reduced``): L = T L_r T^H with
-L_r = [[a, b], [-b*, -a*]], and P M^p = T n^p T^H (``project``).  The
-dense D x D L and P are built only on demand.
+place.  The one boundary between the 2n reduced coordinates and the
+D-space is the isometry T = B U on x and conj(B U) on y (``to_space``,
+``to_reduced``): L = T L_r T^H with L_r = [[a, b], [-b*, -a*]], and
+P M^p = T n^p T^H (``project``).  The dense D x D L and P are built only
+on demand.
 
 Mirror-parity sectors.  When every grid is symmetric about 0, every
 orbital is even or odd and C lies in one parity class of configurations
 (a configuration's parity is the product of those of its occupied
 orbitals), each to PARITY_TOL, the response of the reflection x -> -x
 splits into an even and an odd part, and the reduced coordinates are
-built to be each one or the other.  Per DOF the Householder QR of the
-orbitals runs in the even/odd (butterfly) frame of the grid
-(``_mirror_frame``), the even orbitals first, each pivoted on a frame row
-of its own parity, so every complement column is even or odd; Q_j is
-taken back to the grid rows when it is formed.  The complement of C is
-its Householder pivoted on a row of its own class (``SwapFrame`` when
-that is not the first), so the other class passes through unchanged.
+built to be each one or the other.  Per DOF the QR of the orbitals runs
+in the even/odd (butterfly) frame of the grid (``_mirror_frame``), the
+even orbitals first, each pivoted on a frame row of its own parity, so
+every complement column is even or odd; Q_j is taken back to the grid
+rows when it is formed.  The reflector of C is pivoted on the first row
+of its own class, so the other class passes through unchanged.
 The natural orbitals take one parity each: those of rho, or of each
 parity block of rho where an even and an odd one share an occupation.
 ``ResponseMatrix.sectors`` records the sector of each reduced
@@ -206,13 +206,12 @@ class ResponseMatrix:
     L_xx = B ``a`` B^H (``a`` Hermitian) and L_xy = B ``b`` B^T (``b``
     symmetric).  ``bases`` holds, per DOF, Q_j, the dense orthonormal
     basis of the complement of its orbitals (n_j x (n_j - M_j)), and B is
-    Q_j on each orbital slot of DOF j; ``reflector`` holds the compact WY
-    factors (V, W) of the Householder of C, Q_c = I - W V^H, and B is its
-    trailing columns on C_u, applied in the rows ``swap`` puts first (a
-    ``SwapFrame``, or None for the rows of C).  ``natural`` holds, per DOF,
-    the kept natural orbitals of the one-body density as (occupations n,
-    orbitals U as columns); the reduced slot coordinates are these
-    orbitals, so the lift is B U and empty orbitals have no coordinates.
+    Q_j on each orbital slot of DOF j; ``householder`` holds (h, p) of the
+    reflector H = I - h h^H that maps C onto its pivot row p, and B is its
+    columns H e_i, i != p in ascending order, on C_u.  ``natural`` holds,
+    per DOF, the kept natural orbitals of the one-body density as
+    (occupations n, orbitals U as columns); the reduced slot coordinates
+    are these orbitals, so the lift is B U and empty orbitals have none.
     ``lift`` and ``pull`` apply B U on the x rows; ``to_space`` and
     ``to_reduced`` apply T, B U on x and conj(B U) on y, on all 2n reduced
     coordinates, and ``L`` and ``project`` are built on them.  The
@@ -227,9 +226,8 @@ class ResponseMatrix:
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     bases: list = field(repr=False, default_factory=list)
-    reflector: tuple = field(repr=False, default=None)
+    householder: tuple = field(repr=False, default=None)
     natural: list = field(repr=False, default_factory=list)
-    swap: SwapFrame = None
     sectors: np.ndarray = field(default=None, repr=False)
     state: GroundState = None
     metric_clipped: bool = False        # a natural orbital was left out
@@ -251,20 +249,20 @@ class ResponseMatrix:
         product with Q_j (``bases``; Q_j^H for the adjoint) over the
         orbital slots and one with U n^power, its kept natural orbitals
         scaled by their occupations (``natural``), on the slot axis, which
-        maps the reduced slots to the M_j orbital slots.  On C_u, with
-        Q_c = I - W V^H from ``reflector`` and V of shape (n, 1),
-        B v = G ([0; v] - W (V[1:]^H v)) and B^H x = y[1:] - V[1:] (W^H y)
-        for y = G^T x, G the ``swap`` (``to_frame`` is G^T, ``from_frame``
-        G; None is the identity).  ``v`` is a matrix, one vector per column;
-        a transposed view is read in place."""
-        (V, W), G, c = self.reflector, self.swap, v.shape[1]
+        maps the reduced slots to the M_j orbital slots.  On C_u, B v = H E v
+        and B^H x = E^T H x, H = I - h h^H from ``householder`` (h, p) and E
+        the embedding into the rows other than p: one (1 x c) product h^H s,
+        its rank-one update written in place, and s added in the two row
+        slices around p.  ``v`` is a matrix, one vector per column; a
+        transposed view is read in place."""
+        (h, p), c = self.householder, v.shape[1]
         parts = [(U * occ ** power, Q) for (occ, U), Q in zip(self.natural,
                                                              self.bases)]
         sizes = [(len(U) * len(Q), U.shape[1] * Q.shape[1]) for U, Q in parts]
         out = np.empty((sum(r if adjoint else f for f, r in sizes)
-                        + len(V) - (1 if adjoint else 0), c),
-                       dtype=np.result_type(v, V, W, *(m for p in parts
-                                                       for m in p)))
+                        + len(h) - (1 if adjoint else 0), c),
+                       dtype=np.result_type(v, h, *(m for q in parts
+                                                    for m in q)))
         i = o = 0
         for (U, Q), (full, reduced) in zip(parts, sizes):
             (M, K), r = U.shape, Q.shape[1]
@@ -279,16 +277,16 @@ class ResponseMatrix:
             i, o = i + a, o + b
         s, y = v[i:], out[o:]
         if adjoint:
-            if G is not None:
-                s = G.to_frame(s)
-            np.matmul(V[1:], W.conj().T @ s, out=y)
-            np.subtract(s[1:], y, out=y)
+            t = (h.conj() @ s)[None]
+            np.matmul(h[:p, None], t, out=y[:p])
+            np.matmul(h[p + 1:, None], t, out=y[p:])
+            np.subtract(s[:p], y[:p], out=y[:p])
+            np.subtract(s[p + 1:], y[p:], out=y[p:])
         else:
-            t = y if G is None else np.empty_like(y)
-            np.matmul(W, -(V[1:].conj().T @ s), out=t)
-            t[1:] += s
-            if G is not None:
-                y[...] = G.from_frame(t)
+            t = h[:p].conj() @ s[:p] + h[p + 1:].conj() @ s[p:]
+            np.matmul(h[:, None], -t[None], out=y)
+            y[:p] += s[:p]
+            y[p + 1:] += s[p:]
         return out
 
     def pull(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
@@ -471,19 +469,6 @@ def _cc_block(H, C):
     return out
 
 
-def _reflectors(rows):
-    """Compact WY factors (V, W = V T) of the Householder QR of ``rows``^T
-    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 53 (1989)): for k
-    orthonormal rows, Q = I - W V^H is LAPACK's Q, real for real rows, and
-    its columns after the first k span the complement of the rows."""
-    h, tau = np.linalg.qr(rows.T, mode="raw")
-    V = np.tril(h.T, -1) + np.eye(*h.T.shape)
-    T = np.diag(tau)
-    for i in range(1, len(tau)):
-        T[:i, i] = -tau[i] * (T[:i, :i] @ (V[:, :i].conj().T @ V[:, i]))
-    return V, V @ T
-
-
 def _mirror_frame(n: int, n_even: int, n_odd: int):
     """(G^T, which rows are odd): the even/odd (butterfly) frame of the n
     points of a mirror-symmetric grid, point r mirroring to n - 1 - r, as
@@ -501,20 +486,6 @@ def _mirror_frame(n: int, n_even: int, n_odd: int):
                        even[n_even:], odd[n_odd:]]),
             np.repeat([False, True, False, True],
                       [n_even, n_odd, len(even) - n_even, h - n_odd]))
-
-
-@dataclass(frozen=True)
-class SwapFrame:
-    """Rows 0 and ``row`` of one block swapped (an involution)."""
-
-    row: int
-
-    def to_frame(self, x):
-        f = x.copy()
-        f[[0, self.row]] = x[[self.row, 0]]
-        return f
-
-    from_frame = to_frame
 
 
 def _mirror_parities(state, phis, C):
@@ -572,40 +543,38 @@ def _natural_orbitals(rho, parities=None):
 def _orbital_complement(phi, parities=None):
     """(Q, parity of each of its columns): the dense orthonormal basis of
     the complement of one DOF's scaled orbitals ``phi``, the trailing
-    columns of the unitary G (I - W V^H) of their Householder QR
-    (``_reflectors``) in the rows G^T.  Given their mirror parities, G is
-    the butterfly frame of the grid (``_mirror_frame``), the even orbitals
-    first, each pivoted on a frame row of its parity nearest the centre of
-    the grid (where the orbitals are large: the complement columns of the
-    outer rows stay close to unit vectors, as in 1 - phi phi^H); each
-    column of Q is then even or odd to the parity defect of the orbitals.
-    Without them G is the identity."""
+    columns of G times the unitary of the complete QR of their rows G^T.
+    Given their mirror parities, G is the butterfly frame of the grid
+    (``_mirror_frame``), the even orbitals first, each pivoted on a frame
+    row of its parity nearest the centre of the grid (where the orbitals
+    are large: the complement columns of the outer rows stay close to unit
+    vectors, as in 1 - phi phi^H); each column of Q is then even or odd to
+    the parity defect of the orbitals.  Without them G is the identity."""
     M, n = phi.shape
     Gt, odd = None, np.zeros(n, dtype=bool)
     if parities is not None:
         Gt, odd = _mirror_frame(n, int(np.sum(parities > 0)),
                                 int(np.sum(parities < 0)))
         phi = phi[np.argsort(parities < 0, kind="stable")] @ Gt.T
-    V, W = _reflectors(phi)
-    Q = -W @ V[M:].conj().T
-    Q[M:] += np.eye(n - M)
+    Q = np.linalg.qr(phi.T, mode="complete")[0][:, M:]
     return (Q if Gt is None else Gt.T @ Q), np.where(odd[M:], -1, 1)
 
 
 def _coefficient_complement(C, cls=None):
-    """(swap or None, reflectors, parity of each complement column
-    relative to C) of the coefficient vector.  Given the mask ``cls`` of
-    the parity class of C, the Householder is pivoted on the first row of
-    the class (``SwapFrame`` where that is not row 0), so its reflector
-    stays inside the class to the parity defect of C; each complement
-    column is a row of the class (+1) or of the other class (-1)."""
-    if cls is None:
-        return None, _reflectors(C[None, :]), np.ones(len(C) - 1, dtype=int)
-    first = int(np.argmax(cls))
-    G = SwapFrame(first) if first else None
-    if G is not None:
-        C, cls = G.to_frame(C), G.to_frame(cls)
-    return G, _reflectors(C[None, :]), np.where(cls[1:], 1, -1)
+    """(h, p, parity of each complement column relative to C) of the
+    coefficient vector: H = I - h h^H maps C onto a multiple of e_p, so its
+    columns H e_i, i != p in ascending order, span the complement of C.
+    h = sqrt 2 w / |w| for w = C + e^(i arg C_p) |C| e_p (phase 1 for
+    C_p = 0).  Given the mask ``cls`` of the parity class of C, p is the
+    first row of the class, so the reflector stays inside the class to the
+    parity defect of C; column i is a row of the class (+1) or of the other
+    class (-1).  Without it p is 0."""
+    p = 0 if cls is None else int(np.argmax(cls))
+    w = C.copy()
+    w[p] += (C[p] / abs(C[p]) if C[p] else 1.0) * np.linalg.norm(C)
+    parities = (np.ones(len(C) - 1, dtype=int) if cls is None
+                else np.delete(np.where(cls, 1, -1), p))
+    return w * (np.sqrt(2.0) / np.linalg.norm(w)), p, parities
 
 
 def _null_vectors(layout, phis, C) -> np.ndarray:
@@ -650,11 +619,11 @@ def _response_matrix(state, blocks) -> ResponseMatrix:
         natural.append((occ, U))
         bases.append(Q)
         sectors.append(np.outer(par, trailing).ravel())
-    swap, refl, trailing = _coefficient_complement(C, cls)
+    h, p, trailing = _coefficient_complement(C, cls)
     sectors.append(trailing)
     rm = ResponseMatrix(layout=layout, a=None, b=None, state=state,
-                        bases=bases, reflector=refl, natural=natural,
-                        swap=swap, sectors=np.concatenate(sectors),
+                        bases=bases, householder=(h, p), natural=natural,
+                        sectors=np.concatenate(sectors),
                         metric_clipped=sum(len(o) for o, _ in natural)
                         < sum(layout.M_list),
                         null_vectors=_null_vectors(layout, phis, C))

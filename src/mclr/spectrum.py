@@ -393,8 +393,11 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, drive):
     # the modes of all sectors in ascending order: sector i holds the
     # positions ``mode[start:start + len(g)]``
     order = np.argsort(w2, kind="stable")
-    omega, mode = np.sqrt(w2[order]), np.empty(n, dtype=np.intp)
-    mode[order] = np.arange(n)
+    omega, mode = np.sqrt(w2[order]), np.argsort(order)
+    if tol_zero is None:
+        tol_zero = 1e-6 * max(omega[-1], 1.0)
+    if omega[0] <= tol_zero:
+        raise _NoReduction("an excitation at or below tol_zero")
     sectors, start = [], 0
     for g, K, _, Z in solves:
         rows, modes = ((slice(None),) * 2 if one
@@ -402,10 +405,6 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, drive):
         sectors.append((rows, modes, K, Z,
                         None if K is None else _block_inverses(K)))
         start += len(g)
-    if tol_zero is None:
-        tol_zero = 1e-6 * max(omega[-1], 1.0)
-    if omega[0] <= tol_zero:
-        raise _NoReduction("an excitation at or below tol_zero")
 
     w = np.zeros(D, dtype=complex)
     w[:n] = -omega[::-1]

@@ -24,9 +24,9 @@ vectors written out separately for each particle kind, the per-mode sum
 of the driven response, the response weights and the driven response as
 products with the stored right vectors, the per-field CSV writers of
 the spectrum, the one-sector solve the parity sectors are checked
-against, the butterfly frame and compact-WY application of the
-complements that the dense bases are checked against, and the symmetry
-defects from full n x n differences.
+against, the butterfly frame, row swap and compact-WY application of the
+complements that the dense bases and the reflector of C are checked
+against, and the symmetry defects from full n x n differences.
 Layout, spectrum and reconstruction accessors that only tests read (the
 row indices of the halves, the v slot of one orbital, the left vectors of the negative partners, the
 expansion rows of the driven wavefunction) are functions here.
@@ -949,6 +949,44 @@ def save_spectrum_csv_values(path, spec, weights=None, header_lines=(),
 # --- complements: the butterfly frame and the compact-WY application ---------
 
 
+def _reflectors(rows):
+    """Compact WY factors (V, W = V T) of the Householder QR of ``rows``^T
+    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 53 (1989)): for k
+    orthonormal rows, Q = I - W V^H is LAPACK's Q, real for real rows, and
+    its columns after the first k span the complement of the rows."""
+    h, tau = np.linalg.qr(rows.T, mode="raw")
+    V = np.tril(h.T, -1) + np.eye(*h.T.shape)
+    T = np.diag(tau)
+    for i in range(1, len(tau)):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ (V[:, :i].conj().T @ V[:, i]))
+    return V, V @ T
+
+
+def _hermitian_reflector(x):
+    """Compact WY factors (V, W) of the Hermitian Householder reflector
+    I - W V^H that maps the vector ``x`` onto -e^(i arg x_0) |x| e_0 (phase
+    1 for x_0 = 0): V = v / v_0 for v = x + e^(i arg x_0) |x| e_0, so that
+    V_0 = 1, and W = tau V with tau = 2 / |V|^2."""
+    v = x.copy()
+    v[0] += (x[0] / abs(x[0]) if x[0] else 1.0) * np.linalg.norm(x)
+    V = (v / v[0])[:, None]
+    return V, V * (2.0 / np.vdot(V, V).real)
+
+
+@dataclass(frozen=True)
+class SwapFrame:
+    """Rows 0 and ``row`` of one block swapped (an involution)."""
+
+    row: int
+
+    def to_frame(self, x):
+        f = x.copy()
+        f[[0, self.row]] = x[[self.row, 0]]
+        return f
+
+    from_frame = to_frame
+
+
 @dataclass(frozen=True)
 class MirrorFrame:
     """The even/odd (butterfly) frame of the n points of a mirror-symmetric
@@ -1010,7 +1048,8 @@ class MirrorFrame:
 def wy_complements(rm):
     """Per DOF (``MirrorFrame`` or None, compact WY factors (V, W)) of the
     Householder QR of its orbitals that ``rm.bases`` are formed from, then
-    (``rm.swap``, ``rm.reflector``) for C."""
+    (``SwapFrame`` or None, (V, W)) for C: its Hermitian reflector in the
+    rows with the pivot of ``rm.householder`` swapped to the first."""
     st = rm.state
     phis, C = [s.scaled for s in st.sets], st.C
     if not np.iscomplexobj(rm.a):
@@ -1019,13 +1058,26 @@ def wy_complements(rm):
     out = []
     for j, phi in enumerate(phis):
         if pars is None:
-            out.append((None, li._reflectors(phi)))
+            out.append((None, _reflectors(phi)))
             continue
         p = pars[0][j]
         G = MirrorFrame(int(np.sum(p > 0)), int(np.sum(p < 0)))
-        out.append((G, li._reflectors(
+        out.append((G, _reflectors(
             G.to_frame(phi[np.argsort(p < 0, kind="stable")]))))
-    return out + [(rm.swap, rm.reflector)]
+    pivot = rm.householder[1]
+    G = SwapFrame(pivot) if pivot else None
+    return out + [(G, _hermitian_reflector(C if G is None
+                                           else G.to_frame(C)))]
+
+
+def swap_order(G, n):
+    """For each row of C but the pivot, in ascending order, the complement
+    column (frame row minus one) that stands for it in the frame of the
+    ``SwapFrame`` G: frame row p holds row 0 when G swaps in the pivot p."""
+    rows = np.arange(1, n)
+    if G is not None:
+        rows = np.r_[G.row, rows[:G.row - 1], rows[G.row:]]
+    return rows - 1
 
 
 def _in_frame(G, x, back=False):
@@ -1045,7 +1097,8 @@ def wy_lift(rm, v, adjoint=False, power=0.0):
     Q = I - W V^H and V of shape (n, k), B v = G ([0; v] - W (V[k:]^H v))
     and B^H x = y[k:] - V[k:] (W^H y) for y = G^T x, then (n, U) of
     ``rm.natural`` on the slot axis, n^power on the reduced slots
-    (C has one slot and no U)."""
+    (C has one slot and no U; its reduced coordinates follow the rows of C,
+    ``swap_order``)."""
     c, i, out = v.shape[1], 0, []
     for M, (occ, U), (G, (V, W)) in zip(rm.layout.M_list + (1,),
                                         rm.natural + [(None, None)],
@@ -1056,12 +1109,16 @@ def wy_lift(rm, v, adjoint=False, power=0.0):
         if adjoint:
             y = _in_frame(G, s.reshape(M, n, c))
             y = y[:, k:] - V[k:] @ (W.conj().T @ y)
-            if U is not None:
+            if U is None:
+                y = y[:, swap_order(G, n)]
+            else:
                 y = (U.conj().T @ y.reshape(M, -1)) * occ[:, None] ** power
         else:
             if U is not None:
                 s = U @ (s.reshape(K, -1) * occ[:, None] ** power)
             s = s.reshape(M, n - k, c)
+            if U is None:
+                s = s[:, np.argsort(swap_order(G, n))]
             y = W @ -(V[k:].conj().T @ s)
             y[:, k:] += s
             y = _in_frame(G, y, back=True)

@@ -1,10 +1,13 @@
 """Self-consistent stationary states and the propagation diagnostics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mclr import (OneBodyOperator, PairCoupling, TwoBodyKernel, build_grid,
                   discretize_kernel)
+from mclr import cli
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
@@ -413,3 +416,16 @@ def test_dist_large_tau_converges(dist_grids, dist_h):
     assert max(res["orb_residual"], res["scaled_orb_residual"]) < res["tol_orb"]
     default = gs.solve_mch_dist(sp, dist_grids, dist_h, coupling)
     assert st.energy == pytest.approx(default.energy, abs=1e-10)
+
+
+def test_converged_orbitals_are_c_ordered():
+    # harmonic_n2_m2 converges on an Anderson-mixed trial, whose rows
+    # ``ham.orthonormal_rows`` returns F-ordered; the state stores them
+    # C-ordered, as ``OrbitalSet`` stores any rows
+    path = Path(__file__).resolve().parent.parent / "configs"
+    st = cli._solve_from_config(
+        cli._load_config(path / "harmonic_n2_m2.cfg")[0])
+    (s,) = st.sets
+    mixed = ham.orthonormal_rows(s.orbitals, s.grid.weight)
+    assert not mixed.flags.c_contiguous
+    assert s.orbitals.flags.c_contiguous

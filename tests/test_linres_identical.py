@@ -426,6 +426,45 @@ def test_complex_gauge_stays_complex(bos_m2_complex_gauge):
     assert spm.eigensolve(li.assemble_L(st)).eigensolver == "dense (complex L)"
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("pivot, zero", [(0, False), (4, False), (8, False),
+                                         (4, True)])
+def test_coefficient_reflector_spans_the_complement_of_C(pivot, zero, dtype):
+    # B, the columns H e_i (i != p) of H = I - h h^H, on a random C pivoted
+    # on row 0, a middle row, the last row and an exactly zero entry:
+    # B^H B = I, B B^H = I - C C^H, B^H C = 0, and lift and pull are
+    # adjoint on C- and F-ordered columns
+    rng = np.random.default_rng(pivot + 10 * zero)
+
+    def randn(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    nc = 9
+    C = randn(nc)
+    C[pivot] *= not zero
+    C /= np.linalg.norm(C)
+    cls = (np.arange(nc) >= pivot) & (rng.random(nc) < 0.5)
+    cls[pivot] = True
+    h, p, parities = li._coefficient_complement(C, cls)
+    assert p == pivot and h.dtype == C.dtype
+    np.testing.assert_array_equal(parities, np.where(np.delete(cls, p), 1, -1))
+    rm = li.ResponseMatrix(layout=li.ResponseLayout((), (), nc), a=None,
+                           b=None, householder=(h, p))
+    B = rm.lift(np.eye(nc - 1))
+    eye = np.eye(nc - 1)
+    assert np.abs(B.conj().T @ B - eye).max() < 1e-14
+    assert np.abs(B @ B.conj().T - (np.eye(nc) - np.outer(C, C.conj()))
+                  ).max() < 1e-14
+    assert np.abs(B.conj().T @ C).max() < 1e-14
+    x, v = randn(nc, 5), randn(nc - 1, 5)
+    for xs, vs in ((x, v), (np.asfortranarray(x), np.asfortranarray(v))):
+        lifted, pulled = rm.lift(vs), rm.pull(xs)
+        assert lifted.dtype == pulled.dtype == C.dtype
+        assert np.abs(xs.conj().T @ lifted - pulled.conj().T @ vs).max() \
+            < 1e-14 * np.linalg.norm(x) * np.linalg.norm(v)
+
+
 @pytest.mark.parametrize("n, n_even, n_odd", [(8, 1, 1), (64, 2, 2), (9, 2, 1),
                                               (9, 0, 2), (7, 3, 2), (5, 1, 0)])
 def test_mirror_frame_is_an_orthogonal_parity_split(n, n_even, n_odd):

@@ -414,13 +414,14 @@ def test_halves_are_assembled_on_range_of_P(fixture, request):
 @pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m3", "dist_44",
                                      "bos_m2_complex_gauge"])
 def test_reflectors_match_lapack_complement(fixture, request):
-    # Q = I - W V^H is the unitary of LAPACK's QR of rows^T, whose trailing
-    # columns span the complement of the orbitals of each DOF and of C
+    # the oracle's Q = I - W V^H is the unitary of LAPACK's QR of rows^T,
+    # whose trailing columns span the complement of the orbitals of each
+    # DOF and of C
     st = request.getfixturevalue(fixture)
     for rows in [s.scaled for s in st.sets] + [st.C[None, :]]:
         if not np.any(np.imag(rows)):
             rows = rows.real
-        V, W = li._reflectors(rows)
+        V, W = lo._reflectors(rows)
         (k, n), real = rows.shape, not np.iscomplexobj(rows)
         assert real == (not np.iscomplexobj(V)) == (not np.iscomplexobj(W))
         Q = np.eye(n) - W @ V.conj().T
@@ -432,22 +433,25 @@ def test_reflectors_match_lapack_complement(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "ferm_m3", "dist_44"])
 def test_assembly_builds_no_dense_basis(fixture, request, monkeypatch):
-    # only the raw QR runs, and the complement of C stays one Householder
-    # reflector: no n_conf x n_conf basis; the orbital bases are formed
-    # from their reflectors
+    # the orbital bases come from one complete QR of each DOF's n_j x M_j
+    # orbitals, and no QR of an n_conf-row input runs: the complement of C
+    # stays one Householder reflector, no n_conf x n_conf basis
     st = request.getfixturevalue(fixture)
-    qr = np.linalg.qr
+    lay = li.ResponseLayout.of(st)
+    qr, shapes = np.linalg.qr, []
 
-    def raw_qr(a, mode="reduced"):
-        if mode != "raw":
-            raise AssertionError(f"a dense basis was built (mode {mode!r})")
+    def complete_qr(a, mode="reduced"):
+        shapes.append(a.shape)
+        if mode != "complete" or len(a) == lay.n_conf:
+            raise AssertionError(f"a QR of {a.shape} ran (mode {mode!r})")
         return qr(a, mode)
 
-    monkeypatch.setattr(np.linalg, "qr", raw_qr)
+    monkeypatch.setattr(np.linalg, "qr", complete_qr)
     rm = li.assemble_L(st)
-    assert all(V.shape == (rm.layout.n_conf, 1) for V in rm.reflector)
+    assert shapes == list(zip(lay.n_list, lay.M_list))
+    assert rm.householder[0].shape == (lay.n_conf,)
     assert [Q.shape for Q in rm.bases] == [
-        (n, n - M) for M, n in zip(rm.layout.M_list, rm.layout.n_list)]
+        (n, n - M) for M, n in zip(lay.M_list, lay.n_list)]
 
 
 @pytest.mark.parametrize("fixture", ["bos_m2_48", "dist_44"])
@@ -481,19 +485,19 @@ def test_symmetry_defects_match_dense_operators(layout):
     S3 = np.diag(li.sigma3(layout))
     x, y = lo.halves_index(layout)
     # per DOF the complement basis, trailing columns of the identity or of
-    # a random unitary; for C the reflector (V, W) of Q = I - W V^H, where
-    # W = 0 keeps Q = I
+    # a random unitary; for C the reflector (h, p) of H = I - h h^H, where
+    # h = 0 keeps H = I
     embedding = ([np.eye(n)[:, M:] for M, n in sizes[:-1]],
-                 (np.eye(layout.n_conf, 1), np.zeros((layout.n_conf, 1))))
+                 (np.zeros(layout.n_conf), 0))
     rotated = ([li._orbital_complement(np.linalg.qr(crandn(n, n))[0][:M])[0]
                 for M, n in sizes[:-1]],
-               li._reflectors(np.linalg.qr(crandn(layout.n_conf,
-                                                  layout.n_conf))[0][:1]))
+               li._coefficient_complement(np.linalg.qr(
+                   crandn(layout.n_conf, layout.n_conf))[0][0])[:2])
     # complex halves, and real ones (real-arithmetic path)
     for a, b, bases in ((a, b, rotated), (a.real, b.real, embedding),
                         (a, b, embedding)):
         rm = li.ResponseMatrix(layout=layout, a=a, b=b, bases=bases[0],
-                               reflector=bases[1],
+                               householder=bases[1],
                                natural=[(np.ones(M), np.eye(M))
                                         for M in layout.M_list])
         L = rm.L
@@ -861,7 +865,7 @@ def test_degenerate_natural_orbitals_are_taken_per_parity_block():
 def test_swapped_slots_pivot_inside_the_class(ferm_n2m4):
     st = _parity_swapped(ferm_n2m4)
     rm = li.assemble_L(st)
-    assert isinstance(rm.swap, li.SwapFrame) and rm.swap.row > 0
+    assert rm.householder[1] > 0
     # the spectrum does not depend on the order of the orbital slots
     want = spm.eigensolve(li.assemble_L(ferm_n2m4)).omega
     got = spm.eigensolve(rm).omega
@@ -873,8 +877,9 @@ def test_swapped_slots_pivot_inside_the_class(ferm_n2m4):
                                      "swapped", "ferm_n2m4"])
 def test_dense_bases_match_butterfly_wy_oracle(fixture, request):
     # lift (both ways), pull, to_space and to_reduced through the dense
-    # bases against the butterfly frames and compact-WY factors they are
-    # formed from, on C-ordered and on transposed (F-ordered) columns
+    # bases and the explicit reflector of C against the butterfly frames,
+    # the row swap of C and the compact-WY factors, on C-ordered and on
+    # transposed (F-ordered) columns
     st = request.getfixturevalue("ferm_n2m4" if fixture == "swapped"
                                  else fixture)
     if fixture == "swapped":
@@ -943,9 +948,9 @@ def test_mirror_broken_grid_is_one_sector():
         rm, R, omega = _linres_inputs(cfg)
         spec, weights, rec = lo.sector_outputs(rm, R, omega)
         low.append(np.sort(spec.omega)[:6])
-    # the QRs ran in the rows of the grid and of C: no frame, no swap
+    # the QR ran in the rows of the grid and C pivots on its first row
     phi = rm.state.sets[0].scaled
-    assert np.all(rm.sectors == 1) and rm.swap is None
+    assert np.all(rm.sectors == 1) and rm.householder[1] == 0
     assert np.array_equal(rm.bases[0], li._orbital_complement(phi)[0])
     assert spec.eigensolver == "rpa" and spec.sector_sizes == (len(rm.a),)
     # the same solve as a forced one-sector run, bit for bit
@@ -1076,6 +1081,20 @@ def test_one_sector_and_dense_path_ignore_the_drive(bos_m2_48):
         assert spec.driven_sizes == spec.sector_sizes == (len(rm.a),)
         np.testing.assert_array_equal(spec.eigenvalues, full.eigenvalues)
         np.testing.assert_array_equal(spec.right, full.right)
+
+
+def test_tol_zero_fallback_inverts_no_factor_block(monkeypatch):
+    # both gates of the half-size solve run before the diagonal blocks of
+    # its Cholesky factors are inverted: the --tol-zero 1.5 fallback of
+    # harmonic_n2_m2 to the dense path inverts none
+    cfg, _ = cli._load_config(ROOT / "configs" / "harmonic_n2_m2.cfg")
+    rm, R, _ = _linres_inputs(cfg)
+    inverted, inv = [], spm.sla.inv
+    with monkeypatch.context() as m:
+        m.setattr(spm.sla, "inv", lambda a: inverted.append(a) or inv(a))
+        spec = spm.eigensolve(rm, tol_zero=1.5, drive=R)
+    assert spec.eigensolver == "dense (an excitation at or below tol_zero)"
+    assert inverted == []
 
 
 def test_undriven_sector_refuses_its_modes(bos_m2_48):
