@@ -14,8 +14,10 @@ propcheck real-time propagation diagnostics of the differential conditions
 Configs are flat INI files with sections [system], [grid], [trap],
 [interaction], [solver], [perturbation]; every output embeds the resolved
 config and its SHA-256 so runs can be reproduced bit for bit.  Unusable
-input and a ``ValueError`` of the library (say, ``propcheck`` on a state of
-distinguishable DOFs) are one ``error:`` line on stderr and exit 1.
+input, an unwritable output path (``ground`` checks the directory of its
+checkpoint before it solves) and a ``ValueError`` of the library (say,
+``propcheck`` on a state of distinguishable DOFs) are one ``error:``
+line on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -256,6 +258,8 @@ def cmd_ground(args):
         print(f"# resumed from {out}")
         _print_state_summary(state, cfg_hash)
         return EXIT_OK
+    if not out.parent.is_dir():
+        raise ConfigError(f"cannot write checkpoint {out}: no such directory")
     state = _solve_from_config(cfg, statistics_override=args.statistics)
     ckpt.save_state(out, state)
     _print_state_summary(state, cfg_hash)
@@ -272,6 +276,8 @@ def cmd_linres(args):
     cfg, text = _load_config(args.config)
     cfg_hash = _config_hash(text)
     pert = _build_perturbation(cfg, state)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rm = li.assemble_L(state)
     R = li.build_R(state, pert, rm)
 
@@ -280,8 +286,6 @@ def cmd_linres(args):
         rm.layout.M_list, rm.layout.n_list, [len(n) for n, _ in rm.natural]))
     weights = spm.response_weights(spec, R)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = [f"config sha256 {cfg_hash}", f"checkpoint {args.checkpoint}",
               f"tol_zero {spec.tol_zero:.6g}"]
     spm.save_spectrum_csv(out_dir / "spectrum.csv", spec, weights, header,
@@ -450,7 +454,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except gs.NonConvergenceError as exc:

@@ -33,56 +33,51 @@ to machine precision, and P L P = L holds structurally.  P and M^(-1/2)
 are block diagonal and commute, so the u/C_u rows of L are formed from
 per-DOF block products of the u/C_u rows of L_raw; the v/C_v rows are
 their mirrors.  ``ResponseMatrix`` keeps L as its two RPA halves on
-range(P).  The trailing columns of the unitary of the complete QR of
-phi_j^T span the complement of the orbitals of DOF j; they are formed
-once per assembly as the dense n_j x (n_j - M_j) basis Q_j.  The
-complement of C, n_conf - 1 columns, is never formed: it is the columns
-H e_i, i != p, of the one Householder reflector H = I - h h^H that maps
-C onto its pivot row p.  Q_j on each orbital slot and H on C_u make the
-isometry B onto range(P) on x = (u, C_u).  The metric of DOF j is its
-one-body density U n U^H on the K_j natural orbitals U it keeps
-(``_response_matrix``); an empty orbital has no coordinates.  The halves
-are a = F^H L[x, x] F and b = F^H L[x, y] F*, with F = B U n^(-1/2) and
-y = (v, C_v), of size n = sum_j K_j (n_j - M_j) + N_conf - 1.
-``ResponseMatrix.lift`` applies B U or U^H B^H, per DOF one batched
-product with Q_j and one with U on the slot axis, and ``pull``
-n^(+-1/2) U^H B^H; the halves are pulled from both sides of the raw x
-rows, the second side through a transposed view that BLAS reads in
-place.  The one boundary between the 2n reduced coordinates and the
-D-space is the isometry T = B U on x and conj(B U) on y (``to_space``,
-``to_reduced``): L = T L_r T^H with L_r = [[a, b], [-b*, -a*]], and
-P M^p = T n^p T^H (``project``).  The dense D x D L and P are built only
-on demand.
+range(P).  The complement of the orbitals of DOF j is the dense
+n_j x (n_j - M_j) basis Q_j, the trailing columns of the unitary of the
+complete QR of phi_j^T; that of C is never formed: it is the columns
+H e_i, i != p, of the Householder reflector H = I - h h^H that maps C onto
+its pivot row p.  Q_j on each orbital slot and H on C_u make the isometry
+B onto range(P) on x = (u, C_u).  The metric of DOF j is its one-body
+density U n U^H on the K_j natural orbitals U it keeps; an empty orbital
+has no coordinates.  The halves are a = F^H L[x, x] F and
+b = F^H L[x, y] F*, F = B U n^(-1/2) and y = (v, C_v), of size
+n = sum_j K_j (n_j - M_j) + N_conf - 1.  The x rows split into parts, the
+orbital slots of each DOF j and C_u, with the row-side factors
+n^(-1/2) U^H Q_j^H and E^T H of F (``ResponseMatrix.parts``).  Each raw
+block is pulled on its rows by its part's factor, all its columns at
+once, and on its columns by the other part's, straight into its place in
+a or b (``_pull_blocks``): no buffer of a raw half.  ``lift``, ``pull``
+and the isometry T = B U on x and conj(B U) on y (``to_space``,
+``to_reduced``), the one boundary to the D-space, apply the same factors:
+L = T L_r T^H with L_r = [[a, b], [-b*, -a*]], and P M^p = T n^p T^H
+(``project``).  The dense D x D L and P are built only on demand.
 
 Mirror-parity sectors.  When every grid is symmetric about 0, every
 orbital is even or odd and C lies in one parity class of configurations
 (a configuration's parity is the product of those of its occupied
-orbitals), each to PARITY_TOL, the response of the reflection x -> -x
-splits into an even and an odd part, and the reduced coordinates are
-built to be each one or the other.  Per DOF the QR of the orbitals runs
-in the even/odd (butterfly) frame of the grid (``_mirror_frame``), the
-even orbitals first, each pivoted on a frame row of its own parity, so
-every complement column is even or odd; Q_j is taken back to the grid
-rows when it is formed.  The reflector of C is pivoted on the first row
-of its own class, so the other class passes through unchanged.
+orbitals), each to PARITY_TOL, the reduced coordinates are built to be
+even or odd.  Per DOF the QR of the orbitals runs in the even/odd
+(butterfly) frame of the grid (``_mirror_frame``), the even orbitals
+first, each pivoted on a frame row of its own parity, so every
+complement column is even or odd.  The reflector of C is pivoted on the
+first row of its own class, so the other class passes through unchanged.
 The natural orbitals take one parity each: those of rho, or of each
 parity block of rho where an even and an odd one share an occupation.
 ``ResponseMatrix.sectors`` records the sector of each reduced
 coordinate, the parity of its natural orbital times that of its
 complement column (+1 even, -1 odd); a and b are then block diagonal
 to rounding, and ``spectrum`` solves the sectors apart.  Without the
-symmetry the QR runs in the grid rows and every coordinate is in sector
-+1: one sector, the same code.
+symmetry every coordinate is in sector +1: one sector, the same code.
 
 Real arithmetic follows the problem: a real problem has float64
-operators, orbitals, C (``groundstate._ci_eigenpair``) and raw blocks from
-construction on, so the complements, the halves and the null vectors are
-real arrays.  Complex input (say a state whose arrays were cast to
-complex128; ``checkpoint.load_state`` already returns such a checkpoint
-as float64) meets the one realness test, in ``_response_matrix``: when no
-complex raw block, orbital, one-body density or coefficient has an
-imaginary part, their real parts are taken.  The spectrum reads the
-decision from the dtype of the halves.
+operators, orbitals, C and raw blocks from construction on, so the
+complements, the halves and the null vectors are real arrays.  Complex
+input (say a state whose arrays were cast to complex128) meets the one
+realness test, in ``_response_matrix``: when no complex raw block,
+orbital, one-body density or coefficient has an imaginary part, their
+real parts are taken.  The spectrum reads the decision from the dtype
+of the halves.
 """
 
 from __future__ import annotations
@@ -98,18 +93,9 @@ from . import linres_distinguishable as ld
 from .grid import discretize_kernel
 from .groundstate import FLOOR_FRACTION, GroundState, _require_converged
 
-__all__ = [
-    "ResponseLayout",
-    "ResponseMatrix",
-    "PerturbationSpec",
-    "build_oo_block",
-    "build_oc_co_blocks",
-    "build_cc_block",
-    "assemble_L",
-    "build_R",
-    "sigma1",
-    "sigma3",
-]
+__all__ = ["ResponseLayout", "ResponseMatrix", "PerturbationSpec",
+           "build_oo_block", "build_oc_co_blocks", "build_cc_block",
+           "assemble_L", "build_R", "sigma1", "sigma3"]
 
 STATISTICS_SIGN = {"boson": +1.0, "fermion": -1.0}
 # a grid, an orbital or C counts as mirror symmetric when its defect under
@@ -201,25 +187,20 @@ class ResponseMatrix:
     """Projected, metric-transformed response matrix with its ingredients.
 
     L = [[L_xx, L_xy], [-conj(L_xy), -conj(L_xx)]] on the x = (u, C_u) and
-    y = (v, C_v) sectors is kept as its halves on range(P): with B the
-    isometry from the reduced coordinates onto range(P) on x,
-    L_xx = B ``a`` B^H (``a`` Hermitian) and L_xy = B ``b`` B^T (``b``
-    symmetric).  ``bases`` holds, per DOF, Q_j, the dense orthonormal
-    basis of the complement of its orbitals (n_j x (n_j - M_j)), and B is
-    Q_j on each orbital slot of DOF j; ``householder`` holds (h, p) of the
-    reflector H = I - h h^H that maps C onto its pivot row p, and B is its
-    columns H e_i, i != p in ascending order, on C_u.  ``natural`` holds,
-    per DOF, the kept natural orbitals of the one-body density as
-    (occupations n, orbitals U as columns); the reduced slot coordinates
-    are these orbitals, so the lift is B U and empty orbitals have none.
-    ``lift`` and ``pull`` apply B U on the x rows; ``to_space`` and
-    ``to_reduced`` apply T, B U on x and conj(B U) on y, on all 2n reduced
-    coordinates, and ``L`` and ``project`` are built on them.  The
-    projector is T T^H, which is P where no orbital is empty, and the
-    metric powers are U n^(+-1/2) U^H.  ``sectors`` holds the mirror-parity
-    sector (+1 even, -1 odd) of every reduced coordinate (module
-    docstring).  ``state`` is the ``GroundState`` the response is
-    linearized about, of either particle kind.
+    y = (v, C_v) sectors is kept as its halves on range(P), with B the
+    isometry from the reduced coordinates onto range(P) on x:
+    L_xx = B ``a`` B^H (``a`` Hermitian), L_xy = B ``b`` B^T (``b``
+    symmetric).  B is, per DOF j, Q_j (``bases``) on each orbital slot and,
+    on C_u, the columns H e_i, i != p in ascending order, of the reflector
+    H = I - h h^H (``householder`` (h, p)).  ``natural`` holds per DOF the
+    kept natural orbitals (occupations n, orbitals U as columns), the
+    reduced slot coordinates, so the lift is B U.  ``lift`` and ``pull``
+    apply B U on the x rows, ``to_space`` and ``to_reduced`` T on all 2n
+    reduced coordinates.  The projector is T T^H, which is P where no
+    orbital is empty, and the metric powers are U n^(+-1/2) U^H.
+    ``sectors`` holds the mirror-parity sector (+1 even, -1 odd) of every
+    reduced coordinate; ``state`` is the ``GroundState`` of either
+    particle kind that the response is linearized about.
     """
 
     layout: ResponseLayout
@@ -242,51 +223,33 @@ class ResponseMatrix:
         """max(|a|, |b|), that of L (its y rows mirror the x rows)."""
         return max(_absmax(self.a), _absmax(self.b))
 
+    def parts(self, power: float = 0.0) -> list:
+        """(factor, x rows, reduced rows) of each part of the x rows: per
+        DOF j its orbital slots, (U n^power, Q_j) with its kept natural
+        orbitals U scaled by their occupations (``natural``) and Q_j
+        (``bases``), then C_u, (h, p) (``householder``)."""
+        out, x, r = [], 0, 0
+        for (occ, U), Q in zip(self.natural, self.bases):
+            dx, dr = len(U) * len(Q), U.shape[1] * Q.shape[1]
+            out.append(((U * occ ** power, Q), slice(x, x + dx),
+                        slice(r, r + dr)))
+            x, r = x + dx, r + dr
+        c = len(self.householder[0])
+        return out + [(self.householder, slice(x, x + c), slice(r, r + c - 1))]
+
     def lift(self, v: np.ndarray, adjoint: bool = False,
              power: float = 0.0) -> np.ndarray:
         """B U n^power v from the reduced coordinates to the x rows, or
-        n^power U^H B^H v back with ``adjoint``.  Per DOF j, one batched
-        product with Q_j (``bases``; Q_j^H for the adjoint) over the
-        orbital slots and one with U n^power, its kept natural orbitals
-        scaled by their occupations (``natural``), on the slot axis, which
-        maps the reduced slots to the M_j orbital slots.  On C_u, B v = H E v
-        and B^H x = E^T H x, H = I - h h^H from ``householder`` (h, p) and E
-        the embedding into the rows other than p: one (1 x c) product h^H s,
-        its rank-one update written in place, and s added in the two row
-        slices around p.  ``v`` is a matrix, one vector per column; a
-        transposed view is read in place."""
-        (h, p), c = self.householder, v.shape[1]
-        parts = [(U * occ ** power, Q) for (occ, U), Q in zip(self.natural,
-                                                             self.bases)]
-        sizes = [(len(U) * len(Q), U.shape[1] * Q.shape[1]) for U, Q in parts]
-        out = np.empty((sum(r if adjoint else f for f, r in sizes)
-                        + len(h) - (1 if adjoint else 0), c),
-                       dtype=np.result_type(v, h, *(m for q in parts
-                                                    for m in q)))
-        i = o = 0
-        for (U, Q), (full, reduced) in zip(parts, sizes):
-            (M, K), r = U.shape, Q.shape[1]
-            a, b = (full, reduced) if adjoint else (reduced, full)
-            s, y = v[i:i + a], out[o:o + b]
-            if adjoint:
-                g = np.matmul(Q.conj().T, s.reshape(M, len(Q), c))
-                np.matmul(U.conj().T, g.reshape(M, -1), out=y.reshape(K, -1))
-            else:
-                t = np.matmul(Q, s.reshape(K, r, c))
-                np.matmul(U, t.reshape(K, -1), out=y.reshape(M, -1))
-            i, o = i + a, o + b
-        s, y = v[i:], out[o:]
-        if adjoint:
-            t = (h.conj() @ s)[None]
-            np.matmul(h[:p, None], t, out=y[:p])
-            np.matmul(h[p + 1:, None], t, out=y[p:])
-            np.subtract(s[:p], y[:p], out=y[:p])
-            np.subtract(s[p + 1:], y[p:], out=y[p:])
-        else:
-            t = h[:p].conj() @ s[:p] + h[p + 1:].conj() @ s[p:]
-            np.matmul(h[:, None], -t[None], out=y)
-            y[:p] += s[:p]
-            y[p + 1:] += s[p:]
+        n^power U^H B^H v back with ``adjoint``: the factor of each part
+        on its rows (``parts``, ``_apply_part``).  ``v`` is a matrix, one
+        vector per column; a transposed view is read in place."""
+        parts = self.parts(power)
+        out = np.empty((parts[-1][2 if adjoint else 1].stop, v.shape[1]),
+                       dtype=np.result_type(v, *(m for f, *_ in parts
+                                                 for m in f)))
+        for f, x, r in parts:
+            _apply_part(f, v[x if adjoint else r], out[r if adjoint else x],
+                        adjoint)
         return out
 
     def pull(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
@@ -309,11 +272,10 @@ class ResponseMatrix:
     def to_reduced(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
         """n^power T^H x: ``pull`` of the (u, C_u) rows of the columns ``x``
         over its conjugate of the (v, C_v) rows, in one ``pull``."""
-        lay, k = self.layout, x.shape[1]
-        o = lay.orb
-        xs = np.concatenate([x[:o], x[lay.cu_slice]])
-        ys = np.concatenate([x[o:2 * o], x[lay.cv_slice]]).conj()
-        p = self.pull(np.hstack([xs, ys]), power)
+        lay, k, o = self.layout, x.shape[1], self.layout.orb
+        xs, ys = (np.concatenate([x[i:i + o], x[c]]) for i, c in
+                  ((0, lay.cu_slice), (o, lay.cv_slice)))
+        p = self.pull(np.hstack([xs, ys.conj()]), power)
         return np.vstack([p[:, :k], p[:, k:].conj()])
 
     @property
@@ -627,23 +589,70 @@ def _response_matrix(state, blocks) -> ResponseMatrix:
                         metric_clipped=sum(len(o) for o, _ in natural)
                         < sum(layout.M_list),
                         null_vectors=_null_vectors(layout, phis, C))
-    # with F = M^(-1/2) B U: a = F^H L_raw[x, x] F and b = F^H L_raw[x, y]
-    # F*; one buffer holds each raw half in turn, let go before the last pull
+    # with F = B U n^(-1/2): a = F^H L_raw[x, x] F and b = F^H L_raw[x, y] F*
+    # (its C_u-C_v block is zero), pulled block by block into place; the
+    # inputs of a are let go before b is formed
+    f = rm.parts(-0.5)
+    dtype = np.result_type(*blocks, *(m for p, *_ in f for m in p))
     A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
-    raw = np.empty((len(A) + len(cc_u),) * 2, dtype=np.result_type(*blocks))
-    rm.a = rm.pull(rm.pull(_block2(raw, A, Loc_u, Lco_u, cc_u), -0.5)
-                   .conj().T, -0.5).conj().T
-    raw = rm.pull(_block2(raw, B, Loc_v, Lco_v, 0.0), -0.5)
-    rm.b = rm.pull(raw.T, -0.5).T
+    del blocks
+    g = [(tuple(m.conjugate() for m in p), x, r) for p, x, r in f]
+    n = f[-1][2].stop
+    rm.a = _pull_blocks(np.zeros((n, n), dtype), [
+        (A, f[:-1], g[:-1]), (Loc_u, f[:-1], g[-1:]), (Lco_u, f[-1:], g[:-1]),
+        (cc_u, f[-1:], g[-1:])])
+    del A, Loc_u, Lco_u, cc_u
+    rm.b = _pull_blocks(np.zeros((n, n), dtype), [
+        (B, f[:-1], f[:-1]), (Loc_v, f[:-1], f[-1:]), (Lco_v, f[-1:], f[:-1])])
     return rm
 
 
-def _block2(out, top_left, top_right, bottom_left, bottom_right):
-    """Fill [[top_left, top_right], [bottom_left, bottom_right]] into
-    ``out`` and return it; ``bottom_right`` may be a scalar."""
-    k = len(top_left)
-    out[:k, :k], out[:k, k:] = top_left, top_right
-    out[k:, :k], out[k:, k:] = bottom_left, bottom_right
+def _apply_part(part, s, out, adjoint):
+    """One part's factor (``ResponseMatrix.parts``) on the columns of ``s``,
+    into ``out``: for a DOF, (F, Q), F Q or F^H Q^H with ``adjoint``, a
+    batched product with Q over the slots and one with F on the slot axis;
+    for C, (h, p), H E or E^T H with E the embedding into the rows other
+    than p, one product h^H s and its rank-one update written in place."""
+    f, q = part
+    c = s.shape[1]
+    if np.ndim(q):
+        (M, K), (n, r) = f.shape, q.shape
+        if adjoint:
+            g = np.matmul(q.conj().T, s.reshape(M, n, c)).reshape(M, r * c)
+            if out.flags.c_contiguous:
+                np.matmul(f.conj().T, g, out=out.reshape(K, r * c))
+            else:
+                out[...] = np.matmul(f.conj().T, g).reshape(K * r, c)
+        else:
+            g = np.matmul(q, s.reshape(K, r, c))
+            np.matmul(f, g.reshape(K, n * c), out=out.reshape(M, n * c))
+    elif adjoint:
+        t = (f.conj() @ s)[None]
+        np.matmul(f[:q, None], t, out=out[:q])
+        np.matmul(f[q + 1:, None], t, out=out[q:])
+        np.subtract(s[:q], out[:q], out=out[:q])
+        np.subtract(s[q + 1:], out[q:], out=out[q:])
+    else:
+        t = f[:q].conj() @ s[:q] + f[q + 1:].conj() @ s[q:]
+        np.matmul(f[:, None], -t[None], out=out)
+        out[:q] += s[:q]
+        out[q + 1:] += s[q:]
+
+
+def _pull_blocks(out, blocks):
+    """F_i^H X G_k^* into ``out`` at the reduced rows of parts i and k, for
+    each raw block (X, its row parts, its column parts) of F and of G (F or
+    its conjugate): per row part one pull of its rows of X, all columns at
+    once, into t; per column part one of its rows of t^T into the
+    transposed view of the block.  Returns ``out``."""
+    for X, rows, cols in blocks:
+        r0, c0 = rows[0][1].start, cols[0][1].start
+        for f, x, r in rows:
+            t = np.empty((r.stop - r.start, X.shape[1]), out.dtype)
+            _apply_part(f, X[x.start - r0:x.stop - r0], t, True)
+            for g, y, s in cols:
+                _apply_part(g, t[:, y.start - c0:y.stop - c0].T, out[r, s].T,
+                            True)
     return out
 
 

@@ -41,40 +41,36 @@ spread of the w.  The solve stops at the eigenvectors Z: V = [X; Y] stays
 factored as K, Z and w (``RPAFactors``).
 
 Parity sectors.  For a mirror-symmetric problem the assembly labels each
-reduced coordinate even or odd (``ResponseMatrix.sectors``, see
-``linres_identical``), and a and b have no entries between the sectors
-beyond rounding.  ``parity_sectors`` checks that: when the Frobenius norm
-of an off-sector block of a or of b exceeds SECTOR_TOL max|L| (1e-10), the
-problem is solved as one sector.  Below the gate, dropping the blocks
-moves a - b and a + b by at most 2 sqrt(2) SECTOR_TOL max|L| in the
-2-norm, and the
-half-size solve runs once per sector: one Cholesky factor, one lower
-product and one ``eigh`` of about half the size each.  The sectors' modes
-are merged in ascending order, and ``RPAFactors`` keeps K and Z per sector
-with the reduced rows and the modes it covers, so the weights, the
-reconstruction and both CSV files read the same products as before.  A
-problem without the symmetry is one sector and runs the same code.  A
-probe of definite parity drives the modes of its own sector only:
-``eigensolve`` takes the driving vectors whose weights and reconstruction
-will be read (``drive``; None keeps every vector, no columns none), and a
-sector whose part of r = T^H R has a norm of at most SECTOR_TOL |r| for
-every column R is undriven.  Its lower product goes to ``eigvalsh``; it
-keeps no K, Z or inverted blocks, and its modes get exact zero weights,
-while ``RPAFactors`` refuses (ValueError) a nonzero coefficient on them or
-a component above the gate in their rows.  Driven sectors, so every
-one-sector problem with a nonzero drive, and the dense path run as before.
+reduced coordinate even or odd (``ResponseMatrix.sectors``), and a and b
+have no entries between the sectors beyond rounding.  ``parity_sectors``
+checks that, gathering each off-sector block of a and of b once
+(one fancy index): when a Frobenius norm exceeds SECTOR_TOL max|L| (1e-10),
+the problem is one sector.  Below the gate, dropping the blocks moves
+a - b and a + b by at most 2 sqrt(2) SECTOR_TOL max|L| in the 2-norm,
+and the half-size solve runs per sector on its blocks of a and b, each
+gathered once, with a - b and then (a - b) + 2 b formed in place in the
+copy of a: one Cholesky factor, one lower product and one ``eigh`` of
+about half the size each.  The modes are merged in ascending order, and
+``RPAFactors`` keeps K and Z per sector with its reduced rows and modes.
+A probe of definite parity drives the modes of its own sector only:
+``eigensolve`` takes the driving vectors whose weights and
+reconstruction will be read (``drive``; None keeps every vector, no
+columns none), and a sector whose part of r = T^H R has a norm of at
+most SECTOR_TOL |r| for every column R is undriven.  Its lower product
+goes to ``eigvalsh``, with no K, Z or inverted blocks kept; its modes get
+exact zero weights, and ``RPAFactors`` refuses (ValueError) a nonzero
+coefficient on them or a component above the gate in their rows.
 
 The reduction is used when the halves are real arrays (the assembly
-decides realness once, from the problem; see ``linres_identical``), their
-Sigma3 defect is below 1e-9 max|L|, a - b and a + b are positive definite
-and every w lies above tol_zero.  Otherwise (a complex problem, an
-unstable state, an excitation at or below tol_zero) ``eig`` runs on the
-dense L_r, always as one sector, and V is its 2n x k array of retained
-vectors (``ReducedVectors``); there degenerate clusters are rotated to make the
-pseudo-metric diagonal inside the cluster, which keeps biorthogonality
-exact under degeneracy.  The checks take max|L| = max(|a|, |b|) once
-(``ResponseMatrix.scale``) without |.| arrays; both CSV files are written
-from one text table.
+decides realness once, from the problem), their Sigma3 defect is below
+1e-9 max|L|, a - b and a + b are positive definite and every w lies above
+tol_zero.  Otherwise (a complex problem, an unstable state, an excitation
+at or below tol_zero) ``eig`` runs on the dense L_r as one sector, and V
+is its 2n x k array of retained vectors (``ReducedVectors``); degenerate
+clusters are rotated to make the pseudo-metric diagonal inside the
+cluster, which keeps biorthogonality exact.  The checks take
+max|L| = max(|a|, |b|) once (``ResponseMatrix.scale``) without |.|
+arrays; both CSV files are written from one text table.
 """
 
 from __future__ import annotations
@@ -262,16 +258,6 @@ class LRSpectrum:
         R I, built on first access and kept."""
         return self.right_times(np.eye(len(self.retained)))
 
-    @property
-    def left(self) -> np.ndarray:
-        """Left vectors Sigma3 R sng of the retained modes."""
-        return sigma3(self.rm.layout)[:, None] * self.right * self.sng
-
-    @property
-    def right_neg(self) -> np.ndarray:
-        """Right vectors Sigma1 conj(R) of the negative partners."""
-        return self.right.conj()[sigma1(self.rm.layout)]
-
     def right_times(self, c: np.ndarray) -> np.ndarray:
         """R c = T (V c) for coefficient columns ``c`` over the retained
         modes."""
@@ -340,7 +326,7 @@ def parity_sectors(rm: ResponseMatrix) -> list:
         return [np.arange(n)]
     even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
     gate = SECTOR_TOL * rm.scale
-    if len(even) and len(odd) and max(np.linalg.norm(m[even][:, odd])
+    if len(even) and len(odd) and max(np.linalg.norm(m[even[:, None], odd])
                                       for m in (rm.a, rm.b)) <= gate:
         return [even, odd]
     return [np.arange(n)]
@@ -376,15 +362,20 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, drive):
     one, driven = len(groups) == 1, _driven(rm, groups, drive)
     solves = []
     for g, vectors in zip(groups, driven):
-        ag, bg = (a, b) if one else (a[g][:, g], b[g][:, g])
+        # a - b and then (a - b) + 2 b in place in a copy of the sector
+        # block of a, gathered once, as is that of b
+        d, bg = (a.copy(), b) if one else (a[g[:, None], g], b[g[:, None], g])
+        d -= bg
         try:
-            K = sla.cholesky(ag - bg)
+            K = sla.cholesky(d)
         except sla.LinAlgError:
             raise _NoReduction("A - B not positive definite") from None
+        d += 2.0 * bg
         # numpy's eigh is LAPACK's divide and conquer (syevd); the MRRR
         # driver is ~3x slower on the clustered spectra of coupled
         # oscillators
-        S = _lower_product(K, ag + bg)
+        S = _lower_product(K, d)
+        del d, bg
         solves.append((g, K, *sla.eigh(S)) if vectors
                       else (g, None, sla.eigvalsh(S), None))
     w2 = np.concatenate([w for *_, w, _ in solves])
@@ -591,10 +582,6 @@ class Reconstruction:
     def dphi(self, t: float) -> np.ndarray:
         return (self.dphi_minus * np.exp(-1j * self.omega * t)
                 + self.dphi_plus * np.exp(+1j * self.omega * t))
-
-    def dC(self, t: float) -> np.ndarray:
-        return (self.dC_minus * np.exp(-1j * self.omega * t)
-                + self.dC_plus * np.exp(+1j * self.omega * t))
 
     def orbital_norms(self, t: float = 0.0) -> np.ndarray:
         d = self.dphi(t)

@@ -26,9 +26,11 @@ products with the stored right vectors, the per-field CSV writers of
 the spectrum, the one-sector solve the parity sectors are checked
 against, the butterfly frame, row swap and compact-WY application of the
 complements that the dense bases and the reflector of C are checked
-against, and the symmetry defects from full n x n differences.
+against, the halves pulled through one buffer of each raw half, and
+the symmetry defects from full n x n differences.
 Layout, spectrum and reconstruction accessors that only tests read (the
-row indices of the halves, the v slot of one orbital, the left vectors of the negative partners, the
+row indices of the halves, the v slot of one orbital, the left vectors of
+the modes and the right and left vectors of their negative partners, the
 expansion rows of the driven wavefunction) are functions here.
 """
 
@@ -640,6 +642,29 @@ def dense_raw(layout, blocks):
     return raw
 
 
+def _block2(out, top_left, top_right, bottom_left, bottom_right):
+    """Fill [[top_left, top_right], [bottom_left, bottom_right]] into
+    ``out`` and return it; ``bottom_right`` may be a scalar."""
+    k = len(top_left)
+    out[:k, :k], out[:k, k:] = top_left, top_right
+    out[k:, :k], out[k:, k:] = bottom_left, bottom_right
+    return out
+
+
+def raw_halves(rm, blocks):
+    """(a, b) from the raw ``blocks`` through one (orb + n_conf)^2 buffer:
+    each raw half L_raw[x, x], L_raw[x, y] filled into it (``_block2``),
+    pulled on its x rows by n^(-1/2) U^H B^H (``rm.pull``) over its full
+    width, and the n x (orb + n_conf) result pulled again through its
+    transposed view.  The block-by-block assembly is checked against it."""
+    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
+    raw = np.empty((len(A) + len(cc_u),) * 2, dtype=np.result_type(*blocks))
+    a = rm.pull(rm.pull(_block2(raw, A, Loc_u, Lco_u, cc_u), -0.5)
+                .conj().T, -0.5).conj().T
+    raw = rm.pull(_block2(raw, B, Loc_v, Lco_v, 0.0), -0.5)
+    return a, rm.pull(raw.T, -0.5).T
+
+
 def natural_power(rho, power):
     """rho^power on the natural orbitals of ``rho`` with occupation at least
     FLOOR_FRACTION tr rho, 0 on the empty ones; the exact identity for
@@ -854,9 +879,25 @@ def reconstruct_right(spec, weights, omega):
             cv @ minus.conj() + cu @ plus.conj())
 
 
+def left(spec):
+    """Left vectors Sigma3 R sng of the retained modes."""
+    return li.sigma3(spec.rm.layout)[:, None] * spec.right * spec.sng
+
+
+def right_neg(spec):
+    """Right vectors Sigma1 conj(R) of the negative partners."""
+    return spec.right.conj()[li.sigma1(spec.rm.layout)]
+
+
 def left_neg(spec):
     """Left vectors Sigma1 conj(Sigma3 R sng) of the negative partners."""
-    return spec.left.conj()[li.sigma1(spec.rm.layout)]
+    return left(spec).conj()[li.sigma1(spec.rm.layout)]
+
+
+def dC(rec, t):
+    """The driven first-order coefficients of ``rec`` at time t."""
+    return (rec.dC_minus * np.exp(-1j * rec.omega * t)
+            + rec.dC_plus * np.exp(+1j * rec.omega * t))
 
 
 def wavefunction_terms(rec, t=0.0):
@@ -871,7 +912,7 @@ def wavefunction_terms(rec, t=0.0):
     state = rec.state
     space = state.space
     norms = np.sqrt(rec.orbital_norms(t))
-    dc = rec.dC(t)
+    dc = dC(rec, t)
     rows = []
     fermion = space.statistics == "fermion"
     for i, occ in enumerate(space.configs):

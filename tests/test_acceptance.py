@@ -178,8 +178,8 @@ def test_criterion_09_biorthogonality_and_pairing(bos_m1, bos_m2, bos_m3,
     for rm, _ in rosters:
         spec = spm.eigensolve(rm)
         n = len(spec.retained)
-        b1 = spec.left.conj().T @ spec.right - np.eye(n)
-        b2 = spec.left.conj().T @ spec.right_neg
+        b1 = lo.left(spec).conj().T @ spec.right - np.eye(n)
+        b2 = lo.left(spec).conj().T @ lo.right_neg(spec)
         worst_bi = max(worst_bi, np.abs(b1).max(), np.abs(b2).max())
         worst_pair = max(worst_pair, spec.pairing_residual)
     ok = worst_bi < 1e-8 and worst_pair < 1e-8

@@ -56,6 +56,36 @@ def test_ground_missing_key_names_it(tmp_path, capsys):
     assert "orbitals" in err
 
 
+def test_ground_checkpoint_in_missing_directory(tmp_path, capsys,
+                                               monkeypatch):
+    # refused before the solve: one error line, exit 1
+    def solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(cli, "_solve_from_config", solve)
+    ck = tmp_path / "missing" / "x.ckpt"
+    code, out, err = _run(capsys, [
+        "ground", "--config", str(CONFIGS / "harmonic_n2_m2.cfg"),
+        "--checkpoint", str(ck)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write checkpoint {ck}")
+    assert len(err.splitlines()) == 1
+
+
+def test_linres_out_dir_that_is_a_file(tmp_path, capsys):
+    ck, cfg = tmp_path / "state.ckpt", str(CONFIGS / "harmonic_n2_m2.cfg")
+    assert _run(capsys, ["ground", "--config", cfg,
+                         "--checkpoint", str(ck)])[0] == 0
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    code, out, err = _run(capsys, ["linres", "--checkpoint", str(ck),
+                                   "--config", cfg, "--out-dir", str(taken)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(taken) in err
+    assert len(err.splitlines()) == 1
+    assert taken.read_text() == "a file"
+
+
 def test_ground_nonconvergence_exit_code(tmp_path, capsys):
     cfg = tmp_path / "hard.cfg"
     cfg.write_text((CONFIGS / "harmonic_n2_m2.cfg").read_text()

@@ -108,8 +108,8 @@ def test_biorthogonality_dist(dist_44):
     rm = li.assemble_L(dist_44)
     spec = spm.eigensolve(rm)
     n_ret = len(spec.retained)
-    b1 = spec.left.conj().T @ spec.right - np.eye(n_ret)
-    b2 = spec.left.conj().T @ spec.right_neg
+    b1 = lo.left(spec).conj().T @ spec.right - np.eye(n_ret)
+    b2 = lo.left(spec).conj().T @ lo.right_neg(spec)
     assert np.abs(b1).max() < 1e-8
     assert np.abs(b2).max() < 1e-8
 

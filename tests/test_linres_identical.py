@@ -1,13 +1,14 @@
 """Block structure and physics of the identical-particle response matrix."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mclr import (OneBodyOperator, TwoBodyKernel, kinetic_matrix,
-                  position_operator)
+from mclr import (OneBodyOperator, PairCoupling, TwoBodyKernel, build_grid,
+                  kinetic_matrix, position_operator)
 from mclr import fockspace as fs
 from mclr import groundstate as gs
 from mclr import hamiltonian as ham
@@ -16,6 +17,7 @@ from mclr import oracle as orc
 from mclr import spectrum as spm
 
 import loop_oracles as lo
+from conftest import oscillator_h
 
 
 def test_layout_partition(bos_m2):
@@ -84,25 +86,94 @@ def test_cc_block_gaps_are_ci_excitations(bos_m2):
     assert np.allclose(got, gaps, atol=1e-9)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_cc_block_and_block_fill_are_exact(dtype):
-    # the in-place forms equal the textbook expressions bit for bit
+def _random_h(dtype):
     rng = np.random.default_rng(7)
     H = rng.normal(size=(6, 6)).astype(dtype)
     if dtype is complex:
         H += 1j * rng.normal(size=(6, 6))
-    C = rng.normal(size=6) / 3
+    return H, rng.normal(size=6) / 3
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cc_block_is_exact(dtype):
+    # the in-place form equals the textbook expression bit for bit
+    H, C = _random_h(dtype)
     herm = 0.5 * (H + H.conj().T)
     eps = float(np.real(np.vdot(C, herm @ C)))
     np.testing.assert_array_equal(li._cc_block(H, C), herm - eps * np.eye(6))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_raw_buffer_fill_is_exact(dtype):
+    # the buffer fill of the raw-half oracle equals np.block bit for bit
+    H, _ = _random_h(dtype)
     tl, tr, bl = H[:4, :4], H[:4, :2].real, H[4:, :4]
     out = np.empty((6, 6), dtype=dtype)
-    np.testing.assert_array_equal(li._block2(out, tl, tr, bl, H[4:, 4:]),
+    np.testing.assert_array_equal(lo._block2(out, tl, tr, bl, H[4:, 4:]),
                                   np.block([[tl, tr], [bl, H[4:, 4:]]]))
     # a second fill of the same buffer leaves nothing of the first
-    assert li._block2(out, tl, tr, bl, 0.0) is out
+    assert lo._block2(out, tl, tr, bl, 0.0) is out
     np.testing.assert_array_equal(
         out, np.block([[tl, tr], [bl, np.zeros((2, 2))]]))
+
+
+def _coupled(M_list, points, pair):
+    """Converged bilinearly coupled oscillators, one grid per DOF."""
+    grids = [build_grid(n, -8.0, 8.0) for n in points]
+    return gs.solve_mch_dist(
+        fs.enumerate_configs("distinguishable", M_list=M_list), grids,
+        [oscillator_h(g) for g in grids],
+        PairCoupling.bilinear(grids, *pair, 0.2))
+
+
+@pytest.fixture(scope="module")
+def more_states():
+    # a trapped pair on a mirror-broken grid (one sector), two DOFs of
+    # different shapes, and three DOFs coupled by the pair term 1-3 only
+    grid = build_grid(64, -7.5, 8.5)
+    return {"mirror_broken": gs.solve_mchx(
+                fs.enumerate_configs("boson", N=2, M=2), grid,
+                oscillator_h(grid), TwoBodyKernel("contact", strength=0.1)),
+            "m34": _coupled((3, 4), (40, 48), (0, 1)),
+            "m333_pair13": _coupled((3, 3, 3), (32, 32, 32), (0, 2))}
+
+
+@pytest.mark.parametrize("fixture", [
+    "bos_m2", "ferm_m3", "dist_11", "dist_44", "bos_m2_complex_gauge",
+    "mirror_broken", "m34", "m333_pair13"])
+def test_halves_match_raw_buffer_oracle(fixture, request, more_states):
+    # the halves pulled block by block against the pull of each whole raw
+    # half through one buffer, and so their Sigma3 defects
+    st = (more_states[fixture] if fixture in more_states
+          else request.getfixturevalue(fixture))
+    rm = li.assemble_L(st)
+    a, b = lo.raw_halves(rm, lo.raw_blocks(st))
+    scale = rm.scale
+    assert a.dtype == rm.a.dtype and b.dtype == rm.b.dtype
+    assert np.abs(rm.a - a).max() <= 1e-14 * scale
+    assert np.abs(rm.b - b).max() <= 1e-14 * scale
+    got = spm.symmetry_defects(rm)[1]
+    want = spm.symmetry_defects(dataclasses.replace(rm, a=a, b=b))[1]
+    assert abs(got - want) <= 1e-14 * scale
+
+
+def test_assembly_holds_no_raw_half_buffer(dist_44):
+    # above the memory at its entry, the assembly of the halves holds a and
+    # b and, as transients, less than one raw orbital block A: no buffer of
+    # a raw half, (orb + n_conf)^2, and no n x (orb + n_conf) intermediate.
+    # The raw blocks are handed over (CPython 3.11 passes a call's
+    # arguments to the callee), so the inputs of a can go before b is formed
+    tracemalloc.start()
+    try:
+        held = [lo.raw_blocks(dist_44)]
+        orb_block = held[0][0].nbytes
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        rm = li._response_matrix(dist_44, held.pop())
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < rm.a.nbytes + rm.b.nbytes + orb_block
 
 
 def test_assembled_dimension_and_projection(bos_m2):
