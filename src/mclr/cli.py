@@ -16,8 +16,8 @@ Configs are flat INI files with sections [system], [grid], [trap],
 config and its SHA-256 so runs can be reproduced bit for bit.  Unusable
 input, an unwritable output path (``ground`` checks the directory of its
 checkpoint before it solves) and a ``ValueError`` of the library (say,
-``propcheck`` on a state of distinguishable DOFs) are one ``error:``
-line on stderr and exit 1.
+``linres`` on a checkpoint whose state is not converged) are one
+``error:`` line on stderr and exit 1.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ __all__ = [
 
 
 class ConfigSpace:
-    """Enumerated many-body configuration basis with rank/unrank tables."""
+    """Enumerated many-body configuration basis, ``configs`` in index order."""
 
     def __init__(self, statistics, configs, N=None, M=None, M_list=None):
         self.statistics = statistics
@@ -55,18 +55,11 @@ class ConfigSpace:
         self.M = M
         self.M_list = M_list
         self.size = len(configs)
-        self.index = {c: i for i, c in enumerate(configs)}
 
     @cached_property
     def table(self) -> "OperatorTable":
         """Compiled operator table of an identical-particle space."""
         return _compile(self)
-
-    def rank(self, config) -> int:
-        return self.index[tuple(config)]
-
-    def unrank(self, i: int):
-        return self.configs[i]
 
     @property
     def identical(self) -> bool:

@@ -63,14 +63,15 @@ Rep. 324, 1 (2000)).  Only the interaction differs in kind: a
 identical particles, a ``PairCoupling``, ``AllBodyTable`` or None across
 distinguishable DOFs.  The solvers differ only in their initial orbitals:
 ``_stationary_state`` builds the configuration eigenpair and the orbital
-right-hand side once for both kinds, from ``ham.hamiltonian_matrix`` and
-``ham.mean_field_plans`` on the interaction operand (``_operand``: the
-kernel matrix, or the coupling).
+right-hand side (``_orbital_plan``) once for both kinds, on the interaction
+operand (``_operand``: the kernel matrix, or the coupling).  The real-time
+check (``propagate_check``) moves every DOF's orbitals by the same plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -288,10 +289,8 @@ def _lowest_eigenpair(space, sets, h_ops, interaction, v0=None):
         return _ci_eigenpair(
             ham.hamiltonian_matrix(space, sets, h_ops, interaction))
     from scipy.sparse import csr_matrix
-    h = ham.one_body_elements(sets[0], h_ops[0])
-    W = None if interaction is None else ham.two_body_tensor(sets[0],
-                                                             interaction)
-    dst, src, w = fs._second_quantized_entries(space, h, W)
+    dst, src, w = fs._second_quantized_entries(
+        space, *ham._identical_elements(space, sets, h_ops, interaction))
     # repeated (dst, src) entries are summed once here, not per matvec
     return _ci_eigenpair(csr_matrix((w, (dst, src)), shape=(space.size,) * 2),
                          v0)
@@ -507,28 +506,36 @@ def solve_mch_dist(space: ConfigSpace, grids, h_ops, coupling,
     return _stationary_state(space, h_ops, coupling, None, sets, h_eigs, opts)
 
 
+def _density_floor(space) -> float:
+    """The floor of rho's eigenvalues in rho^-1: ``FLOOR_FRACTION`` tr rho."""
+    return FLOOR_FRACTION * (space.N if space.identical else 1)
+
+
+def _orbital_plan(space, h_ops, operand, weights, C):
+    """(rho2, ``OrbitalRHS``) of C for either particle kind: its densities
+    and the mean fields of ``ham.mean_field_plans`` on ``operand``."""
+    rho1, rho2 = _densities(space, C)
+    fields = ham.mean_field_plans(space, C, rho2, operand, weights)
+    return rho2, OrbitalRHS(rho1, h_ops, weights, fields)
+
+
 def _stationary_state(space, h_ops, interaction, kernel_matrix, sets, h_eigs,
                       opts) -> GroundState:
     """``_self_consistent`` from ``sets``, then the state with the
     multipliers mu_kq = <phi_q|g_k> of each DOF, g the unprojected
     right-hand side, and their hermiticity defect ``mu_defect``.  The
     configuration eigenpair and the orbital right-hand side come from
-    ``ham.hamiltonian_matrix`` and ``ham.mean_field_plans`` for either
-    particle kind; the density floor is ``FLOOR_FRACTION`` tr rho."""
+    ``ham.hamiltonian_matrix`` and ``_orbital_plan`` for either particle
+    kind; the density floor is ``_density_floor``."""
     operand = _operand(space, interaction, kernel_matrix)
     weights = [s.grid.weight for s in sets]
 
     def ci(cur_sets, C):
         return _lowest_eigenpair(space, cur_sets, h_ops, operand, v0=C)
 
-    def plan(C):
-        rho1, rho2 = _densities(space, C)
-        fields = ham.mean_field_plans(space, C, rho2, operand, weights)
-        return rho2, OrbitalRHS(rho1, h_ops, weights, fields)
-
-    floor = FLOOR_FRACTION * (space.N if space.identical else 1)
     sets, energy, C, rho2, rhs, residuals = _self_consistent(
-        space, sets, h_eigs, opts or SolverOptions(), floor, ci, plan)
+        space, sets, h_eigs, opts or SolverOptions(), _density_floor(space),
+        ci, partial(_orbital_plan, space, h_ops, operand, weights))
     raw = rhs.unstack(rhs(rhs.stack([s.orbitals for s in sets]), False))
     mu = [s.grid.weight * (g @ s.orbitals.conj().T) for s, g in zip(sets, raw)]
     residuals["mu_defect"] = max(float(np.abs(m - m.conj().T).max()) for m in mu)
@@ -543,86 +550,82 @@ def _stationary_state(space, h_ops, interaction, kernel_matrix, sets, h_eigs,
 # real-time propagation check
 
 
-def _propagation_needs_identical(state):
-    if not state.space.identical:
-        raise ValueError("propagation check supports identical-particle "
-                         "checkpoints only")
-
-
 def perturbed_state(state: GroundState, eta: float, seed: int = 0) -> GroundState:
-    """Copy of the state with a small random, properly normalized distortion."""
-    _propagation_needs_identical(state)
+    """Copy of the state with a small random distortion of the orbitals of
+    every DOF and of C, orthonormalized and normalized again."""
     rng = np.random.default_rng(seed)
-    (orbs,) = state.sets
-    phi = orbs.orbitals
-    noise = rng.standard_normal(phi.shape) + 1j * rng.standard_normal(phi.shape)
-    orbs = OrbitalSet(phi + eta * noise, orbs.grid).orthonormalized()
-    dc = rng.standard_normal(state.C.shape) + 1j * rng.standard_normal(state.C.shape)
-    C = state.C + eta * dc
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    sets = [OrbitalSet(s.orbitals + eta * noise(s.orbitals.shape),
+                       s.grid).orthonormalized() for s in state.sets]
+    C = state.C + eta * noise(state.C.shape)
     C = C / np.linalg.norm(C)
     rho1, rho2 = _densities(state.space, C)
-    return replace(state, sets=[orbs], C=C, rho1=rho1, rho2=rho2, mu=None,
+    return replace(state, sets=sets, C=C, rho1=rho1, rho2=rho2, mu=None,
                    energy=np.nan, residuals=dict(state.residuals))
 
 
 def propagate_check(state: GroundState, dt: float, n_steps: int,
                     use_coeff_projector: bool = True) -> dict:
-    """Integrate the (optionally fully projected) equations of motion.
+    """Integrate the (optionally fully projected) equations of motion of
+    every DOF's orbitals, -i rho^-1 times the solver's right-hand side
+    (``_orbital_plan``, rho^-1 floored at ``_density_floor``), and of C
+    under ``ham.configuration_action``, as one flat vector by RK4.
 
-    Returns the maxima over all steps of |<phi_k|dphi_q/dt>|, |C^dag dC/dt|,
-    |<Psi|dPsi/dt>|, and the orthonormality/norm drifts.  Steps are rejected
-    if the coefficient norm drifts beyond 1e-6.  rho^-1 is floored at
-    ``FLOOR_FRACTION`` tr rho, as in the solver.
-    """
-    _propagation_needs_identical(state)
-    space, (grid,), (h_op,) = state.space, state.grids, state.h_ops
-    km = state.operand
-    floor = FLOOR_FRACTION * space.N
+    Returns the maxima over all steps and DOFs of |<phi_k|dphi_q/dt>|,
+    |C^dag dC/dt|, |<Psi|dPsi/dt>| = |C^dag dC/dt + sum_jkq rho^j_kq
+    <phi^j_k|dphi^j_q/dt>| and the orthonormality/norm drifts; a
+    coefficient norm drift beyond 1e-6 raises."""
+    space, h_ops, operand, grids = (state.space, state.h_ops, state.operand,
+                                    state.grids)
+    weights, floor = [g.weight for g in grids], _density_floor(space)
+    shapes = [s.orbitals.shape for s in state.sets] + [state.C.shape]
+    cuts = np.cumsum([np.prod(s, dtype=int) for s in shapes])[:-1]
 
-    def h_elems(orbs):
-        h = ham.one_body_elements(orbs, h_op)
-        W = None if km is None else ham.two_body_tensor(orbs, km)
-        return h, W
+    def split(y):
+        return [x.reshape(s) for x, s in zip(np.split(y, cuts), shapes)]
 
-    def rhs(phi_mat, C):
-        orbs = OrbitalSet(phi_mat, grid)
-        rho = fs.reduced_densities(space, C)
-        B = orbital_eom_rhs(grid, orbs, h_op, km, rho)
-        rho_inv = _floored_inverse(*_hermitian_eigh(rho.rho1), floor)
-        phi_dot = -1j * (rho_inv @ B)
-        h, W = h_elems(orbs)
-        hc = fs.apply_second_quantized(space, C, h, W)
+    def rhs(y):
+        *phis, C = split(y)
+        _, orbital = _orbital_plan(space, h_ops, operand, weights, C)
+        phi_dot = orbital.unstack([
+            -1j * (_floored_inverse(*_hermitian_eigh(r), floor) @ b)
+            for r, b in zip(orbital.rho, orbital(orbital.stack(phis)))])
+        sets = [OrbitalSet(p, g) for p, g in zip(phis, grids)]
+        hc = ham.configuration_action(space, sets, h_ops, operand)(C)
         if use_coeff_projector:
             hc = hc - C * np.vdot(C, hc)
-        c_dot = -1j * hc
-        return phi_dot, c_dot, rho
+        return _flat(phi_dot + [-1j * hc]), orbital.rho1
 
-    phi = state.sets[0].orbitals.copy()
-    C = state.C.copy()
-    diag = {"orb_diff_cond": 0.0, "coeff_diff_cond": 0.0, "full_diff_cond": 0.0,
-            "orthonormality_drift": 0.0, "norm_drift": 0.0}
+    y = _flat([s.orbitals for s in state.sets] + [state.C])
+    diag = dict.fromkeys(["orb_diff_cond", "coeff_diff_cond", "full_diff_cond",
+                          "orthonormality_drift", "norm_drift"], 0.0)
+
+    def note(**values):
+        diag.update((k, max(diag[k], float(v))) for k, v in values.items())
+
     for _ in range(n_steps):
-        phi_dot, c_dot, rho = rhs(phi, C)
-        overlaps = grid.weight * (phi.conj() @ phi_dot.T)
-        psi_dot = np.vdot(C, c_dot) + np.einsum("kq,kq->", rho.rho1, overlaps)
-        diag["orb_diff_cond"] = max(diag["orb_diff_cond"],
-                                    float(np.abs(overlaps).max()))
-        diag["coeff_diff_cond"] = max(diag["coeff_diff_cond"],
-                                      float(abs(np.vdot(C, c_dot))))
-        diag["full_diff_cond"] = max(diag["full_diff_cond"], float(abs(psi_dot)))
-
+        k1, rho1 = rhs(y)
+        (*phis, C), (*dots, c_dot) = split(y), split(k1)
+        overlaps = [w * (p.conj() @ d.T)
+                    for w, p, d in zip(weights, phis, dots)]
+        coeff = np.vdot(C, c_dot)
+        note(orb_diff_cond=max(np.abs(o).max() for o in overlaps),
+             coeff_diff_cond=abs(coeff),
+             full_diff_cond=abs(coeff + sum(np.einsum("kq,kq->", r, o)
+                                            for r, o in zip(rho1, overlaps))))
         # classical RK4
-        k1p, k1c, _ = phi_dot, c_dot, rho
-        k2p, k2c, _ = rhs(phi + 0.5 * dt * k1p, C + 0.5 * dt * k1c)
-        k3p, k3c, _ = rhs(phi + 0.5 * dt * k2p, C + 0.5 * dt * k2c)
-        k4p, k4c, _ = rhs(phi + dt * k3p, C + dt * k3c)
-        phi = phi + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        C = C + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
-
-        onb = OrbitalSet(phi, grid).orthonormality_defect()
-        drift = abs(np.linalg.norm(C) - 1.0)
-        diag["orthonormality_drift"] = max(diag["orthonormality_drift"], onb)
-        diag["norm_drift"] = max(diag["norm_drift"], drift)
-        if drift > 1e-6:
-            raise RuntimeError(f"norm drift {drift:.3e} exceeds 1e-6; reduce dt")
+        k2 = rhs(y + 0.5 * dt * k1)[0]
+        k3 = rhs(y + 0.5 * dt * k2)[0]
+        k4 = rhs(y + dt * k3)[0]
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        *phis, C = split(y)
+        note(orthonormality_drift=max(OrbitalSet(p, g).orthonormality_defect()
+                                      for p, g in zip(phis, grids)),
+             norm_drift=abs(np.linalg.norm(C) - 1.0))
+        if diag["norm_drift"] > 1e-6:
+            raise RuntimeError(f"norm drift {diag['norm_drift']:.3e} exceeds "
+                               "1e-6; reduce dt")
     return diag

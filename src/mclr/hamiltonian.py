@@ -2,11 +2,11 @@
 
 This is the one module that knows how each particle kind builds its
 configuration matrix and its mean fields; the solver, the response blocks
-and the probes all take them from ``hamiltonian_matrix`` and
-``mean_field_plans``, with one one-body operator per DOF and an interaction
-operand that is the discretized kernel for identical particles (the one-DOF
-case) and a ``PairCoupling`` or ``AllBodyTable`` across distinguishable
-DOFs.
+and the probes all take them from ``hamiltonian_matrix`` (applied to C by
+``configuration_action``) and ``mean_field_plans``, with one one-body
+operator per DOF and an interaction operand that is the discretized kernel
+for identical particles (the one-DOF case) and a ``PairCoupling`` or
+``AllBodyTable`` across distinguishable DOFs.
 
 Identical particles: one-body elements h_kq, direct potentials W_sl(r) and
 the four-index interaction tensor, applied through the compiled operator
@@ -38,6 +38,7 @@ __all__ = [
     "local_potentials",
     "two_body_tensor",
     "hamiltonian_matrix",
+    "configuration_action",
     "PairCoupling",
     "AllBodyTable",
     "config_coupling_matrix",
@@ -130,19 +131,40 @@ def hamiltonian_matrix(space: ConfigSpace, sets, h_ops,
     whose matrix is ``config_coupling_matrix``; None is no interaction.
     Across distinguishable DOFs each one-body term is its orbital matrix
     broadcast against the identities of the other DOFs (``_on_dofs``)."""
+    if space.identical:
+        return apply_second_quantized(
+            space, None, *_identical_elements(space, sets, h_ops, interaction))
     h = [None if op is None else one_body_elements(s, op)
          for s, op in zip(sets, h_ops)]
-    if space.identical:
-        W = None if interaction is None else two_body_tensor(sets[0],
-                                                             interaction)
-        return apply_second_quantized(
-            space, None, np.zeros((space.M,) * 2) if h[0] is None else h[0], W)
     H = sum((_on_dofs(hj, space.M_list, (j,))
              for j, hj in enumerate(h) if hj is not None),
             np.zeros((space.size,) * 2))
     if interaction is not None:
         H = H + config_coupling_matrix(interaction, sets, space)
     return H
+
+
+def configuration_action(space: ConfigSpace, sets, h_ops, interaction):
+    """act(C, adjoint=False): H C, or H^H C, for the H of
+    ``hamiltonian_matrix``, set up once: for identical particles applied
+    through the compiled operator table (H^H from h^H and W^H[k, s, q, l] =
+    conj(W[q, l, k, s])), across DOFs as the dense matrix."""
+    if not space.identical:
+        H = hamiltonian_matrix(space, sets, h_ops, interaction)
+        return lambda C, adjoint=False: (H.conj().T if adjoint else H) @ C
+    h, W = _identical_elements(space, sets, h_ops, interaction)
+    W_adj = None if W is None else W.conj().transpose(2, 3, 0, 1)
+    return lambda C, adjoint=False: apply_second_quantized(
+        space, C, *((h.conj().T, W_adj) if adjoint else (h, W)))
+
+
+def _identical_elements(space: ConfigSpace, sets, h_ops, interaction):
+    """(h, W) of identical particles for ``apply_second_quantized``; h is
+    zero for an operator None, W None for an ``interaction`` None."""
+    (orbs,), (op,) = sets, h_ops
+    return (np.zeros((space.M,) * 2) if op is None
+            else one_body_elements(orbs, op),
+            None if interaction is None else two_body_tensor(orbs, interaction))
 
 
 def _on_dofs(E, M_list, dofs):

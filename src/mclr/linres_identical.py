@@ -9,7 +9,7 @@ particles, the one-DOF case of ``ResponseLayout``.  ``assemble_L`` and
 configuration matrix and the mean fields of ``hamiltonian``: per DOF the
 diagonal orbital block rho h - mu + Omega (``build_oo_block``), the
 coefficient block H - eps (``build_cc_block``) and the probes' actions
-(their configuration matrices and mean fields, for ``_driving_vector``).
+(``ham.configuration_action`` and mean fields, for ``_driving_vector``).
 What stays per kind is the exchange (same-DOF for identical particles,
 here; across DOFs in ``linres_distinguishable.cross_dof_exchange``) and the
 orbital-coefficient couplings, a gather from the compiled operator table
@@ -87,7 +87,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fockspace as fs
 from . import hamiltonian as ham
 from . import linres_distinguishable as ld
 from .grid import discretize_kernel
@@ -310,13 +309,6 @@ def _hermitized(mat):
     return 0.5 * (mat + mat.conj().T)
 
 
-def _ingredients(state):
-    """Scaled orbitals plus the hermitized density/multiplier matrices."""
-    (orbs,), (rho1,), (mu,), (h_op,) = (state.sets, state.rho1, state.mu,
-                                        state.h_ops)
-    return orbs.scaled, _hermitized(rho1), state.rho2, _hermitized(mu), h_op.matrix
-
-
 def build_oo_block(state: GroundState):
     """Orbital-orbital sub-matrices (A, B) over the stacked per-DOF u/v
     sectors, for either particle kind.  The diagonal block of DOF j is
@@ -391,7 +383,7 @@ def build_oc_co_blocks(state: GroundState):
     which is also how they are constructed here.
     """
     _require_converged(state)
-    phi, rho1, rho2, mu, h = _ingredients(state)
+    phi, h = state.sets[0].scaled, state.h_ops[0].matrix
     (M, n), nc = phi.shape, state.space.size
     km = state.kernel_matrix
     one, two = _mapped_vectors(state)
@@ -697,23 +689,10 @@ def _driving_vector(rm: ResponseMatrix, phis, F, om, OC1, OC2) -> np.ndarray:
 
 def _probe_action(state, f_dags, g):
     """(O C, O^T conj(C)) for the probe O with one-body operators ``f_dags``
-    (one per DOF, None: zero) and pair operand ``g`` (None: none).  For
-    identical particles both are applied through the compiled operator
-    table, the second as the conjugate of O^H C (orbital elements h^H and
-    W^H[k, s, q, l] = conj(W[q, l, k, s])); across DOFs O is the dense
-    ``ham.hamiltonian_matrix``."""
-    space, sets, C = state.space, state.sets, state.C
-    if not space.identical:
-        O = ham.hamiltonian_matrix(space, sets, f_dags, g)
-        return O @ C, O.T @ C.conj()
-    (f,) = f_dags
-    h = (np.zeros((space.M,) * 2) if f is None
-         else ham.one_body_elements(sets[0], f))
-    W = None if g is None else ham.two_body_tensor(sets[0], g)
-    return (fs.apply_second_quantized(space, C, h, W),
-            fs.apply_second_quantized(
-                space, C, h.conj().T,
-                None if W is None else W.conj().transpose(2, 3, 0, 1)).conj())
+    (one per DOF, None: zero) and pair operand ``g`` (None: none), the
+    second as the conjugate of O^H C (``ham.configuration_action``)."""
+    act = ham.configuration_action(state.space, state.sets, f_dags, g)
+    return act(state.C), act(state.C, adjoint=True).conj()
 
 
 def build_R(state: GroundState, pert: PerturbationSpec,

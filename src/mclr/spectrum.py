@@ -23,7 +23,7 @@ of the pseudo-norm ("sng") fixes the left-vector normalization.  Only the
 right vectors and sng are kept, as reduced vectors V with R = T V: the
 left vectors Sigma3 R sng and the negative partners (Sigma1 conj of both)
 derive from them, so the response weights and the driven first-order
-state are the products R^T v and R c (``LRSpectrum.right_transpose_times``
+state of every DOF are the products R^T v and R c (``right_transpose_times``
 and ``right_times``), each with a few columns through one ``to_reduced`` or
 ``to_space``.  The D x k right vectors are built only when
 ``LRSpectrum.right`` is read.
@@ -567,34 +567,33 @@ def response_weights(spec: LRSpectrum, R_vec: np.ndarray) -> ResponseWeights:
 class Reconstruction:
     """Driven first-order orbitals and coefficients at frequency omega.
 
-    delta_phi(t) = minus * exp(-i omega t) + plus * exp(+i omega t), grid
-    values; likewise for the coefficient parts.
+    delta_phi_j(t) = minus_j exp(-i omega t) + plus_j exp(+i omega t), one
+    (M_j, n_j) array of grid values per DOF j of ``state`` (identical
+    particles: one); likewise for the coefficient parts.
     """
 
     omega: float
-    dphi_minus: np.ndarray = field(repr=False)
-    dphi_plus: np.ndarray = field(repr=False)
+    dphi_minus: list = field(repr=False)
+    dphi_plus: list = field(repr=False)
     dC_minus: np.ndarray = field(repr=False)
     dC_plus: np.ndarray = field(repr=False)
-    grid: object = None
     state: object = None
 
-    def dphi(self, t: float) -> np.ndarray:
-        return (self.dphi_minus * np.exp(-1j * self.omega * t)
-                + self.dphi_plus * np.exp(+1j * self.omega * t))
+    def dphi(self, t: float) -> list:
+        phase = np.exp(-1j * self.omega * t)
+        return [m * phase + p * np.exp(+1j * self.omega * t)
+                for m, p in zip(self.dphi_minus, self.dphi_plus)]
 
-    def orbital_norms(self, t: float = 0.0) -> np.ndarray:
-        d = self.dphi(t)
-        return np.array([self.grid.inner(x, x).real for x in d])
+    def orbital_norms(self, t: float = 0.0) -> list:
+        return [np.array([g.inner(x, x).real for x in d])
+                for g, d in zip(self.state.grids, self.dphi(t))]
 
 
 def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
                 resonance_tol: float = 1e-6) -> Reconstruction:
-    """Sum the driven response over retained modes at probe frequency omega."""
+    """Sum the driven response of every DOF over the retained modes at omega."""
     rm = spec.rm
     state = rm.state
-    if not state.space.identical:
-        raise ValueError("reconstruction supports identical-particle states only")
     wr = spec.eigenvalues[spec.retained].real
     hit = np.where(np.abs(omega - wr) < resonance_tol)[0]
     if len(hit) == 0:
@@ -612,30 +611,33 @@ def reconstruct(spec: LRSpectrum, weights: ResponseWeights, omega: float,
                   (weights.gamma_minus / (omega + wr)).conj()], axis=1)
     c[spec.sng_undefined] = 0
     # and the orbital parts take M^(-1/2): M^(-1/2) R c = T n^(-1/2) V c
-    (u,), (v,), cu, cv = rm.layout.split(
-        rm.to_space(spec.vectors.times(c), -0.5))
-    dphi_m = u[..., 0] + v[..., 1].conj()
-    dphi_p = v[..., 0].conj() + u[..., 1]
-    dC_m = cu[:, 0] + cv[:, 1].conj()
-    dC_p = cv[:, 0].conj() + cu[:, 1]
-
-    (grid,) = state.grids
-    root_dx = np.sqrt(grid.weight)
-    return Reconstruction(omega=omega, dphi_minus=dphi_m / root_dx,
-                          dphi_plus=dphi_p / root_dx, dC_minus=dC_m,
-                          dC_plus=dC_p, grid=grid, state=state)
+    us, vs, cu, cv = rm.layout.split(rm.to_space(spec.vectors.times(c), -0.5))
+    root_dx = [np.sqrt(g.weight) for g in state.grids]
+    return Reconstruction(
+        omega=omega, dC_minus=cu[:, 0] + cv[:, 1].conj(),
+        dphi_minus=[(u[..., 0] + v[..., 1].conj()) / r
+                    for u, v, r in zip(us, vs, root_dx)],
+        dphi_plus=[(v[..., 0].conj() + u[..., 1]) / r
+                   for u, v, r in zip(us, vs, root_dx)],
+        dC_plus=cv[:, 0].conj() + cu[:, 1], state=state)
 
 
 def save_reconstruction(path, rec: Reconstruction, t: float = 0.0) -> None:
-    """Dump the driven first-order state in the binary checkpoint container."""
-    from .checkpoint import save_arrays
+    """Dump the driven first-order state in the binary checkpoint container,
+    the per-DOF arrays named as ``checkpoint._array_name`` names them."""
+    from .checkpoint import _array_name, save_arrays
+
+    def per_dof(base, arrays):
+        return {_array_name(rec.state.space, base, j): x
+                for j, x in enumerate(arrays)}
+
     header = {"kind": "reconstruction", "omega": rec.omega, "t": t}
     save_arrays(path, header, {
-        "dphi_minus": rec.dphi_minus,
-        "dphi_plus": rec.dphi_plus,
+        **per_dof("dphi_minus", rec.dphi_minus),
+        **per_dof("dphi_plus", rec.dphi_plus),
         "dC_minus": rec.dC_minus,
         "dC_plus": rec.dC_plus,
-        "orbital_norms": rec.orbital_norms(t),
+        **per_dof("orbital_norms", rec.orbital_norms(t)),
     })
 
 

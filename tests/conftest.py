@@ -127,6 +127,16 @@ def dist_11(dist_grids, dist_h):
 
 
 @pytest.fixture(scope="session")
+def dist_333():
+    """Three DOFs coupled by the pair term 0-2 only: DOF 1 is untouched."""
+    grids = [build_grid(32, -8.0, 8.0) for _ in range(3)]
+    space = fs.enumerate_configs("distinguishable", M_list=(3, 3, 3))
+    coupling = PairCoupling.bilinear(grids, 0, 2, 0.2)
+    return gs.solve_mch_dist(space, grids, [oscillator_h(g) for g in grids],
+                             coupling)
+
+
+@pytest.fixture(scope="session")
 def dist_22_uncoupled(dist_grids, dist_h):
     space = fs.enumerate_configs("distinguishable", M_list=(2, 2))
     return gs.solve_mch_dist(space, dist_grids, dist_h, None)

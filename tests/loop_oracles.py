@@ -81,7 +81,7 @@ def one_body_table(space, k, q):
             f *= _jw_sign(mid, k)
             mid[k] += 1
         src.append(i)
-        dst.append(space.rank(mid))
+        dst.append(space.configs.index(tuple(mid)))
         fac.append(f)
     return (np.asarray(src, dtype=int), np.asarray(dst, dtype=int),
             np.asarray(fac, dtype=float))
@@ -115,7 +115,7 @@ def two_body_table(space, k, s, l, q):
         if not ok:
             continue
         src.append(i)
-        dst.append(space.rank(n))
+        dst.append(space.configs.index(tuple(n)))
         fac.append(f)
     return (np.asarray(src, dtype=int), np.asarray(dst, dtype=int),
             np.asarray(fac, dtype=float))
@@ -238,12 +238,20 @@ def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho):
     return _project_rows(g, phi, dx)
 
 
+def _ingredients(state):
+    """Scaled orbitals plus the hermitized density/multiplier matrices."""
+    (orbs,), (rho1,), (mu,), (h_op,) = (state.sets, state.rho1, state.mu,
+                                        state.h_ops)
+    return (orbs.scaled, li._hermitized(rho1), state.rho2,
+            li._hermitized(mu), h_op.matrix)
+
+
 def co_blocks_direct(state):
     """Coefficient-orbital rows built from their own defining sums.
 
     Cross-checks the adjoint construction in build_oc_co_blocks.
     """
-    phi, rho1, rho2, mu, h = li._ingredients(state)
+    phi, rho1, rho2, mu, h = _ingredients(state)
     (M, n), nc = phi.shape, state.space.size
     layout = li.ResponseLayout((M,), (n,), nc)
     km = state.kernel_matrix
@@ -820,32 +828,35 @@ def build_R_dist(state, pert, rm):
 
 def reconstruct_loop(spec, weights, omega):
     """(dphi_minus, dphi_plus, dC_minus, dC_plus) of the driven response at
-    ``omega``, summed mode by mode over the retained modes with a defined
-    sng; orbitals as grid values."""
+    ``omega``, summed mode by mode and DOF by DOF over the retained modes
+    with a defined sng; orbitals as per-DOF lists of grid values."""
     rm = spec.rm
-    layout = rm.layout
-    neghalf = natural_power(rm.state.rho1[0], -0.5)
-    shape = (layout.M_list[0], layout.n_list[0])
-    dphi_m = np.zeros(shape, dtype=complex)
-    dphi_p = np.zeros(shape, dtype=complex)
+    layout, state = rm.layout, rm.state
+    neghalf = [natural_power(r, -0.5) for r in state.rho1]
+    dphi_m = [np.zeros((M, n), dtype=complex)
+              for M, n in zip(layout.M_list, layout.n_list)]
+    dphi_p = [np.zeros_like(d) for d in dphi_m]
     dC_m = np.zeros(layout.n_conf, dtype=complex)
     dC_p = np.zeros(layout.n_conf, dtype=complex)
     for i, k in enumerate(spec.retained):
         if spec.sng_undefined[i]:
             continue
         wk = spec.eigenvalues[k].real
-        (u,), (v,), cu, cv = layout.split(spec.right[:, i])
+        us, vs, cu, cv = layout.split(spec.right[:, i])
         gp, gm = weights.gamma_plus[i], weights.gamma_minus[i]
-        du = neghalf @ u
-        dv = neghalf.conj() @ v
-        dphi_m += (gp * du) / (omega - wk) + (gm * dv.conj()) / (omega + wk)
-        dphi_p += (np.conj(gp) * dv.conj()) / (omega - wk) \
-            + (np.conj(gm) * du) / (omega + wk)
+        for j in range(layout.Q):
+            du = neghalf[j] @ us[j]
+            dv = neghalf[j].conj() @ vs[j]
+            dphi_m[j] += (gp * du) / (omega - wk) \
+                + (gm * dv.conj()) / (omega + wk)
+            dphi_p[j] += (np.conj(gp) * dv.conj()) / (omega - wk) \
+                + (np.conj(gm) * du) / (omega + wk)
         dC_m += (gp * cu) / (omega - wk) + (gm * cv.conj()) / (omega + wk)
         dC_p += (np.conj(gp) * cv.conj()) / (omega - wk) \
             + (np.conj(gm) * cu) / (omega + wk)
-    root_dx = np.sqrt(rm.state.grids[0].weight)
-    return dphi_m / root_dx, dphi_p / root_dx, dC_m, dC_p
+    root_dx = [np.sqrt(g.weight) for g in state.grids]
+    return ([d / r for d, r in zip(dphi_m, root_dx)],
+            [d / r for d, r in zip(dphi_p, root_dx)], dC_m, dC_p)
 
 
 def response_weights_right(spec, R_vec):
@@ -862,21 +873,23 @@ def reconstruct_right(spec, weights, omega):
     """(dphi_minus, dphi_plus, dC_minus, dC_plus) of the driven response at
     ``omega`` from the u, v, C_u, C_v blocks of the stored right vectors,
     with the metric of ``spectrum.reconstruct`` (empty natural orbitals
-    left out); orbitals as grid values."""
+    left out); orbitals as per-DOF lists of grid values."""
     rm, state = spec.rm, spec.rm.state
     wr = spec.eigenvalues[spec.retained].real
     keep = ~spec.sng_undefined
     lo, hi = 1.0 / (omega - wr[keep]), 1.0 / (omega + wr[keep])
     gp, gm = weights.gamma_plus[keep], weights.gamma_minus[keep]
-    (u,), (v,), cu, cv = rm.layout.split(spec.right[:, keep])
-    v, cv = v.conj(), cv.conj()
+    us, vs, cu, cv = rm.layout.split(spec.right[:, keep])
+    cv = cv.conj()
     minus, plus = gp * lo, gm * hi
-    m = natural_power(state.rho1[0], -0.5)
-    dphi_m, dphi_p = m @ np.stack(
-        [u @ minus + v @ plus, v @ minus.conj() + u @ plus.conj()])
-    root_dx = np.sqrt(state.grids[0].weight)
-    return (dphi_m / root_dx, dphi_p / root_dx, cu @ minus + cv @ plus,
-            cv @ minus.conj() + cu @ plus.conj())
+    dphi = []
+    for u, v, rho, g in zip(us, vs, state.rho1, state.grids):
+        m, v = natural_power(rho, -0.5), v.conj()
+        dphi.append(m @ np.stack([u @ minus + v @ plus,
+                                  v @ minus.conj() + u @ plus.conj()])
+                    / np.sqrt(g.weight))
+    return ([d[0] for d in dphi], [d[1] for d in dphi],
+            cu @ minus + cv @ plus, cv @ minus.conj() + cu @ plus.conj())
 
 
 def left(spec):
@@ -911,7 +924,7 @@ def wavefunction_terms(rec, t=0.0):
     """
     state = rec.state
     space = state.space
-    norms = np.sqrt(rec.orbital_norms(t))
+    norms = np.sqrt(rec.orbital_norms(t)[0])
     dc = dC(rec, t)
     rows = []
     fermion = space.statistics == "fermion"
@@ -1211,14 +1224,12 @@ def cluster_weights(spec, R_vec, tol=1e-8):
 
 def sector_outputs(rm, R_vec, omega, drive=None):
     """What ``mclr linres`` writes from the eigensolve of ``rm`` with
-    ``drive``: the spectrum, its zero-mode census, the cluster weights and,
-    for identical particles, the arrays of ``reconstruction.ckpt``."""
+    ``drive``: the spectrum, its zero-mode census, the cluster weights and
+    the arrays of ``reconstruction.ckpt``."""
     spec = spm.eigensolve(rm, drive=drive)
-    rec = None
-    if rm.state.space.identical:
-        r = spm.reconstruct(spec, spm.response_weights(spec, R_vec), omega)
-        rec = (r.dphi_minus, r.dphi_plus, r.dC_minus, r.dC_plus,
-               r.orbital_norms(0.0))
+    r = spm.reconstruct(spec, spm.response_weights(spec, R_vec), omega)
+    rec = (*r.dphi_minus, *r.dphi_plus, r.dC_minus, r.dC_plus,
+           *r.orbital_norms(0.0))
     return spec, cluster_weights(spec, R_vec), rec
 
 

@@ -267,7 +267,7 @@ def test_criterion_11_fockspace_brute_force():
                     occ = [0] * M
                     for p in lab:
                         occ[p] += 1
-                    perm[sp.rank(tuple(occ)), col] = 1.0
+                    perm[sp.configs.index(tuple(occ)), col] = 1.0
 
                 def dense_of(apply_fn):
                     out = np.zeros((sp.size, sp.size), complex)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mclr import checkpoint as ckpt_mod
 from mclr import cli
 from mclr import grid as gr
+from mclr import groundstate as gs
 from mclr import hamiltonian as ham
 from mclr import linres_identical as li
 from mclr import spectrum as spm
@@ -340,27 +341,82 @@ def test_propcheck_diagnostics(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("perturb", ["0", "0.02"])
-def test_propcheck_refuses_distinguishable_checkpoint(capsys, config_checkpoints,
+def test_propcheck_runs_on_distinguishable_checkpoint(capsys, config_checkpoints,
                                                       perturb):
+    # the orbitals of both DOFs and C move as one vector; the projected
+    # equations keep the differential conditions at rounding level
     code, out, err = _run(capsys, [
         "propcheck", "--checkpoint", str(config_checkpoints["coupled_pair_m44"]),
-        "--perturb", perturb, "--dt", "2e-4", "--steps", "2"])
-    assert code == 1
-    assert out == ""
-    assert err == ("error: propagation check supports identical-particle "
-                   "checkpoints only\n")
+        "--perturb", perturb, "--dt", "2e-4", "--steps", "20"])
+    assert code == 0 and err == ""
+    vals = dict(l.split(" = ") for l in out.splitlines())
+    assert list(vals) == ["orb_diff_cond", "coeff_diff_cond", "full_diff_cond",
+                          "orthonormality_drift", "norm_drift"]
+    for key in ("orb_diff_cond", "coeff_diff_cond", "full_diff_cond"):
+        assert float(vals[key]) < 1e-8
 
 
-def test_linres_distinguishable_reports_skipped_reconstruction(
-        tmp_path, capsys, config_checkpoints):
+def test_linres_distinguishable_writes_reconstruction(tmp_path, capsys,
+                                                      config_checkpoints):
     code, out, _ = _run(capsys, [
         "linres", "--checkpoint", str(config_checkpoints["coupled_pair_m44"]),
         "--config", str(CONFIGS / "coupled_pair_m44.cfg"),
         "--out-dir", str(tmp_path)])
     assert code == 0
-    assert ("reconstruction_skipped = reconstruction supports "
-            "identical-particle states only") in out.splitlines()
-    assert not (tmp_path / "reconstruction.ckpt").exists()
+    assert (f"reconstruction = {tmp_path / 'reconstruction.ckpt'}"
+            in out.splitlines())
+    header, arrays = ckpt_mod.load_arrays(tmp_path / "reconstruction.ckpt")
+    assert header["kind"] == "reconstruction" and header["omega"] == 0.57
+    # per DOF, named as in the state checkpoint; the probe x_1 drives DOF 1
+    # and, through the coupling, DOF 2
+    assert sorted(arrays) == sorted(
+        ["dC_minus", "dC_plus"] + [f"{base}_{j}" for j in (0, 1) for base in
+                                   ("dphi_minus", "dphi_plus", "orbital_norms")])
+    for j in (0, 1):
+        assert arrays[f"dphi_minus_{j}"].shape == (4, 48)
+        assert np.abs(arrays[f"dphi_minus_{j}"]).max() > 1e-3
+
+
+def test_one_boson_and_one_dof_are_the_same_system(tmp_path, capsys):
+    # one boson in M orbitals has the configurations of one distinguishable
+    # DOF with M orbitals, in the same order: the energy, the spectrum, the
+    # reconstruction (dphi_minus against dphi_minus_0, ...) and the
+    # propagation of the same perturbation agree bit for bit
+    common = ["mass = 1.0", "[grid]", "points = 48", "x_min = -8.0",
+              "x_max = 8.0", "[trap]", "type = harmonic", "omega = 1.0",
+              "[interaction]", "type = none", "[perturbation]",
+              "f_type = x2", "omega = 0.55"]
+    systems = {"boson": ["statistics = boson", "particles = 1"],
+               "dist": ["statistics = dist"]}
+    got = {}
+    for kind, system in systems.items():
+        cfg, ck, out_dir = (tmp_path / f"{kind}.cfg", tmp_path / f"{kind}.ckpt",
+                            tmp_path / kind)
+        cfg.write_text("\n".join(["[system]", *system, "orbitals = 3", *common])
+                       + "\n")
+        code, ground, _ = _run(capsys, ["ground", "--config", str(cfg),
+                                        "--checkpoint", str(ck)])
+        assert code == 0
+        code, _, _ = _run(capsys, ["linres", "--config", str(cfg),
+                                   "--checkpoint", str(ck),
+                                   "--out-dir", str(out_dir)])
+        assert code == 0
+        rows = [l for l in (out_dir / "spectrum.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        _, rec = ckpt_mod.load_arrays(out_dir / "reconstruction.ckpt")
+        state = ckpt_mod.load_state(ck)
+        diag = gs.propagate_check(gs.perturbed_state(state, 0.02, 1), 2e-4, 20)
+        got[kind] = ([l for l in ground.splitlines()
+                      if l.startswith("energy = ")], rows, rec, diag)
+    (energy, rows, rec, diag), dist = got["boson"], got["dist"]
+    assert energy == dist[0] and len(energy) == 1
+    assert rows == dist[1] and len(rows) == 1 + 2 * (3 * 48 + 3)
+    assert list(dist[2]) == [k if k.startswith("dC") else f"{k}_0" for k in rec]
+    for key, a in rec.items():
+        b = dist[2][key if key.startswith("dC") else f"{key}_0"]
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert diag == dist[3]
 
 
 def test_linres_prints_parity_sectors(tmp_path, capsys, config_checkpoints):

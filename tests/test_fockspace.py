@@ -71,18 +71,21 @@ def test_numpy_integer_counts_accepted():
                         ("fermion", 3, 5)]))
 def test_rank_unrank_roundtrip(case):
     stats, N, M = case
+    # a configuration's rank is its index in ``configs``: the
+    # configurations are distinct, in descending lexicographic order
     sp = fs.enumerate_configs(stats, N=N, M=M)
     for i in range(sp.size):
-        assert sp.rank(sp.unrank(i)) == i
+        assert sp.configs.index(sp.configs[i]) == i
+    assert list(sp.configs) == sorted(sp.configs, reverse=True)
 
 
 def test_number_operator_on_condensate():
     sp = fs.enumerate_configs("boson", N=2, M=2)
     C = np.zeros(3, complex)
-    C[sp.rank((2, 0))] = 1.0
+    C[sp.configs.index((2, 0))] = 1.0
     assert np.allclose(lo.apply_rho_kq(sp, C, 1, 1), 0.0)
     out = lo.apply_rho_kq(sp, C, 0, 0)
-    assert out[sp.rank((2, 0))] == pytest.approx(2.0)
+    assert out[sp.configs.index((2, 0))] == pytest.approx(2.0)
 
 
 def test_fermion_hop_sign():
@@ -90,9 +93,9 @@ def test_fermion_hop_sign():
     # occupied middle orbital picks up one transposition sign
     sp = fs.enumerate_configs("fermion", N=2, M=3)
     C = np.zeros(3, complex)
-    C[sp.rank((1, 1, 0))] = 1.0
+    C[sp.configs.index((1, 1, 0))] = 1.0
     out = lo.apply_rho_kq(sp, C, 2, 0)
-    val = out[sp.rank((0, 1, 1))]
+    val = out[sp.configs.index((0, 1, 1))]
     ref = lo.first_quantized_one_body(3, 2, "fermion", 2, 0)
     labels, _ = orc.symmetrized_basis(3, 2, "fermion")
     i_src = labels.index((0, 1))
@@ -106,18 +109,18 @@ def test_pair_move_ladder_factors():
     # sqrt(2) * sqrt(2); acting on the split configuration annihilates
     sp = fs.enumerate_configs("boson", N=2, M=2)
     C = np.zeros(3, complex)
-    C[sp.rank((0, 2))] = 1.0
+    C[sp.configs.index((0, 2))] = 1.0
     out = lo.apply_rho_kslq(sp, C, 0, 0, 1, 1)
-    assert out[sp.rank((2, 0))] == pytest.approx(2.0)
+    assert out[sp.configs.index((2, 0))] == pytest.approx(2.0)
     C11 = np.zeros(3, complex)
-    C11[sp.rank((1, 1))] = 1.0
+    C11[sp.configs.index((1, 1))] = 1.0
     assert np.allclose(lo.apply_rho_kslq(sp, C11, 0, 0, 1, 1), 0.0)
 
 
 def test_two_body_annihilates_empty():
     sp = fs.enumerate_configs("boson", N=2, M=3)
     C = np.zeros(sp.size, complex)
-    C[sp.rank((2, 0, 0))] = 1.0
+    C[sp.configs.index((2, 0, 0))] = 1.0
     assert np.allclose(lo.apply_rho_kslq(sp, C, 0, 0, 1, 1), 0.0)
 
 
@@ -132,7 +135,7 @@ def test_fermion_double_annihilation_zero():
 def test_reduced_densities_balanced_pair():
     sp = fs.enumerate_configs("boson", N=2, M=2)
     C = np.zeros(3, complex)
-    C[sp.rank((1, 1))] = 1.0
+    C[sp.configs.index((1, 1))] = 1.0
     rd = fs.reduced_densities(sp, C)
     assert np.allclose(rd.rho1, np.eye(2))
     assert rd.rho2[0, 1, 1, 0] == pytest.approx(1.0)
@@ -211,7 +214,7 @@ def test_second_quantized_matches_first_quantized():
         occ = [0] * M
         for p in lab:
             occ[p] += 1
-        perm.append(sp.rank(tuple(occ)))
+        perm.append(sp.configs.index(tuple(occ)))
     P = np.zeros((sp.size, sp.size))
     for col, row in enumerate(perm):
         P[row, col] = 1.0
@@ -303,9 +306,9 @@ def test_compiled_table_layout():
 def test_tensor_density_action_moves_amplitude():
     sp = fs.enumerate_configs("distinguishable", M_list=(2, 2))
     C = np.zeros(4, complex)
-    C[sp.rank((0, 0))] = 1.0
+    C[sp.configs.index((0, 0))] = 1.0
     out = lo.tensor_density_action(sp, C, 0, 1, 0)
-    assert out[sp.rank((1, 0))] == pytest.approx(1.0)
+    assert out[sp.configs.index((1, 0))] == pytest.approx(1.0)
     assert np.abs(out).sum() == pytest.approx(1.0)
 
 

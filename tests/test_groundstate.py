@@ -360,6 +360,33 @@ def test_propagate_perturbed_projected(bos_m2_48):
     assert diag["full_diff_cond"] < 1e-8
 
 
+@pytest.fixture(scope="module")
+def dist_33_mixed():
+    """Two coupled DOFs of M = 3 on 40 and 48 points: two groups of one in
+    the orbital step."""
+    grids = [build_grid(40, -8.0, 8.0), build_grid(48, -8.0, 8.0)]
+    return gs.solve_mch_dist(
+        fs.enumerate_configs("distinguishable", M_list=(3, 3)), grids,
+        [oscillator_h(g) for g in grids],
+        PairCoupling.bilinear(grids, 0, 1, 0.2))
+
+
+@pytest.mark.parametrize("fixture", ["dist_44", "dist_333", "dist_33_mixed"])
+def test_propagate_perturbed_distinguishable(fixture, request):
+    # every DOF's orbitals are perturbed and move, stacked per shape group;
+    # the projected equations keep the differential conditions at rounding
+    st = request.getfixturevalue(fixture)
+    pert = gs.perturbed_state(st, 0.02, seed=1)
+    for s, s0 in zip(pert.sets, st.sets):
+        assert s.orthonormality_defect() < 1e-13
+        assert 1e-3 < np.abs(s.orbitals - s0.orbitals).max() < 0.5
+    assert abs(np.linalg.norm(pert.C) - 1.0) < 1e-14
+    diag = gs.propagate_check(pert, 2e-4, 20)
+    for key in ("orb_diff_cond", "coeff_diff_cond", "full_diff_cond"):
+        assert diag[key] < 1e-8
+    assert diag["orthonormality_drift"] < 1e-10 and diag["norm_drift"] < 1e-12
+
+
 def test_propagate_without_projector_shows_phase_rate(bos_m2_48):
     pert = gs.perturbed_state(bos_m2_48, 0.02, seed=1)
     diag = gs.propagate_check(pert, 2e-4, 5, use_coeff_projector=False)

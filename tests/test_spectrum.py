@@ -11,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 from mclr import TwoBodyKernel, build_grid, position_operator
 from mclr.grid import diagonal_operator
+from mclr import checkpoint as ckpt_mod
 from mclr import cli
 from mclr import fockspace as fs
 from mclr import groundstate as gs
@@ -185,8 +186,9 @@ def test_reconstruct_uses_assembly_floor(free_m2):
         omega=om), rm)
     w = spm.response_weights(spec, R)
     rec = spm.reconstruct(spec, w, om)
-    expect_m = np.zeros_like(rec.dphi_minus)
-    expect_p = np.zeros_like(rec.dphi_plus)
+    (dphi_m,), (dphi_p,) = rec.dphi_minus, rec.dphi_plus
+    expect_m = np.zeros_like(dphi_m)
+    expect_p = np.zeros_like(dphi_p)
     G = lo.dense_PM(rm, -0.5)
     for i, wk in enumerate(spec.omega):
         (u,), (v,), _, _ = rm.layout.split(G @ spec.right[:, i])
@@ -196,8 +198,8 @@ def test_reconstruct_uses_assembly_floor(free_m2):
                      + np.conj(gm) * u / (om + wk))
     root_dx = np.sqrt(st.grids[0].weight)
     assert np.abs(expect_m).max() > 0.1
-    assert np.abs(rec.dphi_minus - expect_m / root_dx).max() < 1e-10
-    assert np.abs(rec.dphi_plus - expect_p / root_dx).max() < 1e-10
+    assert np.abs(dphi_m - expect_m / root_dx).max() < 1e-10
+    assert np.abs(dphi_p - expect_p / root_dx).max() < 1e-10
 
 
 def test_default_metric_floor_scales_with_density_trace(bos_m2, free_m2):
@@ -215,18 +217,29 @@ def test_default_metric_floor_scales_with_density_trace(bos_m2, free_m2):
     assert np.linalg.eigvalsh(bos_m2.rho1[0])[0] > 1e-4
 
 
-def test_reconstruct_refuses_distinguishable(dist_11):
-    rm = li.assemble_L(dist_11)
-    spec = spm.eigensolve(rm)
-    w = spm.response_weights(spec, np.zeros(rm.D, dtype=complex))
-    with pytest.raises(ValueError, match="identical-particle states only"):
-        spm.reconstruct(spec, w, omega=0.55)
+def test_save_reconstruction_names_arrays_per_dof(tmp_path, dist_11):
+    # as the state checkpoint names them: dphi_minus_<j> per DOF, where
+    # identical particles keep the bare names
+    spec = spm.eigensolve(li.assemble_L(dist_11))
+    rec = spm.reconstruct(spec, _probe_weights(spec, dist_11), 0.55)
+    spm.save_reconstruction(tmp_path / "rec.ckpt", rec)
+    _, arrays = ckpt_mod.load_arrays(tmp_path / "rec.ckpt")
+    assert list(arrays) == [
+        "dphi_minus_0", "dphi_minus_1", "dphi_plus_0", "dphi_plus_1",
+        "dC_minus", "dC_plus", "orbital_norms_0", "orbital_norms_1"]
+    for j in range(2):
+        assert arrays[f"dphi_minus_{j}"].shape == (1, 48)
+        np.testing.assert_array_equal(arrays[f"dphi_plus_{j}"],
+                                      rec.dphi_plus[j])
+        np.testing.assert_array_equal(arrays[f"orbital_norms_{j}"],
+                                      rec.orbital_norms(0.0)[j])
+    assert np.abs(arrays["dphi_minus_0"]).max() > 1e-3
 
 
 def test_reconstruct_zero_weights(spec_m2):
     w = spm.response_weights(spec_m2, np.zeros(spec_m2.rm.D, dtype=complex))
     rec = spm.reconstruct(spec_m2, w, omega=0.61)
-    assert np.abs(rec.dphi(0.0)).max() == 0.0
+    assert all(np.abs(d).max() == 0.0 for d in rec.dphi(0.0))
     assert np.abs(lo.dC(rec, 0.0)).max() == 0.0
 
 
@@ -249,22 +262,31 @@ def test_reconstruct_pole_scaling(bos_m2_48, spec_m2):
         R = li.build_R(bos_m2_48, li.PerturbationSpec(
             f_dags=(position_operator(bos_m2_48.grids[0]),), omega=om), rm)
         rec = spm.reconstruct(spec_m2, spm.response_weights(spec_m2, R), om)
-        norms.append(np.sqrt(rec.orbital_norms(0.0).sum()))
+        norms.append(np.sqrt(rec.orbital_norms(0.0)[0].sum()))
     slope = np.polyfit(np.log(offsets), np.log(norms), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.05)
 
 
-def test_reconstructed_orbitals_orthogonal_to_ground(bos_m2_48, spec_m2):
-    R = li.build_R(bos_m2_48, li.PerturbationSpec(
-        f_dags=(position_operator(bos_m2_48.grids[0]),), omega=0.55), spec_m2.rm)
-    rec = spm.reconstruct(spec_m2, spm.response_weights(spec_m2, R), 0.55)
-    g = bos_m2_48.grids[0]
-    phi = bos_m2_48.sets[0].orbitals
+def _assert_orthogonal_to_ground(spec, st):
+    # per DOF, every driven orbital is orthogonal to every ground orbital
+    rec = spm.reconstruct(spec, _probe_weights(spec, st), 0.55)
+    assert np.abs(rec.dphi_minus[0]).max() > 1e-3
     for t in (0.0, 0.4):
-        d = rec.dphi(t)
-        for k in range(2):
-            for j in range(2):
-                assert abs(g.inner(phi[k], d[j])) < 1e-8
+        for g, orbs, d in zip(st.grids, st.sets, rec.dphi(t)):
+            for phi in orbs.orbitals:
+                for x in d:
+                    assert abs(g.inner(phi, x)) < 1e-8
+
+
+def test_reconstructed_orbitals_orthogonal_to_ground(bos_m2_48, spec_m2):
+    _assert_orthogonal_to_ground(spec_m2, bos_m2_48)
+
+
+@pytest.mark.parametrize("fixture", ["dist_44", "dist_333"])
+def test_reconstructed_orbitals_orthogonal_to_ground_over_dofs(fixture,
+                                                               request):
+    st = request.getfixturevalue(fixture)
+    _assert_orthogonal_to_ground(spm.eigensolve(li.assemble_L(st)), st)
 
 
 def test_wavefunction_terms_shapes(bos_m2_48, spec_m2):
@@ -644,14 +666,24 @@ def test_derived_vectors_and_product_weights(fixture, request):
 
 
 def _probe_weights(spec, st):
+    """Weights of the dipole probe of DOF 0 (the others unprobed)."""
     return spm.response_weights(spec, li.build_R(st, li.PerturbationSpec(
-        f_dags=(position_operator(st.grids[0]),), omega=0.55), spec.rm))
+        f_dags=(position_operator(st.grids[0]),) + (None,) * (len(st.sets) - 1),
+        omega=0.55), spec.rm))
+
+
+def _arrays(parts):
+    """(dphi_minus, dphi_plus, dC_minus, dC_plus), the first two per-DOF
+    lists, as one flat tuple of arrays."""
+    return (*parts[0], *parts[1], *parts[2:])
 
 
 def _assert_matches_loop(spec, weights, omega):
     rec = spm.reconstruct(spec, weights, omega)
-    got = (rec.dphi_minus, rec.dphi_plus, rec.dC_minus, rec.dC_plus)
-    for a, b in zip(got, lo.reconstruct_loop(spec, weights, omega)):
+    got = _arrays((rec.dphi_minus, rec.dphi_plus, rec.dC_minus, rec.dC_plus))
+    want = _arrays(lo.reconstruct_loop(spec, weights, omega))
+    assert len(got) == len(want) == 2 * len(spec.rm.state.sets) + 2
+    for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.abs(a - b).max() < 1e-12 * max(np.abs(b).max(), 1.0)
 
@@ -659,6 +691,15 @@ def _assert_matches_loop(spec, weights, omega):
 @pytest.mark.parametrize("omega", [0.55, 2.37])
 def test_reconstruct_matches_mode_loop(bos_m2_48, spec_m2, omega):
     _assert_matches_loop(spec_m2, _probe_weights(spec_m2, bos_m2_48), omega)
+
+
+@pytest.mark.parametrize("fixture", ["dist_44", "dist_333"])
+def test_reconstruct_matches_mode_loop_over_dofs(fixture, request):
+    # dist_333 couples DOFs 0 and 2 only, and the probe drives DOF 0: DOF 1
+    # is untouched
+    st = request.getfixturevalue(fixture)
+    spec = spm.eigensolve(li.assemble_L(st))
+    _assert_matches_loop(spec, _probe_weights(spec, st), 0.55)
 
 
 def test_reconstruct_matches_mode_loop_dense_complex(bos_m2_complex_gauge,
@@ -676,9 +717,9 @@ def test_reconstruct_skips_undefined_sng(bos_m2_48, spec_m2):
     flag[np.argmax(abs(w.gamma_plus))] = True
     flagged = dataclasses.replace(spec_m2, sng_undefined=flag)
     _assert_matches_loop(flagged, w, 0.55)
-    full = spm.reconstruct(spec_m2, w, 0.55).dphi_minus
-    assert np.abs(spm.reconstruct(flagged, w, 0.55).dphi_minus - full).max() \
-        > 1e-3
+    (full,) = spm.reconstruct(spec_m2, w, 0.55).dphi_minus
+    (part,) = spm.reconstruct(flagged, w, 0.55).dphi_minus
+    assert np.abs(part - full).max() > 1e-3
 
 
 @pytest.mark.parametrize("which", ["rpa", "rpa_driven", "dense"])
@@ -741,17 +782,15 @@ def test_factored_products_match_right_oracles(config_problem):
     rm, R, omega = config_problem
     spec = spm.eigensolve(rm)
     w = spm.response_weights(spec, R)
-    identical = rm.state.space.identical
-    rec = spm.reconstruct(spec, w, omega) if identical else None
+    rec = spm.reconstruct(spec, w, omega)
     # the oracles read spec.right, which the products above left unbuilt
     assert "right" not in vars(spec)
     for got, want in zip((w.gamma_plus, w.gamma_minus),
                          lo.response_weights_right(spec, R)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    if identical:
-        got = (rec.dphi_minus, rec.dphi_plus, rec.dC_minus, rec.dC_plus)
-        for a, b in zip(got, lo.reconstruct_right(spec, w, omega)):
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    got = _arrays((rec.dphi_minus, rec.dphi_plus, rec.dC_minus, rec.dC_plus))
+    for a, b in zip(got, _arrays(lo.reconstruct_right(spec, w, omega))):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_command_path_keeps_rpa_vectors_factored(tmp_path, bos_m2_48,
@@ -801,7 +840,7 @@ def _assert_matches_one_sector(rm, R, omega, rec_tol=1e-10):
     for got, want in zip(weights, one_weights):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10
-    for got, want in zip(rec or (), one_rec or ()):
+    for got, want in zip(rec, one_rec):
         assert np.abs(got - want).max() <= rec_tol * max(np.abs(want).max(), 1.0)
 
 
