@@ -89,7 +89,6 @@ __all__ = [
     "solve_mch_dist",
     "propagate_check",
     "perturbed_state",
-    "orbital_eom_rhs",
 ]
 
 # density floor as a fraction of tr rho, shared with the response metric:
@@ -245,18 +244,6 @@ class OrbitalRHS:
                          ).swapaxes(-1, -2) @ phi
             out.append(g)
         return out
-
-
-def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho, project=True):
-    """Right-hand side of the orbital equations of motion of identical
-    particles, one row per k:
-
-        B_k = P [ sum_q rho_kq h |phi_q> + sum_slq rho_kslq W_sl |phi_q> ].
-    """
-    fields = ham.mean_field_plans(None, None, rho.rho2, kernel_matrix,
-                                  [grid.weight])
-    rhs = OrbitalRHS([np.asarray(rho.rho1)], [h_op], [grid.weight], fields)
-    return rhs([orbs.orbitals], project)[0]
 
 
 def _ci_eigenpair(H, v0=None):

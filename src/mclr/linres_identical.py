@@ -29,50 +29,46 @@ satisfies the two spectral pairing symmetries
 
     Sigma1 L Sigma1 = -conj(L),     Sigma3 L Sigma3 = adjoint(L)
 
-to machine precision, and P L P = L holds structurally.  P and M^(-1/2)
-are block diagonal and commute, so the u/C_u rows of L are formed from
-per-DOF block products of the u/C_u rows of L_raw; the v/C_v rows are
-their mirrors.  ``ResponseMatrix`` keeps L as its two RPA halves on
-range(P).  The complement of the orbitals of DOF j is the dense
-n_j x (n_j - M_j) basis Q_j, the trailing columns of the unitary of the
-complete QR of phi_j^T; that of C is never formed: it is the columns
-H e_i, i != p, of the Householder reflector H = I - h h^H that maps C onto
-its pivot row p.  Q_j on each orbital slot and H on C_u make the isometry
-B onto range(P) on x = (u, C_u).  The metric of DOF j is its one-body
-density U n U^H on the K_j natural orbitals U it keeps; an empty orbital
-has no coordinates.  The halves are a = F^H L[x, x] F and
-b = F^H L[x, y] F*, F = B U n^(-1/2) and y = (v, C_v), of size
-n = sum_j K_j (n_j - M_j) + N_conf - 1.  The x rows split into parts, the
-orbital slots of each DOF j and C_u, with the row-side factors
-n^(-1/2) U^H Q_j^H and E^T H of F (``ResponseMatrix.parts``).  Each raw
-block is pulled on its rows by its part's factor, all its columns at
-once, and on its columns by the other part's, straight into its place in
-a or b (``_pull_blocks``): no buffer of a raw half.  ``lift``, ``pull``
-and the isometry T = B U on x and conj(B U) on y (``to_space``,
-``to_reduced``), the one boundary to the D-space, apply the same factors:
-L = T L_r T^H with L_r = [[a, b], [-b*, -a*]], and P M^p = T n^p T^H
-(``project``).  The dense D x D L and P are built only on demand.
+to machine precision, and P L P = L holds structurally.  ``ResponseMatrix``
+keeps L as its two RPA halves on range(P).  The complement of the
+orbitals of DOF j is the dense n_j x (n_j - M_j) basis Q_j, the trailing
+columns of the unitary of the complete QR of phi_j^T; that of C is the
+columns H e_i, i != p, of the Householder reflector H = I - h h^H that
+maps C onto its pivot row p, never formed.  Q_j on each orbital slot and
+H on C_u make the isometry B onto range(P) on x = (u, C_u).  The metric
+of DOF j is its one-body density U n U^H on the K_j natural orbitals U it
+keeps; an empty orbital has no coordinates.  The halves are
+a = F^H L[x, x] F and b = F^H L[x, y] F*, F = B U n^(-1/2) and
+y = (v, C_v), of size n = sum_j K_j (n_j - M_j) + N_conf - 1; the x rows
+split into parts, the orbital slots of each DOF and C_u
+(``ResponseMatrix.parts``).  ``lift``, ``pull`` and the isometry T = B U
+on x and conj(B U) on y (``to_space``, ``to_reduced``), the one boundary
+to the D-space, apply these factors: L = T L_r T^H with
+L_r = [[a, b], [-b*, -a*]], and P M^p = T n^p T^H (``project``).  The
+dense D x D L and P are built only on demand.
 
 Mirror-parity sectors.  When every grid is symmetric about 0, every
 orbital is even or odd and C lies in one parity class of configurations
 (a configuration's parity is the product of those of its occupied
-orbitals), each to PARITY_TOL, the reduced coordinates are built to be
-even or odd.  Per DOF the QR of the orbitals runs in the even/odd
-(butterfly) frame of the grid (``_mirror_frame``), the even orbitals
-first, each pivoted on a frame row of its own parity, so every
-complement column is even or odd.  The reflector of C is pivoted on the
-first row of its own class, so the other class passes through unchanged.
-The natural orbitals take one parity each: those of rho, or of each
-parity block of rho where an even and an odd one share an occupation.
-``ResponseMatrix.sectors`` records the sector of each reduced
-coordinate, the parity of its natural orbital times that of its
-complement column (+1 even, -1 odd); a and b are then block diagonal
-to rounding, and ``spectrum`` solves the sectors apart.  Without the
-symmetry every coordinate is in sector +1: one sector, the same code.
+orbitals), each to PARITY_TOL, every reduced coordinate is even or odd:
+per DOF the QR of the orbitals runs in the even/odd (butterfly) frame of
+the grid (``_mirror_frame``), the even orbitals first, each pivoted on a
+frame row of its own parity; the reflector of C is pivoted on the first
+row of its class; the natural orbitals take one parity each (those of
+rho, or of each parity block of rho where an even and an odd one share
+an occupation).  A coordinate's sector is the parity of its natural
+orbital times that of its complement column.  a and b are then block
+diagonal to rounding and are kept per sector, even first, as a - b and
+a + b (``ResponseMatrix.halves``): each raw block is pulled on its rows
+by its part's factor, all its columns at once, and on its columns by the
+other part's, straight into its sector blocks (``_pull_blocks``).  Of
+the blocks between the sectors only the norm is taken; when that of a
+or of b exceeds SECTOR_TOL max|L|, the problem is assembled again as one
+sector, as it is without the symmetry.
 
 Real arithmetic follows the problem: a real problem has float64
 operators, orbitals, C and raw blocks from construction on, so the
-complements, the halves and the null vectors are real arrays.  Complex
+complements and the halves are real arrays.  Complex
 input (say a state whose arrays were cast to complex128) meets the one
 realness test, in ``_response_matrix``: when no complex raw block,
 orbital, one-body density or coefficient has an imaginary part, their
@@ -101,6 +97,9 @@ STATISTICS_SIGN = {"boson": +1.0, "fermion": -1.0}
 # the reflection x -> -x is at most PARITY_TOL (relative to the grid length;
 # orbitals and C are unit vectors)
 PARITY_TOL = 1e-10
+# bound on the Frobenius norm of the blocks of a and of b between the even
+# and the odd sector, relative to max|L|, below which the sectors are kept
+SECTOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -185,70 +184,79 @@ class PerturbationSpec:
 class ResponseMatrix:
     """Projected, metric-transformed response matrix with its ingredients.
 
-    L = [[L_xx, L_xy], [-conj(L_xy), -conj(L_xx)]] on the x = (u, C_u) and
-    y = (v, C_v) sectors is kept as its halves on range(P), with B the
-    isometry from the reduced coordinates onto range(P) on x:
-    L_xx = B ``a`` B^H (``a`` Hermitian), L_xy = B ``b`` B^T (``b``
-    symmetric).  B is, per DOF j, Q_j (``bases``) on each orbital slot and,
-    on C_u, the columns H e_i, i != p in ascending order, of the reflector
-    H = I - h h^H (``householder`` (h, p)).  ``natural`` holds per DOF the
-    kept natural orbitals (occupations n, orbitals U as columns), the
-    reduced slot coordinates, so the lift is B U.  ``lift`` and ``pull``
-    apply B U on the x rows, ``to_space`` and ``to_reduced`` T on all 2n
-    reduced coordinates.  The projector is T T^H, which is P where no
-    orbital is empty, and the metric powers are U n^(+-1/2) U^H.
-    ``sectors`` holds the mirror-parity sector (+1 even, -1 odd) of every
-    reduced coordinate; ``state`` is the ``GroundState`` of either
-    particle kind that the response is linearized about.
+    L_xx = B a B^H (a Hermitian) and L_xy = B b B^T (b symmetric) on the
+    x = (u, C_u) and y = (v, C_v) sectors, with B, per DOF j, Q_j
+    (``bases``) on each orbital slot and on C_u the reflector
+    (``householder`` (h, p)); ``natural`` holds per DOF the kept natural
+    orbitals (occupations n, orbitals U as columns), so the lift is B U.
+    The reduced coordinates run by parity sector, even first (``sizes``),
+    and by part; ``order`` holds per part its blocks (sector, rows in the
+    sector, the part's own rows: natural orbital by complement column, or
+    the rows of C but p).  ``halves`` holds (a - b, a + b) per sector
+    solved apart; ``scale`` (max|a|, max|b|, that of L) and
+    ``sigma3_defect`` (max(|a - a^H|, |b - b^T|) over the sector blocks)
+    were read before they were combined.  ``state`` is the ground state
+    of either particle kind that the response is linearized about.
     """
 
     layout: ResponseLayout
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
+    halves: tuple = field(repr=False, default=())
     bases: list = field(repr=False, default_factory=list)
     householder: tuple = field(repr=False, default=None)
     natural: list = field(repr=False, default_factory=list)
-    sectors: np.ndarray = field(default=None, repr=False)
+    order: list = field(repr=False, default=None)
+    sizes: tuple = ()
     state: GroundState = None
     metric_clipped: bool = False        # a natural orbital was left out
-    null_vectors: np.ndarray = field(default=None, repr=False)
+    scale: float = 0.0
+    sigma3_defect: float = 0.0
 
     @property
     def D(self) -> int:
         return self.layout.D
 
-    @cached_property
-    def scale(self) -> float:
-        """max(|a|, |b|), that of L (its y rows mirror the x rows)."""
-        return max(_absmax(self.a), _absmax(self.b))
+    @property
+    def n(self) -> int:
+        return sum(self.sizes)
 
     def parts(self, power: float = 0.0) -> list:
-        """(factor, x rows, reduced rows) of each part of the x rows: per
-        DOF j its orbital slots, (U n^power, Q_j) with its kept natural
-        orbitals U scaled by their occupations (``natural``) and Q_j
-        (``bases``), then C_u, (h, p) (``householder``)."""
-        out, x, r = [], 0, 0
-        for (occ, U), Q in zip(self.natural, self.bases):
-            dx, dr = len(U) * len(Q), U.shape[1] * Q.shape[1]
-            out.append(((U * occ ** power, Q), slice(x, x + dx),
-                        slice(r, r + dr)))
-            x, r = x + dx, r + dr
-        c = len(self.householder[0])
-        return out + [(self.householder, slice(x, x + c), slice(r, r + c - 1))]
+        """(basis, factor, x rows, blocks) of each part of the x rows: per
+        DOF j its orbital slots, Q_j, U n^power and its blocks of
+        ``order``; then C_u, h, None and its blocks."""
+        out, x = [], 0
+        for (occ, U), Q, blocks in zip(self.natural, self.bases, self.order):
+            dx = len(U) * len(Q)
+            out.append((Q, U * occ ** power, slice(x, x + dx), blocks))
+            x += dx
+        h = self.householder[0]
+        return out + [(h, None, slice(x, x + len(h)), self.order[-1])]
 
     def lift(self, v: np.ndarray, adjoint: bool = False,
              power: float = 0.0) -> np.ndarray:
         """B U n^power v from the reduced coordinates to the x rows, or
-        n^power U^H B^H v back with ``adjoint``: the factor of each part
-        on its rows (``parts``, ``_apply_part``).  ``v`` is a matrix, one
-        vector per column; a transposed view is read in place."""
-        parts = self.parts(power)
-        out = np.empty((parts[-1][2 if adjoint else 1].stop, v.shape[1]),
-                       dtype=np.result_type(v, *(m for f, *_ in parts
-                                                 for m in f)))
-        for f, x, r in parts:
-            _apply_part(f, v[x if adjoint else r], out[r if adjoint else x],
-                        adjoint)
+        n^power U^H B^H v back with ``adjoint`` (``_pulled``), part by part
+        (``parts``).  ``v`` is a matrix, one vector per column."""
+        off, c = (0, self.sizes[0]), v.shape[1]
+        out = np.empty((self.n if adjoint else self.layout.D // 2, c),
+                       np.result_type(v, self.householder[0], *self.bases,
+                                      *(U for _, U in self.natural)))
+        for q, F, x, blocks in self.parts(power):
+            rows = [(i, slice(off[s] + r.start, off[s] + r.stop))
+                    for s, r, i in blocks]
+            if adjoint:
+                pulled = _pulled(q, F, v[x])
+                for idx, r in rows:
+                    pulled(idx, out[r])
+                continue
+            e = np.zeros((len(q) if F is None else len(F.T) * len(q.T), c),
+                         out.dtype)
+            for idx, r in rows:
+                e[idx] = v[r]
+            if F is None:
+                np.subtract(e, q[:, None] * (q.conj() @ e)[None], out=out[x])
+            else:
+                g = (F @ e.reshape(len(F.T), -1)).reshape(len(F), -1, c)
+                np.matmul(q, g, out=out[x].reshape(len(F), len(q), c))
         return out
 
     def pull(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
@@ -263,7 +271,7 @@ class ResponseMatrix:
         (u, C_u) and conj(B U) on the y half onto (v, C_v), in one ``lift``.
         T is an isometry, and L = T L_r T^H since L[x, y] = B U b (B U)^T.
         ``v`` is a matrix, one vector per column."""
-        n, k, o = len(self.a), v.shape[1], self.layout.orb
+        n, k, o = self.n, v.shape[1], self.layout.orb
         xy = self.lift(np.hstack([v[:n], v[n:].conj()]), power=power)
         x, y = xy[:, :k], xy[:, k:].conj()
         return np.concatenate([x[:o], y[:o], x[o:], y[o:]])
@@ -277,16 +285,30 @@ class ResponseMatrix:
         p = self.pull(np.hstack([xs, ys.conj()]), power)
         return np.vstack([p[:, :k], p[:, k:].conj()])
 
+    def full_halves(self) -> tuple:
+        """(a, b), (a + b +- (a - b)) / 2 per sector, zero between them."""
+        from scipy.linalg import block_diag
+        m, p = (block_diag(*x) for x in zip(*self.halves))
+        return (p + m) / 2, (p - m) / 2
+
     @property
     def L_r(self) -> np.ndarray:
         """The 2n x 2n reduced matrix [[a, b], [-b*, -a*]]."""
-        return np.block([[self.a, self.b], [-self.b.conj(), -self.a.conj()]])
+        a, b = self.full_halves()
+        return np.block([[a, b], [-b.conj(), -a.conj()]])
 
     @property
     def L(self) -> np.ndarray:
-        """Dense D x D matrix T L_r T^H, in the dtype of the halves and the
-        lift, built on each access."""
-        return self.to_space(self.to_space(self.L_r).conj().T).conj().T
+        """Dense D x D matrix T L_r T^H, built on each access, with the blocks
+        of a and b between the sectors pulled again from ``state``."""
+        a, b = self.full_halves()
+        if len(self.sizes) > 1:
+            k, raw = self.sizes[0], _raw_blocks(self.state)
+            raw = raw if np.iscomplexobj(a) else [m.real for m in raw]
+            _pull_halves(self, raw, *([[None, m[:k, k:]], [m[k:, :k], None]]
+                                      for m in (a, b)))
+        L_r = np.block([[a, b], [-b.conj(), -a.conj()]])
+        return self.to_space(self.to_space(L_r).conj().T).conj().T
 
     def project(self, x: np.ndarray, power: float = 0.0) -> np.ndarray:
         """P M^power x = T n^power T^H x for power 0, +1/2 or -1/2, with no
@@ -298,6 +320,18 @@ class ResponseMatrix:
         """Dense D x D projector onto the response coordinates, built on
         demand from ``project``; real for a real problem."""
         return self.project(np.eye(self.D))
+
+
+def _sigma3_defect(a, b) -> float:
+    """max(|a - adjoint(a)|, |b - transpose(b)|), each block of 128 rows
+    against its columns from the diagonal on (|x_ij - x_ji| is symmetric):
+    no n x n temporary, and the full differences' value to the last bit."""
+    d3 = 0.0
+    for i in range(0, len(a), 128):
+        rows = slice(i, i + 128)
+        d3 = max(d3, _absmax(a[rows, i:] - a[i:, rows].conj().T),
+                 _absmax(b[rows, i:] - b[i:, rows].T))
+    return d3
 
 
 def _absmax(x) -> float:
@@ -333,7 +367,7 @@ def build_oo_block(state: GroundState):
     hs = [h.matrix for h in state.h_ops]
     A = np.zeros((layout.orb,) * 2, dtype=np.result_type(
         state.C, *rho1s, *mus, *hs, *phis, *(f for f in fields if f is not None)))
-    B = np.zeros_like(A)
+    B = np.zeros(A.shape, A.dtype)      # a DOF's own block stays unwritten
     for j, (rho, mu, h, om) in enumerate(zip(rho1s, mus, hs, fields)):
         M, n = layout.M_list[j], layout.n_list[j]
         # (slot, point, slot, point) view of the block; the grid diagonal
@@ -531,22 +565,30 @@ def _coefficient_complement(C, cls=None):
     return w * (np.sqrt(2.0) / np.linalg.norm(w)), p, parities
 
 
-def _null_vectors(layout, phis, C) -> np.ndarray:
-    """Analytic null vectors, as columns: ground orbital b of DOF j in u slot
-    (j, a) for every a, b, and C in the C_u slot, then their block-swapped
-    conjugates.  ``phis`` holds the scaled orbitals of each DOF."""
-    cols = [(layout.u_slice(j, a), p) for j, phi in enumerate(phis)
-            for a in range(len(phi)) for p in phi] + [(layout.cu_slice, C)]
-    Z = np.zeros((layout.D, len(cols)), dtype=np.result_type(C, *phis))
-    for i, (rows, v) in enumerate(cols):
-        Z[rows, i] = v
-    return np.hstack([Z, Z.conj()[sigma1(layout)]])
+def _sector_order(natural, bases, householder, labels=None):
+    """(``ResponseMatrix.order``, sector sizes): the coordinates of every
+    part with label +1 (``labels``, per part, on its own rows), then those
+    with -1; one sector without labels or when one would be empty."""
+    h, p = householder
+    rows = [np.arange(U.shape[1] * Q.shape[1]) for (_, U), Q in
+            zip(natural, bases)] + [np.delete(np.arange(len(h)), p)]
+    sizes, order = [0, 0], [[] for _ in rows]
+    for sec, sign in enumerate((1, -1) if labels else (1,)):
+        for blocks, r, lab in zip(order, rows, labels or rows):
+            idx = r if labels is None else r[lab == sign]
+            for i in range(0, len(idx), 512):   # bounds the pulls' transients
+                j = idx[i:i + 512]
+                blocks.append((sec, slice(sizes[sec], sizes[sec] + len(j)), j))
+                sizes[sec] += len(j)
+    if labels and 0 in sizes:
+        return _sector_order(natural, bases, householder)
+    return order, tuple(m for m in sizes if m)
 
 
 def _response_matrix(state, blocks) -> ResponseMatrix:
-    """Projector, metric and L from the raw ``blocks`` (A, B, Loc_u, Loc_v,
-    Lco_u, Lco_v, cc_u), one DOF per orbital set of ``state``; identical
-    particles are the one-DOF case.
+    """Projector, metric and the halves from the raw ``blocks`` (A, B,
+    Loc_u, Loc_v, Lco_u, Lco_v, cc_u), one DOF per orbital set of
+    ``state``; identical particles are the one-DOF case.
 
     A natural orbital of DOF j is kept when its occupation is at least
     FLOOR_FRACTION tr rho_j (FLOOR_FRACTION N for identical particles,
@@ -566,86 +608,100 @@ def _response_matrix(state, blocks) -> ResponseMatrix:
                             tuple(p.shape[1] for p in phis), len(C))
     pars, cls = (_mirror_parities(state, phis, C)
                  or ([None] * len(phis), None))
-    natural, bases, sectors = [], [], []
-    for phi, rho, parities in zip(phis, rho1s, pars):
-        occ, U, par = _natural_orbitals(rho, parities)
-        Q, trailing = _orbital_complement(phi, parities)
+    natural, bases, labels = [], [], []
+    for phi, rho, par in zip(phis, rho1s, pars):
+        occ, U, nat = _natural_orbitals(rho, par)
+        Q, trailing = _orbital_complement(phi, par)
         natural.append((occ, U))
         bases.append(Q)
-        sectors.append(np.outer(par, trailing).ravel())
+        labels.append(np.outer(nat, trailing).ravel())
     h, p, trailing = _coefficient_complement(C, cls)
-    sectors.append(trailing)
-    rm = ResponseMatrix(layout=layout, a=None, b=None, state=state,
-                        bases=bases, householder=(h, p), natural=natural,
-                        sectors=np.concatenate(sectors),
+    labels.append(trailing)
+    rm = ResponseMatrix(layout=layout, state=state, bases=bases,
+                        householder=(h, p), natural=natural,
                         metric_clipped=sum(len(o) for o, _ in natural)
-                        < sum(layout.M_list),
-                        null_vectors=_null_vectors(layout, phis, C))
-    # with F = B U n^(-1/2): a = F^H L_raw[x, x] F and b = F^H L_raw[x, y] F*
-    # (its C_u-C_v block is zero), pulled block by block into place; the
-    # inputs of a are let go before b is formed
-    f = rm.parts(-0.5)
-    dtype = np.result_type(*blocks, *(m for p, *_ in f for m in p))
-    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
-    del blocks
-    g = [(tuple(m.conjugate() for m in p), x, r) for p, x, r in f]
-    n = f[-1][2].stop
-    rm.a = _pull_blocks(np.zeros((n, n), dtype), [
-        (A, f[:-1], g[:-1]), (Loc_u, f[:-1], g[-1:]), (Lco_u, f[-1:], g[:-1]),
-        (cc_u, f[-1:], g[-1:])])
-    del A, Loc_u, Lco_u, cc_u
-    rm.b = _pull_blocks(np.zeros((n, n), dtype), [
-        (B, f[:-1], f[:-1]), (Loc_v, f[:-1], f[-1:]), (Lco_v, f[-1:], f[:-1])])
+                        < sum(layout.M_list))
+    dtype = np.result_type(*blocks, h, *bases, *(U for _, U in natural))
+    for sectors in ([] if cls is None else [labels]) + [None]:
+        rm.order, rm.sizes = _sector_order(natural, bases, (h, p), sectors)
+        a, b = ([np.zeros((m, m), dtype) for m in rm.sizes] for _ in "ab")
+        off = _pull_halves(rm, blocks, *([[x[0], None], [None, x[-1]]][:len(x)]
+                                         for x in (a, b)))
+        rm.scale = max(map(_absmax, a + b))
+        if off <= (SECTOR_TOL * rm.scale) ** 2:
+            break
+    del blocks          # before a - b and a + b touch all their pages
+    rm.sigma3_defect = max(map(_sigma3_defect, a, b))
+    # a - b, and then (a - b) + 2 b, in place
+    for m, q in zip(a, b):
+        m -= q
+        q *= 2.0
+        q += m
+    rm.halves = tuple(zip(a, b))
     return rm
 
 
-def _apply_part(part, s, out, adjoint):
-    """One part's factor (``ResponseMatrix.parts``) on the columns of ``s``,
-    into ``out``: for a DOF, (F, Q), F Q or F^H Q^H with ``adjoint``, a
-    batched product with Q over the slots and one with F on the slot axis;
-    for C, (h, p), H E or E^T H with E the embedding into the rows other
-    than p, one product h^H s and its rank-one update written in place."""
-    f, q = part
-    c = s.shape[1]
-    if np.ndim(q):
-        (M, K), (n, r) = f.shape, q.shape
-        if adjoint:
-            g = np.matmul(q.conj().T, s.reshape(M, n, c)).reshape(M, r * c)
-            if out.flags.c_contiguous:
-                np.matmul(f.conj().T, g, out=out.reshape(K, r * c))
-            else:
-                out[...] = np.matmul(f.conj().T, g).reshape(K * r, c)
-        else:
-            g = np.matmul(q, s.reshape(K, r, c))
-            np.matmul(f, g.reshape(K, n * c), out=out.reshape(M, n * c))
-    elif adjoint:
-        t = (f.conj() @ s)[None]
-        np.matmul(f[:q, None], t, out=out[:q])
-        np.matmul(f[q + 1:, None], t, out=out[q:])
-        np.subtract(s[:q], out[:q], out=out[:q])
-        np.subtract(s[q + 1:], out[q:], out=out[q:])
+def _pull_halves(rm, blocks, a, b) -> float:
+    """a = F^H L_raw[x, x] F and b = F^H L_raw[x, y] F* into ``a``, ``b``
+    (``_pull_blocks``; zero blocks of B are skipped); the larger norm."""
+    A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
+    f = rm.parts(-0.5)
+    g = [(q.conj(), None if F is None else F.conj(), x, r) for q, F, x, r in f]
+    return max(_pull_blocks(b, [
+        *((B[i[2], k[2]], [i], [k]) for i in f[:-1] for k in f[:-1]
+          if B[i[2], k[2]].any()),
+        (Loc_v, f[:-1], f[-1:]), (Lco_v, f[-1:], f[:-1])]), _pull_blocks(a, [
+            (A, f[:-1], g[:-1]), (Loc_u, f[:-1], g[-1:]),
+            (Lco_u, f[-1:], g[:-1]), (cc_u, f[-1:], g[-1:])]))
+
+
+def _pulled(q, F, s):
+    """The adjoint of a part (``ResponseMatrix.parts``) on the columns of
+    ``s``, as a function writing the part's own rows ``idx`` into ``out``:
+    for a DOF a gather of F^H Q^H s, for C s_i - h_i (h^H s) by 256 rows."""
+    def rows(idx, out):
+        if F is not None:
+            return np.take(full, idx, axis=0, out=out, mode="wrap")
+        for i in range(0, len(idx), 256):
+            j, o = idx[i:i + 256], out[i:i + 256]
+            np.matmul(q[j, None], t, out=o)
+            np.subtract(s[j], o, out=o)
+    if F is None:
+        t = (q.conj() @ s)[None]
     else:
-        t = f[:q].conj() @ s[:q] + f[q + 1:].conj() @ s[q:]
-        np.matmul(f[:, None], -t[None], out=out)
-        out[:q] += s[:q]
-        out[q + 1:] += s[q:]
+        g = np.matmul(q.conj().T, s.reshape(-1, len(q), s.shape[1]))
+        full = (F.conj().T @ g.reshape(len(g), -1)).reshape(-1, s.shape[1])
+    return rows
 
 
-def _pull_blocks(out, blocks):
-    """F_i^H X G_k^* into ``out`` at the reduced rows of parts i and k, for
-    each raw block (X, its row parts, its column parts) of F and of G (F or
-    its conjugate): per row part one pull of its rows of X, all columns at
-    once, into t; per column part one of its rows of t^T into the
-    transposed view of the block.  Returns ``out``."""
+def _pull_blocks(outs, blocks) -> float:
+    """F_i^H X G_k^* into the table ``outs`` of sector blocks (rows, then
+    columns; None: not stored) per raw block (X, row parts, column parts):
+    per row part one pull of X, all columns at once, per sector its rows t
+    of that, per column part one pull of t^T into each block's transposed
+    view.  Returns the squared norm of the unstored blocks on even rows and
+    odd columns, each reduced as it is formed."""
+    sq, dtype = 0.0, next(m for r in outs for m in r if m is not None).dtype
     for X, rows, cols in blocks:
-        r0, c0 = rows[0][1].start, cols[0][1].start
-        for f, x, r in rows:
-            t = np.empty((r.stop - r.start, X.shape[1]), out.dtype)
-            _apply_part(f, X[x.start - r0:x.stop - r0], t, True)
-            for g, y, s in cols:
-                _apply_part(g, t[:, y.start - c0:y.stop - c0].T, out[r, s].T,
-                            True)
-    return out
+        r0, c0 = rows[0][2].start, cols[0][2].start
+        for q, F, x, row_blocks in rows:
+            pulled = _pulled(q, F, X[x.start - r0:x.stop - r0])
+            for sec, r, idx in row_blocks:
+                t = np.empty((len(idx), X.shape[1]), dtype)
+                pulled(idx, t)
+                for g, G, y, col_blocks in cols:
+                    col = _pulled(g, G, t[:, y.start - c0:y.stop - c0].T)
+                    for cs, c, cidx in col_blocks:
+                        if outs[sec][cs] is not None:
+                            col(cidx, outs[sec][cs][r, c].T)
+                        elif cs > sec:
+                            o = np.empty((len(cidx), len(idx)), dtype)
+                            col(cidx, o)
+                            sq += float(np.vdot(o, o).real)
+                    del col         # each pull is let go before the next
+                del t
+            del pulled
+    return sq
 
 
 def _raw_blocks(state: GroundState):

@@ -40,26 +40,22 @@ block substitution, so the normalization holds to rounding whatever the
 spread of the w.  The solve stops at the eigenvectors Z: V = [X; Y] stays
 factored as K, Z and w (``RPAFactors``).
 
-Parity sectors.  For a mirror-symmetric problem the assembly labels each
-reduced coordinate even or odd (``ResponseMatrix.sectors``), and a and b
-have no entries between the sectors beyond rounding.  ``parity_sectors``
-checks that, gathering each off-sector block of a and of b once
-(one fancy index): when a Frobenius norm exceeds SECTOR_TOL max|L| (1e-10),
-the problem is one sector.  Below the gate, dropping the blocks moves
-a - b and a + b by at most 2 sqrt(2) SECTOR_TOL max|L| in the 2-norm,
-and the half-size solve runs per sector on its blocks of a and b, each
-gathered once, with a - b and then (a - b) + 2 b formed in place in the
-copy of a: one Cholesky factor, one lower product and one ``eigh`` of
-about half the size each.  The modes are merged in ascending order, and
-``RPAFactors`` keeps K and Z per sector with its reduced rows and modes.
-A probe of definite parity drives the modes of its own sector only:
-``eigensolve`` takes the driving vectors whose weights and
-reconstruction will be read (``drive``; None keeps every vector, no
-columns none), and a sector whose part of r = T^H R has a norm of at
-most SECTOR_TOL |r| for every column R is undriven.  Its lower product
-goes to ``eigvalsh``, with no K, Z or inverted blocks kept; its modes get
-exact zero weights, and ``RPAFactors`` refuses (ValueError) a nonzero
-coefficient on them or a component above the gate in their rows.
+Parity sectors.  For a mirror-symmetric problem the assembly keeps a - b
+and a + b per parity sector (``ResponseMatrix.halves``) once the norm of
+the blocks of a and of b between the sectors is at most SECTOR_TOL
+max|L| (1e-10), which moves a - b and a + b by at most 2 sqrt(2)
+SECTOR_TOL max|L| in the 2-norm; ``parity_sectors`` reads that verdict.
+The half-size solve factors each stored sector block as it is, and
+``RPAFactors`` keeps K and Z per sector with its reduced rows and modes,
+merged in ascending order.  A probe of definite parity drives the modes
+of its own sector only: ``eigensolve`` takes the driving vectors whose
+weights and reconstruction will be read (``drive``; None keeps every
+vector, no columns none), and a sector whose part of r = T^H R has a
+norm of at most SECTOR_TOL |r| for every column R is undriven.  Its
+lower product goes to ``eigvalsh``, with no K, Z or inverted blocks
+kept; its modes get exact zero weights, and ``RPAFactors`` refuses
+(ValueError) a nonzero coefficient on them or a component above the
+gate in their rows.
 
 The reduction is used when the halves are real arrays (the assembly
 decides realness once, from the problem), their Sigma3 defect is below
@@ -68,20 +64,22 @@ tol_zero.  Otherwise (a complex problem, an unstable state, an excitation
 at or below tol_zero) ``eig`` runs on the dense L_r as one sector, and V
 is its 2n x k array of retained vectors (``ReducedVectors``); degenerate
 clusters are rotated to make the pseudo-metric diagonal inside the
-cluster, which keeps biorthogonality exact.  The checks take
-max|L| = max(|a|, |b|) once (``ResponseMatrix.scale``) without |.|
-arrays; both CSV files are written from one text table.
+cluster, which keeps biorthogonality exact.  The checks share
+max|L| = max(|a|, |b|) (``ResponseMatrix.scale``); both CSV files are
+written from one set of text columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import copysign
 
 import numpy as np
 from numpy import linalg as sla     # LAPACK drivers, wrapped by profilers
 
-from .linres_identical import ResponseMatrix, _absmax, sigma1, sigma3
+from . import linres_identical as li
+from .linres_identical import SECTOR_TOL, ResponseMatrix, sigma1, sigma3
 
 __all__ = [
     "LRSpectrum",
@@ -102,9 +100,6 @@ __all__ = [
 # relative bound on the symmetry defects below which L counts as exactly
 # paired for the half-size reduction
 SYMMETRY_TOL = 1e-9
-# bound on the Frobenius norm of each off-sector block of a and of b,
-# relative to max|L|, below which the parity sectors are solved apart
-SECTOR_TOL = 1e-10
 # dense path: an imaginary part above IM_TOL max|Re w| makes L unstable, and
 # retained eigenvalues within CLUSTER_TOL max(|w|, 1) form a degenerate
 # cluster
@@ -154,8 +149,8 @@ _UNDRIVEN = ("the modes of an undriven parity sector have no vectors; "
 class RPAFactors:
     """Retained RPA vectors of the half-size solve in the reduced
     coordinates of the halves, kept factored per parity sector.  Sector s
-    holds the reduced rows ``rows`` and the modes ``modes`` (index arrays,
-    or slices for a single sector): there X + Y = K Z w^(-1/2) and
+    holds the reduced rows ``rows`` (a slice) and the modes ``modes`` (an
+    index array, a slice for a single sector): there X + Y = K Z w^(-1/2) and
     X - Y = K^-T Z w^(1/2), with K the Cholesky factor of the sector's
     block of a - b and Z the eigenvectors of K^T (a + b) K at eigenvalues
     w^2; outside its rows and modes X and Y vanish.  ``sectors`` holds
@@ -271,22 +266,11 @@ class LRSpectrum:
 
 
 def symmetry_defects(rm: ResponseMatrix) -> tuple:
-    """(max |Sigma1 L Sigma1 + conj(L)|, max |Sigma3 L Sigma3 - adjoint(L)|).
-
-    Computed on the halves: L = T L_r T^H mirrors its x rows into its y
-    rows, so the Sigma1 defect is exactly 0.  The Sigma3 defect is that of
-    L_r, max(|a - adjoint(a)|, |b - transpose(b)|): the dense one pulled
-    back by T, and equal to it when T embeds coordinates.  |x_ij - x_ji|
-    does not depend on the order of i and j, so each block of 128 rows is
-    compared with its columns from the diagonal on only: no n x n
-    temporary, and the value of the full differences to the last bit.
-    """
-    a, b, d3 = rm.a, rm.b, 0.0
-    for i in range(0, len(a), 128):
-        rows = slice(i, i + 128)
-        d3 = max(d3, _absmax(a[rows, i:] - a[i:, rows].conj().T),
-                 _absmax(b[rows, i:] - b[i:, rows].T))
-    return 0.0, d3
+    """(max |Sigma1 L Sigma1 + conj(L)|, max |Sigma3 L Sigma3 - adjoint(L)|)
+    on the halves: L = T L_r T^H mirrors its x rows into its y rows, so the
+    Sigma1 defect is 0; the Sigma3 one is that of L_r over the sector
+    blocks, read by the assembly (``li._sigma3_defect``)."""
+    return 0.0, rm.sigma3_defect
 
 
 class _NoReduction(Exception):
@@ -316,20 +300,10 @@ def eigensolve(rm: ResponseMatrix, tol_zero: float | None = None,
 
 
 def parity_sectors(rm: ResponseMatrix) -> list:
-    """Index arrays of the parity sectors of the reduced coordinates, even
-    first: those ``rm.sectors`` records, or one sector with every
-    coordinate when it records none or only one parity, or when an
-    off-sector block of a or b has a Frobenius norm above SECTOR_TOL
-    max|L|."""
-    n, labels = len(rm.a), rm.sectors
-    if labels is None:
-        return [np.arange(n)]
-    even, odd = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
-    gate = SECTOR_TOL * rm.scale
-    if len(even) and len(odd) and max(np.linalg.norm(m[even[:, None], odd])
-                                      for m in (rm.a, rm.b)) <= gate:
-        return [even, odd]
-    return [np.arange(n)]
+    """Slices of the reduced coordinates of the sectors solved apart, even
+    first: the verdict of the assembly's gate (``rm.halves``)."""
+    edges = np.cumsum([0, *(len(m) for m, _ in rm.halves)])
+    return [slice(i, j) for i, j in zip(edges, edges[1:])]
 
 
 def _driven(rm: ResponseMatrix, groups, drive) -> list:
@@ -341,10 +315,10 @@ def _driven(rm: ResponseMatrix, groups, drive) -> list:
     cols = np.reshape(drive, (rm.D, -1))
     if not cols.shape[1]:
         return [False] * len(groups)
-    r, n = rm.to_reduced(cols), len(rm.a)
+    r, n = rm.to_reduced(cols), rm.n
     gate = SECTOR_TOL * np.linalg.norm(r, axis=0)
-    return [bool(np.any(np.linalg.norm(r[np.r_[g, g + n]], axis=0) > gate))
-            for g in groups]
+    return [bool(np.any(np.hypot(np.linalg.norm(r[g], axis=0), np.linalg.norm(
+        r[n:][g], axis=0)) > gate)) for g in groups]
 
 
 def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, drive):
@@ -352,50 +326,44 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, drive):
     one per parity sector, eigenvalues alone where ``drive`` does not reach;
     raises _NoReduction where it does not apply."""
     # the assembly makes the halves real arrays exactly for a real problem
-    a, b = rm.a, rm.b
-    if np.iscomplexobj(a):
+    if np.iscomplexobj(rm.halves[0][0]):
         raise _NoReduction("complex L")
     if max(defects) > SYMMETRY_TOL * rm.scale:
         raise _NoReduction("symmetry defect above 1e-9 max|L|")
-    D, n = rm.D, len(a)
+    D, n = rm.D, rm.n
     groups = parity_sectors(rm)
     one, driven = len(groups) == 1, _driven(rm, groups, drive)
     solves = []
-    for g, vectors in zip(groups, driven):
-        # a - b and then (a - b) + 2 b in place in a copy of the sector
-        # block of a, gathered once, as is that of b
-        d, bg = (a.copy(), b) if one else (a[g[:, None], g], b[g[:, None], g])
-        d -= bg
+    for (d, s), g, vectors in zip(rm.halves, groups, driven):
+        # the stored sector blocks of a - b and a + b, factored as they are
         try:
             K = sla.cholesky(d)
         except sla.LinAlgError:
             raise _NoReduction("A - B not positive definite") from None
-        d += 2.0 * bg
         # numpy's eigh is LAPACK's divide and conquer (syevd); the MRRR
         # driver is ~3x slower on the clustered spectra of coupled
         # oscillators
-        S = _lower_product(K, d)
-        del d, bg
+        S = _lower_product(K, s)
         solves.append((g, K, *sla.eigh(S)) if vectors
                       else (g, None, sla.eigvalsh(S), None))
+        del K, S            # let go before the next sector is factored
     w2 = np.concatenate([w for *_, w, _ in solves])
     if w2.min() <= 0:
         raise _NoReduction("A + B not positive definite")
-    # the modes of all sectors in ascending order: sector i holds the
-    # positions ``mode[start:start + len(g)]``
+    # the modes of all sectors in ascending order: the sector of the rows g
+    # holds the positions ``mode[g]``
     order = np.argsort(w2, kind="stable")
     omega, mode = np.sqrt(w2[order]), np.argsort(order)
     if tol_zero is None:
         tol_zero = 1e-6 * max(omega[-1], 1.0)
     if omega[0] <= tol_zero:
         raise _NoReduction("an excitation at or below tol_zero")
-    sectors, start = [], 0
+    sectors = []
     for g, K, _, Z in solves:
         rows, modes = ((slice(None),) * 2 if one
-                       else (g, mode[start:start + len(g)]))
+                       else (g, mode[g.start:g.stop]))
         sectors.append((rows, modes, K, Z,
                         None if K is None else _block_inverses(K)))
-        start += len(g)
 
     w = np.zeros(D, dtype=complex)
     w[:n] = -omega[::-1]
@@ -406,9 +374,9 @@ def _eigensolve_rpa(rm: ResponseMatrix, defects, tol_zero, drive):
                       sng_undefined=np.zeros(n, dtype=bool),
                       pairing={int(k): int(D - 1 - k) for k in retained},
                       tol_zero=tol_zero, eigensolver="rpa",
-                      sector_sizes=tuple(len(g) for g in groups),
-                      driven_sizes=tuple(len(g) for g, d in zip(groups, driven)
-                                         if d),
+                      sector_sizes=tuple(len(m) for m, _ in rm.halves),
+                      driven_sizes=tuple(len(m) for (m, _), d in
+                                         zip(rm.halves, driven) if d),
                       vectors=RPAFactors(tuple(sectors), omega))
 
 
@@ -489,7 +457,7 @@ def _eigensolve_dense(rm: ResponseMatrix,
 
     return LRSpectrum(rm=rm, eigenvalues=w, zero_modes=zero,
                       retained=retained, vectors=ReducedVectors(R), sng=sng,
-                      sector_sizes=(len(rm.a),), driven_sizes=(len(rm.a),),
+                      sector_sizes=(rm.n,), driven_sizes=(rm.n,),
                       sng_undefined=undef, pairing=pairing,
                       pairing_residual=pairing_residual,
                       reality_defect=reality_defect, unstable=unstable,
@@ -506,15 +474,32 @@ def classify_zero_modes(spec: LRSpectrum, expected_count: int | None = None,
     """
     rm = spec.rm
     if expected_count is None:
-        expected_count = rm.null_vectors.shape[1]
-    # |L Z| = |L_r T^H Z|, T an isometry; the first half of the null vectors
-    # lives on the x rows, T^H Z = [zx; 0], and the Sigma1 mirrors in the
-    # second half have the same norms
-    Z = rm.null_vectors[:, :rm.null_vectors.shape[1] // 2]
-    zx = rm.to_reduced(Z)[:len(rm.a)]
-    LZ = np.vstack([rm.a @ zx, rm.b @ zx.conj()])
-    Lnorm = max(rm.scale, 1.0)
-    resid = np.linalg.norm(LZ, axis=0) / (np.linalg.norm(Z, axis=0) * Lnorm)
+        expected_count = expected_zero_modes(rm.layout.M_list)
+    # |L Z| = |L_r T^H Z|; the first half of Z lives on the x rows, T^H Z =
+    # [zx; 0], per DOF phi_b in slot a pulled by its part (Q_j^H phi_b over
+    # the kept natural orbitals), C by the reflector; the mirrors match
+    rows = [s.scaled for s in rm.state.sets] + [rm.state.C[None]]
+    rows = rows if np.iscomplexobj(rm.halves[0][0]) else [r.real for r in rows]
+    norms = np.concatenate([np.tile(np.linalg.norm(p, axis=1), len(p))
+                            for p in rows])
+    zx, k = np.zeros((rm.n, len(norms)), rm.halves[0][0].dtype), 0
+    for (q, F, _, blocks), phi in zip(rm.parts(), rows):
+        (M, n), m = phi.shape, len(phi) ** 2
+        z = np.zeros((M, n, M, M), phi.dtype)
+        z[np.arange(M), :, np.arange(M)] = phi.T
+        pulled = li._pulled(q, F, z.reshape(M * n, m))
+        for s, r, idx in blocks:
+            pulled(idx, zx[r.start + s * rm.sizes[0]:r.stop + s * rm.sizes[0],
+                           k:k + m])
+        k += m
+    # a zx = ((a + b) zx + (a - b) zx) / 2, b zx* the difference on zx*
+    sq = 0.0
+    for (d, s), g in zip(rm.halves, parity_sectors(rm)):
+        u = np.hstack([zx[g], zx[g].conj()]) if zx.dtype.kind == "c" else zx[g]
+        p, m = s @ u, d @ u
+        sq = sq + np.linalg.norm(p[:, :k] + m[:, :k], axis=0) ** 2 \
+            + np.linalg.norm(p[:, -k:] - m[:, -k:], axis=0) ** 2
+    resid = 0.5 * np.sqrt(sq) / (norms * max(rm.scale, 1.0))
     report = {
         "indices": spec.zero_modes,
         "count": int(len(spec.zero_modes)),
@@ -641,12 +626,13 @@ def save_reconstruction(path, rec: Reconstruction, t: float = 0.0) -> None:
     })
 
 
-def _write_csv(path, header_lines, names, rows) -> None:
-    """CSV of text ``rows`` under "# " ``header_lines``."""
+def _write_csv(path, header_lines, names, cols) -> None:
+    """CSV of the text columns ``cols`` under "# " ``header_lines``, written
+    as one string."""
+    text = [f"# {line}" for line in header_lines] + [",".join(names)]
+    text += map(",".join, zip(*cols))
     with open(path, "w", newline="\n") as fh:
-        fh.writelines(f"# {line}\n" for line in header_lines)
-        fh.write(",".join(names) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.write("\n".join(text) + "\n")
 
 
 def save_spectrum_csv(path, spec: LRSpectrum,
@@ -656,29 +642,39 @@ def save_spectrum_csv(path, spec: LRSpectrum,
     |gamma_k|, |gamma_-k|; sng and the weights are 0 off the retained modes.
 
     With ``weights_path`` also the weights CSV, one row per retained mode
-    (mode, omega, sng, |gamma_k|, |gamma_-k|) cut from the same text rows.
-    Values are "%.17g", each retained omega formatted once: a partner at
-    exactly -w (as on the RPA path) is "-" and its text.  The weights are
-    formatted by their scalar abs (numpy's vectorized complex abs can
-    differ from it in the last bit), exact zeros (undriven modes) as "0"."""
+    (mode, omega, sng, |gamma_k|, |gamma_-k|) cut from the same text
+    columns.  Values are "%.17g", each formatted once: a partner at exactly
+    -w (as on the RPA path) is "-" and the text of w, exact zeros "0".  The
+    weights are formatted by their scalar abs (numpy's vectorized complex
+    abs can differ from it in the last bit)."""
     fmt, w, ret = "%.17g".__mod__, spec.eigenvalues.tolist(), \
         spec.retained.tolist()
-    zero = set(spec.zero_modes.tolist())
-    text = {k: fmt(w[k].real) for k in ret}
-    text.update((j, "-" + text[k]) for k, j in spec.pairing.items()
-                if w[j] == -w[k])
-    rows = [[str(k), text[k] if k in text else fmt(x.real), fmt(x.imag), "0",
-             "1" if k in zero else "0", "0", "0"] for k, x in enumerate(w)]
-    gp, gm = ([0.0] * len(ret),) * 2 if weights is None else (
-        weights.gamma_plus.tolist(), weights.gamma_minus.tolist())
-    for k, sng, p, m in zip(ret, spec.sng.tolist(), gp, gm):
-        rows[k][3] = fmt(sng)
-        rows[k][5], rows[k][6] = (fmt(abs(g)) if g else "0" for g in (p, m))
+    re, im, sng, zero, gp, gm = cols = [["0"] * len(w) for _ in range(6)]
+    for k in ret:
+        re[k] = fmt(w[k].real)
+    for k, j in spec.pairing.items():
+        if w[j] == -w[k]:
+            re[j] = "-" + re[k]
+    for k, x in enumerate(w):   # +0.0 is "0", -0.0 "-0" as "%.17g" has it
+        if re[k] == "0" and (x.real or copysign(1.0, x.real) < 0):
+            re[k] = fmt(x.real)
+        if x.imag or copysign(1.0, x.imag) < 0:
+            im[k] = fmt(x.imag)
+    for k, x in zip(ret, spec.sng.tolist()):
+        sng[k] = fmt(x)
+    for k in spec.zero_modes.tolist():
+        zero[k] = "1"
+    if weights is not None:
+        for g, out in ((weights.gamma_plus, gp), (weights.gamma_minus, gm)):
+            for k, x in zip(ret, g.tolist()):
+                out[k] = fmt(abs(x)) if x else "0"
     _write_csv(path, header_lines,
                ["index", "re_omega", "im_omega", "sng", "is_zero_mode",
-                "abs_gamma_plus", "abs_gamma_minus"], rows)
+                "abs_gamma_plus", "abs_gamma_minus"],
+               [map(str, range(len(w))), *cols])
     if weights_path is not None:
         _write_csv(weights_path, header_lines,
                    ["mode", "omega", "sng", "abs_gamma_plus",
                     "abs_gamma_minus"],
-                   [[rows[k][i] for i in (0, 1, 3, 5, 6)] for k in ret])
+                   [map(str, ret), *([c[k] for k in ret]
+                                     for c in (re, sng, gp, gm))])

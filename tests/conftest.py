@@ -14,6 +14,8 @@ from mclr import fockspace as fs
 from mclr import hamiltonian as ham
 from mclr import groundstate as gs
 
+import loop_oracles as lo
+
 
 def oscillator_h(grid, omega=1.0, mass=1.0):
     return OneBodyOperator(kinetic_matrix(grid, mass).matrix
@@ -158,8 +160,8 @@ def orbital_gauge(st, U):
     energy, C, _ = gs._ci_eigenpair(
         ham.hamiltonian_matrix(st.space, [rot], st.h_ops, st.kernel_matrix))
     rho = fs.reduced_densities(st.space, C)
-    g_unp = gs.orbital_eom_rhs(st.grids[0], rot, st.h_ops[0],
-                               st.kernel_matrix, rho, project=False)
+    g_unp = lo.orbital_eom_rhs_plan(st.grids[0], rot, st.h_ops[0],
+                                    st.kernel_matrix, rho, project=False)
     mu = st.grids[0].weight * (g_unp @ rot.orbitals.conj().T)
     return dataclasses.replace(st, sets=[rot], C=C, rho1=[rho.rho1],
                                rho2=rho.rho2, mu=[mu], energy=energy,

@@ -26,8 +26,10 @@ products with the stored right vectors, the per-field CSV writers of
 the spectrum, the one-sector solve the parity sectors are checked
 against, the butterfly frame, row swap and compact-WY application of the
 complements that the dense bases and the reflector of C are checked
-against, the halves pulled through one buffer of each raw half, and
-the symmetry defects from full n x n differences.
+against, the full halves pulled through one buffer of each raw half with
+their sector blocks gathered from them, the order of the reduced
+coordinates by part, the analytic null vectors as D-row columns and
+their residual, and the symmetry defects from full n x n differences.
 Layout, spectrum and reconstruction accessors that only tests read (the
 row indices of the halves, the v slot of one orbital, the left vectors of
 the modes and the right and left vectors of their negative partners, the
@@ -236,6 +238,17 @@ def orbital_eom_rhs(grid, orbs, h_op, kernel_matrix, rho):
                     w_sl = dx * (kernel_matrix @ (phi[s].conj() * phi[l]))
                     g[k] += rho.rho2[k, s, l, q] * w_sl * phi[q]
     return _project_rows(g, phi, dx)
+
+
+def orbital_eom_rhs_plan(grid, orbs, h_op, kernel_matrix, rho,
+                         project=True):
+    """The identical-particle right-hand side from one ``OrbitalRHS`` build
+    and one evaluation, rows B_k = P [sum_q rho_kq h |phi_q>
+    + sum_slq rho_kslq W_sl |phi_q>] (unprojected with ``project=False``)."""
+    fields = ham.mean_field_plans(None, None, rho.rho2, kernel_matrix,
+                                  [grid.weight])
+    rhs = gs.OrbitalRHS([np.asarray(rho.rho1)], [h_op], [grid.weight], fields)
+    return rhs([orbs.orbitals], project)[0]
 
 
 def _ingredients(state):
@@ -664,13 +677,55 @@ def raw_halves(rm, blocks):
     each raw half L_raw[x, x], L_raw[x, y] filled into it (``_block2``),
     pulled on its x rows by n^(-1/2) U^H B^H (``rm.pull``) over its full
     width, and the n x (orb + n_conf) result pulled again through its
-    transposed view.  The block-by-block assembly is checked against it."""
+    transposed view: the full halves, with their blocks between the parity
+    sectors.  The block-by-block assembly is checked against it."""
     A, B, Loc_u, Loc_v, Lco_u, Lco_v, cc_u = blocks
     raw = np.empty((len(A) + len(cc_u),) * 2, dtype=np.result_type(*blocks))
     a = rm.pull(rm.pull(_block2(raw, A, Loc_u, Lco_u, cc_u), -0.5)
                 .conj().T, -0.5).conj().T
     raw = rm.pull(_block2(raw, B, Loc_v, Lco_v, 0.0), -0.5)
     return a, rm.pull(raw.T, -0.5).T
+
+
+def sectors(rm):
+    """The parity sector of each reduced coordinate, +1 even, -1 odd."""
+    return np.repeat([1, -1][:len(rm.sizes)], rm.sizes)
+
+
+def sector_blocks(rm, a, b):
+    """[(a_s, b_s)]: the sector blocks of the full halves ``a``, ``b``, each
+    gathered from its rows and columns (``sectors``), even first."""
+    groups = [np.flatnonzero(sectors(rm) == s) for s in (1, -1)]
+    return [(a[np.ix_(g, g)], b[np.ix_(g, g)]) for g in groups if len(g)]
+
+
+def null_vectors(rm):
+    """Analytic null vectors, as D columns: ground orbital b of DOF j in u
+    slot (j, a) for every a, b, and C in the C_u slot, then their
+    block-swapped conjugates; real for a real problem."""
+    st, layout = rm.state, rm.layout
+    phis, C = [s.scaled for s in st.sets], st.C
+    if not np.iscomplexobj(rm.halves[0][0]):
+        phis, C = [p.real for p in phis], C.real
+    cols = [(layout.u_slice(j, a), p) for j, phi in enumerate(phis)
+            for a in range(len(phi)) for p in phi] + [(layout.cu_slice, C)]
+    Z = np.zeros((layout.D, len(cols)), dtype=np.result_type(C, *phis))
+    for i, (rows, v) in enumerate(cols):
+        Z[rows, i] = v
+    return np.hstack([Z, Z.conj()[li.sigma1(layout)]])
+
+
+def null_vector_residual(rm):
+    """max over the first half of the null vectors Z of |L Z| / (|Z|
+    max(max|L|, 1)), as |L_r T^H Z| from the dense x half of T^H Z and the
+    full halves a, b."""
+    Z = null_vectors(rm)
+    Z = Z[:, :Z.shape[1] // 2]
+    zx = rm.to_reduced(Z)[:rm.n]
+    a, b = rm.full_halves()
+    LZ = np.vstack([a @ zx, b @ zx.conj()])
+    return float((np.linalg.norm(LZ, axis=0)
+                  / (np.linalg.norm(Z, axis=0) * max(rm.scale, 1.0))).max())
 
 
 def natural_power(rho, power):
@@ -990,14 +1045,22 @@ def save_spectrum_csv_values(path, spec, weights=None, header_lines=(),
         weights.gamma_plus.tolist(), weights.gamma_minus.tolist())
     for k, sng, p, m in zip(ret, spec.sng.tolist(), gp, gm):
         rows[k][3], rows[k][5], rows[k][6] = fmt(sng), fmt(abs(p)), fmt(abs(m))
-    spm._write_csv(path, header_lines,
-                   ["index", "re_omega", "im_omega", "sng", "is_zero_mode",
-                    "abs_gamma_plus", "abs_gamma_minus"], rows)
+    _write_rows(path, header_lines,
+                ["index", "re_omega", "im_omega", "sng", "is_zero_mode",
+                 "abs_gamma_plus", "abs_gamma_minus"], rows)
     if weights_path is not None:
-        spm._write_csv(weights_path, header_lines,
-                       ["mode", "omega", "sng", "abs_gamma_plus",
-                        "abs_gamma_minus"],
-                       [[rows[k][i] for i in (0, 1, 3, 5, 6)] for k in ret])
+        _write_rows(weights_path, header_lines,
+                    ["mode", "omega", "sng", "abs_gamma_plus",
+                     "abs_gamma_minus"],
+                    [[rows[k][i] for i in (0, 1, 3, 5, 6)] for k in ret])
+
+
+def _write_rows(path, header_lines, names, rows):
+    """CSV of text ``rows`` under "# " ``header_lines``, line by line."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(f"# {line}\n" for line in header_lines)
+        fh.write(",".join(names) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 # --- complements: the butterfly frame and the compact-WY application ---------
@@ -1106,7 +1169,7 @@ def wy_complements(rm):
     rows with the pivot of ``rm.householder`` swapped to the first."""
     st = rm.state
     phis, C = [s.scaled for s in st.sets], st.C
-    if not np.iscomplexobj(rm.a):
+    if not np.iscomplexobj(rm.halves[0][0]):
         phis, C = [p.real for p in phis], C.real
     pars = li._mirror_parities(st, phis, C)
     out = []
@@ -1186,7 +1249,12 @@ class WYResponseMatrix(li.ResponseMatrix):
     factors too."""
 
     def lift(self, v, adjoint=False, power=0.0):
-        return wy_lift(self, v, adjoint, power)
+        perm = sector_permutation(self)
+        if adjoint:
+            return wy_lift(self, v, adjoint, power)[perm]
+        native = np.empty_like(v)
+        native[perm] = v
+        return wy_lift(self, native, adjoint, power)
 
 
 def wy_response(rm):
@@ -1195,20 +1263,51 @@ def wy_response(rm):
                                for f in dataclasses.fields(rm)})
 
 
-def symmetry_defects_full(rm):
-    """``spm.symmetry_defects`` from the full n x n differences a - a^H and
+def symmetry_defects_full(a, b):
+    """``li._sigma3_defect`` from the full n x n differences a - a^H and
     b - b^T."""
-    a, b = rm.a, rm.b
-    return 0.0, max(li._absmax(a - a.conj().T), li._absmax(b - b.T))
+    return max(li._absmax(a - a.conj().T), li._absmax(b - b.T))
 
 
 # --- parity sectors: the one-sector solve and what it is compared on --------
 
 
 def one_sector(rm):
-    """``rm`` with every reduced coordinate in one sector: the eigensolve
-    then runs the single half-size solve."""
-    return dataclasses.replace(rm, sectors=np.ones(len(rm.a), dtype=int))
+    """``rm`` solved as one sector: its sector blocks of a - b and a + b,
+    and between them those of the full halves of ``raw_halves``.  A
+    one-sector ``rm`` is kept as it is."""
+    if len(rm.halves) == 1:
+        return dataclasses.replace(rm)
+    a, b = raw_halves(rm, raw_blocks(rm.state))
+    minus, plus, i = a - b, a + b, 0
+    for m, p in rm.halves:
+        block = slice(i, i + len(m))
+        minus[block, block], plus[block, block] = m, p
+        i += len(m)
+    return dataclasses.replace(rm, halves=((minus, plus),))
+
+
+def sector_permutation(rm):
+    """For each reduced coordinate of ``rm``, the one that stands for it in
+    the order of the parts (per DOF natural orbital by complement column,
+    then C's rows but the pivot): the coordinates sorted stably by sector
+    and part.  The identity for one sector."""
+    st = rm.state
+    if len(rm.sizes) == 1:
+        return np.arange(rm.n)
+    phis, C = [s.scaled for s in st.sets], st.C
+    if not np.iscomplexobj(rm.halves[0][0]):
+        phis, C = [p.real for p in phis], C.real
+    pars, cls = li._mirror_parities(st, phis, C)
+    sector, part = [], []
+    for j, (phi, rho, par) in enumerate(zip(phis, st.rho1, pars)):
+        nat = li._natural_orbitals(li._hermitized(rho), par)[2]
+        cols = li._orbital_complement(phi, par)[1]
+        sector.append(np.outer(nat, cols).ravel())
+        part.append(np.full(nat.size * cols.size, j))
+    sector.append(li._coefficient_complement(C, cls)[2])
+    part.append(np.full(len(sector[-1]), len(phis)))
+    return np.lexsort((np.concatenate(part), np.concatenate(sector) < 0))
 
 
 def cluster_weights(spec, R_vec, tol=1e-8):
@@ -1285,8 +1384,8 @@ def lagrange_multipliers(state):
     residuals."""
     (grid,), (orbs,) = state.grids, state.sets
     rho = fs.ReducedDensities(state.rho1[0], state.rho2)
-    g = gs.orbital_eom_rhs(grid, orbs, state.h_ops[0], state.kernel_matrix,
-                           rho, project=False)
+    g = orbital_eom_rhs_plan(grid, orbs, state.h_ops[0], state.kernel_matrix,
+                             rho, project=False)
     mu = grid.weight * (g @ orbs.orbitals.conj().T)
     state.residuals["mu_defect"] = float(np.abs(mu - mu.conj().T).max())
     return mu

@@ -213,7 +213,8 @@ def test_criterion_10_linearization_derivative(bos_m2_48):
     def rhs(phi_mat, C):
         orbs = ham.OrbitalSet(phi_mat, g)
         rho = fs.reduced_densities(sp, C)
-        Bv = gs.orbital_eom_rhs(g, orbs, st.h_ops[0], st.kernel_matrix, rho)
+        Bv = lo.orbital_eom_rhs_plan(g, orbs, st.h_ops[0],
+                                     st.kernel_matrix, rho)
         hmat = ham.one_body_elements(orbs, st.h_ops[0])
         W = ham.two_body_tensor(orbs, st.kernel_matrix)
         hc = fs.apply_second_quantized(sp, C, hmat, W)

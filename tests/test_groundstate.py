@@ -323,8 +323,8 @@ def test_scaled_residual_sees_weak_natural_orbital(bos_m2):
     bump /= g.norm(bump)
     orbs = ham.OrbitalSet(st.sets[0].orbitals + 1e-6 * np.outer(U[:, 0], bump),
                           g).orthonormalized()
-    B = gs.orbital_eom_rhs(g, orbs, st.h_ops[0], st.kernel_matrix,
-                           fs.ReducedDensities(st.rho1[0], st.rho2))
+    B = lo.orbital_eom_rhs_plan(g, orbs, st.h_ops[0], st.kernel_matrix,
+                                fs.ReducedDensities(st.rho1[0], st.rho2))
     orb_res = max(g.norm(b) for b in B)
     natural = [gs._hermitian_eigh(st.rho1[0][None])]
     _, scaled = gs._orbital_residuals([np.full((1, 1, 1), g.weight)],

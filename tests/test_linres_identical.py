@@ -142,27 +142,40 @@ def more_states():
     "bos_m2", "ferm_m3", "dist_11", "dist_44", "bos_m2_complex_gauge",
     "mirror_broken", "m34", "m333_pair13"])
 def test_halves_match_raw_buffer_oracle(fixture, request, more_states):
-    # the halves pulled block by block against the pull of each whole raw
-    # half through one buffer, and so their Sigma3 defects
+    # the sector blocks pulled block by block against the sector blocks of
+    # each whole raw half pulled through one buffer, and so a and b rebuilt
+    # from them, the scale and the Sigma3 defect; between the sectors the
+    # oracle holds only what the gate lets through
     st = (more_states[fixture] if fixture in more_states
           else request.getfixturevalue(fixture))
     rm = li.assemble_L(st)
     a, b = lo.raw_halves(rm, lo.raw_blocks(st))
+    sectors = lo.sector_blocks(rm, a, b)
     scale = rm.scale
-    assert a.dtype == rm.a.dtype and b.dtype == rm.b.dtype
-    assert np.abs(rm.a - a).max() <= 1e-14 * scale
-    assert np.abs(rm.b - b).max() <= 1e-14 * scale
-    got = spm.symmetry_defects(rm)[1]
-    want = spm.symmetry_defects(dataclasses.replace(rm, a=a, b=b))[1]
-    assert abs(got - want) <= 1e-14 * scale
+    assert len(rm.halves) == len(sectors) == len(rm.sizes)
+    for (minus, plus), (a_s, b_s) in zip(rm.halves, sectors):
+        assert minus.dtype == plus.dtype == a.dtype == b.dtype
+        assert np.abs(minus - (a_s - b_s)).max() <= 1e-14 * scale
+        assert np.abs(plus - (a_s + b_s)).max() <= 1e-14 * scale
+    on = lo.sectors(rm)[:, None] == lo.sectors(rm)[None, :]
+    for got, want in zip(rm.full_halves(), (a, b)):
+        assert got.dtype == want.dtype
+        assert np.abs(got - np.where(on, want, 0)).max() <= 1e-14 * scale
+    n0 = rm.sizes[0]
+    assert max(np.linalg.norm(m[:n0, n0:]) for m in (a, b)) <= (
+        spm.SECTOR_TOL * scale)
+    want = max(max(li._absmax(a_s), li._absmax(b_s)) for a_s, b_s in sectors)
+    assert abs(scale - want) <= 1e-14 * scale
+    want = max(li._sigma3_defect(a_s, b_s) for a_s, b_s in sectors)
+    assert abs(spm.symmetry_defects(rm)[1] - want) <= 1e-14 * scale
 
 
 def test_assembly_holds_no_raw_half_buffer(dist_44):
-    # above the memory at its entry, the assembly of the halves holds a and
-    # b and, as transients, less than one raw orbital block A: no buffer of
-    # a raw half, (orb + n_conf)^2, and no n x (orb + n_conf) intermediate.
-    # The raw blocks are handed over (CPython 3.11 passes a call's
-    # arguments to the callee), so the inputs of a can go before b is formed
+    # above the memory at its entry, the assembly holds the sector blocks
+    # of a and b and, as transients, less than one raw orbital block A and
+    # one sector block: no n x n half, no (orb + n_conf)^2 buffer of a raw
+    # half and no block between the sectors.  The raw blocks are handed
+    # over (CPython 3.11 passes a call's arguments to the callee)
     tracemalloc.start()
     try:
         held = [lo.raw_blocks(dist_44)]
@@ -173,7 +186,9 @@ def test_assembly_holds_no_raw_half_buffer(dist_44):
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak < rm.a.nbytes + rm.b.nbytes + orb_block
+    assert len(rm.halves) == 2
+    stored = sum(m.nbytes + p.nbytes for m, p in rm.halves)
+    assert peak < stored + orb_block + max(m.nbytes for m, _ in rm.halves)
 
 
 def test_assembled_dimension_and_projection(bos_m2):
@@ -291,7 +306,7 @@ def test_structural_operator_on_complex_orbital_span(power):
 
 def test_null_vectors_annihilated(bos_m2):
     rm = li.assemble_L(bos_m2)
-    Z = rm.null_vectors
+    Z = lo.null_vectors(rm)
     assert Z.shape[1] == 2 * (2 * 2 + 1)
     assert np.abs(rm.L @ Z).max() < 1e-8
 
@@ -456,7 +471,8 @@ def test_linearization_derivative(bos_m2_48):
     def rhs(phi_mat, C):
         orbs = ham.OrbitalSet(phi_mat, g)
         rho = fs.reduced_densities(sp, C)
-        Bv = gs.orbital_eom_rhs(g, orbs, st.h_ops[0], st.kernel_matrix, rho)
+        Bv = lo.orbital_eom_rhs_plan(g, orbs, st.h_ops[0],
+                                     st.kernel_matrix, rho)
         h = ham.one_body_elements(orbs, st.h_ops[0])
         W = ham.two_body_tensor(orbs, st.kernel_matrix)
         hc = fs.apply_second_quantized(sp, C, h, W)
@@ -520,8 +536,9 @@ def test_coefficient_reflector_spans_the_complement_of_C(pivot, zero, dtype):
     h, p, parities = li._coefficient_complement(C, cls)
     assert p == pivot and h.dtype == C.dtype
     np.testing.assert_array_equal(parities, np.where(np.delete(cls, p), 1, -1))
-    rm = li.ResponseMatrix(layout=li.ResponseLayout((), (), nc), a=None,
-                           b=None, householder=(h, p))
+    order, sizes = li._sector_order([], [], (h, p))
+    rm = li.ResponseMatrix(layout=li.ResponseLayout((), (), nc),
+                           householder=(h, p), order=order, sizes=sizes)
     B = rm.lift(np.eye(nc - 1))
     eye = np.eye(nc - 1)
     assert np.abs(B.conj().T @ B - eye).max() < 1e-14

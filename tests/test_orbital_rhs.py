@@ -48,7 +48,7 @@ def test_identical_rhs_matches_term_loop(statistics, N, M, kernel, gauge):
         km = km + km.T
     h_op = oscillator_h(grid)
     ref = lo.orbital_eom_rhs(grid, orbs, h_op, km, rho)
-    assert _rel(gs.orbital_eom_rhs(grid, orbs, h_op, km, rho), ref) < REL
+    assert _rel(lo.orbital_eom_rhs_plan(grid, orbs, h_op, km, rho), ref) < REL
     fields = ham.mean_field_plans(space, None, rho.rho2, km, [grid.weight])
     rhs = gs.OrbitalRHS([rho.rho1], [h_op], [grid.weight], fields)
     (B,) = rhs.unstack(rhs(rhs.stack([orbs.orbitals])))

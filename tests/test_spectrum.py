@@ -426,7 +426,8 @@ def test_halves_are_assembled_on_range_of_P(fixture, request):
     K = [len(occ) for occ, _ in rm.natural]
     n = sum(k * (p - M) for M, p, k in zip(lay.M_list, lay.n_list, K)) \
         + lay.n_conf - 1
-    assert rm.a.shape == rm.b.shape == (n, n)
+    assert rm.n == n and all(m.shape == (k, k) for (m, _), k in
+                             zip(rm.halves, rm.sizes))
     assert lay.D - 2 * n == spm.expected_zero_modes(lay.M_list, lay.n_list, K)
     assert np.abs(rm.lift(rm.lift(np.eye(n)), adjoint=True)
                   - np.eye(n)).max() < 1e-13
@@ -520,10 +521,12 @@ def test_symmetry_defects_match_dense_operators(layout):
     # complex halves, and real ones (real-arithmetic path)
     for a, b, bases in ((a, b, rotated), (a.real, b.real, embedding),
                         (a, b, embedding)):
-        rm = li.ResponseMatrix(layout=layout, a=a, b=b, bases=bases[0],
-                               householder=bases[1],
-                               natural=[(np.ones(M), np.eye(M))
-                                        for M in layout.M_list])
+        natural = [(np.ones(M), np.eye(M)) for M in layout.M_list]
+        order, sizes = li._sector_order(natural, *bases)
+        rm = li.ResponseMatrix(layout=layout, halves=((a - b, a + b),),
+                               bases=bases[0], householder=bases[1],
+                               natural=natural, order=order, sizes=sizes)
+        rm.sigma3_defect = li._sigma3_defect(*rm.full_halves())
         L = rm.L
         d1, d3 = S1 @ L @ S1 + L.conj(), S3 @ L @ S3 - L.conj().T
         assert np.abs(d1).max() == 0.0 and np.abs(d3).max() > 0.1
@@ -566,21 +569,30 @@ def test_lower_product_matches_full_product(n):
 
 
 def test_scale_of_L_is_taken_once(bos_m2_48, monkeypatch):
-    # the RPA defect test and the zero-mode census share max(|a|, |b|)
-    rm = li.assemble_L(bos_m2_48)
+    # max(|a|, |b|) is read once, by the assembly, from the sector blocks
+    # of a and b before they are combined; the RPA defect test and the
+    # zero-mode census share it
     seen, absmax = [], li._absmax
-    monkeypatch.setattr(li, "_absmax", lambda x: seen.append(x) or absmax(x))
+    monkeypatch.setattr(li, "_absmax",
+                        lambda x: seen.append(x.copy()) or absmax(x))
+    rm = li.assemble_L(bos_m2_48)
+    pulled = seen[:2 * len(rm.sizes)]
+    assert [x.shape for x in pulled] == [(m, m) for m in rm.sizes] * 2
+    assert rm.scale == max(np.abs(x).max() for x in pulled)
+    seen.clear()
     spm.classify_zero_modes(spm.eigensolve(rm))
-    assert len(seen) == 2 and seen[0] is rm.a and seen[1] is rm.b
-    assert rm.scale == max(np.abs(rm.a).max(), np.abs(rm.b).max())
+    assert seen == []
 
 
 def _shifted(rm):
     """``rm`` with a - c I on range(P), which is L - c Sigma3 P: it keeps
     both pairing symmetries and shifts the reduced A - B by -c; c, the
     median of the spectrum of A - B, leaves it indefinite."""
-    lam = np.linalg.eigvalsh(rm.a - rm.b)
-    return dataclasses.replace(rm, a=rm.a - np.median(lam) * np.eye(len(rm.a)))
+    c = np.median(np.concatenate([np.linalg.eigvalsh(m)
+                                  for m, _ in rm.halves]))
+    return dataclasses.replace(rm, halves=tuple(
+        (m - c * np.eye(len(m)), p - c * np.eye(len(m)))
+        for m, p in rm.halves))
 
 
 def test_indefinite_a_minus_b_falls_back_to_dense(bos_m2_48):
@@ -649,10 +661,10 @@ def test_derived_vectors_and_product_weights(fixture, request):
     # lift, which can differ between columns)
     n = len(spec.retained)
     V = spec.vectors.times(np.eye(n))
-    assert V.shape == (2 * len(rm.a), n)
+    assert V.shape == (2 * rm.n, n)
     np.testing.assert_array_equal(spec.right, rm.to_space(V))
-    left = np.repeat([1.0, -1.0], len(rm.a))[:, None] * V * spec.sng
-    swap = np.roll(np.arange(2 * len(rm.a)), len(rm.a))
+    left = np.repeat([1.0, -1.0], rm.n)[:, None] * V * spec.sng
+    swap = np.roll(np.arange(2 * rm.n), rm.n)
     for got, want in zip((lo.left(spec), lo.right_neg(spec),
                           lo.left_neg(spec)),
                          (left, V.conj()[swap], left.conj()[swap])):
@@ -832,8 +844,8 @@ def _assert_matches_one_sector(rm, R, omega, rec_tol=1e-10):
     one, one_weights, one_rec = lo.sector_outputs(lo.one_sector(rm), R, omega)
     assert spec.eigensolver == one.eigensolver == "rpa"
     assert len(spec.sector_sizes) == 2 and min(spec.sector_sizes) > 0
-    assert sum(spec.sector_sizes) == len(rm.a)
-    assert one.sector_sizes == (len(rm.a),)
+    assert sum(spec.sector_sizes) == rm.n
+    assert one.sector_sizes == (rm.n,)
     scale = np.abs(one.omega).max()
     assert np.abs(spec.eigenvalues - one.eigenvalues).max() <= 1e-12 * scale
     np.testing.assert_array_equal(spec.zero_modes, one.zero_modes)
@@ -929,7 +941,7 @@ def test_dense_bases_match_butterfly_wy_oracle(fixture, request):
     rm = li.assemble_L(st)
     wy = lo.wy_response(rm)
     rng = np.random.default_rng(11)
-    n, half = len(rm.a), rm.layout.D // 2
+    n, half = rm.n, rm.layout.D // 2
     calls = [(n, lambda m, x: m.lift(x)),
              (half, lambda m, x: m.lift(x, adjoint=True)),
              (2 * n, lambda m, x: m.to_space(x)),
@@ -955,11 +967,10 @@ def test_symmetry_defects_match_full_temporaries(n, bos_m2_48):
     rng = np.random.default_rng(n)
     a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for _ in range(2))
-    for rm in (SimpleNamespace(a=a, b=b), SimpleNamespace(a=a.real, b=b.real),
-               SimpleNamespace(a=a.real, b=0.5 * (b + b.T).real),
-               li.assemble_L(bos_m2_48)):
-        got, want = spm.symmetry_defects(rm), lo.symmetry_defects_full(rm)
-        assert got == want
+    rm = li.assemble_L(bos_m2_48)
+    for a, b in ((a, b), (a.real, b.real), (a.real, 0.5 * (b + b.T).real),
+                 lo.raw_halves(rm, lo.raw_blocks(bos_m2_48))):
+        assert li._sigma3_defect(a, b) == lo.symmetry_defects_full(a, b)
 
 
 def test_complement_columns_have_one_parity(bos_m2_48):
@@ -968,13 +979,13 @@ def test_complement_columns_have_one_parity(bos_m2_48):
     rm = li.assemble_L(bos_m2_48)
     lay = rm.layout
     (occ, U), = rm.natural
-    cols = rm.lift(np.eye(len(rm.a)))
+    cols = rm.lift(np.eye(rm.n))
     (u,), _, cu, _ = lay.split(np.vstack([cols[:lay.orb], cols[:lay.orb],
                                           cols[lay.orb:], cols[lay.orb:]]))
     pars = li._mirror_parities(bos_m2_48, [s.scaled for s in bos_m2_48.sets],
                                bos_m2_48.C)[0][0]
     # slot a with parity p_a carries a response of parity p_a s
-    want = pars[:, None, None] * rm.sectors[None, None, :]
+    want = pars[:, None, None] * lo.sectors(rm)[None, None, :]
     mirrored = u[:, ::-1, :]
     assert np.abs(mirrored - want * u).max() < 1e-13
 
@@ -992,9 +1003,9 @@ def test_mirror_broken_grid_is_one_sector():
         low.append(np.sort(spec.omega)[:6])
     # the QR ran in the rows of the grid and C pivots on its first row
     phi = rm.state.sets[0].scaled
-    assert np.all(rm.sectors == 1) and rm.householder[1] == 0
+    assert np.all(lo.sectors(rm) == 1) and rm.householder[1] == 0
     assert np.array_equal(rm.bases[0], li._orbital_complement(phi)[0])
-    assert spec.eigensolver == "rpa" and spec.sector_sizes == (len(rm.a),)
+    assert spec.eigensolver == "rpa" and spec.sector_sizes == (rm.n,)
     # the same solve as a forced one-sector run, bit for bit
     one, one_weights, one_rec = lo.sector_outputs(lo.one_sector(rm), R, omega)
     np.testing.assert_array_equal(spec.eigenvalues, one.eigenvalues)
@@ -1005,36 +1016,47 @@ def test_mirror_broken_grid_is_one_sector():
 
 
 def test_off_sector_entry_above_the_gate_gives_one_sector(bos_m2_48):
+    # an entry between the sectors, injected through the raw orbital block
+    # A as x (w_e w_o^H + w_o w_e^H), w = B U n^(1/2) e on an orbital
+    # coordinate of each sector, which F^H = n^(-1/2) U^H B^H takes to
+    # a[e, o] = a[o, e] = x
     rm = li.assemble_L(bos_m2_48)
-    even, odd = (np.flatnonzero(rm.sectors == s) for s in (1, -1))
     assert len(spm.parity_sectors(rm)) == 2
-    a = rm.a.copy()
-    entry = 2 * spm.SECTOR_TOL * rm.scale
-    a[even[3], odd[5]] = a[odd[5], even[3]] = entry
-    mutated = dataclasses.replace(rm, a=a)
-    groups = spm.parity_sectors(mutated)
-    assert len(groups) == 1 and len(groups[0]) == len(a)
-    spec = spm.eigensolve(mutated)
-    assert spec.eigensolver == "rpa" and spec.sector_sizes == (len(a),)
-    # just below the gate the sectors are kept
-    a[even[3], odd[5]] = a[odd[5], even[3]] = 0.5 * entry / np.sqrt(2)
-    assert len(spm.parity_sectors(dataclasses.replace(rm, a=a))) == 2
+    n0, orb = rm.sizes[0], rm.layout.orb
+    e = np.zeros((rm.n, 2))
+    e[3, 0] = e[n0 + 5, 1] = 1.0
+    w = rm.lift(e, power=0.5)[:orb]
+    gate = spm.SECTOR_TOL * rm.scale
+    for entry, sectors in ((2 * gate, 1), (0.5 * gate / np.sqrt(2), 2)):
+        blocks = list(lo.raw_blocks(bos_m2_48))
+        blocks[0] = blocks[0] + entry * (np.outer(w[:, 0], w[:, 1])
+                                         + np.outer(w[:, 1], w[:, 0]))
+        a = lo.raw_halves(rm, blocks)[0]
+        assert abs(a[3, n0 + 5] - entry) < 1e-3 * entry
+        mutated = li._response_matrix(bos_m2_48, blocks)
+        assert len(spm.parity_sectors(mutated)) == sectors
+        if sectors == 1:
+            spec = spm.eigensolve(mutated)
+            assert spec.eigensolver == "rpa" and spec.sector_sizes == (rm.n,)
 
 
 def test_sector_gate_gathers_one_off_sector_block(dist_44):
-    # the gate reads each off-sector block of a and of b as one gather:
-    # at most one such block per matrix is held, and no n_even x n rows
+    # the gate is the verdict the assembly recorded, and the solve factors
+    # the stored sector blocks as they are: no block of a or b is gathered.
+    # It holds per sector its factor K, its eigenvectors Z and the inverted
+    # diagonal blocks of K, and one lower product at a time: less than
+    # 3.25 times the sector blocks of one half
     rm = li.assemble_L(dist_44)
-    even, odd = (np.flatnonzero(rm.sectors == s) for s in (1, -1))
-    block = len(even) * len(odd) * rm.a.itemsize
-    rm.scale    # the cached max|L| is not part of the gate
+    block = sum(m.nbytes for m, _ in rm.halves)
     tracemalloc.start()
     try:
         assert len(spm.parity_sectors(rm)) == 2
+        spec = spm.eigensolve(rm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * block
+    assert spec.eigensolver == "rpa" and spec.sector_sizes == rm.sizes
+    assert peak < 3.25 * block
 
 
 # --- driven sectors: eigenvectors only where the probe reaches ---------------
@@ -1128,7 +1150,7 @@ def test_one_sector_and_dense_path_ignore_the_drive(bos_m2_48):
     cfg.set("grid", "x_max", "8.5")
     rm, R, omega = _linres_inputs(cfg)
     spec = _assert_same_outputs(rm, R, omega, R)
-    assert spec.eigensolver == "rpa" and spec.sector_sizes == (len(rm.a),)
+    assert spec.eigensolver == "rpa" and spec.sector_sizes == (rm.n,)
     # the dense path forms every vector, for any drive
     rm = li.assemble_L(bos_m2_48)
     R = _dipole_probe(bos_m2_48, rm)
@@ -1136,7 +1158,7 @@ def test_one_sector_and_dense_path_ignore_the_drive(bos_m2_48):
         spec = spm.eigensolve(rm, tol_zero=1.5, drive=drive)
         full = spm.eigensolve(rm, tol_zero=1.5)
         assert spec.eigensolver == "dense (an excitation at or below tol_zero)"
-        assert spec.driven_sizes == spec.sector_sizes == (len(rm.a),)
+        assert spec.driven_sizes == spec.sector_sizes == (rm.n,)
         np.testing.assert_array_equal(spec.eigenvalues, full.eigenvalues)
         np.testing.assert_array_equal(spec.right, full.right)
 
@@ -1170,7 +1192,7 @@ def test_undriven_sector_refuses_its_modes(bos_m2_48):
     with pytest.raises(ValueError, match="undriven parity sector"):
         spec.right_times(c)
     # a response of the even sector, and one of the odd sector
-    n, sector = len(rm.a), rm.sectors
+    n, sector = rm.n, lo.sectors(rm)
     e = np.zeros((2 * n, 2))
     e[np.flatnonzero(sector > 0)[0], 0] = e[np.flatnonzero(sector < 0)[0], 1] = 1
     v = rm.to_space(e)
@@ -1207,3 +1229,14 @@ def test_vectors_only_for_driven_sectors(bos_m2_48, monkeypatch, probe, eigh,
     assert (calls.count("eigh"), calls.count("eigvalsh")) == (eigh, eigvalsh)
     assert len(calls) == 2
     assert len(spec.driven_sizes) == eigh
+
+
+@pytest.mark.parametrize("fixture", ["bos_m2", "ferm_m3", "dist_44",
+                                     "bos_m2_complex_gauge", "free_m2"])
+def test_null_vector_residual_matches_dense_oracle(fixture, request):
+    # the x half of T^H Z formed part by part, with no D-row array of null
+    # vectors, against the pull of the dense null vectors
+    rm = li.assemble_L(request.getfixturevalue(fixture))
+    got = spm.classify_zero_modes(spm.eigensolve(rm))["constructed_residual"]
+    want = lo.null_vector_residual(rm)
+    assert got < 1e-13 and abs(got - want) <= 1e-14 * want
